@@ -29,21 +29,27 @@
 //!   cumulative acks cover whole sequence ranges, same-destination
 //!   overflow coalesces into bundle frames — at-least-once on the wire,
 //!   exactly-once to the application, every payload and ack byte counted;
-//! * [`shard`] — who owns which elements and points, the push sets a halo
-//!   exchange must move, and the interior/frontier split of each rank's
-//!   owned work by stencil footprint;
-//! * [`runtime`] — the sharded direct per-element scheme: posted push
-//!   exchange, interior evaluation overlapped with the wire, frontier
-//!   evaluation after the drain, two-stage reduction, and rank-failure
-//!   recovery by coordinator re-resolve;
-//! * [`plan_dist`] — the sharded plan path: per-rank CSR compile of owned
-//!   rows, pull-based exchange of exactly the columns the plan stored
-//!   overlapped with interior-row SpMV, bitwise equal to a global plan
-//!   apply.
+//! * [`shard`] — who owns which elements and points, the ghost-ring width
+//!   and the push sets a halo exchange must move, and the interior/frontier
+//!   split of each rank's owned elements by stencil footprint;
+//! * [`schedule`] — the one rank schedule: static scatter, a thread per
+//!   rank, the five-phase overlapped body (post → interior → drain →
+//!   frontier → flush) with its spans and exposed-comms timing, the
+//!   coordinator's gather with deadline, and the assemble loop that
+//!   re-resolves a failed rank through the same work's two passes. It
+//!   also owns what both paths share in public: [`DistOptions`],
+//!   [`RankReport`] and [`DistSolution`] with its one set of accessors;
+//! * [`push`] / [`pull`] — the two works the schedule runs. [`push`] is the
+//!   sharded direct per-element scheme ([`run_dist`]): boundary
+//!   coefficients pushed to the peers whose rings hold them, owned ∪ halo
+//!   elements scattered onto owned points, two-stage reduction. [`pull`] is
+//!   the sharded plan path ([`run_plan_dist`]): per-rank CSR compile of
+//!   owned rows, a pull of exactly the columns the plan stored, row-split
+//!   SpMV — bitwise equal to a global plan apply.
 //!
-//! Work counters partition exactly (see the module docs of [`runtime`] and
-//! [`plan_dist`] for which components are bit-identical to a single-rank
-//! run), wire traffic is counted per rank, and both surface through
+//! Work counters partition exactly (see the module docs of [`push`] and
+//! [`pull`] for which components are bit-identical to a single-rank run),
+//! wire traffic is counted per rank, and both surface through
 //! [`RunRecord`](ustencil_core::RunRecord) JSON and the device cost
 //! model's communication term.
 
@@ -53,9 +59,10 @@ pub mod channel;
 pub mod fault;
 pub mod flow;
 pub mod link;
-pub mod plan_dist;
+pub mod pull;
+pub mod push;
 pub mod record;
-pub mod runtime;
+pub mod schedule;
 pub mod shard;
 pub mod transport;
 pub mod wire;
@@ -66,9 +73,10 @@ pub use flow::{
     match_flow_logs, match_wire_log, FlowLog, FlowMatch, FlowPair, FlowPoint, WireFlowSummary,
 };
 pub use link::{DistError, LinkConfig, ReliableLink};
-pub use plan_dist::{run_plan_dist, run_plan_dist_on, DistPlanSolution};
+pub use pull::{run_plan_dist, run_plan_dist_on};
+pub use push::{run_dist, run_dist_on};
 pub use record::{Disposition, MessageRecord, RecordingEndpoint, RecordingFabric};
-pub use runtime::{run_dist, run_dist_on, DistOptions, DistSolution, RankReport, SCHEME_LABEL};
-pub use shard::{RankShard, ShardPlan};
+pub use schedule::{DistOptions, DistSolution, RankReport, SCHEME_LABEL};
+pub use shard::{ghost_ring_width, RankShard, ShardPlan};
 pub use transport::{Message, Tag, Transport, TransportError, HEADER_BYTES};
 pub use wire::RankResult;

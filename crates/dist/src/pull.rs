@@ -1,0 +1,331 @@
+//! The pull work: rank-sharded plan compile and apply. Each rank compiles
+//! the CSR rows of its owned grid points, then applies them as a local
+//! SpMV over owned + pulled halo coefficients.
+//!
+//! The exchange is *pull*-based, unlike the push work's coefficient
+//! scatter: a compiled plan knows exactly which element columns its rows
+//! reference, so each rank requests precisely those columns from their
+//! owners ([`Tag::HaloRequest`], one per peer, in `exchange.post`) and the
+//! schedule's drain answers with chunked [`Tag::HaloCoeffs`] replies. No
+//! geometric halo estimate is involved — the requested set is the support
+//! the plan actually stored, and the shard plan is built with a zero ring.
+//! *Interior rows* are the rows whose every stored column is locally
+//! owned; the remaining *frontier rows* reference pulled columns and run
+//! after the drain.
+//!
+//! ## Numerical contract
+//!
+//! Plan rows depend only on the grid point they belong to (compilation
+//! walks the full mesh replica through the same `TriangleGrid`), so the
+//! per-rank rows are *bit-identical* to the corresponding rows of a
+//! single-rank plan, and each output value is produced by the same
+//! entry-order dot product — the interior/frontier split changes which
+//! pass writes a row, never the dot product behind it. Sharded plan
+//! application is therefore bitwise equal to a global
+//! [`EvalPlan::apply`], for any rank count, and the row-partitioned apply
+//! counters sum exactly. For the same reason the coordinator's two-pass
+//! recovery of a failed rank is bitwise a one-pass apply of its rows.
+
+use crate::channel::ChannelFabric;
+use crate::link::DistError;
+use crate::schedule::{
+    chunks_for, run_schedule, DistOptions, DistSolution, Exchange, Kernel, RankReport, Site, Split,
+    Work,
+};
+use crate::transport::{Tag, Transport};
+use crate::wire::{encode_ids, RankResult};
+use std::time::Instant;
+use ustencil_core::{ComputationGrid, Layout, Metrics, PlanStats, Scheme};
+use ustencil_dg::DgField;
+use ustencil_mesh::TriMesh;
+use ustencil_plan::{CompileOptions, EvalPlan};
+use ustencil_trace::Tracer;
+
+/// The row-split SpMV, configured once for every rank.
+pub(crate) struct PullWork {
+    kernel: Kernel,
+}
+
+/// A rank's compiled rows and the columns it must pull to apply them.
+pub(crate) struct PullLocal {
+    plan: EvalPlan,
+    /// Per peer: the deduplicated element columns the rows reference that
+    /// the peer owns (empty for this rank's own slot).
+    wanted: Vec<Vec<u32>>,
+}
+
+impl Work for PullWork {
+    type Local = PullLocal;
+    const SCHEME: Scheme = Scheme::PerPoint;
+
+    fn new(kernel: Kernel) -> Self {
+        Self { kernel }
+    }
+
+    /// The exchange needs only ownership — the plan's stored columns are
+    /// the exact pull set — and zero keeps the shard build from computing
+    /// rings nobody reads.
+    fn halo_width(&self, _: &TriMesh) -> f64 {
+        0.0
+    }
+
+    /// Compiles the rows of the rank's owned points over the full mesh
+    /// replica (compilation is pure geometry — no cross-rank data). The
+    /// compile time is reported as the rank's `reduce_ns`.
+    fn localize(&self, site: &Site, tracer: &Tracer, res: &mut RankResult) -> PullLocal {
+        let compile_start = Instant::now();
+        let plan = {
+            let _span = tracer.span("compile.plan");
+            EvalPlan::compile(
+                site.mesh,
+                site.grid,
+                self.kernel.degree,
+                &CompileOptions {
+                    smoothness: Some(self.kernel.smoothness),
+                    h_factor: self.kernel.h_factor,
+                    n_blocks: self.kernel.sm_patches,
+                    parallel: false,
+                    instrument: false,
+                    // Per-rank plans stay in natural order: their cols()
+                    // are scanned as *global element ids* for halo
+                    // discovery, which a permuted column space would
+                    // break.
+                    layout: Layout::Natural,
+                    simd: self.kernel.simd,
+                },
+            )
+        };
+        res.reduce_ns = compile_start.elapsed().as_nanos() as u64;
+
+        let mut needed: Vec<u32> = plan.cols().to_vec();
+        needed.sort_unstable();
+        needed.dedup();
+        let mut wanted = vec![Vec::new(); site.plan.n_ranks()];
+        for e in needed {
+            let owner = site.plan.owner_of(e) as usize;
+            if owner != site.rank {
+                wanted[owner].push(e);
+            }
+        }
+        PullLocal { plan, wanted }
+    }
+
+    fn exchange(
+        &self,
+        site: &Site,
+        local: &PullLocal,
+        _: &DgField,
+        chunk_elems: usize,
+    ) -> Exchange {
+        let peers = (0..site.plan.n_ranks()).filter(|&q| q != site.rank);
+        Exchange {
+            posts: peers
+                .clone()
+                .map(|peer| {
+                    (
+                        peer as u32,
+                        Tag::HaloRequest,
+                        encode_ids(&local.wanted[peer]),
+                    )
+                })
+                .collect(),
+            requests: site.plan.n_ranks() - 1,
+            chunks: peers
+                .map(|peer| chunks_for(local.wanted[peer].len(), chunk_elems))
+                .sum(),
+        }
+    }
+
+    /// The split is exact: every row lands in one list.
+    fn split(&self, site: &Site, local: &PullLocal) -> Split {
+        let (interior, frontier): (Vec<u32>, Vec<u32>) =
+            (0..local.plan.rows() as u32).partition(|&row| {
+                local
+                    .plan
+                    .row_cols(row as usize)
+                    .iter()
+                    .all(|&c| site.plan.owner_of(c) as usize == site.rank)
+            });
+        Split {
+            interior,
+            n_frontier: frontier.len() as u64,
+            frontier,
+        }
+    }
+
+    /// Applies the rows `ids`; each writes its own slot of `res.values`.
+    fn pass(
+        &self,
+        _: &Site,
+        local: &PullLocal,
+        ids: &[u32],
+        field: &DgField,
+        res: &mut RankResult,
+    ) {
+        let eval_start = Instant::now();
+        res.patches.extend(local.plan.apply_rows_into(
+            ids,
+            field,
+            &mut res.values,
+            self.kernel.sm_patches,
+            self.kernel.simd,
+        ));
+        res.eval_ns += eval_start.elapsed().as_nanos() as u64;
+    }
+
+    /// The apply counters encode the sharded plan's shape exactly: one
+    /// solution write per row, `nnz * n_modes` coefficient loads.
+    fn plan_stats(
+        &self,
+        n_modes: usize,
+        metrics: &Metrics,
+        ranks: &[RankReport],
+    ) -> Option<PlanStats> {
+        let nm = n_modes as u64;
+        let nnz = metrics.elem_data_loads / nm;
+        let rows = metrics.solution_writes;
+        let max_ms =
+            |f: fn(&RankReport) -> u64| ranks.iter().map(f).max().unwrap_or(0) as f64 / 1e6;
+        Some(PlanStats {
+            rows,
+            nnz,
+            n_modes: nm,
+            bytes: nnz * (4 + 8 * nm) + (rows + 1) * 8,
+            build_ms: max_ms(|r| r.reduce_ns),
+            apply_ms: max_ms(|r| r.eval_ns),
+            delta: None,
+        })
+    }
+}
+
+/// Runs the rank-sharded plan compile + apply over the in-process channel
+/// fabric.
+///
+/// # Panics
+/// Panics when the field does not match the mesh, the stencil exceeds the
+/// periodic domain, or `options.n_ranks == 0`.
+pub fn run_plan_dist(
+    mesh: &TriMesh,
+    field: &DgField,
+    grid: &ComputationGrid,
+    options: &DistOptions,
+) -> Result<DistSolution, DistError> {
+    let transports = ChannelFabric::endpoints(options.n_ranks);
+    run_plan_dist_on(mesh, field, grid, options, transports)
+}
+
+/// [`run_plan_dist`] over caller-provided transport endpoints — the seam
+/// the deterministic/fault-injecting fabrics plug into.
+///
+/// # Panics
+/// Panics on the same conditions as [`run_plan_dist`], or when the
+/// endpoint count disagrees with `options.n_ranks`.
+pub fn run_plan_dist_on<T: Transport>(
+    mesh: &TriMesh,
+    field: &DgField,
+    grid: &ComputationGrid,
+    options: &DistOptions,
+    transports: Vec<T>,
+) -> Result<DistSolution, DistError> {
+    run_schedule::<PullWork, T>(mesh, field, grid, options, transports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SCHEME_LABEL;
+    use ustencil_dg::project_l2;
+    use ustencil_mesh::{generate_mesh, MeshClass};
+    use ustencil_trace::Timeline;
+
+    fn fixture(n_tri: usize, p: usize, seed: u64) -> (TriMesh, DgField, ComputationGrid) {
+        let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
+        let field = project_l2(&mesh, p, |x, y| 0.2 + 0.7 * x + 0.3 * y - x * y, 2);
+        let grid = ComputationGrid::quadrature_points(&mesh, p);
+        (mesh, field, grid)
+    }
+
+    #[test]
+    fn sharded_apply_is_bitwise_the_global_plan_apply() {
+        let (mesh, field, grid) = fixture(300, 1, 17);
+        let global = EvalPlan::compile(&mesh, &grid, 1, &CompileOptions::default());
+        let reference = global.apply(&field);
+        for ranks in [1usize, 2, 4] {
+            let dist = run_plan_dist(&mesh, &field, &grid, &DistOptions::new(ranks)).unwrap();
+            assert_eq!(
+                dist.values, reference.values,
+                "{ranks}-rank plan apply must be bitwise equal"
+            );
+            assert_eq!(
+                dist.metrics.solution_writes,
+                reference.metrics.solution_writes
+            );
+            assert_eq!(
+                dist.metrics.elem_data_loads,
+                reference.metrics.elem_data_loads
+            );
+            assert_eq!(dist.metrics.flops, reference.metrics.flops);
+            let stats = dist.plan_stats.as_ref().expect("plan shape");
+            assert_eq!(stats.rows, global.stats().rows);
+            assert_eq!(stats.nnz, global.stats().nnz);
+            if ranks > 1 {
+                let comm = dist.total_comm();
+                assert!(comm.bytes_sent > 0, "halo pull must move bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn record_carries_plan_shape_and_comms() {
+        let (mesh, field, grid) = fixture(200, 1, 3);
+        let dist =
+            run_plan_dist(&mesh, &field, &grid, &DistOptions::new(2).instrument(true)).unwrap();
+        let record = dist.to_run_record("test/plan@2ranks", mesh.n_triangles(), None);
+        assert_eq!(record.scheme, SCHEME_LABEL);
+        assert_eq!(record.comms.len(), 2);
+        assert!(record.plan.is_some());
+        let names: Vec<&str> = dist.spans.iter().map(|s| s.name.as_str()).collect();
+        for phase in [
+            "compile.plan",
+            "exchange.post",
+            "eval.interior",
+            "exchange.drain",
+            "eval.frontier",
+            "exchange.flush",
+            "reduce.gather",
+        ] {
+            assert!(names.contains(&phase), "missing span {phase}: {names:?}");
+        }
+        // Every rank ships spans and flow points; the join is complete.
+        for r in &dist.ranks {
+            let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
+            for phase in [
+                "exchange.post",
+                "eval.interior",
+                "exchange.drain",
+                "exchange.flush",
+            ] {
+                assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);
+            }
+            assert!(!r.flows.sends.is_empty(), "rank {} logged no sends", r.rank);
+            // Interior + frontier rows partition the rank's owned points
+            // (one plan row per owned grid point).
+            assert_eq!(r.interior + r.frontier, r.owned_points, "rank {}", r.rank);
+        }
+        let matched = dist.flow_match();
+        assert!(!matched.pairs.is_empty());
+        assert!(matched.unmatched_sends.is_empty());
+        assert!(matched.unmatched_recvs.is_empty());
+        let cp = record.critical_path.as_ref().expect("critical path");
+        assert!(cp.total_ms > 0.0);
+        assert_eq!(cp.utilization.len(), 2);
+        for c in &record.comms {
+            assert!(c.exposed_comms_ms >= 0.0);
+            assert!(c.flow_sends > 0 && c.flow_recvs > 0, "rank {}", c.rank);
+        }
+        let mut timeline = Timeline::new();
+        dist.add_to_timeline(&mut timeline, 1, "plan@2ranks");
+        assert_eq!(timeline.tracks().len(), 2);
+        assert_eq!(timeline.flows().len(), matched.pairs.len());
+    }
+}

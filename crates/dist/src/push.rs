@@ -1,0 +1,350 @@
+//! The push work: the direct per-element scheme, sharded. Each rank
+//! pushes its boundary coefficients to the peers whose ghost rings hold
+//! them and scatters owned ∪ halo elements onto its owned points.
+//!
+//! The exchange is *push*-based because the replicated
+//! [`ShardPlan`](crate::shard::ShardPlan) already tells each rank which
+//! peers' rings contain its owned elements
+//! ([`push_set`](crate::shard::ShardPlan::push_set)): chunked
+//! [`Tag::HaloCoeffs`] messages go out in `exchange.post`, and the drain
+//! waits for exactly the chunk count the same plan says peers owe back.
+//! The interior pass covers the owned elements whose stencil footprint
+//! cannot reach the ring
+//! ([`split_interior`](crate::shard::ShardPlan::split_interior)); the
+//! frontier pass covers the rest *and the ring itself*.
+//!
+//! ## Numerical contract
+//!
+//! A rank evaluates its owned ∪ halo elements against a point grid built
+//! over its owned points only. The halo ring is sized
+//! ([`ghost_ring_width`]) so that every element whose cell-rounded
+//! candidate search can reach an owned point is present locally, and
+//! per-rank point grids share the global grid's cell geometry (cell size
+//! depends only on `max_edge/2`). Each global `(element, point)` candidate
+//! pair is therefore tested on exactly one rank, which makes the summed
+//! pair-driven work counters (`intersection_tests`, `true_intersections`,
+//! `cell_clips`, `subregions`, `quad_evals`, `flops`, `point_data_loads`,
+//! `solution_writes`) *bit-identical* to a single-rank run. Element-driven
+//! counters (`cells_visited`, `elem_data_loads`) and `partial_slots` count
+//! halo replication and per-rank patch shapes, so they grow with the rank
+//! count — that duplicated work is the scheme's replication cost and is
+//! reported as such.
+//!
+//! Values agree with a single-rank run to rounding (the per-rank patch
+//! decomposition changes the floating-point summation order, nothing
+//! else); with one rank the patch decomposition is identical and the
+//! values are bitwise equal to the engine's per-element path.
+
+use crate::channel::ChannelFabric;
+use crate::link::DistError;
+use crate::schedule::{
+    chunked, chunks_for, run_schedule, DistOptions, DistSolution, Exchange, Kernel, Site, Split,
+    Work,
+};
+use crate::shard::ghost_ring_width;
+use crate::transport::{Tag, Transport};
+use crate::wire::{encode_coeffs, RankResult};
+use std::time::Instant;
+use ustencil_core::integrate::IntegrationCtx;
+use ustencil_core::per_element::PerElementRun;
+use ustencil_core::tiling::add_partials;
+use ustencil_core::{ComputationGrid, Scheme, SimdIsa};
+use ustencil_dg::DgField;
+use ustencil_mesh::{partition_subset, TriMesh};
+use ustencil_quadrature::TriangleRule;
+use ustencil_siac::Stencil2d;
+use ustencil_spatial::{Boundary, PointGrid};
+use ustencil_trace::Tracer;
+
+/// The per-element scatter, configured once for every rank.
+pub(crate) struct PushWork {
+    stencil: Stencil2d,
+    rule: TriangleRule,
+    sm_patches: usize,
+    simd: SimdIsa,
+}
+
+fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+impl Work for PushWork {
+    type Local = ();
+    const SCHEME: Scheme = Scheme::PerElement;
+
+    fn new(kernel: Kernel) -> Self {
+        Self {
+            stencil: Stencil2d::symmetric(kernel.smoothness, kernel.h),
+            rule: TriangleRule::with_strength(IntegrationCtx::required_strength(
+                kernel.smoothness,
+                kernel.degree,
+            )),
+            sm_patches: kernel.sm_patches,
+            simd: kernel.simd.resolve(),
+        }
+    }
+
+    fn halo_width(&self, mesh: &TriMesh) -> f64 {
+        ghost_ring_width(mesh.max_edge_length(), self.stencil.width())
+    }
+
+    fn localize(&self, _: &Site, _: &Tracer, _: &mut RankResult) {}
+
+    fn exchange(&self, site: &Site, _: &(), field: &DgField, chunk_elems: usize) -> Exchange {
+        let peers = (0..site.plan.n_ranks()).filter(|&q| q != site.rank);
+        let mut posts = Vec::new();
+        for peer in peers.clone() {
+            let ids = site.plan.push_set(site.rank, peer);
+            posts.extend(chunked(&ids, chunk_elems).map(|chunk| {
+                let payload = encode_coeffs(chunk, field.coefficients(), field.n_modes());
+                (peer as u32, Tag::HaloCoeffs, payload)
+            }));
+        }
+        Exchange {
+            posts,
+            requests: 0,
+            chunks: peers
+                .map(|peer| chunks_for(site.plan.push_set(peer, site.rank).len(), chunk_elems))
+                .sum(),
+        }
+    }
+
+    fn split(&self, site: &Site, _: &()) -> Split {
+        let (interior, frontier) = site.plan.split_interior(site.mesh, site.rank);
+        Split {
+            interior,
+            n_frontier: frontier.len() as u64,
+            frontier: merge_sorted(&frontier, &site.plan.shard(site.rank).halo_elements),
+        }
+    }
+
+    /// Scatters the elements `ids` onto the rank's owned points, patch by
+    /// patch, then runs the local (stage-1) reduce with the same
+    /// [`add_partials`] accumulation as the in-process tiling scheme.
+    fn pass(&self, site: &Site, _: &(), ids: &[u32], field: &DgField, res: &mut RankResult) {
+        let eval_start = Instant::now();
+        let mesh = site.mesh;
+        let point_grid = PointGrid::build_half_edge(
+            site.grid.points(),
+            mesh.max_edge_length(),
+            Boundary::Clamped,
+        );
+        let run = PerElementRun {
+            mesh,
+            field,
+            grid: site.grid,
+            stencil: &self.stencil,
+            point_grid: &point_grid,
+            rule: &self.rule,
+            simd: self.simd,
+        };
+        let partition = partition_subset(mesh, ids, self.sm_patches);
+        let mut results = Vec::with_capacity(partition.n_patches());
+        for patch in partition.patches() {
+            let (result, stats) = run.run_patch_instrumented(patch, false);
+            results.push(result);
+            res.patches.push(stats);
+        }
+        res.eval_ns += eval_start.elapsed().as_nanos() as u64;
+
+        // The pass sums its patches from zero and is then added to the
+        // rank's values whole, so the interior pass lands bit-for-bit
+        // (`0.0 + v` is `v` for every `v` a sum from `+0.0` can produce)
+        // and a one-rank run stays bitwise the engine's per-element path.
+        let reduce_start = Instant::now();
+        let mut values = vec![0.0; site.grid.len()];
+        for result in &results {
+            add_partials(&result.partials, &mut values);
+        }
+        for (acc, v) in res.values.iter_mut().zip(&values) {
+            *acc += v;
+        }
+        res.reduce_ns += reduce_start.elapsed().as_nanos() as u64;
+    }
+}
+
+/// Runs the rank-sharded per-element scheme over the in-process channel
+/// fabric (one OS thread per rank).
+///
+/// # Panics
+/// Panics when the field does not match the mesh, the stencil exceeds the
+/// periodic domain, or `options.n_ranks == 0`.
+pub fn run_dist(
+    mesh: &TriMesh,
+    field: &DgField,
+    grid: &ComputationGrid,
+    options: &DistOptions,
+) -> Result<DistSolution, DistError> {
+    let transports = ChannelFabric::endpoints(options.n_ranks);
+    run_dist_on(mesh, field, grid, options, transports)
+}
+
+/// [`run_dist`] over caller-provided transport endpoints (one per rank, in
+/// rank order) — the seam the deterministic/fault-injecting fabrics plug
+/// into.
+///
+/// # Panics
+/// Panics on the same conditions as [`run_dist`], or when the endpoint
+/// count disagrees with `options.n_ranks`.
+pub fn run_dist_on<T: Transport>(
+    mesh: &TriMesh,
+    field: &DgField,
+    grid: &ComputationGrid,
+    options: &DistOptions,
+    transports: Vec<T>,
+) -> Result<DistSolution, DistError> {
+    run_schedule::<PushWork, T>(mesh, field, grid, options, transports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SCHEME_LABEL;
+    use ustencil_core::{DeviceConfig, Metrics, PostProcessor};
+    use ustencil_dg::project_l2;
+    use ustencil_mesh::{generate_mesh, MeshClass};
+    use ustencil_trace::Timeline;
+
+    fn fixture(n_tri: usize, p: usize, seed: u64) -> (TriMesh, DgField, ComputationGrid) {
+        let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
+        let field = project_l2(&mesh, p, |x, y| 0.3 + x - 0.4 * y + 0.8 * x * y, 2);
+        let grid = ComputationGrid::quadrature_points(&mesh, p);
+        (mesh, field, grid)
+    }
+
+    #[test]
+    fn sharded_run_matches_single_rank() {
+        let (mesh, field, grid) = fixture(300, 1, 21);
+        let single = run_dist(&mesh, &field, &grid, &DistOptions::new(1)).unwrap();
+        for ranks in [2usize, 4] {
+            let multi = run_dist(&mesh, &field, &grid, &DistOptions::new(ranks)).unwrap();
+            let diff = multi.max_abs_diff(&single.values);
+            assert!(diff <= 1e-12, "{ranks} ranks diverge by {diff}");
+            // Candidate-pair counters are partitioned exactly.
+            for (name, f) in [
+                (
+                    "intersection_tests",
+                    (|m: &Metrics| m.intersection_tests) as fn(&Metrics) -> u64,
+                ),
+                ("true_intersections", |m| m.true_intersections),
+                ("quad_evals", |m| m.quad_evals),
+                ("flops", |m| m.flops),
+                ("solution_writes", |m| m.solution_writes),
+            ] {
+                assert_eq!(
+                    f(&multi.metrics),
+                    f(&single.metrics),
+                    "{name} must partition exactly across {ranks} ranks"
+                );
+            }
+            // Halo replication shows up in the element-driven counters.
+            assert!(multi.metrics.elem_data_loads > single.metrics.elem_data_loads);
+            // Traffic was actually counted.
+            let comm = multi.total_comm();
+            assert!(comm.bytes_sent > 0 && comm.msgs_sent >= (ranks * (ranks - 1)) as u64);
+            assert_eq!(comm.retransmits, 0, "clean fabric must not retransmit");
+            assert!(multi.plan_stats.is_none(), "a direct run has no plan shape");
+        }
+    }
+
+    #[test]
+    fn single_rank_is_bitwise_the_engine_per_element_path() {
+        let (mesh, field, grid) = fixture(250, 1, 5);
+        let dist = run_dist(&mesh, &field, &grid, &DistOptions::new(1)).unwrap();
+        let engine = PostProcessor::new(Scheme::PerElement)
+            .parallel(false)
+            .run(&mesh, &field, &grid);
+        assert_eq!(dist.values, engine.values, "one rank must be bitwise equal");
+        assert_eq!(dist.metrics, engine.metrics);
+    }
+
+    #[test]
+    fn instrumented_run_records_phases_and_comms() {
+        let (mesh, field, grid) = fixture(200, 1, 9);
+        let sol = run_dist(&mesh, &field, &grid, &DistOptions::new(2).instrument(true)).unwrap();
+        let names: Vec<&str> = sol.spans.iter().map(|s| s.name.as_str()).collect();
+        for phase in [
+            "build.shard_plan",
+            "exchange.post",
+            "eval.interior",
+            "exchange.drain",
+            "eval.frontier",
+            "exchange.flush",
+            "reduce.gather",
+        ] {
+            assert!(names.contains(&phase), "missing span {phase}: {names:?}");
+        }
+        assert_eq!(sol.ranks.len(), 2);
+        for r in &sol.ranks {
+            assert!(!r.reresolved);
+            assert!(r.comm.bytes_sent > 0);
+            assert!(r.eval_ns > 0);
+            // Interior + frontier partition the rank's owned work.
+            assert_eq!(r.interior + r.frontier, r.owned_elements, "rank {}", r.rank);
+            assert!(r.frontier > 0, "multi-rank shard must have a frontier");
+            // Every rank shipped spans home on the shared axis.
+            let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
+            for phase in [
+                "exchange.post",
+                "eval.interior",
+                "exchange.drain",
+                "eval.frontier",
+                "exchange.flush",
+            ] {
+                assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);
+            }
+            assert!(!r.flows.sends.is_empty(), "rank {} logged no sends", r.rank);
+        }
+        // Flow logs join completely: every halo send matched to a recv.
+        let matched = sol.flow_match();
+        assert!(!matched.pairs.is_empty());
+        assert!(matched.unmatched_sends.is_empty());
+        assert!(matched.unmatched_recvs.is_empty());
+        for p in &matched.pairs {
+            assert!(p.send_ns <= p.recv_ns, "flow {} runs backwards", p.flow);
+        }
+        let record = sol.to_run_record("test/dist@2ranks", mesh.n_triangles(), None);
+        assert_eq!(record.scheme, SCHEME_LABEL);
+        assert_eq!(record.comms.len(), 2);
+        for c in &record.comms {
+            assert!(c.exposed_comms_ms >= 0.0);
+            assert!(c.flow_sends > 0 && c.flow_recvs > 0);
+        }
+        let cp = record.critical_path.as_ref().expect("critical path");
+        assert!(cp.total_ms > 0.0);
+        assert_eq!(cp.utilization.len(), 2);
+        // The run renders as a timeline: one track per rank, one arrow per
+        // matched flow.
+        let mut timeline = Timeline::new();
+        sol.add_to_timeline(&mut timeline, 1, "dist@2ranks");
+        assert_eq!(timeline.tracks().len(), 2);
+        assert_eq!(timeline.flows().len(), matched.pairs.len());
+        let sim = sol.simulate(&DeviceConfig::default());
+        assert!(sim.comms_ms > 0.0, "counted traffic must be charged");
+    }
+
+    #[test]
+    fn uninstrumented_run_ships_no_observability_payload() {
+        let (mesh, field, grid) = fixture(200, 1, 9);
+        let sol = run_dist(&mesh, &field, &grid, &DistOptions::new(2)).unwrap();
+        for r in &sol.ranks {
+            assert!(r.spans.is_empty());
+            assert!(r.flows.sends.is_empty() && r.flows.recvs.is_empty());
+        }
+        let record = sol.to_run_record("test/dist@2ranks", mesh.n_triangles(), None);
+        assert!(record.critical_path.is_none());
+    }
+}

@@ -1,0 +1,978 @@
+//! The one rank schedule: static scatter, one thread per rank, the
+//! five-phase overlapped body, the coordinator's gather, and the assemble
+//! loop with rank-failure recovery — generic over the `Work` it feeds.
+//!
+//! Each rank owns a contiguous shard of mesh elements (recursive
+//! bisection) and resolves exactly the grid points that live on its owned
+//! elements. The only data that crosses ranks after the initial static
+//! scatter are serialized messages: dG coefficients during the halo
+//! exchange, and each rank's finished owned-point values during the
+//! gather — both through the [`Transport`] boundary with sliding-window
+//! reliability.
+//!
+//! ## The five phases
+//!
+//! A rank hides the exchange behind compute instead of waiting out a
+//! phase barrier:
+//!
+//! 1. `exchange.post` — the work's messages (coefficient pushes or pull
+//!    requests) are *posted* into the sliding window without waiting for
+//!    delivery;
+//! 2. `eval.interior` — the owned work whose inputs are all locally owned
+//!    is evaluated while the messages ride the wire;
+//! 3. `exchange.drain` — the rank serves the requests and receives the
+//!    coefficient chunks the work said it is owed;
+//! 4. `eval.frontier` — the remaining owned work runs against the
+//!    completed coefficient set;
+//! 5. `exchange.flush` — the rank's own window is settled (acks
+//!    collected, lost frames retransmitted). Deferred past the frontier
+//!    pass because peers ack only when they drain — flushing inside the
+//!    drain would stall the fastest rank on the slowest peer's interior.
+//!
+//! Phases 1, 3 and 5 are *exposed* communication; `exchange_ns` (and the
+//! cost model's per-rank `exposed_fraction`) charge exactly those.
+//!
+//! ## Two works
+//!
+//! What differs between the direct per-element path
+//! ([`push`](crate::push)) and the plan path ([`pull`](crate::pull)) is
+//! what a `Work` supplies: what to post and what the drain is owed, how
+//! the owned work splits into interior and frontier, and how one pass
+//! over a coefficient vector is evaluated. Everything else — including
+//! recovery, which runs *the same work's* two passes against the caller's
+//! field with no link — is here, once.
+
+use crate::flow::{match_flow_logs, FlowLog, FlowMatch};
+use crate::link::{DistError, LinkConfig, ReliableLink};
+use crate::shard::{RankShard, ShardPlan};
+use crate::transport::{Message, Tag, Transport};
+use crate::wire::{
+    decode_coeffs_into, decode_ids, decode_rank_result, encode_coeffs, encode_rank_result,
+    RankResult,
+};
+use std::time::{Duration, Instant};
+use ustencil_core::{
+    simulate_ranks, BlockStats, ComputationGrid, DeviceConfig, Metrics, PlanStats, RankCommRecord,
+    RankTraffic, RunRecord, Scheme, SimReport, SimdPolicy, SimdRecord,
+};
+use ustencil_dg::DgField;
+use ustencil_mesh::TriMesh;
+use ustencil_trace::{critical_path, exposed_comms_ns, CommStats, SpanRecord, Timeline, Tracer};
+
+/// The `"scheme"` label rank-sharded runs carry in `RunReport` JSON.
+pub const SCHEME_LABEL: &str = "dist";
+
+/// Configuration of a rank-sharded run.
+#[derive(Debug, Clone, Copy)]
+pub struct DistOptions {
+    /// Number of ranks (worker threads; rank 0 runs on the caller's
+    /// thread and coordinates the gather).
+    pub n_ranks: usize,
+    /// Patches per rank — the SM-granularity tiling each rank applies to
+    /// its local element set (default 16, matching the engine).
+    pub sm_patches: usize,
+    /// Explicit kernel smoothness `k` (default: the field degree).
+    pub smoothness: Option<usize>,
+    /// Kernel width factor, `h = h_factor * max_edge` (default 1.0).
+    pub h_factor: f64,
+    /// Reliability-layer tunables (ack timeout, retry budget).
+    pub link: LinkConfig,
+    /// How long phase receives wait before giving up: the halo exchange
+    /// fails a run on expiry, while the gather falls back to re-resolving
+    /// the missing ranks' points locally (rank-failure recovery).
+    pub gather_timeout: Duration,
+    /// Whether every rank records phase spans and halo-flow points.
+    /// Workers measure against the run's shared epoch and ship their
+    /// records home inside the result message, so the whole run lands on
+    /// one time axis; off (the default) costs nothing on the hot path.
+    pub instrument: bool,
+    /// Elements per halo-coefficient message (default 48). Smaller chunks
+    /// start flowing sooner and interleave across peers; both sides
+    /// compute the chunk count from the shared plan replica (or from the
+    /// request itself), so the drain knows exactly how many messages to
+    /// expect without negotiation.
+    pub chunk_elems: usize,
+    /// SIMD policy of every rank's evaluation (default
+    /// [`SimdPolicy::Auto`]). Resolution is deterministic per process, so
+    /// all ranks — and the re-resolve recovery path — run the same ISA,
+    /// which keeps recovered shards bitwise identical to what the failed
+    /// rank would have produced.
+    pub simd: SimdPolicy,
+}
+
+impl DistOptions {
+    /// Defaults for `n_ranks` ranks: 16 patches per rank, paper kernel
+    /// defaults, generous timeouts, no instrumentation.
+    pub fn new(n_ranks: usize) -> Self {
+        Self {
+            n_ranks,
+            sm_patches: 16,
+            smoothness: None,
+            h_factor: 1.0,
+            link: LinkConfig::default(),
+            gather_timeout: Duration::from_secs(120),
+            instrument: false,
+            chunk_elems: 48,
+            simd: SimdPolicy::Auto,
+        }
+    }
+
+    /// Overrides the kernel smoothness `k`.
+    pub fn smoothness(mut self, k: usize) -> Self {
+        self.smoothness = Some(k);
+        self
+    }
+
+    /// Scales the kernel width: `h = h_factor * max_edge`.
+    pub fn h_factor(mut self, factor: f64) -> Self {
+        assert!(factor > 0.0, "h factor must be positive");
+        self.h_factor = factor;
+        self
+    }
+
+    /// Sets the per-rank patch count.
+    pub fn sm_patches(mut self, n: usize) -> Self {
+        assert!(n > 0, "need at least one patch per rank");
+        self.sm_patches = n;
+        self
+    }
+
+    /// Sets the reliability-layer tunables.
+    pub fn link(mut self, config: LinkConfig) -> Self {
+        self.link = config;
+        self
+    }
+
+    /// Sets the phase/gather deadline.
+    pub fn gather_timeout(mut self, timeout: Duration) -> Self {
+        self.gather_timeout = timeout;
+        self
+    }
+
+    /// Enables phase spans and flow logs on every rank.
+    pub fn instrument(mut self, on: bool) -> Self {
+        self.instrument = on;
+        self
+    }
+
+    /// Sets the halo-coefficient chunk size (elements per message).
+    pub fn chunk_elems(mut self, n: usize) -> Self {
+        assert!(n > 0, "need at least one element per chunk");
+        self.chunk_elems = n;
+        self
+    }
+
+    /// Sets the SIMD policy of every rank's evaluation.
+    pub fn simd(mut self, policy: SimdPolicy) -> Self {
+        self.simd = policy;
+        self
+    }
+}
+
+/// One rank's ledger in a finished run.
+#[derive(Debug, Clone)]
+pub struct RankReport {
+    /// The rank.
+    pub rank: u32,
+    /// Elements the rank owned.
+    pub owned_elements: u64,
+    /// Ghost-ring elements replicated onto the rank.
+    pub halo_elements: u64,
+    /// Grid points the rank resolved.
+    pub owned_points: u64,
+    /// Transport counters (zero when the rank failed and its points were
+    /// re-resolved by the coordinator).
+    pub comm: CommStats,
+    /// Owned work units evaluated while halo messages were in flight:
+    /// elements whose stencil footprint is clear of the ghost ring (push),
+    /// or plan rows whose every stored column is locally owned (pull).
+    pub interior: u64,
+    /// Owned work units that had to wait for the drain. `interior +
+    /// frontier` is the rank's owned elements (push) or owned points
+    /// (pull).
+    pub frontier: u64,
+    /// Nanoseconds of *exposed* communication: the post, the drain and
+    /// the flush, excluding the interior evaluation the wire time was
+    /// hidden behind.
+    pub exchange_ns: u64,
+    /// Nanoseconds evaluating the two passes.
+    pub eval_ns: u64,
+    /// Nanoseconds in the local reduce (push), or in the local plan
+    /// *compile* (pull — there is no per-rank reduce there: owned rows
+    /// assemble by placement).
+    pub reduce_ns: u64,
+    /// Whether the coordinator re-resolved this rank's points after the
+    /// gather deadline (rank-failure recovery).
+    pub reresolved: bool,
+    /// Per-patch stats of the rank's evaluation.
+    pub patches: Vec<BlockStats>,
+    /// The rank's phase spans, on the run's shared time axis (empty unless
+    /// instrumented; rank 0's also carry `build.shard_plan` and
+    /// `reduce.gather`).
+    pub spans: Vec<SpanRecord>,
+    /// The rank's halo-phase flow log (empty unless instrumented).
+    pub flows: FlowLog,
+}
+
+/// Result of a rank-sharded run, on either path.
+#[derive(Debug, Clone)]
+pub struct DistSolution {
+    /// Post-processed value at each grid point (global order).
+    pub values: Vec<f64>,
+    /// Work counters summed over every rank's patches. On the push path
+    /// this includes the halo replication cost (see [`push`](crate::push)
+    /// for which components stay exactly equal to a single-rank run); on
+    /// the pull path the counters are row-partitioned, so the sum is
+    /// exactly a single-rank apply's.
+    pub metrics: Metrics,
+    /// Aggregate shape of the sharded plan (pull path only; `None` for a
+    /// direct run), derived from the apply counters: `rows`/`nnz` sum the
+    /// per-rank CSR pieces, `build_ms` and `apply_ms` are critical-path
+    /// (max over ranks) times.
+    pub plan_stats: Option<PlanStats>,
+    /// Per-rank ledgers.
+    pub ranks: Vec<RankReport>,
+    /// Phase spans of rank 0 (empty unless instrumented).
+    pub spans: Vec<SpanRecord>,
+    /// Wall-clock time of the whole run.
+    pub wall: Duration,
+    /// The stencil width `(3k+1) h` used.
+    pub stencil_width: f64,
+    /// SIMD dispatch record of the run (the ISA every rank resolved, with
+    /// aggregate throughput over the run's wall time).
+    pub simd: SimdRecord,
+    /// The traversal the cost model charges the per-patch counters as.
+    scheme: Scheme,
+}
+
+impl DistSolution {
+    /// Maximum absolute difference against another value vector.
+    pub fn max_abs_diff(&self, other: &[f64]) -> f64 {
+        self.values
+            .iter()
+            .zip(other)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// Transport counters summed over every rank.
+    pub fn total_comm(&self) -> CommStats {
+        let stats: Vec<CommStats> = self.ranks.iter().map(|r| r.comm).collect();
+        CommStats::sum(&stats)
+    }
+
+    /// Counted per-rank wire traffic, in the cost model's shape. The
+    /// exposed fraction is measured, not modeled: the share of the rank's
+    /// busy time that was exchange (post + drain + flush) rather than
+    /// evaluation — the cost model charges only that slice of the wire
+    /// time, because the rest was hidden behind the interior pass.
+    pub fn traffic(&self) -> Vec<RankTraffic> {
+        self.ranks
+            .iter()
+            .map(|r| {
+                let busy = r.exchange_ns + r.eval_ns;
+                RankTraffic {
+                    bytes_sent: r.comm.bytes_sent,
+                    msgs_sent: r.comm.msgs_sent,
+                    exposed_fraction: if busy == 0 {
+                        1.0
+                    } else {
+                        r.exchange_ns as f64 / busy as f64
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Per-rank patch metrics, the unit of the rank-aware cost model.
+    pub fn rank_block_metrics(&self) -> Vec<Vec<Metrics>> {
+        self.ranks
+            .iter()
+            .map(|r| r.patches.iter().map(|s| s.metrics).collect())
+            .collect()
+    }
+
+    /// Simulated execution time on `n_ranks` devices, charging the counted
+    /// wire traffic through the cost model's comms term.
+    pub fn simulate(&self, config: &DeviceConfig) -> SimReport {
+        simulate_ranks(
+            self.scheme,
+            &self.rank_block_metrics(),
+            &self.traffic(),
+            config,
+        )
+    }
+
+    /// Per-rank span vectors in rank order — the input shape of
+    /// [`critical_path`].
+    pub fn rank_spans(&self) -> Vec<Vec<SpanRecord>> {
+        self.ranks.iter().map(|r| r.spans.clone()).collect()
+    }
+
+    /// Joins the per-rank flow logs into send→recv pairs (empty unless the
+    /// run was instrumented).
+    pub fn flow_match(&self) -> FlowMatch {
+        let logs: Vec<(u32, &FlowLog)> = self.ranks.iter().map(|r| (r.rank, &r.flows)).collect();
+        match_flow_logs(&logs)
+    }
+
+    /// Adds this run to `timeline` as process `pid`: one track per rank
+    /// carrying that rank's spans, plus one flow arrow per matched halo
+    /// message (requests and coefficient replies both, on the pull path).
+    /// No-op tracks still appear so the rank count is visible even for
+    /// uninstrumented runs.
+    pub fn add_to_timeline(&self, timeline: &mut Timeline, pid: u64, label: &str) {
+        timeline.add_process(pid, label);
+        for r in &self.ranks {
+            timeline.add_track(
+                pid,
+                r.rank as u64,
+                &format!("rank {}", r.rank),
+                r.spans.clone(),
+            );
+        }
+        for p in self.flow_match().pairs {
+            timeline.add_flow(
+                &format!("{} {}→{}", p.tag.label(), p.src, p.dst),
+                (pid, p.src as u64),
+                (pid, p.dst as u64),
+                p.send_ns,
+                p.recv_ns,
+            );
+        }
+    }
+
+    /// Builds the `RunReport` record of this run: scheme `"dist"`, patches
+    /// flattened across ranks, one comms ledger per rank (with its exposed
+    /// communication time and flow counts), the aggregate plan shape on
+    /// the pull path, and — for instrumented runs — the cross-rank
+    /// critical path. Histograms stay empty — distribution probes are
+    /// rank-local diagnostics and are not shipped through the transport.
+    pub fn to_run_record(
+        &self,
+        label: &str,
+        n_triangles: usize,
+        device_sim: Option<SimReport>,
+    ) -> RunRecord {
+        let critical_path_record = if self.ranks.iter().any(|r| !r.spans.is_empty()) {
+            Some((&critical_path(&self.rank_spans())).into())
+        } else {
+            None
+        };
+        RunRecord {
+            label: label.to_string(),
+            scheme: SCHEME_LABEL.to_string(),
+            n_triangles: n_triangles as u64,
+            n_points: self.values.len() as u64,
+            wall_ms: self.wall.as_secs_f64() * 1e3,
+            metrics: self.metrics,
+            spans: self.spans.clone(),
+            patches: self
+                .ranks
+                .iter()
+                .flat_map(|r| r.patches.iter())
+                .map(|s| ustencil_core::report::PatchRecord {
+                    wall_ns: s.wall_ns,
+                    elements: s.elements,
+                    points: s.points,
+                    metrics: s.metrics,
+                })
+                .collect(),
+            histograms: Vec::new(),
+            device_sim,
+            plan: self.plan_stats.clone(),
+            locality: None,
+            comms: self
+                .ranks
+                .iter()
+                .map(|r| RankCommRecord {
+                    rank: r.rank as u64,
+                    owned_elements: r.owned_elements,
+                    halo_elements: r.halo_elements,
+                    owned_points: r.owned_points,
+                    interior: r.interior,
+                    frontier: r.frontier,
+                    msgs_sent: r.comm.msgs_sent,
+                    bytes_sent: r.comm.bytes_sent,
+                    msgs_recv: r.comm.msgs_recv,
+                    bytes_recv: r.comm.bytes_recv,
+                    retransmits: r.comm.retransmits,
+                    dup_payloads: r.comm.dup_payloads,
+                    coalesced: r.comm.coalesced,
+                    exchange_ns: r.exchange_ns,
+                    eval_ns: r.eval_ns,
+                    reduce_ns: r.reduce_ns,
+                    exposed_comms_ms: exposed_comms_ns(&r.spans) as f64 / 1e6,
+                    flow_sends: r.flows.sends.len() as u64,
+                    flow_recvs: r.flows.recvs.len() as u64,
+                })
+                .collect(),
+            critical_path: critical_path_record,
+            serve: None,
+            simd: Some(self.simd.clone()),
+        }
+    }
+}
+
+/// The run's kernel parameters, resolved once by the coordinator and
+/// handed to the work, so every rank and the recovery path evaluate the
+/// same stencil under the same policy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kernel {
+    pub degree: usize,
+    pub smoothness: usize,
+    pub h_factor: f64,
+    /// `h_factor * max_edge`.
+    pub h: f64,
+    pub sm_patches: usize,
+    pub simd: SimdPolicy,
+}
+
+/// Where a work evaluates: one rank's view of the replicated geometry.
+pub(crate) struct Site<'a> {
+    pub mesh: &'a TriMesh,
+    pub plan: &'a ShardPlan,
+    pub rank: usize,
+    /// The rank's owned grid points, in `owned_points` order.
+    pub grid: &'a ComputationGrid,
+}
+
+/// What a rank puts on the wire in `exchange.post`, and what its drain is
+/// owed in return. Both sides derive the counts from replicated state, so
+/// the drain terminates without a negotiation round.
+pub(crate) struct Exchange {
+    /// `(peer, tag, payload)`, posted in order.
+    pub posts: Vec<(u32, Tag, Vec<u8>)>,
+    /// [`Tag::HaloRequest`] messages the drain must serve.
+    pub requests: usize,
+    /// [`Tag::HaloCoeffs`] chunks the drain must receive.
+    pub chunks: usize,
+}
+
+/// A rank's owned work, split by whether it can run before the drain.
+pub(crate) struct Split {
+    /// Unit ids of the interior pass.
+    pub interior: Vec<u32>,
+    /// Unit ids of the frontier pass. May name more than the owned
+    /// frontier (the push work sweeps the ghost ring with it).
+    pub frontier: Vec<u32>,
+    /// Owned units in the frontier pass; with `interior.len()` it
+    /// partitions the rank's owned work.
+    pub n_frontier: u64,
+}
+
+/// What differs between the push-scatter and the pull-SpMV path. The
+/// schedule calls the hooks in declaration order; recovery calls
+/// `localize`, `split` and the two `pass`es only.
+pub(crate) trait Work: Sync {
+    /// Per-rank state built before the post.
+    type Local;
+    /// The traversal the cost model charges this work's counters as.
+    const SCHEME: Scheme;
+
+    /// Configures the work for a run; shared by reference across ranks.
+    fn new(kernel: Kernel) -> Self;
+
+    /// Ghost-ring distance of the shard plan (zero when the work's
+    /// exchange needs ownership only).
+    fn halo_width(&self, mesh: &TriMesh) -> f64;
+
+    /// Builds whatever the posts depend on. Set-up time the rank should
+    /// report goes into `res`.
+    fn localize(&self, site: &Site, tracer: &Tracer, res: &mut RankResult) -> Self::Local;
+
+    /// The messages to post, encoded from the rank's owned coefficients,
+    /// and the counts the drain waits for.
+    fn exchange(
+        &self,
+        site: &Site,
+        local: &Self::Local,
+        field: &DgField,
+        chunk_elems: usize,
+    ) -> Exchange;
+
+    /// Splits the owned work; runs after the post, while it rides the
+    /// wire.
+    fn split(&self, site: &Site, local: &Self::Local) -> Split;
+
+    /// Evaluates the (non-empty) units `ids` against `field`, folding
+    /// values, timings and patch stats into `res`. `res.values` starts at
+    /// zero, one slot per owned point.
+    fn pass(
+        &self,
+        site: &Site,
+        local: &Self::Local,
+        ids: &[u32],
+        field: &DgField,
+        res: &mut RankResult,
+    );
+
+    /// Aggregate plan shape of the finished run, if the work has one.
+    fn plan_stats(
+        &self,
+        _n_modes: usize,
+        _metrics: &Metrics,
+        _ranks: &[RankReport],
+    ) -> Option<PlanStats> {
+        None
+    }
+}
+
+/// Messages a set of `len` elements splits into: always at least one (an
+/// empty set still sends one empty message so the receive count stays a
+/// pure function of replicated state).
+pub(crate) fn chunks_for(len: usize, chunk: usize) -> usize {
+    len.div_ceil(chunk).max(1)
+}
+
+/// The [`chunks_for`] slices of `ids`: its `chunk`-sized pieces, or the
+/// one empty piece of an empty set.
+pub(crate) fn chunked(ids: &[u32], chunk: usize) -> impl Iterator<Item = &[u32]> {
+    ids.chunks(chunk).chain(ids.is_empty().then_some(ids))
+}
+
+/// The chunked coefficient replies to one pull request. Every requested
+/// id must be an element `rank` owns: anything else is a corrupt or
+/// misrouted request, not something to answer with zeros.
+fn serve_request(
+    plan: &ShardPlan,
+    rank: usize,
+    ids: &[u32],
+    field: &DgField,
+    chunk_elems: usize,
+) -> Result<Vec<Vec<u8>>, DistError> {
+    if let Some(&bad) = ids
+        .iter()
+        .find(|&&e| e as usize >= field.n_elements() || plan.owner_of(e) as usize != rank)
+    {
+        return Err(DistError::Protocol(format!(
+            "halo request names element {bad}, which rank {rank} does not own"
+        )));
+    }
+    Ok(chunked(ids, chunk_elems)
+        .map(|c| encode_coeffs(c, field.coefficients(), field.n_modes()))
+        .collect())
+}
+
+/// Everything a rank needs, scattered at spawn. The mesh and shard plan
+/// are read-only problem geometry and are *replicated* per rank; the field
+/// carries only that rank's owned coefficients (every other slot is zero
+/// until the drain fills the ones the work reads) and the grid only its
+/// owned points. No dynamic field or solution data is shared — it moves
+/// only as serialized messages.
+struct RankCtx {
+    mesh: TriMesh,
+    plan: ShardPlan,
+    field: DgField,
+    grid: ComputationGrid,
+    options: DistOptions,
+    /// The run's shared time origin: every rank's tracer and flow log
+    /// measures offsets from this one instant, so shipped records land on
+    /// the coordinator's time axis directly.
+    epoch: Instant,
+}
+
+/// Rank `shard`'s owned points (and their owning elements) as a grid.
+fn local_grid(grid: &ComputationGrid, shard: &RankShard) -> ComputationGrid {
+    let owned = shard.owned_points.iter().map(|&i| i as usize);
+    ComputationGrid::from_points(
+        owned.clone().map(|i| grid.points()[i]).collect(),
+        owned.map(|i| grid.owners()[i]).collect(),
+    )
+}
+
+/// Runs `f` under span `name`, charging its wall time to `exposed_ns`.
+fn exposed<R>(tracer: &Tracer, name: &str, exposed_ns: &mut u64, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let _span = tracer.span(name);
+    let out = f();
+    *exposed_ns += start.elapsed().as_nanos() as u64;
+    out
+}
+
+/// One rank's overlapped run. Messages with tags the drain does not
+/// expect (a fast peer's result reaching the coordinator mid-exchange)
+/// are stashed in `pending`.
+fn rank_body<W: Work, T: Transport>(
+    work: &W,
+    ctx: RankCtx,
+    link: &mut ReliableLink<T>,
+    pending: &mut Vec<Message>,
+    tracer: &Tracer,
+) -> Result<RankResult, DistError> {
+    let rank = link.rank() as usize;
+    let site = Site {
+        mesh: &ctx.mesh,
+        plan: &ctx.plan,
+        rank,
+        grid: &ctx.grid,
+    };
+    let chunk_elems = ctx.options.chunk_elems;
+    let mut field = ctx.field;
+    let mut res = RankResult {
+        values: vec![0.0; site.grid.len()],
+        ..RankResult::default()
+    };
+    let local = work.localize(&site, tracer, &mut res);
+    let mut exchange_ns = 0u64;
+
+    // Queue every message without waiting for delivery; encoding is part
+    // of the exposed cost.
+    let (requests, chunks) = exposed(tracer, "exchange.post", &mut exchange_ns, || {
+        let ex = work.exchange(&site, &local, &field, chunk_elems);
+        for (peer, tag, payload) in ex.posts {
+            link.post(peer, tag, payload)?;
+        }
+        Ok::<_, DistError>((ex.requests, ex.chunks))
+    })?;
+
+    // The interior pass reads only owned coefficients, so the field's
+    // still-zero halo slots are never touched.
+    let split = work.split(&site, &local);
+    res.interior = split.interior.len() as u64;
+    res.frontier = split.n_frontier;
+    {
+        let _span = tracer.span("eval.interior");
+        if !split.interior.is_empty() {
+            work.pass(&site, &local, &split.interior, &field, &mut res);
+        }
+    }
+
+    // Receiving also pumps the retransmit timers, so lost frames from
+    // this rank's own window recover here. The ack-flush of this rank's
+    // outgoing frames is NOT here: peers only ack when they reach their
+    // own drains, so flushing now would make the fastest rank wait out
+    // the slowest peer's interior pass.
+    exposed(tracer, "exchange.drain", &mut exchange_ns, || {
+        let (mut served, mut received) = (0, 0);
+        let deadline = Instant::now() + ctx.options.gather_timeout;
+        while served < requests || received < chunks {
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(DistError::Timeout);
+            }
+            let msg = link.recv_payload(deadline - now)?;
+            match msg.tag {
+                Tag::HaloRequest => {
+                    let ids = decode_ids(&msg.payload).map_err(DistError::Protocol)?;
+                    for reply in serve_request(site.plan, rank, &ids, &field, chunk_elems)? {
+                        link.post(msg.from, Tag::HaloCoeffs, reply)?;
+                    }
+                    served += 1;
+                }
+                Tag::HaloCoeffs => {
+                    let n_modes = field.n_modes();
+                    decode_coeffs_into(&msg.payload, n_modes, field.coefficients_mut())
+                        .map_err(DistError::Protocol)?;
+                    received += 1;
+                }
+                _ => pending.push(msg),
+            }
+        }
+        Ok(())
+    })?;
+
+    {
+        let _span = tracer.span("eval.frontier");
+        if !split.frontier.is_empty() {
+            work.pass(&site, &local, &split.frontier, &field, &mut res);
+        }
+    }
+
+    // By now every peer has drained and acked, so this normally returns
+    // immediately; it only waits (and retransmits) when frames were
+    // actually lost.
+    exposed(tracer, "exchange.flush", &mut exchange_ns, || link.flush())?;
+    res.exchange_ns = exchange_ns;
+    Ok(res)
+}
+
+/// Rank-failure recovery: the failed rank's two passes, run by the
+/// coordinator against the caller's field with no link. The passes read
+/// only owned ∪ halo coefficients and the split is a function of the
+/// replicated plan, so values *and* patch shapes are bitwise what the
+/// rank would have shipped.
+fn reresolve<W: Work>(work: &W, site: &Site, field: &DgField) -> RankResult {
+    let mut res = RankResult {
+        values: vec![0.0; site.grid.len()],
+        ..RankResult::default()
+    };
+    let local = work.localize(site, &Tracer::disabled(), &mut res);
+    let split = work.split(site, &local);
+    res.interior = split.interior.len() as u64;
+    res.frontier = split.n_frontier;
+    for ids in [&split.interior, &split.frontier] {
+        if !ids.is_empty() {
+            work.pass(site, &local, ids, field, &mut res);
+        }
+    }
+    res
+}
+
+/// Opens a rank's link, flow-instrumented when the run is.
+fn open_link<T: Transport>(transport: T, options: &DistOptions, epoch: Instant) -> ReliableLink<T> {
+    let mut link = ReliableLink::new(transport, options.link);
+    if options.instrument {
+        link.instrument_flows(epoch);
+    }
+    link
+}
+
+/// Completes `res` with the observability the body cannot see: the link's
+/// counters and flow log and the tracer's spans, as of now.
+fn snapshot<T: Transport>(res: &mut RankResult, link: &ReliableLink<T>, tracer: Tracer) {
+    res.comm = link.stats();
+    res.spans = tracer.into_records();
+    let flows = link.flow_log().clone();
+    res.flow_sends = flows.sends;
+    res.flow_recvs = flows.recvs;
+}
+
+/// Runs work `W` over `transports` (one endpoint per rank, in rank
+/// order): one OS thread per rank, rank 0 on the caller's thread.
+///
+/// # Panics
+/// Panics when the field does not match the mesh, the stencil exceeds the
+/// periodic domain, `options.n_ranks == 0`, or the endpoint count
+/// disagrees with it.
+pub(crate) fn run_schedule<W: Work, T: Transport>(
+    mesh: &TriMesh,
+    field: &DgField,
+    grid: &ComputationGrid,
+    options: &DistOptions,
+    mut transports: Vec<T>,
+) -> Result<DistSolution, DistError> {
+    assert!(options.n_ranks > 0, "need at least one rank");
+    assert_eq!(
+        transports.len(),
+        options.n_ranks,
+        "one transport endpoint per rank"
+    );
+    assert_eq!(
+        field.n_elements(),
+        mesh.n_triangles(),
+        "field does not match mesh"
+    );
+
+    let start = Instant::now();
+    let tracer = Tracer::new(options.instrument);
+    let epoch = tracer.epoch();
+    let n = options.n_ranks;
+    let degree = field.degree();
+    let smoothness = options.smoothness.unwrap_or(degree);
+    let h = options.h_factor * mesh.max_edge_length();
+    let stencil_width = (3 * smoothness + 1) as f64 * h;
+    assert!(
+        stencil_width <= 1.0 + 1e-12,
+        "stencil width {stencil_width} exceeds the periodic unit domain; \
+         use a larger mesh or a smaller h_factor"
+    );
+    let nm = field.n_modes();
+    let work = &W::new(Kernel {
+        degree,
+        smoothness,
+        h_factor: options.h_factor,
+        h,
+        sm_patches: options.sm_patches,
+        simd: options.simd,
+    });
+
+    let plan = {
+        let _span = tracer.span("build.shard_plan");
+        ShardPlan::build(mesh, grid, n, work.halo_width(mesh))
+    };
+
+    // Static scatter: each rank gets the mesh + plan replicas, its own
+    // coefficients in an otherwise-zero field, and its own grid points.
+    let mut ctxs = (0..n).map(|r| {
+        let shard = plan.shard(r);
+        let mut coeffs = vec![0.0; mesh.n_triangles() * nm];
+        for &e in &shard.owned_elements {
+            let slot = e as usize * nm..(e as usize + 1) * nm;
+            coeffs[slot.clone()].copy_from_slice(&field.coefficients()[slot]);
+        }
+        RankCtx {
+            mesh: mesh.clone(),
+            plan: plan.clone(),
+            field: DgField::from_coefficients(degree, mesh.n_triangles(), coeffs),
+            grid: local_grid(grid, shard),
+            options: *options,
+            epoch,
+        }
+    });
+    let ctx0 = ctxs.next().expect("n_ranks > 0");
+    let transport0 = transports.remove(0);
+    let workers: Vec<(RankCtx, T)> = ctxs.zip(transports).collect();
+
+    let slots = std::thread::scope(|scope| -> Result<Vec<Option<RankResult>>, DistError> {
+        for (ctx, transport) in workers {
+            scope.spawn(move || {
+                let worker_tracer = Tracer::with_epoch(ctx.options.instrument, ctx.epoch);
+                let mut link = open_link(transport, &ctx.options, ctx.epoch);
+                // An exchange failure contributes nothing: the
+                // coordinator's gather deadline re-resolves this rank.
+                if let Ok(mut res) =
+                    rank_body(work, ctx, &mut link, &mut Vec::new(), &worker_tracer)
+                {
+                    // Snapshot *before* encoding: the result message
+                    // cannot count itself (which is also why the result
+                    // tag is not flow-instrumented, see `link`).
+                    snapshot(&mut res, &link, worker_tracer);
+                    // A dead coordinator is unrecoverable from a worker;
+                    // exit and let the scope join.
+                    let _ = link.send_reliable(0, Tag::OwnedValues, encode_rank_result(&res));
+                }
+            });
+        }
+
+        let mut link = open_link(transport0, options, epoch);
+        let mut pending = Vec::new();
+        let own = rank_body(work, ctx0, &mut link, &mut pending, &tracer)?;
+        let mut slots: Vec<Option<RankResult>> = (0..n).map(|_| None).collect();
+        slots[0] = Some(own);
+        let absorb = |msg: Message, slots: &mut [Option<RankResult>]| -> Result<(), DistError> {
+            let r = msg.from as usize;
+            if msg.tag == Tag::OwnedValues && r < n && slots[r].is_none() {
+                slots[r] = Some(decode_rank_result(&msg.payload).map_err(DistError::Protocol)?);
+            }
+            Ok(())
+        };
+        {
+            let _span = tracer.span("reduce.gather");
+            for msg in pending {
+                absorb(msg, &mut slots)?;
+            }
+            let deadline = Instant::now() + options.gather_timeout;
+            while slots.iter().any(Option::is_none) {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                match link.recv_payload(deadline - now) {
+                    Ok(msg) => absorb(msg, &mut slots)?,
+                    Err(DistError::Timeout) => break,
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        // Rank 0's ledgers kept accruing through the gather, so they are
+        // snapshotted only now.
+        snapshot(
+            slots[0].as_mut().expect("rank 0 filled its slot"),
+            &link,
+            tracer,
+        );
+        Ok(slots)
+    })?;
+    // Assemble: owned-point shards are disjoint, so the cross-rank stage
+    // is pure placement.
+    let mut values = vec![0.0; grid.len()];
+    let mut ranks = Vec::with_capacity(n);
+    for (r, slot) in slots.into_iter().enumerate() {
+        let shard = plan.shard(r);
+        let reresolved = slot.is_none();
+        let result = slot.unwrap_or_else(|| {
+            let site = Site {
+                mesh,
+                plan: &plan,
+                rank: r,
+                grid: &local_grid(grid, shard),
+            };
+            reresolve(work, &site, field)
+        });
+        if result.values.len() != shard.owned_points.len() {
+            return Err(DistError::Protocol(format!(
+                "rank {r} returned {} values for {} owned points",
+                result.values.len(),
+                shard.owned_points.len()
+            )));
+        }
+        for (&global, &v) in shard.owned_points.iter().zip(&result.values) {
+            values[global as usize] = v;
+        }
+        ranks.push(RankReport {
+            rank: r as u32,
+            owned_elements: shard.owned_elements.len() as u64,
+            halo_elements: shard.halo_elements.len() as u64,
+            owned_points: shard.owned_points.len() as u64,
+            comm: result.comm,
+            interior: result.interior,
+            frontier: result.frontier,
+            exchange_ns: result.exchange_ns,
+            eval_ns: result.eval_ns,
+            reduce_ns: result.reduce_ns,
+            reresolved,
+            patches: result.patches,
+            spans: result.spans,
+            flows: FlowLog {
+                sends: result.flow_sends,
+                recvs: result.flow_recvs,
+            },
+        });
+    }
+
+    let spans = ranks[0].spans.clone();
+    let patch_metrics: Vec<Metrics> = ranks
+        .iter()
+        .flat_map(|r| r.patches.iter().map(|s| s.metrics))
+        .collect();
+    let metrics = Metrics::sum(&patch_metrics);
+    let plan_stats = work.plan_stats(nm, &metrics, &ranks);
+    let wall = start.elapsed();
+    let simd = SimdRecord::measured(
+        options.simd,
+        options.simd.resolve(),
+        metrics.flops,
+        wall.as_secs_f64(),
+    );
+    Ok(DistSolution {
+        values,
+        metrics,
+        plan_stats,
+        ranks,
+        spans,
+        wall,
+        stencil_width,
+        simd,
+        scheme: W::SCHEME,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ustencil_mesh::{generate_mesh, MeshClass};
+
+    #[test]
+    fn empty_sets_still_chunk_to_one_message() {
+        assert_eq!(chunks_for(0, 48), 1);
+        assert_eq!(chunks_for(48, 48), 1);
+        assert_eq!(chunks_for(49, 48), 2);
+        let ids: Vec<u32> = (0..5).collect();
+        let got: Vec<&[u32]> = chunked(&ids, 2).collect();
+        assert_eq!(got, [&[0, 1][..], &[2, 3], &[4]]);
+        assert_eq!(chunked(&[], 2).collect::<Vec<_>>(), [&[][..]]);
+    }
+
+    #[test]
+    fn halo_request_for_unowned_or_out_of_range_element_is_a_protocol_error() {
+        let mesh = generate_mesh(MeshClass::LowVariance, 120, 4);
+        let grid = ComputationGrid::quadrature_points(&mesh, 1);
+        let plan = ShardPlan::build(&mesh, &grid, 2, 0.0);
+        let field = DgField::zeros(1, mesh.n_triangles());
+        let owned = plan.shard(0).owned_elements.clone();
+        let foreign = plan.shard(1).owned_elements[0];
+
+        let replies = serve_request(&plan, 0, &owned, &field, 48).unwrap();
+        assert_eq!(replies.len(), chunks_for(owned.len(), 48));
+        // In range but owned by the other rank: refused, not answered
+        // with rank 0's zeros.
+        let err = serve_request(&plan, 0, &[owned[0], foreign], &field, 48).unwrap_err();
+        assert!(matches!(err, DistError::Protocol(_)), "{err}");
+        // Out of range: refused before anything indexes with it.
+        let err = serve_request(&plan, 0, &[u32::MAX], &field, 48).unwrap_err();
+        assert!(matches!(err, DistError::Protocol(_)), "{err}");
+        let err = serve_request(&plan, 0, &[mesh.n_triangles() as u32], &field, 48).unwrap_err();
+        assert!(matches!(err, DistError::Protocol(_)), "{err}");
+    }
+}

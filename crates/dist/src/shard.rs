@@ -11,8 +11,21 @@
 //! owned grid point.
 
 use ustencil_core::ComputationGrid;
-use ustencil_geometry::Aabb;
+use ustencil_geometry::{Aabb, Point2};
 use ustencil_mesh::{halo_elements, partition_recursive_bisection, TriMesh, PERIODIC_SHIFTS};
+use ustencil_spatial::{Boundary, PointGrid};
+
+/// The ghost-ring distance of a direct (push) run: half the stencil
+/// width, plus one point-grid cell because candidate lookups round query
+/// boxes out to cell boundaries, plus an epsilon against boundary ties.
+/// The cell size is probed from a throwaway grid so this can never drift
+/// from the spatial crate's actual geometry.
+pub fn ghost_ring_width(max_edge: f64, stencil_width: f64) -> f64 {
+    let cell = PointGrid::build(&[Point2::new(0.5, 0.5)], max_edge / 2.0, Boundary::Clamped)
+        .grid()
+        .cell_size();
+    stencil_width / 2.0 + cell + 1e-9
+}
 
 /// One rank's slice of the problem.
 #[derive(Debug, Clone)]

@@ -105,6 +105,21 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    /// Reads a `u32` element count, rejecting one the remaining bytes
+    /// cannot hold at `min_item_bytes` each — so a decoder never sizes an
+    /// allocation from a number the payload itself does not back up.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        let room = (self.buf.len() - self.pos) / min_item_bytes;
+        if n > room {
+            return Err(format!(
+                "count {n} at byte {} exceeds the {room} items the payload can hold",
+                self.pos - 4
+            ));
+        }
+        Ok(n)
+    }
+
     /// True when every byte has been consumed.
     pub fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
@@ -133,7 +148,7 @@ pub fn decode_coeffs_into(
     dest: &mut [f64],
 ) -> Result<Vec<u32>, String> {
     let mut r = WireReader::new(payload);
-    let count = r.u32()? as usize;
+    let count = r.count(4 + 8 * n_modes)?;
     let mut ids = Vec::with_capacity(count);
     for _ in 0..count {
         let e = r.u32()? as usize;
@@ -164,7 +179,7 @@ pub fn encode_ids(ids: &[u32]) -> Vec<u8> {
 /// Decodes a list of element ids.
 pub fn decode_ids(payload: &[u8]) -> Result<Vec<u32>, String> {
     let mut r = WireReader::new(payload);
-    let count = r.u32()? as usize;
+    let count = r.count(4)?;
     let mut ids = Vec::with_capacity(count);
     for _ in 0..count {
         ids.push(r.u32()?);
@@ -191,7 +206,8 @@ pub fn encode_bundle(parts: &[(Tag, u64, Vec<u8>)]) -> Vec<u8> {
 /// Decodes a bundle-frame payload back into its logical messages.
 pub fn decode_bundle(payload: &[u8]) -> Result<Vec<(Tag, u64, Vec<u8>)>, String> {
     let mut r = WireReader::new(payload);
-    let count = r.u32()? as usize;
+    // Per part: tag byte, flow id, payload length prefix.
+    let count = r.count(1 + 8 + 4)?;
     let mut parts = Vec::with_capacity(count);
     for _ in 0..count {
         let tag_byte = r.take(1)?[0];
@@ -215,7 +231,7 @@ pub fn decode_bundle(payload: &[u8]) -> Result<Vec<(Tag, u64, Vec<u8>)>, String>
 
 /// One rank's finished contribution: owned-point values (in the shard
 /// plan's owned-point order, ids implicit) plus its execution summary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankResult {
     /// Values of the rank's owned points, shard order.
     pub values: Vec<f64>,
@@ -262,7 +278,8 @@ fn encode_spans(w: &mut WireWriter, spans: &[SpanRecord]) {
 }
 
 fn decode_spans(r: &mut WireReader) -> Result<Vec<SpanRecord>, String> {
-    let n = r.u32()? as usize;
+    // Per span: name length prefix, depth, start, duration.
+    let n = r.count(4 + 4 + 8 + 8)?;
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         let name = std::str::from_utf8(r.bytes()?)
@@ -290,7 +307,8 @@ fn encode_flow_points(w: &mut WireWriter, points: &[FlowPoint]) {
 }
 
 fn decode_flow_points(r: &mut WireReader) -> Result<Vec<FlowPoint>, String> {
-    let n = r.u32()? as usize;
+    // Per point: flow, peer, tag, timestamp, bytes.
+    let n = r.count(8 + 4 + 4 + 8 + 8)?;
     let mut points = Vec::with_capacity(n);
     for _ in 0..n {
         let flow = r.u64()?;
@@ -383,7 +401,7 @@ pub fn encode_rank_result(res: &RankResult) -> Vec<u8> {
 /// Decodes a [`RankResult`].
 pub fn decode_rank_result(payload: &[u8]) -> Result<RankResult, String> {
     let mut r = WireReader::new(payload);
-    let n = r.u32()? as usize;
+    let n = r.count(8)?;
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
         values.push(r.f64()?);
@@ -403,7 +421,8 @@ pub fn decode_rank_result(payload: &[u8]) -> Result<RankResult, String> {
     let reduce_ns = r.u64()?;
     let interior = r.u64()?;
     let frontier = r.u64()?;
-    let n_patches = r.u32()? as usize;
+    // Per patch: wall, elements, points, then the eleven metrics.
+    let n_patches = r.count(8 * (3 + 11))?;
     let mut patches = Vec::with_capacity(n_patches);
     for _ in 0..n_patches {
         let wall_ns = r.u64()?;
@@ -563,6 +582,33 @@ mod tests {
         let mut extended = good.clone();
         extended.push(0);
         assert!(decode_bundle(&extended).is_err());
+    }
+
+    /// Four corrupt bytes must not size an allocation: every
+    /// length-prefixed list refuses a count its payload cannot back.
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        let huge = u32::MAX.to_le_bytes();
+        let with_huge = |prefix: &[u8], tail: &[u8]| [prefix, &huge, tail].concat();
+
+        assert!(decode_ids(&with_huge(&[], &[0; 8])).is_err());
+        assert!(decode_coeffs_into(&with_huge(&[], &[0; 24]), 2, &mut [0.0; 4]).is_err());
+        assert!(decode_bundle(&with_huge(&[], &[0; 26])).is_err());
+        assert!(decode_spans(&mut WireReader::new(&with_huge(&[], &[0; 48]))).is_err());
+        assert!(decode_flow_points(&mut WireReader::new(&with_huge(&[], &[0; 64]))).is_err());
+
+        // The rank result's two own lists: values lead the payload, the
+        // patch count follows the thirteen fixed u64 fields.
+        let empty = encode_rank_result(&RankResult::default());
+        assert!(decode_rank_result(&empty).is_ok());
+        assert!(decode_rank_result(&with_huge(&[], &empty[4..])).is_err());
+        let patches_at = 4 + 13 * 8;
+        let corrupt = with_huge(&empty[..patches_at], &empty[patches_at + 4..]);
+        assert!(decode_rank_result(&corrupt).is_err());
+
+        // A count the bytes do back is still accepted right at the limit.
+        assert_eq!(WireReader::new(&[2, 0, 0, 0, 9, 9]).count(1), Ok(2));
+        assert!(WireReader::new(&[3, 0, 0, 0, 9, 9]).count(1).is_err());
     }
 
     #[test]

@@ -175,15 +175,6 @@ pub fn hilbert_order_elements(mesh: &TriMesh) -> Permutation {
     hilbert_order_points(&centroids)
 }
 
-/// Sorts `ids` (a subset of element indices into `mesh`) in place by the
-/// Hilbert key of each element's centroid, tie-broken by id. Used by the
-/// distributed runtime to order per-patch traversal without disturbing the
-/// sorted shard membership lists.
-pub fn hilbert_sort_elements(mesh: &TriMesh, ids: &mut [u32]) {
-    let bounds = bounds_of(ids.iter().map(|&id| mesh.centroid(id as usize)));
-    ids.sort_by_key(|&id| (hilbert_key(mesh.centroid(id as usize), &bounds), id));
-}
-
 fn bounds_of(points: impl Iterator<Item = Point2>) -> Aabb {
     let bounds = Aabb::from_points(points);
     if bounds.is_empty() {

@@ -23,9 +23,7 @@ pub mod point_grid;
 pub mod tri_grid;
 
 pub use grid::{Boundary, UniformGrid};
-pub use hilbert::{
-    hilbert_order_elements, hilbert_order_points, hilbert_sort_elements, Permutation,
-};
+pub use hilbert::{hilbert_order_elements, hilbert_order_points, Permutation};
 pub use kdtree::KdTree;
 pub use point_grid::PointGrid;
 pub use tri_grid::TriangleGrid;

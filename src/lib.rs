@@ -46,6 +46,6 @@ pub use ustencil_spatial as spatial;
 pub use ustencil_trace as trace;
 
 pub use ustencil_core::prelude::*;
-pub use ustencil_dist::{run_dist, run_plan_dist, DistOptions, DistPlanSolution, DistSolution};
+pub use ustencil_dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
 pub use ustencil_plan::{CachedPlan, DirtySet, EvalPlan, PatchError, PlanDelta, PlanExt, PlanKey};
 pub use ustencil_serve::{PlanCache, PlanServer};

@@ -2,17 +2,18 @@
 //! sharded runs must agree with single-rank runs across rank counts and
 //! kernel smoothness, candidate-pair work counters must partition exactly,
 //! and injected transport faults (drops, reorders, a failed rank) must
-//! never change the answer.
+//! never change the answer — on either work the one schedule runs.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use ustencil::dg::project_l2;
 use ustencil::dist::{
-    run_dist, run_dist_on, run_plan_dist, ChannelFabric, Disposition, DistOptions, FaultPlan,
-    FaultRule, LinkConfig, RecordingFabric, Tag,
+    run_dist, run_dist_on, run_plan_dist, run_plan_dist_on, ChannelFabric, Disposition,
+    DistOptions, DistSolution, FaultPlan, FaultRule, LinkConfig, RecordingFabric, Tag, Transport,
 };
 use ustencil::engine::prelude::*;
 use ustencil::mesh::{generate_mesh, MeshClass};
+use ustencil::plan::{CompileOptions, EvalPlan};
 
 fn build(
     n: usize,
@@ -108,60 +109,144 @@ proptest! {
     }
 }
 
+/// The two works the one schedule runs; every fault test below drives
+/// both through the same injected faults.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// `run_dist`: per-element scatter, coefficients pushed.
+    Push,
+    /// `run_plan_dist`: row-split SpMV, coefficients pulled.
+    Pull,
+}
+
+const PATHS: [Path; 2] = [Path::Push, Path::Pull];
+
+/// A four-rank fixture, its options, and the fault-free values of `path`.
+/// On the pull path those are also checked bitwise against the global
+/// `EvalPlan::apply`, so "equals the clean run" means "equals the plan".
+struct Case {
+    mesh: ustencil::mesh::TriMesh,
+    field: ustencil::dg::DgField,
+    grid: ComputationGrid,
+    opts: DistOptions,
+    clean: DistSolution,
+}
+
+impl Case {
+    fn new(path: Path, seed: u64) -> Self {
+        let (mesh, field, grid) = build(200, 1, seed);
+        let opts = DistOptions::new(4).h_factor(safe_h(&mesh, 1));
+        let clean = match path {
+            Path::Push => run_dist(&mesh, &field, &grid, &opts),
+            Path::Pull => run_plan_dist(&mesh, &field, &grid, &opts),
+        }
+        .unwrap();
+        if path == Path::Pull {
+            let compile = CompileOptions {
+                h_factor: opts.h_factor,
+                ..CompileOptions::default()
+            };
+            let global = EvalPlan::compile(&mesh, &grid, 1, &compile).apply(&field);
+            assert_eq!(clean.values, global.values, "pull path must be bitwise");
+        }
+        Self {
+            mesh,
+            field,
+            grid,
+            opts,
+            clean,
+        }
+    }
+
+    fn run_on<T: Transport>(
+        &self,
+        path: Path,
+        opts: &DistOptions,
+        endpoints: Vec<T>,
+    ) -> DistSolution {
+        match path {
+            Path::Push => run_dist_on(&self.mesh, &self.field, &self.grid, opts, endpoints),
+            Path::Pull => run_plan_dist_on(&self.mesh, &self.field, &self.grid, opts, endpoints),
+        }
+        .unwrap()
+    }
+}
+
+/// Interior + frontier partition each rank's owned work: elements on the
+/// push path, plan rows (one per owned point) on the pull path.
+fn assert_split_partitions_owned_work(path: Path, sol: &DistSolution) {
+    for r in &sol.ranks {
+        let owned = match path {
+            Path::Push => r.owned_elements,
+            Path::Pull => r.owned_points,
+        };
+        assert_eq!(r.interior + r.frontier, owned, "{path:?} rank {}", r.rank);
+    }
+}
+
 /// A dropped-then-retransmitted halo message must not change the result:
 /// the reliability layer retries, the receiver deduplicates, and the
 /// recorded wire history shows the drop followed by a delivery.
 #[test]
 fn dropped_halo_messages_are_retried_without_changing_results() {
-    let (mesh, field, grid) = build(200, 1, 77);
-    let h = safe_h(&mesh, 1);
-    let clean = run_dist(&mesh, &field, &grid, &DistOptions::new(4).h_factor(h)).unwrap();
+    for path in PATHS {
+        let case = Case::new(path, 77);
+        // One drop per message kind the path puts on the wire.
+        let drops: &[(u32, Tag)] = match path {
+            Path::Push => &[(1, Tag::HaloCoeffs), (2, Tag::OwnedValues)],
+            Path::Pull => &[
+                (1, Tag::HaloRequest),
+                (3, Tag::HaloCoeffs),
+                (2, Tag::OwnedValues),
+            ],
+        };
+        let faults = drops.iter().fold(FaultPlan::none(), |plan, &(from, tag)| {
+            plan.with_rule(FaultRule::drop_first(from, tag, 1))
+        });
+        let (fabric, endpoints) = RecordingFabric::with_faults(4, faults);
+        let opts = case.opts.link(LinkConfig {
+            ack_timeout: Duration::from_millis(50),
+            max_retries: 6,
+            ..LinkConfig::default()
+        });
+        let faulty = case.run_on(path, &opts, endpoints);
 
-    let faults = FaultPlan::none()
-        .with_rule(FaultRule::drop_first(1, Tag::HaloCoeffs, 1))
-        .with_rule(FaultRule::drop_first(2, Tag::OwnedValues, 1));
-    let (fabric, endpoints) = RecordingFabric::with_faults(4, faults);
-    let opts = DistOptions::new(4).h_factor(h).link(LinkConfig {
-        ack_timeout: Duration::from_millis(50),
-        max_retries: 6,
-        ..LinkConfig::default()
-    });
-    let faulty = run_dist_on(&mesh, &field, &grid, &opts, endpoints).unwrap();
-
-    assert_eq!(
-        faulty.values, clean.values,
-        "retried messages must leave the values bit-identical"
-    );
-    assert_eq!(
-        pair_counters(&faulty.metrics),
-        pair_counters(&clean.metrics)
-    );
-    // The halo-phase retransmit is visible in the shipped counters; the
-    // result-message retransmit happens after the stats snapshot (a rank's
-    // result cannot count itself) and is asserted through the wire log
-    // below instead.
-    let total = faulty.total_comm();
-    assert!(
-        total.retransmits >= 1,
-        "the halo drop must force a retransmit"
-    );
-    assert!(faulty.ranks.iter().all(|r| !r.reresolved));
-
-    // The wire log shows each injected drop followed by a successful
-    // retransmission of the same message.
-    let log = fabric.log();
-    for (from, tag) in [(1u32, Tag::HaloCoeffs), (2u32, Tag::OwnedValues)] {
-        let dropped = log
-            .iter()
-            .find(|r| r.from == from && r.tag == tag && r.disposition == Disposition::Dropped)
-            .expect("injected drop must be recorded");
-        assert!(
-            log.iter().any(|r| r.from == from
-                && r.tag == tag
-                && r.seq == dropped.seq
-                && r.disposition == Disposition::Delivered),
-            "the dropped message must eventually be delivered"
+        assert_eq!(
+            faulty.values, case.clean.values,
+            "{path:?}: retried messages must leave the values bit-identical"
         );
+        assert_eq!(
+            pair_counters(&faulty.metrics),
+            pair_counters(&case.clean.metrics)
+        );
+        // The halo-phase retransmit is visible in the shipped counters; the
+        // result-message retransmit happens after the stats snapshot (a
+        // rank's result cannot count itself) and is asserted through the
+        // wire log below instead.
+        let total = faulty.total_comm();
+        assert!(
+            total.retransmits >= 1,
+            "{path:?}: the halo drop must force a retransmit"
+        );
+        assert!(faulty.ranks.iter().all(|r| !r.reresolved));
+        assert_split_partitions_owned_work(path, &faulty);
+
+        // The wire log shows each injected drop followed by a successful
+        // retransmission of the same message.
+        let log = fabric.log();
+        for &(from, tag) in drops {
+            let dropped = log
+                .iter()
+                .find(|r| r.from == from && r.tag == tag && r.disposition == Disposition::Dropped)
+                .expect("injected drop must be recorded");
+            assert!(
+                log.iter().any(|r| r.from == from
+                    && r.tag == tag
+                    && r.seq == dropped.seq
+                    && r.disposition == Disposition::Delivered),
+                "{path:?}: the dropped message must eventually be delivered"
+            );
+        }
     }
 }
 
@@ -169,59 +254,67 @@ fn dropped_halo_messages_are_retried_without_changing_results() {
 /// halo payloads by content, not arrival order.
 #[test]
 fn reordered_messages_leave_results_unchanged() {
-    let (mesh, field, grid) = build(200, 1, 78);
-    let h = safe_h(&mesh, 1);
-    let clean = run_dist(&mesh, &field, &grid, &DistOptions::new(4).h_factor(h)).unwrap();
+    for path in PATHS {
+        let case = Case::new(path, 78);
+        let faults = FaultPlan::none().with_rule(FaultRule::hold_first(1, 0, 1));
+        let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
+        let faulty = case.run_on(path, &case.opts, endpoints);
 
-    let faults = FaultPlan::none().with_rule(FaultRule::hold_first(1, 0, 1));
-    let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
-    let faulty = run_dist_on(
-        &mesh,
-        &field,
-        &grid,
-        &DistOptions::new(4).h_factor(h),
-        endpoints,
-    )
-    .unwrap();
-
-    assert_eq!(faulty.values, clean.values);
-    assert_eq!(
-        pair_counters(&faulty.metrics),
-        pair_counters(&clean.metrics)
-    );
+        assert_eq!(faulty.values, case.clean.values, "{path:?}");
+        assert_eq!(
+            pair_counters(&faulty.metrics),
+            pair_counters(&case.clean.metrics)
+        );
+    }
 }
 
 /// A rank whose result message never arrives is re-resolved by the
-/// coordinator: the run still returns, values are identical, and the
-/// failed rank is flagged.
+/// coordinator through the same work's two passes: the run still returns,
+/// values are identical, the failed rank is flagged, and its ledger has
+/// the split and patch shapes the rank itself would have shipped.
 #[test]
 fn failed_rank_is_reresolved_by_the_coordinator() {
-    let (mesh, field, grid) = build(200, 1, 79);
-    let h = safe_h(&mesh, 1);
-    let clean = run_dist(&mesh, &field, &grid, &DistOptions::new(4).h_factor(h)).unwrap();
+    for path in PATHS {
+        let case = Case::new(path, 79);
+        // Rank 3 completes its exchange but its result message is
+        // swallowed forever — from the coordinator's view the rank died
+        // after the halo phase.
+        let faults =
+            FaultPlan::none().with_rule(FaultRule::drop_first(3, Tag::OwnedValues, u32::MAX));
+        let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
+        let opts = case
+            .opts
+            .link(LinkConfig {
+                ack_timeout: Duration::from_millis(20),
+                max_retries: 2,
+                ..LinkConfig::default()
+            })
+            .gather_timeout(Duration::from_millis(500));
+        let recovered = case.run_on(path, &opts, endpoints);
 
-    // Rank 3 completes its exchange but its result message is swallowed
-    // forever — from the coordinator's view the rank died after the halo
-    // phase.
-    let faults = FaultPlan::none().with_rule(FaultRule::drop_first(3, Tag::OwnedValues, u32::MAX));
-    let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
-    let opts = DistOptions::new(4)
-        .h_factor(h)
-        .link(LinkConfig {
-            ack_timeout: Duration::from_millis(20),
-            max_retries: 2,
-            ..LinkConfig::default()
-        })
-        .gather_timeout(Duration::from_millis(500));
-    let recovered = run_dist_on(&mesh, &field, &grid, &opts, endpoints).unwrap();
-
-    assert_eq!(
-        recovered.values, clean.values,
-        "re-resolved owned rows must be bitwise what the rank would have sent"
-    );
-    assert!(recovered.ranks[3].reresolved, "rank 3 must be flagged");
-    assert!(
-        recovered.ranks.iter().filter(|r| r.reresolved).count() == 1,
-        "only the failed rank is re-resolved"
-    );
+        assert_eq!(
+            recovered.values, case.clean.values,
+            "{path:?}: re-resolved rows must be bitwise what the rank would have sent"
+        );
+        assert!(recovered.ranks[3].reresolved, "rank 3 must be flagged");
+        assert!(
+            recovered.ranks.iter().filter(|r| r.reresolved).count() == 1,
+            "only the failed rank is re-resolved"
+        );
+        assert_split_partitions_owned_work(path, &recovered);
+        let (lost, kept) = (&recovered.ranks[3], &case.clean.ranks[3]);
+        assert_eq!(
+            (lost.interior, lost.frontier),
+            (kept.interior, kept.frontier)
+        );
+        let shapes = |r: &ustencil::dist::RankReport| -> Vec<Metrics> {
+            r.patches.iter().map(|p| p.metrics).collect()
+        };
+        assert_eq!(
+            shapes(lost),
+            shapes(kept),
+            "{path:?}: recovered patch shapes"
+        );
+        assert_eq!(lost.comm.msgs_sent, 0, "a re-resolved rank has no link");
+    }
 }

@@ -6,28 +6,15 @@
 //! never read a coefficient that is still in flight.
 
 use proptest::prelude::*;
-use ustencil::dist::ShardPlan;
+use ustencil::dist::{ghost_ring_width, ShardPlan};
 use ustencil::engine::prelude::*;
-use ustencil::geometry::Point2;
 use ustencil::mesh::{generate_mesh, MeshClass, PERIODIC_SHIFTS};
 use ustencil::siac::Stencil2d;
-use ustencil::spatial::{Boundary, PointGrid};
 
 /// Largest `h_factor` keeping a smoothness-`k` stencil inside the domain,
 /// with margin.
 fn safe_h(mesh: &ustencil::mesh::TriMesh, k: usize) -> f64 {
     (0.9 / ((3 * k + 1) as f64 * mesh.max_edge_length())).min(1.0)
-}
-
-/// The ghost-ring distance the runtime builds shard plans with: half the
-/// stencil width, one point-grid cell for the cell-rounded candidate
-/// lookup, and a tie-breaking epsilon (mirrors `run_dist`).
-fn runtime_halo_width(mesh: &ustencil::mesh::TriMesh, stencil: &Stencil2d) -> f64 {
-    let s = mesh.max_edge_length();
-    let cell = PointGrid::build(&[Point2::new(0.5, 0.5)], s / 2.0, Boundary::Clamped)
-        .grid()
-        .cell_size();
-    stencil.width() / 2.0 + cell + 1e-9
 }
 
 proptest! {
@@ -50,7 +37,7 @@ proptest! {
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
         let h = safe_h(&mesh, k) * mesh.max_edge_length();
         let stencil = Stencil2d::symmetric(k, h);
-        let halo_width = runtime_halo_width(&mesh, &stencil);
+        let halo_width = ghost_ring_width(mesh.max_edge_length(), stencil.width());
         let plan = ShardPlan::build(&mesh, &grid, ranks, halo_width);
 
         let footprint = stencil.width() / 2.0;
@@ -111,7 +98,8 @@ proptest! {
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
         let h = safe_h(&mesh, k) * mesh.max_edge_length();
         let stencil = Stencil2d::symmetric(k, h);
-        let plan = ShardPlan::build(&mesh, &grid, 1, runtime_halo_width(&mesh, &stencil));
+        let halo_width = ghost_ring_width(mesh.max_edge_length(), stencil.width());
+        let plan = ShardPlan::build(&mesh, &grid, 1, halo_width);
         let (interior, frontier) = plan.split_interior(&mesh, 0);
         prop_assert_eq!(&interior, &plan.shard(0).owned_elements);
         prop_assert!(frontier.is_empty());

@@ -1,0 +1,30 @@
+#!/usr/bin/env python3
+"""Non-test Rust lines per crate: the lines of each `src/**/*.rs` file before
+its first top-level `#[cfg(test)]` (`-v`: also per file). The last row is
+every Rust line outside `benchmark/`, tests included (ROADMAP aim 2)."""
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIP = {"target", "benchmark", ".bench_build", ".git"}
+
+
+def non_test_lines(path):
+    lines = path.read_text().splitlines()
+    return next((i for i, l in enumerate(lines) if l == "#[cfg(test)]"), len(lines))
+
+
+files = [p for p in sorted(ROOT.rglob("*.rs")) if not SKIP & set(p.relative_to(ROOT).parts)]
+per_crate = Counter()
+for p in files:
+    parts = p.relative_to(ROOT).parts
+    if "src" in parts:
+        crate = "/".join(parts[: parts.index("src")]) or "."
+        per_crate[crate] += non_test_lines(p)
+        if "-v" in sys.argv:
+            print(f"{non_test_lines(p):7}  {p.relative_to(ROOT)}")
+for crate, n in sorted(per_crate.items()):
+    print(f"{n:7}  {crate}")
+print(f"{sum(per_crate.values()):7}  non-test total")
+print(f"{sum(len(p.read_text().splitlines()) for p in files):7}  all Rust lines (tests included)")
