@@ -4,7 +4,6 @@
 use crate::device::{simulate, DeviceConfig, SimReport};
 use crate::grid_points::ComputationGrid;
 use crate::integrate::IntegrationCtx;
-use crate::layout::Layout;
 use crate::metrics::Metrics;
 use crate::per_element::{reduce_patches, PerElementRun};
 use crate::per_point::PerPointRun;
@@ -16,9 +15,7 @@ use ustencil_dg::DgField;
 use ustencil_mesh::{partition_recursive_bisection, TriMesh};
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
-use ustencil_spatial::{
-    hilbert_order_elements, hilbert_order_points, Boundary, PointGrid, TriangleGrid,
-};
+use ustencil_spatial::{Boundary, PointGrid, TriangleGrid};
 use ustencil_trace::{SpanRecord, Tracer};
 
 /// Which evaluation strategy to run (Section 3.1).
@@ -72,8 +69,6 @@ pub struct ProcessorSettings {
     pub parallel: bool,
     /// Whether observability is on.
     pub instrument: bool,
-    /// Traversal/storage order for points and elements.
-    pub layout: Layout,
     /// SIMD dispatch policy of the evaluation kernels.
     pub simd: SimdPolicy,
 }
@@ -109,7 +104,6 @@ pub struct PostProcessor {
     n_blocks: usize,
     parallel: bool,
     instrument: bool,
-    layout: Layout,
     simd: SimdPolicy,
 }
 
@@ -125,7 +119,6 @@ impl PostProcessor {
             n_blocks: 16,
             parallel: true,
             instrument: false,
-            layout: Layout::Natural,
             simd: SimdPolicy::Auto,
         }
     }
@@ -172,17 +165,6 @@ impl PostProcessor {
         self
     }
 
-    /// Sets the traversal/storage order (default [`Layout::Natural`]).
-    ///
-    /// Hilbert layouts renumber points and elements internally for memory
-    /// locality; results are still returned in the caller's original point
-    /// order and agree with natural order to ≤1e-12 (floating-point
-    /// summation order changes; nothing else does).
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Sets the SIMD dispatch policy of the evaluation kernels (default
     /// [`SimdPolicy::Auto`]: the widest ISA this host supports).
     ///
@@ -210,7 +192,6 @@ impl PostProcessor {
             n_blocks: self.n_blocks,
             parallel: self.parallel,
             instrument: self.instrument,
-            layout: self.layout,
             simd: self.simd,
         }
     }
@@ -227,35 +208,6 @@ impl PostProcessor {
             "field does not match mesh"
         );
         let tracer = Tracer::new(self.instrument);
-        if !self.layout.reorders() {
-            return self.run_with(mesh, field, grid, &tracer, None);
-        }
-        // Hilbert layouts: renumber elements and points along the curve,
-        // evaluate in the permuted frame, and scatter the values back so
-        // callers still see their original point order. The permuted run
-        // computes the same convolution pair-for-pair; only floating-point
-        // accumulation order moves, so results agree with natural order to
-        // ≤1e-12.
-        let (pmesh, pfield, pgrid, point_perm) = {
-            let _span = tracer.span("build.hilbert_order");
-            let elem_perm = hilbert_order_elements(mesh);
-            let point_perm = hilbert_order_points(grid.points());
-            let pmesh = mesh.reordered_elements(elem_perm.forward());
-            let pfield = field.reordered_elements(elem_perm.forward());
-            let pgrid = grid.reordered(point_perm.forward(), elem_perm.inverse());
-            (pmesh, pfield, pgrid, point_perm)
-        };
-        self.run_with(&pmesh, &pfield, &pgrid, &tracer, Some(&point_perm))
-    }
-
-    fn run_with(
-        &self,
-        mesh: &TriMesh,
-        field: &DgField,
-        grid: &ComputationGrid,
-        tracer: &Tracer,
-        unpermute: Option<&ustencil_spatial::Permutation>,
-    ) -> Solution {
         let p = field.degree();
         let k = self.smoothness.unwrap_or(p);
         let s = mesh.max_edge_length();
@@ -320,13 +272,6 @@ impl PostProcessor {
                     reduce_patches(&results, grid.len())
                 };
                 (values, stats)
-            }
-        };
-        let values = match unpermute {
-            None => values,
-            Some(perm) => {
-                let _span = tracer.span("reduce.unpermute");
-                perm.scatter(&values)
             }
         };
         let wall = start.elapsed();
@@ -600,7 +545,6 @@ mod tests {
             .blocks(7)
             .parallel(false)
             .instrument(true)
-            .layout(Layout::Hilbert)
             .simd(SimdPolicy::Scalar);
         let s = pp.settings();
         assert_eq!(s.scheme, Scheme::PerElement);
@@ -609,7 +553,6 @@ mod tests {
         assert_eq!(s.n_blocks, 7);
         assert!(!s.parallel);
         assert!(s.instrument);
-        assert_eq!(s.layout, Layout::Hilbert);
         assert_eq!(s.simd, SimdPolicy::Scalar);
         // Defaults: no smoothness override, paper defaults elsewhere.
         let d = PostProcessor::new(Scheme::PerPoint).settings();
@@ -618,7 +561,6 @@ mod tests {
         assert_eq!(d.n_blocks, 16);
         assert!(d.parallel);
         assert!(!d.instrument);
-        assert_eq!(d.layout, Layout::Natural);
         assert_eq!(d.simd, SimdPolicy::Auto);
     }
 
@@ -661,47 +603,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hilbert_layout_matches_natural_order() {
-        let mesh = generate_mesh(MeshClass::LowVariance, 200, 23);
-        let field = project_l2(&mesh, 2, |x, y| (TAU * x).sin() + 0.5 * y, 3);
-        let grid = ComputationGrid::quadrature_points(&mesh, 2);
-        for scheme in Scheme::ALL {
-            let natural = PostProcessor::new(scheme)
-                .blocks(4)
-                .h_factor(0.3)
-                .parallel(false)
-                .run(&mesh, &field, &grid);
-            let hilbert = PostProcessor::new(scheme)
-                .blocks(4)
-                .h_factor(0.3)
-                .parallel(false)
-                .layout(Layout::Hilbert)
-                .run(&mesh, &field, &grid);
-            let diff = natural.max_abs_diff(&hilbert);
-            assert!(diff < 1e-12, "{scheme:?}: hilbert differs by {diff}");
-            // The permuted run evaluates the same (element, point) pairs,
-            // so aggregate work counters are identical.
-            assert_eq!(natural.metrics, hilbert.metrics, "{scheme:?} counters");
-        }
-    }
-
-    #[test]
-    fn hilbert_layout_records_ordering_span() {
-        let mesh = generate_mesh(MeshClass::LowVariance, 150, 8);
-        let field = project_l2(&mesh, 1, |x, y| x + y, 0);
-        let grid = ComputationGrid::quadrature_points(&mesh, 1);
-        let sol = PostProcessor::new(Scheme::PerPoint)
-            .h_factor(0.5)
-            .parallel(false)
-            .instrument(true)
-            .layout(Layout::Hilbert)
-            .run(&mesh, &field, &grid);
-        let names: Vec<&str> = sol.spans.iter().map(|r| r.name.as_str()).collect();
-        assert!(names.contains(&"build.hilbert_order"), "spans: {names:?}");
-        assert!(names.contains(&"reduce.unpermute"), "spans: {names:?}");
     }
 
     #[test]

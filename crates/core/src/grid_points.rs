@@ -84,34 +84,6 @@ impl ComputationGrid {
     pub fn points_per_element(&self) -> usize {
         self.points_per_element
     }
-
-    /// A grid with points renumbered by `point_new_to_old` and owner element
-    /// ids translated through `elem_old_to_new` (so owners refer to a mesh
-    /// renumbered with the matching element permutation). Quadrature grids
-    /// lose their per-element point grouping under reordering, so
-    /// `points_per_element` is reset to 0.
-    ///
-    /// # Panics
-    /// Panics when `point_new_to_old` does not match the grid length or
-    /// `elem_old_to_new` does not cover every owner id.
-    pub fn reordered(&self, point_new_to_old: &[u32], elem_old_to_new: &[u32]) -> Self {
-        assert_eq!(
-            point_new_to_old.len(),
-            self.points.len(),
-            "point permutation length mismatch"
-        );
-        let mut points = Vec::with_capacity(self.points.len());
-        let mut owner = Vec::with_capacity(self.owner.len());
-        for &old in point_new_to_old {
-            points.push(self.points[old as usize]);
-            owner.push(elem_old_to_new[self.owner[old as usize] as usize]);
-        }
-        Self {
-            points,
-            owner,
-            points_per_element: 0,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,6 @@ pub mod engine;
 pub mod grid_points;
 pub mod integrate;
 pub mod kernel;
-pub mod layout;
 pub mod metrics;
 pub mod per_element;
 pub mod per_point;
@@ -53,12 +52,11 @@ pub use kernel::{
     AccumulateSolution, AccumulateWeights, ContributionSink, QuadStage, Scratch, ScratchCapacity,
     StencilTraversal,
 };
-pub use layout::Layout;
 pub use metrics::Metrics;
 pub use probe::{BlockStats, Probe};
 pub use report::{
-    CriticalPathRecord, CriticalPhaseRecord, DeltaStats, LocalityStats, PlanStats, RankCommRecord,
-    RunRecord, RunReport, ServeStats, SimdRecord, TenantLedger, REPORT_SCHEMA_VERSION,
+    CriticalPathRecord, CriticalPhaseRecord, DeltaStats, PlanStats, RankCommRecord, RunRecord,
+    RunReport, ServeStats, SimdRecord, TenantLedger, REPORT_SCHEMA_VERSION,
 };
 pub use simd::{SimdIsa, SimdPolicy, SimdWidth};
 
@@ -67,13 +65,11 @@ pub mod prelude {
     pub use crate::device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};
     pub use crate::engine::{PostProcessor, ProcessorSettings, Scheme, Solution};
     pub use crate::grid_points::ComputationGrid;
-    pub use crate::layout::Layout;
     pub use crate::metrics::Metrics;
     pub use crate::probe::{BlockStats, Probe};
     pub use crate::report::{
-        CriticalPathRecord, CriticalPhaseRecord, DeltaStats, LocalityStats, PlanStats,
-        RankCommRecord, RunRecord, RunReport, ServeStats, SimdRecord, TenantLedger,
-        REPORT_SCHEMA_VERSION,
+        CriticalPathRecord, CriticalPhaseRecord, DeltaStats, PlanStats, RankCommRecord, RunRecord,
+        RunReport, ServeStats, SimdRecord, TenantLedger, REPORT_SCHEMA_VERSION,
     };
     pub use crate::simd::{SimdIsa, SimdPolicy, SimdWidth};
 }

@@ -120,16 +120,16 @@ impl PerPointRun<'_> {
         };
 
         let mut values = vec![0.0; n];
+        // Split the output buffer along block boundaries so each block
+        // owns its slice — race freedom by construction when parallel.
+        let mut slices: Vec<&mut [f64]> = Vec::with_capacity(n_blocks);
+        let mut rest = values.as_mut_slice();
+        for &(s, e) in &bounds {
+            let (head, tail) = rest.split_at_mut(e - s);
+            slices.push(head);
+            rest = tail;
+        }
         let stats: Vec<BlockStats> = if parallel {
-            // Split the output buffer along block boundaries so each worker
-            // owns its slice — race freedom by construction.
-            let mut slices: Vec<&mut [f64]> = Vec::with_capacity(n_blocks);
-            let mut rest = values.as_mut_slice();
-            for &(s, e) in &bounds {
-                let (head, tail) = rest.split_at_mut(e - s);
-                slices.push(head);
-                rest = tail;
-            }
             bounds
                 .par_iter()
                 .zip(slices)
@@ -138,12 +138,8 @@ impl PerPointRun<'_> {
         } else {
             bounds
                 .iter()
-                .map(|&(s, e)| {
-                    let mut slice = vec![0.0; e - s];
-                    let st = block(s, e, &mut slice);
-                    values[s..e].copy_from_slice(&slice);
-                    st
-                })
+                .zip(slices)
+                .map(|(&(s, e), slice)| block(s, e, slice))
                 .collect()
         };
         (values, stats)

@@ -34,8 +34,9 @@ use ustencil_trace::{CriticalPath, Hist64, ImbalanceSummary, Json, SpanRecord};
 /// serve `patches` counter (cache entries revalidated by delta instead of
 /// evicted); v6 adds the run-level `simd` object (requested policy,
 /// dispatched ISA and lane width, and the achieved fraction of nominal
-/// peak from the flop counters).
-pub const REPORT_SCHEMA_VERSION: u64 = 6;
+/// peak from the flop counters); v7 removes the run-level `locality`
+/// object together with the storage-order option it profiled.
+pub const REPORT_SCHEMA_VERSION: u64 = 7;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -114,40 +115,6 @@ pub struct DeltaStats {
     /// Wall-clock milliseconds of the full compile the patch stands in for
     /// (the base plan's build wall, carried across chained patches).
     pub full_build_ms: f64,
-}
-
-/// Memory-locality profile of a compiled plan's CSR structure, emitted when
-/// a run applied a plan (`scheme = "plan"`). Spans are measured over the
-/// coefficient array the apply reads — in 64-byte cache lines of
-/// `n_modes`-wide f64 column blocks — so the numbers directly describe the
-/// working set a row sweep drags through the cache hierarchy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalityStats {
-    /// [`Layout::label`](crate::Layout::label) of the layout that produced
-    /// the structure.
-    pub layout: String,
-    /// Rows measured (grid points).
-    pub rows: u64,
-    /// CSR non-zeros.
-    pub nnz: u64,
-    /// Mean per-row column span, in cache lines: the distance from the
-    /// first to the last coefficient line a row touches.
-    pub mean_span_lines: f64,
-    /// 95th-percentile per-row column span, in cache lines.
-    pub p95_span_lines: f64,
-    /// Estimated reuse distance: mean number of coefficient cache lines a
-    /// row touches that the *previous* row did not (0 = perfect reuse,
-    /// row-span = no reuse).
-    pub est_reuse_lines: f64,
-    /// Row tiles of the cache-blocked apply (0 when the layout is not
-    /// blocked).
-    pub n_tiles: u64,
-    /// Mean rows per tile (0 when not blocked).
-    pub mean_rows_per_tile: f64,
-    /// Mean tile fill: distinct coefficient lines a tile touches divided by
-    /// its total line span (1 = dense span, → 0 = scattered; 0 when not
-    /// blocked).
-    pub tile_fill: f64,
 }
 
 /// One rank's communication ledger in a rank-sharded run: shard shape,
@@ -387,8 +354,6 @@ pub struct RunRecord {
     pub device_sim: Option<SimReport>,
     /// Evaluation-plan stats, when the run applied a compiled plan.
     pub plan: Option<PlanStats>,
-    /// CSR locality profile, when the run applied a compiled plan.
-    pub locality: Option<LocalityStats>,
     /// Per-rank communication ledgers (empty unless the run was
     /// rank-sharded).
     pub comms: Vec<RankCommRecord>,
@@ -450,7 +415,6 @@ impl RunRecord {
             histograms,
             device_sim,
             plan: None,
-            locality: None,
             comms: Vec::new(),
             critical_path: None,
             serve: None,
@@ -665,19 +629,6 @@ fn record_to_json(r: &RunRecord) -> Json {
                 .set("delta", delta)
         }
     };
-    let locality = match &r.locality {
-        None => Json::Null,
-        Some(l) => Json::object()
-            .set("layout", l.layout.as_str())
-            .set("rows", l.rows)
-            .set("nnz", l.nnz)
-            .set("mean_span_lines", l.mean_span_lines)
-            .set("p95_span_lines", l.p95_span_lines)
-            .set("est_reuse_lines", l.est_reuse_lines)
-            .set("n_tiles", l.n_tiles)
-            .set("mean_rows_per_tile", l.mean_rows_per_tile)
-            .set("tile_fill", l.tile_fill),
-    };
     let serve = match &r.serve {
         None => Json::Null,
         Some(s) => Json::object()
@@ -736,7 +687,6 @@ fn record_to_json(r: &RunRecord) -> Json {
         .set("histograms", hists)
         .set("device_sim", device_sim)
         .set("plan", plan)
-        .set("locality", locality)
         .set("comms", comms)
         .set("critical_path", critical_path)
         .set("serve", serve)
@@ -866,20 +816,6 @@ fn record_from_json(doc: &Json) -> Result<RunRecord, String> {
             },
         }),
     };
-    let locality = match get(doc, "locality")? {
-        Json::Null => None,
-        l => Some(LocalityStats {
-            layout: get_str(l, "layout")?.to_string(),
-            rows: get_u64(l, "rows")?,
-            nnz: get_u64(l, "nnz")?,
-            mean_span_lines: get_f64(l, "mean_span_lines")?,
-            p95_span_lines: get_f64(l, "p95_span_lines")?,
-            est_reuse_lines: get_f64(l, "est_reuse_lines")?,
-            n_tiles: get_u64(l, "n_tiles")?,
-            mean_rows_per_tile: get_f64(l, "mean_rows_per_tile")?,
-            tile_fill: get_f64(l, "tile_fill")?,
-        }),
-    };
     let serve = match get(doc, "serve")? {
         Json::Null => None,
         s => Some(ServeStats {
@@ -939,7 +875,6 @@ fn record_from_json(doc: &Json) -> Result<RunRecord, String> {
         histograms,
         device_sim,
         plan,
-        locality,
         comms,
         critical_path,
         serve,
@@ -1141,7 +1076,6 @@ mod tests {
             histograms: vec![],
             device_sim: None,
             plan: None,
-            locality: None,
             comms: vec![],
             critical_path: None,
             serve: None,
@@ -1182,6 +1116,18 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
+        // The previous generation (v6, with the locality block) is rejected
+        // the same way, not half-parsed.
+        let v6 = text.replacen(
+            &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
+            "\"schema\": 6",
+            1,
+        );
+        let err = RunReport::from_json(&v6).unwrap_err();
+        assert!(
+            err.contains("schema version 6 is not supported"),
+            "unhelpful error: {err}"
+        );
     }
 
     #[test]
@@ -1217,7 +1163,6 @@ mod tests {
             histograms: vec![],
             device_sim: None,
             plan: None,
-            locality: None,
             comms: vec![],
             critical_path: None,
             serve: Some(ServeStats {
@@ -1292,17 +1237,6 @@ mod tests {
                     full_build_ms: 480.5,
                 }),
             }),
-            locality: Some(LocalityStats {
-                layout: "hilbert-blocked".into(),
-                rows: 16000,
-                nnz: 320000,
-                mean_span_lines: 42.5,
-                p95_span_lines: 96.0,
-                est_reuse_lines: 3.25,
-                n_tiles: 25,
-                mean_rows_per_tile: 640.0,
-                tile_fill: 0.75,
-            }),
             comms: vec![],
             critical_path: None,
             serve: None,
@@ -1321,10 +1255,12 @@ mod tests {
         // Dropping the plan object breaks the parse (key is required).
         let broken = text.replace("\"plan\"", "\"paln\"");
         assert!(RunReport::from_json(&broken).is_err());
-        // The locality object is likewise required (null when absent).
-        let broken = text.replace("\"locality\"", "\"localty\"");
-        assert!(RunReport::from_json(&broken).is_err());
-        // The v6 simd object and its inner fields are required keys.
+        // v7 dropped the locality block with the storage-order option.
+        assert!(
+            !text.contains("\"locality\""),
+            "v7 record has no locality key"
+        );
+        // The simd object and its inner fields are required keys.
         for key in ["\"simd\"", "\"fraction_of_peak\"", "\"lanes\""] {
             let broken = text.replace(key, "\"zzz\"");
             assert!(RunReport::from_json(&broken).is_err(), "corrupting {key}");
@@ -1346,7 +1282,6 @@ mod tests {
             histograms: vec![],
             device_sim: None,
             plan: None,
-            locality: None,
             comms: (0..2)
                 .map(|r| RankCommRecord {
                     rank: r,

@@ -8,8 +8,7 @@
 //!
 //! - [`SimdPolicy`] is the user-facing knob. It rides
 //!   [`PostProcessor`](crate::PostProcessor), `CompileOptions`, and
-//!   `DistOptions` exactly like [`Layout`](crate::Layout) does, and is what
-//!   CLI flags and plan-cache keys carry.
+//!   `DistOptions`, and is what CLI flags and plan-cache keys carry.
 //! - [`SimdIsa`] is the *resolved* instruction set a run actually executes
 //!   with, chosen once per run by [`SimdPolicy::resolve`] from the policy
 //!   and the host CPU's feature flags. Hot loops branch on the ISA exactly
@@ -96,7 +95,7 @@ impl SimdWidth {
 
 impl SimdPolicy {
     /// Every policy, in label order — the CLI's menu and the round-trip
-    /// test surface (mirrors [`Layout::ALL`](crate::Layout::ALL)).
+    /// test surface.
     pub const ALL: [SimdPolicy; 4] = [
         SimdPolicy::Auto,
         SimdPolicy::Scalar,

@@ -98,36 +98,6 @@ impl DgField {
         &mut self.coeffs
     }
 
-    /// A field with element coefficient blocks renumbered by `new_to_old`
-    /// (element `i` of the result holds the coefficients of element
-    /// `new_to_old[i]` of `self`), matching a mesh renumbered by
-    /// `TriMesh::reordered_elements` with the same permutation. The basis
-    /// `Arc` is shared.
-    ///
-    /// # Panics
-    /// Panics when `new_to_old` is not `n_elements` long or indexes out of
-    /// bounds.
-    pub fn reordered_elements(&self, new_to_old: &[u32]) -> DgField {
-        assert_eq!(
-            new_to_old.len(),
-            self.n_elements,
-            "permutation length must match element count"
-        );
-        let nm = self.n_modes();
-        let mut coeffs = Vec::with_capacity(self.coeffs.len());
-        for &old in new_to_old {
-            coeffs.extend_from_slice(self.element_coeffs(old as usize));
-        }
-        Self {
-            basis: Arc::clone(&self.basis),
-            n_elements: self.n_elements,
-            coeffs: {
-                debug_assert_eq!(coeffs.len(), self.n_elements * nm);
-                coeffs
-            },
-        }
-    }
-
     /// Evaluates the field at reference coordinates `(u, v)` of element `e`.
     #[inline]
     pub fn eval_ref(&self, e: usize, u: f64, v: f64) -> f64 {

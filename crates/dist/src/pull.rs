@@ -35,7 +35,7 @@ use crate::schedule::{
 use crate::transport::{Tag, Transport};
 use crate::wire::{encode_ids, RankResult};
 use std::time::Instant;
-use ustencil_core::{ComputationGrid, Layout, Metrics, PlanStats, Scheme};
+use ustencil_core::{ComputationGrid, Metrics, PlanStats, Scheme};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
 use ustencil_plan::{CompileOptions, EvalPlan};
@@ -86,11 +86,6 @@ impl Work for PullWork {
                     n_blocks: self.kernel.sm_patches,
                     parallel: false,
                     instrument: false,
-                    // Per-rank plans stay in natural order: their cols()
-                    // are scanned as *global element ids* for halo
-                    // discovery, which a permuted column space would
-                    // break.
-                    layout: Layout::Natural,
                     simd: self.kernel.simd,
                 },
             )

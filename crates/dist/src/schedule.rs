@@ -381,7 +381,6 @@ impl DistSolution {
             histograms: Vec::new(),
             device_sim,
             plan: self.plan_stats.clone(),
-            locality: None,
             comms: self
                 .ranks
                 .iter()

@@ -146,31 +146,6 @@ impl TriMesh {
         self.triangle(i).centroid()
     }
 
-    /// A mesh with the same geometry but triangles renumbered by
-    /// `new_to_old`: triangle `i` of the result is triangle `new_to_old[i]`
-    /// of `self`. The vertex buffer is shared unchanged — only element
-    /// identity moves, which is what locality-ordering (e.g. a Hilbert
-    /// permutation from `ustencil-spatial`) needs.
-    ///
-    /// # Panics
-    /// Panics when `new_to_old` is not `n_triangles` long or indexes out of
-    /// bounds.
-    pub fn reordered_elements(&self, new_to_old: &[u32]) -> TriMesh {
-        assert_eq!(
-            new_to_old.len(),
-            self.triangles.len(),
-            "permutation length must match triangle count"
-        );
-        let triangles = new_to_old
-            .iter()
-            .map(|&old| self.triangles[old as usize])
-            .collect();
-        TriMesh {
-            vertices: self.vertices.clone(),
-            triangles,
-        }
-    }
-
     /// Checks structural invariants: index bounds, counter-clockwise
     /// orientation with positive area, distinct vertices per triangle, and
     /// edge manifoldness. Returns the first violation found.

@@ -9,7 +9,7 @@ use ustencil_trace::{SpanRecord, Tracer};
 
 /// Upper bound on modal coefficients per element supported by the
 /// lane-accumulator row kernel (degree 6 ⇒ 28 modes, with headroom).
-const MAX_MODES: usize = 32;
+pub(crate) const MAX_MODES: usize = 32;
 
 /// Configuration of a plan apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,33 +126,12 @@ impl EvalPlan {
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
 
-        // Reordered plans reference permuted element slots; gather the
-        // field's coefficients into those slots once (a streaming copy), so
-        // the row sweep reads a compact, Hilbert-ordered array.
-        let gathered: Option<Vec<f64>> = if self.layout.reorders() {
-            let _span = tracer.span("apply.gather");
-            Some(self.gather_coeffs(field.coefficients()))
-        } else {
-            None
-        };
-        let coeffs: &[f64] = gathered.as_deref().unwrap_or_else(|| field.coefficients());
-
+        let coeffs = field.coefficients();
         let n = self.rows();
-        // Blocked layouts sweep cache-sized row tiles (work-stealing units
-        // whose coefficient span fits in L2); other layouts split the rows
-        // into n_blocks uniform chunks. Either way the per-row arithmetic
-        // order is identical.
-        let bounds: Vec<(usize, usize)> = if self.layout.blocked() && self.tiles.len() >= 2 {
-            self.tiles
-                .windows(2)
-                .map(|w| (w[0] as usize, w[1] as usize))
-                .collect()
-        } else {
-            let n_blocks = options.n_blocks.clamp(1, n.max(1));
-            (0..n_blocks)
-                .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
-                .collect()
-        };
+        let n_blocks = options.n_blocks.clamp(1, n.max(1));
+        let bounds: Vec<(usize, usize)> = (0..n_blocks)
+            .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
+            .collect();
 
         let block = |s: usize, e: usize, slice: &mut [f64]| -> BlockStats {
             let block_start = Instant::now();
@@ -170,16 +149,16 @@ impl EvalPlan {
         let mut values = vec![0.0; n];
         let block_stats: Vec<BlockStats> = {
             let _span = tracer.span("apply.spmv");
+            // Split the output along block boundaries so each block owns
+            // its slice — race freedom by construction when parallel.
+            let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bounds.len());
+            let mut rest = values.as_mut_slice();
+            for &(s, e) in &bounds {
+                let (head, tail) = rest.split_at_mut(e - s);
+                slices.push(head);
+                rest = tail;
+            }
             if options.parallel {
-                // Split the output along block boundaries so each worker
-                // owns its slice — race freedom by construction.
-                let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bounds.len());
-                let mut rest = values.as_mut_slice();
-                for &(s, e) in &bounds {
-                    let (head, tail) = rest.split_at_mut(e - s);
-                    slices.push(head);
-                    rest = tail;
-                }
                 bounds
                     .par_iter()
                     .zip(slices)
@@ -188,23 +167,10 @@ impl EvalPlan {
             } else {
                 bounds
                     .iter()
-                    .map(|&(s, e)| {
-                        let mut slice = vec![0.0; e - s];
-                        let st = block(s, e, &mut slice);
-                        values[s..e].copy_from_slice(&slice);
-                        st
-                    })
+                    .zip(slices)
+                    .map(|(&(s, e), slice)| block(s, e, slice))
                     .collect()
             }
-        };
-
-        // Rows were computed in the plan's internal (possibly permuted)
-        // order; scatter them back so callers see original point indices.
-        let values = if self.layout.reorders() {
-            let _span = tracer.span("apply.scatter");
-            self.scatter_rows(&values)
-        } else {
-            values
         };
 
         let wall = start.elapsed();
@@ -231,10 +197,7 @@ impl EvalPlan {
     }
 
     /// The bare SpMV: writes values into a caller-provided buffer with no
-    /// spans or stats. Allocation-free for natural-layout plans — the
-    /// serve-time fast path. Reordered plans allocate one scratch buffer
-    /// (the coefficient gather); the inverse row permutation is fused into
-    /// the sweep, so each row lands directly in its original output slot.
+    /// spans or stats. Allocation-free — the serve-time fast path.
     ///
     /// # Panics
     /// Panics when the field does not match the plan or `out` is not
@@ -243,18 +206,11 @@ impl EvalPlan {
         self.check_field(field);
         assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
         let isa = SimdPolicy::Auto.resolve();
-        if !self.layout.reorders() {
-            let mut probe = Probe::disabled();
-            self.apply_block(0, self.rows(), field.coefficients(), out, isa, &mut probe);
-            return;
-        }
-        let coeffs = self.gather_coeffs(field.coefficients());
-        for (r, &p) in self.row_perm.iter().enumerate() {
-            out[p as usize] = self.row_dot(r, &coeffs, isa);
-        }
+        let mut probe = Probe::disabled();
+        self.apply_block(0, self.rows(), field.coefficients(), out, isa, &mut probe);
     }
 
-    /// Applies only the named rows of a natural-layout plan, writing row
+    /// Applies only the named rows of the plan, writing row
     /// `r`'s value into `out[r]` and leaving every other slot untouched.
     /// Each named row runs the same per-row dot product as a full
     /// apply, so a partition of the rows into subset calls reproduces
@@ -264,8 +220,7 @@ impl EvalPlan {
     /// for per-block stats; counters sum exactly across a row partition.
     ///
     /// # Panics
-    /// Panics when the field does not match the plan, the plan's layout
-    /// permutes rows (subset slots would be ambiguous), or `out` is not
+    /// Panics when the field does not match the plan or `out` is not
     /// exactly [`rows`](EvalPlan::rows) long.
     pub fn apply_rows_into(
         &self,
@@ -276,10 +231,6 @@ impl EvalPlan {
         simd: SimdPolicy,
     ) -> Vec<BlockStats> {
         self.check_field(field);
-        assert!(
-            !self.layout.reorders(),
-            "row-subset apply requires a layout that keeps natural row order"
-        );
         assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
         let isa = simd.resolve();
         let coeffs = field.coefficients();
@@ -315,27 +266,6 @@ impl EvalPlan {
             .collect()
     }
 
-    /// Copies `coeffs` (element-major, original numbering) into permuted
-    /// element slots: slot `c` receives element `col_perm[c]`'s modes.
-    fn gather_coeffs(&self, coeffs: &[f64]) -> Vec<f64> {
-        let nm = self.n_modes;
-        let mut out = vec![0.0; coeffs.len()];
-        for (slot, &old) in self.col_perm.iter().enumerate() {
-            let old = old as usize;
-            out[slot * nm..(slot + 1) * nm].copy_from_slice(&coeffs[old * nm..(old + 1) * nm]);
-        }
-        out
-    }
-
-    /// Scatters internally-ordered row values back to original point order.
-    fn scatter_rows(&self, permuted: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; permuted.len()];
-        for (r, &p) in self.row_perm.iter().enumerate() {
-            out[p as usize] = permuted[r];
-        }
-        out
-    }
-
     fn check_field(&self, field: &DgField) {
         assert!(
             self.n_modes <= MAX_MODES,
@@ -358,9 +288,8 @@ impl EvalPlan {
     /// lane kernel, so `SimdPolicy::Scalar` reproduces pre-SIMD results
     /// bitwise. The vector arms keep the same shape — independent per-mode
     /// accumulator chains, reduced in a fixed order at the end — so every
-    /// ISA stays deterministic and bitwise identical across layouts
-    /// (each layout stores a row's entries in the same sequence), while
-    /// agreeing with the scalar arm to rounding (`≤ 1e-12`).
+    /// ISA stays deterministic, while agreeing with the scalar arm to
+    /// rounding (`≤ 1e-12`).
     #[inline]
     fn row_dot(&self, r: usize, coeffs: &[f64], isa: SimdIsa) -> f64 {
         match isa {

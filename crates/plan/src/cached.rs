@@ -46,7 +46,7 @@ impl PlanExt for PostProcessor {
 ///
 /// Invalidation is by *content*, through [`PlanKey`]: each run hashes the
 /// mesh and grid buffers and compares the full key (content digests,
-/// degree, kernel, layout) against the cached plan's. A same-shape mesh
+/// degree, kernel) against the cached plan's. A same-shape mesh
 /// with moved vertices therefore recompiles instead of silently reusing
 /// the stale operator — the hazard the former shape-only check
 /// (element count, degree, row count) could not see. In-place mutation is
@@ -54,7 +54,7 @@ impl PlanExt for PostProcessor {
 /// only an optimization hint, not a correctness requirement.
 ///
 /// When the key mismatch is a *mesh edit* — only the content hashes differ,
-/// the kernel/degree/layout half of the key is unchanged — the cache does
+/// the kernel/degree half of the key is unchanged — the cache does
 /// not throw the plan away: it diffs the old and new problem
 /// ([`DirtySet::diff`]) and patches the plan ([`EvalPlan::patched`]),
 /// recompiling only the dirty footprint closure. Patches that cannot apply
@@ -129,7 +129,6 @@ impl CachedPlan {
             cached.degree == key.degree
                 && cached.smoothness == key.smoothness
                 && cached.h_factor_bits == key.h_factor_bits
-                && cached.layout == key.layout
                 && cached.simd == key.simd
         })
     }

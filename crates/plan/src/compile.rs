@@ -20,14 +20,12 @@ use rayon::prelude::*;
 use std::time::Instant;
 use ustencil_core::integrate::{ElementData, IntegrationCtx, MAX_MODES};
 use ustencil_core::kernel::{AccumulateWeights, Scratch, StencilTraversal};
-use ustencil_core::{BlockStats, ComputationGrid, Layout, Metrics, Probe, SimdIsa, SimdPolicy};
+use ustencil_core::{BlockStats, ComputationGrid, Metrics, Probe, SimdIsa, SimdPolicy};
 use ustencil_dg::DubinerBasis;
 use ustencil_mesh::TriMesh;
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
-use ustencil_spatial::{
-    hilbert_order_elements, hilbert_order_points, Boundary, Permutation, TriangleGrid,
-};
+use ustencil_spatial::{Boundary, TriangleGrid};
 use ustencil_trace::Tracer;
 
 /// Configuration of a plan compilation. Mirrors the relevant subset of
@@ -46,13 +44,6 @@ pub struct CompileOptions {
     /// Whether to record phase spans and distribution probes (default
     /// false).
     pub instrument: bool,
-    /// Storage order of the compiled CSR (default [`Layout::Natural`]).
-    /// Hilbert layouts emit rows in Hilbert point order with columns
-    /// compacted to the element permutation; row *contents* are
-    /// bit-identical to the natural plan's corresponding rows, so a
-    /// reordered apply is bitwise equal to a natural apply after the
-    /// inverse permutation.
-    pub layout: Layout,
     /// SIMD policy of the quadrature reduction during compilation (default
     /// [`SimdPolicy::Auto`]). The resolved ISA perturbs the compiled
     /// weights at the FMA-contraction level (`≤ 1e-12` relative), so it is
@@ -69,7 +60,6 @@ impl Default for CompileOptions {
             n_blocks: 16,
             parallel: true,
             instrument: false,
-            layout: Layout::Natural,
             simd: SimdPolicy::Auto,
         }
     }
@@ -85,7 +75,6 @@ impl CompileOptions {
             n_blocks: s.n_blocks,
             parallel: s.parallel,
             instrument: s.instrument,
-            layout: s.layout,
             simd: s.simd,
         }
     }
@@ -146,33 +135,12 @@ impl EvalPlan {
             TriangleGrid::build(mesh, Boundary::Periodic)
         };
 
-        // Hilbert layouts: rows are compiled in Hilbert point order and
-        // columns renumbered to Hilbert element slots. The traversal itself
-        // still runs over the original mesh through the same tri_grid, so
-        // each row's weights (and their within-row entry order) are
-        // bit-identical to the natural plan's row for the same point.
-        let perms: Option<(Permutation, Permutation)> = if options.layout.reorders() {
-            let _span = tracer.span("build.hilbert_order");
-            Some((
-                hilbert_order_points(grid.points()),
-                hilbert_order_elements(mesh),
-            ))
-        } else {
-            None
-        };
-
         let n = grid.len();
         let n_blocks = options.n_blocks.clamp(1, n.max(1));
         let bounds: Vec<(usize, usize)> = (0..n_blocks)
             .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
             .collect();
 
-        // Row emission order as explicit grid point ids: natural order, or
-        // the Hilbert point permutation for reordered layouts.
-        let order: Vec<u32> = match perms.as_ref() {
-            Some((pp, _)) => pp.forward().to_vec(),
-            None => (0..n as u32).collect(),
-        };
         let block = |s: usize, e: usize| -> BlockOut {
             let block_start = Instant::now();
             let mut probe = Probe::new(options.instrument);
@@ -183,17 +151,10 @@ impl EvalPlan {
                 &stencil,
                 &rule,
                 &tri_grid,
-                &order[s..e],
+                s as u32..e as u32,
                 simd_isa,
                 &mut probe,
             );
-            if let Some((_, ep)) = &perms {
-                // Renumber columns to permuted element slots (values only;
-                // entry order and weights are untouched).
-                for c in &mut out.cols {
-                    *c = ep.inverse()[*c as usize];
-                }
-            }
             out.stats.wall_ns = block_start.elapsed().as_nanos() as u64;
             out.stats.points = (e - s) as u64;
             out.stats.probe = probe;
@@ -227,11 +188,7 @@ impl EvalPlan {
         drop(_span);
         let build_metrics = Metrics::sum(blocks.iter().map(|b| &b.stats.metrics));
 
-        let (row_perm, col_perm) = match perms {
-            None => (Vec::new(), Vec::new()),
-            Some((pp, ep)) => (pp.forward().to_vec(), ep.forward().to_vec()),
-        };
-        let mut plan = EvalPlan {
+        EvalPlan {
             degree,
             smoothness: k,
             n_modes,
@@ -241,20 +198,9 @@ impl EvalPlan {
             cols,
             weights,
             build_wall: start.elapsed(),
-            build_spans: Vec::new(),
+            build_spans: tracer.into_records(),
             build_metrics,
-            layout: options.layout,
-            row_perm,
-            col_perm,
-            tiles: Vec::new(),
-        };
-        if options.layout.blocked() {
-            let _span = tracer.span("build.tiles");
-            plan.tiles = plan.build_tiles();
         }
-        plan.build_wall = start.elapsed();
-        plan.build_spans = tracer.into_records();
-        plan
     }
 }
 
@@ -272,7 +218,7 @@ pub(crate) fn compile_block(
     stencil: &Stencil2d,
     rule: &TriangleRule,
     tri_grid: &TriangleGrid,
-    points: &[u32],
+    points: impl ExactSizeIterator<Item = u32>,
     simd: SimdIsa,
     probe: &mut Probe,
 ) -> BlockOut {
@@ -280,11 +226,12 @@ pub(crate) fn compile_block(
     let n_modes = basis.n_modes();
     let trav =
         StencilTraversal::new(stencil, rule, basis.monomial_exponents(), n_modes).with_simd(simd);
-    let mut row_counts = Vec::with_capacity(points.len());
+    let n_rows = points.len();
+    let mut row_counts = Vec::with_capacity(n_rows);
     let mut scratch = Scratch::new();
     let mut sink = AccumulateWeights::new(basis);
 
-    for &point in points {
+    for point in points {
         let center = grid.points()[point as usize];
         sink.begin_row();
         // Same traversal as a direct per-point query, but the weights sink
@@ -303,7 +250,7 @@ pub(crate) fn compile_block(
         row_counts.push(sink.row_entries());
         metrics.solution_writes += 1;
     }
-    metrics.partial_slots += points.len() as u64;
+    metrics.partial_slots += n_rows as u64;
 
     let (cols, weights) = sink.into_csr();
     BlockOut {

@@ -21,12 +21,10 @@
 //!    through the very [`compile_block`] the full compile runs.
 //! 3. **Splice** ([`PlanDelta::splice`]): rebuild the CSR by copying kept
 //!    rows (with columns renumbered old → new element ids) and inserting
-//!    the recompiled fragments; for reordered layouts the row/column
-//!    permutations are repaired by compaction (vanished slots removed, new
-//!    elements appended) and blocked layouts re-derive their row tiles.
+//!    the recompiled fragments.
 //!
 //! **Bitwise guarantee.** A patched plan is bit-identical to a fresh
-//! compile of the new problem (same options, natural layout) row for row:
+//! compile of the new problem (same options) row for row:
 //! kept rows because every element with positive-area overlap against
 //! their support is matched with identical bits, the candidate order of the
 //! new [`TriangleGrid`] preserves the relative order of matched elements
@@ -72,8 +70,8 @@ pub enum PatchError {
     /// pattern, so *every* stored weight is stale, not just the dirty
     /// region's.
     KernelChanged,
-    /// The compile options (degree-independent ones: smoothness, layout)
-    /// disagree with what the plan was compiled with.
+    /// The compile options (the kernel smoothness) disagree with what the
+    /// plan was compiled with.
     OptionsMismatch,
     /// The dirty set was diffed against a different problem than the one
     /// being patched (element/row counts disagree).
@@ -361,16 +359,14 @@ impl CatchGrid {
 pub struct PlanDelta {
     new_rows: usize,
     new_elements: usize,
-    /// Natural new grid point ids whose rows were recompiled, ascending.
+    /// New grid point ids whose rows were recompiled, ascending.
     frag_rows: Vec<u32>,
     frag_row_ptr: Vec<u64>,
-    /// Natural new element ids (renumbered to slots at splice time).
+    /// New element ids.
     frag_cols: Vec<u32>,
     frag_weights: Vec<f64>,
     row_source: Vec<u32>,
-    row_map: Vec<u32>,
     elem_map: Vec<u32>,
-    changed: Vec<u32>,
     dirty_elements: u64,
     discover_ms: f64,
     metrics: Metrics,
@@ -414,8 +410,7 @@ impl PlanDelta {
     /// Splices the delta into `base`, producing the patched plan: kept rows
     /// are copied with columns renumbered, recompiled fragments replace the
     /// dirty rows, vanished rows/columns are compacted out and new ones
-    /// appended. Reordered layouts keep their (repaired) permutations;
-    /// blocked layouts re-derive row tiles under the cache budget.
+    /// appended.
     ///
     /// # Panics
     /// Panics when a kept row references a vanished element — that would
@@ -423,34 +418,11 @@ impl PlanDelta {
     /// suite asserts never happens.
     pub fn splice(&self, base: &EvalPlan) -> EvalPlan {
         let nm = base.n_modes;
-        // Fragment lookup by natural new point id.
+        // Fragment lookup by new point id.
         let mut frag_of = vec![NONE; self.new_rows];
         for (i, &p) in self.frag_rows.iter().enumerate() {
             frag_of[p as usize] = i as u32;
         }
-
-        // Column renumbering and the repaired permutations.
-        let (col_perm, slot_of_elem, slot_map) = if base.layout.reorders() {
-            // Compact surviving slots in order, then append changed
-            // elements as fresh trailing slots.
-            let mut slot_map = vec![NONE; base.col_perm.len()];
-            let mut col_perm = Vec::with_capacity(self.new_elements);
-            for (c, &old_e) in base.col_perm.iter().enumerate() {
-                let ne = self.elem_map[old_e as usize];
-                if ne != NONE {
-                    slot_map[c] = col_perm.len() as u32;
-                    col_perm.push(ne);
-                }
-            }
-            col_perm.extend_from_slice(&self.changed);
-            let mut slot_of_elem = vec![NONE; self.new_elements];
-            for (s, &e) in col_perm.iter().enumerate() {
-                slot_of_elem[e as usize] = s as u32;
-            }
-            (col_perm, slot_of_elem, slot_map)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
 
         let nnz_guess = base.cols.len() + self.frag_cols.len();
         let mut row_ptr: Vec<u64> = Vec::with_capacity(self.new_rows + 1);
@@ -458,85 +430,36 @@ impl PlanDelta {
         let mut weights: Vec<f64> = Vec::with_capacity(nnz_guess * nm);
         row_ptr.push(0);
 
-        let push_fragment = |f: usize, cols: &mut Vec<u32>, weights: &mut Vec<f64>| {
-            let (lo, hi) = (
-                self.frag_row_ptr[f] as usize,
-                self.frag_row_ptr[f + 1] as usize,
-            );
-            if base.layout.reorders() {
-                cols.extend(
-                    self.frag_cols[lo..hi]
-                        .iter()
-                        .map(|&e| slot_of_elem[e as usize]),
+        // Row r is grid point r: a recompiled fragment where the closure
+        // caught it, otherwise its old row with columns renumbered.
+        for (r, &f) in frag_of.iter().enumerate() {
+            if f != NONE {
+                let f = f as usize;
+                let (lo, hi) = (
+                    self.frag_row_ptr[f] as usize,
+                    self.frag_row_ptr[f + 1] as usize,
                 );
-            } else {
                 cols.extend_from_slice(&self.frag_cols[lo..hi]);
+                weights.extend_from_slice(&self.frag_weights[lo * nm..hi * nm]);
+            } else {
+                let src = self.row_source[r];
+                debug_assert!(src != NONE, "unsourced row {r} missing from fragments");
+                let (lo, hi) = base.row_range(src as usize);
+                for &c in &base.cols[lo..hi] {
+                    let nc = self.elem_map[c as usize];
+                    assert!(
+                        nc != NONE,
+                        "kept row {src} references a vanished element: \
+                         the dirty closure missed a dependency"
+                    );
+                    cols.push(nc);
+                }
+                weights.extend_from_slice(&base.weights[lo * nm..hi * nm]);
             }
-            weights.extend_from_slice(&self.frag_weights[lo * nm..hi * nm]);
-        };
-        let push_kept = |old_row: usize, cols: &mut Vec<u32>, weights: &mut Vec<f64>| {
-            let (lo, hi) = base.row_range(old_row);
-            for &c in &base.cols[lo..hi] {
-                let nc = if base.layout.reorders() {
-                    slot_map[c as usize]
-                } else {
-                    self.elem_map[c as usize]
-                };
-                assert!(
-                    nc != NONE,
-                    "kept row {old_row} references a vanished element: \
-                     the dirty closure missed a dependency"
-                );
-                cols.push(nc);
-            }
-            weights.extend_from_slice(&base.weights[lo * nm..hi * nm]);
-        };
+            row_ptr.push(cols.len() as u64);
+        }
 
-        let row_perm: Vec<u32> = if base.layout.reorders() {
-            // Keep the base's row order (in-place replacement preserves the
-            // Hilbert locality the layout paid for), dropping vanished rows
-            // and appending rows of brand-new points at the tail.
-            let mut row_perm = Vec::with_capacity(self.new_rows);
-            for (r, &old_pt) in base.row_perm.iter().enumerate() {
-                let new_pt = self.row_map[old_pt as usize];
-                if new_pt == NONE {
-                    continue;
-                }
-                let f = frag_of[new_pt as usize];
-                if f != NONE {
-                    push_fragment(f as usize, &mut cols, &mut weights);
-                } else {
-                    let src = self.row_source[new_pt as usize];
-                    debug_assert_eq!(src, old_pt);
-                    push_kept(r, &mut cols, &mut weights);
-                }
-                row_ptr.push(cols.len() as u64);
-                row_perm.push(new_pt);
-            }
-            for &p in &self.frag_rows {
-                if self.row_source[p as usize] == NONE {
-                    push_fragment(frag_of[p as usize] as usize, &mut cols, &mut weights);
-                    row_ptr.push(cols.len() as u64);
-                    row_perm.push(p);
-                }
-            }
-            row_perm
-        } else {
-            // Natural layout: row r is grid point r.
-            for (r, &f) in frag_of.iter().enumerate().take(self.new_rows) {
-                if f != NONE {
-                    push_fragment(f as usize, &mut cols, &mut weights);
-                } else {
-                    let src = self.row_source[r];
-                    debug_assert!(src != NONE, "unsourced row {r} missing from fragments");
-                    push_kept(src as usize, &mut cols, &mut weights);
-                }
-                row_ptr.push(cols.len() as u64);
-            }
-            Vec::new()
-        };
-
-        let mut plan = EvalPlan {
+        EvalPlan {
             degree: base.degree,
             smoothness: base.smoothness,
             n_modes: nm,
@@ -548,15 +471,7 @@ impl PlanDelta {
             build_wall: base.build_wall,
             build_spans: self.spans.clone(),
             build_metrics: base.build_metrics,
-            layout: base.layout,
-            row_perm,
-            col_perm,
-            tiles: Vec::new(),
-        };
-        if base.layout.blocked() {
-            plan.tiles = plan.build_tiles();
         }
-        plan
     }
 }
 
@@ -566,7 +481,7 @@ impl EvalPlan {
     /// the result with [`PlanDelta::splice`], or use [`EvalPlan::patched`]
     /// for the one-call version.
     ///
-    /// `options` must describe the same kernel/layout the plan was compiled
+    /// `options` must describe the same kernel the plan was compiled
     /// with; `mesh`/`grid` are the *new* problem, `dirty` the diff from the
     /// plan's problem to the new one.
     pub fn patch(
@@ -577,9 +492,7 @@ impl EvalPlan {
         options: &CompileOptions,
     ) -> Result<PlanDelta, PatchError> {
         let started = Instant::now();
-        if options.smoothness.unwrap_or(self.degree) != self.smoothness
-            || options.layout != self.layout
-        {
+        if options.smoothness.unwrap_or(self.degree) != self.smoothness {
             return Err(PatchError::OptionsMismatch);
         }
         if dirty.old_elements != self.n_elements
@@ -676,7 +589,7 @@ impl EvalPlan {
                     &stencil,
                     &rule,
                     &tri_grid,
-                    &frag_rows[s..e],
+                    frag_rows[s..e].iter().copied(),
                     simd_isa,
                     &mut probe,
                 )
@@ -710,9 +623,7 @@ impl EvalPlan {
             frag_cols,
             frag_weights,
             row_source: dirty.row_source.clone(),
-            row_map: dirty.row_map.clone(),
             elem_map: dirty.elem_map.clone(),
-            changed: dirty.changed.clone(),
             dirty_elements: dirty.dirty_elements(),
             discover_ms: started.elapsed().as_secs_f64() * 1e3,
             metrics,

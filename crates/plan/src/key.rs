@@ -3,11 +3,11 @@
 //!
 //! A plan's CSR structure and weights are fully determined by the mesh
 //! geometry, the evaluation grid, the field degree, the kernel
-//! (smoothness `k` and width factor), and the storage layout. [`PlanKey`]
-//! captures exactly that tuple, with the mesh and grid reduced to 64-bit
-//! FNV-1a digests over their raw buffers. Two problems with equal keys
-//! compile to bit-identical plans; two problems with different content —
-//! even at the *same shape* — get different keys.
+//! (smoothness `k` and width factor), and the compile-time SIMD ISA.
+//! [`PlanKey`] captures exactly that tuple, with the mesh and grid reduced
+//! to 64-bit FNV-1a digests over their raw buffers. Two problems with equal
+//! keys compile to bit-identical plans; two problems with different content
+//! — even at the *same shape* — get different keys.
 //!
 //! That content sensitivity is the point: the historical
 //! [`CachedPlan`](crate::CachedPlan) invalidation checked only element
@@ -17,7 +17,7 @@
 //! shards and single-flights on.
 
 use crate::compile::CompileOptions;
-use ustencil_core::{ComputationGrid, Layout, SimdIsa};
+use ustencil_core::{ComputationGrid, SimdIsa};
 use ustencil_mesh::TriMesh;
 
 /// FNV-1a offset basis (64-bit).
@@ -90,9 +90,9 @@ pub fn grid_content_hash(grid: &ComputationGrid) -> u64 {
 }
 
 /// The identity of a compiled plan: mesh content, grid content, field
-/// degree, kernel parameters, and storage layout. `Eq + Hash`, so it is
-/// directly usable as a map key; equality of keys implies bit-identical
-/// compiled plans.
+/// degree, kernel parameters, and compile-time SIMD ISA. `Eq + Hash`, so
+/// it is directly usable as a map key; equality of keys implies
+/// bit-identical compiled plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// [`mesh_content_hash`] of the mesh.
@@ -107,8 +107,6 @@ pub struct PlanKey {
     /// realized `h` is `h_factor * max_edge`, already pinned by the mesh
     /// hash).
     pub h_factor_bits: u64,
-    /// Storage order of the compiled CSR.
-    pub layout: Layout,
     /// The *resolved* SIMD ISA of the compile-time quadrature reduction
     /// (not the requested policy: `Auto` and a `Forced` width that resolve
     /// to the same ISA compile bit-identical weights, so they must share a
@@ -133,7 +131,6 @@ impl PlanKey {
             degree,
             smoothness: options.smoothness.unwrap_or(degree),
             h_factor_bits: options.h_factor.to_bits(),
-            layout: options.layout,
             simd: options.simd.resolve(),
         }
     }
@@ -147,7 +144,6 @@ impl PlanKey {
         h.write_u64(self.degree as u64);
         h.write_u64(self.smoothness as u64);
         h.write_u64(self.h_factor_bits);
-        h.write_u64(self.layout as u64);
         h.write_u64(self.simd as u64);
         h.finish()
     }
@@ -187,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_layout_changes_change_the_key() {
+    fn kernel_changes_change_the_key() {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 3);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
         let base = PlanKey::new(&mesh, &grid, 1, &CompileOptions::default());
@@ -211,16 +207,6 @@ mod tests {
             },
         );
         assert_ne!(base, narrower);
-        let reordered = PlanKey::new(
-            &mesh,
-            &grid,
-            1,
-            &CompileOptions {
-                layout: Layout::Hilbert,
-                ..CompileOptions::default()
-            },
-        );
-        assert_ne!(base, reordered);
         // Parallelism and instrumentation do not change the compiled
         // weights, so they must not change the key.
         let parallel = PlanKey::new(

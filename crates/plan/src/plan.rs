@@ -1,15 +1,8 @@
 //! The compiled plan: a CSR sparse operator over `(point, element)` pairs.
 
 use std::time::Duration;
-use ustencil_core::{Layout, LocalityStats, Metrics, PlanStats};
+use ustencil_core::{Metrics, PlanStats};
 use ustencil_trace::SpanRecord;
-
-/// Bytes per cache line assumed by the locality model and the tile sizing.
-pub(crate) const CACHE_LINE: usize = 64;
-
-/// Coefficient-footprint budget of one apply tile, in bytes (≈ half an L2
-/// slice, leaving room for the tile's weights stream).
-pub(crate) const TILE_COEFF_BUDGET: usize = 256 * 1024;
 
 /// The `"scheme"` string plan-based runs carry in `RunReport` JSON.
 ///
@@ -45,18 +38,6 @@ pub struct EvalPlan {
     pub(crate) build_spans: Vec<SpanRecord>,
     /// Work counters of the compilation pass.
     pub(crate) build_metrics: Metrics,
-    /// Storage order of the CSR (rows and columns).
-    pub(crate) layout: Layout,
-    /// Point permutation, new → old (`row_perm[r]` is the caller-visible
-    /// point row `r` computes). Empty for [`Layout::Natural`].
-    pub(crate) row_perm: Vec<u32>,
-    /// Element permutation, new → old (`cols` reference permuted element
-    /// slots; slot `c` holds element `col_perm[c]`). Empty for
-    /// [`Layout::Natural`].
-    pub(crate) col_perm: Vec<u32>,
-    /// Row-tile boundaries of the cache-blocked apply (`n_tiles + 1`
-    /// entries when the layout is blocked, empty otherwise).
-    pub(crate) tiles: Vec<u32>,
 }
 
 impl EvalPlan {
@@ -111,40 +92,9 @@ impl EvalPlan {
     /// CSR column ids (the element each stored entry reads), concatenated
     /// across rows. The distributed runtime scans this to learn which
     /// non-owned elements a rank's rows reference — its halo set.
-    ///
-    /// For reordered plans ([`layout`](Self::layout) ≠ `Natural`) the ids
-    /// are *permuted element slots*; translate through
-    /// [`col_perm`](Self::col_perm) to recover original element indices.
     #[inline]
     pub fn cols(&self) -> &[u32] {
         &self.cols
-    }
-
-    /// The storage order the plan was compiled with.
-    #[inline]
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// Point permutation (new → old), empty for natural layout: row `r` of
-    /// the internal CSR computes caller point `row_perm[r]`.
-    #[inline]
-    pub fn row_perm(&self) -> &[u32] {
-        &self.row_perm
-    }
-
-    /// Element permutation (new → old), empty for natural layout: permuted
-    /// coefficient slot `c` holds element `col_perm[c]`.
-    #[inline]
-    pub fn col_perm(&self) -> &[u32] {
-        &self.col_perm
-    }
-
-    /// Row-tile boundaries of the cache-blocked apply (`n_tiles + 1`
-    /// entries; empty unless the layout is blocked).
-    #[inline]
-    pub fn tiles(&self) -> &[u32] {
-        &self.tiles
     }
 
     /// In-memory size of the CSR arrays in bytes.
@@ -167,9 +117,9 @@ impl EvalPlan {
         (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize)
     }
 
-    /// The element columns row `r` reads, in stored (execution) order.
-    /// For natural-layout plans these are global element ids — the basis
-    /// of the sharded runtime's interior/frontier row classification.
+    /// The element columns row `r` reads, in stored (execution) order:
+    /// global element ids — the basis of the sharded runtime's
+    /// interior/frontier row classification.
     #[inline]
     pub fn row_cols(&self, r: usize) -> &[u32] {
         let (lo, hi) = self.row_range(r);
@@ -207,145 +157,5 @@ impl EvalPlan {
             apply_ms: 0.0,
             delta: None,
         }
-    }
-
-    /// Cache line of the coefficient array that the first byte of element
-    /// slot `c`'s modal block lives in.
-    #[inline]
-    pub(crate) fn coeff_line(&self, c: u32) -> u64 {
-        (c as u64 * self.n_modes as u64 * 8) / CACHE_LINE as u64
-    }
-
-    /// Measures the CSR's memory-locality profile: per-row coefficient
-    /// column spans in cache lines, an estimated row-to-row reuse distance,
-    /// and (for blocked layouts) the tile shape. One O(nnz log nnz) sweep;
-    /// intended for reports and benches, not hot paths.
-    pub fn locality_stats(&self) -> LocalityStats {
-        let rows = self.rows();
-        let mut spans = Vec::with_capacity(rows);
-        let mut est_reuse_sum = 0.0f64;
-        let mut prev_lines: Vec<u64> = Vec::new();
-        let mut row_lines: Vec<u64> = Vec::new();
-        for r in 0..rows {
-            let (lo, hi) = self.row_range(r);
-            if lo == hi {
-                spans.push(0.0);
-                prev_lines.clear();
-                continue;
-            }
-            row_lines.clear();
-            let mut min_line = u64::MAX;
-            let mut max_line = 0u64;
-            for e in lo..hi {
-                let line = self.coeff_line(self.cols[e]);
-                min_line = min_line.min(line);
-                max_line = max_line.max(line);
-                row_lines.push(line);
-            }
-            spans.push((max_line - min_line + 1) as f64);
-            row_lines.sort_unstable();
-            row_lines.dedup();
-            // Lines this row touches that the previous row did not: the
-            // row-to-row working-set churn (0 = perfect reuse).
-            let fresh = row_lines
-                .iter()
-                .filter(|l| prev_lines.binary_search(l).is_err())
-                .count();
-            est_reuse_sum += fresh as f64;
-            std::mem::swap(&mut prev_lines, &mut row_lines);
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        let mean_span_lines = mean(&spans);
-        let mut sorted = spans.clone();
-        sorted.sort_by(f64::total_cmp);
-        let p95_span_lines = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * 0.95) as usize]
-        };
-
-        let (n_tiles, mean_rows_per_tile, tile_fill) = if self.tiles.len() >= 2 {
-            let n_tiles = self.tiles.len() - 1;
-            let mut fill_sum = 0.0f64;
-            let mut lines = Vec::new();
-            for w in self.tiles.windows(2) {
-                let (lo, _) = self.row_range(w[0] as usize);
-                let (_, hi) = self.row_range(w[1] as usize - 1);
-                if lo == hi {
-                    fill_sum += 1.0;
-                    continue;
-                }
-                lines.clear();
-                lines.extend(self.cols[lo..hi].iter().map(|&c| self.coeff_line(c)));
-                lines.sort_unstable();
-                lines.dedup();
-                let span = lines.last().unwrap() - lines.first().unwrap() + 1;
-                fill_sum += lines.len() as f64 / span as f64;
-            }
-            (
-                n_tiles as u64,
-                rows as f64 / n_tiles as f64,
-                fill_sum / n_tiles as f64,
-            )
-        } else {
-            (0, 0.0, 0.0)
-        };
-
-        LocalityStats {
-            layout: self.layout.label().to_string(),
-            rows: rows as u64,
-            nnz: self.nnz() as u64,
-            mean_span_lines,
-            p95_span_lines,
-            est_reuse_lines: est_reuse_sum / rows.max(1) as f64,
-            n_tiles,
-            mean_rows_per_tile,
-            tile_fill,
-        }
-    }
-
-    /// Splits the rows into cache-sized tiles: each tile's *distinct*
-    /// coefficient cache lines (times [`CACHE_LINE`] bytes) stay under
-    /// [`TILE_COEFF_BUDGET`], except where a single row alone exceeds it.
-    /// The budget deliberately counts distinct lines, not the min-to-max
-    /// span: under periodic wrap a boundary stencil touches both ends of
-    /// the coefficient array, so spans are routinely the whole array while
-    /// the lines actually resident stay small. Tiles are row-aligned, so a
-    /// tiled sweep visits rows and entries in exactly the order of an
-    /// untiled one — tiling changes scheduling granularity, never numerics.
-    pub(crate) fn build_tiles(&self) -> Vec<u32> {
-        let budget_lines = TILE_COEFF_BUDGET / CACHE_LINE;
-        let rows = self.rows();
-        if rows == 0 {
-            return Vec::new();
-        }
-        let mut tiles = vec![0u32];
-        let mut tile_lines: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut tile_rows = 0usize;
-        let mut row_lines: Vec<u64> = Vec::new();
-        for r in 0..rows {
-            let (lo, hi) = self.row_range(r);
-            row_lines.clear();
-            row_lines.extend(self.cols[lo..hi].iter().map(|&c| self.coeff_line(c)));
-            row_lines.sort_unstable();
-            row_lines.dedup();
-            let fresh = row_lines.iter().filter(|l| !tile_lines.contains(l)).count();
-            if tile_rows > 0 && tile_lines.len() + fresh > budget_lines {
-                // Close the current tile and start a new one at this row.
-                tiles.push(r as u32);
-                tile_lines.clear();
-                tile_rows = 0;
-            }
-            tile_lines.extend(row_lines.iter().copied());
-            tile_rows += 1;
-        }
-        tiles.push(rows as u32);
-        tiles
     }
 }

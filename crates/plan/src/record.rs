@@ -59,7 +59,6 @@ impl EvalPlan {
                 apply_ms: apply.wall.as_secs_f64() * 1e3,
                 ..self.stats()
             }),
-            locality: Some(self.locality_stats()),
             comms: Vec::new(),
             critical_path: None,
             serve: None,

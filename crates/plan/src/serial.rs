@@ -10,17 +10,18 @@
 //! byte-identical in its weights, which the equivalence property test
 //! asserts.
 
+use crate::apply::MAX_MODES;
 use crate::plan::EvalPlan;
 use std::fmt::Write as _;
 use std::time::Duration;
-use ustencil_core::{Layout, Metrics};
+use ustencil_core::Metrics;
 use ustencil_trace::Json;
 
-/// Format tag of the serialized plan schema. `v2` added the layout fields
-/// (`layout`, `row_perm`, `col_perm`, `tiles`); `v1` documents are no
-/// longer accepted, since plans are cheap to regenerate and none are
-/// stored long-term in this repository.
-pub const FORMAT_TAG: &str = "ustencil-plan/v2";
+/// Format tag of the serialized plan schema. `v3` is the bare CSR (rows in
+/// grid-point order, columns as element ids); documents of earlier
+/// generations are rejected, since plans are cheap to regenerate and none
+/// are stored long-term in this repository.
+pub const FORMAT_TAG: &str = "ustencil-plan/v3";
 
 fn f64_from_hex(s: &str) -> Result<f64, String> {
     if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
@@ -48,44 +49,9 @@ fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("'{key}' is not a string"))
 }
 
-fn u32s_to_json(v: &[u32]) -> Vec<Json> {
-    v.iter().map(|&x| Json::Num(x as f64)).collect()
-}
-
-fn u32s_from_json(doc: &Json, key: &str) -> Result<Vec<u32>, String> {
-    get(doc, key)?
-        .as_array()
-        .ok_or_else(|| format!("'{key}' is not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .filter(|&x| x <= u32::MAX as u64)
-                .map(|x| x as u32)
-                .ok_or_else(|| format!("out-of-range '{key}' entry"))
-        })
-        .collect()
-}
-
-/// Checks that `perm` is a permutation of `0..len`.
-fn check_perm(perm: &[u32], len: usize, what: &str) -> Result<(), String> {
-    if perm.len() != len {
-        return Err(format!("{what} has {} entries, expected {len}", perm.len()));
-    }
-    let mut seen = vec![false; len];
-    for &p in perm {
-        let slot = seen
-            .get_mut(p as usize)
-            .ok_or_else(|| format!("{what} entry {p} out of range"))?;
-        if std::mem::replace(slot, true) {
-            return Err(format!("{what} repeats index {p}"));
-        }
-    }
-    Ok(())
-}
-
 impl EvalPlan {
     /// Serializes the plan to a JSON document (format tag
-    /// `ustencil-plan/v2`). Build-time observability (wall, spans, metrics) is
+    /// `ustencil-plan/v3`). Build-time observability (wall, spans, metrics) is
     /// deliberately not serialized: a loaded plan reports a zero build
     /// cost, because its build was paid offline.
     pub fn to_json(&self) -> Json {
@@ -115,10 +81,6 @@ impl EvalPlan {
                     .collect::<Vec<_>>(),
             )
             .set("weights", weights_hex)
-            .set("layout", self.layout.label())
-            .set("row_perm", u32s_to_json(&self.row_perm))
-            .set("col_perm", u32s_to_json(&self.col_perm))
-            .set("tiles", u32s_to_json(&self.tiles))
     }
 
     /// Serializes to pretty-printed JSON text.
@@ -128,7 +90,7 @@ impl EvalPlan {
 
     /// Loads a plan from JSON text, validating the format tag and every
     /// structural invariant (row-pointer monotonicity, array lengths,
-    /// column bounds, mode count).
+    /// column bounds, mode count within the row kernel's lane budget).
     pub fn from_json(text: &str) -> Result<EvalPlan, String> {
         let doc = Json::parse(text)?;
         let format = get_str(&doc, "format")?;
@@ -141,7 +103,14 @@ impl EvalPlan {
         let smoothness = get_usize(&doc, "smoothness")?;
         let n_modes = get_usize(&doc, "n_modes")?;
         let n_elements = get_usize(&doc, "n_elements")?;
-        if n_modes != (degree + 1) * (degree + 2) / 2 {
+        if n_modes > MAX_MODES {
+            return Err(format!(
+                "n_modes {n_modes} exceeds the row kernel's {MAX_MODES}-mode budget"
+            ));
+        }
+        // `degree` is outside input; a consistent one is below its mode
+        // count, which also keeps the product from overflowing.
+        if degree >= n_modes || n_modes != (degree + 1) * (degree + 2) / 2 {
             return Err(format!(
                 "n_modes {n_modes} inconsistent with degree {degree}"
             ));
@@ -197,32 +166,6 @@ impl EvalPlan {
             .map(|chunk| f64_from_hex(std::str::from_utf8(chunk).map_err(|e| e.to_string())?))
             .collect::<Result<Vec<f64>, _>>()?;
 
-        let layout_label = get_str(&doc, "layout")?;
-        let layout = Layout::from_label(layout_label)
-            .ok_or_else(|| format!("unknown layout '{layout_label}'"))?;
-        let row_perm = u32s_from_json(&doc, "row_perm")?;
-        let col_perm = u32s_from_json(&doc, "col_perm")?;
-        let tiles = u32s_from_json(&doc, "tiles")?;
-        let rows = row_ptr.len() - 1;
-        if layout.reorders() {
-            check_perm(&row_perm, rows, "row_perm")?;
-            check_perm(&col_perm, n_elements, "col_perm")?;
-        } else if !row_perm.is_empty() || !col_perm.is_empty() {
-            return Err("natural layout must not carry permutations".to_string());
-        }
-        if layout.blocked() {
-            if rows > 0
-                && (tiles.len() < 2
-                    || tiles.first() != Some(&0)
-                    || tiles.last().copied() != Some(rows as u32)
-                    || tiles.windows(2).any(|w| w[0] >= w[1]))
-            {
-                return Err("tiles must be a strictly increasing cover of the rows".to_string());
-            }
-        } else if !tiles.is_empty() {
-            return Err(format!("layout '{layout_label}' must not carry tiles"));
-        }
-
         Ok(EvalPlan {
             degree,
             smoothness,
@@ -235,10 +178,6 @@ impl EvalPlan {
             build_wall: Duration::ZERO,
             build_spans: Vec::new(),
             build_metrics: Metrics::default(),
-            layout,
-            row_perm,
-            col_perm,
-            tiles,
         })
     }
 }

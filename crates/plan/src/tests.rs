@@ -5,7 +5,7 @@
 use crate::{
     ApplyOptions, CachedPlan, CompileOptions, DirtySet, EvalPlan, PatchError, PlanExt, SCHEME_LABEL,
 };
-use ustencil_core::{ComputationGrid, Layout, PostProcessor, Scheme, SimdPolicy};
+use ustencil_core::{ComputationGrid, PostProcessor, Scheme, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 
@@ -376,6 +376,27 @@ fn serialization_round_trip_is_bit_exact() {
     let (mesh, field, grid) = setup(120, 2, 6);
     let plan = EvalPlan::compile(&mesh, &grid, 2, &small_options());
     let text = plan.to_pretty_string();
+    // The document is exactly the v3 key set: the bare CSR, no storage-order
+    // fields.
+    let ustencil_trace::Json::Obj(pairs) = plan.to_json() else {
+        panic!("plan document is not an object");
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "format",
+            "degree",
+            "smoothness",
+            "n_modes",
+            "n_elements",
+            "h",
+            "row_ptr",
+            "cols",
+            "weights"
+        ]
+    );
+    assert!(text.contains("\"format\": \"ustencil-plan/v3\""));
     let loaded = EvalPlan::from_json(&text).expect("serialized plan parses");
     assert_eq!(loaded.degree(), plan.degree());
     assert_eq!(loaded.smoothness(), plan.smoothness());
@@ -417,20 +438,12 @@ fn malformed_plans_are_rejected() {
     assert!(EvalPlan::from_json("{}").is_err());
     assert!(EvalPlan::from_json("not json").is_err());
     // Wrong format tag.
-    let bad = text.replace("ustencil-plan/v2", "ustencil-plan/v999");
+    let bad = text.replace("ustencil-plan/v3", "ustencil-plan/v999");
     assert!(EvalPlan::from_json(&bad).is_err());
-    // Old format tag (v1 documents are no longer accepted).
-    let bad = text.replace("ustencil-plan/v2", "ustencil-plan/v1");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Unknown layout label.
-    let bad = text.replace("\"layout\": \"natural\"", "\"layout\": \"zigzag\"");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Natural layouts must not carry permutations.
-    let bad = text.replace("\"row_perm\": []", "\"row_perm\": [0]");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Non-blocked layouts must not carry tiles.
-    let bad = text.replace("\"tiles\": []", "\"tiles\": [0, 1]");
-    assert!(EvalPlan::from_json(&bad).is_err());
+    // Old format tag (v2 documents are no longer accepted).
+    let bad = text.replace("ustencil-plan/v3", "ustencil-plan/v2");
+    let err = EvalPlan::from_json(&bad).unwrap_err();
+    assert!(err.contains("unsupported plan format"), "{err}");
     // Truncated weight blob (drop one f64 = 16 hex digits).
     let start = text.find("\"weights\": \"").unwrap() + "\"weights\": \"".len();
     let mut bad = text.clone();
@@ -443,6 +456,19 @@ fn malformed_plans_are_rejected() {
     // Inconsistent mode count.
     let bad = text.replace("\"n_modes\": 3", "\"n_modes\": 6");
     assert!(EvalPlan::from_json(&bad).is_err());
+    // A degree whose mode count overflows usize is a typed error, not an
+    // arithmetic panic.
+    let bad = text.replace("\"degree\": 1", "\"degree\": 9007199254740992");
+    let err = EvalPlan::from_json(&bad).unwrap_err();
+    assert!(err.contains("inconsistent with degree"), "{err}");
+    // A self-consistent degree-7 document (36 modes) is beyond what the
+    // row kernel can apply, so it is rejected at load rather than on the
+    // first apply.
+    let bad = text
+        .replace("\"degree\": 1", "\"degree\": 7")
+        .replace("\"n_modes\": 3", "\"n_modes\": 36");
+    let err = EvalPlan::from_json(&bad).unwrap_err();
+    assert!(err.contains("mode budget"), "{err}");
 }
 
 #[test]
@@ -470,118 +496,6 @@ fn oversized_stencil_is_rejected() {
     let mesh = generate_mesh(MeshClass::StructuredPattern, 8, 0);
     let grid = ComputationGrid::quadrature_points(&mesh, 3);
     let _ = EvalPlan::compile(&mesh, &grid, 3, &CompileOptions::default());
-}
-
-#[test]
-fn hilbert_layout_is_bitwise_equal_after_unpermutation() {
-    let (mesh, field, grid) = setup(200, 2, 13);
-    let natural = EvalPlan::compile(&mesh, &grid, 2, &small_options());
-    for layout in [Layout::Hilbert, Layout::HilbertBlocked] {
-        let opts = CompileOptions {
-            layout,
-            ..small_options()
-        };
-        let plan = EvalPlan::compile(&mesh, &grid, 2, &opts);
-        assert_eq!(plan.layout(), layout);
-        assert_eq!(plan.nnz(), natural.nnz());
-        // Each reordered row is the natural plan's row for the same point:
-        // identical entry order, bit-identical weights, columns mapped
-        // through the element permutation.
-        let inv_col: Vec<u32> = {
-            let mut inv = vec![0u32; plan.col_perm().len()];
-            for (slot, &old) in plan.col_perm().iter().enumerate() {
-                inv[old as usize] = slot as u32;
-            }
-            inv
-        };
-        for (r, &point) in plan.row_perm().iter().enumerate() {
-            let (lo, hi) = plan.row_range(r);
-            let (nlo, nhi) = natural.row_range(point as usize);
-            assert_eq!(hi - lo, nhi - nlo, "row {r} width");
-            for (e, ne) in (lo..hi).zip(nlo..nhi) {
-                assert_eq!(plan.cols()[e], inv_col[natural.cols()[ne] as usize]);
-                let nm = plan.n_modes();
-                let w = &plan.weights[e * nm..(e + 1) * nm];
-                let nw = &natural.weights[ne * nm..(ne + 1) * nm];
-                assert!(
-                    w.iter().zip(nw).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "row {r} weights not bit-identical"
-                );
-            }
-        }
-        // Apply is bitwise equal to the natural apply after the scatter.
-        let nat_sol = natural.apply_with(&field, &ApplyOptions::default());
-        let sol = plan.apply_with(&field, &ApplyOptions::default());
-        assert!(sol
-            .values
-            .iter()
-            .zip(&nat_sol.values)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        // Aggregate counters are reorder-invariant.
-        assert_eq!(sol.metrics, nat_sol.metrics);
-        // apply_into matches too.
-        let mut out = vec![0.0; plan.rows()];
-        plan.apply_into(&field, &mut out);
-        assert!(out
-            .iter()
-            .zip(&nat_sol.values)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-}
-
-#[test]
-fn blocked_layout_builds_valid_tiles() {
-    let (mesh, field, grid) = setup(250, 1, 21);
-    let opts = CompileOptions {
-        layout: Layout::HilbertBlocked,
-        ..small_options()
-    };
-    let plan = EvalPlan::compile(&mesh, &grid, 1, &opts);
-    let tiles = plan.tiles();
-    assert!(tiles.len() >= 2);
-    assert_eq!(tiles.first(), Some(&0));
-    assert_eq!(*tiles.last().unwrap() as usize, plan.rows());
-    assert!(tiles.windows(2).all(|w| w[0] < w[1]));
-    // Tiles only change the parallel split, never the per-row arithmetic.
-    let hilbert = EvalPlan::compile(
-        &mesh,
-        &grid,
-        1,
-        &CompileOptions {
-            layout: Layout::Hilbert,
-            ..small_options()
-        },
-    );
-    let a = plan.apply_with(&field, &ApplyOptions::default());
-    let b = hilbert.apply_with(&field, &ApplyOptions::default());
-    assert!(a
-        .values
-        .iter()
-        .zip(&b.values)
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
-}
-
-#[test]
-fn reordered_serialization_round_trip_is_bit_exact() {
-    let (mesh, field, grid) = setup(150, 1, 17);
-    let opts = CompileOptions {
-        layout: Layout::HilbertBlocked,
-        ..small_options()
-    };
-    let plan = EvalPlan::compile(&mesh, &grid, 1, &opts);
-    let text = plan.to_pretty_string();
-    let loaded = EvalPlan::from_json(&text).expect("round trip");
-    assert_eq!(loaded.layout(), Layout::HilbertBlocked);
-    assert_eq!(loaded.row_perm(), plan.row_perm());
-    assert_eq!(loaded.col_perm(), plan.col_perm());
-    assert_eq!(loaded.tiles(), plan.tiles());
-    let a = plan.apply(&field);
-    let b = loaded.apply(&field);
-    assert!(a
-        .values
-        .iter()
-        .zip(&b.values)
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
 }
 
 #[test]
@@ -676,55 +590,6 @@ fn patched_plan_matches_fresh_compile_after_refinement() {
 }
 
 #[test]
-fn patched_v2_layouts_stay_valid_and_agree() {
-    let (mesh, _, grid) = setup(220, 1, 37);
-    let moved = ustencil_mesh::displace_band(&mesh, 0.3, 0.7, 0.2, 9);
-    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
-    let fresh_nat = EvalPlan::compile(&moved, &moved_grid, 1, &small_options());
-    let field = project_l2(&moved, 1, |x, y| 0.3 + x * y - y, 2);
-    let reference = fresh_nat.apply(&field);
-    for layout in [Layout::Hilbert, Layout::HilbertBlocked] {
-        let opts = CompileOptions {
-            layout,
-            ..small_options()
-        };
-        let plan = EvalPlan::compile(&mesh, &grid, 1, &opts);
-        let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
-        let (patched, _) = plan
-            .patched(&moved, &moved_grid, &dirty, &opts)
-            .expect("v2 patch applies");
-        // The spliced permutations are real permutations of the new
-        // problem's rows and elements.
-        let mut seen_rows = vec![false; patched.rows()];
-        for &p in patched.row_perm() {
-            assert!(!seen_rows[p as usize], "row_perm repeats {p}");
-            seen_rows[p as usize] = true;
-        }
-        assert!(seen_rows.iter().all(|&s| s));
-        let mut seen_cols = vec![false; moved.n_triangles()];
-        for &e in patched.col_perm() {
-            assert!(!seen_cols[e as usize], "col_perm repeats {e}");
-            seen_cols[e as usize] = true;
-        }
-        assert!(seen_cols.iter().all(|&s| s));
-        if layout.blocked() {
-            let tiles = patched.tiles();
-            assert_eq!(tiles.first(), Some(&0));
-            assert_eq!(*tiles.last().unwrap() as usize, patched.rows());
-            assert!(tiles.windows(2).all(|w| w[0] < w[1]));
-        }
-        // Row content is bitwise the fresh natural row for the same point,
-        // so the apply scatters to bit-identical values.
-        let sol = patched.apply(&field);
-        assert!(sol
-            .values
-            .iter()
-            .zip(&reference.values)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-}
-
-#[test]
 fn cached_plan_patches_on_mesh_edit() {
     let processor = PostProcessor::new(Scheme::PerPoint)
         .h_factor(0.5)
@@ -734,7 +599,7 @@ fn cached_plan_patches_on_mesh_edit() {
     let _ = cached.run(&mesh, &field, &grid);
     assert_eq!((cached.rebuilds(), cached.patches()), (1, 0));
     assert!(cached.last_delta().is_none());
-    // A mesh edit at unchanged kernel/degree/layout takes the patch path.
+    // A mesh edit at unchanged kernel/degree takes the patch path.
     let moved = ustencil_mesh::displace_band(&mesh, 0.2, 0.8, 0.15, 13);
     let moved_field = project_l2(&moved, 1, |x, y| 0.2 + x - 0.5 * y + x * y, 2);
     let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
@@ -775,14 +640,14 @@ fn patch_rejects_kernel_and_shape_mismatches() {
         )
         .unwrap_err();
     assert_eq!(err, PatchError::KernelChanged);
-    // A different layout cannot be spliced into this plan.
+    // A different kernel smoothness cannot be spliced into this plan.
     let err = plan
         .patch(
             &moved,
             &moved_grid,
             &dirty,
             &CompileOptions {
-                layout: Layout::Hilbert,
+                smoothness: Some(2),
                 ..small_options()
             },
         )
@@ -795,30 +660,4 @@ fn patch_rejects_kernel_and_shape_mismatches() {
         .patch(&moved, &moved_grid, &stale, &small_options())
         .unwrap_err();
     assert_eq!(err, PatchError::ShapeMismatch);
-}
-
-#[test]
-fn locality_stats_are_populated() {
-    let (mesh, _, grid) = setup(200, 1, 19);
-    for layout in Layout::ALL {
-        let opts = CompileOptions {
-            layout,
-            ..small_options()
-        };
-        let plan = EvalPlan::compile(&mesh, &grid, 1, &opts);
-        let stats = plan.locality_stats();
-        assert_eq!(stats.layout, layout.label());
-        assert_eq!(stats.rows, plan.rows() as u64);
-        assert_eq!(stats.nnz, plan.nnz() as u64);
-        assert!(stats.mean_span_lines >= 1.0);
-        assert!(stats.p95_span_lines >= stats.mean_span_lines * 0.5);
-        assert!(stats.est_reuse_lines >= 0.0);
-        if layout.blocked() {
-            assert!(stats.n_tiles >= 1);
-            assert!(stats.mean_rows_per_tile >= 1.0);
-            assert!(stats.tile_fill > 0.0 && stats.tile_fill <= 1.0);
-        } else {
-            assert_eq!(stats.n_tiles, 0);
-        }
-    }
 }

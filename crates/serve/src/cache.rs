@@ -31,7 +31,7 @@
 //! right. [`PlanCache::get_or_patch`] exploits that: each produced entry
 //! retains its [`Origin`] (the mesh/grid `Arc`s it was compiled for), and
 //! a leader that misses first looks for a resident *sibling* — same
-//! kernel, degree, and layout, different content — diffs the two problems
+//! kernel and degree, different content — diffs the two problems
 //! ([`DirtySet::diff`]) and splices in only the dirty-footprint rows
 //! ([`EvalPlan::patched`]). The cache entry is revalidated at delta cost
 //! instead of evict-and-recompile cost; followers blocked on the flight
@@ -79,7 +79,7 @@ pub enum Outcome {
     /// This call led the production and revived the plan from disk.
     DiskLoad,
     /// This call led the production and patched a resident sibling plan
-    /// (same kernel/degree/layout, edited mesh) instead of compiling.
+    /// (same kernel/degree, edited mesh) instead of compiling.
     Patched,
     /// This call led the production and compiled the plan.
     Compiled,
@@ -259,7 +259,7 @@ impl PlanCache {
 
     /// Delta-aware variant of [`get_or_compile`](Self::get_or_compile): the
     /// leader first tries to *patch* a resident sibling plan — one compiled
-    /// at the same kernel/degree/layout for an earlier revision of the mesh
+    /// at the same kernel/degree for an earlier revision of the mesh
     /// ([`EvalPlan::patched`]) — and only compiles from scratch when no
     /// sibling exists or the edit changed the kernel scale. Either way the
     /// produced entry retains `(mesh, grid)` as its [`Origin`], so it can
@@ -377,7 +377,7 @@ impl PlanCache {
     }
 
     /// Scans for the most recently used resident plan that shares `key`'s
-    /// kernel half (degree, smoothness, `h_factor`, layout) and retained
+    /// kernel half (degree, smoothness, `h_factor`) and retained
     /// its origin, diffs that origin against the requested problem, and
     /// patches. `None` when no such sibling exists or the patch is
     /// rejected (e.g. the edit changed the longest edge and with it `h`) —
@@ -396,7 +396,6 @@ impl PlanCache {
                 let kernel_match = k.degree == key.degree
                     && k.smoothness == key.smoothness
                     && k.h_factor_bits == key.h_factor_bits
-                    && k.layout == key.layout
                     && k != key;
                 if !kernel_match {
                     continue;

@@ -1,4 +1,4 @@
-//! The warm-start disk tier: evicted plans are spilled as `ustencil-plan/v2`
+//! The warm-start disk tier: evicted plans are spilled as `ustencil-plan/v3`
 //! JSON documents and revived on the next miss, skipping the compile.
 //!
 //! Files are named by the [`PlanKey::digest`] (16 hex digits), so the tier
@@ -7,9 +7,10 @@
 //! worst a stale `.tmp`, never a half-written plan under a live name.
 //!
 //! Every failure mode — missing file, unreadable file, corrupt JSON, an old
-//! `ustencil-plan/v1` document from a previous build — degrades to "no plan
-//! here", which the cache answers by recompiling. A poisoned disk tier can
-//! cost time, never correctness, and never a panic.
+//! `ustencil-plan/v2` document from a previous build, a well-formed plan
+//! for a different degree or smoothness under the key's name — degrades to
+//! "no plan here", which the cache answers by recompiling. A poisoned disk
+//! tier can cost time, never correctness, and never a panic.
 
 use std::fs;
 use std::io;
@@ -48,17 +49,21 @@ impl DiskTier {
         fs::rename(&tmp, &path)
     }
 
-    /// Loads the plan stored under `key`, or `None` when there is none or
+    /// Loads the plan stored under `key`, or `None` when there is none,
     /// the file does not parse as a current-format plan (corrupt, truncated,
-    /// or written by an older serialization version). Unreadable files are
-    /// removed so the next writer starts clean.
+    /// or written by an older serialization version), or it parses as a
+    /// plan for a different degree or smoothness than `key` names. Such
+    /// files are removed so the next writer starts clean.
     pub fn load(&self, key: &PlanKey) -> Option<EvalPlan> {
         let path = self.path_of(key);
         let text = fs::read_to_string(&path).ok()?;
         match EvalPlan::from_json(&text) {
-            Ok(plan) => Some(plan),
-            Err(_) => {
-                // Stale or corrupt: drop it rather than re-failing forever.
+            Ok(plan) if plan.degree() == key.degree && plan.smoothness() == key.smoothness => {
+                Some(plan)
+            }
+            _ => {
+                // Stale, corrupt or foreign: drop it rather than re-failing
+                // forever.
                 let _ = fs::remove_file(&path);
                 None
             }

@@ -13,7 +13,7 @@
 //!   **single flight**: one compile per key no matter how many requesters
 //!   race, the rest block and share the result. A byte budget drives LRU
 //!   eviction, and an optional [`DiskTier`] makes eviction a spill and the
-//!   next miss a cheap revive (`ustencil-plan/v2` JSON on disk).
+//!   next miss a cheap revive (`ustencil-plan/v3` JSON on disk).
 //! * [`PlanServer`] — worker threads behind a bounded submission queue
 //!   (blocking admission = backpressure). Queued requests against the same
 //!   plan coalesce into one

@@ -415,7 +415,6 @@ fn build_record(
         histograms: Vec::new(),
         device_sim: None,
         plan: None,
-        locality: None,
         comms: Vec::new(),
         critical_path: None,
         serve: Some(stats.clone()),

@@ -1,6 +1,7 @@
 //! Disk-tier round-trip tests: evict → spill → reload → apply must be
-//! bitwise identical, and corrupt or old-version files must degrade to a
-//! recompile — never a panic.
+//! bitwise identical, and corrupt files, old-version (`ustencil-plan/v2`)
+//! files and plans for another key's kernel must degrade to a recompile —
+//! never a panic.
 
 use std::fs;
 use std::path::PathBuf;
@@ -115,14 +116,14 @@ fn old_version_disk_file_degrades_to_recompile() {
     let key = PlanKey::new(&mesh, &grid, 1, &options);
     let tier = DiskTier::new(&dir).expect("create disk tier");
 
-    // A structurally valid document from a previous serialization era:
-    // current-format JSON with the format tag rewound to v1.
+    // A v2 file left by a previous build under a v3 build: a freshly
+    // stored document with the format tag rewound.
     let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
     tier.store(&key, &plan).expect("store plan");
     let path = tier.path_of(&key);
     let text = fs::read_to_string(&path).expect("read stored plan");
-    assert!(text.contains("ustencil-plan/v2"), "format tag moved?");
-    fs::write(&path, text.replace("ustencil-plan/v2", "ustencil-plan/v1"))
+    assert!(text.contains("ustencil-plan/v3"), "format tag moved?");
+    fs::write(&path, text.replace("ustencil-plan/v3", "ustencil-plan/v2"))
         .expect("write old-version file");
 
     let cache = PlanCache::new(CacheConfig {
@@ -132,8 +133,36 @@ fn old_version_disk_file_degrades_to_recompile() {
     });
     let (plan, outcome) =
         cache.get_or_compile(key, || EvalPlan::compile(&mesh, &grid, 1, &options));
-    assert_eq!(outcome, Outcome::Compiled, "v1 file must not satisfy");
+    assert_eq!(outcome, Outcome::Compiled, "v2 file must not satisfy");
     assert_eq!(plan.rows(), grid.len());
+    assert_eq!(cache.disk().expect("disk configured").len(), 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn foreign_plan_under_live_name_degrades_to_recompile() {
+    let dir = scratch("foreign");
+    let (mesh, grid, options) = fixture(45);
+    let key = PlanKey::new(&mesh, &grid, 1, &options);
+    let tier = DiskTier::new(&dir).expect("create disk tier");
+
+    // A well-formed plan of another degree planted under this key's name:
+    // it parses, but applying it to a degree-1 field would panic.
+    let grid2 = ComputationGrid::quadrature_points(&mesh, 2);
+    let foreign = EvalPlan::compile(&mesh, &grid2, 2, &options);
+    tier.store(&key, &foreign).expect("store foreign plan");
+    assert_eq!(tier.len(), 1);
+
+    let cache = PlanCache::new(CacheConfig {
+        shards: 1,
+        byte_budget: 0,
+        disk: Some(tier),
+    });
+    let (plan, outcome) =
+        cache.get_or_compile(key, || EvalPlan::compile(&mesh, &grid, 1, &options));
+    assert_eq!(outcome, Outcome::Compiled, "foreign plan must not satisfy");
+    assert_eq!((plan.degree(), plan.rows()), (1, grid.len()));
+    assert_eq!(apply_bits(&plan, &mesh).len(), grid.len());
     assert_eq!(cache.disk().expect("disk configured").len(), 0);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -17,13 +17,11 @@
 #![deny(missing_docs)]
 
 pub mod grid;
-pub mod hilbert;
 pub mod kdtree;
 pub mod point_grid;
 pub mod tri_grid;
 
 pub use grid::{Boundary, UniformGrid};
-pub use hilbert::{hilbert_order_elements, hilbert_order_points, Permutation};
 pub use kdtree::KdTree;
 pub use point_grid::PointGrid;
 pub use tri_grid::TriangleGrid;

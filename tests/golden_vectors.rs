@@ -132,50 +132,6 @@ fn outputs_match_golden_bits() {
     }
 }
 
-/// The plan golden pins the `Layout::Natural` apply bit-for-bit; the
-/// reordered layouts must reproduce those exact bits after their fused
-/// inverse permutation — the locality layer's bitwise contract
-/// (DESIGN.md §12), checked here against the committed fixture rather
-/// than a same-process baseline.
-#[test]
-fn reordered_layouts_match_the_plan_golden() {
-    use ustencil::engine::Layout;
-    let golden = parse_golden();
-    let (_, plan_bits) = &golden[2];
-    assert_eq!(golden[2].0, "plan", "fixture row order changed");
-    let (mesh, field, grid, h_factor) = fixture();
-    for layout in [Layout::Hilbert, Layout::HilbertBlocked] {
-        let options = CompileOptions {
-            h_factor,
-            n_blocks: 1,
-            parallel: false,
-            layout,
-            simd: SimdPolicy::Scalar,
-            ..CompileOptions::default()
-        };
-        let values = EvalPlan::compile(&mesh, &grid, DEGREE, &options)
-            .apply_with(
-                &field,
-                &ApplyOptions {
-                    n_blocks: 1,
-                    parallel: false,
-                    instrument: false,
-                    simd: SimdPolicy::Scalar,
-                },
-            )
-            .values;
-        assert_eq!(values.len(), plan_bits.len(), "{layout:?}: length changed");
-        for (i, (v, &bits)) in values.iter().zip(plan_bits).enumerate() {
-            assert_eq!(
-                v.to_bits(),
-                bits,
-                "{layout:?}[{i}]: {v:e} != {:e} (bit-wise)",
-                f64::from_bits(bits)
-            );
-        }
-    }
-}
-
 /// Vector policies against the committed fixture: each forced width is
 /// run-to-run *deterministic* (two independent compile+apply passes give
 /// the same bits — the lane kernels use fixed-order reductions, never a

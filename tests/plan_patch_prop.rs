@@ -2,13 +2,11 @@
 //! kernel smoothness k in {1, 2, 3}, and random mesh edits — refinement of a
 //! random element subset (including the empty and the everything-eligible
 //! subset) or vertex displacement — a patched plan is *bitwise* the plan a
-//! fresh compile of the edited problem would build, and v2 layouts come out
-//! of the splice with valid permutations and tiles. Case counts are small
+//! fresh compile of the edited problem would build. Case counts are small
 //! because every case compiles at least two plans.
 
 use proptest::prelude::*;
 use ustencil::engine::prelude::*;
-use ustencil::engine::Layout;
 use ustencil::mesh::{displace_band, elements_on_longest_edge, generate_mesh, MeshClass, TriMesh};
 use ustencil::plan::CompileOptions;
 use ustencil::{DirtySet, EvalPlan};
@@ -113,59 +111,6 @@ proptest! {
         }
         let fresh = EvalPlan::compile(&edited, &new_grid, 1, &options);
         assert_bitwise(&patched, &fresh, "patched vs fresh")?;
-    }
-
-    /// Splicing a v2 layout (Hilbert / HilbertBlocked) leaves valid
-    /// permutations and monotone tiles, and the patched apply is bitwise
-    /// the fresh compile's apply.
-    #[test]
-    fn spliced_v2_layouts_stay_valid(
-        seed in 0u64..1000,
-        n in 80usize..160,
-        k in 1usize..=2,
-        blocked in proptest::bool::ANY,
-    ) {
-        let layout = if blocked { Layout::HilbertBlocked } else { Layout::Hilbert };
-        let (mesh, grid, mut options) = build(n, k, seed);
-        options.layout = layout;
-        let base = EvalPlan::compile(&mesh, &grid, 1, &options);
-
-        let edited = edit(&mesh, 0.3, seed % 2 == 0, seed.wrapping_add(29));
-        let new_grid = ComputationGrid::quadrature_points(&edited, 1);
-        let dirty = DirtySet::diff(&mesh, &grid, &edited, &new_grid);
-        let (patched, _) = base
-            .patched(&edited, &new_grid, &dirty, &options)
-            .expect("same-kernel edit must patch");
-
-        // Permutations must be permutations of the new shapes.
-        for (perm, len, what) in [
-            (patched.row_perm(), patched.rows(), "row_perm"),
-            (patched.col_perm(), patched.cols().iter().map(|&c| c as usize + 1).max().unwrap_or(0), "col_perm"),
-        ] {
-            let mut seen = vec![false; perm.len()];
-            prop_assert!(perm.len() >= len, "{} too short", what);
-            for &p in perm {
-                prop_assert!(!seen[p as usize], "{} repeats {}", what, p);
-                seen[p as usize] = true;
-            }
-        }
-        if layout.blocked() {
-            let tiles = patched.tiles();
-            prop_assert!(tiles.first() == Some(&0), "tiles start at row 0");
-            prop_assert!(tiles.windows(2).all(|w| w[0] < w[1]), "tiles monotone");
-            prop_assert_eq!(*tiles.last().unwrap() as usize, patched.rows());
-        }
-
-        // And the permuted storage still computes the right answer: bitwise
-        // the fresh compile of the same layout.
-        let fresh = EvalPlan::compile(&edited, &new_grid, 1, &options);
-        let field = ustencil::dg::project_l2(&edited, 1, |x, y| (x * 3.3).sin() + y, 2);
-        let a = patched.apply(&field);
-        let b = fresh.apply(&field);
-        prop_assert!(
-            a.values.iter().zip(&b.values).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "patched v2 apply differs from fresh"
-        );
     }
 }
 
