@@ -8,28 +8,31 @@ use std::hint::black_box;
 use ustencil_bench::Workload;
 use ustencil_core::per_element::{memory_overhead, reduce_patches, PerElementRun};
 use ustencil_core::tiling::{assign_patches, two_stage_reduce};
+use ustencil_core::ExecConfig;
 use ustencil_mesh::{partition_recursive_bisection, MeshClass};
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::{Boundary, PointGrid};
 
 fn bench_reduction(c: &mut Criterion) {
     let w = Workload::build(MeshClass::LowVariance, 1_000, 1, 2013);
-    let stencil = Stencil2d::symmetric(1, w.mesh.max_edge_length() * w.safe_h_factor());
+    let config = ExecConfig {
+        h_factor: w.safe_h_factor(),
+        ..ExecConfig::default()
+    };
+    let setup = config.resolve(&w.mesh, w.p);
     let pgrid =
         PointGrid::build_half_edge(w.grid.points(), w.mesh.max_edge_length(), Boundary::Clamped);
-    let rule = TriangleRule::with_strength(3);
     let run = PerElementRun {
         mesh: &w.mesh,
         field: &w.field,
         grid: &w.grid,
-        stencil: &stencil,
+        setup: &setup,
         point_grid: &pgrid,
-        rule: &rule,
-        simd: ustencil_core::SimdPolicy::Auto.resolve(),
     };
     let partition = partition_recursive_bisection(&w.mesh, 16);
-    let results: Vec<_> = partition.patches().map(|p| run.run_patch(p)).collect();
+    let results: Vec<_> = partition
+        .patches()
+        .map(|p| run.run_patch(p, false).0)
+        .collect();
     let n_points = w.grid.len();
 
     let metrics: Vec<_> = results.iter().map(|r| r.metrics).collect();
@@ -56,7 +59,7 @@ fn bench_reduction(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_compute_reference");
     group.sample_size(10);
     group.bench_function("one_patch_compute", |b| {
-        b.iter(|| black_box(run.run_patch(&biggest)))
+        b.iter(|| black_box(run.run_patch(&biggest, false)))
     });
     group.finish();
 }

@@ -97,32 +97,20 @@ fn bench_builders(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper's Section 3 data-structure argument, measured: uniform hash
-/// grid vs k-d tree for the square range queries the stencil search makes.
-fn bench_spatial_ablation(c: &mut Criterion) {
+/// The square range query the per-element stencil search makes against the
+/// point hash grid (Section 3).
+fn bench_spatial_query(c: &mut Criterion) {
     let mesh = generate_mesh(MeshClass::LowVariance, 2_000, 3);
     let grid = ustencil_core::ComputationGrid::quadrature_points(&mesh, 1);
     let s = mesh.max_edge_length();
     let hash = PointGrid::build_half_edge(grid.points(), s, Boundary::Clamped);
-    let tree = ustencil_spatial::KdTree::build(grid.points());
     let bbox = ustencil_geometry::Aabb::new(Point2::new(0.4, 0.4), Point2::new(0.45, 0.44));
     let hw = 2.0 * s;
-    let query = ustencil_geometry::Aabb::new(
-        Point2::new(bbox.min.x - hw, bbox.min.y - hw),
-        Point2::new(bbox.max.x + hw, bbox.max.y + hw),
-    );
-    let mut group = c.benchmark_group("spatial_ablation");
+    let mut group = c.benchmark_group("spatial");
     group.bench_function("hash_grid_range_query", |b| {
         b.iter(|| {
             let mut acc = 0u32;
             hash.for_each_candidate(black_box(&bbox), hw, |id| acc = acc.wrapping_add(id));
-            acc
-        })
-    });
-    group.bench_function("kd_tree_range_query", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            tree.query_rect(black_box(&query), |id| acc = acc.wrapping_add(id));
             acc
         })
     });
@@ -282,7 +270,7 @@ criterion_group!(
     bench_integration,
     bench_integration_kernel,
     bench_builders,
-    bench_spatial_ablation,
+    bench_spatial_query,
     bench_probe_overhead
 );
 criterion_main!(benches);

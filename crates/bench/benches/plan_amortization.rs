@@ -14,7 +14,7 @@ use std::hint::black_box;
 use ustencil_bench::Workload;
 use ustencil_core::{PostProcessor, Scheme};
 use ustencil_mesh::MeshClass;
-use ustencil_plan::{ApplyOptions, PlanExt};
+use ustencil_plan::PlanExt;
 
 /// Timestep counts the amortization sweep covers.
 const TIMESTEPS: [usize; 4] = [1, 4, 16, 64];
@@ -30,7 +30,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
             .blocks(16)
             .h_factor(w.safe_h_factor());
         let plan = processor.compile_plan(&w.mesh, w.p, &w.grid);
-        let opts = ApplyOptions::default();
+        let opts = processor.config();
 
         // One plan compilation: the fixed cost a plan amortizes away.
         group.bench_with_input(BenchmarkId::new("build", label), &w, |b, w| {
@@ -41,7 +41,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("apply_{t}"), label), &w, |b, w| {
                 b.iter(|| {
                     for _ in 0..t {
-                        black_box(plan.apply_with(&w.field, &opts));
+                        black_box(plan.apply_with(&w.field, opts));
                     }
                 })
             });

@@ -18,7 +18,7 @@ use ustencil_core::per_element::memory_overhead;
 use ustencil_core::prelude::*;
 use ustencil_dist::{run_dist, DistOptions, SCHEME_LABEL as DIST_SCHEME_LABEL};
 use ustencil_mesh::MeshClass;
-use ustencil_plan::{ApplyOptions, PlanExt, PATCH_SCHEME_LABEL, SCHEME_LABEL};
+use ustencil_plan::{PlanExt, PATCH_SCHEME_LABEL, SCHEME_LABEL};
 use ustencil_serve::traffic::{self, TrafficConfig, TrafficOutcome};
 use ustencil_serve::SCHEME_LABEL as SERVE_SCHEME_LABEL;
 use ustencil_trace::Timeline;
@@ -376,12 +376,6 @@ fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
 
         // Synthetic timesteps: the projected field with coefficients
         // scaled per frame, standing in for an evolving simulation.
-        let apply_opts = ApplyOptions {
-            n_blocks: 16,
-            parallel: true,
-            instrument: true,
-            simd,
-        };
         let mut apply_ms_sum = 0.0;
         let mut last = None;
         for t in 0..timesteps {
@@ -390,7 +384,7 @@ fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
             for c in field.coefficients_mut() {
                 *c *= scale;
             }
-            let sol = plan.apply_with(&field, &apply_opts);
+            let sol = plan.apply_with(&field, processor.config());
             apply_ms_sum += sol.wall.as_secs_f64() * 1e3;
             if t == 0 {
                 // Frame 0 is the unscaled field: the plan must reproduce
@@ -442,7 +436,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
     use ustencil_bench::test_function;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{elements_on_longest_edge, refine_elements};
-    use ustencil_plan::{CompileOptions, DirtySet, EvalPlan};
+    use ustencil_plan::{DirtySet, EvalPlan};
 
     /// Width of the refined band in domain units; elements whose centroid
     /// falls under the front are split 1 → 4.
@@ -469,19 +463,11 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
             let w = r.workload(MeshClass::LowVariance, n, 1);
             (w.mesh.clone(), 0.5 * w.safe_h_factor())
         };
-        let options = CompileOptions {
+        let options = ExecConfig {
             h_factor,
-            n_blocks: 16,
-            parallel: true,
             instrument: true,
             simd: r.simd,
-            ..CompileOptions::default()
-        };
-        let apply_opts = ApplyOptions {
-            n_blocks: 16,
-            parallel: true,
-            instrument: true,
-            simd: r.simd,
+            ..ExecConfig::default()
         };
         // The front never refines an element owning the longest edge:
         // that would change the kernel scale h and force a full rebuild.
@@ -508,7 +494,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
         let full_ms = plan.build_wall().as_secs_f64() * 1e3;
         {
             let field = project_l2(&mesh, 1, test_function, 4);
-            let sol = plan.apply_with(&field, &apply_opts);
+            let sol = plan.apply_with(&field, &options);
             let label = format!("low-variance/{}/p1/amr-frame0", size_label(n));
             r.records
                 .push(plan.to_run_record(&label, mesh.n_triangles(), &sol));
@@ -550,7 +536,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
                 );
             }
             let field = project_l2(&next_mesh, 1, test_function, 4);
-            let sol = next_plan.apply_with(&field, &apply_opts);
+            let sol = next_plan.apply_with(&field, &options);
             let label = format!("low-variance/{}/p1/amr-frame{}", size_label(n), t);
             r.records.push(next_plan.to_run_record_patched(
                 &label,
@@ -669,13 +655,7 @@ fn bench_cmd(opts: &CliOptions) {
         .h_factor(w.safe_h_factor())
         .simd(opts.simd);
     let plan = processor.compile_plan(&w.mesh, w.p, &w.grid);
-    let apply_opts = ApplyOptions {
-        n_blocks: 16,
-        parallel: true,
-        instrument: false,
-        simd: opts.simd,
-    };
-    let (wall, sol) = min_of(reps, || plan.apply_with(&w.field, &apply_opts));
+    let (wall, sol) = min_of(reps, || plan.apply_with(&w.field, processor.config()));
     let name = format!("plan.apply/{}", size_label(plan_size));
     let metrics = [
         ("nnz", plan.nnz() as f64),
@@ -691,22 +671,16 @@ fn bench_cmd(opts: &CliOptions) {
     // a shape metric.
     {
         use ustencil_mesh::displace_band;
-        use ustencil_plan::{CompileOptions, DirtySet};
+        use ustencil_plan::DirtySet;
         let moved = displace_band(&w.mesh, 0.475, 0.525, 0.2, opts.seed);
         let moved_grid = ComputationGrid::quadrature_points(&moved, w.p);
-        // Same policy the base plan compiled under: patched rows must
+        // The config the base plan compiled under: patched rows must
         // reduce on the same ISA as the rows they splice into.
-        let patch_options = CompileOptions {
-            h_factor: w.safe_h_factor(),
-            n_blocks: 16,
-            parallel: true,
-            simd: opts.simd,
-            ..CompileOptions::default()
-        };
+        let patch_options = processor.config();
         eprintln!("  [patching the plan after a band displacement...]");
         let (wall, (_, delta)) = min_of(reps, || {
             let dirty = DirtySet::diff(&w.mesh, &w.grid, &moved, &moved_grid);
-            plan.patched(&moved, &moved_grid, &dirty, &patch_options)
+            plan.patched(&moved, &moved_grid, &dirty, patch_options)
                 .unwrap_or_else(|e| {
                     eprintln!("bench plan.patch fixture cannot patch: {e}");
                     std::process::exit(1);
@@ -727,11 +701,9 @@ fn bench_cmd(opts: &CliOptions) {
     // regression) that resolves `auto` to a different ISA shows up in
     // bench_diff as a workload change rather than a silent timing swing.
     for policy in [SimdPolicy::Scalar, SimdPolicy::Auto] {
-        let simd_opts = ApplyOptions {
-            n_blocks: 16,
-            parallel: true,
-            instrument: false,
+        let simd_opts = ExecConfig {
             simd: policy,
+            ..*processor.config()
         };
         eprintln!("  [applying the plan with simd={}...]", policy.label());
         let (wall, sol) = min_of(reps, || plan.apply_with(&w.field, &simd_opts));

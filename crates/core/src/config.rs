@@ -1,0 +1,152 @@
+//! The run parameters, declared once: [`ExecConfig`] is what every entry
+//! point (direct, plan compile/apply/patch, dist, serve) is configured
+//! with, and [`ExecConfig::resolve`] is the one place a config becomes a
+//! concrete kernel. Each field has a single consumer: `smoothness`,
+//! `h_factor` and `simd` are read by `resolve`, `n_blocks` and `parallel`
+//! by the block driver ([`crate::blocks`]), `instrument` by the
+//! `Tracer`/[`Probe`](crate::Probe) constructors.
+
+use crate::integrate::IntegrationCtx;
+use crate::simd::{SimdIsa, SimdPolicy};
+use ustencil_mesh::TriMesh;
+use ustencil_quadrature::TriangleRule;
+use ustencil_siac::Stencil2d;
+
+/// How a run executes: the paper's kernel parameters (`k`, `h = h_factor
+/// · s`) and its `N_GPU × N_SM` concurrent blocks, plus this
+/// implementation's observability and SIMD switches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecConfig {
+    /// Explicit kernel smoothness `k` (default: the field degree `p`).
+    pub smoothness: Option<usize>,
+    /// Kernel width factor, `h = h_factor * max_edge` (default 1.0).
+    pub h_factor: f64,
+    /// Concurrent blocks: point/row blocks for gather sweeps, mesh patches
+    /// for per-element (default 16, one per M2090 SM).
+    pub n_blocks: usize,
+    /// Whether blocks run on worker threads (default true).
+    pub parallel: bool,
+    /// Whether to record phase spans and per-block distribution probes
+    /// (default false; off, the hot loops pay only their counter
+    /// increments).
+    pub instrument: bool,
+    /// SIMD dispatch policy of the evaluation kernels (default
+    /// [`SimdPolicy::Auto`]). [`SimdPolicy::Scalar`] runs the bit-exact
+    /// pre-SIMD loops; vector ISAs agree with it to ≤1e-12, so the
+    /// resolved ISA is part of a compiled plan's content identity.
+    pub simd: SimdPolicy,
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        Self {
+            smoothness: None,
+            h_factor: 1.0,
+            n_blocks: 16,
+            parallel: true,
+            instrument: false,
+            simd: SimdPolicy::Auto,
+        }
+    }
+}
+
+impl ExecConfig {
+    /// The kernel smoothness for degree-`degree` fields.
+    pub fn smoothness_for(&self, degree: usize) -> usize {
+        self.smoothness.unwrap_or(degree)
+    }
+
+    /// The kernel scale `h` over `mesh`.
+    pub fn scale_for(&self, mesh: &TriMesh) -> f64 {
+        self.h_factor * mesh.max_edge_length()
+    }
+
+    /// Builds and validates the kernel this config describes for
+    /// degree-`degree` fields over `mesh`, and resolves the SIMD policy.
+    ///
+    /// # Panics
+    /// Panics for a non-positive (or NaN) `h_factor`, or when the stencil
+    /// is wider than the periodic unit domain (`(3k + 1) h <= 1`).
+    pub fn resolve(&self, mesh: &TriMesh, degree: usize) -> KernelSetup {
+        assert!(self.h_factor > 0.0, "h factor must be positive");
+        let k = self.smoothness_for(degree);
+        let h = self.scale_for(mesh);
+        let stencil = Stencil2d::symmetric(k, h);
+        assert!(
+            stencil.width() <= 1.0 + 1e-12,
+            "stencil width {} exceeds the periodic unit domain; \
+             use a larger mesh or a smaller h_factor",
+            stencil.width()
+        );
+        KernelSetup {
+            degree,
+            k,
+            h,
+            stencil,
+            rule: TriangleRule::with_strength(IntegrationCtx::required_strength(k, degree)),
+            isa: self.simd.resolve(),
+        }
+    }
+}
+
+/// A resolved kernel. Only [`ExecConfig::resolve`] makes one, so holding a
+/// `KernelSetup` is the proof that the stencil fits the periodic domain
+/// and the rule integrates the clipped integrand exactly.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct KernelSetup {
+    /// Degree `p` of the fields the kernel was resolved for.
+    pub degree: usize,
+    /// Kernel smoothness `k`.
+    pub k: usize,
+    /// Kernel scale `h`.
+    pub h: f64,
+    /// The scaled symmetric stencil, `(3k + 1) h` wide.
+    pub stencil: Stencil2d,
+    /// Triangle rule of strength `2k + p`.
+    pub rule: TriangleRule,
+    /// The ISA every block of the run reduces on.
+    pub isa: SimdIsa,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ustencil_mesh::{generate_mesh, MeshClass};
+
+    #[test]
+    fn smoothness_defaults_to_the_degree_and_an_override_wins() {
+        let mesh = generate_mesh(MeshClass::LowVariance, 400, 3);
+        let config = ExecConfig {
+            h_factor: 0.5,
+            ..ExecConfig::default()
+        };
+        for p in 1..=3 {
+            let setup = config.resolve(&mesh, p);
+            assert_eq!((setup.k, setup.degree), (p, p));
+            assert_eq!(setup.stencil.width(), (3 * p + 1) as f64 * setup.h);
+        }
+        let explicit = ExecConfig {
+            smoothness: Some(1),
+            ..config
+        };
+        assert_eq!(explicit.resolve(&mesh, 3).k, 1);
+    }
+
+    #[test]
+    fn scale_is_exactly_h_factor_times_the_longest_edge() {
+        let mesh = generate_mesh(MeshClass::HighVariance, 300, 9);
+        for h_factor in [1.0 / 3.0, 0.1, 0.25] {
+            let config = ExecConfig {
+                h_factor,
+                simd: SimdPolicy::Scalar,
+                ..ExecConfig::default()
+            };
+            let setup = config.resolve(&mesh, 1);
+            let want = h_factor * mesh.max_edge_length();
+            assert_eq!(setup.h.to_bits(), want.to_bits());
+            assert_eq!(setup.stencil.h().to_bits(), want.to_bits());
+            assert_eq!(setup.isa, SimdIsa::Scalar);
+        }
+    }
+}

@@ -1,9 +1,9 @@
 //! The [`PostProcessor`] front door: one configuration surface for every
 //! scheme / tiling / parallelism combination the paper evaluates.
 
+use crate::config::ExecConfig;
 use crate::device::{simulate, DeviceConfig, SimReport};
 use crate::grid_points::ComputationGrid;
-use crate::integrate::IntegrationCtx;
 use crate::metrics::Metrics;
 use crate::per_element::{reduce_patches, PerElementRun};
 use crate::per_point::PerPointRun;
@@ -13,8 +13,6 @@ use crate::simd::SimdPolicy;
 use std::time::{Duration, Instant};
 use ustencil_dg::DgField;
 use ustencil_mesh::{partition_recursive_bisection, TriMesh};
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::{Boundary, PointGrid, TriangleGrid};
 use ustencil_trace::{SpanRecord, Tracer};
 
@@ -52,27 +50,6 @@ impl Scheme {
     }
 }
 
-/// Snapshot of a [`PostProcessor`]'s configuration, resolved enough for
-/// other crates (e.g. the evaluation-plan compiler in `ustencil-plan`) to
-/// reproduce the exact kernel/quadrature setup `run` would use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcessorSettings {
-    /// The configured scheme.
-    pub scheme: Scheme,
-    /// Explicit kernel smoothness override, when one was set.
-    pub smoothness: Option<usize>,
-    /// Kernel width factor (`h = h_factor * s`).
-    pub h_factor: f64,
-    /// Concurrent blocks.
-    pub n_blocks: usize,
-    /// Whether thread parallelism is on.
-    pub parallel: bool,
-    /// Whether observability is on.
-    pub instrument: bool,
-    /// SIMD dispatch policy of the evaluation kernels.
-    pub simd: SimdPolicy,
-}
-
 /// Configured SIAC post-processor.
 ///
 /// ```
@@ -99,43 +76,31 @@ pub struct ProcessorSettings {
 #[derive(Debug, Clone)]
 pub struct PostProcessor {
     scheme: Scheme,
-    smoothness: Option<usize>,
-    h_factor: f64,
-    n_blocks: usize,
-    parallel: bool,
-    instrument: bool,
-    simd: SimdPolicy,
+    config: ExecConfig,
 }
 
 impl PostProcessor {
-    /// A post-processor with the paper's defaults: kernel smoothness equal
-    /// to the field degree, `h` equal to the longest mesh edge, 16 blocks
-    /// (one per M2090 SM), parallel execution on, instrumentation off.
+    /// A post-processor with the paper's defaults
+    /// ([`ExecConfig::default`]): kernel smoothness equal to the field
+    /// degree, `h` equal to the longest mesh edge, 16 blocks (one per M2090
+    /// SM), parallel execution on, instrumentation off.
     pub fn new(scheme: Scheme) -> Self {
         Self {
             scheme,
-            smoothness: None,
-            h_factor: 1.0,
-            n_blocks: 16,
-            parallel: true,
-            instrument: false,
-            simd: SimdPolicy::Auto,
+            config: ExecConfig::default(),
         }
     }
 
     /// Overrides the kernel smoothness `k` (default: the field degree `p`).
     pub fn smoothness(mut self, k: usize) -> Self {
-        self.smoothness = Some(k);
+        self.config.smoothness = Some(k);
         self
     }
 
     /// Scales the kernel width: `h = h_factor * s` (default 1.0).
-    ///
-    /// # Panics
-    /// Panics for non-positive factors.
+    /// [`run`](Self::run) rejects non-positive factors.
     pub fn h_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "h factor must be positive");
-        self.h_factor = factor;
+        self.config.h_factor = factor;
         self
     }
 
@@ -147,13 +112,13 @@ impl PostProcessor {
     /// Panics for zero blocks.
     pub fn blocks(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one block");
-        self.n_blocks = n;
+        self.config.n_blocks = n;
         self
     }
 
     /// Enables or disables thread parallelism (rayon).
     pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
+        self.config.parallel = on;
         self
     }
 
@@ -161,7 +126,7 @@ impl PostProcessor {
     /// per-block distribution probes in the workers (default off). Off,
     /// the hot loops pay nothing beyond their plain counter increments.
     pub fn instrument(mut self, on: bool) -> Self {
-        self.instrument = on;
+        self.config.instrument = on;
         self
     }
 
@@ -173,7 +138,7 @@ impl PostProcessor {
     /// and FMA-contracted). For a fixed policy on a fixed CPU, results are
     /// deterministic.
     pub fn simd(mut self, policy: SimdPolicy) -> Self {
-        self.simd = policy;
+        self.config.simd = policy;
         self
     }
 
@@ -182,50 +147,31 @@ impl PostProcessor {
         self.scheme
     }
 
-    /// The full configuration snapshot (used by plan compilers and other
-    /// front ends that must mirror `run`'s kernel/quadrature choices).
-    pub fn settings(&self) -> ProcessorSettings {
-        ProcessorSettings {
-            scheme: self.scheme,
-            smoothness: self.smoothness,
-            h_factor: self.h_factor,
-            n_blocks: self.n_blocks,
-            parallel: self.parallel,
-            instrument: self.instrument,
-            simd: self.simd,
-        }
+    /// The execution config `run` uses — what plan compilers and other
+    /// front ends pass on to mirror its kernel/quadrature choices.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
     }
 
     /// Runs the post-processor over `grid`'s evaluation points.
     ///
     /// # Panics
-    /// Panics when the stencil is wider than the periodic domain (the
-    /// `(3k+1) h <= 1` requirement) or the field does not match the mesh.
+    /// Panics when the config does not [resolve](ExecConfig::resolve) (the
+    /// `(3k+1) h <= 1` requirement, a non-positive `h_factor`) or the field
+    /// does not match the mesh.
     pub fn run(&self, mesh: &TriMesh, field: &DgField, grid: &ComputationGrid) -> Solution {
         assert_eq!(
             field.n_elements(),
             mesh.n_triangles(),
             "field does not match mesh"
         );
-        let tracer = Tracer::new(self.instrument);
-        let p = field.degree();
-        let k = self.smoothness.unwrap_or(p);
-        let s = mesh.max_edge_length();
-        let h = self.h_factor * s;
-        let (stencil, rule) = {
+        let config = &self.config;
+        let tracer = Tracer::new(config.instrument);
+        let setup = {
             let _span = tracer.span("setup.kernel");
-            let stencil = Stencil2d::symmetric(k, h);
-            assert!(
-                stencil.width() <= 1.0 + 1e-12,
-                "stencil width {} exceeds the periodic unit domain; \
-                 use a larger mesh or a smaller h_factor",
-                stencil.width()
-            );
-            let rule = TriangleRule::with_strength(IntegrationCtx::required_strength(k, p));
-            (stencil, rule)
+            config.resolve(mesh, field.degree())
         };
 
-        let simd_isa = self.simd.resolve();
         let start = Instant::now();
         let (values, block_stats) = match self.scheme {
             Scheme::PerPoint => {
@@ -237,35 +183,32 @@ impl PostProcessor {
                     mesh,
                     field,
                     grid,
-                    stencil: &stencil,
+                    setup: &setup,
                     tri_grid: &tri_grid,
-                    rule: &rule,
-                    simd: simd_isa,
                 };
                 let _span = tracer.span("eval.per_point");
-                run.run_instrumented(self.n_blocks, self.parallel, self.instrument)
+                run.run(config)
             }
             Scheme::PerElement => {
                 let point_grid = {
                     let _span = tracer.span("build.point_grid");
+                    let s = mesh.max_edge_length();
                     PointGrid::build_half_edge(grid.points(), s, Boundary::Clamped)
                 };
                 let partition = {
                     let _span = tracer.span("build.partition");
-                    partition_recursive_bisection(mesh, self.n_blocks)
+                    partition_recursive_bisection(mesh, config.n_blocks)
                 };
                 let run = PerElementRun {
                     mesh,
                     field,
                     grid,
-                    stencil: &stencil,
+                    setup: &setup,
                     point_grid: &point_grid,
-                    rule: &rule,
-                    simd: simd_isa,
                 };
                 let (results, stats) = {
                     let _span = tracer.span("eval.per_element");
-                    run.run_patches(&partition, self.parallel, self.instrument)
+                    run.run_patches(&partition, config)
                 };
                 let values = {
                     let _span = tracer.span("reduce.patches");
@@ -277,7 +220,7 @@ impl PostProcessor {
         let wall = start.elapsed();
         let block_metrics = BlockStats::metrics_of(&block_stats);
         let metrics = Metrics::sum(&block_metrics);
-        let simd = SimdRecord::measured(self.simd, simd_isa, metrics.flops, wall.as_secs_f64());
+        let simd = SimdRecord::measured(config.simd, setup.isa, metrics.flops, wall.as_secs_f64());
 
         Solution {
             values,
@@ -286,7 +229,7 @@ impl PostProcessor {
             block_stats,
             spans: tracer.records(),
             wall,
-            stencil_width: stencil.width(),
+            stencil_width: setup.stencil.width(),
             scheme: self.scheme,
             simd,
         }
@@ -535,33 +478,6 @@ mod tests {
         }
         assert_eq!(Scheme::from_label("per-face"), None);
         assert_eq!(Scheme::from_label(""), None);
-    }
-
-    #[test]
-    fn settings_snapshot_reflects_builder() {
-        let pp = PostProcessor::new(Scheme::PerElement)
-            .smoothness(2)
-            .h_factor(0.5)
-            .blocks(7)
-            .parallel(false)
-            .instrument(true)
-            .simd(SimdPolicy::Scalar);
-        let s = pp.settings();
-        assert_eq!(s.scheme, Scheme::PerElement);
-        assert_eq!(s.smoothness, Some(2));
-        assert_eq!(s.h_factor, 0.5);
-        assert_eq!(s.n_blocks, 7);
-        assert!(!s.parallel);
-        assert!(s.instrument);
-        assert_eq!(s.simd, SimdPolicy::Scalar);
-        // Defaults: no smoothness override, paper defaults elsewhere.
-        let d = PostProcessor::new(Scheme::PerPoint).settings();
-        assert_eq!(d.smoothness, None);
-        assert_eq!(d.h_factor, 1.0);
-        assert_eq!(d.n_blocks, 16);
-        assert!(d.parallel);
-        assert!(!d.instrument);
-        assert_eq!(d.simd, SimdPolicy::Auto);
     }
 
     #[test]

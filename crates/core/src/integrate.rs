@@ -8,7 +8,6 @@
 //! breakpoint and the element polynomial has known degree, a fixed-strength
 //! triangle rule makes each integral exact to rounding.
 
-use crate::metrics::Metrics;
 use ustencil_dg::{DgField, DubinerBasis};
 use ustencil_geometry::{Aabb, Point2, Triangle, Vec2};
 use ustencil_mesh::TriMesh;
@@ -183,36 +182,6 @@ pub const fn flops_per_clip() -> u64 {
     4 * 7 * 5
 }
 
-/// Integrates the stencil centered at `center` against the periodic image
-/// `tri + shift` of the element described by `elem`, accumulating metrics.
-/// Returns the partial value and whether any lattice square truly
-/// intersected the element (the caller aggregates this into
-/// [`Metrics::true_intersections`] once per candidate pair).
-///
-/// `shift` is the translation applied to the element (so the field is
-/// evaluated at `p - shift`). The caller has already established that the
-/// shifted bounding box meets the stencil support.
-///
-/// This is a convenience wrapper over the kernel layer
-/// ([`StencilTraversal`](crate::kernel::StencilTraversal) with an
-/// [`AccumulateSolution`](crate::kernel::AccumulateSolution) sink) that
-/// allocates its own staging buffer per call; hot paths hold a
-/// [`Scratch`](crate::kernel::Scratch) arena and drive the traversal
-/// directly.
-pub fn integrate_element_stencil(
-    ctx: &IntegrationCtx<'_>,
-    center: Point2,
-    elem: &ElementData,
-    shift: Vec2,
-    metrics: &mut Metrics,
-) -> (f64, bool) {
-    let trav = crate::kernel::StencilTraversal::new(ctx.stencil, ctx.rule, ctx.exps, elem.n_modes);
-    let mut stage = crate::kernel::QuadStage::default();
-    let mut sink = crate::kernel::AccumulateSolution::new();
-    let hit = trav.integrate_image(center, elem, shift, &mut stage, &mut sink, metrics);
-    (sink.take(), hit)
-}
-
 /// The periodic shifts whose element images can intersect a support
 /// rectangle that may overhang the unit square. Returns shifts `(sx, sy)`
 /// with each component in `{-1, 0, 1}`; at most 4 when the support is
@@ -236,9 +205,29 @@ pub fn needed_shifts(support: &ustencil_geometry::Rect) -> impl Iterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{AccumulateSolution, QuadStage, StencilTraversal};
+    use crate::metrics::Metrics;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, MeshClass};
     use ustencil_quadrature::GaussLegendre;
+
+    /// Integrates the stencil centered at `center` against the periodic
+    /// image `tri + shift` of `elem` through a fresh traversal and staging
+    /// buffer, returning the partial value and whether any lattice square
+    /// truly intersected the element.
+    fn integrate_element_stencil(
+        ctx: &IntegrationCtx<'_>,
+        center: Point2,
+        elem: &ElementData,
+        shift: Vec2,
+        metrics: &mut Metrics,
+    ) -> (f64, bool) {
+        let trav = StencilTraversal::new(ctx.stencil, ctx.rule, ctx.exps, elem.n_modes);
+        let mut stage = QuadStage::default();
+        let mut sink = AccumulateSolution::new();
+        let hit = trav.integrate_image(center, elem, shift, &mut stage, &mut sink, metrics);
+        (sink.take(), hit)
+    }
 
     #[test]
     fn element_data_eval_matches_field() {

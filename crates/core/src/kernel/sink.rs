@@ -6,8 +6,8 @@
 //! sums become. Two production sinks exist:
 //!
 //! * [`AccumulateSolution`] contracts the sums against the element's own
-//!   monomial coefficients — the direct evaluation all four schemes
-//!   (per-point, per-element, pipelined, tiled) perform;
+//!   monomial coefficients — the direct evaluation all three schemes
+//!   (per-point, per-element, tiled) perform;
 //! * [`AccumulateWeights`] keeps the sums symbolic and folds them into
 //!   per-mode CSR weights — the evaluation-plan compiler's path.
 //!

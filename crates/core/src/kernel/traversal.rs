@@ -10,7 +10,7 @@
 //! bodies live in [`point_query`](StencilTraversal::point_query) (gather
 //! schemes: per-point, plan compile) and
 //! [`integrate_image`](StencilTraversal::integrate_image) (scatter scheme:
-//! per-element, and through it pipelined and tiled execution).
+//! per-element, and through it tiled execution).
 //!
 //! The innermost evaluation is cells-then-modes: all surviving
 //! sub-triangles of one element image are staged into the

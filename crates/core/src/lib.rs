@@ -20,6 +20,9 @@
 //! * [`device`] — a deterministic streaming-multiprocessor cost model that
 //!   converts counted work ([`Metrics`]) into simulated execution time,
 //!   standing in for the paper's GPUs (see DESIGN.md, substitutions);
+//! * [`config`] / [`blocks`] — the one [`ExecConfig`] every entry point
+//!   is configured with, its resolution into a validated [`KernelSetup`],
+//!   and the block driver every sweep is cut, scheduled and measured by;
 //! * [`engine`] — the [`PostProcessor`] front door tying it all together;
 //! * [`probe`] / [`report`] — the observability layer: per-block stats and
 //!   distribution histograms merged at join points, unified with phase
@@ -31,6 +34,8 @@
 
 #![deny(missing_docs)]
 
+pub mod blocks;
+pub mod config;
 pub mod device;
 pub mod engine;
 pub mod grid_points;
@@ -39,14 +44,14 @@ pub mod kernel;
 pub mod metrics;
 pub mod per_element;
 pub mod per_point;
-pub mod pipelined;
 pub mod probe;
 pub mod report;
 pub mod simd;
 pub mod tiling;
 
+pub use config::{ExecConfig, KernelSetup};
 pub use device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};
-pub use engine::{PostProcessor, ProcessorSettings, Scheme, Solution};
+pub use engine::{PostProcessor, Scheme, Solution};
 pub use grid_points::ComputationGrid;
 pub use kernel::{
     AccumulateSolution, AccumulateWeights, ContributionSink, QuadStage, Scratch, ScratchCapacity,
@@ -62,8 +67,9 @@ pub use simd::{SimdIsa, SimdPolicy, SimdWidth};
 
 /// One-stop imports for applications.
 pub mod prelude {
+    pub use crate::config::{ExecConfig, KernelSetup};
     pub use crate::device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};
-    pub use crate::engine::{PostProcessor, ProcessorSettings, Scheme, Solution};
+    pub use crate::engine::{PostProcessor, Scheme, Solution};
     pub use crate::grid_points::ComputationGrid;
     pub use crate::metrics::Metrics;
     pub use crate::probe::{BlockStats, Probe};

@@ -7,19 +7,17 @@
 //! the patch's private scratch space. A final reduction sums overlapping
 //! partials — no synchronization between concurrently executing patches.
 
+use crate::blocks;
+use crate::config::{ExecConfig, KernelSetup};
 use crate::grid_points::ComputationGrid;
 use crate::integrate::{needed_shifts, ElementData};
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
-use crate::probe::{timed, BlockStats, Probe};
-use crate::simd::SimdIsa;
-use rayon::prelude::*;
+use crate::probe::{BlockStats, Probe};
 use std::collections::HashMap;
 use ustencil_dg::DgField;
 use ustencil_geometry::Rect;
 use ustencil_mesh::{Partition, TriMesh};
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::PointGrid;
 
 /// Partial solutions of one patch: sparse `(point id, value)` pairs sorted
@@ -40,53 +38,37 @@ pub struct PerElementRun<'a> {
     pub field: &'a DgField,
     /// Evaluation points.
     pub grid: &'a ComputationGrid,
-    /// The scaled stencil.
-    pub stencil: &'a Stencil2d,
+    /// The resolved stencil, rule and SIMD ISA.
+    pub setup: &'a KernelSetup,
     /// Point hash grid (clamped boundary; periodic images are handled by
     /// explicit shift enumeration).
     pub point_grid: &'a PointGrid,
-    /// Exact triangle rule for the clipped sub-regions.
-    pub rule: &'a TriangleRule,
-    /// Resolved SIMD ISA of the quadrature reduction.
-    pub simd: SimdIsa,
 }
 
 impl PerElementRun<'_> {
-    /// Processes one patch of elements into its private scratch space.
-    pub fn run_patch(&self, elements: &[u32]) -> PatchResult {
-        self.run_patch_instrumented(elements, false).0
-    }
-
-    /// Like [`run_patch`](Self::run_patch), but also times the patch and
-    /// (when `instrument` is set) records distribution probes.
-    pub fn run_patch_instrumented(
-        &self,
-        elements: &[u32],
-        instrument: bool,
-    ) -> (PatchResult, BlockStats) {
-        let mut probe = Probe::new(instrument);
-        let (result, wall_ns) = timed(|| self.patch_body(elements, &mut probe));
-        let stats = BlockStats {
-            metrics: result.metrics,
-            wall_ns,
-            elements: elements.len() as u64,
-            points: result.partials.len() as u64,
-            probe,
-        };
-        (result, stats)
+    /// Processes one patch of elements into its private scratch space,
+    /// timing it and (when `instrument` is set) recording distribution
+    /// probes.
+    pub fn run_patch(&self, elements: &[u32], instrument: bool) -> (PatchResult, BlockStats) {
+        BlockStats::measure(instrument, elements.len() as u64, |probe| {
+            let result = self.patch_body(elements, probe);
+            let metrics = result.metrics;
+            (result, metrics)
+        })
     }
 
     fn patch_body(&self, elements: &[u32], probe: &mut Probe) -> PatchResult {
         let mut metrics = Metrics::default();
         let basis = self.field.basis();
-        let half_width = self.stencil.width() / 2.0;
+        let stencil = &self.setup.stencil;
+        let half_width = stencil.width() / 2.0;
         let trav = StencilTraversal::new(
-            self.stencil,
-            self.rule,
+            stencil,
+            &self.setup.rule,
             basis.monomial_exponents(),
             basis.n_modes(),
         )
-        .with_simd(self.simd);
+        .with_simd(self.setup.isa);
         let elem_values = Metrics::element_data_values(self.field.degree());
         let points = self.grid.points();
 
@@ -129,7 +111,7 @@ impl PerElementRun<'_> {
                     // integration (2 values, Section 3.4).
                     metrics.point_data_loads += 2;
                     let center = points[id as usize];
-                    let support = self.stencil.support_rect(center);
+                    let support = stencil.support_rect(center);
                     if !support.intersects_aabb(&image_bb) {
                         continue;
                     }
@@ -161,48 +143,28 @@ impl PerElementRun<'_> {
         PatchResult { partials, metrics }
     }
 
-    /// Runs all patches (optionally in parallel) and reduces the partial
-    /// solutions into the final grid-point values.
-    pub fn run(&self, partition: &Partition, parallel: bool) -> (Vec<f64>, Vec<Metrics>) {
-        let (values, stats) = self.run_instrumented(partition, parallel, false);
-        (values, BlockStats::metrics_of(&stats))
-    }
-
-    /// Evaluates every patch (optionally in parallel) without reducing,
-    /// returning the partial solutions alongside full per-patch stats.
-    /// This is the evaluation phase the engine wraps in its `eval` span;
-    /// the reduction phase is [`reduce_patches`].
+    /// Evaluates every patch (on worker threads when `config.parallel`)
+    /// without reducing, returning the partial solutions alongside full
+    /// per-patch stats. This is the evaluation phase the engine wraps in
+    /// its `eval` span; the reduction phase is [`reduce_patches`].
     pub fn run_patches(
         &self,
         partition: &Partition,
-        parallel: bool,
-        instrument: bool,
+        config: &ExecConfig,
     ) -> (Vec<PatchResult>, Vec<BlockStats>) {
-        let patches: Vec<&[u32]> = partition.patches().collect();
-        let pairs: Vec<(PatchResult, BlockStats)> = if parallel {
-            patches
-                .par_iter()
-                .map(|p| self.run_patch_instrumented(p, instrument))
-                .collect()
-        } else {
-            patches
-                .iter()
-                .map(|p| self.run_patch_instrumented(p, instrument))
-                .collect()
-        };
-        pairs.into_iter().unzip()
+        let patches = partition.patches().collect();
+        blocks::map(patches, config.parallel, |p| {
+            self.run_patch(p, config.instrument)
+        })
+        .into_iter()
+        .unzip()
     }
 
-    /// Like [`run`](Self::run), but returns full per-patch stats.
-    pub fn run_instrumented(
-        &self,
-        partition: &Partition,
-        parallel: bool,
-        instrument: bool,
-    ) -> (Vec<f64>, Vec<BlockStats>) {
-        let (results, stats) = self.run_patches(partition, parallel, instrument);
-        let values = reduce_patches(&results, self.grid.len());
-        (values, stats)
+    /// Runs all patches and reduces the partial solutions into the final
+    /// grid-point values.
+    pub fn run(&self, partition: &Partition, config: &ExecConfig) -> (Vec<f64>, Vec<BlockStats>) {
+        let (results, stats) = self.run_patches(partition, config);
+        (reduce_patches(&results, self.grid.len()), stats)
     }
 }
 
@@ -230,7 +192,7 @@ pub fn memory_overhead(block_metrics: &[Metrics], n_points: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrate::IntegrationCtx as Ctx;
+    use crate::simd::SimdPolicy;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, partition_recursive_bisection, MeshClass};
     use ustencil_spatial::Boundary;
@@ -239,26 +201,39 @@ mod tests {
         mesh: TriMesh,
         field: DgField,
         grid: ComputationGrid,
-        stencil: Stencil2d,
+        setup: KernelSetup,
         pgrid: PointGrid,
-        rule: TriangleRule,
+    }
+
+    fn config(parallel: bool, instrument: bool) -> ExecConfig {
+        ExecConfig {
+            parallel,
+            instrument,
+            simd: SimdPolicy::Scalar,
+            ..ExecConfig::default()
+        }
     }
 
     fn setup(n_tri: usize, p: usize, seed: u64) -> Fixture {
         let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
         let field = project_l2(&mesh, p, |x, y| 0.2 + x - 0.5 * y + x * y, 2);
         let grid = ComputationGrid::quadrature_points(&mesh, p);
-        let stencil = Stencil2d::symmetric(p, mesh.max_edge_length());
+        // The small test meshes have long edges: shrink `h` until the
+        // stencil fits the periodic domain.
+        let h_factor = (0.99 / ((3 * p + 1) as f64 * mesh.max_edge_length())).min(1.0);
+        let setup = ExecConfig {
+            h_factor,
+            ..config(false, false)
+        }
+        .resolve(&mesh, p);
         let pgrid =
             PointGrid::build_half_edge(grid.points(), mesh.max_edge_length(), Boundary::Clamped);
-        let rule = TriangleRule::with_strength(Ctx::required_strength(p, p));
         Fixture {
             mesh,
             field,
             grid,
-            stencil,
+            setup,
             pgrid,
-            rule,
         }
     }
 
@@ -267,10 +242,8 @@ mod tests {
             mesh: &f.mesh,
             field: &f.field,
             grid: &f.grid,
-            stencil: &f.stencil,
+            setup: &f.setup,
             point_grid: &f.pgrid,
-            rule: &f.rule,
-            simd: SimdIsa::Scalar,
         }
     }
 
@@ -280,8 +253,8 @@ mod tests {
         let run = run_of(&f);
         let p1 = partition_recursive_bisection(&f.mesh, 1);
         let p8 = partition_recursive_bisection(&f.mesh, 8);
-        let (v1, _) = run.run(&p1, false);
-        let (v8, m8) = run.run(&p8, false);
+        let (v1, _) = run.run(&p1, &config(false, false));
+        let (v8, m8) = run.run(&p8, &config(false, false));
         for (a, b) in v1.iter().zip(&v8) {
             assert!((a - b).abs() < 1e-11, "{a} vs {b}");
         }
@@ -293,8 +266,8 @@ mod tests {
         let f = setup(100, 2, 9);
         let run = run_of(&f);
         let part = partition_recursive_bisection(&f.mesh, 6);
-        let (seq, _) = run.run(&part, false);
-        let (par, _) = run.run(&part, true);
+        let (seq, _) = run.run(&part, &config(false, false));
+        let (par, _) = run.run(&part, &config(true, false));
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a, b, "parallel patch execution must be bitwise equal");
         }
@@ -302,19 +275,11 @@ mod tests {
 
     #[test]
     fn constant_field_preserved() {
-        let f = setup(150, 1, 7);
-        let field = project_l2(&f.mesh, 1, |_, _| -0.75, 0);
-        let run = PerElementRun {
-            mesh: &f.mesh,
-            field: &field,
-            grid: &f.grid,
-            stencil: &f.stencil,
-            point_grid: &f.pgrid,
-            rule: &f.rule,
-            simd: SimdIsa::Scalar,
-        };
+        let mut f = setup(150, 1, 7);
+        f.field = project_l2(&f.mesh, 1, |_, _| -0.75, 0);
+        let run = run_of(&f);
         let part = partition_recursive_bisection(&f.mesh, 4);
-        let (values, _) = run.run(&part, false);
+        let (values, _) = run.run(&part, &config(false, false));
         for v in &values {
             assert!((v + 0.75).abs() < 1e-9, "{v}");
         }
@@ -325,8 +290,8 @@ mod tests {
         let f_small = setup(300, 1, 3);
         let run = run_of(&f_small);
         let part = partition_recursive_bisection(&f_small.mesh, 16);
-        let (_, blocks) = run.run(&part, false);
-        let overhead_small = memory_overhead(&blocks, f_small.grid.len());
+        let (_, blocks) = run.run(&part, &config(false, false));
+        let overhead_small = memory_overhead(&BlockStats::metrics_of(&blocks), f_small.grid.len());
         assert!(
             overhead_small > 1.0,
             "patches must overlap: {overhead_small}"
@@ -335,8 +300,8 @@ mod tests {
         let f_large = setup(1200, 1, 3);
         let run = run_of(&f_large);
         let part = partition_recursive_bisection(&f_large.mesh, 16);
-        let (_, blocks) = run.run(&part, false);
-        let overhead_large = memory_overhead(&blocks, f_large.grid.len());
+        let (_, blocks) = run.run(&part, &config(false, false));
+        let overhead_large = memory_overhead(&BlockStats::metrics_of(&blocks), f_large.grid.len());
         assert!(
             overhead_large < overhead_small,
             "overhead must shrink with mesh size: {overhead_small} -> {overhead_large}"
@@ -348,8 +313,8 @@ mod tests {
         let f = setup(90, 2, 5);
         let run = run_of(&f);
         let part = partition_recursive_bisection(&f.mesh, 3);
-        let (_, blocks) = run.run(&part, false);
-        let m = Metrics::sum(&blocks);
+        let (_, blocks) = run.run(&part, &config(false, false));
+        let m = Metrics::sum(&BlockStats::metrics_of(&blocks));
         assert_eq!(
             m.elem_data_loads,
             f.mesh.n_triangles() as u64 * Metrics::element_data_values(2)
@@ -362,8 +327,9 @@ mod tests {
         let f = setup(120, 1, 11);
         let run = run_of(&f);
         let part = partition_recursive_bisection(&f.mesh, 6);
-        let (plain, metrics) = run.run(&part, false);
-        let (instr, stats) = run.run_instrumented(&part, false, true);
+        let (plain, bare) = run.run(&part, &config(false, false));
+        let metrics = BlockStats::metrics_of(&bare);
+        let (instr, stats) = run.run(&part, &config(false, true));
         assert_eq!(plain, instr, "instrumentation must not change values");
         assert_eq!(metrics, BlockStats::metrics_of(&stats));
         let elements: u64 = stats.iter().map(|s| s.elements).sum();

@@ -6,17 +6,15 @@
 //! every point that samples it — the access pattern whose cost the
 //! per-element scheme removes.
 
+use crate::blocks::map_slices;
+use crate::config::{ExecConfig, KernelSetup};
 use crate::grid_points::ComputationGrid;
 use crate::integrate::ElementData;
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
-use crate::probe::{timed, BlockStats, Probe};
-use crate::simd::SimdIsa;
-use rayon::prelude::*;
+use crate::probe::{BlockStats, Probe};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::TriangleGrid;
 
 /// Inputs shared by every block of a per-point run.
@@ -27,14 +25,10 @@ pub struct PerPointRun<'a> {
     pub field: &'a DgField,
     /// Evaluation points.
     pub grid: &'a ComputationGrid,
-    /// The scaled stencil.
-    pub stencil: &'a Stencil2d,
+    /// The resolved stencil, rule and SIMD ISA.
+    pub setup: &'a KernelSetup,
     /// Triangle hash grid over element centroids (periodic).
     pub tri_grid: &'a TriangleGrid,
-    /// Exact triangle rule for the clipped sub-regions.
-    pub rule: &'a TriangleRule,
-    /// Resolved SIMD ISA of the quadrature reduction.
-    pub simd: SimdIsa,
 }
 
 impl PerPointRun<'_> {
@@ -50,12 +44,12 @@ impl PerPointRun<'_> {
         let mut metrics = Metrics::default();
         let basis = self.field.basis();
         let trav = StencilTraversal::new(
-            self.stencil,
-            self.rule,
+            &self.setup.stencil,
+            &self.setup.rule,
             basis.monomial_exponents(),
             basis.n_modes(),
         )
-        .with_simd(self.simd);
+        .with_simd(self.setup.isa);
         // The per-point scheme reads the element data anew for every
         // (point, element) pair — no reuse across points is *modeled*, so
         // the full load is charged per candidate even though the scratch
@@ -84,64 +78,20 @@ impl PerPointRun<'_> {
         metrics
     }
 
-    /// Runs the whole grid split into `n_blocks` contiguous blocks,
-    /// optionally in parallel, returning the solution and per-block metrics.
-    pub fn run(&self, n_blocks: usize, parallel: bool) -> (Vec<f64>, Vec<Metrics>) {
-        let (values, stats) = self.run_instrumented(n_blocks, parallel, false);
-        (values, BlockStats::metrics_of(&stats))
-    }
-
-    /// Like [`run`](Self::run), but returns full per-block stats (wall
-    /// time, owned point counts, distribution probes). With
-    /// `instrument = false` the probes stay disabled and the hot loop pays
-    /// only its counter increments.
-    pub fn run_instrumented(
-        &self,
-        n_blocks: usize,
-        parallel: bool,
-        instrument: bool,
-    ) -> (Vec<f64>, Vec<BlockStats>) {
-        let n = self.grid.len();
-        let n_blocks = n_blocks.clamp(1, n.max(1));
-        let bounds: Vec<(usize, usize)> = (0..n_blocks)
-            .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
-            .collect();
-
-        let block = |s: usize, e: usize, slice: &mut [f64]| -> BlockStats {
-            let mut probe = Probe::new(instrument);
-            let (metrics, wall_ns) = timed(|| self.run_block(s, e, slice, &mut probe));
-            BlockStats {
-                metrics,
-                wall_ns,
-                elements: 0,
-                points: (e - s) as u64,
-                probe,
-            }
-        };
-
-        let mut values = vec![0.0; n];
-        // Split the output buffer along block boundaries so each block
-        // owns its slice — race freedom by construction when parallel.
-        let mut slices: Vec<&mut [f64]> = Vec::with_capacity(n_blocks);
-        let mut rest = values.as_mut_slice();
-        for &(s, e) in &bounds {
-            let (head, tail) = rest.split_at_mut(e - s);
-            slices.push(head);
-            rest = tail;
-        }
-        let stats: Vec<BlockStats> = if parallel {
-            bounds
-                .par_iter()
-                .zip(slices)
-                .map(|(&(s, e), slice)| block(s, e, slice))
-                .collect()
-        } else {
-            bounds
-                .iter()
-                .zip(slices)
-                .map(|(&(s, e), slice)| block(s, e, slice))
-                .collect()
-        };
+    /// Runs the whole grid as `config.n_blocks` contiguous point blocks,
+    /// returning the solution and per-block stats (wall time, owned point
+    /// counts, and — when `config.instrument` — distribution probes).
+    pub fn run(&self, config: &ExecConfig) -> (Vec<f64>, Vec<BlockStats>) {
+        let mut values = vec![0.0; self.grid.len()];
+        let stats = map_slices(
+            &mut values,
+            config.n_blocks,
+            config.parallel,
+            |s, e, slice| {
+                let body = |probe: &mut Probe| ((), self.run_block(s, e, slice, probe));
+                BlockStats::measure(config.instrument, 0, body).1
+            },
+        );
         (values, stats)
     }
 }
@@ -149,100 +99,105 @@ impl PerPointRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrate::IntegrationCtx as Ctx;
+    use crate::simd::SimdPolicy;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, MeshClass};
     use ustencil_spatial::Boundary;
 
-    fn setup(
-        n_tri: usize,
-        p: usize,
-        seed: u64,
-    ) -> (
-        TriMesh,
-        DgField,
-        ComputationGrid,
-        Stencil2d,
-        TriangleGrid,
-        TriangleRule,
-    ) {
+    struct Fixture {
+        mesh: TriMesh,
+        field: DgField,
+        grid: ComputationGrid,
+        setup: KernelSetup,
+        tgrid: TriangleGrid,
+    }
+
+    fn setup(n_tri: usize, p: usize, seed: u64) -> Fixture {
         let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
         let field = project_l2(&mesh, p, |x, y| 0.2 + x - 0.5 * y + x * y, 2);
         let grid = ComputationGrid::quadrature_points(&mesh, p);
-        let stencil = Stencil2d::symmetric(p, mesh.max_edge_length());
+        // The small test meshes have long edges: shrink `h` until the
+        // stencil fits the periodic domain.
+        let h_factor = (0.99 / ((3 * p + 1) as f64 * mesh.max_edge_length())).min(1.0);
+        let setup = ExecConfig {
+            h_factor,
+            ..config(16, false, false)
+        }
+        .resolve(&mesh, p);
         let tgrid = TriangleGrid::build(&mesh, Boundary::Periodic);
-        let rule = TriangleRule::with_strength(Ctx::required_strength(p, p));
-        (mesh, field, grid, stencil, tgrid, rule)
+        Fixture {
+            mesh,
+            field,
+            grid,
+            setup,
+            tgrid,
+        }
+    }
+
+    fn config(n_blocks: usize, parallel: bool, instrument: bool) -> ExecConfig {
+        ExecConfig {
+            n_blocks,
+            parallel,
+            instrument,
+            simd: SimdPolicy::Scalar,
+            ..ExecConfig::default()
+        }
+    }
+
+    fn run_of(f: &Fixture) -> PerPointRun<'_> {
+        PerPointRun {
+            mesh: &f.mesh,
+            field: &f.field,
+            grid: &f.grid,
+            setup: &f.setup,
+            tri_grid: &f.tgrid,
+        }
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let (mesh, field, grid, stencil, tgrid, rule) = setup(120, 1, 4);
-        let run = PerPointRun {
-            mesh: &mesh,
-            field: &field,
-            grid: &grid,
-            stencil: &stencil,
-            tri_grid: &tgrid,
-            rule: &rule,
-            simd: SimdIsa::Scalar,
-        };
-        let (seq, m_seq) = run.run(1, false);
-        let (par, m_par) = run.run(7, true);
-        for (a, b) in seq.iter().zip(&par) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        let f = setup(120, 1, 4);
+        let run = run_of(&f);
+        let (seq, s_seq) = run.run(&config(1, false, false));
+        let t_seq = Metrics::sum(&BlockStats::metrics_of(&s_seq));
+        // Every point is reduced on its own, so how the grid is cut into
+        // blocks and who runs them cannot move a bit.
+        for (n_blocks, parallel) in [(3, false), (7, true), (16, true)] {
+            let (values, stats) = run.run(&config(n_blocks, parallel, false));
+            assert_eq!(stats.len(), n_blocks);
+            for (a, b) in seq.iter().zip(&values) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{n_blocks} blocks: {a} vs {b}");
+            }
+            // Metrics totals must agree regardless of blocking.
+            assert_eq!(t_seq, Metrics::sum(&BlockStats::metrics_of(&stats)));
         }
-        // Metrics totals must agree regardless of blocking.
-        let t_seq = Metrics::sum(&m_seq);
-        let t_par = Metrics::sum(&m_par);
-        assert_eq!(t_seq.intersection_tests, t_par.intersection_tests);
-        assert_eq!(t_seq.subregions, t_par.subregions);
-        assert_eq!(t_seq.quad_evals, t_par.quad_evals);
     }
 
     #[test]
     fn constant_field_is_preserved_everywhere() {
-        let (mesh, _, grid, stencil, tgrid, rule) = setup(150, 1, 7);
-        let field = project_l2(&mesh, 1, |_, _| 1.75, 0);
-        let run = PerPointRun {
-            mesh: &mesh,
-            field: &field,
-            grid: &grid,
-            stencil: &stencil,
-            tri_grid: &tgrid,
-            rule: &rule,
-            simd: SimdIsa::Scalar,
-        };
-        let (values, _) = run.run(4, false);
+        let mut f = setup(150, 1, 7);
+        f.field = project_l2(&f.mesh, 1, |_, _| 1.75, 0);
+        let (values, _) = run_of(&f).run(&config(4, false, false));
         for (i, v) in values.iter().enumerate() {
             assert!(
                 (v - 1.75).abs() < 1e-9,
                 "point {i} ({:?}): {v}",
-                grid.points()[i]
+                f.grid.points()[i]
             );
         }
     }
 
     #[test]
     fn metrics_are_populated() {
-        let (mesh, field, grid, stencil, tgrid, rule) = setup(80, 1, 2);
-        let run = PerPointRun {
-            mesh: &mesh,
-            field: &field,
-            grid: &grid,
-            stencil: &stencil,
-            tri_grid: &tgrid,
-            rule: &rule,
-            simd: SimdIsa::Scalar,
-        };
-        let (_, blocks) = run.run(2, false);
-        let m = Metrics::sum(&blocks);
+        let f = setup(80, 1, 2);
+        let (_, blocks) = run_of(&f).run(&config(2, false, false));
+        let m = Metrics::sum(&BlockStats::metrics_of(&blocks));
         assert!(m.intersection_tests > 0);
         assert!(m.true_intersections > 0);
         assert!(m.true_intersections <= m.intersection_tests);
         assert!(m.flops > m.quad_evals);
-        assert_eq!(m.solution_writes, grid.len() as u64);
-        assert_eq!(m.partial_slots, grid.len() as u64);
+        assert_eq!(m.solution_writes, f.grid.len() as u64);
+        assert_eq!(m.partial_slots, f.grid.len() as u64);
         // Per-point reads element data per test.
         assert_eq!(
             m.elem_data_loads,
@@ -252,23 +207,18 @@ mod tests {
 
     #[test]
     fn instrumented_run_populates_stats() {
-        let (mesh, field, grid, stencil, tgrid, rule) = setup(100, 1, 6);
-        let run = PerPointRun {
-            mesh: &mesh,
-            field: &field,
-            grid: &grid,
-            stencil: &stencil,
-            tri_grid: &tgrid,
-            rule: &rule,
-            simd: SimdIsa::Scalar,
-        };
-        let (plain, metrics) = run.run(3, false);
-        let (instr, stats) = run.run_instrumented(3, false, true);
+        let f = setup(100, 1, 6);
+        let run = run_of(&f);
+        let (plain, bare) = run.run(&config(3, false, false));
+        let (instr, stats) = run.run(&config(3, false, true));
         // Instrumentation must not change the numerics or the counters.
         assert_eq!(plain, instr);
-        assert_eq!(metrics, BlockStats::metrics_of(&stats));
+        assert_eq!(
+            BlockStats::metrics_of(&bare),
+            BlockStats::metrics_of(&stats)
+        );
         let points: u64 = stats.iter().map(|s| s.points).sum();
-        assert_eq!(points, grid.len() as u64);
+        assert_eq!(points, f.grid.len() as u64);
         for s in &stats {
             assert!(s.wall_ns > 0, "per-block wall time must be measured");
             assert_eq!(s.elements, 0, "per-point blocks own points, not elements");
@@ -276,14 +226,13 @@ mod tests {
         let probe = BlockStats::merged_probe(&stats);
         // One candidates sample per grid point, one sub-region sample per
         // candidate pair, quadrature samples bounded by the clip volume.
-        assert_eq!(probe.candidates_per_query().count(), grid.len() as u64);
+        assert_eq!(probe.candidates_per_query().count(), f.grid.len() as u64);
         let m = Metrics::sum(&BlockStats::metrics_of(&stats));
         assert_eq!(probe.candidates_per_query().sum(), m.intersection_tests);
         assert_eq!(probe.subregions_per_element().count(), m.intersection_tests);
         assert_eq!(probe.subregions_per_element().sum(), m.subregions);
         assert_eq!(probe.quad_points_per_integration().sum(), m.quad_evals);
         // Uninstrumented stats leave the probes empty.
-        let (_, bare) = run.run_instrumented(3, false, false);
         assert!(BlockStats::merged_probe(&bare)
             .candidates_per_query()
             .is_empty());

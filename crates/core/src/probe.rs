@@ -7,7 +7,6 @@
 //! evaluation hot loops stay a plain integer increment when observability
 //! is off (guarded by the `probe_overhead` micro-benchmark).
 
-use std::time::Instant;
 use ustencil_trace::Hist64;
 
 use crate::metrics::Metrics;
@@ -140,17 +139,6 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
-    /// Stats for an uninstrumented block: counters only.
-    pub fn bare(metrics: Metrics) -> Self {
-        Self {
-            metrics,
-            wall_ns: 0,
-            elements: 0,
-            points: 0,
-            probe: Probe::disabled(),
-        }
-    }
-
     /// Projects per-block metrics out of a stats slice (the shape the
     /// device cost model consumes).
     pub fn metrics_of(stats: &[BlockStats]) -> Vec<Metrics> {
@@ -165,13 +153,6 @@ impl BlockStats {
         }
         total
     }
-}
-
-/// Times a closure, returning its result and the elapsed nanoseconds.
-pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_nanos() as u64)
 }
 
 #[cfg(test)]
@@ -221,20 +202,14 @@ mod tests {
 
     #[test]
     fn merged_probe_over_blocks() {
-        let mut p0 = Probe::new(true);
-        p0.record_candidates(4);
-        let mut p1 = Probe::new(true);
-        p1.record_candidates(8);
-        let stats = vec![
-            BlockStats {
-                probe: p0,
-                ..BlockStats::bare(Metrics::default())
-            },
-            BlockStats {
-                probe: p1,
-                ..BlockStats::bare(Metrics::default())
-            },
-        ];
+        let block = |n| {
+            BlockStats::measure(true, 0, |p| {
+                p.record_candidates(n);
+                ((), Metrics::default())
+            })
+            .1
+        };
+        let stats = vec![block(4), block(8)];
         let merged = BlockStats::merged_probe(&stats);
         assert_eq!(merged.candidates_per_query().count(), 2);
         assert_eq!(merged.candidates_per_query().sum(), 12);

@@ -6,9 +6,9 @@
 //!
 //! The design splits *policy* from *dispatch*:
 //!
-//! - [`SimdPolicy`] is the user-facing knob. It rides
-//!   [`PostProcessor`](crate::PostProcessor), `CompileOptions`, and
-//!   `DistOptions`, and is what CLI flags and plan-cache keys carry.
+//! - [`SimdPolicy`] is the user-facing knob: the `simd` field of the one
+//!   [`ExecConfig`](crate::ExecConfig) every entry point takes, and what
+//!   CLI flags carry.
 //! - [`SimdIsa`] is the *resolved* instruction set a run actually executes
 //!   with, chosen once per run by [`SimdPolicy::resolve`] from the policy
 //!   and the host CPU's feature flags. Hot loops branch on the ISA exactly

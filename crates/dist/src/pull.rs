@@ -29,21 +29,23 @@
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
 use crate::schedule::{
-    chunks_for, run_schedule, DistOptions, DistSolution, Exchange, Kernel, RankReport, Site, Split,
-    Work,
+    chunks_for, run_schedule, DistOptions, DistSolution, Exchange, RankReport, Site, Split, Work,
 };
 use crate::transport::{Tag, Transport};
 use crate::wire::{encode_ids, RankResult};
 use std::time::Instant;
-use ustencil_core::{ComputationGrid, Metrics, PlanStats, Scheme};
+use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics, PlanStats, Scheme};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
-use ustencil_plan::{CompileOptions, EvalPlan};
+use ustencil_plan::EvalPlan;
 use ustencil_trace::Tracer;
 
 /// The row-split SpMV, configured once for every rank.
 pub(crate) struct PullWork {
-    kernel: Kernel,
+    degree: usize,
+    /// The run's config; each rank compiles and applies sequentially and
+    /// unprobed.
+    exec: ExecConfig,
 }
 
 /// A rank's compiled rows and the columns it must pull to apply them.
@@ -58,8 +60,15 @@ impl Work for PullWork {
     type Local = PullLocal;
     const SCHEME: Scheme = Scheme::PerPoint;
 
-    fn new(kernel: Kernel) -> Self {
-        Self { kernel }
+    fn new(setup: KernelSetup, exec: &ExecConfig) -> Self {
+        Self {
+            degree: setup.degree,
+            exec: ExecConfig {
+                parallel: false,
+                instrument: false,
+                ..*exec
+            },
+        }
     }
 
     /// The exchange needs only ownership — the plan's stored columns are
@@ -76,19 +85,7 @@ impl Work for PullWork {
         let compile_start = Instant::now();
         let plan = {
             let _span = tracer.span("compile.plan");
-            EvalPlan::compile(
-                site.mesh,
-                site.grid,
-                self.kernel.degree,
-                &CompileOptions {
-                    smoothness: Some(self.kernel.smoothness),
-                    h_factor: self.kernel.h_factor,
-                    n_blocks: self.kernel.sm_patches,
-                    parallel: false,
-                    instrument: false,
-                    simd: self.kernel.simd,
-                },
-            )
+            EvalPlan::compile(site.mesh, site.grid, self.degree, &self.exec)
         };
         res.reduce_ns = compile_start.elapsed().as_nanos() as u64;
 
@@ -158,13 +155,11 @@ impl Work for PullWork {
         res: &mut RankResult,
     ) {
         let eval_start = Instant::now();
-        res.patches.extend(local.plan.apply_rows_into(
-            ids,
-            field,
-            &mut res.values,
-            self.kernel.sm_patches,
-            self.kernel.simd,
-        ));
+        res.patches.extend(
+            local
+                .plan
+                .apply_rows_into(ids, field, &mut res.values, &self.exec),
+        );
         res.eval_ns += eval_start.elapsed().as_nanos() as u64;
     }
 
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn sharded_apply_is_bitwise_the_global_plan_apply() {
         let (mesh, field, grid) = fixture(300, 1, 17);
-        let global = EvalPlan::compile(&mesh, &grid, 1, &CompileOptions::default());
+        let global = EvalPlan::compile(&mesh, &grid, 1, &ExecConfig::default());
         let reference = global.apply(&field);
         for ranks in [1usize, 2, 4] {
             let dist = run_plan_dist(&mesh, &field, &grid, &DistOptions::new(ranks)).unwrap();

@@ -38,30 +38,24 @@
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
 use crate::schedule::{
-    chunked, chunks_for, run_schedule, DistOptions, DistSolution, Exchange, Kernel, Site, Split,
-    Work,
+    chunked, chunks_for, run_schedule, DistOptions, DistSolution, Exchange, Site, Split, Work,
 };
 use crate::shard::ghost_ring_width;
 use crate::transport::{Tag, Transport};
 use crate::wire::{encode_coeffs, RankResult};
 use std::time::Instant;
-use ustencil_core::integrate::IntegrationCtx;
 use ustencil_core::per_element::PerElementRun;
 use ustencil_core::tiling::add_partials;
-use ustencil_core::{ComputationGrid, Scheme, SimdIsa};
+use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
 use ustencil_dg::DgField;
 use ustencil_mesh::{partition_subset, TriMesh};
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::{Boundary, PointGrid};
 use ustencil_trace::Tracer;
 
 /// The per-element scatter, configured once for every rank.
 pub(crate) struct PushWork {
-    stencil: Stencil2d,
-    rule: TriangleRule,
+    setup: KernelSetup,
     sm_patches: usize,
-    simd: SimdIsa,
 }
 
 fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -85,20 +79,15 @@ impl Work for PushWork {
     type Local = ();
     const SCHEME: Scheme = Scheme::PerElement;
 
-    fn new(kernel: Kernel) -> Self {
+    fn new(setup: KernelSetup, exec: &ExecConfig) -> Self {
         Self {
-            stencil: Stencil2d::symmetric(kernel.smoothness, kernel.h),
-            rule: TriangleRule::with_strength(IntegrationCtx::required_strength(
-                kernel.smoothness,
-                kernel.degree,
-            )),
-            sm_patches: kernel.sm_patches,
-            simd: kernel.simd.resolve(),
+            setup,
+            sm_patches: exec.n_blocks,
         }
     }
 
     fn halo_width(&self, mesh: &TriMesh) -> f64 {
-        ghost_ring_width(mesh.max_edge_length(), self.stencil.width())
+        ghost_ring_width(mesh.max_edge_length(), self.setup.stencil.width())
     }
 
     fn localize(&self, _: &Site, _: &Tracer, _: &mut RankResult) {}
@@ -146,15 +135,13 @@ impl Work for PushWork {
             mesh,
             field,
             grid: site.grid,
-            stencil: &self.stencil,
+            setup: &self.setup,
             point_grid: &point_grid,
-            rule: &self.rule,
-            simd: self.simd,
         };
         let partition = partition_subset(mesh, ids, self.sm_patches);
         let mut results = Vec::with_capacity(partition.n_patches());
         for patch in partition.patches() {
-            let (result, stats) = run.run_patch_instrumented(patch, false);
+            let (result, stats) = run.run_patch(patch, false);
             results.push(result);
             res.patches.push(stats);
         }

@@ -52,8 +52,8 @@ use crate::wire::{
 };
 use std::time::{Duration, Instant};
 use ustencil_core::{
-    simulate_ranks, BlockStats, ComputationGrid, DeviceConfig, Metrics, PlanStats, RankCommRecord,
-    RankTraffic, RunRecord, Scheme, SimReport, SimdPolicy, SimdRecord,
+    simulate_ranks, BlockStats, ComputationGrid, DeviceConfig, ExecConfig, KernelSetup, Metrics,
+    PlanStats, RankCommRecord, RankTraffic, RunRecord, Scheme, SimReport, SimdPolicy, SimdRecord,
 };
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
@@ -62,42 +62,29 @@ use ustencil_trace::{critical_path, exposed_comms_ns, CommStats, SpanRecord, Tim
 /// The `"scheme"` label rank-sharded runs carry in `RunReport` JSON.
 pub const SCHEME_LABEL: &str = "dist";
 
-/// Configuration of a rank-sharded run.
+/// Configuration of a rank-sharded run: the rank fabric's own tunables
+/// plus the one [`ExecConfig`] every rank evaluates under, set through
+/// the kernel/patch/instrument/SIMD builders.
 #[derive(Debug, Clone, Copy)]
 pub struct DistOptions {
     /// Number of ranks (worker threads; rank 0 runs on the caller's
     /// thread and coordinates the gather).
     pub n_ranks: usize,
-    /// Patches per rank — the SM-granularity tiling each rank applies to
-    /// its local element set (default 16, matching the engine).
-    pub sm_patches: usize,
-    /// Explicit kernel smoothness `k` (default: the field degree).
-    pub smoothness: Option<usize>,
-    /// Kernel width factor, `h = h_factor * max_edge` (default 1.0).
-    pub h_factor: f64,
     /// Reliability-layer tunables (ack timeout, retry budget).
     pub link: LinkConfig,
     /// How long phase receives wait before giving up: the halo exchange
     /// fails a run on expiry, while the gather falls back to re-resolving
     /// the missing ranks' points locally (rank-failure recovery).
     pub gather_timeout: Duration,
-    /// Whether every rank records phase spans and halo-flow points.
-    /// Workers measure against the run's shared epoch and ship their
-    /// records home inside the result message, so the whole run lands on
-    /// one time axis; off (the default) costs nothing on the hot path.
-    pub instrument: bool,
     /// Elements per halo-coefficient message (default 48). Smaller chunks
     /// start flowing sooner and interleave across peers; both sides
     /// compute the chunk count from the shared plan replica (or from the
     /// request itself), so the drain knows exactly how many messages to
     /// expect without negotiation.
     pub chunk_elems: usize,
-    /// SIMD policy of every rank's evaluation (default
-    /// [`SimdPolicy::Auto`]). Resolution is deterministic per process, so
-    /// all ranks — and the re-resolve recovery path — run the same ISA,
-    /// which keeps recovered shards bitwise identical to what the failed
-    /// rank would have produced.
-    pub simd: SimdPolicy,
+    /// What every rank runs under. `n_blocks` is the patches per rank;
+    /// `parallel` is unused, the ranks being the threads.
+    pub(crate) exec: ExecConfig,
 }
 
 impl DistOptions {
@@ -106,34 +93,30 @@ impl DistOptions {
     pub fn new(n_ranks: usize) -> Self {
         Self {
             n_ranks,
-            sm_patches: 16,
-            smoothness: None,
-            h_factor: 1.0,
             link: LinkConfig::default(),
             gather_timeout: Duration::from_secs(120),
-            instrument: false,
             chunk_elems: 48,
-            simd: SimdPolicy::Auto,
+            exec: ExecConfig::default(),
         }
     }
 
-    /// Overrides the kernel smoothness `k`.
+    /// Overrides the kernel smoothness `k` (default: the field degree).
     pub fn smoothness(mut self, k: usize) -> Self {
-        self.smoothness = Some(k);
+        self.exec.smoothness = Some(k);
         self
     }
 
-    /// Scales the kernel width: `h = h_factor * max_edge`.
+    /// Scales the kernel width: `h = h_factor * max_edge` (default 1.0).
     pub fn h_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "h factor must be positive");
-        self.h_factor = factor;
+        self.exec.h_factor = factor;
         self
     }
 
-    /// Sets the per-rank patch count.
+    /// Sets the per-rank patch count — the SM-granularity tiling each rank
+    /// applies to its local element set (default 16, matching the engine).
     pub fn sm_patches(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one patch per rank");
-        self.sm_patches = n;
+        self.exec.n_blocks = n;
         self
     }
 
@@ -149,9 +132,12 @@ impl DistOptions {
         self
     }
 
-    /// Enables phase spans and flow logs on every rank.
+    /// Enables phase spans and flow logs on every rank. Workers measure
+    /// against the run's shared epoch and ship their records home inside
+    /// the result message, so the whole run lands on one time axis; off
+    /// (the default) costs nothing on the hot path.
     pub fn instrument(mut self, on: bool) -> Self {
-        self.instrument = on;
+        self.exec.instrument = on;
         self
     }
 
@@ -162,9 +148,13 @@ impl DistOptions {
         self
     }
 
-    /// Sets the SIMD policy of every rank's evaluation.
+    /// Sets the SIMD policy of every rank's evaluation (default
+    /// [`SimdPolicy::Auto`]). Resolution is deterministic per process, so
+    /// all ranks — and the re-resolve recovery path — run the same ISA,
+    /// which keeps recovered shards bitwise identical to what the failed
+    /// rank would have produced.
     pub fn simd(mut self, policy: SimdPolicy) -> Self {
-        self.simd = policy;
+        self.exec.simd = policy;
         self
     }
 }
@@ -413,20 +403,6 @@ impl DistSolution {
     }
 }
 
-/// The run's kernel parameters, resolved once by the coordinator and
-/// handed to the work, so every rank and the recovery path evaluate the
-/// same stencil under the same policy.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Kernel {
-    pub degree: usize,
-    pub smoothness: usize,
-    pub h_factor: f64,
-    /// `h_factor * max_edge`.
-    pub h: f64,
-    pub sm_patches: usize,
-    pub simd: SimdPolicy,
-}
-
 /// Where a work evaluates: one rank's view of the replicated geometry.
 pub(crate) struct Site<'a> {
     pub mesh: &'a TriMesh,
@@ -469,8 +445,10 @@ pub(crate) trait Work: Sync {
     /// The traversal the cost model charges this work's counters as.
     const SCHEME: Scheme;
 
-    /// Configures the work for a run; shared by reference across ranks.
-    fn new(kernel: Kernel) -> Self;
+    /// Configures the work for a run from the kernel the coordinator
+    /// resolved once, so every rank and the recovery path evaluate the
+    /// same stencil on the same ISA; shared by reference across ranks.
+    fn new(setup: KernelSetup, exec: &ExecConfig) -> Self;
 
     /// Ghost-ring distance of the shard plan (zero when the work's
     /// exchange needs ownership only).
@@ -711,7 +689,7 @@ fn reresolve<W: Work>(work: &W, site: &Site, field: &DgField) -> RankResult {
 /// Opens a rank's link, flow-instrumented when the run is.
 fn open_link<T: Transport>(transport: T, options: &DistOptions, epoch: Instant) -> ReliableLink<T> {
     let mut link = ReliableLink::new(transport, options.link);
-    if options.instrument {
+    if options.exec.instrument {
         link.instrument_flows(epoch);
     }
     link
@@ -754,27 +732,14 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
     );
 
     let start = Instant::now();
-    let tracer = Tracer::new(options.instrument);
+    let tracer = Tracer::new(options.exec.instrument);
     let epoch = tracer.epoch();
     let n = options.n_ranks;
     let degree = field.degree();
-    let smoothness = options.smoothness.unwrap_or(degree);
-    let h = options.h_factor * mesh.max_edge_length();
-    let stencil_width = (3 * smoothness + 1) as f64 * h;
-    assert!(
-        stencil_width <= 1.0 + 1e-12,
-        "stencil width {stencil_width} exceeds the periodic unit domain; \
-         use a larger mesh or a smaller h_factor"
-    );
+    let setup = options.exec.resolve(mesh, degree);
+    let (stencil_width, isa) = (setup.stencil.width(), setup.isa);
     let nm = field.n_modes();
-    let work = &W::new(Kernel {
-        degree,
-        smoothness,
-        h_factor: options.h_factor,
-        h,
-        sm_patches: options.sm_patches,
-        simd: options.simd,
-    });
+    let work = &W::new(setup, &options.exec);
 
     let plan = {
         let _span = tracer.span("build.shard_plan");
@@ -806,7 +771,7 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
     let slots = std::thread::scope(|scope| -> Result<Vec<Option<RankResult>>, DistError> {
         for (ctx, transport) in workers {
             scope.spawn(move || {
-                let worker_tracer = Tracer::with_epoch(ctx.options.instrument, ctx.epoch);
+                let worker_tracer = Tracer::with_epoch(ctx.options.exec.instrument, ctx.epoch);
                 let mut link = open_link(transport, &ctx.options, ctx.epoch);
                 // An exchange failure contributes nothing: the
                 // coordinator's gather deadline re-resolves this rank.
@@ -918,12 +883,7 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
     let metrics = Metrics::sum(&patch_metrics);
     let plan_stats = work.plan_stats(nm, &metrics, &ranks);
     let wall = start.elapsed();
-    let simd = SimdRecord::measured(
-        options.simd,
-        options.simd.resolve(),
-        metrics.flops,
-        wall.as_secs_f64(),
-    );
+    let simd = SimdRecord::measured(options.exec.simd, isa, metrics.flops, wall.as_secs_f64());
     Ok(DistSolution {
         values,
         metrics,

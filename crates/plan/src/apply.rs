@@ -1,41 +1,15 @@
 //! Applying a compiled plan to dG fields: the SpMV-style hot loop.
 
 use crate::plan::EvalPlan;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
-use ustencil_core::{BlockStats, Metrics, Probe, SimdIsa, SimdPolicy, SimdRecord};
+use ustencil_core::blocks::{block_bounds, map_slices};
+use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdIsa, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
 
 /// Upper bound on modal coefficients per element supported by the
 /// lane-accumulator row kernel (degree 6 ⇒ 28 modes, with headroom).
 pub(crate) const MAX_MODES: usize = 32;
-
-/// Configuration of a plan apply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApplyOptions {
-    /// Concurrent row blocks (default 16, matching the engine).
-    pub n_blocks: usize,
-    /// Whether to apply blocks on worker threads (default true).
-    pub parallel: bool,
-    /// Whether to record spans and per-row entry-count probes (default
-    /// false; off, the hot loop pays only its counter increments).
-    pub instrument: bool,
-    /// SIMD dispatch policy of the row kernel (default
-    /// [`SimdPolicy::Auto`]: widest ISA the host supports).
-    pub simd: SimdPolicy,
-}
-
-impl Default for ApplyOptions {
-    fn default() -> Self {
-        Self {
-            n_blocks: 16,
-            parallel: true,
-            instrument: false,
-            simd: SimdPolicy::Auto,
-        }
-    }
-}
 
 /// Result of applying a plan to one field.
 #[derive(Debug, Clone)]
@@ -75,44 +49,42 @@ impl EvalPlan {
     /// Panics when the field's degree or element count does not match the
     /// plan.
     pub fn apply(&self, field: &DgField) -> PlanSolution {
-        self.apply_with(field, &ApplyOptions::default())
+        self.apply_with(field, &ExecConfig::default())
     }
 
-    /// Applies the plan to `field` with explicit options.
+    /// Applies the plan to `field` under `options`' block count,
+    /// parallelism, instrumentation and SIMD policy (the kernel the plan
+    /// was compiled with is fixed in its weights).
     ///
-    /// The row kernel dispatches on [`ApplyOptions::simd`]:
-    /// [`SimdPolicy::Scalar`] runs the pre-SIMD per-mode lane loop
-    /// byte-for-byte (bitwise-stable against historical golden vectors),
-    /// vector ISAs agree with it to ≤1e-12.
+    /// The row kernel dispatches on [`ExecConfig::simd`]:
+    /// [`SimdPolicy::Scalar`](ustencil_core::SimdPolicy::Scalar) runs the
+    /// pre-SIMD per-mode lane loop byte-for-byte (bitwise-stable against
+    /// historical golden vectors), vector ISAs agree with it to ≤1e-12.
     ///
     /// ```
-    /// use ustencil_core::{ComputationGrid, SimdPolicy};
+    /// use ustencil_core::{ComputationGrid, ExecConfig, SimdPolicy};
     /// use ustencil_dg::project_l2;
     /// use ustencil_mesh::{generate_mesh, MeshClass};
-    /// use ustencil_plan::{ApplyOptions, CompileOptions, EvalPlan};
+    /// use ustencil_plan::EvalPlan;
     ///
     /// let mesh = generate_mesh(MeshClass::LowVariance, 60, 9);
     /// let field = project_l2(&mesh, 1, |x, y| x - 0.5 * y, 0);
     /// let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    /// let opts = CompileOptions {
+    /// let opts = ExecConfig {
     ///     h_factor: 0.25,
     ///     parallel: false,
-    ///     ..CompileOptions::default()
+    ///     ..ExecConfig::default()
     /// };
     /// let plan = EvalPlan::compile(&mesh, &grid, 1, &opts);
     ///
     /// // The scalar policy is the bit-compatibility anchor: whatever ISA
     /// // `Auto` picks on this host, forcing Scalar reproduces the exact
     /// // pre-SIMD arithmetic, and the vector result stays within 1e-12.
-    /// let scalar = plan.apply_with(&field, &ApplyOptions {
+    /// let scalar = plan.apply_with(&field, &ExecConfig {
     ///     simd: SimdPolicy::Scalar,
-    ///     parallel: false,
-    ///     ..ApplyOptions::default()
+    ///     ..opts
     /// });
-    /// let auto = plan.apply_with(&field, &ApplyOptions {
-    ///     parallel: false,
-    ///     ..ApplyOptions::default()
-    /// });
+    /// let auto = plan.apply_with(&field, &opts);
     /// assert_eq!(scalar.simd.isa, "scalar");
     /// assert!(auto.max_abs_diff(&scalar.values) <= 1e-12);
     /// ```
@@ -120,57 +92,22 @@ impl EvalPlan {
     /// # Panics
     /// Panics when the field's degree or element count does not match the
     /// plan.
-    pub fn apply_with(&self, field: &DgField, options: &ApplyOptions) -> PlanSolution {
+    pub fn apply_with(&self, field: &DgField, options: &ExecConfig) -> PlanSolution {
         self.check_field(field);
         let isa = options.simd.resolve();
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
 
         let coeffs = field.coefficients();
-        let n = self.rows();
-        let n_blocks = options.n_blocks.clamp(1, n.max(1));
-        let bounds: Vec<(usize, usize)> = (0..n_blocks)
-            .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
-            .collect();
-
-        let block = |s: usize, e: usize, slice: &mut [f64]| -> BlockStats {
-            let block_start = Instant::now();
-            let mut probe = Probe::new(options.instrument);
-            let metrics = self.apply_block(s, e, coeffs, slice, isa, &mut probe);
-            BlockStats {
-                metrics,
-                wall_ns: block_start.elapsed().as_nanos() as u64,
-                elements: 0,
-                points: (e - s) as u64,
-                probe,
-            }
-        };
-
-        let mut values = vec![0.0; n];
-        let block_stats: Vec<BlockStats> = {
+        let mut values = vec![0.0; self.rows()];
+        let block_stats = {
             let _span = tracer.span("apply.spmv");
-            // Split the output along block boundaries so each block owns
-            // its slice — race freedom by construction when parallel.
-            let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bounds.len());
-            let mut rest = values.as_mut_slice();
-            for &(s, e) in &bounds {
-                let (head, tail) = rest.split_at_mut(e - s);
-                slices.push(head);
-                rest = tail;
-            }
-            if options.parallel {
-                bounds
-                    .par_iter()
-                    .zip(slices)
-                    .map(|(&(s, e), slice)| block(s, e, slice))
-                    .collect()
-            } else {
-                bounds
-                    .iter()
-                    .zip(slices)
-                    .map(|(&(s, e), slice)| block(s, e, slice))
-                    .collect()
-            }
+            let block = |s, e, slice: &mut [f64]| {
+                let body =
+                    |probe: &mut Probe| ((), self.apply_block(s, e, coeffs, slice, isa, probe));
+                BlockStats::measure(options.instrument, 0, body).1
+            };
+            map_slices(&mut values, options.n_blocks, options.parallel, block)
         };
 
         let wall = start.elapsed();
@@ -192,22 +129,8 @@ impl EvalPlan {
     /// # Panics
     /// Panics when any field's degree or element count does not match the
     /// plan.
-    pub fn apply_many(&self, fields: &[DgField], options: &ApplyOptions) -> Vec<PlanSolution> {
+    pub fn apply_many(&self, fields: &[DgField], options: &ExecConfig) -> Vec<PlanSolution> {
         fields.iter().map(|f| self.apply_with(f, options)).collect()
-    }
-
-    /// The bare SpMV: writes values into a caller-provided buffer with no
-    /// spans or stats. Allocation-free — the serve-time fast path.
-    ///
-    /// # Panics
-    /// Panics when the field does not match the plan or `out` is not
-    /// exactly [`rows`](EvalPlan::rows) long.
-    pub fn apply_into(&self, field: &DgField, out: &mut [f64]) {
-        self.check_field(field);
-        assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
-        let isa = SimdPolicy::Auto.resolve();
-        let mut probe = Probe::disabled();
-        self.apply_block(0, self.rows(), field.coefficients(), out, isa, &mut probe);
     }
 
     /// Applies only the named rows of the plan, writing row
@@ -216,8 +139,11 @@ impl EvalPlan {
     /// apply, so a partition of the rows into subset calls reproduces
     /// `apply_with`'s values *bitwise* — the property the distributed
     /// runtime's interior/frontier overlap split rests on. Rows are swept
-    /// in the order given, chunked into at most `n_blocks` uniform blocks
-    /// for per-block stats; counters sum exactly across a row partition.
+    /// in the order given, chunked into at most `options.n_blocks` uniform
+    /// blocks for per-block stats, under `options.simd`; counters sum
+    /// exactly across a row partition. The sweep is sequential and
+    /// unprobed whatever `options` says: rows scatter into `out`, so there
+    /// is no contiguous slice to hand a worker.
     ///
     /// # Panics
     /// Panics when the field does not match the plan or `out` is not
@@ -227,41 +153,34 @@ impl EvalPlan {
         rows: &[u32],
         field: &DgField,
         out: &mut [f64],
-        n_blocks: usize,
-        simd: SimdPolicy,
+        options: &ExecConfig,
     ) -> Vec<BlockStats> {
         self.check_field(field);
         assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
-        let isa = simd.resolve();
-        let coeffs = field.coefficients();
-        let n = rows.len();
-        if n == 0 {
+        if rows.is_empty() {
             return Vec::new();
         }
-        let nm = self.n_modes;
-        let n_blocks = n_blocks.clamp(1, n);
-        (0..n_blocks)
-            .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
+        let isa = options.simd.resolve();
+        let coeffs = field.coefficients();
+        let nm = self.n_modes as u64;
+        block_bounds(rows.len(), options.n_blocks)
+            .into_iter()
             .map(|(s, e)| {
-                let block_start = Instant::now();
-                let mut metrics = Metrics::default();
-                for &r in &rows[s..e] {
-                    let r = r as usize;
-                    out[r] = self.row_dot(r, coeffs, isa);
-                    let (lo, hi) = self.row_range(r);
-                    metrics.solution_writes += 1;
-                    let entries = (hi - lo) as u64;
-                    metrics.elem_data_loads += entries * nm as u64;
-                    metrics.flops += 2 * entries * nm as u64;
-                }
-                metrics.partial_slots += (e - s) as u64;
-                BlockStats {
-                    metrics,
-                    wall_ns: block_start.elapsed().as_nanos() as u64,
-                    elements: 0,
-                    points: (e - s) as u64,
-                    probe: Probe::disabled(),
-                }
+                let body = |_: &mut Probe| {
+                    let mut metrics = Metrics::default();
+                    for &r in &rows[s..e] {
+                        let r = r as usize;
+                        out[r] = self.row_dot(r, coeffs, isa);
+                        let (lo, hi) = self.row_range(r);
+                        metrics.solution_writes += 1;
+                        let entries = (hi - lo) as u64;
+                        metrics.elem_data_loads += entries * nm;
+                        metrics.flops += 2 * entries * nm;
+                    }
+                    metrics.partial_slots += (e - s) as u64;
+                    ((), metrics)
+                };
+                BlockStats::measure(false, 0, body).1
             })
             .collect()
     }

@@ -1,17 +1,16 @@
 //! Front ends that tie plans to the engine's `PostProcessor`: compile from
-//! a processor's settings, or cache a plan and recompile only on change.
+//! a processor's config, or cache a plan and recompile only on change.
 
-use crate::apply::{ApplyOptions, PlanSolution};
-use crate::compile::CompileOptions;
+use crate::apply::PlanSolution;
 use crate::delta::DirtySet;
 use crate::key::PlanKey;
 use crate::plan::EvalPlan;
-use ustencil_core::{ComputationGrid, DeltaStats, PostProcessor, ProcessorSettings};
+use ustencil_core::{ComputationGrid, DeltaStats, ExecConfig, PostProcessor};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
 
 /// Plan-mode extension of [`PostProcessor`]: compile the geometry once
-/// under the processor's exact kernel/quadrature settings, then apply the
+/// under the processor's exact [`ExecConfig`], then apply the
 /// result to any number of fields.
 pub trait PlanExt {
     /// Compiles an [`EvalPlan`] for degree-`degree` fields over `mesh` at
@@ -20,22 +19,17 @@ pub trait PlanExt {
     fn compile_plan(&self, mesh: &TriMesh, degree: usize, grid: &ComputationGrid) -> EvalPlan;
 
     /// A lazily-compiled, self-invalidating plan front end bound to this
-    /// processor's settings.
+    /// processor's config.
     fn plan(&self) -> CachedPlan;
 }
 
 impl PlanExt for PostProcessor {
     fn compile_plan(&self, mesh: &TriMesh, degree: usize, grid: &ComputationGrid) -> EvalPlan {
-        EvalPlan::compile(
-            mesh,
-            grid,
-            degree,
-            &CompileOptions::from_settings(&self.settings()),
-        )
+        EvalPlan::compile(mesh, grid, degree, self.config())
     }
 
     fn plan(&self) -> CachedPlan {
-        CachedPlan::new(self.settings())
+        CachedPlan::new(*self.config())
     }
 }
 
@@ -63,8 +57,7 @@ impl PlanExt for PostProcessor {
 /// expose what happened.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
-    compile: CompileOptions,
-    apply: ApplyOptions,
+    config: ExecConfig,
     plan: Option<EvalPlan>,
     /// Key of the cached plan. `None` while `plan` is `Some` marks an
     /// externally seeded plan ([`set`](Self::set)) whose key is adopted on
@@ -80,16 +73,10 @@ pub struct CachedPlan {
 }
 
 impl CachedPlan {
-    /// A cache adopting a processor's settings for both compile and apply.
-    pub fn new(settings: ProcessorSettings) -> Self {
+    /// A cache that compiles, patches and applies under `config`.
+    pub fn new(config: ExecConfig) -> Self {
         Self {
-            compile: CompileOptions::from_settings(&settings),
-            apply: ApplyOptions {
-                n_blocks: settings.n_blocks,
-                parallel: settings.parallel,
-                instrument: settings.instrument,
-                simd: settings.simd,
-            },
+            config,
             plan: None,
             key: None,
             problem: None,
@@ -137,7 +124,7 @@ impl CachedPlan {
     /// is empty or the problem content changed. Mesh edits (content-only
     /// key changes) take the incremental patch path when possible.
     pub fn run(&mut self, mesh: &TriMesh, field: &DgField, grid: &ComputationGrid) -> PlanSolution {
-        let key = PlanKey::new(mesh, grid, field.degree(), &self.compile);
+        let key = PlanKey::new(mesh, grid, field.degree(), &self.config);
         if !self.matches(&key, mesh, field, grid) {
             self.last_delta = None;
             let patched = if self.is_content_only_change(&key) {
@@ -146,7 +133,7 @@ impl CachedPlan {
                 false
             };
             if !patched {
-                self.plan = Some(EvalPlan::compile(mesh, grid, field.degree(), &self.compile));
+                self.plan = Some(EvalPlan::compile(mesh, grid, field.degree(), &self.config));
                 self.problem = Some((mesh.clone(), grid.clone()));
                 self.rebuilds += 1;
             }
@@ -161,7 +148,7 @@ impl CachedPlan {
         self.plan
             .as_ref()
             .expect("plan compiled above")
-            .apply_with(field, &self.apply)
+            .apply_with(field, &self.config)
     }
 
     /// Attempts the delta path against the retained problem; on success the
@@ -172,7 +159,7 @@ impl CachedPlan {
             return false;
         };
         let dirty = DirtySet::diff(old_mesh, old_grid, mesh, grid);
-        match plan.patched(mesh, grid, &dirty, &self.compile) {
+        match plan.patched(mesh, grid, &dirty, &self.config) {
             Ok((patched, delta)) => {
                 self.plan = Some(patched);
                 self.problem = Some((mesh.clone(), grid.clone()));

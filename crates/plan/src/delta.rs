@@ -39,19 +39,15 @@
 //! or the options disagree with the plan; callers fall back to a full
 //! compile.
 
-use crate::compile::{compile_block, CompileOptions};
+use crate::compile::{assemble_csr, RowCompiler};
 use crate::key::Fnv1a;
 use crate::plan::EvalPlan;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
-use ustencil_core::integrate::IntegrationCtx;
-use ustencil_core::{ComputationGrid, DeltaStats, Metrics, Probe};
+use ustencil_core::{ComputationGrid, DeltaStats, ExecConfig, Metrics};
 use ustencil_dg::DubinerBasis;
 use ustencil_geometry::{Aabb, Point2};
 use ustencil_mesh::{TriMesh, PERIODIC_SHIFTS};
-use ustencil_quadrature::TriangleRule;
-use ustencil_siac::Stencil2d;
 use ustencil_spatial::{Boundary, TriangleGrid};
 use ustencil_trace::{SpanRecord, Tracer};
 
@@ -489,10 +485,10 @@ impl EvalPlan {
         mesh: &TriMesh,
         grid: &ComputationGrid,
         dirty: &DirtySet,
-        options: &CompileOptions,
+        options: &ExecConfig,
     ) -> Result<PlanDelta, PatchError> {
         let started = Instant::now();
-        if options.smoothness.unwrap_or(self.degree) != self.smoothness {
+        if options.smoothness_for(self.degree) != self.smoothness {
             return Err(PatchError::OptionsMismatch);
         }
         if dirty.old_elements != self.n_elements
@@ -502,10 +498,13 @@ impl EvalPlan {
         {
             return Err(PatchError::ShapeMismatch);
         }
-        let h = options.h_factor * mesh.max_edge_length();
-        if h.to_bits() != self.h.to_bits() {
+        if options.scale_for(mesh).to_bits() != self.h.to_bits() {
             return Err(PatchError::KernelChanged);
         }
+        // Past the checks the kernel is bit for bit the one this plan was
+        // compiled with, which resolved then; mismatches stay typed errors.
+        let setup = options.resolve(mesh, self.degree);
+        let (stencil, h) = (&setup.stencil, setup.h);
 
         let tracer = Tracer::new(options.instrument);
         let n = grid.len();
@@ -522,7 +521,6 @@ impl EvalPlan {
         }
         if !dirty.changed.is_empty() || !dirty.stale_boxes.is_empty() {
             let _span = tracer.span("patch.closure");
-            let stencil = Stencil2d::symmetric(self.smoothness, h);
             let (lo, hi) = stencil.kernel().support();
             let (lo_h, hi_h) = (lo * h, hi * h);
             let dirty_boxes = dirty
@@ -562,56 +560,24 @@ impl EvalPlan {
         } else {
             let _span = tracer.span("patch.recompute");
             let basis = DubinerBasis::new(self.degree);
-            let stencil = Stencil2d::symmetric(self.smoothness, h);
-            let rule = TriangleRule::with_strength(IntegrationCtx::required_strength(
-                self.smoothness,
-                self.degree,
-            ));
             let tri_grid = TriangleGrid::build(mesh, Boundary::Periodic);
-            // Patched rows must be bit-identical to a fresh compile under
-            // the same options, so the patch resolves the same SIMD policy.
-            let simd_isa = options.simd.resolve();
-            let n_blocks = options.n_blocks.clamp(1, frag_rows.len());
-            let bounds: Vec<(usize, usize)> = (0..n_blocks)
-                .map(|b| {
-                    (
-                        b * frag_rows.len() / n_blocks,
-                        (b + 1) * frag_rows.len() / n_blocks,
-                    )
-                })
-                .collect();
-            let block = |s: usize, e: usize| {
-                let mut probe = Probe::new(false);
-                compile_block(
-                    mesh,
-                    grid,
-                    &basis,
-                    &stencil,
-                    &rule,
-                    &tri_grid,
-                    frag_rows[s..e].iter().copied(),
-                    simd_isa,
-                    &mut probe,
-                )
+            let rows = RowCompiler {
+                mesh,
+                grid,
+                basis: &basis,
+                setup: &setup,
+                tri_grid: &tri_grid,
             };
-            let blocks: Vec<_> = if options.parallel {
-                bounds.par_iter().map(|&(s, e)| block(s, e)).collect()
-            } else {
-                bounds.iter().map(|&(s, e)| block(s, e)).collect()
+            // Patched rows are kept for their CSR slices and counters only.
+            let unprobed = ExecConfig {
+                instrument: false,
+                ..*options
             };
-            let mut row_ptr = vec![0u64];
-            let mut cols = Vec::new();
-            let mut weights = Vec::new();
-            let mut acc = 0u64;
-            for b in &blocks {
-                for &c in &b.row_counts {
-                    acc += c as u64;
-                    row_ptr.push(acc);
-                }
-                cols.extend_from_slice(&b.cols);
-                weights.extend_from_slice(&b.weights);
-            }
-            let metrics = Metrics::sum(blocks.iter().map(|b| &b.stats.metrics));
+            let blocks = rows.sweep(frag_rows.len(), &unprobed, |s, e| {
+                frag_rows[s..e].iter().copied()
+            });
+            let (row_ptr, cols, weights) = assemble_csr(&blocks);
+            let metrics = Metrics::sum(blocks.iter().map(|(_, stats)| &stats.metrics));
             (row_ptr, cols, weights, metrics)
         };
 
@@ -641,7 +607,7 @@ impl EvalPlan {
         mesh: &TriMesh,
         grid: &ComputationGrid,
         dirty: &DirtySet,
-        options: &CompileOptions,
+        options: &ExecConfig,
     ) -> Result<(EvalPlan, DeltaStats), PatchError> {
         let started = Instant::now();
         let delta = self.patch(mesh, grid, dirty, options)?;

@@ -16,8 +16,7 @@
 //! hazard, and they are what the concurrent cache in `ustencil-serve`
 //! shards and single-flights on.
 
-use crate::compile::CompileOptions;
-use ustencil_core::{ComputationGrid, SimdIsa};
+use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa};
 use ustencil_mesh::TriMesh;
 
 /// FNV-1a offset basis (64-bit).
@@ -123,13 +122,13 @@ impl PlanKey {
         mesh: &TriMesh,
         grid: &ComputationGrid,
         degree: usize,
-        options: &CompileOptions,
+        options: &ExecConfig,
     ) -> Self {
         Self {
             mesh_hash: mesh_content_hash(mesh),
             grid_hash: grid_content_hash(grid),
             degree,
-            smoothness: options.smoothness.unwrap_or(degree),
+            smoothness: options.smoothness_for(degree),
             h_factor_bits: options.h_factor.to_bits(),
             simd: options.simd.resolve(),
         }
@@ -158,7 +157,7 @@ mod tests {
     fn key_for(seed: u64) -> PlanKey {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, seed);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
-        PlanKey::new(&mesh, &grid, 1, &CompileOptions::default())
+        PlanKey::new(&mesh, &grid, 1, &ExecConfig::default())
     }
 
     #[test]
@@ -176,8 +175,8 @@ mod tests {
         assert_eq!(a.n_triangles(), b.n_triangles());
         let ga = ComputationGrid::quadrature_points(&a, 1);
         let gb = ComputationGrid::quadrature_points(&b, 1);
-        let ka = PlanKey::new(&a, &ga, 1, &CompileOptions::default());
-        let kb = PlanKey::new(&b, &gb, 1, &CompileOptions::default());
+        let ka = PlanKey::new(&a, &ga, 1, &ExecConfig::default());
+        let kb = PlanKey::new(&b, &gb, 1, &ExecConfig::default());
         assert_ne!(ka, kb);
         assert_ne!(ka.digest(), kb.digest());
     }
@@ -186,14 +185,14 @@ mod tests {
     fn kernel_changes_change_the_key() {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 3);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
-        let base = PlanKey::new(&mesh, &grid, 1, &CompileOptions::default());
+        let base = PlanKey::new(&mesh, &grid, 1, &ExecConfig::default());
         let smoother = PlanKey::new(
             &mesh,
             &grid,
             1,
-            &CompileOptions {
+            &ExecConfig {
                 smoothness: Some(2),
-                ..CompileOptions::default()
+                ..ExecConfig::default()
             },
         );
         assert_ne!(base, smoother);
@@ -201,9 +200,9 @@ mod tests {
             &mesh,
             &grid,
             1,
-            &CompileOptions {
+            &ExecConfig {
                 h_factor: 0.5,
-                ..CompileOptions::default()
+                ..ExecConfig::default()
             },
         );
         assert_ne!(base, narrower);
@@ -213,11 +212,11 @@ mod tests {
             &mesh,
             &grid,
             1,
-            &CompileOptions {
+            &ExecConfig {
                 parallel: false,
                 n_blocks: 3,
                 instrument: true,
-                ..CompileOptions::default()
+                ..ExecConfig::default()
             },
         );
         assert_eq!(base, parallel);
@@ -228,14 +227,14 @@ mod tests {
         use ustencil_core::SimdPolicy;
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 3);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
-        let auto = PlanKey::new(&mesh, &grid, 1, &CompileOptions::default());
+        let auto = PlanKey::new(&mesh, &grid, 1, &ExecConfig::default());
         let scalar = PlanKey::new(
             &mesh,
             &grid,
             1,
-            &CompileOptions {
+            &ExecConfig {
                 simd: SimdPolicy::Scalar,
-                ..CompileOptions::default()
+                ..ExecConfig::default()
             },
         );
         // A forced width that resolves to the same ISA as Auto compiles
@@ -246,9 +245,9 @@ mod tests {
                 &mesh,
                 &grid,
                 1,
-                &CompileOptions {
+                &ExecConfig {
                     simd: policy,
-                    ..CompileOptions::default()
+                    ..ExecConfig::default()
                 },
             );
             assert_eq!(key.simd, policy.resolve());

@@ -28,7 +28,9 @@
 //!
 //! Entry points:
 //!
-//! * [`EvalPlan::compile`] — build a plan from a mesh, grid, and options;
+//! * [`EvalPlan::compile`] — build a plan from a mesh, grid, and the one
+//!   [`ExecConfig`](ustencil_core::ExecConfig) compile, patch and apply
+//!   all run under;
 //! * [`EvalPlan::apply`] / [`EvalPlan::apply_many`] — evaluate fields;
 //! * [`PlanExt`] — compile straight from a configured
 //!   [`PostProcessor`](ustencil_core::PostProcessor);
@@ -54,7 +56,7 @@ mod serial;
 #[cfg(test)]
 mod tests;
 
-pub use apply::{ApplyOptions, PlanSolution};
+pub use apply::PlanSolution;
 pub use cached::{CachedPlan, PlanExt};
 pub use compile::CompileOptions;
 pub use delta::{DirtySet, PatchError, PlanDelta, PATCH_SCHEME_LABEL};

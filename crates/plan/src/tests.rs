@@ -2,10 +2,8 @@
 //! serialization (cross-scheme equivalence properties live in the
 //! workspace-level `tests/plan_equivalence_prop.rs`).
 
-use crate::{
-    ApplyOptions, CachedPlan, CompileOptions, DirtySet, EvalPlan, PatchError, PlanExt, SCHEME_LABEL,
-};
-use ustencil_core::{ComputationGrid, PostProcessor, Scheme, SimdPolicy};
+use crate::{DirtySet, EvalPlan, PatchError, PlanExt, SCHEME_LABEL};
+use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 
@@ -16,11 +14,11 @@ fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, C
     (mesh, field, grid)
 }
 
-fn small_options() -> CompileOptions {
-    CompileOptions {
+fn small_options() -> ExecConfig {
+    ExecConfig {
         h_factor: 0.5,
         parallel: false,
-        ..CompileOptions::default()
+        ..ExecConfig::default()
     }
 }
 
@@ -43,7 +41,7 @@ fn plan_matches_direct_run() {
         .parallel(false);
     let direct = processor.run(&mesh, &field, &grid);
     let plan = processor.compile_plan(&mesh, field.degree(), &grid);
-    let sol = plan.apply_with(&field, &ApplyOptions::default());
+    let sol = plan.apply_with(&field, &ExecConfig::default());
     let diff = sol.max_abs_diff(&direct.values);
     assert!(diff <= 1e-12, "plan vs direct differ by {diff}");
     assert_eq!(plan.rows(), grid.len());
@@ -85,7 +83,7 @@ fn parallel_and_sequential_compile_agree_exactly() {
         &mesh,
         &grid,
         1,
-        &CompileOptions {
+        &ExecConfig {
             parallel: true,
             n_blocks: 7,
             ..small_options()
@@ -106,24 +104,31 @@ fn apply_variants_agree() {
     let (mesh, field, grid) = setup(150, 1, 5);
     let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
     let a = plan.apply(&field);
-    let b = plan.apply_with(
-        &field,
-        &ApplyOptions {
-            n_blocks: 3,
-            parallel: false,
+    // Every row is an independent dot product, so neither the block cut,
+    // the thread doing it, nor the probes may move a bit.
+    for (n_blocks, parallel) in [(1, false), (3, false), (7, true), (16, true)] {
+        let options = ExecConfig {
+            n_blocks,
+            parallel,
             instrument: true,
-            ..ApplyOptions::default()
-        },
-    );
-    let mut c = vec![0.0; plan.rows()];
-    plan.apply_into(&field, &mut c);
-    for ((av, bv), cv) in a.values.iter().zip(&b.values).zip(&c) {
-        assert_eq!(av.to_bits(), bv.to_bits());
-        assert_eq!(av.to_bits(), cv.to_bits());
+            ..ExecConfig::default()
+        };
+        let b = plan.apply_with(&field, &options);
+        assert_eq!(b.block_stats.len(), n_blocks);
+        assert_eq!(b.metrics, a.metrics, "{n_blocks} blocks");
+        // All rows through the row-subset entry point, into a caller's
+        // buffer, is the same apply again.
+        let all: Vec<u32> = (0..plan.rows() as u32).collect();
+        let mut c = vec![0.0; plan.rows()];
+        plan.apply_rows_into(&all, &field, &mut c, &options);
+        for ((av, bv), cv) in a.values.iter().zip(&b.values).zip(&c) {
+            assert_eq!(av.to_bits(), bv.to_bits(), "{n_blocks} blocks");
+            assert_eq!(av.to_bits(), cv.to_bits(), "{n_blocks} blocks, row subset");
+        }
     }
     // Batched applies are per-field applies.
     let fields = vec![field.clone(), field];
-    let many = plan.apply_many(&fields, &ApplyOptions::default());
+    let many = plan.apply_many(&fields, &ExecConfig::default());
     assert_eq!(many.len(), 2);
     assert_eq!(many[0].values, a.values);
     assert_eq!(many[1].values, a.values);
@@ -135,11 +140,11 @@ fn row_partition_apply_is_bitwise_the_full_apply() {
     let plan = EvalPlan::compile(&mesh, &grid, 2, &small_options());
     let full = plan.apply_with(
         &field,
-        &ApplyOptions {
+        &ExecConfig {
             n_blocks: 4,
             parallel: false,
             instrument: false,
-            ..ApplyOptions::default()
+            ..ExecConfig::default()
         },
     );
     // An arbitrary partition of the rows (the dist runtime's interior /
@@ -148,8 +153,12 @@ fn row_partition_apply_is_bitwise_the_full_apply() {
     // is an independent dot product written exactly once.
     let (evens, odds): (Vec<u32>, Vec<u32>) = (0..plan.rows() as u32).partition(|r| r % 2 == 0);
     let mut out = vec![0.0; plan.rows()];
-    let stats_a = plan.apply_rows_into(&evens, &field, &mut out, 3, SimdPolicy::Auto);
-    let stats_b = plan.apply_rows_into(&odds, &field, &mut out, 3, SimdPolicy::Auto);
+    let three = ExecConfig {
+        n_blocks: 3,
+        ..ExecConfig::default()
+    };
+    let stats_a = plan.apply_rows_into(&evens, &field, &mut out, &three);
+    let stats_b = plan.apply_rows_into(&odds, &field, &mut out, &three);
     for (a, b) in full.values.iter().zip(&out) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -168,7 +177,7 @@ fn row_partition_apply_is_bitwise_the_full_apply() {
     assert_eq!(flops, full.metrics.flops);
     // Empty subset: no blocks, no work.
     assert!(plan
-        .apply_rows_into(&[], &field, &mut out, 3, SimdPolicy::Auto)
+        .apply_rows_into(&[], &field, &mut out, &three)
         .is_empty());
 }
 
@@ -183,16 +192,16 @@ fn simd_policies_agree_on_plan_compile_and_apply() {
             &mesh,
             &grid,
             p,
-            &CompileOptions {
+            &ExecConfig {
                 simd: SimdPolicy::Scalar,
                 ..small_options()
             },
         );
         let scalar = scalar_plan.apply_with(
             &field,
-            &ApplyOptions {
+            &ExecConfig {
                 simd: SimdPolicy::Scalar,
-                ..ApplyOptions::default()
+                ..ExecConfig::default()
             },
         );
         assert_eq!(scalar.simd.isa, "scalar");
@@ -202,7 +211,7 @@ fn simd_policies_agree_on_plan_compile_and_apply() {
                 &mesh,
                 &grid,
                 p,
-                &CompileOptions {
+                &ExecConfig {
                     simd: policy,
                     ..small_options()
                 },
@@ -213,9 +222,9 @@ fn simd_policies_agree_on_plan_compile_and_apply() {
             assert_eq!(plan.cols, scalar_plan.cols);
             let sol = plan.apply_with(
                 &field,
-                &ApplyOptions {
+                &ExecConfig {
                     simd: policy,
-                    ..ApplyOptions::default()
+                    ..ExecConfig::default()
                 },
             );
             let diff = sol.max_abs_diff(&scalar.values);
@@ -238,7 +247,7 @@ fn instrumented_apply_populates_stats() {
         &mesh,
         &grid,
         1,
-        &CompileOptions {
+        &ExecConfig {
             instrument: true,
             ..small_options()
         },
@@ -249,11 +258,11 @@ fn instrumented_apply_populates_stats() {
         .any(|s| s.name == "compile.rows" && s.duration_ns > 0));
     let sol = plan.apply_with(
         &field,
-        &ApplyOptions {
+        &ExecConfig {
             n_blocks: 4,
             parallel: false,
             instrument: true,
-            ..ApplyOptions::default()
+            ..ExecConfig::default()
         },
     );
     assert!(sol.spans.iter().any(|s| s.name == "apply.spmv"));
@@ -280,9 +289,9 @@ fn run_record_carries_plan_stats() {
     let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
     let sol = plan.apply_with(
         &field,
-        &ApplyOptions {
+        &ExecConfig {
             instrument: true,
-            ..ApplyOptions::default()
+            ..ExecConfig::default()
         },
     );
     let record = plan.to_run_record("test/plan", mesh.n_triangles(), &sol);
@@ -362,12 +371,7 @@ fn cached_plan_detects_same_shape_content_change() {
     assert_eq!(cached.rebuilds(), 3);
     assert_eq!(
         cached.key().copied(),
-        Some(crate::PlanKey::new(
-            &mesh_a,
-            &grid_a,
-            1,
-            &CompileOptions::from_settings(&processor.settings()),
-        ))
+        Some(crate::PlanKey::new(&mesh_a, &grid_a, 1, processor.config(),))
     );
 }
 
@@ -419,11 +423,7 @@ fn serialization_round_trip_is_bit_exact() {
     let b = loaded.apply(&field);
     assert_eq!(a.values, b.values);
     // A seeded cache uses the loaded plan without recompiling.
-    let mut cached = CachedPlan::new(
-        PostProcessor::new(Scheme::PerPoint)
-            .h_factor(0.5)
-            .settings(),
-    );
+    let mut cached = PostProcessor::new(Scheme::PerPoint).h_factor(0.5).plan();
     cached.set(loaded);
     let c = cached.run(&mesh, &field, &grid);
     assert_eq!(cached.rebuilds(), 0);
@@ -495,7 +495,7 @@ fn mismatched_element_count_is_rejected() {
 fn oversized_stencil_is_rejected() {
     let mesh = generate_mesh(MeshClass::StructuredPattern, 8, 0);
     let grid = ComputationGrid::quadrature_points(&mesh, 3);
-    let _ = EvalPlan::compile(&mesh, &grid, 3, &CompileOptions::default());
+    let _ = EvalPlan::compile(&mesh, &grid, 3, &ExecConfig::default());
 }
 
 #[test]
@@ -633,7 +633,7 @@ fn patch_rejects_kernel_and_shape_mismatches() {
             &moved,
             &moved_grid,
             &dirty,
-            &CompileOptions {
+            &ExecConfig {
                 h_factor: 0.45,
                 ..small_options()
             },
@@ -646,7 +646,7 @@ fn patch_rejects_kernel_and_shape_mismatches() {
             &moved,
             &moved_grid,
             &dirty,
-            &CompileOptions {
+            &ExecConfig {
                 smoothness: Some(2),
                 ..small_options()
             },

@@ -41,9 +41,9 @@ use crate::disk::DiskTier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use ustencil_core::ComputationGrid;
+use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_mesh::TriMesh;
-use ustencil_plan::{CompileOptions, DirtySet, EvalPlan, PlanKey};
+use ustencil_plan::{DirtySet, EvalPlan, PlanKey};
 
 /// Configuration of a [`PlanCache`].
 #[derive(Debug)]
@@ -273,7 +273,7 @@ impl PlanCache {
         key: PlanKey,
         mesh: &Arc<TriMesh>,
         grid: &Arc<ComputationGrid>,
-        options: &CompileOptions,
+        options: &ExecConfig,
         compile: impl FnOnce() -> EvalPlan,
     ) -> (Arc<EvalPlan>, Outcome) {
         match self.lookup_or_lead(&key) {
@@ -387,7 +387,7 @@ impl PlanCache {
         key: &PlanKey,
         mesh: &TriMesh,
         grid: &ComputationGrid,
-        options: &CompileOptions,
+        options: &ExecConfig,
     ) -> Option<EvalPlan> {
         let mut best: Option<(u64, Arc<EvalPlan>, Arc<Origin>)> = None;
         for shard in &self.shards {

@@ -25,10 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use ustencil_core::{ComputationGrid, Metrics, TenantLedger};
+use ustencil_core::{ComputationGrid, ExecConfig, Metrics, TenantLedger};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
-use ustencil_plan::{ApplyOptions, CompileOptions, EvalPlan, PlanKey};
+use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_trace::Hist64;
 
 /// Configuration of a [`PlanServer`].
@@ -40,12 +40,10 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one apply batch (default 32).
     pub max_batch: usize,
-    /// Compile options for cache misses (also part of every request's
-    /// [`PlanKey`], so two servers with different kernels never share
-    /// plans by accident).
-    pub compile: CompileOptions,
-    /// Apply options for the batched SpMV sweeps.
-    pub apply: ApplyOptions,
+    /// What cache-miss compiles, sibling patches and the batched SpMV
+    /// sweeps all run under (also part of every request's [`PlanKey`], so
+    /// two servers with different kernels never share plans by accident).
+    pub exec: ExecConfig,
 }
 
 impl Default for ServerConfig {
@@ -54,8 +52,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch: 32,
-            compile: CompileOptions::default(),
-            apply: ApplyOptions::default(),
+            exec: ExecConfig::default(),
         }
     }
 }
@@ -191,8 +188,7 @@ struct Shared {
     capacity: usize,
     max_batch: usize,
     cache: PlanCache,
-    compile: CompileOptions,
-    apply: ApplyOptions,
+    exec: ExecConfig,
     ledgers: Mutex<Vec<LedgerAcc>>,
     global_hists: Mutex<(Hist64, Hist64)>,
     worker_stats: Mutex<Vec<WorkerStat>>,
@@ -238,8 +234,7 @@ impl PlanServer {
             capacity: config.queue_capacity.max(1),
             max_batch: config.max_batch.max(1),
             cache,
-            compile: config.compile,
-            apply: config.apply,
+            exec: config.exec,
             ledgers: Mutex::new(vec![LedgerAcc::new(); n_tenants]),
             global_hists: Mutex::new((Hist64::new(), Hist64::new())),
             worker_stats: Mutex::new(vec![WorkerStat::default(); n_workers]),
@@ -325,7 +320,7 @@ impl ServerClient {
             &problem.mesh,
             &problem.grid,
             problem.degree,
-            &self.shared.compile,
+            &self.shared.exec,
         );
         let (tx, rx) = mpsc::channel();
         let pending = Pending {
@@ -380,18 +375,17 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let started = Instant::now();
         let leader = &batch[0];
         let problem = leader.problem.clone();
-        let compile_opts = shared.compile;
+        let exec = &shared.exec;
         // Delta-aware lookup: a mesh-edit miss patches the resident
         // sibling plan instead of recompiling from scratch.
-        let (plan, outcome) = shared.cache.get_or_patch(
-            leader.key,
-            &problem.mesh,
-            &problem.grid,
-            &compile_opts,
-            || EvalPlan::compile(&problem.mesh, &problem.grid, problem.degree, &compile_opts),
-        );
+        let (plan, outcome) =
+            shared
+                .cache
+                .get_or_patch(leader.key, &problem.mesh, &problem.grid, exec, || {
+                    EvalPlan::compile(&problem.mesh, &problem.grid, problem.degree, exec)
+                });
         let fields: Vec<DgField> = batch.iter().map(|p| p.field.clone()).collect();
-        let solutions = plan.apply_many(&fields, &shared.apply);
+        let solutions = plan.apply_many(&fields, exec);
         let batch_size = batch.len();
         let mut batch_metrics = Metrics::default();
         let mut batch_rows = 0u64;

@@ -22,10 +22,10 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use ustencil_core::report::PatchRecord;
-use ustencil_core::{ComputationGrid, Metrics, RunRecord, ServeStats, TenantLedger};
+use ustencil_core::{ComputationGrid, ExecConfig, Metrics, RunRecord, ServeStats, TenantLedger};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
-use ustencil_plan::{ApplyOptions, CompileOptions, EvalPlan};
+use ustencil_plan::EvalPlan;
 use ustencil_trace::{Hist64, Tracer};
 
 /// Scheme label serve runs carry in `RunRecord` JSON.
@@ -133,8 +133,8 @@ fn safe_h_factor(mesh: &TriMesh, p: usize) -> f64 {
 /// Builds the seeded fixture catalog: `catalog` meshes of `mesh_size`
 /// triangles, one degree-`degree` field each. The compile width factor is
 /// the tightest safe factor across the catalog, so every fixture shares
-/// one `CompileOptions` (and plans differ only by content, never kernel).
-fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, CompileOptions) {
+/// one `ExecConfig` (and plans differ only by content, never kernel).
+fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, ExecConfig) {
     let meshes: Vec<TriMesh> = (0..cfg.catalog)
         .map(|i| {
             generate_mesh(
@@ -148,9 +148,9 @@ fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, CompileOptions) {
         .iter()
         .map(|m| safe_h_factor(m, cfg.degree))
         .fold(1.0, f64::min);
-    let compile = CompileOptions {
+    let exec = ExecConfig {
         h_factor,
-        ..CompileOptions::default()
+        ..ExecConfig::default()
     };
     let fixtures = meshes
         .into_iter()
@@ -177,7 +177,7 @@ fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, CompileOptions) {
             }
         })
         .collect();
-    (fixtures, compile)
+    (fixtures, exec)
 }
 
 /// Splits `total` requests across `clients`, front-loading the remainder.
@@ -188,7 +188,7 @@ fn requests_of(total: usize, clients: usize, client: usize) -> usize {
 /// Drives the cached service with zipf traffic and returns its ledger.
 pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
     let tracer = Tracer::new(true);
-    let (fixtures, compile) = {
+    let (fixtures, exec) = {
         let _span = tracer.span("serve.catalog");
         build_catalog(cfg)
     };
@@ -207,8 +207,7 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
             workers: cfg.workers,
             queue_capacity: cfg.queue_capacity,
             max_batch: cfg.max_batch,
-            compile,
-            apply: ApplyOptions::default(),
+            exec,
         },
         cfg.clients,
     );
@@ -282,7 +281,7 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
 /// cached throughput is compared against.
 pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
     let tracer = Tracer::new(true);
-    let (fixtures, compile) = {
+    let (fixtures, exec) = {
         let _span = tracer.span("serve.catalog");
         build_catalog(cfg)
     };
@@ -295,7 +294,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
             for client in 0..cfg.clients {
                 let zipf = &zipf;
                 let fixtures = &fixtures;
-                let compile = &compile;
+                let exec = &exec;
                 let ledgers = &ledgers;
                 s.spawn(move || {
                     let mut ledger = TenantLedger {
@@ -317,7 +316,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
                             &fixture.problem.mesh,
                             &fixture.problem.grid,
                             fixture.problem.degree,
-                            compile,
+                            exec,
                         );
                         let solution = plan.apply(&fixture.field);
                         let us = t0.elapsed().as_micros() as u64;

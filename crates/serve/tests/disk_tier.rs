@@ -5,10 +5,10 @@
 
 use std::fs;
 use std::path::PathBuf;
-use ustencil_core::ComputationGrid;
+use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
-use ustencil_plan::{CompileOptions, EvalPlan, PlanKey};
+use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_serve::{CacheConfig, DiskTier, Outcome, PlanCache};
 
 /// A unique, pre-cleaned scratch directory per test (no tempfile crate in
@@ -19,13 +19,13 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
-fn fixture(seed: u64) -> (TriMesh, ComputationGrid, CompileOptions) {
+fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 140, seed);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    let options = CompileOptions {
+    let options = ExecConfig {
         h_factor: 0.5,
         parallel: false,
-        ..CompileOptions::default()
+        ..ExecConfig::default()
     };
     (mesh, grid, options)
 }

@@ -5,19 +5,19 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use ustencil_core::ComputationGrid;
+use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{displace_band, generate_mesh, MeshClass, TriMesh};
-use ustencil_plan::{CompileOptions, EvalPlan, PlanKey};
+use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_serve::{CacheConfig, Outcome, PlanCache, PlanServer, Problem, ServerConfig};
 
-fn fixture(seed: u64) -> (TriMesh, ComputationGrid, CompileOptions) {
+fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 200, seed);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    let options = CompileOptions {
+    let options = ExecConfig {
         h_factor: 0.5,
         parallel: false,
-        ..CompileOptions::default()
+        ..ExecConfig::default()
     };
     (mesh, grid, options)
 }
@@ -188,7 +188,7 @@ fn server_answers_after_mesh_edit_match_fresh_compile() {
         PlanCache::new(CacheConfig::default()),
         ServerConfig {
             workers: 2,
-            compile: options,
+            exec: options,
             ..ServerConfig::default()
         },
         2,

@@ -12,16 +12,17 @@
 //!
 //! Both are instances of [`UniformGrid`], a flat CSR-layout bucket grid with
 //! periodic or clamped boundary handling. [`TriangleGrid`] and [`PointGrid`]
-//! wrap it with the Eq. (3) query-bound conventions.
+//! wrap it with the Eq. (3) query-bound conventions. Sizing the cells by
+//! `s` is what makes a uniform grid enough (Section 3): a range query is an
+//! index computation plus a bounded halo ring, with no tree to build or
+//! descend.
 
 #![deny(missing_docs)]
 
 pub mod grid;
-pub mod kdtree;
 pub mod point_grid;
 pub mod tri_grid;
 
 pub use grid::{Boundary, UniformGrid};
-pub use kdtree::KdTree;
 pub use point_grid::PointGrid;
 pub use tri_grid::TriangleGrid;

@@ -135,7 +135,8 @@ struct Case {
 impl Case {
     fn new(path: Path, seed: u64) -> Self {
         let (mesh, field, grid) = build(200, 1, seed);
-        let opts = DistOptions::new(4).h_factor(safe_h(&mesh, 1));
+        let h_factor = safe_h(&mesh, 1);
+        let opts = DistOptions::new(4).h_factor(h_factor);
         let clean = match path {
             Path::Push => run_dist(&mesh, &field, &grid, &opts),
             Path::Pull => run_plan_dist(&mesh, &field, &grid, &opts),
@@ -143,7 +144,7 @@ impl Case {
         .unwrap();
         if path == Path::Pull {
             let compile = CompileOptions {
-                h_factor: opts.h_factor,
+                h_factor,
                 ..CompileOptions::default()
             };
             let global = EvalPlan::compile(&mesh, &grid, 1, &compile).apply(&field);

@@ -17,7 +17,7 @@ use ustencil::dg::{project_l2, DgField};
 use ustencil::engine::prelude::*;
 use ustencil::geometry::Point2;
 use ustencil::mesh::{generate_mesh, MeshClass, TriMesh};
-use ustencil::plan::{ApplyOptions, CompileOptions, EvalPlan};
+use ustencil::plan::{CompileOptions, EvalPlan};
 
 const GOLDEN: &str = include_str!("golden/golden_vectors.txt");
 const DEGREE: usize = 2;
@@ -74,15 +74,7 @@ fn outputs() -> [(&'static str, Vec<f64>); 3] {
         ..CompileOptions::default()
     };
     let plan = EvalPlan::compile(&mesh, &grid, DEGREE, &options)
-        .apply_with(
-            &field,
-            &ApplyOptions {
-                n_blocks: 1,
-                parallel: false,
-                instrument: false,
-                simd: SimdPolicy::Scalar,
-            },
-        )
+        .apply_with(&field, &options)
         .values;
     [
         ("per_point", per_point),
@@ -157,15 +149,7 @@ fn vector_policies_are_deterministic_and_near_the_golden() {
                 ..CompileOptions::default()
             };
             EvalPlan::compile(&mesh, &grid, DEGREE, &options)
-                .apply_with(
-                    &field,
-                    &ApplyOptions {
-                        n_blocks: 1,
-                        parallel: false,
-                        instrument: false,
-                        simd: policy,
-                    },
-                )
+                .apply_with(&field, &options)
                 .values
         };
         let (first, second) = (run(), run());

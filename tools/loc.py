@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Non-test Rust lines per crate: the lines of each `src/**/*.rs` file before
 its first top-level `#[cfg(test)]` (`-v`: also per file). The last row is
-every Rust line outside `benchmark/`, tests included (ROADMAP aim 2)."""
+every Rust line outside `benchmark/`, tests included (ROADMAP aim 2).
+`--budget N` exits 1 when the non-test total exceeds N: a PR that needs
+more lines raises the number CI passes, in the diff a reviewer sees."""
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,5 +28,10 @@ for p in files:
             print(f"{non_test_lines(p):7}  {p.relative_to(ROOT)}")
 for crate, n in sorted(per_crate.items()):
     print(f"{n:7}  {crate}")
-print(f"{sum(per_crate.values()):7}  non-test total")
+total = sum(per_crate.values())
+print(f"{total:7}  non-test total")
 print(f"{sum(len(p.read_text().splitlines()) for p in files):7}  all Rust lines (tests included)")
+if "--budget" in sys.argv:
+    budget = int(sys.argv[sys.argv.index("--budget") + 1])
+    if total > budget:
+        sys.exit(f"non-test total {total} exceeds the budget of {budget} lines")
