@@ -12,14 +12,13 @@
 
 use std::collections::HashMap;
 use ustencil_bench::cli::{parse_cli, CliOptions, USAGE};
-use ustencil_bench::record::{min_of, BenchRecord};
 use ustencil_bench::{mesh_sizes, size_label, Workload};
 use ustencil_core::per_element::memory_overhead;
 use ustencil_core::prelude::*;
 use ustencil_dist::{run_dist, DistOptions, SCHEME_LABEL as DIST_SCHEME_LABEL};
 use ustencil_mesh::MeshClass;
 use ustencil_plan::{PlanExt, PATCH_SCHEME_LABEL, SCHEME_LABEL};
-use ustencil_serve::traffic::{self, TrafficConfig, TrafficOutcome};
+use ustencil_serve::traffic::{self, TrafficConfig};
 use ustencil_serve::SCHEME_LABEL as SERVE_SCHEME_LABEL;
 use ustencil_trace::Timeline;
 
@@ -611,325 +610,6 @@ fn serve_cmd(opts: &CliOptions) -> Vec<RunRecord> {
     vec![cached.record, naive.record]
 }
 
-/// One timed serve fixture for `bench_cmd`: the cached service at the
-/// default traffic shape, reported via its deterministic shape metrics and
-/// its wall/p99 timings.
-fn serve_bench_fixture(opts: &CliOptions) -> (TrafficOutcome, TrafficConfig) {
-    let cfg = TrafficConfig {
-        seed: opts.seed,
-        ..TrafficConfig::default()
-    };
-    eprintln!("  [driving {}...]", traffic::describe(&cfg));
-    (traffic::run_cached(&cfg), cfg)
-}
-
-/// The `bench` subcommand: the standard fixtures of the performance
-/// observatory, timed as min-of-`--reps` walls and optionally written as a
-/// versioned [`BenchRecord`] for `tools/bench_diff.py` to gate on.
-///
-/// Fixtures: plan apply at the ladder's large size, the rank-sharded
-/// fig14 exchange at the medium size across the rank ladder, the
-/// instrumented overlap run at 4 ranks (gating the exposed-comms slice),
-/// and the staged-vs-fused integration micro-kernel. Each entry also pins a few
-/// deterministic shape metrics (nnz, counted wire bytes) so a diff can
-/// distinguish "the machine got slower" from "the workload changed".
-fn bench_cmd(opts: &CliOptions) {
-    let (dist_size, plan_size) = match opts.sizes.as_deref() {
-        Some(sizes) => (sizes[0], *sizes.last().expect("validated non-empty")),
-        None => (16_000, 64_000),
-    };
-    let ranks: Vec<usize> = opts.ranks.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let reps = opts.reps;
-    let mut record = BenchRecord::new(reps);
-    println!(
-        "\n== Benchmark fixtures: min of {} rep(s), rev {} ==",
-        reps, record.git_rev
-    );
-    println!("{:>28} {:>12}  metrics", "fixture", "wall ms");
-
-    // Fixture 1: plan apply (the amortized hot path of a serving system).
-    let w = Workload::build(MeshClass::LowVariance, plan_size, 1, opts.seed);
-    eprintln!("  [compiling plan for {} triangles...]", plan_size);
-    let processor = PostProcessor::new(Scheme::PerElement)
-        .blocks(16)
-        .h_factor(w.safe_h_factor())
-        .simd(opts.simd);
-    let plan = processor.compile_plan(&w.mesh, w.p, &w.grid);
-    let (wall, sol) = min_of(reps, || plan.apply_with(&w.field, processor.config()));
-    let name = format!("plan.apply/{}", size_label(plan_size));
-    let metrics = [
-        ("nnz", plan.nnz() as f64),
-        ("rows", sol.values.len() as f64),
-    ];
-    print_bench_row(&name, wall, &metrics);
-    record.push(&name, wall, &metrics);
-
-    // Fixture 1b: incremental plan patch after a mesh edit, reusing
-    // fixture 1's plan as the base. A band displacement dirties ~5% of the
-    // elements; the timed unit is diff + patch (the whole revalidation a
-    // cache pays), and the respliced row count pins the closure's size as
-    // a shape metric.
-    {
-        use ustencil_mesh::displace_band;
-        use ustencil_plan::DirtySet;
-        let moved = displace_band(&w.mesh, 0.475, 0.525, 0.2, opts.seed);
-        let moved_grid = ComputationGrid::quadrature_points(&moved, w.p);
-        // The config the base plan compiled under: patched rows must
-        // reduce on the same ISA as the rows they splice into.
-        let patch_options = processor.config();
-        eprintln!("  [patching the plan after a band displacement...]");
-        let (wall, (_, delta)) = min_of(reps, || {
-            let dirty = DirtySet::diff(&w.mesh, &w.grid, &moved, &moved_grid);
-            plan.patched(&moved, &moved_grid, &dirty, patch_options)
-                .unwrap_or_else(|e| {
-                    eprintln!("bench plan.patch fixture cannot patch: {e}");
-                    std::process::exit(1);
-                })
-        });
-        let name = format!("plan.patch/{}", size_label(plan_size));
-        let metrics = [
-            ("dirty_elements", delta.dirty_elements as f64),
-            ("respliced_rows", delta.respliced_rows as f64),
-        ];
-        print_bench_row(&name, wall, &metrics);
-        record.push(&name, wall, &metrics);
-    }
-
-    // Fixture 1c: the SIMD dispatch ladder on the same plan's row kernel,
-    // scalar vs auto. The names are stable but the dispatched lane width
-    // is pinned as a shape metric, so a host (or a feature-detection
-    // regression) that resolves `auto` to a different ISA shows up in
-    // bench_diff as a workload change rather than a silent timing swing.
-    for policy in [SimdPolicy::Scalar, SimdPolicy::Auto] {
-        let simd_opts = ExecConfig {
-            simd: policy,
-            ..*processor.config()
-        };
-        eprintln!("  [applying the plan with simd={}...]", policy.label());
-        let (wall, sol) = min_of(reps, || plan.apply_with(&w.field, &simd_opts));
-        let name = format!("kernel.simd/{}", policy.label());
-        let metrics = [
-            ("lanes", sol.simd.lanes as f64),
-            ("rows", sol.values.len() as f64),
-        ];
-        print_bench_row(&name, wall, &metrics);
-        record.push(&name, wall, &metrics);
-    }
-
-    // Fixture 2: the rank-sharded halo exchange at each rank count.
-    let w = Workload::build(MeshClass::LowVariance, dist_size, 1, opts.seed);
-    for &n_ranks in &ranks {
-        eprintln!(
-            "  [running {} triangles on {} rank(s)...]",
-            dist_size, n_ranks
-        );
-        let dist_opts = DistOptions::new(n_ranks)
-            .h_factor(w.safe_h_factor())
-            .simd(opts.simd);
-        let (wall, sol) = min_of(reps, || {
-            run_dist(&w.mesh, &w.field, &w.grid, &dist_opts).unwrap_or_else(|e| {
-                eprintln!("bench dist run failed at {n_ranks} ranks: {e}");
-                std::process::exit(1);
-            })
-        });
-        let comm = sol.total_comm();
-        let name = format!("dist.halo/{}@{}ranks", size_label(dist_size), n_ranks);
-        let metrics = [
-            ("bytes_sent", comm.bytes_sent as f64),
-            ("msgs_sent", comm.msgs_sent as f64),
-        ];
-        print_bench_row(&name, wall, &metrics);
-        record.push(&name, wall, &metrics);
-    }
-
-    // Fixture 2b: the interior-first overlap at 4 ranks, instrumented so
-    // the exposed slice of the exchange is measured. `exposed_ms` is
-    // gated as a timing by bench_diff; interior/frontier pin the
-    // schedule's work partition as shape metrics.
-    {
-        let n_ranks = 4usize;
-        eprintln!(
-            "  [running {} triangles on {} rank(s), instrumented...]",
-            dist_size, n_ranks
-        );
-        let dist_opts = DistOptions::new(n_ranks)
-            .h_factor(w.safe_h_factor())
-            .instrument(true)
-            .simd(opts.simd);
-        let (wall, sol) = min_of(reps, || {
-            run_dist(&w.mesh, &w.field, &w.grid, &dist_opts).unwrap_or_else(|e| {
-                eprintln!("bench overlap run failed at {n_ranks} ranks: {e}");
-                std::process::exit(1);
-            })
-        });
-        let exposed_ms = sol.ranks.iter().map(|r| r.exchange_ns).max().unwrap_or(0) as f64 / 1e6;
-        let interior: u64 = sol.ranks.iter().map(|r| r.interior).sum();
-        let frontier: u64 = sol.ranks.iter().map(|r| r.frontier).sum();
-        let name = format!("dist.overlap/{}@{}ranks", size_label(dist_size), n_ranks);
-        let metrics = [
-            ("exposed_ms", exposed_ms),
-            ("interior", interior as f64),
-            ("frontier", frontier as f64),
-        ];
-        print_bench_row(&name, wall, &metrics);
-        record.push(&name, wall, &metrics);
-    }
-
-    // Fixture 3: staged vs fused integration micro-kernel.
-    for (name, wall, n_elems) in micro_integration(reps) {
-        let metrics = [("elements", n_elems as f64)];
-        print_bench_row(&name, wall, &metrics);
-        record.push(&name, wall, &metrics);
-    }
-
-    // Fixture 4: the cached plan service under the default zipf traffic.
-    // The run repeats its requests internally, so one run is the sample;
-    // the shape metrics (requests, compiles, coalesced rows) are seed-
-    // deterministic, and the latency quantile is gated as a timing.
-    let (out, cfg) = serve_bench_fixture(opts);
-    let name = format!("serve.cached/{}x{}", cfg.clients, cfg.requests);
-    let metrics = [
-        ("requests", out.stats.requests as f64),
-        ("compiles", out.stats.compiles as f64),
-        ("batched_rows", out.stats.batched_rows as f64),
-        ("p99_us", out.latency_us(0.99) as f64),
-    ];
-    print_bench_row(&name, out.wall_ms, &metrics);
-    record.push(&name, out.wall_ms, &metrics);
-
-    if let Some(path) = &opts.record {
-        let text = record.to_pretty_string();
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write '{path}': {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "  [wrote {} fixture(s) to {path}; compare with tools/bench_diff.py]",
-            record.entries.len()
-        );
-    }
-}
-
-fn print_bench_row(name: &str, wall: f64, metrics: &[(&str, f64)]) {
-    let m: Vec<String> = metrics.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
-    println!("{:>28} {:>12.3}  {}", name, wall, m.join(" "));
-}
-
-/// The staged-vs-fused integration micro, per polynomial degree
-/// `p in {1, 2, 3}`: one realistic stencil query's worth of element
-/// images, integrated through a fused closure over the public geometry
-/// primitives, through the shared traversal driver's staged SoA path
-/// with the vector reduction forced off (`staged-scalar`), and through
-/// the same staged path on the host's widest ISA (`staged`). Returns
-/// `(name, wall_ms, n_elements)` per variant. (The Criterion twin lives
-/// in `benches/micro_kernels.rs`; this one is cheap enough to gate CI
-/// on.)
-fn micro_integration(reps: usize) -> Vec<(String, f64, usize)> {
-    use ustencil_core::integrate::{ElementData, IntegrationCtx};
-    use ustencil_core::kernel::{AccumulateSolution, QuadStage, StencilTraversal};
-    use ustencil_dg::project_l2;
-    use ustencil_geometry::{clip_triangle_rect, fan_triangulate, Point2, Vec2, GEOM_EPS};
-    use ustencil_mesh::generate_mesh;
-    use ustencil_quadrature::TriangleRule;
-    use ustencil_siac::Stencil2d;
-
-    let mesh = generate_mesh(MeshClass::LowVariance, 200, 7);
-    // Enough sweeps per repetition for a wall resolvable above timer noise.
-    const SWEEPS: usize = 20;
-    let mut rows = Vec::new();
-
-    for p in [1usize, 2, 3] {
-        let field = project_l2(&mesh, p, |x, y| (x * 3.0).sin() + y * y - 0.3 * x * y, 1);
-        let basis = field.basis().clone();
-        let stencil = Stencil2d::symmetric(p, mesh.max_edge_length());
-        let rule = TriangleRule::with_strength(IntegrationCtx::required_strength(p, p));
-        let exps = basis.monomial_exponents();
-        let center = Point2::new(0.5, 0.5);
-        let support = stencil.support_rect(center);
-        let elems: Vec<ElementData> = (0..mesh.n_triangles())
-            .map(|e| ElementData::gather(&mesh, &field, &basis, e))
-            .filter(|ed| support.intersects_aabb(&ed.bbox))
-            .collect();
-        assert!(!elems.is_empty());
-
-        let (fused_wall, _) = min_of(reps, || {
-            let mut total = 0.0;
-            for _ in 0..SWEEPS {
-                for ed in &elems {
-                    let h = stencil.h();
-                    let n_cells = stencil.cells_per_side();
-                    let (lo, _) = stencil.kernel().support();
-                    let x_base = center.x + lo * h;
-                    let y_base = center.y + lo * h;
-                    let bbox = &ed.bbox;
-                    let i0 = (((bbox.min.x - x_base) / h).floor().max(0.0)) as usize;
-                    let j0 = (((bbox.min.y - y_base) / h).floor().max(0.0)) as usize;
-                    if i0 >= n_cells || j0 >= n_cells || bbox.max.x < x_base || bbox.max.y < y_base
-                    {
-                        continue;
-                    }
-                    let i1 = ((((bbox.max.x - x_base) / h).floor()) as usize).min(n_cells - 1);
-                    let j1 = ((((bbox.max.y - y_base) / h).floor()) as usize).min(n_cells - 1);
-                    for j in j0..=j1 {
-                        for i in i0..=i1 {
-                            let cell = stencil.cell_rect(center, i, j);
-                            let poly = clip_triangle_rect(&ed.tri, &cell);
-                            if poly.is_degenerate(GEOM_EPS) {
-                                continue;
-                            }
-                            for sub in fan_triangulate(&poly) {
-                                total += rule.integrate_physical(&sub, |x, y| {
-                                    let pt = Point2::new(x, y);
-                                    stencil.eval(center, pt) * ed.eval(pt, exps)
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            total
-        });
-        rows.push((
-            format!("micro.integration/fused/p{p}"),
-            fused_wall,
-            elems.len(),
-        ));
-
-        for (variant, isa) in [
-            ("staged-scalar", SimdIsa::Scalar),
-            ("staged", SimdPolicy::Auto.resolve()),
-        ] {
-            let trav = StencilTraversal::new(&stencil, &rule, exps, basis.n_modes()).with_simd(isa);
-            let mut stage = QuadStage::default();
-            let mut metrics = Metrics::default();
-            let mut sink = AccumulateSolution::new();
-            let (wall, _) = min_of(reps, || {
-                let mut total = 0.0;
-                for _ in 0..SWEEPS {
-                    for ed in &elems {
-                        trav.integrate_image(
-                            center,
-                            ed,
-                            Vec2::ZERO,
-                            &mut stage,
-                            &mut sink,
-                            &mut metrics,
-                        );
-                        total += sink.take();
-                    }
-                }
-                total
-            });
-            rows.push((
-                format!("micro.integration/{variant}/p{p}"),
-                wall,
-                elems.len(),
-            ));
-        }
-    }
-    rows
-}
-
 /// The `profile` subcommand: run both schemes on the smallest configured
 /// size and print the phase, load-imbalance, and histogram view.
 fn profile(r: &mut Runner, sizes: &[usize]) {
@@ -1011,8 +691,8 @@ fn checkjson(path: &str) -> Result<(), String> {
         if (run.scheme == SCHEME_LABEL || run.scheme == PATCH_SCHEME_LABEL) && run.plan.is_none() {
             return Err(format!("{ctx}: plan run without plan stats"));
         }
-        // Schema v6: every evaluation run (direct schemes, plan apply,
-        // plan patch, the rank-sharded runtime) reports which SIMD ISA its
+        // Every evaluation run (direct schemes, plan apply, plan patch,
+        // the rank-sharded runtime) reports which SIMD ISA its
         // reduction dispatched to and the throughput it achieved; serve
         // records aggregate applies of heterogeneous plans and carry none.
         if run.scheme == SERVE_SCHEME_LABEL {
@@ -1055,8 +735,8 @@ fn checkjson(path: &str) -> Result<(), String> {
                 ));
             }
         }
-        // Schema v5: the `delta` object is present exactly on plan+patch
-        // runs, its row/nnz counts are conserved against the plan, and the
+        // The `delta` object is present exactly on plan+patch runs, its
+        // row/nnz counts are conserved against the plan, and the
         // patch pays at most a constant floor plus work proportional to
         // the respliced fraction of a full rebuild.
         if let Some(plan) = &run.plan {
@@ -1320,7 +1000,6 @@ fn main() {
         },
         "profile" => profile(&mut r, &sizes),
         "plan" => plan_cmd(&mut r, &sizes, opts.timesteps),
-        "bench" => bench_cmd(&opts),
         "serve" => r.records.extend(serve_cmd(&opts)),
         "amr" => amr_cmd(&mut r, &sizes, opts.frames),
         "all" => {

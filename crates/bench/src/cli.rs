@@ -19,10 +19,6 @@ commands:
   plan                compile an evaluation plan per mesh size, apply it to
                       --timesteps synthetic fields, and report the speedup
                       over direct per-element runs
-  bench               run the standard benchmark fixtures (plan apply,
-                      rank-sharded fig14, staged-vs-fused micro) and report
-                      min-of-N walls; --record writes the versioned record
-                      tools/bench_diff.py compares against a baseline
   serve               drive the multi-tenant plan-cache service with seeded
                       zipf traffic (--clients threads, --requests total) and
                       report throughput and p50/p99 latency, cached vs a
@@ -34,17 +30,12 @@ commands:
   checkjson <path>    validate a --json report file (used by CI)
 
 options:
-  --sizes N,N,..      mesh sizes in triangles (default: the paper ladder;
-                      for `bench`: halo-exchange size, plan-apply size,
-                      default 16000,64000)
+  --sizes N,N,..      mesh sizes in triangles (default: the paper ladder)
   --ranks N,N,..      run fig14 rank-sharded at each rank count (per-element
                       evaluation with explicit halo exchange; emits per-rank
-                      comms ledgers into the JSON report); also the rank
-                      ladder of the `bench` fixture (default 1,2,4,8)
+                      comms ledgers into the JSON report)
   --seed S            mesh-generation seed (default 2013)
   --timesteps T       synthetic fields a `plan` run applies (default 8)
-  --reps N            repetitions per `bench` fixture; the record keeps the
-                      minimum wall (default 3)
   --clients N         client threads a `serve` run spawns (default 8)
   --requests M        total requests across a `serve` run's clients
                       (default 200)
@@ -57,13 +48,12 @@ options:
                       width falls back to scalar when the host lacks it
   --full              lift the size ladder and degree caps to paper scale
   --json <path>       also write the structured RunReport as JSON
-  --record <path>     write the `bench` record as JSON (versioned schema)
   --timeline <path>   write a Chrome trace-event timeline of a rank-sharded
                       fig14 run (load at ui.perfetto.dev)
   --help, -h          print this message";
 
 /// Commands `reproduce` accepts.
-pub const COMMANDS: [&str; 14] = [
+pub const COMMANDS: [&str; 13] = [
     "table1",
     "fig8",
     "fig11",
@@ -73,7 +63,6 @@ pub const COMMANDS: [&str; 14] = [
     "all",
     "profile",
     "plan",
-    "bench",
     "serve",
     "amr",
     "checkjson",
@@ -93,8 +82,6 @@ pub struct CliOptions {
     pub seed: u64,
     /// Synthetic timesteps a `plan` run applies.
     pub timesteps: usize,
-    /// Repetitions per `bench` fixture (the record keeps the min wall).
-    pub reps: usize,
     /// Client threads of a `serve` run.
     pub clients: usize,
     /// Total requests across a `serve` run's clients.
@@ -107,8 +94,6 @@ pub struct CliOptions {
     pub full: bool,
     /// `--json` output path, when given.
     pub json: Option<String>,
-    /// `--record` output path of the `bench` command, when given.
-    pub record: Option<String>,
     /// `--timeline` trace-event output path, when given.
     pub timeline: Option<String>,
     /// The positional path argument of `checkjson`.
@@ -125,14 +110,12 @@ impl Default for CliOptions {
             ranks: None,
             seed: 2013,
             timesteps: 8,
-            reps: 3,
             clients: 8,
             requests: 200,
             frames: 4,
             simd: SimdPolicy::Auto,
             full: false,
             json: None,
-            record: None,
             timeline: None,
             path_arg: None,
             help: false,
@@ -192,14 +175,6 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                         format!("--timesteps value '{v}' is not a positive integer")
                     })?;
             }
-            "--reps" => {
-                let v = value_of(&mut it, "--reps")?;
-                opts.reps = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&r| r > 0)
-                    .ok_or_else(|| format!("--reps value '{v}' is not a positive integer"))?;
-            }
             "--clients" => {
                 let v = value_of(&mut it, "--clients")?;
                 opts.clients =
@@ -230,9 +205,6 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
             }
             "--json" => {
                 opts.json = Some(value_of(&mut it, "--json")?.to_string());
-            }
-            "--record" => {
-                opts.record = Some(value_of(&mut it, "--record")?.to_string());
             }
             "--timeline" => {
                 opts.timeline = Some(value_of(&mut it, "--timeline")?.to_string());
@@ -382,34 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_flags() {
-        let opts = parse(&[
-            "bench",
-            "--record",
-            "BENCH.json",
-            "--reps",
-            "5",
-            "--ranks",
-            "1,2",
-        ])
-        .unwrap();
-        assert_eq!(opts.command, "bench");
-        assert_eq!(opts.record.as_deref(), Some("BENCH.json"));
-        assert_eq!(opts.reps, 5);
-        assert_eq!(opts.ranks, Some(vec![1, 2]));
-        // Defaults when the flags are absent.
-        let opts = parse(&["bench"]).unwrap();
-        assert_eq!(opts.reps, 3);
-        assert_eq!(opts.record, None);
-        assert!(parse(&["bench", "--reps", "0"])
-            .unwrap_err()
-            .contains("positive integer"));
-        assert!(parse(&["bench", "--record"])
-            .unwrap_err()
-            .contains("needs a value"));
-    }
-
-    #[test]
     fn serve_flags() {
         let opts = parse(&[
             "serve",
@@ -464,17 +408,17 @@ mod tests {
         use ustencil_core::SimdWidth;
         // Every label round-trips through the flag...
         for policy in SimdPolicy::ALL {
-            let opts = parse(&["bench", "--simd", policy.label()]).unwrap();
+            let opts = parse(&["table1", "--simd", policy.label()]).unwrap();
             assert_eq!(opts.simd, policy);
         }
         let opts = parse(&["plan", "--simd", "f64x4"]).unwrap();
         assert_eq!(opts.simd, SimdPolicy::Forced(SimdWidth::F64x4));
         // ...the default is auto, and junk fails loudly.
-        assert_eq!(parse(&["bench"]).unwrap().simd, SimdPolicy::Auto);
-        assert!(parse(&["bench", "--simd", "avx99"])
+        assert_eq!(parse(&["table1"]).unwrap().simd, SimdPolicy::Auto);
+        assert!(parse(&["table1", "--simd", "avx99"])
             .unwrap_err()
             .contains("not one of"));
-        assert!(parse(&["bench", "--simd"])
+        assert!(parse(&["table1", "--simd"])
             .unwrap_err()
             .contains("needs a value"));
     }

@@ -87,20 +87,25 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Outcome of a simulated execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimReport {
-    /// Busy time of each device in milliseconds (compute phase).
-    pub device_ms: Vec<f64>,
-    /// Reduction-phase time in milliseconds.
-    pub reduction_ms: f64,
-    /// Communication-phase time in milliseconds (0 for single-address-space
-    /// runs; counted wire traffic under [`simulate_ranks`]).
-    pub comms_ms: f64,
-    /// End-to-end simulated time: slowest device plus comms plus reduction.
-    pub total_ms: f64,
-    /// Total counted flops across all blocks.
-    pub flops: u64,
+ustencil_trace::json_record! {
+    /// Outcome of a simulated execution.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimReport {
+        /// Busy time of each device in milliseconds (compute phase).
+        pub device_ms: Vec<f64>,
+        /// Reduction-phase time in milliseconds.
+        pub reduction_ms: f64,
+        /// Communication-phase time in milliseconds (0 for
+        /// single-address-space runs; counted wire traffic under
+        /// [`simulate_ranks`]).
+        pub comms_ms: f64,
+        /// End-to-end simulated time: slowest device plus comms plus
+        /// reduction.
+        pub total_ms: f64,
+        /// Total counted flops across all blocks; the report also shows the
+        /// [`gflops`](Self::gflops) they amount to.
+        pub flops: u64 => gflops(Self::gflops),
+    }
 }
 
 impl SimReport {

@@ -4,44 +4,47 @@
 //! merged at join points, so the hot loop pays only an integer increment.
 //! They feed the streaming-device cost model
 //! ([`device`](crate::device)) and surface to users through
-//! [`RunReport`](crate::report::RunReport), whose JSON `"metrics"` object
-//! mirrors this struct's field names one-to-one. The richer per-block view
+//! [`RunReport`](crate::report::RunReport): the one field list below is
+//! the struct, its `merge`, the JSON `"metrics"` object and the array the
+//! rank wire codec ships. The richer per-block view
 //! (wall time, distribution probes) lives in
 //! [`BlockStats`](crate::probe::BlockStats).
 
-/// Counted work of one evaluation run (or one block/patch of it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Stencil/element candidate pairs examined — the paper's
-    /// "intersection tests" (Table 1). Every candidate delivered by the
-    /// hash grid counts, including halo false positives.
-    pub intersection_tests: u64,
-    /// Candidate pairs whose clipped intersection had positive area.
-    pub true_intersections: u64,
-    /// Sutherland–Hodgman clip invocations (one per stencil lattice square
-    /// tested against an element).
-    pub cell_clips: u64,
-    /// Triangular integration sub-regions produced by clipping.
-    pub subregions: u64,
-    /// Quadrature-point integrand evaluations.
-    pub quad_evals: u64,
-    /// Estimated double-precision floating-point operations.
-    pub flops: u64,
-    /// Hash-grid cells visited by queries.
-    pub cells_visited: u64,
-    /// f64 values of *element data* read from global memory (modal
-    /// coefficients + vertex data). Charged per integration in the
-    /// per-point scheme, once per element in the per-element scheme — the
-    /// data-reuse asymmetry at the heart of the paper.
-    pub elem_data_loads: u64,
-    /// f64 values of per-point data read (spatial offsets: 2 per
-    /// integration in the per-element scheme).
-    pub point_data_loads: u64,
-    /// f64 solution values written (including partial-solution writes).
-    pub solution_writes: u64,
-    /// Partial-solution storage slots allocated by overlapped tiling
-    /// (equals the final solution size when untiled).
-    pub partial_slots: u64,
+ustencil_trace::json_counters! {
+    /// Counted work of one evaluation run (or one block/patch of it).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Metrics merged by std::ops::Add::add {
+        /// Stencil/element candidate pairs examined — the paper's
+        /// "intersection tests" (Table 1). Every candidate delivered by the
+        /// hash grid counts, including halo false positives.
+        pub intersection_tests,
+        /// Candidate pairs whose clipped intersection had positive area.
+        pub true_intersections,
+        /// Sutherland–Hodgman clip invocations (one per stencil lattice
+        /// square tested against an element).
+        pub cell_clips,
+        /// Triangular integration sub-regions produced by clipping.
+        pub subregions,
+        /// Quadrature-point integrand evaluations.
+        pub quad_evals,
+        /// Estimated double-precision floating-point operations.
+        pub flops,
+        /// Hash-grid cells visited by queries.
+        pub cells_visited,
+        /// f64 values of *element data* read from global memory (modal
+        /// coefficients + vertex data). Charged per integration in the
+        /// per-point scheme, once per element in the per-element scheme —
+        /// the data-reuse asymmetry at the heart of the paper.
+        pub elem_data_loads,
+        /// f64 values of per-point data read (spatial offsets: 2 per
+        /// integration in the per-element scheme).
+        pub point_data_loads,
+        /// f64 solution values written (including partial-solution writes).
+        pub solution_writes,
+        /// Partial-solution storage slots allocated by overlapped tiling
+        /// (equals the final solution size when untiled).
+        pub partial_slots,
+    }
 }
 
 impl Metrics {
@@ -50,21 +53,6 @@ impl Metrics {
     /// data, as counted in Sections 3.3–3.4 of the paper.
     pub const fn element_data_values(p: usize) -> u64 {
         ((p + 1) * (p + 2) / 2 + 3) as u64
-    }
-
-    /// Merges another metrics block into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.intersection_tests += other.intersection_tests;
-        self.true_intersections += other.true_intersections;
-        self.cell_clips += other.cell_clips;
-        self.subregions += other.subregions;
-        self.quad_evals += other.quad_evals;
-        self.flops += other.flops;
-        self.cells_visited += other.cells_visited;
-        self.elem_data_loads += other.elem_data_loads;
-        self.point_data_loads += other.point_data_loads;
-        self.solution_writes += other.solution_writes;
-        self.partial_slots += other.partial_slots;
     }
 
     /// Sum of a sequence of metric blocks.

@@ -8,12 +8,19 @@
 //! unit-tested identity). Derived quantities — the load-imbalance summary
 //! and simulated GFLOP/s — are emitted for readability but recomputed on
 //! parse, so they can never disagree with the underlying data.
+//!
+//! Every record below is declared once, through
+//! [`json_record!`](ustencil_trace::json_record): the struct's field names,
+//! in declaration order, *are* the JSON keys, and a derived key is declared
+//! on the field it follows.
 
 use crate::device::SimReport;
 use crate::engine::Solution;
 use crate::metrics::Metrics;
 use crate::probe::BlockStats;
-use ustencil_trace::{CriticalPath, Hist64, ImbalanceSummary, Json, SpanRecord};
+use ustencil_trace::{
+    json_record, CriticalPath, Hist64, ImbalanceSummary, Json, JsonField, SpanRecord,
+};
 
 /// Version of the report JSON layout. Bumped whenever a required key is
 /// added or changes meaning; [`RunReport::from_json`] rejects documents
@@ -58,206 +65,231 @@ pub struct RunReport {
     pub runs: Vec<RunRecord>,
 }
 
-/// Compact per-patch record (the per-patch probes are merged into the
-/// run-level histograms rather than serialized individually).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatchRecord {
-    /// Host wall-clock nanoseconds spent evaluating the patch.
-    pub wall_ns: u64,
-    /// Elements assigned to the patch (0 for per-point blocks).
-    pub elements: u64,
-    /// Grid points the patch wrote.
-    pub points: u64,
-    /// The patch's work counters.
-    pub metrics: Metrics,
+json_record! {
+    /// Compact per-patch record (the per-patch probes are merged into the
+    /// run-level histograms rather than serialized individually).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PatchRecord {
+        /// Host wall-clock nanoseconds spent evaluating the patch.
+        pub wall_ns: u64,
+        /// Elements assigned to the patch (0 for per-point blocks).
+        pub elements: u64,
+        /// Grid points the patch wrote.
+        pub points: u64,
+        /// The patch's work counters.
+        pub metrics: Metrics,
+    }
 }
 
-/// Size and timing of a compiled evaluation plan (`ustencil-plan`), when a
-/// run went through the plan path instead of direct evaluation. Build and
-/// apply times are reported separately because the whole point of a plan is
-/// paying the build once and amortizing it over many applies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanStats {
-    /// Output rows (grid points) of the plan.
-    pub rows: u64,
-    /// Stored `(point, element)` entries (CSR non-zeros).
-    pub nnz: u64,
-    /// Weight values per entry (the field's modes per element).
-    pub n_modes: u64,
-    /// In-memory size of the plan's CSR arrays, in bytes.
-    pub bytes: u64,
-    /// Wall-clock milliseconds spent compiling the plan.
-    pub build_ms: f64,
-    /// Wall-clock milliseconds of one apply (the amortized unit).
-    pub apply_ms: f64,
-    /// Incremental-recompilation stats when the plan was produced by
-    /// patching an existing plan (`scheme = "plan+patch"`) instead of a
-    /// fresh compile; `None` on the full-compile path.
-    pub delta: Option<DeltaStats>,
+impl From<&BlockStats> for PatchRecord {
+    fn from(s: &BlockStats) -> Self {
+        Self {
+            wall_ns: s.wall_ns,
+            elements: s.elements,
+            points: s.points,
+            metrics: s.metrics,
+        }
+    }
 }
 
-/// Cost and shape of one incremental plan patch: how much of the operator a
-/// dirty mesh region actually invalidated after inflating it by the
-/// `(3k+1)h` stencil footprint, and what the splice cost relative to the
-/// full compile it avoided.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaStats {
-    /// Mesh elements in the dirty set (changed plus vanished).
-    pub dirty_elements: u64,
-    /// Plan rows recomputed and spliced (the footprint closure of the dirty
-    /// set, plus rows of newly created grid points).
-    pub respliced_rows: u64,
-    /// CSR non-zeros in the respliced rows.
-    pub respliced_nnz: u64,
-    /// Wall-clock milliseconds of the patch (closure + row recompute +
-    /// splice).
-    pub patch_ms: f64,
-    /// Wall-clock milliseconds of the full compile the patch stands in for
-    /// (the base plan's build wall, carried across chained patches).
-    pub full_build_ms: f64,
+json_record! {
+    /// Size and timing of a compiled evaluation plan (`ustencil-plan`), when a
+    /// run went through the plan path instead of direct evaluation. Build and
+    /// apply times are reported separately because the whole point of a plan is
+    /// paying the build once and amortizing it over many applies.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PlanStats {
+        /// Output rows (grid points) of the plan.
+        pub rows: u64,
+        /// Stored `(point, element)` entries (CSR non-zeros).
+        pub nnz: u64,
+        /// Weight values per entry (the field's modes per element).
+        pub n_modes: u64,
+        /// In-memory size of the plan's CSR arrays, in bytes.
+        pub bytes: u64,
+        /// Wall-clock milliseconds spent compiling the plan.
+        pub build_ms: f64,
+        /// Wall-clock milliseconds of one apply (the amortized unit).
+        pub apply_ms: f64,
+        /// Incremental-recompilation stats when the plan was produced by
+        /// patching an existing plan (`scheme = "plan+patch"`) instead of a
+        /// fresh compile; `None` on the full-compile path.
+        pub delta: Option<DeltaStats>,
+    }
 }
 
-/// One rank's communication ledger in a rank-sharded run: shard shape,
-/// counted wire traffic, coarse phase timings, and the rank's exposed
-/// communication time. Emitted for every rank of a `scheme = "dist"` run;
-/// empty for single-address-space runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RankCommRecord {
-    /// Rank id (0-based; rank 0 is the coordinator).
-    pub rank: u64,
-    /// Elements the rank owns.
-    pub owned_elements: u64,
-    /// Ghost-ring elements replicated onto the rank.
-    pub halo_elements: u64,
-    /// Grid points the rank resolves.
-    pub owned_points: u64,
-    /// Owned work units evaluated while halo messages were in flight
-    /// (elements for the push runtime, plan rows for the plan path).
-    /// `interior + frontier` partitions the rank's owned work.
-    pub interior: u64,
-    /// Owned work units that waited for the exchange drain.
-    pub frontier: u64,
-    /// Messages the rank handed to the transport.
-    pub msgs_sent: u64,
-    /// Wire bytes the rank handed to the transport.
-    pub bytes_sent: u64,
-    /// Messages the rank received.
-    pub msgs_recv: u64,
-    /// Wire bytes the rank received.
-    pub bytes_recv: u64,
-    /// Payload messages the reliability layer sent more than once.
-    pub retransmits: u64,
-    /// Duplicate frames the receive side discarded (retransmit overlap).
-    pub dup_payloads: u64,
-    /// Messages that rode a coalesced bundle frame instead of their own.
-    pub coalesced: u64,
-    /// Nanoseconds of exposed exchange (post + drain; the overlapped
-    /// in-flight time is excluded).
-    pub exchange_ns: u64,
-    /// Nanoseconds in the local evaluation phase.
-    pub eval_ns: u64,
-    /// Nanoseconds in the local reduce + gather phase.
-    pub reduce_ns: u64,
-    /// Milliseconds of the rank's communication intervals not hidden
-    /// behind its computation — the wait the run actually paid (0 for
-    /// uninstrumented runs).
-    pub exposed_comms_ms: f64,
-    /// Halo-phase flow send points the rank logged (0 uninstrumented).
-    pub flow_sends: u64,
-    /// Halo-phase flow receive points the rank logged (0 uninstrumented).
-    pub flow_recvs: u64,
+json_record! {
+    /// Cost and shape of one incremental plan patch: how much of the operator a
+    /// dirty mesh region actually invalidated after inflating it by the
+    /// `(3k+1)h` stencil footprint, and what the splice cost relative to the
+    /// full compile it avoided.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DeltaStats {
+        /// Mesh elements in the dirty set (changed plus vanished).
+        pub dirty_elements: u64,
+        /// Plan rows recomputed and spliced (the footprint closure of the dirty
+        /// set, plus rows of newly created grid points).
+        pub respliced_rows: u64,
+        /// CSR non-zeros in the respliced rows.
+        pub respliced_nnz: u64,
+        /// Wall-clock milliseconds of the patch (closure + row recompute +
+        /// splice).
+        pub patch_ms: f64,
+        /// Wall-clock milliseconds of the full compile the patch stands in for
+        /// (the base plan's build wall, carried across chained patches).
+        pub full_build_ms: f64,
+    }
 }
 
-/// One tenant's ledger in a plan-cache service run: everything the serve
-/// layer observed about this client's traffic. Latencies are microsecond
-/// [`Hist64`] histograms, so tail quantiles (p99) come from real
-/// distribution data rather than a mean.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantLedger {
-    /// Tenant (client) id, 0-based.
-    pub tenant: u64,
-    /// Requests the tenant submitted.
-    pub requests: u64,
-    /// Requests answered from a resident plan (memory or disk tier).
-    pub hits: u64,
-    /// Requests that found no usable plan anywhere.
-    pub misses: u64,
-    /// Compiles charged to this tenant (it was the single-flight leader).
-    pub compiles: u64,
-    /// Output rows evaluated for the tenant across all coalesced batches.
-    pub batched_rows: u64,
-    /// Microseconds each request waited between admission and the start of
-    /// its service batch.
-    pub queue_wait_us: Hist64,
-    /// Microseconds from admission to answer (wait + batch service).
-    pub service_us: Hist64,
+json_record! {
+    /// One rank's communication ledger in a rank-sharded run: shard shape,
+    /// counted wire traffic, coarse phase timings, and the rank's exposed
+    /// communication time. Emitted for every rank of a `scheme = "dist"` run;
+    /// empty for single-address-space runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct RankCommRecord {
+        /// Rank id (0-based; rank 0 is the coordinator).
+        pub rank: u64,
+        /// Elements the rank owns.
+        pub owned_elements: u64,
+        /// Ghost-ring elements replicated onto the rank.
+        pub halo_elements: u64,
+        /// Grid points the rank resolves.
+        pub owned_points: u64,
+        /// Owned work units evaluated while halo messages were in flight
+        /// (elements for the push runtime, plan rows for the plan path).
+        /// `interior + frontier` partitions the rank's owned work.
+        pub interior: u64,
+        /// Owned work units that waited for the exchange drain.
+        pub frontier: u64,
+        /// Messages the rank handed to the transport.
+        pub msgs_sent: u64,
+        /// Wire bytes the rank handed to the transport.
+        pub bytes_sent: u64,
+        /// Messages the rank received.
+        pub msgs_recv: u64,
+        /// Wire bytes the rank received.
+        pub bytes_recv: u64,
+        /// Payload messages the reliability layer sent more than once.
+        pub retransmits: u64,
+        /// Duplicate frames the receive side discarded (retransmit overlap).
+        pub dup_payloads: u64,
+        /// Messages that rode a coalesced bundle frame instead of their own.
+        pub coalesced: u64,
+        /// Nanoseconds of exposed exchange (post + drain; the overlapped
+        /// in-flight time is excluded).
+        pub exchange_ns: u64,
+        /// Nanoseconds in the local evaluation phase.
+        pub eval_ns: u64,
+        /// Nanoseconds in the local reduce + gather phase.
+        pub reduce_ns: u64,
+        /// Milliseconds of the rank's communication intervals not hidden
+        /// behind its computation — the wait the run actually paid (0 for
+        /// uninstrumented runs).
+        pub exposed_comms_ms: f64,
+        /// Halo-phase flow send points the rank logged (0 uninstrumented).
+        pub flow_sends: u64,
+        /// Halo-phase flow receive points the rank logged (0 uninstrumented).
+        pub flow_recvs: u64,
+    }
 }
 
-/// Aggregate ledger of a plan-cache service run (`scheme = "serve"`): cache
-/// effectiveness, single-flight and coalescing behaviour, and the run-wide
-/// latency distributions, plus one [`TenantLedger`] per client.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeStats {
-    /// Client threads that generated traffic.
-    pub clients: u64,
-    /// Total requests served.
-    pub requests: u64,
-    /// Distinct meshes in the fixture catalog.
-    pub catalog: u64,
-    /// Requests answered from a resident compiled plan.
-    pub hits: u64,
-    /// Requests that had to produce a plan (compile or disk load).
-    pub misses: u64,
-    /// Plans actually compiled (≤ misses: single-flight followers and disk
-    /// warm-starts do not compile).
-    pub compiles: u64,
-    /// Requesters that blocked on another request's in-flight compile
-    /// instead of duplicating it.
-    pub single_flight_waits: u64,
-    /// Plans revived from the disk tier instead of recompiled.
-    pub disk_loads: u64,
-    /// Plans produced by patching a resident sibling plan (delta
-    /// revalidation) instead of compiling from scratch.
-    pub patches: u64,
-    /// Plans evicted from the memory tier under the byte budget.
-    pub evictions: u64,
-    /// Coalesced `apply_many` batches executed.
-    pub batches: u64,
-    /// Output rows evaluated across all batches.
-    pub batched_rows: u64,
-    /// Resident bytes of the memory tier when the run ended.
-    pub cache_bytes: u64,
-    /// Run-wide admission-to-service queue-wait distribution, microseconds.
-    pub queue_wait_us: Hist64,
-    /// Run-wide admission-to-answer latency distribution, microseconds.
-    pub service_us: Hist64,
-    /// Per-tenant ledgers, ordered by tenant id.
-    pub tenants: Vec<TenantLedger>,
+json_record! {
+    /// One tenant's ledger in a plan-cache service run: everything the serve
+    /// layer observed about this client's traffic. Latencies are microsecond
+    /// [`Hist64`] histograms, so tail quantiles (p99) come from real
+    /// distribution data rather than a mean.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantLedger {
+        /// Tenant (client) id, 0-based.
+        pub tenant: u64,
+        /// Requests the tenant submitted.
+        pub requests: u64,
+        /// Requests answered from a resident plan (memory or disk tier).
+        pub hits: u64,
+        /// Requests that found no usable plan anywhere.
+        pub misses: u64,
+        /// Compiles charged to this tenant (it was the single-flight leader).
+        pub compiles: u64,
+        /// Output rows evaluated for the tenant across all coalesced batches.
+        pub batched_rows: u64,
+        /// Microseconds each request waited between admission and the start of
+        /// its service batch.
+        pub queue_wait_us: Hist64,
+        /// Microseconds from admission to answer (wait + batch service).
+        pub service_us: Hist64,
+    }
 }
 
-/// What the SIMD dispatch layer actually did in a run: the policy the
-/// caller asked for, the ISA
-/// [`SimdPolicy::resolve`](crate::simd::SimdPolicy::resolve) picked on
-/// this host, and the achieved
-/// efficiency derived from the run's modeled flop counter over its wall
-/// time. `fraction_of_peak` divides by
-/// [`SimdIsa::nominal_peak_gflops`](crate::simd::SimdIsa::nominal_peak_gflops)
-/// — a fixed device-model constant per ISA — so it is a stable cross-run
-/// yardstick rather than a hardware measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimdRecord {
-    /// [`SimdPolicy::label`](crate::simd::SimdPolicy::label) the run was
-    /// configured with (`"auto"`, `"scalar"`, `"f64x4"`, `"f64x8"`).
-    pub policy: String,
-    /// [`SimdIsa::label`](crate::simd::SimdIsa::label) the policy resolved
-    /// to on this host (`"scalar"`, `"avx2"`, `"avx512"`).
-    pub isa: String,
-    /// f64 lanes of the dispatched ISA (1 for scalar).
-    pub lanes: u64,
-    /// Achieved throughput: modeled flops over wall time, GFLOP/s.
-    pub gflops: f64,
-    /// `gflops` over the dispatched ISA's nominal single-core peak.
-    pub fraction_of_peak: f64,
+json_record! {
+    /// Aggregate ledger of a plan-cache service run (`scheme = "serve"`): cache
+    /// effectiveness, single-flight and coalescing behaviour, and the run-wide
+    /// latency distributions, plus one [`TenantLedger`] per client.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServeStats {
+        /// Client threads that generated traffic.
+        pub clients: u64,
+        /// Total requests served.
+        pub requests: u64,
+        /// Distinct meshes in the fixture catalog.
+        pub catalog: u64,
+        /// Requests answered from a resident compiled plan.
+        pub hits: u64,
+        /// Requests that had to produce a plan (compile or disk load).
+        pub misses: u64,
+        /// Plans actually compiled (≤ misses: single-flight followers and disk
+        /// warm-starts do not compile).
+        pub compiles: u64,
+        /// Requesters that blocked on another request's in-flight compile
+        /// instead of duplicating it.
+        pub single_flight_waits: u64,
+        /// Plans revived from the disk tier instead of recompiled.
+        pub disk_loads: u64,
+        /// Plans produced by patching a resident sibling plan (delta
+        /// revalidation) instead of compiling from scratch.
+        pub patches: u64,
+        /// Plans evicted from the memory tier under the byte budget.
+        pub evictions: u64,
+        /// Coalesced `apply_many` batches executed.
+        pub batches: u64,
+        /// Output rows evaluated across all batches.
+        pub batched_rows: u64,
+        /// Resident bytes of the memory tier when the run ended.
+        pub cache_bytes: u64,
+        /// Run-wide admission-to-service queue-wait distribution, microseconds.
+        pub queue_wait_us: Hist64,
+        /// Run-wide admission-to-answer latency distribution, microseconds.
+        pub service_us: Hist64,
+        /// Per-tenant ledgers, ordered by tenant id.
+        pub tenants: Vec<TenantLedger>,
+    }
+}
+
+json_record! {
+    /// What the SIMD dispatch layer actually did in a run: the policy the
+    /// caller asked for, the ISA
+    /// [`SimdPolicy::resolve`](crate::simd::SimdPolicy::resolve) picked on
+    /// this host, and the achieved
+    /// efficiency derived from the run's modeled flop counter over its wall
+    /// time. `fraction_of_peak` divides by
+    /// [`SimdIsa::nominal_peak_gflops`](crate::simd::SimdIsa::nominal_peak_gflops)
+    /// — a fixed device-model constant per ISA — so it is a stable cross-run
+    /// yardstick rather than a hardware measurement.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimdRecord {
+        /// [`SimdPolicy::label`](crate::simd::SimdPolicy::label) the run was
+        /// configured with (`"auto"`, `"scalar"`, `"f64x4"`, `"f64x8"`).
+        pub policy: String,
+        /// [`SimdIsa::label`](crate::simd::SimdIsa::label) the policy resolved
+        /// to on this host (`"scalar"`, `"avx2"`, `"avx512"`).
+        pub isa: String,
+        /// f64 lanes of the dispatched ISA (1 for scalar).
+        pub lanes: u64,
+        /// Achieved throughput: modeled flops over wall time, GFLOP/s.
+        pub gflops: f64,
+        /// `gflops` over the dispatched ISA's nominal single-core peak.
+        pub fraction_of_peak: f64,
+    }
 }
 
 impl SimdRecord {
@@ -285,30 +317,34 @@ impl SimdRecord {
     }
 }
 
-/// One phase of the serialized critical path (see
-/// [`ustencil_trace::critical_path`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPhaseRecord {
-    /// Canonical phase name (`"build"`, `"exchange"`, `"eval"`,
-    /// `"reduce"`).
-    pub name: String,
-    /// The bottleneck rank.
-    pub rank: u64,
-    /// That rank's time in the phase, milliseconds.
-    pub duration_ms: f64,
+json_record! {
+    /// One phase of the serialized critical path (see
+    /// [`ustencil_trace::critical_path`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CriticalPhaseRecord {
+        /// Canonical phase name (`"build"`, `"exchange"`, `"eval"`,
+        /// `"reduce"`).
+        pub name: String,
+        /// The bottleneck rank.
+        pub rank: u64,
+        /// That rank's time in the phase, milliseconds.
+        pub duration_ms: f64,
+    }
 }
 
-/// The serialized cross-rank critical path of an instrumented rank-sharded
-/// run, plus per-rank utilization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPathRecord {
-    /// Sum of the bottleneck phase durations, milliseconds.
-    pub total_ms: f64,
-    /// Phases in barrier order (phases nobody recorded are omitted).
-    pub phases: Vec<CriticalPhaseRecord>,
-    /// Per-rank utilization: computation time over the rank's active
-    /// window.
-    pub utilization: Vec<f64>,
+json_record! {
+    /// The serialized cross-rank critical path of an instrumented rank-sharded
+    /// run, plus per-rank utilization.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CriticalPathRecord {
+        /// Sum of the bottleneck phase durations, milliseconds.
+        pub total_ms: f64,
+        /// Phases in barrier order (phases nobody recorded are omitted).
+        pub phases: Vec<CriticalPhaseRecord>,
+        /// Per-rank utilization: computation time over the rank's active
+        /// window.
+        pub utilization: Vec<f64>,
+    }
 }
 
 impl From<&CriticalPath> for CriticalPathRecord {
@@ -329,47 +365,67 @@ impl From<&CriticalPath> for CriticalPathRecord {
     }
 }
 
-/// Everything observed about one post-processing run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Human-readable configuration label (e.g. `"low-variance/4k/p1"`).
-    pub label: String,
-    /// [`Scheme::label`](crate::Scheme::label) of the scheme that ran.
-    pub scheme: String,
-    /// Mesh size in triangles.
-    pub n_triangles: u64,
-    /// Evaluation points.
-    pub n_points: u64,
-    /// Host wall-clock milliseconds of the evaluation (build + eval).
-    pub wall_ms: f64,
-    /// Aggregated work counters.
-    pub metrics: Metrics,
-    /// Phase spans (empty when the run was not instrumented).
-    pub spans: Vec<SpanRecord>,
-    /// Per-patch stats, the basis of the imbalance summary.
-    pub patches: Vec<PatchRecord>,
-    /// Run-wide distribution histograms, keyed by [`HISTOGRAM_NAMES`].
-    pub histograms: Vec<(String, Hist64)>,
-    /// Cost-model simulation of the run, when one was computed.
-    pub device_sim: Option<SimReport>,
-    /// Evaluation-plan stats, when the run applied a compiled plan.
-    pub plan: Option<PlanStats>,
-    /// Per-rank communication ledgers (empty unless the run was
-    /// rank-sharded).
-    pub comms: Vec<RankCommRecord>,
-    /// Cross-rank critical path (present only for instrumented
-    /// rank-sharded runs).
-    pub critical_path: Option<CriticalPathRecord>,
-    /// Plan-cache service ledger (present only for `scheme = "serve"`
-    /// runs).
-    pub serve: Option<ServeStats>,
-    /// SIMD dispatch summary (policy, resolved ISA, fraction of peak);
-    /// `None` for runs that never touch the evaluation kernels (e.g.
-    /// serve traffic replays).
-    pub simd: Option<SimdRecord>,
+json_record! {
+    /// Everything observed about one post-processing run.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunRecord {
+        /// Human-readable configuration label (e.g. `"low-variance/4k/p1"`).
+        pub label: String,
+        /// [`Scheme::label`](crate::Scheme::label) of the scheme that ran.
+        pub scheme: String,
+        /// Mesh size in triangles.
+        pub n_triangles: u64,
+        /// Evaluation points.
+        pub n_points: u64,
+        /// Host wall-clock milliseconds of the evaluation (build + eval).
+        pub wall_ms: f64,
+        /// Aggregated work counters.
+        pub metrics: Metrics,
+        /// Phase spans (empty when the run was not instrumented).
+        pub spans: Vec<SpanRecord>,
+        /// Per-patch stats, and the load-imbalance summary derived from
+        /// them.
+        pub patches: Vec<PatchRecord> => imbalance(Self::imbalance),
+        /// Run-wide distribution histograms, keyed by [`HISTOGRAM_NAMES`].
+        pub histograms: Vec<(String, Hist64)>,
+        /// Cost-model simulation of the run, when one was computed.
+        pub device_sim: Option<SimReport>,
+        /// Evaluation-plan stats, when the run applied a compiled plan.
+        pub plan: Option<PlanStats>,
+        /// Per-rank communication ledgers (empty unless the run was
+        /// rank-sharded).
+        pub comms: Vec<RankCommRecord>,
+        /// Cross-rank critical path (present only for instrumented
+        /// rank-sharded runs).
+        pub critical_path: Option<CriticalPathRecord>,
+        /// Plan-cache service ledger (present only for `scheme = "serve"`
+        /// runs).
+        pub serve: Option<ServeStats>,
+        /// SIMD dispatch summary (policy, resolved ISA, fraction of peak);
+        /// `None` for runs that never touch the evaluation kernels (e.g.
+        /// serve traffic replays).
+        pub simd: Option<SimdRecord>,
+    }
 }
 
 impl RunRecord {
+    /// The run-wide distribution histograms of a run's blocks, keyed by
+    /// [`HISTOGRAM_NAMES`]: every block's probe merged (empty histograms
+    /// unless the run was instrumented).
+    pub fn histograms_of(block_stats: &[BlockStats]) -> Vec<(String, Hist64)> {
+        let probe = BlockStats::merged_probe(block_stats);
+        let hists = [
+            probe.candidates_per_query(),
+            probe.subregions_per_element(),
+            probe.quad_points_per_integration(),
+        ];
+        HISTOGRAM_NAMES
+            .iter()
+            .zip(hists)
+            .map(|(name, h)| (name.to_string(), *h))
+            .collect()
+    }
+
     /// Builds a record from a finished run. Histograms come from merging
     /// every block's probe; they are empty unless the run was
     /// [instrumented](crate::PostProcessor::instrument).
@@ -379,21 +435,6 @@ impl RunRecord {
         solution: &Solution,
         device_sim: Option<SimReport>,
     ) -> Self {
-        let probe = BlockStats::merged_probe(&solution.block_stats);
-        let histograms = vec![
-            (
-                HISTOGRAM_NAMES[0].to_string(),
-                *probe.candidates_per_query(),
-            ),
-            (
-                HISTOGRAM_NAMES[1].to_string(),
-                *probe.subregions_per_element(),
-            ),
-            (
-                HISTOGRAM_NAMES[2].to_string(),
-                *probe.quad_points_per_integration(),
-            ),
-        ];
         Self {
             label: label.to_string(),
             scheme: solution.scheme.label().to_string(),
@@ -402,37 +443,28 @@ impl RunRecord {
             wall_ms: solution.wall.as_secs_f64() * 1e3,
             metrics: solution.metrics,
             spans: solution.spans.clone(),
-            patches: solution
-                .block_stats
-                .iter()
-                .map(|s| PatchRecord {
-                    wall_ns: s.wall_ns,
-                    elements: s.elements,
-                    points: s.points,
-                    metrics: s.metrics,
-                })
-                .collect(),
-            histograms,
+            patches: solution.block_stats.iter().map(Into::into).collect(),
+            histograms: Self::histograms_of(&solution.block_stats),
             device_sim,
-            plan: None,
-            comms: Vec::new(),
-            critical_path: None,
-            serve: None,
             simd: Some(solution.simd.clone()),
+            ..Self::default()
         }
     }
 
     /// Load-imbalance summaries over the per-patch stats, one per cost
     /// proxy: measured wall time, candidate tests, and quadrature volume.
-    pub fn imbalance(&self) -> Vec<(&'static str, ImbalanceSummary)> {
+    pub fn imbalance(&self) -> Vec<(String, ImbalanceSummary)> {
         let of = |f: &dyn Fn(&PatchRecord) -> u64| {
             let values: Vec<f64> = self.patches.iter().map(|p| f(p) as f64).collect();
             ImbalanceSummary::from_values(&values)
         };
         vec![
-            ("wall_ns", of(&|p| p.wall_ns)),
-            ("intersection_tests", of(&|p| p.metrics.intersection_tests)),
-            ("quad_evals", of(&|p| p.metrics.quad_evals)),
+            ("wall_ns".into(), of(&|p| p.wall_ns)),
+            (
+                "intersection_tests".into(),
+                of(&|p| p.metrics.intersection_tests),
+            ),
+            ("quad_evals".into(), of(&|p| p.metrics.quad_evals)),
         ]
     }
 
@@ -463,10 +495,7 @@ impl RunReport {
             .set("schema", REPORT_SCHEMA_VERSION)
             .set("exhibit", self.exhibit.as_str())
             .set("seed", self.seed)
-            .set(
-                "runs",
-                self.runs.iter().map(record_to_json).collect::<Vec<_>>(),
-            )
+            .set("runs", self.runs.to_json())
     }
 
     /// Serializes the report to pretty-printed JSON text.
@@ -496,504 +525,12 @@ impl RunReport {
                 ));
             }
         }
-        let runs = get(&doc, "runs")?
-            .as_array()
-            .ok_or("'runs' is not an array")?
-            .iter()
-            .map(record_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            exhibit: get_str(&doc, "exhibit")?.to_string(),
-            seed: get_u64(&doc, "seed")?,
-            runs,
+            exhibit: doc.field("exhibit")?,
+            seed: doc.field("seed")?,
+            runs: doc.field("runs")?,
         })
     }
-}
-
-fn record_to_json(r: &RunRecord) -> Json {
-    let spans: Vec<Json> = r
-        .spans
-        .iter()
-        .map(|s| {
-            Json::object()
-                .set("name", s.name.as_str())
-                .set("depth", s.depth)
-                .set("start_ns", s.start_ns)
-                .set("duration_ns", s.duration_ns)
-        })
-        .collect();
-    let patches: Vec<Json> = r
-        .patches
-        .iter()
-        .map(|p| {
-            Json::object()
-                .set("wall_ns", p.wall_ns)
-                .set("elements", p.elements)
-                .set("points", p.points)
-                .set("metrics", metrics_to_json(&p.metrics))
-        })
-        .collect();
-    let mut hists = Json::object();
-    for (name, h) in &r.histograms {
-        hists = hists.set(name, hist_to_json(h));
-    }
-    let mut imbalance = Json::object();
-    for (name, s) in r.imbalance() {
-        imbalance = imbalance.set(name, imbalance_to_json(&s));
-    }
-    let device_sim = match &r.device_sim {
-        None => Json::Null,
-        Some(sim) => Json::object()
-            .set(
-                "device_ms",
-                sim.device_ms
-                    .iter()
-                    .map(|&ms| Json::Num(ms))
-                    .collect::<Vec<_>>(),
-            )
-            .set("reduction_ms", sim.reduction_ms)
-            .set("comms_ms", sim.comms_ms)
-            .set("total_ms", sim.total_ms)
-            .set("flops", sim.flops)
-            .set("gflops", sim.gflops()),
-    };
-    let comms: Vec<Json> = r
-        .comms
-        .iter()
-        .map(|c| {
-            Json::object()
-                .set("rank", c.rank)
-                .set("owned_elements", c.owned_elements)
-                .set("halo_elements", c.halo_elements)
-                .set("owned_points", c.owned_points)
-                .set("interior", c.interior)
-                .set("frontier", c.frontier)
-                .set("msgs_sent", c.msgs_sent)
-                .set("bytes_sent", c.bytes_sent)
-                .set("msgs_recv", c.msgs_recv)
-                .set("bytes_recv", c.bytes_recv)
-                .set("retransmits", c.retransmits)
-                .set("dup_payloads", c.dup_payloads)
-                .set("coalesced", c.coalesced)
-                .set("exchange_ns", c.exchange_ns)
-                .set("eval_ns", c.eval_ns)
-                .set("reduce_ns", c.reduce_ns)
-                .set("exposed_comms_ms", c.exposed_comms_ms)
-                .set("flow_sends", c.flow_sends)
-                .set("flow_recvs", c.flow_recvs)
-        })
-        .collect();
-    let critical_path = match &r.critical_path {
-        None => Json::Null,
-        Some(cp) => Json::object()
-            .set("total_ms", cp.total_ms)
-            .set(
-                "phases",
-                cp.phases
-                    .iter()
-                    .map(|p| {
-                        Json::object()
-                            .set("name", p.name.as_str())
-                            .set("rank", p.rank)
-                            .set("duration_ms", p.duration_ms)
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .set(
-                "utilization",
-                cp.utilization
-                    .iter()
-                    .map(|&u| Json::Num(u))
-                    .collect::<Vec<_>>(),
-            ),
-    };
-    let plan = match &r.plan {
-        None => Json::Null,
-        Some(p) => {
-            let delta = match &p.delta {
-                None => Json::Null,
-                Some(d) => Json::object()
-                    .set("dirty_elements", d.dirty_elements)
-                    .set("respliced_rows", d.respliced_rows)
-                    .set("respliced_nnz", d.respliced_nnz)
-                    .set("patch_ms", d.patch_ms)
-                    .set("full_build_ms", d.full_build_ms),
-            };
-            Json::object()
-                .set("rows", p.rows)
-                .set("nnz", p.nnz)
-                .set("n_modes", p.n_modes)
-                .set("bytes", p.bytes)
-                .set("build_ms", p.build_ms)
-                .set("apply_ms", p.apply_ms)
-                .set("delta", delta)
-        }
-    };
-    let serve = match &r.serve {
-        None => Json::Null,
-        Some(s) => Json::object()
-            .set("clients", s.clients)
-            .set("requests", s.requests)
-            .set("catalog", s.catalog)
-            .set("hits", s.hits)
-            .set("misses", s.misses)
-            .set("compiles", s.compiles)
-            .set("single_flight_waits", s.single_flight_waits)
-            .set("disk_loads", s.disk_loads)
-            .set("patches", s.patches)
-            .set("evictions", s.evictions)
-            .set("batches", s.batches)
-            .set("batched_rows", s.batched_rows)
-            .set("cache_bytes", s.cache_bytes)
-            .set("queue_wait_us", hist_to_json(&s.queue_wait_us))
-            .set("service_us", hist_to_json(&s.service_us))
-            .set(
-                "tenants",
-                s.tenants
-                    .iter()
-                    .map(|t| {
-                        Json::object()
-                            .set("tenant", t.tenant)
-                            .set("requests", t.requests)
-                            .set("hits", t.hits)
-                            .set("misses", t.misses)
-                            .set("compiles", t.compiles)
-                            .set("batched_rows", t.batched_rows)
-                            .set("queue_wait_us", hist_to_json(&t.queue_wait_us))
-                            .set("service_us", hist_to_json(&t.service_us))
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-    };
-    let simd = match &r.simd {
-        None => Json::Null,
-        Some(s) => Json::object()
-            .set("policy", s.policy.as_str())
-            .set("isa", s.isa.as_str())
-            .set("lanes", s.lanes)
-            .set("gflops", s.gflops)
-            .set("fraction_of_peak", s.fraction_of_peak),
-    };
-    Json::object()
-        .set("label", r.label.as_str())
-        .set("scheme", r.scheme.as_str())
-        .set("n_triangles", r.n_triangles)
-        .set("n_points", r.n_points)
-        .set("wall_ms", r.wall_ms)
-        .set("metrics", metrics_to_json(&r.metrics))
-        .set("spans", spans)
-        .set("patches", patches)
-        .set("imbalance", imbalance)
-        .set("histograms", hists)
-        .set("device_sim", device_sim)
-        .set("plan", plan)
-        .set("comms", comms)
-        .set("critical_path", critical_path)
-        .set("serve", serve)
-        .set("simd", simd)
-}
-
-fn record_from_json(doc: &Json) -> Result<RunRecord, String> {
-    let spans = get(doc, "spans")?
-        .as_array()
-        .ok_or("'spans' is not an array")?
-        .iter()
-        .map(|s| {
-            Ok(SpanRecord {
-                name: get_str(s, "name")?.to_string(),
-                depth: get_u64(s, "depth")? as u32,
-                start_ns: get_u64(s, "start_ns")?,
-                duration_ns: get_u64(s, "duration_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let patches = get(doc, "patches")?
-        .as_array()
-        .ok_or("'patches' is not an array")?
-        .iter()
-        .map(|p| {
-            Ok(PatchRecord {
-                wall_ns: get_u64(p, "wall_ns")?,
-                elements: get_u64(p, "elements")?,
-                points: get_u64(p, "points")?,
-                metrics: metrics_from_json(get(p, "metrics")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let histograms = match get(doc, "histograms")? {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .map(|(name, h)| Ok((name.clone(), hist_from_json(h)?)))
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("'histograms' is not an object".to_string()),
-    };
-    let device_sim = match get(doc, "device_sim")? {
-        Json::Null => None,
-        sim => Some(SimReport {
-            device_ms: sim
-                .get("device_ms")
-                .and_then(Json::as_array)
-                .ok_or("'device_ms' is not an array")?
-                .iter()
-                .map(|v| v.as_f64().ok_or("non-numeric device_ms entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-            reduction_ms: get_f64(sim, "reduction_ms")?,
-            comms_ms: get_f64(sim, "comms_ms")?,
-            total_ms: get_f64(sim, "total_ms")?,
-            flops: get_u64(sim, "flops")?,
-        }),
-    };
-    let comms = get(doc, "comms")?
-        .as_array()
-        .ok_or("'comms' is not an array")?
-        .iter()
-        .map(|c| {
-            Ok(RankCommRecord {
-                rank: get_u64(c, "rank")?,
-                owned_elements: get_u64(c, "owned_elements")?,
-                halo_elements: get_u64(c, "halo_elements")?,
-                owned_points: get_u64(c, "owned_points")?,
-                interior: get_u64(c, "interior")?,
-                frontier: get_u64(c, "frontier")?,
-                msgs_sent: get_u64(c, "msgs_sent")?,
-                bytes_sent: get_u64(c, "bytes_sent")?,
-                msgs_recv: get_u64(c, "msgs_recv")?,
-                bytes_recv: get_u64(c, "bytes_recv")?,
-                retransmits: get_u64(c, "retransmits")?,
-                dup_payloads: get_u64(c, "dup_payloads")?,
-                coalesced: get_u64(c, "coalesced")?,
-                exchange_ns: get_u64(c, "exchange_ns")?,
-                eval_ns: get_u64(c, "eval_ns")?,
-                reduce_ns: get_u64(c, "reduce_ns")?,
-                exposed_comms_ms: get_f64(c, "exposed_comms_ms")?,
-                flow_sends: get_u64(c, "flow_sends")?,
-                flow_recvs: get_u64(c, "flow_recvs")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let critical_path = match get(doc, "critical_path")? {
-        Json::Null => None,
-        cp => Some(CriticalPathRecord {
-            total_ms: get_f64(cp, "total_ms")?,
-            phases: get(cp, "phases")?
-                .as_array()
-                .ok_or("'phases' is not an array")?
-                .iter()
-                .map(|p| {
-                    Ok(CriticalPhaseRecord {
-                        name: get_str(p, "name")?.to_string(),
-                        rank: get_u64(p, "rank")?,
-                        duration_ms: get_f64(p, "duration_ms")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            utilization: get(cp, "utilization")?
-                .as_array()
-                .ok_or("'utilization' is not an array")?
-                .iter()
-                .map(|u| u.as_f64().ok_or("non-numeric utilization entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-    };
-    let plan = match get(doc, "plan")? {
-        Json::Null => None,
-        p => Some(PlanStats {
-            rows: get_u64(p, "rows")?,
-            nnz: get_u64(p, "nnz")?,
-            n_modes: get_u64(p, "n_modes")?,
-            bytes: get_u64(p, "bytes")?,
-            build_ms: get_f64(p, "build_ms")?,
-            apply_ms: get_f64(p, "apply_ms")?,
-            delta: match get(p, "delta")? {
-                Json::Null => None,
-                d => Some(DeltaStats {
-                    dirty_elements: get_u64(d, "dirty_elements")?,
-                    respliced_rows: get_u64(d, "respliced_rows")?,
-                    respliced_nnz: get_u64(d, "respliced_nnz")?,
-                    patch_ms: get_f64(d, "patch_ms")?,
-                    full_build_ms: get_f64(d, "full_build_ms")?,
-                }),
-            },
-        }),
-    };
-    let serve = match get(doc, "serve")? {
-        Json::Null => None,
-        s => Some(ServeStats {
-            clients: get_u64(s, "clients")?,
-            requests: get_u64(s, "requests")?,
-            catalog: get_u64(s, "catalog")?,
-            hits: get_u64(s, "hits")?,
-            misses: get_u64(s, "misses")?,
-            compiles: get_u64(s, "compiles")?,
-            single_flight_waits: get_u64(s, "single_flight_waits")?,
-            disk_loads: get_u64(s, "disk_loads")?,
-            patches: get_u64(s, "patches")?,
-            evictions: get_u64(s, "evictions")?,
-            batches: get_u64(s, "batches")?,
-            batched_rows: get_u64(s, "batched_rows")?,
-            cache_bytes: get_u64(s, "cache_bytes")?,
-            queue_wait_us: hist_from_json(get(s, "queue_wait_us")?)?,
-            service_us: hist_from_json(get(s, "service_us")?)?,
-            tenants: get(s, "tenants")?
-                .as_array()
-                .ok_or("'tenants' is not an array")?
-                .iter()
-                .map(|t| {
-                    Ok(TenantLedger {
-                        tenant: get_u64(t, "tenant")?,
-                        requests: get_u64(t, "requests")?,
-                        hits: get_u64(t, "hits")?,
-                        misses: get_u64(t, "misses")?,
-                        compiles: get_u64(t, "compiles")?,
-                        batched_rows: get_u64(t, "batched_rows")?,
-                        queue_wait_us: hist_from_json(get(t, "queue_wait_us")?)?,
-                        service_us: hist_from_json(get(t, "service_us")?)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        }),
-    };
-    let simd = match get(doc, "simd")? {
-        Json::Null => None,
-        s => Some(SimdRecord {
-            policy: get_str(s, "policy")?.to_string(),
-            isa: get_str(s, "isa")?.to_string(),
-            lanes: get_u64(s, "lanes")?,
-            gflops: get_f64(s, "gflops")?,
-            fraction_of_peak: get_f64(s, "fraction_of_peak")?,
-        }),
-    };
-    Ok(RunRecord {
-        label: get_str(doc, "label")?.to_string(),
-        scheme: get_str(doc, "scheme")?.to_string(),
-        n_triangles: get_u64(doc, "n_triangles")?,
-        n_points: get_u64(doc, "n_points")?,
-        wall_ms: get_f64(doc, "wall_ms")?,
-        metrics: metrics_from_json(get(doc, "metrics")?)?,
-        spans,
-        patches,
-        histograms,
-        device_sim,
-        plan,
-        comms,
-        critical_path,
-        serve,
-        simd,
-    })
-}
-
-/// Field names mirror the [`Metrics`] struct exactly.
-const METRIC_FIELDS: [&str; 11] = [
-    "intersection_tests",
-    "true_intersections",
-    "cell_clips",
-    "subregions",
-    "quad_evals",
-    "flops",
-    "cells_visited",
-    "elem_data_loads",
-    "point_data_loads",
-    "solution_writes",
-    "partial_slots",
-];
-
-fn metrics_to_json(m: &Metrics) -> Json {
-    Json::object()
-        .set("intersection_tests", m.intersection_tests)
-        .set("true_intersections", m.true_intersections)
-        .set("cell_clips", m.cell_clips)
-        .set("subregions", m.subregions)
-        .set("quad_evals", m.quad_evals)
-        .set("flops", m.flops)
-        .set("cells_visited", m.cells_visited)
-        .set("elem_data_loads", m.elem_data_loads)
-        .set("point_data_loads", m.point_data_loads)
-        .set("solution_writes", m.solution_writes)
-        .set("partial_slots", m.partial_slots)
-}
-
-fn metrics_from_json(doc: &Json) -> Result<Metrics, String> {
-    let mut vals = [0u64; METRIC_FIELDS.len()];
-    for (slot, field) in vals.iter_mut().zip(METRIC_FIELDS) {
-        *slot = get_u64(doc, field)?;
-    }
-    let [intersection_tests, true_intersections, cell_clips, subregions, quad_evals, flops, cells_visited, elem_data_loads, point_data_loads, solution_writes, partial_slots] =
-        vals;
-    Ok(Metrics {
-        intersection_tests,
-        true_intersections,
-        cell_clips,
-        subregions,
-        quad_evals,
-        flops,
-        cells_visited,
-        elem_data_loads,
-        point_data_loads,
-        solution_writes,
-        partial_slots,
-    })
-}
-
-fn hist_to_json(h: &Hist64) -> Json {
-    let buckets: Vec<Json> = h
-        .iter_nonempty()
-        .map(|(b, c)| {
-            let (lo, hi) = Hist64::bucket_bounds(b);
-            Json::object()
-                .set("bucket", b)
-                .set("lo", lo)
-                .set("hi", hi.min(h.max()))
-                .set("count", c)
-        })
-        .collect();
-    Json::object()
-        .set("count", h.count())
-        .set("sum", h.sum())
-        .set("max", h.max())
-        .set("buckets", buckets)
-}
-
-fn hist_from_json(doc: &Json) -> Result<Hist64, String> {
-    let sparse = get(doc, "buckets")?
-        .as_array()
-        .ok_or("'buckets' is not an array")?
-        .iter()
-        .map(|b| Ok((get_u64(b, "bucket")? as usize, get_u64(b, "count")?)))
-        .collect::<Result<Vec<_>, String>>()?;
-    Hist64::from_parts(&sparse, get_u64(doc, "sum")?, get_u64(doc, "max")?)
-}
-
-fn imbalance_to_json(s: &ImbalanceSummary) -> Json {
-    Json::object()
-        .set("n", s.n)
-        .set("min", s.min)
-        .set("max", s.max)
-        .set("mean", s.mean)
-        .set("max_over_mean", s.max_over_mean)
-        .set("cov", s.cov)
-        .set("gini", s.gini)
-}
-
-fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing key '{key}'"))
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    get(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' is not a non-negative integer"))
-}
-
-fn get_f64(doc: &Json, key: &str) -> Result<f64, String> {
-    get(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' is not a number"))
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    get(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' is not a string"))
 }
 
 #[cfg(test)]

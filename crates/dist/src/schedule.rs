@@ -361,14 +361,8 @@ impl DistSolution {
                 .ranks
                 .iter()
                 .flat_map(|r| r.patches.iter())
-                .map(|s| ustencil_core::report::PatchRecord {
-                    wall_ns: s.wall_ns,
-                    elements: s.elements,
-                    points: s.points,
-                    metrics: s.metrics,
-                })
+                .map(Into::into)
                 .collect(),
-            histograms: Vec::new(),
             device_sim,
             plan: self.plan_stats.clone(),
             comms: self
@@ -397,8 +391,8 @@ impl DistSolution {
                 })
                 .collect(),
             critical_path: critical_path_record,
-            serve: None,
             simd: Some(self.simd.clone()),
+            ..RunRecord::default()
         }
     }
 }

@@ -41,6 +41,13 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends each `u64` in order.
+    pub fn u64s(&mut self, vs: &[u64]) {
+        for &v in vs {
+            self.u64(v);
+        }
+    }
+
     /// Appends an `f64` (bit pattern, exact round-trip).
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -97,6 +104,15 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(
             self.take(8)?.try_into().unwrap(),
         )))
+    }
+
+    /// Reads `N` consecutive `u64`s (a counter struct's array form).
+    pub fn u64s<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut out = [0; N];
+        for slot in &mut out {
+            *slot = self.u64()?;
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed byte string.
@@ -327,40 +343,6 @@ fn decode_flow_points(r: &mut WireReader) -> Result<Vec<FlowPoint>, String> {
     Ok(points)
 }
 
-fn encode_metrics(w: &mut WireWriter, m: &Metrics) {
-    for v in [
-        m.intersection_tests,
-        m.true_intersections,
-        m.cell_clips,
-        m.subregions,
-        m.quad_evals,
-        m.flops,
-        m.cells_visited,
-        m.elem_data_loads,
-        m.point_data_loads,
-        m.solution_writes,
-        m.partial_slots,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn decode_metrics(r: &mut WireReader) -> Result<Metrics, String> {
-    Ok(Metrics {
-        intersection_tests: r.u64()?,
-        true_intersections: r.u64()?,
-        cell_clips: r.u64()?,
-        subregions: r.u64()?,
-        quad_evals: r.u64()?,
-        flops: r.u64()?,
-        cells_visited: r.u64()?,
-        elem_data_loads: r.u64()?,
-        point_data_loads: r.u64()?,
-        solution_writes: r.u64()?,
-        partial_slots: r.u64()?,
-    })
-}
-
 /// Encodes a [`RankResult`].
 pub fn encode_rank_result(res: &RankResult) -> Vec<u8> {
     let mut w = WireWriter::new();
@@ -368,29 +350,18 @@ pub fn encode_rank_result(res: &RankResult) -> Vec<u8> {
     for &v in &res.values {
         w.f64(v);
     }
-    for v in [
-        res.comm.msgs_sent,
-        res.comm.bytes_sent,
-        res.comm.msgs_recv,
-        res.comm.bytes_recv,
-        res.comm.retransmits,
-        res.comm.timeouts,
-        res.comm.dup_payloads,
-        res.comm.coalesced,
+    w.u64s(&res.comm.counters());
+    w.u64s(&[
         res.exchange_ns,
         res.eval_ns,
         res.reduce_ns,
         res.interior,
         res.frontier,
-    ] {
-        w.u64(v);
-    }
+    ]);
     w.u32(res.patches.len() as u32);
     for p in &res.patches {
-        w.u64(p.wall_ns);
-        w.u64(p.elements);
-        w.u64(p.points);
-        encode_metrics(&mut w, &p.metrics);
+        w.u64s(&[p.wall_ns, p.elements, p.points]);
+        w.u64s(&p.metrics.counters());
     }
     encode_spans(&mut w, &res.spans);
     encode_flow_points(&mut w, &res.flow_sends);
@@ -406,29 +377,14 @@ pub fn decode_rank_result(payload: &[u8]) -> Result<RankResult, String> {
     for _ in 0..n {
         values.push(r.f64()?);
     }
-    let comm = CommStats {
-        msgs_sent: r.u64()?,
-        bytes_sent: r.u64()?,
-        msgs_recv: r.u64()?,
-        bytes_recv: r.u64()?,
-        retransmits: r.u64()?,
-        timeouts: r.u64()?,
-        dup_payloads: r.u64()?,
-        coalesced: r.u64()?,
-    };
-    let exchange_ns = r.u64()?;
-    let eval_ns = r.u64()?;
-    let reduce_ns = r.u64()?;
-    let interior = r.u64()?;
-    let frontier = r.u64()?;
-    // Per patch: wall, elements, points, then the eleven metrics.
-    let n_patches = r.count(8 * (3 + 11))?;
+    let comm = CommStats::from_counters(r.u64s()?);
+    let [exchange_ns, eval_ns, reduce_ns, interior, frontier] = r.u64s()?;
+    // Per patch: wall, elements, points, then the work counters.
+    let n_patches = r.count(8 * (3 + Metrics::N_COUNTERS))?;
     let mut patches = Vec::with_capacity(n_patches);
     for _ in 0..n_patches {
-        let wall_ns = r.u64()?;
-        let elements = r.u64()?;
-        let points = r.u64()?;
-        let metrics = decode_metrics(&mut r)?;
+        let [wall_ns, elements, points] = r.u64s()?;
+        let metrics = Metrics::from_counters(r.u64s()?);
         patches.push(BlockStats {
             metrics,
             wall_ns,

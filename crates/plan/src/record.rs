@@ -3,8 +3,7 @@
 use crate::apply::PlanSolution;
 use crate::delta::PATCH_SCHEME_LABEL;
 use crate::plan::{EvalPlan, SCHEME_LABEL};
-use ustencil_core::report::HISTOGRAM_NAMES;
-use ustencil_core::{BlockStats, DeltaStats, PlanStats, RunRecord};
+use ustencil_core::{DeltaStats, PlanStats, RunRecord};
 
 impl EvalPlan {
     /// Builds a [`RunRecord`] for one measured apply of this plan, in the
@@ -18,21 +17,6 @@ impl EvalPlan {
         n_triangles: usize,
         apply: &PlanSolution,
     ) -> RunRecord {
-        let probe = BlockStats::merged_probe(&apply.block_stats);
-        let histograms = vec![
-            (
-                HISTOGRAM_NAMES[0].to_string(),
-                *probe.candidates_per_query(),
-            ),
-            (
-                HISTOGRAM_NAMES[1].to_string(),
-                *probe.subregions_per_element(),
-            ),
-            (
-                HISTOGRAM_NAMES[2].to_string(),
-                *probe.quad_points_per_integration(),
-            ),
-        ];
         let mut spans = self.build_spans.clone();
         spans.extend(apply.spans.iter().cloned());
         RunRecord {
@@ -43,26 +27,14 @@ impl EvalPlan {
             wall_ms: apply.wall.as_secs_f64() * 1e3,
             metrics: apply.metrics,
             spans,
-            patches: apply
-                .block_stats
-                .iter()
-                .map(|s| ustencil_core::report::PatchRecord {
-                    wall_ns: s.wall_ns,
-                    elements: s.elements,
-                    points: s.points,
-                    metrics: s.metrics,
-                })
-                .collect(),
-            histograms,
-            device_sim: None,
+            patches: apply.block_stats.iter().map(Into::into).collect(),
+            histograms: RunRecord::histograms_of(&apply.block_stats),
             plan: Some(PlanStats {
                 apply_ms: apply.wall.as_secs_f64() * 1e3,
                 ..self.stats()
             }),
-            comms: Vec::new(),
-            critical_path: None,
-            serve: None,
             simd: Some(apply.simd.clone()),
+            ..RunRecord::default()
         }
     }
 

@@ -9,7 +9,10 @@
 //! plan from the [`DiskTier`]); the other K−1 become *followers* and block
 //! on the marker's condvar, outside any shard lock. Everyone receives the
 //! same `Arc<EvalPlan>`, so results are bitwise identical to a fresh
-//! compile by construction and the compile runs exactly once.
+//! compile by construction and the compile runs exactly once. A leader
+//! whose compile panics abandons its flight on the way out: the marker
+//! leaves the shard and the followers wake to look the key up again, so a
+//! failed compile never wedges a key.
 //!
 //! # Sharding and eviction
 //!
@@ -121,31 +124,68 @@ pub struct CacheSnapshot {
 }
 
 /// The in-flight marker a leader publishes while producing a plan.
-/// Followers block on the condvar; `complete` fills the slot and wakes them.
+/// Followers block on the condvar; `finish` fills the slot and wakes them.
 struct Flight {
-    done: Mutex<Option<Arc<EvalPlan>>>,
+    state: Mutex<FlightState>,
     cv: Condvar,
+}
+
+enum FlightState {
+    Pending,
+    Done(Arc<EvalPlan>),
+    /// The leader unwound out of its `make`; nobody will complete this
+    /// flight, and its entry is already gone from the shard.
+    Abandoned,
 }
 
 impl Flight {
     fn new() -> Self {
         Self {
-            done: Mutex::new(None),
+            state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
         }
     }
 
-    fn wait(&self) -> Arc<EvalPlan> {
-        let mut slot = self.done.lock().expect("flight poisoned");
-        while slot.is_none() {
-            slot = self.cv.wait(slot).expect("flight poisoned");
+    /// Blocks until the leader finishes; `None` when it abandoned the
+    /// flight instead of completing it.
+    fn wait(&self) -> Option<Arc<EvalPlan>> {
+        let mut state = self.state.lock().expect("flight poisoned");
+        loop {
+            match &*state {
+                FlightState::Pending => state = self.cv.wait(state).expect("flight poisoned"),
+                FlightState::Done(plan) => return Some(plan.clone()),
+                FlightState::Abandoned => return None,
+            }
         }
-        slot.as_ref().expect("checked above").clone()
     }
 
-    fn complete(&self, plan: Arc<EvalPlan>) {
-        *self.done.lock().expect("flight poisoned") = Some(plan);
+    fn finish(&self, state: FlightState) {
+        // Runs from the abandon guard's `Drop` too, so a poisoned lock is
+        // taken over rather than unwrapped: one assignment cannot leave
+        // the state half-written.
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
         self.cv.notify_all();
+    }
+}
+
+/// Armed while a leader runs its `make`. If `make` unwinds, dropping the
+/// guard takes the key's in-flight entry out of the shard, un-counts the
+/// leader's miss (so `misses == compiles + disk_loads + patches` holds) and
+/// wakes the followers with [`FlightState::Abandoned`]; they look the key
+/// up again and one of them leads with its own closure.
+struct AbandonOnUnwind<'a> {
+    cache: &'a PlanCache,
+    key: PlanKey,
+    flight: &'a Flight,
+}
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut shard) = self.cache.shard_of(&self.key).lock() {
+            shard.map.remove(&self.key);
+        }
+        self.cache.misses.fetch_sub(1, Ordering::Relaxed);
+        self.flight.finish(FlightState::Abandoned);
     }
 }
 
@@ -248,13 +288,7 @@ impl PlanCache {
         key: PlanKey,
         compile: impl FnOnce() -> EvalPlan,
     ) -> (Arc<EvalPlan>, Outcome) {
-        match self.lookup_or_lead(&key) {
-            Lookup::Ready(plan) => (plan, Outcome::Hit),
-            Lookup::Follow(flight) => self.follow(&flight),
-            Lookup::Lead(flight) => {
-                self.produce(key, flight, None, || (compile(), Outcome::Compiled))
-            }
-        }
+        self.get_with(key, None, || (compile(), Outcome::Compiled))
     }
 
     /// Delta-aware variant of [`get_or_compile`](Self::get_or_compile): the
@@ -276,30 +310,55 @@ impl PlanCache {
         options: &ExecConfig,
         compile: impl FnOnce() -> EvalPlan,
     ) -> (Arc<EvalPlan>, Outcome) {
-        match self.lookup_or_lead(&key) {
-            Lookup::Ready(plan) => (plan, Outcome::Hit),
-            Lookup::Follow(flight) => self.follow(&flight),
-            Lookup::Lead(flight) => {
-                let origin = Arc::new(Origin {
-                    mesh: mesh.clone(),
-                    grid: grid.clone(),
-                });
-                self.produce(key, flight, Some(origin), || {
-                    match self.patch_from_sibling(&key, mesh, grid, options) {
-                        Some(plan) => (plan, Outcome::Patched),
-                        None => (compile(), Outcome::Compiled),
+        self.get_with(key, Some((mesh, grid)), || {
+            match self.patch_from_sibling(&key, mesh, grid, options) {
+                Some(plan) => (plan, Outcome::Patched),
+                None => (compile(), Outcome::Compiled),
+            }
+        })
+    }
+
+    /// Hit, follow an in-flight leader, or lead with `make` (retaining
+    /// `origin` with the produced entry). A follower whose leader abandoned
+    /// the flight looks again, and leads if it is now first.
+    fn get_with(
+        &self,
+        key: PlanKey,
+        origin: Option<(&Arc<TriMesh>, &Arc<ComputationGrid>)>,
+        make: impl FnOnce() -> (EvalPlan, Outcome),
+    ) -> (Arc<EvalPlan>, Outcome) {
+        loop {
+            match self.lookup_or_lead(&key) {
+                Lookup::Ready(plan) => return (plan, Outcome::Hit),
+                Lookup::Lead(flight) => {
+                    let origin = origin.map(|(mesh, grid)| {
+                        Arc::new(Origin {
+                            mesh: mesh.clone(),
+                            grid: grid.clone(),
+                        })
+                    });
+                    return self.produce(key, &flight, origin, make);
+                }
+                // Block outside the shard lock until the leader publishes.
+                Lookup::Follow(flight) => {
+                    self.waits.fetch_add(1, Ordering::Relaxed);
+                    if let Some(plan) = flight.wait() {
+                        return (plan, Outcome::Waited);
                     }
-                })
+                }
             }
         }
+    }
+
+    fn shard_of(&self, key: &PlanKey) -> &Mutex<Shard> {
+        &self.shards[(key.digest() as usize) % self.shards.len()]
     }
 
     /// The shared lookup front half: hit, follow an in-flight leader, or
     /// become the leader by publishing an in-flight marker.
     fn lookup_or_lead(&self, key: &PlanKey) -> Lookup {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let shard = &self.shards[(key.digest() as usize) % self.shards.len()];
-        let mut guard = shard.lock().expect("shard poisoned");
+        let mut guard = self.shard_of(key).lock().expect("shard poisoned");
         match guard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = now;
@@ -328,20 +387,14 @@ impl PlanCache {
         }
     }
 
-    /// Follower path: block outside the shard lock until the leader
-    /// publishes the plan.
-    fn follow(&self, flight: &Flight) -> (Arc<EvalPlan>, Outcome) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        (flight.wait(), Outcome::Waited)
-    }
-
     /// Leader path: revive from disk or run `make` (compile, or sibling
     /// patch then compile), publish into the shard with its origin, evict
-    /// down to budget, wake followers. `make` runs without any lock held.
+    /// down to budget, wake followers. `make` runs without any lock held,
+    /// under the guard that abandons the flight if it unwinds.
     fn produce(
         &self,
         key: PlanKey,
-        flight: Arc<Flight>,
+        flight: &Flight,
         origin: Option<Arc<Origin>>,
         make: impl FnOnce() -> (EvalPlan, Outcome),
     ) -> (Arc<EvalPlan>, Outcome) {
@@ -351,7 +404,14 @@ impl PlanCache {
                 (Arc::new(p), Outcome::DiskLoad)
             }
             None => {
+                let guard = AbandonOnUnwind {
+                    cache: self,
+                    key,
+                    flight,
+                };
                 let (plan, outcome) = make();
+                // `make` returned: disarm, the flight completes below.
+                std::mem::forget(guard);
                 match outcome {
                     Outcome::Patched => self.patches.fetch_add(1, Ordering::Relaxed),
                     _ => self.compiles.fetch_add(1, Ordering::Relaxed),
@@ -361,8 +421,7 @@ impl PlanCache {
         };
         let bytes = plan.bytes() as u64;
         {
-            let shard = &self.shards[(key.digest() as usize) % self.shards.len()];
-            let mut guard = shard.lock().expect("shard poisoned");
+            let mut guard = self.shard_of(&key).lock().expect("shard poisoned");
             let entry = guard.map.get_mut(&key).expect("in-flight entry present");
             entry.slot = Slot::Ready(plan.clone());
             entry.bytes = bytes;
@@ -372,7 +431,7 @@ impl PlanCache {
         }
         // Publish only after the shard state is consistent; followers that
         // wake will find a Ready entry on their next lookup too.
-        flight.complete(plan.clone());
+        flight.finish(FlightState::Done(plan.clone()));
         (plan, outcome)
     }
 

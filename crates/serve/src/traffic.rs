@@ -411,15 +411,10 @@ fn build_record(
                 metrics: w.metrics,
             })
             .collect(),
-        histograms: Vec::new(),
-        device_sim: None,
-        plan: None,
-        comms: Vec::new(),
-        critical_path: None,
         serve: Some(stats.clone()),
-        // Serve aggregates many per-plan applies with heterogeneous wall
-        // shares; a single ISA record would misattribute, so none is kept.
-        simd: None,
+        // No `simd`: serve aggregates many per-plan applies with
+        // heterogeneous wall shares, and one ISA record would misattribute.
+        ..RunRecord::default()
     }
 }
 

@@ -175,3 +175,76 @@ fn server_coalesced_answers_match_fresh_compile_apply() {
     assert_eq!(ledgers.service_us.count(), K as u64);
     assert_eq!(ledgers.queue_wait_us.count(), K as u64);
 }
+
+/// A leader whose compile panics must not wedge the key: its followers
+/// wake, one of them leads with its own closure, and the cache's counters
+/// read as if the abandoned leader had never looked.
+#[test]
+fn panicking_leader_releases_its_followers() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const FOLLOWERS: usize = 4;
+    let limit = Duration::from_secs(60);
+    let (mesh, grid, options) = fixture(31);
+    let key = PlanKey::new(&mesh, &grid, 1, &options);
+    let fix = Arc::new((mesh, grid, options));
+    let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+
+    // The leader announces it is inside its compile, holds the flight open
+    // until every follower has blocked on it, then panics.
+    let (leading_tx, leading_rx) = mpsc::channel();
+    let leader = {
+        let cache = cache.clone();
+        std::thread::spawn(move || {
+            cache.get_or_compile(key, || {
+                leading_tx.send(()).unwrap();
+                let deadline = Instant::now() + limit;
+                while cache.snapshot().single_flight_waits < FOLLOWERS as u64 {
+                    assert!(Instant::now() < deadline, "followers never arrived");
+                    std::thread::yield_now();
+                }
+                panic!("compile failed (expected by this test)");
+            })
+        })
+    };
+    leading_rx.recv_timeout(limit).expect("leader never led");
+
+    let compiles = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done_rx) = mpsc::channel();
+    for _ in 0..FOLLOWERS {
+        let (cache, fix, compiles, done_tx) = (
+            cache.clone(),
+            fix.clone(),
+            compiles.clone(),
+            done_tx.clone(),
+        );
+        std::thread::spawn(move || {
+            let result = cache.get_or_compile(key, || {
+                compiles.fetch_add(1, Ordering::SeqCst);
+                EvalPlan::compile(&fix.0, &fix.1, 1, &fix.2)
+            });
+            done_tx.send(result).unwrap();
+        });
+    }
+    assert!(leader.join().is_err(), "the leader's compile panics");
+
+    // Every follower returns (a wedged one trips the timeout, not a hang).
+    let results: Vec<(Arc<EvalPlan>, Outcome)> = (0..FOLLOWERS)
+        .map(|_| done_rx.recv_timeout(limit).expect("a follower is wedged"))
+        .collect();
+    assert_eq!(compiles.load(Ordering::SeqCst), 1, "one follower re-led");
+    let led = results.iter().filter(|(_, o)| *o == Outcome::Compiled);
+    assert_eq!(led.count(), 1);
+    let fresh = EvalPlan::compile(&fix.0, &fix.1, 1, &fix.2);
+    for (plan, _) in &results {
+        bitwise_equal(plan, &fresh);
+    }
+    // The key is healthy afterwards, and the abandoned leader's miss is not
+    // on the books: misses == compiles + disk_loads + patches.
+    let (_, outcome) = cache.get_or_compile(key, || unreachable!("resident by now"));
+    assert_eq!(outcome, Outcome::Hit);
+    let snap = cache.snapshot();
+    assert_eq!((snap.misses, snap.compiles), (1, 1), "{snap:?}");
+    assert_eq!((snap.disk_loads, snap.patches), (0, 0));
+}

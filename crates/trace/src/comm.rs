@@ -7,50 +7,41 @@
 //! same way the engine's `Metrics` work counters do, so run reports can
 //! show both total traffic and per-rank breakdowns.
 
-/// Per-endpoint communication counters.
-///
-/// `bytes_*` count *wire* bytes (header + payload) of data messages and
-/// acknowledgements alike; `retransmits` counts payload messages sent more
-/// than once by the reliability layer; `timeouts` counts receive deadlines
-/// that expired without a matching acknowledgement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Messages handed to the transport (including retransmissions and
-    /// acknowledgements).
-    pub msgs_sent: u64,
-    /// Wire bytes handed to the transport.
-    pub bytes_sent: u64,
-    /// Messages received from the transport (including duplicates later
-    /// discarded by the reliability layer).
-    pub msgs_recv: u64,
-    /// Wire bytes received from the transport.
-    pub bytes_recv: u64,
-    /// Payload messages sent more than once (retry after a lost or late
-    /// acknowledgement).
-    pub retransmits: u64,
-    /// Acknowledgement waits that expired and triggered a retry.
-    pub timeouts: u64,
-    /// Payload messages received more than once and discarded by the
-    /// reliability layer's dedup (the receive side of a retransmit).
-    pub dup_payloads: u64,
-    /// Logical messages that travelled inside a coalesced bundle frame
-    /// instead of their own wire message.
-    pub coalesced: u64,
+crate::json_counters! {
+    /// Per-endpoint communication counters.
+    ///
+    /// `bytes_*` count *wire* bytes (header + payload) of data messages and
+    /// acknowledgements alike; `retransmits` counts payload messages sent
+    /// more than once by the reliability layer; `timeouts` counts receive
+    /// deadlines that expired without a matching acknowledgement.
+    /// [`merge`](Self::merge) saturates.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CommStats merged by u64::saturating_add {
+        /// Messages handed to the transport (including retransmissions and
+        /// acknowledgements).
+        pub msgs_sent,
+        /// Wire bytes handed to the transport.
+        pub bytes_sent,
+        /// Messages received from the transport (including duplicates later
+        /// discarded by the reliability layer).
+        pub msgs_recv,
+        /// Wire bytes received from the transport.
+        pub bytes_recv,
+        /// Payload messages sent more than once (retry after a lost or late
+        /// acknowledgement).
+        pub retransmits,
+        /// Acknowledgement waits that expired and triggered a retry.
+        pub timeouts,
+        /// Payload messages received more than once and discarded by the
+        /// reliability layer's dedup (the receive side of a retransmit).
+        pub dup_payloads,
+        /// Logical messages that travelled inside a coalesced bundle frame
+        /// instead of their own wire message.
+        pub coalesced,
+    }
 }
 
 impl CommStats {
-    /// Adds another endpoint's counters into this one (saturating).
-    pub fn merge(&mut self, other: &CommStats) {
-        self.msgs_sent = self.msgs_sent.saturating_add(other.msgs_sent);
-        self.bytes_sent = self.bytes_sent.saturating_add(other.bytes_sent);
-        self.msgs_recv = self.msgs_recv.saturating_add(other.msgs_recv);
-        self.bytes_recv = self.bytes_recv.saturating_add(other.bytes_recv);
-        self.retransmits = self.retransmits.saturating_add(other.retransmits);
-        self.timeouts = self.timeouts.saturating_add(other.timeouts);
-        self.dup_payloads = self.dup_payloads.saturating_add(other.dup_payloads);
-        self.coalesced = self.coalesced.saturating_add(other.coalesced);
-    }
-
     /// Sums an iterator of counters.
     pub fn sum<'a, I: IntoIterator<Item = &'a CommStats>>(stats: I) -> CommStats {
         let mut out = CommStats::default();

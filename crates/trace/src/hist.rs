@@ -5,6 +5,8 @@
 //! workers can own one privately and merge at join points, exactly like the
 //! work counters in `ustencil-core::Metrics`.
 
+use crate::{Json, JsonField};
+
 /// Number of buckets: one for zero plus one per power of two.
 pub const N_BUCKETS: usize = 64;
 
@@ -159,6 +161,39 @@ impl Hist64 {
         h.sum = sum;
         h.max = max;
         Ok(h)
+    }
+}
+
+/// `count`/`sum`/`max` plus the non-empty buckets. Each bucket's `lo`/`hi`
+/// bounds (and the total `count`) are emitted for readers and recomputed
+/// from the bucket index on parse.
+impl JsonField for Hist64 {
+    fn to_json(&self) -> Json {
+        let buckets: Vec<Json> = self
+            .iter_nonempty()
+            .map(|(b, c)| {
+                let (lo, hi) = Self::bucket_bounds(b);
+                Json::object()
+                    .set("bucket", b)
+                    .set("lo", lo)
+                    .set("hi", hi.min(self.max))
+                    .set("count", c)
+            })
+            .collect();
+        Json::object()
+            .set("count", self.count)
+            .set("sum", self.sum)
+            .set("max", self.max)
+            .set("buckets", buckets)
+    }
+
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let sparse = doc
+            .field::<Vec<Json>>("buckets")?
+            .iter()
+            .map(|b| Ok((b.field::<u64>("bucket")? as usize, b.field("count")?)))
+            .collect::<Result<Vec<_>, String>>()?;
+        Self::from_parts(&sparse, doc.field("sum")?, doc.field("max")?)
     }
 }
 

@@ -6,23 +6,25 @@
 //! slow as its busiest patch chain), the coefficient of variation, and the
 //! Gini coefficient Luporini-style tiling analyses report.
 
-/// Distribution summary of one per-patch cost vector (times, elements, ...).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ImbalanceSummary {
-    /// Number of patches summarized.
-    pub n: usize,
-    /// Smallest patch cost.
-    pub min: f64,
-    /// Largest patch cost.
-    pub max: f64,
-    /// Mean patch cost.
-    pub mean: f64,
-    /// `max / mean` — 1.0 is perfectly balanced.
-    pub max_over_mean: f64,
-    /// Coefficient of variation (population stddev / mean).
-    pub cov: f64,
-    /// Gini coefficient in `[0, 1)` — 0 is perfectly balanced.
-    pub gini: f64,
+crate::json_record! {
+    /// Distribution summary of one per-patch cost vector (times, elements, ...).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ImbalanceSummary {
+        /// Number of patches summarized.
+        pub n: usize,
+        /// Smallest patch cost.
+        pub min: f64,
+        /// Largest patch cost.
+        pub max: f64,
+        /// Mean patch cost.
+        pub mean: f64,
+        /// `max / mean` — 1.0 is perfectly balanced.
+        pub max_over_mean: f64,
+        /// Coefficient of variation (population stddev / mean).
+        pub cov: f64,
+        /// Gini coefficient in `[0, 1)` — 0 is perfectly balanced.
+        pub gini: f64,
+    }
 }
 
 impl ImbalanceSummary {

@@ -12,6 +12,9 @@
 //!   ([`ImbalanceSummary`]: max/mean, coefficient of variation, Gini);
 //! * [`json`] — a hand-rolled JSON value type ([`Json`]) with writer *and*
 //!   parser, so run reports round-trip without external crates;
+//! * [`record`] — one declaration per report record: the [`JsonField`]
+//!   trait and the [`json_record!`] / [`json_counters!`] macros that emit a
+//!   struct together with its JSON form;
 //! * [`comm`] — per-endpoint communication counters ([`CommStats`]) for
 //!   the rank-sharded runtime's serialized transports;
 //! * [`timeline`] — multi-track Chrome trace-event timelines ([`Timeline`])
@@ -20,8 +23,8 @@
 //!   cross-rank critical path, and per-rank utilization.
 //!
 //! The evaluation engine (`ustencil-core`) threads these through its
-//! per-patch runs and surfaces them as a `RunReport`; the `reproduce`
-//! harness serializes that to the `BENCH_*.json` artifacts CI tracks.
+//! per-patch runs and surfaces them as a `RunReport`, which the
+//! `reproduce` harness writes with `--json` and validates with `checkjson`.
 
 #![deny(missing_docs)]
 
@@ -30,6 +33,7 @@ pub mod critical;
 pub mod hist;
 pub mod imbalance;
 pub mod json;
+pub mod record;
 pub mod span;
 pub mod timeline;
 
@@ -38,5 +42,6 @@ pub use critical::{critical_path, exposed_comms_ns, CriticalPath, PhaseCost};
 pub use hist::Hist64;
 pub use imbalance::ImbalanceSummary;
 pub use json::Json;
+pub use record::JsonField;
 pub use span::{sort_records, SpanGuard, SpanRecord, Tracer};
 pub use timeline::{FlowArrow, Timeline, Track};

@@ -13,17 +13,19 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// One closed (or still-open) span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Phase name, dot-separated by convention (e.g. `"build.hash_grid"`).
-    pub name: String,
-    /// Nesting depth: 0 for top-level phases.
-    pub depth: u32,
-    /// Start offset from the tracer's epoch, in nanoseconds.
-    pub start_ns: u64,
-    /// Span duration in nanoseconds (0 while still open).
-    pub duration_ns: u64,
+crate::json_record! {
+    /// One closed (or still-open) span.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SpanRecord {
+        /// Phase name, dot-separated by convention (e.g. `"build.hash_grid"`).
+        pub name: String,
+        /// Nesting depth: 0 for top-level phases.
+        pub depth: u32,
+        /// Start offset from the tracer's epoch, in nanoseconds.
+        pub start_ns: u64,
+        /// Span duration in nanoseconds (0 while still open).
+        pub duration_ns: u64,
+    }
 }
 
 struct TracerState {

@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Distil one benchmark set into the on-disk trajectory (ROADMAP aim 1).
+
+Usage: bench_record.py SET_DIR --pr N      (writes BENCH_<N>.json at the root)
+
+SET_DIR is what `benchmark --runs R --out SET_DIR` leaves behind: one
+`run-*` sub-directory per seed, each with a `<workload>.json` result (and a
+`<workload>.layers.json` when the run was traced). Per workload and
+end-to-end metric the record keeps the median, the quartiles (the exclusive
+method `--compare` uses) and the run count; per-layer metrics keep their
+median. Next to them: what the runs say about the program and the host (git
+rev, nproc, SIMD ISA, rustc, seeds, failed frames) and the `tools/loc.py`
+totals of the tree the record is written from. Two records are compared by
+eye or by `benchmark --compare` on the sets themselves; this file gates
+nothing.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def summary(unit, values, quartiles):
+    out = {"unit": unit, "median": statistics.median(values), "runs": len(values)}
+    if quartiles and len(values) > 1:
+        out["q1"], _, out["q3"] = statistics.quantiles(values, n=4)
+    return out
+
+
+def distil(results, quartiles):
+    """{workload: {metric: summary}} over a list of parsed result files."""
+    cells = {}
+    for r in results:
+        for name, m in r["metrics"].items():
+            cells.setdefault(r["workload"], {}).setdefault(name, (m["unit"], []))[1].append(m["value"])
+    return {
+        w: {name: summary(unit, values, quartiles) for name, (unit, values) in ms.items()}
+        for w, ms in cells.items()
+    }
+
+
+def loc_totals():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "loc.py")], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    return {"non_test": int(out[-2].split()[0]), "all_rust": int(out[-1].split()[0])}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("set_dir", type=Path)
+    ap.add_argument("--pr", type=int, required=True)
+    args = ap.parse_args()
+
+    # Untraced results sit one directory per seed; a traced result, when
+    # the set has one, sits in the set's own directory (as `--runs` leaves it).
+    runs = sorted(args.set_dir.glob("run-*")) or [args.set_dir]
+    load = lambda dirs, pattern: [json.loads(p.read_text()) for d in dirs for p in sorted(d.glob(pattern))]
+    untraced = [r for r in load(runs, "*.json") if r.get("traced") is False]
+    layered = load({*runs, args.set_dir}, "*.layers.json")
+    if not untraced:
+        sys.exit(f"{args.set_dir}: no untraced <workload>.json results")
+
+    env = [r["details"]["environment"] for r in untraced]
+    # One value per key unless the runs disagree, which the record shows.
+    one = lambda key: ", ".join(sorted({str(e[key]) for e in env}))
+    record = {
+        "pr": args.pr,
+        "git_rev": one("git_rev"),
+        "nproc": one("nproc"),
+        "simd_isa": one("simd_isa"),
+        "rustc": one("rustc"),
+        "seeds": sorted({r["seed"] for r in untraced}),
+        "failed_frames": sum(r["failed_frames"] for r in untraced),
+        "loc": loc_totals(),
+        "end_to_end": distil(untraced, quartiles=True),
+    }
+    if layered:
+        record["per_layer"] = distil(layered, quartiles=False)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path.name}: {len(record['end_to_end'])} workload(s), {len(runs)} run(s)")
+
+
+if __name__ == "__main__":
+    main()
