@@ -6,7 +6,7 @@
 //! by the block driver ([`crate::blocks`]), `instrument` by the
 //! `Tracer`/[`Probe`](crate::Probe) constructors.
 
-use crate::integrate::IntegrationCtx;
+use crate::integrate::{IntegrationCtx, MAX_DEGREE};
 use crate::simd::{SimdIsa, SimdPolicy};
 use ustencil_mesh::TriMesh;
 use ustencil_quadrature::TriangleRule;
@@ -65,10 +65,15 @@ impl ExecConfig {
     /// degree-`degree` fields over `mesh`, and resolves the SIMD policy.
     ///
     /// # Panics
-    /// Panics for a non-positive (or NaN) `h_factor`, or when the stencil
-    /// is wider than the periodic unit domain (`(3k + 1) h <= 1`).
+    /// Panics for a non-positive (or NaN) `h_factor`, a `degree` above
+    /// [`MAX_DEGREE`], or when the stencil is wider than the periodic unit
+    /// domain (`(3k + 1) h <= 1`).
     pub fn resolve(&self, mesh: &TriMesh, degree: usize) -> KernelSetup {
         assert!(self.h_factor > 0.0, "h factor must be positive");
+        assert!(
+            degree <= MAX_DEGREE,
+            "degree {degree} exceeds the kernels' maximum of {MAX_DEGREE}"
+        );
         let k = self.smoothness_for(degree);
         let h = self.scale_for(mesh);
         let stencil = Stencil2d::symmetric(k, h);

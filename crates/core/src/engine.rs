@@ -157,8 +157,8 @@ impl PostProcessor {
     ///
     /// # Panics
     /// Panics when the config does not [resolve](ExecConfig::resolve) (the
-    /// `(3k+1) h <= 1` requirement, a non-positive `h_factor`) or the field
-    /// does not match the mesh.
+    /// `(3k+1) h <= 1` requirement, a non-positive `h_factor`, a field
+    /// degree above `MAX_DEGREE`) or the field does not match the mesh.
     pub fn run(&self, mesh: &TriMesh, field: &DgField, grid: &ComputationGrid) -> Solution {
         assert_eq!(
             field.n_elements(),

@@ -14,8 +14,14 @@ use ustencil_mesh::TriMesh;
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
 
-/// Maximum modal coefficients supported without heap allocation (degree 3).
-pub const MAX_MODES: usize = 10;
+/// Highest field degree the kernels hold: their stack-allocated mode arrays
+/// and power tables are sized from it, and
+/// [`ExecConfig::resolve`](crate::ExecConfig::resolve) rejects anything above.
+pub const MAX_DEGREE: usize = 3;
+
+/// Maximum modal coefficients supported without heap allocation: the
+/// `(p + 1)(p + 2) / 2` modes of degree [`MAX_DEGREE`].
+pub const MAX_MODES: usize = (MAX_DEGREE + 1) * (MAX_DEGREE + 2) / 2;
 
 /// Per-element data gathered once and reused across integrations — the `ED`
 /// of Algorithms 2 and 3. Holds the element geometry, the inverse affine
@@ -128,8 +134,8 @@ impl ElementData {
         let v = self.inv[2] * d.x + self.inv[3] * d.y;
         // Incremental power tables beat repeated `powi` with runtime
         // exponents in this hot loop (degree <= 3).
-        let up = [1.0, u, u * u, u * u * u];
-        let vp = [1.0, v, v * v, v * v * v];
+        let up: [f64; MAX_DEGREE + 1] = [1.0, u, u * u, u * u * u];
+        let vp: [f64; MAX_DEGREE + 1] = [1.0, v, v * v, v * v * v];
         let mut acc = 0.0;
         for (&c, &(a, b)) in self.mono[..self.n_modes].iter().zip(exps) {
             acc += c * up[a] * vp[b];

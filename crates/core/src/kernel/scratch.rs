@@ -9,8 +9,8 @@
 //! performs no heap allocation (see [`ScratchCapacity`] and the purity
 //! tests).
 
-use crate::integrate::{ElementData, MAX_MODES};
-use crate::simd::SimdIsa;
+use crate::integrate::{ElementData, MAX_DEGREE, MAX_MODES};
+use crate::simd::{dispatch, Lanes, SimdIsa, VectorKernel};
 use ustencil_geometry::{Point2, Triangle, Vec2};
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Kernel1d;
@@ -26,7 +26,6 @@ const ELEM_CACHE_SLOTS: usize = 256;
 /// the vector reductions load whole blocks without masking: lanes past the
 /// rule's length carry zero weight and therefore contribute exactly
 /// nothing to any mode.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[derive(Debug, Clone)]
 pub(crate) struct RuleSoa {
     /// Unit-triangle `u` per node, padded with zeros to a multiple of 8.
@@ -193,9 +192,9 @@ impl QuadStage {
     /// [`Kernel1d::eval`], powers built as `u·u` and `(u·u)·u`, products
     /// associated `(w·uᵃ)·vᵇ`, per-slot accumulation in node order — so
     /// [`SimdIsa::Scalar`] reproduces pre-SIMD results bitwise. The
-    /// vector arms batch the rule's nodes into blocks of 4 (AVX2+FMA) or
-    /// 8 (AVX-512) lanes and run the pipeline in two register-friendly
-    /// passes. Pass 1 (geometry + kernel, per staged sub-triangle):
+    /// vector body batches the rule's nodes into blocks of `V::N` lanes (4
+    /// on AVX2+FMA, 8 on AVX-512) and runs the pipeline in two
+    /// register-friendly passes. Pass 1 (geometry + kernel, per staged sub-triangle):
     /// affine FMAs for both coordinate maps, then a clamped floor +
     /// coefficient gather + lane-parallel Horner for each kernel factor,
     /// packing the effective weight and element-frame coordinates of
@@ -206,17 +205,7 @@ impl QuadStage {
     /// reduction at the end — deterministic run-to-run, within 1e-12 of
     /// scalar (the lane split reassociates the sum).
     pub(crate) fn mono_sums(&mut self, ctx: &ReduceCtx<'_>) -> [f64; MAX_MODES] {
-        match ctx.isa {
-            SimdIsa::Scalar => self.mono_sums_scalar(ctx),
-            // SAFETY: `resolve` only yields these ISAs when the CPU
-            // reports the matching feature flags.
-            #[cfg(target_arch = "x86_64")]
-            SimdIsa::Avx2 => unsafe { self.mono_sums_avx2(ctx) },
-            #[cfg(target_arch = "x86_64")]
-            SimdIsa::Avx512 => unsafe { self.mono_sums_avx512(ctx) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.mono_sums_scalar(ctx),
-        }
+        dispatch(ctx.isa, MonoSums(self, ctx))
     }
 
     fn mono_sums_scalar(&self, ctx: &ReduceCtx<'_>) -> [f64; MAX_MODES] {
@@ -241,8 +230,8 @@ impl QuadStage {
                 // Powers past the basis's maximal exponent never feed an
                 // output and are skipped (the per-node branches are
                 // loop-invariant and predicted perfectly).
-                let mut wu = [w, w * u, 0.0, 0.0];
-                let mut vp = [1.0, v, 0.0, 0.0];
+                let mut wu: [f64; MAX_DEGREE + 1] = [w, w * u, 0.0, 0.0];
+                let mut vp: [f64; MAX_DEGREE + 1] = [1.0, v, 0.0, 0.0];
                 if du >= 2 {
                     let u2 = u * u;
                     wu[2] = w * u2;
@@ -265,141 +254,24 @@ impl QuadStage {
         sums
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mono_sums_avx2(&mut self, ctx: &ReduceCtx<'_>) -> [f64; MAX_MODES] {
-        use core::arch::x86_64::*;
+    /// The vector body of [`mono_sums`](Self::mono_sums), over blocks of
+    /// `V::N` rule nodes.
+    ///
+    /// # Safety
+    /// The CPU must support `V`'s instruction set.
+    #[inline(always)]
+    unsafe fn mono_sums_lanes<V: Lanes>(&mut self, ctx: &ReduceCtx<'_>) -> [f64; MAX_MODES] {
         let soa = ctx.soa;
-        let nblk = soa.nq.div_ceil(4);
-        let total = self.subs.len() * nblk * 4;
-        if self.bw.len() < total {
-            self.bw.resize(total, 0.0);
-            self.bu.resize(total, 0.0);
-            self.bv.resize(total, 0.0);
-        }
-        let bw = self.bw.as_mut_ptr();
-        let bu = self.bu.as_mut_ptr();
-        let bv = self.bv.as_mut_ptr();
-
-        // Pass 1 — geometry + kernel: per sub-triangle, map every rule
-        // node to its physical point, evaluate both kernel factors, and
-        // pack the effective weight and element-frame coordinates of each
-        // lane slot. No mode accumulators are live here, so the broadcast
-        // frame constants stay in registers. The affine frames are folded
-        // into single-FMA constants: the kernel-frame support shift
-        // `rel = (p − center)/h − lo` becomes `p·h⁻¹ + m`, and the element
-        // transform `inv · (p − shift − origin)` becomes
-        // `i₀·p.x + i₁·p.y + c`.
-        let klo = ctx.kernel.support().0;
-        let invh = _mm256_set1_pd(ctx.inv_h);
-        let mx = _mm256_set1_pd(-(ctx.center.x * ctx.inv_h + klo));
-        let my = _mm256_set1_pd(-(ctx.center.y * ctx.inv_h + klo));
-        let offx = ctx.shift.x + ctx.origin.x;
-        let offy = ctx.shift.y + ctx.origin.y;
-        let i0 = _mm256_set1_pd(ctx.inv[0]);
-        let i1 = _mm256_set1_pd(ctx.inv[1]);
-        let i2 = _mm256_set1_pd(ctx.inv[2]);
-        let i3 = _mm256_set1_pd(ctx.inv[3]);
-        let cu = _mm256_set1_pd(-(ctx.inv[0] * offx + ctx.inv[1] * offy));
-        let cv = _mm256_set1_pd(-(ctx.inv[2] * offx + ctx.inv[3] * offy));
-        let kcells = ctx.kernel.n_cells() as f64;
-        let kdeg = ctx.kernel.smoothness() + 1;
-        let kpp = ctx.kernel.piecewise_table().as_ptr();
-        let inv_h2 = ctx.inv_h * ctx.inv_h;
-        let sou = soa.u.as_ptr();
-        let sov = soa.v.as_ptr();
-        let sow = soa.w.as_ptr();
-        let mut out = 0usize;
-        for &(tri, jac) in &self.subs {
-            let e1 = tri.b - tri.a;
-            let e2 = tri.c - tri.a;
-            let ax = _mm256_set1_pd(tri.a.x);
-            let ay = _mm256_set1_pd(tri.a.y);
-            let e1x = _mm256_set1_pd(e1.x);
-            let e1y = _mm256_set1_pd(e1.y);
-            let e2x = _mm256_set1_pd(e2.x);
-            let e2y = _mm256_set1_pd(e2.y);
-            // `|J|·h⁻²` folded scalar-side: one broadcast weight factor.
-            let jw = _mm256_set1_pd(jac * inv_h2);
-            for blk in 0..nblk {
-                let base = blk * 4;
-                let uq = _mm256_loadu_pd(sou.add(base));
-                let vq = _mm256_loadu_pd(sov.add(base));
-                let wq = _mm256_loadu_pd(sow.add(base));
-                // Affine unit-triangle map: p = a + u·(b−a) + v·(c−a).
-                let px = _mm256_fmadd_pd(vq, e2x, _mm256_fmadd_pd(uq, e1x, ax));
-                let py = _mm256_fmadd_pd(vq, e2y, _mm256_fmadd_pd(uq, e1y, ay));
-                let relx = _mm256_fmadd_pd(px, invh, mx);
-                let rely = _mm256_fmadd_pd(py, invh, my);
-                let kx = kernel1d_eval_avx2(relx, kcells, kpp, kdeg);
-                let ky = kernel1d_eval_avx2(rely, kcells, kpp, kdeg);
-                let w = _mm256_mul_pd(_mm256_mul_pd(jw, wq), _mm256_mul_pd(kx, ky));
-                let u = _mm256_fmadd_pd(i0, px, _mm256_fmadd_pd(i1, py, cu));
-                let v = _mm256_fmadd_pd(i2, px, _mm256_fmadd_pd(i3, py, cv));
-                _mm256_storeu_pd(bw.add(out), w);
-                _mm256_storeu_pd(bu.add(out), u);
-                _mm256_storeu_pd(bv.add(out), v);
-                out += 4;
-            }
-        }
-
-        // Pass 2 — modes: one dense sweep over the packed streams. Only
-        // the power vectors and the accumulators are live.
-        let mut acc = [_mm256_setzero_pd(); MAX_MODES];
-        let ones = _mm256_set1_pd(1.0);
-        let zero = _mm256_setzero_pd();
-        let (du, dv) = max_degrees(ctx.exps, ctx.n_modes);
-        for base in (0..total).step_by(4) {
-            let w = _mm256_loadu_pd(bw.add(base));
-            let u = _mm256_loadu_pd(bu.add(base));
-            let v = _mm256_loadu_pd(bv.add(base));
-            // `w·uᵃ` hoisted out of the mode loop; powers past the
-            // basis's maximal exponent are skipped (loop-invariant
-            // branches).
-            let mut wu = [w, _mm256_mul_pd(w, u), zero, zero];
-            let mut vpow = [ones, v, zero, zero];
-            if du >= 2 {
-                let u2 = _mm256_mul_pd(u, u);
-                wu[2] = _mm256_mul_pd(w, u2);
-                if du >= 3 {
-                    wu[3] = _mm256_mul_pd(w, _mm256_mul_pd(u2, u));
-                }
-            }
-            if dv >= 2 {
-                let v2 = _mm256_mul_pd(v, v);
-                vpow[2] = v2;
-                if dv >= 3 {
-                    vpow[3] = _mm256_mul_pd(v2, v);
-                }
-            }
-            for (slot, &(a, b)) in ctx.exps.iter().enumerate().take(ctx.n_modes) {
-                acc[slot] = _mm256_fmadd_pd(wu[a], vpow[b], acc[slot]);
-            }
-        }
-        let mut sums = [0.0f64; MAX_MODES];
-        for (sum, acc) in sums.iter_mut().zip(&acc).take(ctx.n_modes) {
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), *acc);
-            *sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        }
-        sums
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mono_sums_avx512(&mut self, ctx: &ReduceCtx<'_>) -> [f64; MAX_MODES] {
-        use core::arch::x86_64::*;
-        let soa = ctx.soa;
-        let nblk = soa.nq.div_ceil(8);
+        let nblk = soa.nq.div_ceil(V::N);
         // Low-order rules (the degree-1 case's 4-node rule) fill only half
-        // a block, so two staged sub-triangles share each one: the low
-        // lanes carry one sub, the high lanes the next, against the same
-        // rule nodes.
-        let paired = soa.nq <= 4;
+        // an 8-lane block, so two staged sub-triangles share each one: the
+        // low lanes carry one sub, the high lanes the next, against the
+        // same rule nodes.
+        let paired = V::N == 8 && soa.nq <= 4;
         let total = if paired {
-            self.subs.len().div_ceil(2) * 8
+            self.subs.len().div_ceil(2) * V::N
         } else {
-            self.subs.len() * nblk * 8
+            self.subs.len() * nblk * V::N
         };
         if self.bw.len() < total {
             self.bw.resize(total, 0.0);
@@ -414,301 +286,225 @@ impl QuadStage {
         // node to its physical point, evaluate both kernel factors, and
         // pack the effective weight and element-frame coordinates of each
         // lane slot. No mode accumulators are live here, so the broadcast
-        // frame constants stay in registers. The affine frames are folded
-        // into single-FMA constants: the kernel-frame support shift
-        // `rel = (p − center)/h − lo` becomes `p·h⁻¹ + m`, and the element
-        // transform `inv · (p − shift − origin)` becomes
-        // `i₀·p.x + i₁·p.y + c`.
-        let klo = ctx.kernel.support().0;
-        let invh = _mm512_set1_pd(ctx.inv_h);
-        let mx = _mm512_set1_pd(-(ctx.center.x * ctx.inv_h + klo));
-        let my = _mm512_set1_pd(-(ctx.center.y * ctx.inv_h + klo));
-        let offx = ctx.shift.x + ctx.origin.x;
-        let offy = ctx.shift.y + ctx.origin.y;
-        let i0 = _mm512_set1_pd(ctx.inv[0]);
-        let i1 = _mm512_set1_pd(ctx.inv[1]);
-        let i2 = _mm512_set1_pd(ctx.inv[2]);
-        let i3 = _mm512_set1_pd(ctx.inv[3]);
-        let cu = _mm512_set1_pd(-(ctx.inv[0] * offx + ctx.inv[1] * offy));
-        let cv = _mm512_set1_pd(-(ctx.inv[2] * offx + ctx.inv[3] * offy));
-        let kcells = ctx.kernel.n_cells() as f64;
-        let kdeg = ctx.kernel.smoothness() + 1;
-        let kpp = ctx.kernel.piecewise_table().as_ptr();
+        // frame constants stay in registers.
+        //
+        // SAFETY (pointer offsets): pass 1 writes `V::N` lanes at `out`,
+        // which advances by `V::N` exactly `total / V::N` times, and pass 2
+        // reads below `total`, the length the three streams were just grown
+        // to. Rule blocks are read below `nblk · V::N`, within the SoA's
+        // padding to a multiple of 8 (`V::N` divides 8).
+        let frame = Frame::<V>::new(ctx);
         let inv_h2 = ctx.inv_h * ctx.inv_h;
-        // The smoothness-1 kernel's whole piecewise table (4 cells × 2
-        // coefficients) fits a single register, turning every coefficient
-        // lookup into an in-register permute instead of a memory gather —
-        // the gather's ~20-cycle latency dominates exactly the small-batch
-        // shapes this kernel runs at.
-        let table_len = ctx.kernel.n_cells() * kdeg;
-        let table_reg = if table_len <= 8 {
-            _mm512_maskz_loadu_pd(((1u16 << table_len) - 1) as u8, kpp)
-        } else {
-            _mm512_setzero_pd()
-        };
-        let sou = soa.u.as_ptr();
-        let sov = soa.v.as_ptr();
-        let sow = soa.w.as_ptr();
+        let (sou, sov, sow) = (soa.u.as_ptr(), soa.v.as_ptr(), soa.w.as_ptr());
         let mut out = 0usize;
         if paired {
             // Rule nodes replicated into both halves; per-pair constants
             // are split broadcasts (sub A low, sub B high). An odd tail
             // re-runs sub A with zero weight in the high half.
-            let uq = _mm512_broadcast_f64x4(_mm256_loadu_pd(sou));
-            let vq = _mm512_broadcast_f64x4(_mm256_loadu_pd(sov));
-            let wq = _mm512_broadcast_f64x4(_mm256_loadu_pd(sow));
-            let mut i = 0usize;
-            while i < self.subs.len() {
-                let (t0, j0) = self.subs[i];
-                let (t1, j1) = if i + 1 < self.subs.len() {
-                    self.subs[i + 1]
-                } else {
-                    (t0, 0.0)
-                };
-                let e1a = t0.b - t0.a;
-                let e2a = t0.c - t0.a;
-                let e1b = t1.b - t1.a;
-                let e2b = t1.c - t1.a;
-                let ax = pair_pd(t0.a.x, t1.a.x);
-                let ay = pair_pd(t0.a.y, t1.a.y);
-                let e1x = pair_pd(e1a.x, e1b.x);
-                let e1y = pair_pd(e1a.y, e1b.y);
-                let e2x = pair_pd(e2a.x, e2b.x);
-                let e2y = pair_pd(e2a.y, e2b.y);
-                let jw = pair_pd(j0 * inv_h2, j1 * inv_h2);
-                // Affine unit-triangle map: p = a + u·(b−a) + v·(c−a).
-                let px = _mm512_fmadd_pd(vq, e2x, _mm512_fmadd_pd(uq, e1x, ax));
-                let py = _mm512_fmadd_pd(vq, e2y, _mm512_fmadd_pd(uq, e1y, ay));
-                let relx = _mm512_fmadd_pd(px, invh, mx);
-                let rely = _mm512_fmadd_pd(py, invh, my);
-                let (kx, ky) = if table_len <= 8 {
-                    (
-                        kernel1d_eval_avx512_table(relx, kcells, table_reg, kdeg),
-                        kernel1d_eval_avx512_table(rely, kcells, table_reg, kdeg),
-                    )
-                } else {
-                    (
-                        kernel1d_eval_avx512(relx, kcells, kpp, kdeg),
-                        kernel1d_eval_avx512(rely, kcells, kpp, kdeg),
-                    )
-                };
-                let w = _mm512_mul_pd(_mm512_mul_pd(jw, wq), _mm512_mul_pd(kx, ky));
-                let u = _mm512_fmadd_pd(i0, px, _mm512_fmadd_pd(i1, py, cu));
-                let v = _mm512_fmadd_pd(i2, px, _mm512_fmadd_pd(i3, py, cv));
-                _mm512_storeu_pd(bw.add(out), w);
-                _mm512_storeu_pd(bu.add(out), u);
-                _mm512_storeu_pd(bv.add(out), v);
-                out += 8;
-                i += 2;
+            let rule = [
+                V::load_half_dup(sou),
+                V::load_half_dup(sov),
+                V::load_half_dup(sow),
+            ];
+            for pair in self.subs.chunks(2) {
+                let (t0, j0) = pair[0];
+                let (t1, j1) = pair.get(1).copied().unwrap_or((t0, 0.0));
+                let lo = sub_constants(&t0, j0 * inv_h2);
+                let hi = sub_constants(&t1, j1 * inv_h2);
+                let mut sub = [V::zero(); 7];
+                for (s, (&a, &b)) in sub.iter_mut().zip(lo.iter().zip(&hi)) {
+                    *s = V::pair(a, b);
+                }
+                frame.stage(rule, sub, [bw.add(out), bu.add(out), bv.add(out)]);
+                out += V::N;
             }
         } else {
-            for &(tri, jac) in &self.subs {
-                let e1 = tri.b - tri.a;
-                let e2 = tri.c - tri.a;
-                let ax = _mm512_set1_pd(tri.a.x);
-                let ay = _mm512_set1_pd(tri.a.y);
-                let e1x = _mm512_set1_pd(e1.x);
-                let e1y = _mm512_set1_pd(e1.y);
-                let e2x = _mm512_set1_pd(e2.x);
-                let e2y = _mm512_set1_pd(e2.y);
-                // `|J|·h⁻²` folded scalar-side: one broadcast weight factor.
-                let jw = _mm512_set1_pd(jac * inv_h2);
-                for blk in 0..nblk {
-                    let base = blk * 8;
-                    let uq = _mm512_loadu_pd(sou.add(base));
-                    let vq = _mm512_loadu_pd(sov.add(base));
-                    let wq = _mm512_loadu_pd(sow.add(base));
-                    // Affine unit-triangle map: p = a + u·(b−a) + v·(c−a).
-                    let px = _mm512_fmadd_pd(vq, e2x, _mm512_fmadd_pd(uq, e1x, ax));
-                    let py = _mm512_fmadd_pd(vq, e2y, _mm512_fmadd_pd(uq, e1y, ay));
-                    let relx = _mm512_fmadd_pd(px, invh, mx);
-                    let rely = _mm512_fmadd_pd(py, invh, my);
-                    let (kx, ky) = if table_len <= 8 {
-                        (
-                            kernel1d_eval_avx512_table(relx, kcells, table_reg, kdeg),
-                            kernel1d_eval_avx512_table(rely, kcells, table_reg, kdeg),
-                        )
-                    } else {
-                        (
-                            kernel1d_eval_avx512(relx, kcells, kpp, kdeg),
-                            kernel1d_eval_avx512(rely, kcells, kpp, kdeg),
-                        )
-                    };
-                    let w = _mm512_mul_pd(_mm512_mul_pd(jw, wq), _mm512_mul_pd(kx, ky));
-                    let u = _mm512_fmadd_pd(i0, px, _mm512_fmadd_pd(i1, py, cu));
-                    let v = _mm512_fmadd_pd(i2, px, _mm512_fmadd_pd(i3, py, cv));
-                    _mm512_storeu_pd(bw.add(out), w);
-                    _mm512_storeu_pd(bu.add(out), u);
-                    _mm512_storeu_pd(bv.add(out), v);
-                    out += 8;
+            for (tri, jac) in &self.subs {
+                let mut sub = [V::zero(); 7];
+                for (s, &c) in sub.iter_mut().zip(&sub_constants(tri, jac * inv_h2)) {
+                    *s = V::splat(c);
+                }
+                for base in (0..nblk * V::N).step_by(V::N) {
+                    let rule = [
+                        V::load(sou.add(base)),
+                        V::load(sov.add(base)),
+                        V::load(sow.add(base)),
+                    ];
+                    frame.stage(rule, sub, [bw.add(out), bu.add(out), bv.add(out)]);
+                    out += V::N;
                 }
             }
         }
 
         // Pass 2 — modes: one dense sweep over the packed streams. Only
         // the power vectors and the accumulators are live.
-        let mut acc = [_mm512_setzero_pd(); MAX_MODES];
-        let ones = _mm512_set1_pd(1.0);
-        let zero = _mm512_setzero_pd();
+        let mut acc = [V::zero(); MAX_MODES];
+        let (ones, zero) = (V::splat(1.0), V::zero());
         let (du, dv) = max_degrees(ctx.exps, ctx.n_modes);
-        for base in (0..total).step_by(8) {
-            let w = _mm512_loadu_pd(bw.add(base));
-            let u = _mm512_loadu_pd(bu.add(base));
-            let v = _mm512_loadu_pd(bv.add(base));
+        for base in (0..total).step_by(V::N) {
+            let w = V::load(bw.add(base));
+            let u = V::load(bu.add(base));
+            let v = V::load(bv.add(base));
             // `w·uᵃ` hoisted out of the mode loop; powers past the
             // basis's maximal exponent are skipped (loop-invariant
             // branches).
-            let mut wu = [w, _mm512_mul_pd(w, u), zero, zero];
-            let mut vpow = [ones, v, zero, zero];
+            let mut wu: [V; MAX_DEGREE + 1] = [w, w.mul(u), zero, zero];
+            let mut vpow: [V; MAX_DEGREE + 1] = [ones, v, zero, zero];
             if du >= 2 {
-                let u2 = _mm512_mul_pd(u, u);
-                wu[2] = _mm512_mul_pd(w, u2);
+                let u2 = u.mul(u);
+                wu[2] = w.mul(u2);
                 if du >= 3 {
-                    wu[3] = _mm512_mul_pd(w, _mm512_mul_pd(u2, u));
+                    wu[3] = w.mul(u2.mul(u));
                 }
             }
             if dv >= 2 {
-                let v2 = _mm512_mul_pd(v, v);
+                let v2 = v.mul(v);
                 vpow[2] = v2;
                 if dv >= 3 {
-                    vpow[3] = _mm512_mul_pd(v2, v);
+                    vpow[3] = v2.mul(v);
                 }
             }
             for (slot, &(a, b)) in ctx.exps.iter().enumerate().take(ctx.n_modes) {
-                acc[slot] = _mm512_fmadd_pd(wu[a], vpow[b], acc[slot]);
+                acc[slot] = wu[a].fmadd(vpow[b], acc[slot]);
             }
         }
         let mut sums = [0.0f64; MAX_MODES];
         for (sum, acc) in sums.iter_mut().zip(&acc).take(ctx.n_modes) {
-            let mut lanes = [0.0f64; 8];
-            _mm512_storeu_pd(lanes.as_mut_ptr(), *acc);
-            *sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+            *sum = acc.hsum();
         }
         sums
     }
 }
 
+/// [`QuadStage::mono_sums`]' two bodies, as [`dispatch`] takes them.
+struct MonoSums<'a, 'c>(&'a mut QuadStage, &'a ReduceCtx<'c>);
+
+impl VectorKernel for MonoSums<'_, '_> {
+    type Output = [f64; MAX_MODES];
+
+    fn scalar(self) -> Self::Output {
+        self.0.mono_sums_scalar(self.1)
+    }
+
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(self) -> Self::Output {
+        self.0.mono_sums_lanes::<V>(self.1)
+    }
+}
+
+/// The seven per-sub-triangle scalars of pass 1: vertex `a`, the edges
+/// `b − a` and `c − a` of the affine unit-triangle map, and the weight
+/// factor `|J|·h⁻²` folded scalar-side.
+#[inline(always)]
+fn sub_constants(tri: &Triangle, jw: f64) -> [f64; 7] {
+    let (e1, e2) = (tri.b - tri.a, tri.c - tri.a);
+    [tri.a.x, tri.a.y, e1.x, e1.y, e2.x, e2.y, jw]
+}
+
+/// The per-reduction broadcast constants of pass 1. The affine frames are
+/// folded into single-FMA constants: the kernel-frame support shift
+/// `rel = (p − center)/h − lo` becomes `p·h⁻¹ + m`, and the element
+/// transform `inv · (p − shift − origin)` becomes `i₀·p.x + i₁·p.y + c`.
+struct Frame<V: Lanes> {
+    invh: V,
+    mx: V,
+    my: V,
+    inv: [V; 4],
+    cu: V,
+    cv: V,
+    kcells: f64,
+    kdeg: usize,
+    table: V::Table,
+}
+
+impl<V: Lanes> Frame<V> {
+    /// # Safety
+    /// The CPU must support `V`'s instruction set.
+    #[inline(always)]
+    unsafe fn new(ctx: &ReduceCtx<'_>) -> Self {
+        let klo = ctx.kernel.support().0;
+        let offx = ctx.shift.x + ctx.origin.x;
+        let offy = ctx.shift.y + ctx.origin.y;
+        let kdeg = ctx.kernel.smoothness() + 1;
+        let table = ctx.kernel.piecewise_table();
+        // `kernel1d_eval` looks up positions below `n_cells · kdeg`.
+        assert_eq!(table.len(), ctx.kernel.n_cells() * kdeg);
+        Self {
+            invh: V::splat(ctx.inv_h),
+            mx: V::splat(-(ctx.center.x * ctx.inv_h + klo)),
+            my: V::splat(-(ctx.center.y * ctx.inv_h + klo)),
+            inv: [
+                V::splat(ctx.inv[0]),
+                V::splat(ctx.inv[1]),
+                V::splat(ctx.inv[2]),
+                V::splat(ctx.inv[3]),
+            ],
+            cu: V::splat(-(ctx.inv[0] * offx + ctx.inv[1] * offy)),
+            cv: V::splat(-(ctx.inv[2] * offx + ctx.inv[3] * offy)),
+            kcells: ctx.kernel.n_cells() as f64,
+            kdeg,
+            table: V::table(table.as_ptr(), table.len()),
+        }
+    }
+
+    /// One block of pass 1: the rule nodes `(u, v, ω)` against the
+    /// [`sub_constants`] of the sub-triangle(s) in its lanes, packed to the
+    /// `[w, u, v]` streams.
+    ///
+    /// # Safety
+    /// The CPU must support `V`'s instruction set, each of `out` must be
+    /// valid for `V::N` writes, and the kernel table `new` was given must
+    /// still be live.
+    #[inline(always)]
+    unsafe fn stage(
+        &self,
+        [uq, vq, wq]: [V; 3],
+        [ax, ay, e1x, e1y, e2x, e2y, jw]: [V; 7],
+        [bw, bu, bv]: [*mut f64; 3],
+    ) {
+        // Affine unit-triangle map: p = a + u·(b−a) + v·(c−a).
+        let px = vq.fmadd(e2x, uq.fmadd(e1x, ax));
+        let py = vq.fmadd(e2y, uq.fmadd(e1y, ay));
+        let relx = px.fmadd(self.invh, self.mx);
+        let rely = py.fmadd(self.invh, self.my);
+        let kx = kernel1d_eval(relx, self.kcells, self.table, self.kdeg);
+        let ky = kernel1d_eval(rely, self.kcells, self.table, self.kdeg);
+        jw.mul(wq).mul(kx.mul(ky)).store(bw);
+        self.inv[0]
+            .fmadd(px, self.inv[1].fmadd(py, self.cu))
+            .store(bu);
+        self.inv[2]
+            .fmadd(px, self.inv[3].fmadd(py, self.cv))
+            .store(bv);
+    }
+}
+
 /// Lane-parallel [`Kernel1d::eval`] on support-relative coordinates
 /// `rel = x − lo` (the caller folds the shift into its frame constants):
-/// per-lane unit-cell lookup by clamped floor, coefficient gathers from
-/// the compiled piecewise table, and a Horner step in the local
-/// coordinate. Out-of-support lanes are zeroed at the end, matching the
-/// scalar early returns.
+/// per-lane unit-cell lookup by clamped floor, coefficient lookups in the
+/// compiled piecewise table, and a Horner step in the local coordinate.
+/// Out-of-support lanes are zeroed at the end, matching the scalar early
+/// returns.
 ///
 /// # Safety
-/// Requires AVX2+FMA; `pp` must point at a table of at least
+/// The CPU must support `V`'s instruction set; `table` must hold at least
 /// `n_cells · deg` coefficients with `n_cells ≥ 1` and `deg ≥ 1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kernel1d_eval_avx2(
-    rel: core::arch::x86_64::__m256d,
-    n_cells: f64,
-    pp: *const f64,
-    deg: usize,
-) -> core::arch::x86_64::__m256d {
-    use core::arch::x86_64::*;
-    let zero = _mm256_setzero_pd();
-    let ncf = _mm256_set1_pd(n_cells);
-    let valid = _mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_GE_OQ>(rel, zero),
-        _mm256_cmp_pd::<_CMP_LT_OQ>(rel, ncf),
-    );
+#[inline(always)]
+unsafe fn kernel1d_eval<V: Lanes>(rel: V, n_cells: f64, table: V::Table, deg: usize) -> V {
+    let zero = V::zero();
+    let valid = rel.in_range(zero, V::splat(n_cells));
     // Truncation equals floor on the in-range (non-negative) lanes; the
     // rest are zeroed by `valid` regardless.
-    let cellf = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(rel);
-    let t = _mm256_sub_pd(rel, cellf);
-    // Clamp so out-of-support lanes gather a harmless in-bounds cell.
-    let cellc = _mm256_min_pd(_mm256_max_pd(cellf, zero), _mm256_set1_pd(n_cells - 1.0));
-    let idx = _mm256_cvttpd_epi32(_mm256_mul_pd(cellc, _mm256_set1_pd(deg as f64)));
-    let mut acc = _mm256_i32gather_pd::<8>(pp.add(deg - 1), idx);
+    let cellf = rel.trunc();
+    let t = rel.sub(cellf);
+    // Clamp so out-of-support lanes look up a harmless in-bounds cell.
+    let cellc = cellf.max(zero).min(V::splat(n_cells - 1.0));
+    let idx = cellc.mul(V::splat(deg as f64)).index();
+    let mut acc = V::lookup(table, idx, deg - 1);
     for j in (0..deg - 1).rev() {
-        let c = _mm256_i32gather_pd::<8>(pp.add(j), idx);
-        acc = _mm256_fmadd_pd(acc, t, c);
+        acc = acc.fmadd(t, V::lookup(table, idx, j));
     }
-    _mm256_and_pd(acc, valid)
-}
-
-/// Lane-parallel [`Kernel1d::eval`] for piecewise tables that fit one
-/// 512-bit register (`n_cells · deg ≤ 8`, i.e. the smoothness-1 kernel):
-/// the coefficient lookup is an in-register permute instead of a memory
-/// gather, which matters at the small batch sizes those kernels run at.
-///
-/// # Safety
-/// Requires AVX-512F; `tab` must hold the first `n_cells · deg` table
-/// coefficients in its low lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn kernel1d_eval_avx512_table(
-    rel: core::arch::x86_64::__m512d,
-    n_cells: f64,
-    tab: core::arch::x86_64::__m512d,
-    deg: usize,
-) -> core::arch::x86_64::__m512d {
-    use core::arch::x86_64::*;
-    let zero = _mm512_setzero_pd();
-    let ncf = _mm512_set1_pd(n_cells);
-    let valid =
-        _mm512_cmp_pd_mask::<_CMP_GE_OQ>(rel, zero) & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(rel, ncf);
-    let cellf = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(rel);
-    let t = _mm512_sub_pd(rel, cellf);
-    let cellc = _mm512_min_pd(_mm512_max_pd(cellf, zero), _mm512_set1_pd(n_cells - 1.0));
-    let idx = _mm512_cvtepi32_epi64(_mm512_cvttpd_epi32(_mm512_mul_pd(
-        cellc,
-        _mm512_set1_pd(deg as f64),
-    )));
-    let mut acc = _mm512_permutexvar_pd(
-        _mm512_add_epi64(idx, _mm512_set1_epi64((deg - 1) as i64)),
-        tab,
-    );
-    for j in (0..deg - 1).rev() {
-        let c = _mm512_permutexvar_pd(_mm512_add_epi64(idx, _mm512_set1_epi64(j as i64)), tab);
-        acc = _mm512_fmadd_pd(acc, t, c);
-    }
-    _mm512_maskz_mov_pd(valid, acc)
-}
-
-/// A split broadcast: `a` in the low four lanes, `b` in the high four —
-/// the per-pair constant shape of the paired low-order-rule path.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn pair_pd(a: f64, b: f64) -> core::arch::x86_64::__m512d {
-    use core::arch::x86_64::*;
-    _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(_mm256_set1_pd(a)), _mm256_set1_pd(b))
-}
-
-/// Lane-parallel [`Kernel1d::eval`] on support-relative coordinates over
-/// 8 lanes — the AVX-512 analog of [`kernel1d_eval_avx2`], with
-/// mask-register validity instead of a blend mask.
-///
-/// # Safety
-/// Requires AVX-512F; `pp` must point at a table of at least
-/// `n_cells · deg` coefficients with `n_cells ≥ 1` and `deg ≥ 1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn kernel1d_eval_avx512(
-    rel: core::arch::x86_64::__m512d,
-    n_cells: f64,
-    pp: *const f64,
-    deg: usize,
-) -> core::arch::x86_64::__m512d {
-    use core::arch::x86_64::*;
-    let zero = _mm512_setzero_pd();
-    let ncf = _mm512_set1_pd(n_cells);
-    let valid =
-        _mm512_cmp_pd_mask::<_CMP_GE_OQ>(rel, zero) & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(rel, ncf);
-    // Truncation equals floor on the in-range (non-negative) lanes.
-    let cellf = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(rel);
-    let t = _mm512_sub_pd(rel, cellf);
-    let cellc = _mm512_min_pd(_mm512_max_pd(cellf, zero), _mm512_set1_pd(n_cells - 1.0));
-    let idx = _mm512_cvttpd_epi32(_mm512_mul_pd(cellc, _mm512_set1_pd(deg as f64)));
-    let mut acc = _mm512_i32gather_pd::<8>(idx, pp.add(deg - 1));
-    for j in (0..deg - 1).rev() {
-        let c = _mm512_i32gather_pd::<8>(idx, pp.add(j));
-        acc = _mm512_fmadd_pd(acc, t, c);
-    }
-    _mm512_maskz_mov_pd(valid, acc)
+    acc.keep(valid)
 }
 
 /// Largest `u` and `v` exponents among the first `n_modes` entries of the

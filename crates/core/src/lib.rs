@@ -13,10 +13,13 @@
 //!   included);
 //! * [`per_element`] — Algorithm 3: iterate elements, reuse each element's
 //!   data across every integration, and scatter partial solutions to the
-//!   grid points found through a point hash grid;
-//! * [`tiling`] — spatially overlapped tiling: disjoint element patches
-//!   accumulate partial solutions in private scratch space, then a reduction
-//!   sums overlapping contributions (Figure 7);
+//!   grid points found through a point hash grid. Spatially overlapped
+//!   tiling lives here too: disjoint element patches accumulate partial
+//!   solutions in private scratch space, then a reduction sums overlapping
+//!   contributions (Figure 7);
+//! * [`simd`] — the SIMD policy, its resolution to an ISA, and the one lane
+//!   type ([`simd::Lanes`]) each vector kernel is written against; no other
+//!   file of the workspace names an intrinsic;
 //! * [`device`] — a deterministic streaming-multiprocessor cost model that
 //!   converts counted work ([`Metrics`]) into simulated execution time,
 //!   standing in for the paper's GPUs (see DESIGN.md, substitutions);
@@ -47,7 +50,6 @@ pub mod per_point;
 pub mod probe;
 pub mod report;
 pub mod simd;
-pub mod tiling;
 
 pub use config::{ExecConfig, KernelSetup};
 pub use device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};

@@ -174,11 +174,20 @@ impl PerElementRun<'_> {
 pub fn reduce_patches(results: &[PatchResult], n_points: usize) -> Vec<f64> {
     let mut values = vec![0.0; n_points];
     for r in results {
-        for &(id, v) in &r.partials {
-            values[id as usize] += v;
-        }
+        add_partials(&r.partials, &mut values);
     }
     values
+}
+
+/// Accumulates sparse `(point id, value)` partials into a dense output.
+/// The shared primitive of [`reduce_patches`] and the distributed runtime's
+/// per-rank local reduce — using the same accumulation (in the same partial
+/// order) is what keeps the two paths bitwise identical.
+#[inline]
+pub fn add_partials(partials: &[(u32, f64)], out: &mut [f64]) {
+    for &(id, v) in partials {
+        out[id as usize] += v;
+    }
 }
 
 /// Relative memory overhead of the tiling: total partial-solution slots over

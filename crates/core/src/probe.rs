@@ -101,20 +101,6 @@ impl Probe {
     pub fn quad_points_per_integration(&self) -> &Hist64 {
         &self.quad_points_per_integration
     }
-
-    /// Restores a probe from deserialized histograms.
-    pub fn from_histograms(
-        candidates_per_query: Hist64,
-        subregions_per_element: Hist64,
-        quad_points_per_integration: Hist64,
-    ) -> Self {
-        Self {
-            enabled: true,
-            candidates_per_query,
-            subregions_per_element,
-            quad_points_per_integration,
-        }
-    }
 }
 
 /// Everything observed about one block/patch of work.

@@ -1,43 +1,53 @@
-//! Runtime-dispatched SIMD backend for the two hot inner loops: the staged
-//! cells-then-modes quadrature reduction
-//! ([`QuadStage`](crate::kernel::QuadStage)`::mono_sums`) and the plan
-//! SpMV row kernel in
-//! `ustencil-plan`.
-//!
-//! The design splits *policy* from *dispatch*:
+//! The SIMD layer: which instruction set a run uses, and the one lane type
+//! every vector kernel is written against. This is the only file of the
+//! workspace that names an intrinsic.
 //!
 //! - [`SimdPolicy`] is the user-facing knob: the `simd` field of the one
 //!   [`ExecConfig`](crate::ExecConfig) every entry point takes, and what
 //!   CLI flags carry.
-//! - [`SimdIsa`] is the *resolved* instruction set a run actually executes
-//!   with, chosen once per run by [`SimdPolicy::resolve`] from the policy
-//!   and the host CPU's feature flags. Hot loops branch on the ISA exactly
-//!   once per row/batch (the whole inner loop lives inside one
-//!   `#[target_feature]` function), never per element.
+//! - [`SimdIsa`] is the *resolved* instruction set a run executes with,
+//!   chosen once per run by [`SimdPolicy::resolve`] from the policy, the
+//!   host CPU's feature flags and [`SIMD_ENV`].
+//! - [`Lanes`] is one vector register of `f64`s, implemented for the
+//!   256-bit (AVX2 + FMA) and 512-bit (AVX-512F) registers. A hot loop —
+//!   the staged quadrature reduction
+//!   ([`QuadStage`](crate::kernel::QuadStage)`::mono_sums`), the SIAC kernel
+//!   evaluation inside it, the plan row kernel in `ustencil-plan` — is a
+//!   [`VectorKernel`]: one portable body and one body generic over `Lanes`.
+//! - [`dispatch`] runs a kernel on an ISA. It owns the `match`, the two
+//!   `#[target_feature]` entry points the generic body is instantiated in
+//!   (so the intrinsics inline into it), and the only safety argument: the
+//!   CPU reports the feature. It is called once per row / per staged batch,
+//!   never per element.
 //!
 //! ## Determinism contract
 //!
 //! For a fixed `(policy, CPU)` pair every run is deterministic: `resolve`
-//! is a pure function of the policy and the host feature flags, and every
-//! vector kernel reduces its lanes in a fixed order. Across *different*
-//! ISAs results agree to ≤1e-12 relative, not bitwise: the vector kernels
-//! reassociate the reduction (lane-parallel partial sums) and contract
-//! `a*b+acc` into fused multiply-adds (one rounding instead of two).
-//! [`SimdIsa::Scalar`] is the exception — its loops are byte-for-byte the
-//! pre-SIMD kernels, so a `SimdPolicy::Scalar` run is *bitwise* identical
-//! to historical golden fixtures on any CPU.
+//! is a pure function of the policy, the host feature flags and the
+//! environment, and every vector kernel reduces its lanes in the fixed
+//! order of [`Lanes::hsum`]. Across *different* ISAs results agree to
+//! ≤1e-12 relative, not bitwise: the vector bodies reassociate the
+//! reduction (lane-parallel partial sums) and contract `a*b+acc` into fused
+//! multiply-adds (one rounding instead of two). [`SimdIsa::Scalar`] is the
+//! exception — its loops are byte-for-byte the pre-SIMD kernels, so a
+//! `SimdPolicy::Scalar` run is *bitwise* identical to historical golden
+//! fixtures on any CPU; each vector width's bits are pinned too
+//! (`tests/golden/simd_vectors.txt`).
 //!
 //! [`SimdPolicy::Forced`] never silently narrows: forcing a width the CPU
 //! lacks falls back to `Scalar` (the only other bit-stable choice), not to
 //! a narrower vector.
 
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
 /// Environment variable consulted by [`SimdPolicy::Auto`]: set
 /// `USTENCIL_SIMD=scalar|f64x4|f64x8|auto` to steer every `Auto` resolution
 /// in the process without plumbing options through call sites (this is how
-/// the CI scalar leg forces the fallback across the whole test suite).
-/// Explicit `Scalar`/`Forced` policies ignore it.
+/// the CI scalar and 4-lane legs force an arm across the whole test suite).
+/// Explicit `Scalar`/`Forced` policies ignore it; any other value panics at
+/// the first `Auto` resolution.
 pub const SIMD_ENV: &str = "USTENCIL_SIMD";
 
 /// Vector width of a forced SIMD policy.
@@ -66,7 +76,7 @@ pub enum SimdPolicy {
     Forced(SimdWidth),
 }
 
-/// The instruction set a run resolved to — what the hot loops dispatch on.
+/// The instruction set a run resolved to — what [`dispatch`] branches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdIsa {
     /// Portable scalar loops, bit-identical to the pre-SIMD kernels.
@@ -82,13 +92,6 @@ impl SimdWidth {
         match self {
             SimdWidth::F64x4 => SimdIsa::Avx2,
             SimdWidth::F64x8 => SimdIsa::Avx512,
-        }
-    }
-
-    fn supported(self) -> bool {
-        match self {
-            SimdWidth::F64x4 => avx2_available(),
-            SimdWidth::F64x8 => avx512_available(),
         }
     }
 }
@@ -121,32 +124,27 @@ impl SimdPolicy {
 
     /// Resolves the policy against the host CPU, once per run.
     ///
-    /// `Auto` picks the widest supported ISA (consulting [`SIMD_ENV`]
-    /// first); `Forced` degrades to `Scalar` when unsupported; `Scalar` is
-    /// always `Scalar`. Pure in (policy, CPU, environment), so two runs
-    /// under the same policy on the same host always execute the same
-    /// kernels.
+    /// `Auto` first becomes what [`SIMD_ENV`] names, if set; then `Auto`
+    /// picks the widest supported ISA, `Forced` degrades to `Scalar` when
+    /// unsupported, and `Scalar` is always `Scalar`. Pure in (policy, CPU,
+    /// environment), so two runs under the same policy on the same host
+    /// always execute the same kernels.
+    ///
+    /// # Panics
+    /// Panics under `Auto` when [`SIMD_ENV`] is set to anything but one of
+    /// the four labels.
     pub fn resolve(self) -> SimdIsa {
-        match self {
-            SimdPolicy::Scalar => SimdIsa::Scalar,
-            SimdPolicy::Forced(w) => {
-                if w.supported() {
-                    w.isa()
-                } else {
-                    SimdIsa::Scalar
-                }
-            }
-            SimdPolicy::Auto => match env_override() {
-                Some(SimdPolicy::Scalar) => SimdIsa::Scalar,
-                Some(SimdPolicy::Forced(w)) => {
-                    if w.supported() {
-                        w.isa()
-                    } else {
-                        SimdIsa::Scalar
-                    }
-                }
-                _ => widest_available(),
-            },
+        let effective = match self {
+            SimdPolicy::Auto => env_override().unwrap_or(SimdPolicy::Auto),
+            explicit => explicit,
+        };
+        match effective {
+            SimdPolicy::Forced(w) if w.isa().supported() => w.isa(),
+            SimdPolicy::Forced(_) | SimdPolicy::Scalar => SimdIsa::Scalar,
+            SimdPolicy::Auto => [SimdIsa::Avx512, SimdIsa::Avx2]
+                .into_iter()
+                .find(|isa| isa.supported())
+                .unwrap_or(SimdIsa::Scalar),
         }
     }
 }
@@ -178,158 +176,368 @@ impl SimdIsa {
     pub fn nominal_peak_gflops(self) -> f64 {
         2.0 * 2.0 * self.lanes() as f64 * 3.0
     }
-}
 
-/// The widest ISA this host supports.
-fn widest_available() -> SimdIsa {
-    if avx512_available() {
-        SimdIsa::Avx512
-    } else if avx2_available() {
-        SimdIsa::Avx2
-    } else {
-        SimdIsa::Scalar
+    /// Whether this CPU reports every feature the ISA's kernels use.
+    fn supported(self) -> bool {
+        match self {
+            SimdIsa::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdIsa::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdIsa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
     }
 }
 
-/// The parsed [`SIMD_ENV`] override, read once per process. An unset or
-/// unparsable value means no override.
+/// The parsed [`SIMD_ENV`] override, read once per process.
 fn env_override() -> Option<SimdPolicy> {
     static OVERRIDE: OnceLock<Option<SimdPolicy>> = OnceLock::new();
     *OVERRIDE.get_or_init(|| {
-        std::env::var(SIMD_ENV)
-            .ok()
-            .and_then(|v| SimdPolicy::from_label(v.trim()))
+        let value = std::env::var_os(SIMD_ENV).map(|v| v.to_string_lossy().into_owned());
+        parse_override(value.as_deref()).unwrap_or_else(|message| panic!("{message}"))
     })
 }
 
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+/// What a [`SIMD_ENV`] value asks for: nothing when unset, a policy when it
+/// is one of the four labels (surrounding blanks ignored), otherwise an
+/// error — a typo must not silently test or measure the `Auto` arm.
+fn parse_override(value: Option<&str>) -> Result<Option<SimdPolicy>, String> {
+    let Some(value) = value else { return Ok(None) };
+    SimdPolicy::from_label(value.trim())
+        .map(Some)
+        .ok_or_else(|| {
+            let labels = SimdPolicy::ALL.map(SimdPolicy::label).join("|");
+            format!("{SIMD_ENV}={value:?} is not one of {labels}")
+        })
 }
 
-#[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
+/// A hot loop with its two bodies: the portable reference and the one
+/// written against a lane type. [`dispatch`] picks between them.
+pub trait VectorKernel {
+    /// What either body returns.
+    type Output;
+
+    /// The portable body — the bit-stable reference the vector body is
+    /// held to within 1e-12.
+    fn scalar(self) -> Self::Output;
+
+    /// The vector body, written once over `V`. Mark the implementation
+    /// `#[inline(always)]`, and every generic helper it calls, so the whole
+    /// loop lands inside [`dispatch`]'s `#[target_feature]` entry point.
+    ///
+    /// # Safety
+    /// The CPU must support `V`'s instruction set. Only [`dispatch`] calls
+    /// this, after checking exactly that.
+    unsafe fn lanes<V: Lanes>(self) -> Self::Output;
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx512_available() -> bool {
-    false
-}
-
-/// The staged quadrature reduction: `Σ_q w[q] · a[q] · b[q]` over equal-
-/// length slices, dispatched on `isa`.
-///
-/// The scalar arm is byte-for-byte the historical `mono_sums` inner loop
-/// (one multiply-then-add chain in index order), so `SimdIsa::Scalar`
-/// reproduces pre-SIMD results bitwise. The vector arms batch lane-parallel
-/// across quadrature cells — the across-entity batching of
-/// Kronbichler & Kormann — with two independent accumulator vectors to
-/// hide FMA latency, a fixed-order horizontal reduction at the end, and a
-/// scalar tail for the remainder; they agree with scalar to rounding
-/// (≤1e-12 relative), not bitwise.
+/// Runs `kernel` on `isa`: its [`lanes`](VectorKernel::lanes) body over the
+/// ISA's register when this CPU has it, its portable body otherwise (which
+/// is also what [`SimdPolicy::resolve`] would have picked).
 #[inline]
-pub fn dot3(isa: SimdIsa, w: &[f64], a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(w.len() == a.len() && w.len() == b.len());
+pub fn dispatch<K: VectorKernel>(isa: SimdIsa, kernel: K) -> K::Output {
     match isa {
-        SimdIsa::Scalar => dot3_scalar(w, a, b),
+        // SAFETY (both arms): the guard has just seen the CPU report every
+        // feature the entry point enables.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` only yields these ISAs when the CPU reports the
-        // matching feature flags.
-        SimdIsa::Avx2 => unsafe { dot3_avx2(w, a, b) },
+        SimdIsa::Avx2 if isa.supported() => unsafe { lanes_avx2(kernel) },
         #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx512 => unsafe { dot3_avx512(w, a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dot3_scalar(w, a, b),
+        SimdIsa::Avx512 if isa.supported() => unsafe { lanes_avx512(kernel) },
+        _ => kernel.scalar(),
     }
-}
-
-#[inline]
-fn dot3_scalar(w: &[f64], a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for q in 0..w.len() {
-        acc += w[q] * a[q] * b[q];
-    }
-    acc
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn dot3_avx2(w: &[f64], a: &[f64], b: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-    let n = w.len();
-    let (wp, ap, bp) = (w.as_ptr(), a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm256_setzero_pd();
-    let mut acc1 = _mm256_setzero_pd();
-    let mut q = 0;
-    while q + 8 <= n {
-        let t0 = _mm256_mul_pd(_mm256_loadu_pd(wp.add(q)), _mm256_loadu_pd(ap.add(q)));
-        acc0 = _mm256_fmadd_pd(t0, _mm256_loadu_pd(bp.add(q)), acc0);
-        let t1 = _mm256_mul_pd(
-            _mm256_loadu_pd(wp.add(q + 4)),
-            _mm256_loadu_pd(ap.add(q + 4)),
-        );
-        acc1 = _mm256_fmadd_pd(t1, _mm256_loadu_pd(bp.add(q + 4)), acc1);
-        q += 8;
-    }
-    if q + 4 <= n {
-        let t = _mm256_mul_pd(_mm256_loadu_pd(wp.add(q)), _mm256_loadu_pd(ap.add(q)));
-        acc0 = _mm256_fmadd_pd(t, _mm256_loadu_pd(bp.add(q)), acc0);
-        q += 4;
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_add_pd(acc0, acc1));
-    let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    while q < n {
-        acc += w[q] * a[q] * b[q];
-        q += 1;
-    }
-    acc
+unsafe fn lanes_avx2<K: VectorKernel>(kernel: K) -> K::Output {
+    kernel.lanes::<__m256d>()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn dot3_avx512(w: &[f64], a: &[f64], b: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-    let n = w.len();
-    let (wp, ap, bp) = (w.as_ptr(), a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm512_setzero_pd();
-    let mut acc1 = _mm512_setzero_pd();
-    let mut q = 0;
-    while q + 16 <= n {
-        let t0 = _mm512_mul_pd(_mm512_loadu_pd(wp.add(q)), _mm512_loadu_pd(ap.add(q)));
-        acc0 = _mm512_fmadd_pd(t0, _mm512_loadu_pd(bp.add(q)), acc0);
-        let t1 = _mm512_mul_pd(
-            _mm512_loadu_pd(wp.add(q + 8)),
-            _mm512_loadu_pd(ap.add(q + 8)),
-        );
-        acc1 = _mm512_fmadd_pd(t1, _mm512_loadu_pd(bp.add(q + 8)), acc1);
-        q += 16;
+unsafe fn lanes_avx512<K: VectorKernel>(kernel: K) -> K::Output {
+    kernel.lanes::<__m512d>()
+}
+
+/// One vector register of `f64` lanes: everything a vector kernel may do
+/// with one, so a kernel body names no instruction set.
+///
+/// # Safety
+/// Every method requires the CPU to support the implementing register's
+/// instruction set; inside a [`VectorKernel::lanes`]`::<V>` body that holds
+/// for `V`. A method that takes a pointer also requires it to be valid for
+/// the lanes the method says it accesses (no alignment is required).
+#[allow(clippy::missing_safety_doc)]
+pub trait Lanes: Copy {
+    /// `f64` lanes per register.
+    const N: usize;
+    /// Which leading lanes a tail load reads ([`Lanes::mask_first`]).
+    type Mask: Copy;
+    /// A per-lane predicate ([`Lanes::in_range`]).
+    type Valid: Copy;
+    /// Per-lane table positions ([`Lanes::index`]).
+    type Index: Copy;
+    /// A coefficient table prepared for [`Lanes::lookup`].
+    type Table: Copy;
+
+    /// `0.0` in every lane.
+    unsafe fn zero() -> Self;
+    /// `x` in every lane.
+    unsafe fn splat(x: f64) -> Self;
+    /// `a` in the low half of the lanes, `b` in the high half.
+    unsafe fn pair(a: f64, b: f64) -> Self;
+    /// Reads `N` lanes at `p`.
+    unsafe fn load(p: *const f64) -> Self;
+    /// Reads `N / 2` lanes at `p` into the low half and again into the high.
+    unsafe fn load_half_dup(p: *const f64) -> Self;
+    /// Writes `N` lanes at `p`.
+    unsafe fn store(self, p: *mut f64);
+    /// The mask of the first `n <= N` lanes.
+    unsafe fn mask_first(n: usize) -> Self::Mask;
+    /// Reads the lanes of `mask` at `p` and zeroes the rest; memory behind
+    /// an unselected lane is not accessed, so it need not be valid.
+    unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self;
+    /// `self * b`.
+    unsafe fn mul(self, b: Self) -> Self;
+    /// `self - b`.
+    unsafe fn sub(self, b: Self) -> Self;
+    /// Per-lane minimum (`b` where either is NaN).
+    unsafe fn min(self, b: Self) -> Self;
+    /// Per-lane maximum (`b` where either is NaN).
+    unsafe fn max(self, b: Self) -> Self;
+    /// Rounds every lane toward zero.
+    unsafe fn trunc(self) -> Self;
+    /// `self * b + c` with a single rounding.
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+    /// The lanes with `lo <= self < hi` (a NaN lane fails).
+    unsafe fn in_range(self, lo: Self, hi: Self) -> Self::Valid;
+    /// Zeroes the lanes `valid` rejected.
+    unsafe fn keep(self, valid: Self::Valid) -> Self;
+    /// Truncates every lane to an `i32` table position.
+    unsafe fn index(self) -> Self::Index;
+    /// Prepares the `len >= 1` coefficients at `p` for lookups: a table of
+    /// at most `N` entries may be held in a register, a longer one is
+    /// gathered from memory, so `p` must stay valid while the table is used.
+    unsafe fn table(p: *const f64, len: usize) -> Self::Table;
+    /// Per lane, the table entry at `idx + offset`, which must be below the
+    /// table's `len` in every lane.
+    unsafe fn lookup(table: Self::Table, idx: Self::Index, offset: usize) -> Self;
+    /// The sum of the lanes in a fixed order: adjacent pairs, then pairs of
+    /// pairs, `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`.
+    unsafe fn hsum(self) -> f64;
+}
+
+#[cfg(target_arch = "x86_64")]
+const TRUNCATE: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for __m256d {
+    const N: usize = 4;
+    type Mask = __m256i;
+    type Valid = __m256d;
+    type Index = __m128i;
+    type Table = *const f64;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        _mm256_setzero_pd()
     }
-    if q + 8 <= n {
-        let t = _mm512_mul_pd(_mm512_loadu_pd(wp.add(q)), _mm512_loadu_pd(ap.add(q)));
-        acc0 = _mm512_fmadd_pd(t, _mm512_loadu_pd(bp.add(q)), acc0);
-        q += 8;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        _mm256_set1_pd(x)
     }
-    // Remainder lanes via a masked load: fault-suppressing, so reading a
-    // partial block at the slice end never touches memory past it.
-    if q < n {
-        let mask: __mmask8 = (1u8 << (n - q)) - 1;
-        let t = _mm512_mul_pd(
-            _mm512_maskz_loadu_pd(mask, wp.add(q)),
-            _mm512_maskz_loadu_pd(mask, ap.add(q)),
-        );
-        acc1 = _mm512_fmadd_pd(t, _mm512_maskz_loadu_pd(mask, bp.add(q)), acc1);
+    #[inline(always)]
+    unsafe fn pair(a: f64, b: f64) -> Self {
+        _mm256_setr_pd(a, a, b, b)
     }
-    let mut lanes = [0.0f64; 8];
-    _mm512_storeu_pd(lanes.as_mut_ptr(), _mm512_add_pd(acc0, acc1));
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        _mm256_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn load_half_dup(p: *const f64) -> Self {
+        let half = _mm_loadu_pd(p);
+        _mm256_set_m128d(half, half)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        _mm256_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn mask_first(n: usize) -> Self::Mask {
+        // A lane's high bit enables its load: all-ones where lane < n.
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self {
+        _mm256_maskload_pd(p, mask)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        _mm256_mul_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        _mm256_sub_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn min(self, b: Self) -> Self {
+        _mm256_min_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn max(self, b: Self) -> Self {
+        _mm256_max_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn trunc(self) -> Self {
+        _mm256_round_pd::<TRUNCATE>(self)
+    }
+    #[inline(always)]
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+        _mm256_fmadd_pd(self, b, c)
+    }
+    #[inline(always)]
+    unsafe fn in_range(self, lo: Self, hi: Self) -> Self::Valid {
+        _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_GE_OQ>(self, lo),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(self, hi),
+        )
+    }
+    #[inline(always)]
+    unsafe fn keep(self, valid: Self::Valid) -> Self {
+        _mm256_and_pd(self, valid)
+    }
+    #[inline(always)]
+    unsafe fn index(self) -> Self::Index {
+        _mm256_cvttpd_epi32(self)
+    }
+    #[inline(always)]
+    unsafe fn table(p: *const f64, _len: usize) -> Self::Table {
+        p
+    }
+    #[inline(always)]
+    unsafe fn lookup(table: Self::Table, idx: Self::Index, offset: usize) -> Self {
+        _mm256_i32gather_pd::<8>(table.add(offset), idx)
+    }
+    #[inline(always)]
+    unsafe fn hsum(self) -> f64 {
+        let mut l = [0.0f64; 4];
+        _mm256_storeu_pd(l.as_mut_ptr(), self);
+        (l[0] + l[1]) + (l[2] + l[3])
+    }
+}
+
+/// The 512-bit table is `(the whole table in a register, if it fits; its
+/// address)`: a register-resident table turns each lookup into a permute
+/// instead of a memory gather, whose ~20-cycle latency dominates the
+/// small-batch shapes the smoothness-1 kernel (4 cells × 2 coefficients)
+/// runs at.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for __m512d {
+    const N: usize = 8;
+    type Mask = __mmask8;
+    type Valid = __mmask8;
+    type Index = __m256i;
+    type Table = (Option<__m512d>, *const f64);
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        _mm512_setzero_pd()
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        _mm512_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn pair(a: f64, b: f64) -> Self {
+        _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(_mm256_set1_pd(a)), _mm256_set1_pd(b))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        _mm512_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn load_half_dup(p: *const f64) -> Self {
+        _mm512_broadcast_f64x4(_mm256_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        _mm512_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn mask_first(n: usize) -> Self::Mask {
+        ((1u16 << n) - 1) as u8
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self {
+        _mm512_maskz_loadu_pd(mask, p)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        _mm512_mul_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        _mm512_sub_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn min(self, b: Self) -> Self {
+        _mm512_min_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn max(self, b: Self) -> Self {
+        _mm512_max_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn trunc(self) -> Self {
+        _mm512_roundscale_pd::<TRUNCATE>(self)
+    }
+    #[inline(always)]
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+        _mm512_fmadd_pd(self, b, c)
+    }
+    #[inline(always)]
+    unsafe fn in_range(self, lo: Self, hi: Self) -> Self::Valid {
+        _mm512_cmp_pd_mask::<_CMP_GE_OQ>(self, lo) & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self, hi)
+    }
+    #[inline(always)]
+    unsafe fn keep(self, valid: Self::Valid) -> Self {
+        _mm512_maskz_mov_pd(valid, self)
+    }
+    #[inline(always)]
+    unsafe fn index(self) -> Self::Index {
+        _mm512_cvttpd_epi32(self)
+    }
+    #[inline(always)]
+    unsafe fn table(p: *const f64, len: usize) -> Self::Table {
+        if len <= Self::N {
+            (Some(Self::load_masked(p, Self::mask_first(len))), p)
+        } else {
+            (None, p)
+        }
+    }
+    #[inline(always)]
+    unsafe fn lookup((resident, p): Self::Table, idx: Self::Index, offset: usize) -> Self {
+        match resident {
+            Some(table) => {
+                let at =
+                    _mm512_add_epi64(_mm512_cvtepi32_epi64(idx), _mm512_set1_epi64(offset as i64));
+                _mm512_permutexvar_pd(at, table)
+            }
+            None => _mm512_i32gather_pd::<8>(idx, p.add(offset)),
+        }
+    }
+    #[inline(always)]
+    unsafe fn hsum(self) -> f64 {
+        let mut l = [0.0f64; 8];
+        _mm512_storeu_pd(l.as_mut_ptr(), self);
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
 }
 
 #[cfg(test)]
@@ -380,49 +588,97 @@ mod tests {
     }
 
     #[test]
-    fn dot3_vector_arms_match_scalar_to_rounding() {
-        // Deterministic pseudo-random data over lengths that hit every
-        // unroll/tail combination of the vector kernels.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 100] {
-            let w: Vec<f64> = (0..n).map(|_| next()).collect();
-            let a: Vec<f64> = (0..n).map(|_| next()).collect();
-            let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let reference = dot3(SimdIsa::Scalar, &w, &a, &b);
-            for isa in [SimdIsa::Avx2, SimdIsa::Avx512] {
-                if isa.lanes() > SimdPolicy::Auto.resolve().lanes() {
-                    continue; // host lacks the ISA; nothing to test
-                }
-                let got = dot3(isa, &w, &a, &b);
-                let tol = 1e-12 * reference.abs().max(1.0);
-                assert!(
-                    (got - reference).abs() <= tol,
-                    "{isa:?} n={n}: {got} vs {reference}"
-                );
+    fn env_override_accepts_the_four_labels_and_nothing_else() {
+        assert_eq!(parse_override(None), Ok(None));
+        for p in SimdPolicy::ALL {
+            assert_eq!(parse_override(Some(p.label())), Ok(Some(p)));
+        }
+        let forced = SimdPolicy::Forced(SimdWidth::F64x4);
+        assert_eq!(parse_override(Some(" f64x4\n")), Ok(Some(forced)));
+        for typo in ["x4", "", "AVX2"] {
+            let message = parse_override(Some(typo)).unwrap_err();
+            assert_eq!(
+                message,
+                format!("USTENCIL_SIMD={typo:?} is not one of auto|scalar|f64x4|f64x8")
+            );
+        }
+    }
+
+    /// Every `Lanes` operation against its per-lane scalar definition, run
+    /// through `dispatch` on each width the host has.
+    struct LaneOps;
+
+    impl VectorKernel for LaneOps {
+        type Output = usize;
+
+        fn scalar(self) -> usize {
+            1
+        }
+
+        #[inline(always)]
+        unsafe fn lanes<V: Lanes>(self) -> usize {
+            let n = V::N;
+            let lanes = |v: V| {
+                let mut out = [0.0f64; 8];
+                v.store(out.as_mut_ptr());
+                out[..n].to_vec()
+            };
+            let mem: Vec<f64> = (0..16).map(|i| i as f64 * 0.75 - 2.5).collect();
+            let a = V::load(mem.as_ptr());
+            let b = V::load(mem.as_ptr().add(3));
+            let (ea, eb) = (&mem[..n], &mem[3..3 + n]);
+            let each = |f: &dyn Fn(f64, f64) -> f64| -> Vec<f64> {
+                ea.iter().zip(eb).map(|(&x, &y)| f(x, y)).collect()
+            };
+            assert_eq!(lanes(V::zero()), vec![0.0; n]);
+            assert_eq!(lanes(V::splat(1.5)), vec![1.5; n]);
+            let halves = [vec![7.0; n / 2], vec![-3.0; n / 2]].concat();
+            assert_eq!(lanes(V::pair(7.0, -3.0)), halves);
+            assert_eq!(lanes(a), ea);
+            let dup = [&mem[1..1 + n / 2], &mem[1..1 + n / 2]].concat();
+            assert_eq!(lanes(V::load_half_dup(mem.as_ptr().add(1))), dup);
+            for k in 0..=n {
+                // The masked load may not touch what lies past `k` lanes.
+                let short = &mem[..k];
+                let got = lanes(V::load_masked(short.as_ptr(), V::mask_first(k)));
+                let want: Vec<f64> = (0..n).map(|i| if i < k { mem[i] } else { 0.0 }).collect();
+                assert_eq!(got, want, "mask_first({k})");
             }
+            assert_eq!(lanes(a.mul(b)), each(&|x, y| x * y));
+            assert_eq!(lanes(a.sub(b)), each(&|x, y| x - y));
+            assert_eq!(lanes(a.min(V::zero())), each(&|x, _| x.min(0.0)));
+            assert_eq!(lanes(a.max(V::zero())), each(&|x, _| x.max(0.0)));
+            assert_eq!(lanes(a.trunc()), each(&|x, _| x.trunc()));
+            let c = V::splat(0.1);
+            assert_eq!(lanes(a.fmadd(b, c)), each(&|x, y| x.mul_add(y, 0.1)));
+            let valid = a.in_range(V::splat(-1.0), V::splat(2.0));
+            let kept = each(&|x, y| if (-1.0..2.0).contains(&x) { y } else { 0.0 });
+            assert_eq!(lanes(b.keep(valid)), kept);
+            let nan = V::splat(f64::NAN).in_range(V::splat(-1.0), V::splat(2.0));
+            assert_eq!(lanes(b.keep(nan)), vec![0.0; n]);
+            // A table that fits a register and one that does not.
+            for len in [6usize, 13] {
+                let table = V::table(mem.as_ptr(), len);
+                let at: Vec<f64> = (0..n).map(|i| ((i * 5) % (len - 2)) as f64 + 0.9).collect();
+                let idx = V::load(at.as_ptr()).index();
+                for offset in 0..3 {
+                    let want: Vec<f64> = at.iter().map(|&x| mem[x as usize + offset]).collect();
+                    assert_eq!(lanes(V::lookup(table, idx, offset)), want, "len {len}");
+                }
+            }
+            let pairs: Vec<f64> = ea.chunks(2).map(|p| p[0] + p[1]).collect();
+            let quads: Vec<f64> = pairs.chunks(2).map(|p| p[0] + p[1]).collect();
+            assert_eq!(a.hsum().to_bits(), quads.iter().sum::<f64>().to_bits());
+            n
         }
     }
 
     #[test]
-    fn scalar_dot3_is_the_reference_loop() {
-        // Pin the scalar arm's arithmetic order bitwise: mul-then-add in
-        // index order, no FMA contraction, no reassociation.
-        let w = [0.1, 0.2, 0.3, 0.4, 0.5];
-        let a = [1.5, -2.5, 3.5, -4.5, 5.5];
-        let b = [-0.7, 0.9, -1.1, 1.3, -1.7];
-        let mut expect = 0.0f64;
-        for q in 0..w.len() {
-            expect += w[q] * a[q] * b[q];
+    fn lane_operations_match_their_scalar_definitions() {
+        for isa in [SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512] {
+            // An ISA the host lacks must dispatch to the portable body.
+            let want = if isa.supported() { isa.lanes() } else { 1 };
+            assert_eq!(dispatch(isa, LaneOps), want, "{isa:?}");
         }
-        assert_eq!(
-            dot3(SimdIsa::Scalar, &w, &a, &b).to_bits(),
-            expect.to_bits()
-        );
     }
 }

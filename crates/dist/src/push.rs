@@ -44,8 +44,7 @@ use crate::shard::ghost_ring_width;
 use crate::transport::{Tag, Transport};
 use crate::wire::{encode_coeffs, RankResult};
 use std::time::Instant;
-use ustencil_core::per_element::PerElementRun;
-use ustencil_core::tiling::add_partials;
+use ustencil_core::per_element::{add_partials, PerElementRun};
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
 use ustencil_dg::DgField;
 use ustencil_mesh::{partition_subset, TriMesh};
@@ -122,7 +121,7 @@ impl Work for PushWork {
 
     /// Scatters the elements `ids` onto the rank's owned points, patch by
     /// patch, then runs the local (stage-1) reduce with the same
-    /// [`add_partials`] accumulation as the in-process tiling scheme.
+    /// [`add_partials`] accumulation as the in-process `reduce_patches`.
     fn pass(&self, site: &Site, _: &(), ids: &[u32], field: &DgField, res: &mut RankResult) {
         let eval_start = Instant::now();
         let mesh = site.mesh;

@@ -3,6 +3,7 @@
 use crate::plan::EvalPlan;
 use std::time::{Duration, Instant};
 use ustencil_core::blocks::{block_bounds, map_slices};
+use ustencil_core::simd::{dispatch, Lanes, VectorKernel};
 use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdIsa, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
@@ -203,25 +204,15 @@ impl EvalPlan {
     }
 
     /// One row's dot product against `coeffs`, dispatched on the resolved
-    /// SIMD ISA. The scalar arm is byte-for-byte the historical per-mode
+    /// SIMD ISA. The scalar body is byte-for-byte the historical per-mode
     /// lane kernel, so `SimdPolicy::Scalar` reproduces pre-SIMD results
-    /// bitwise. The vector arms keep the same shape — independent per-mode
+    /// bitwise. The vector body keeps the same shape — independent per-mode
     /// accumulator chains, reduced in a fixed order at the end — so every
-    /// ISA stays deterministic, while agreeing with the scalar arm to
+    /// ISA stays deterministic, while agreeing with the scalar body to
     /// rounding (`≤ 1e-12`).
     #[inline]
     fn row_dot(&self, r: usize, coeffs: &[f64], isa: SimdIsa) -> f64 {
-        match isa {
-            SimdIsa::Scalar => self.row_dot_scalar(r, coeffs),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `resolve` only yields these ISAs when the CPU
-            // reports the matching feature flags.
-            SimdIsa::Avx2 => unsafe { self.row_dot_avx2(r, coeffs) },
-            #[cfg(target_arch = "x86_64")]
-            SimdIsa::Avx512 => unsafe { self.row_dot_avx512(r, coeffs) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.row_dot_scalar(r, coeffs),
-        }
+        dispatch(isa, RowDot(self, r, coeffs))
     }
 
     /// The portable row kernel, accumulated in per-mode lanes. The lanes
@@ -258,100 +249,53 @@ impl EvalPlan {
         lane[..nm].iter().sum()
     }
 
-    /// AVX2+FMA row kernel: the mode dimension is batched into 4-wide
-    /// vector lanes, one accumulator vector per 4-mode block (so the
-    /// per-mode chains stay independent, exactly like the scalar lanes),
-    /// with a fault-suppressing `maskload` for the `n_modes % 4` tail.
-    /// The whole entries loop lives inside one `#[target_feature]` body —
-    /// per-entry calls into a feature-gated function would block inlining
-    /// and cost a dynamic-dispatch-sized penalty per CSR entry.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_dot_avx2(&self, r: usize, coeffs: &[f64]) -> f64 {
-        use core::arch::x86_64::*;
+    /// The vector row kernel: the mode dimension is batched into blocks of
+    /// `V::N` lanes, one accumulator vector per block (so the per-mode
+    /// chains stay independent, exactly like the scalar lanes), with a
+    /// fault-suppressing masked load for the `n_modes % V::N` tail. The
+    /// whole entries loop is one body, instantiated inside `dispatch`'s
+    /// `#[target_feature]` entry point — a feature-gated call per entry
+    /// would block inlining and cost a dispatch-sized penalty per CSR
+    /// entry.
+    ///
+    /// # Safety
+    /// The CPU must support `V`'s instruction set.
+    #[inline(always)]
+    unsafe fn row_dot_vector<V: Lanes>(&self, r: usize, coeffs: &[f64]) -> f64 {
         let nm = self.n_modes;
         let (lo, hi) = self.row_range(r);
-        let full = nm / 4;
-        let rem = nm % 4;
-        let mut acc = [_mm256_setzero_pd(); MAX_MODES / 4];
-        let mut tail_acc = _mm256_setzero_pd();
-        // -1 in a lane's high bit enables the load; maskload suppresses
-        // faults on the disabled lanes, so reading past a row's final
-        // entry-slice is safe even at the end of the weights buffer.
-        let mask = match rem {
-            1 => _mm256_setr_epi64x(-1, 0, 0, 0),
-            2 => _mm256_setr_epi64x(-1, -1, 0, 0),
-            3 => _mm256_setr_epi64x(-1, -1, -1, 0),
-            _ => _mm256_setzero_si256(),
-        };
+        let full = nm / V::N;
+        let rem = nm % V::N;
+        // Sized for the narrowest register (4 lanes); `check_field` holds
+        // `n_modes` to `MAX_MODES`, so `full` blocks always fit.
+        let mut acc = [V::zero(); MAX_MODES / 4];
+        let mut tail_acc = V::zero();
+        let mask = V::mask_first(rem);
         for e in lo..hi {
+            // SAFETY: entry `e` owns weights `[e·nm, (e + 1)·nm)` and its
+            // column `cols[e] < n_elements` owns that range of `coeffs`
+            // (`check_field` matched the field to the plan); the blocks
+            // read `full · V::N + rem = nm` values of each, the masked tail
+            // touching nothing past them.
             let w = self.weights.as_ptr().add(e * nm);
             let c = coeffs.as_ptr().add(self.cols[e] as usize * nm);
             for (b, a) in acc.iter_mut().enumerate().take(full) {
-                let wv = _mm256_loadu_pd(w.add(b * 4));
-                let cv = _mm256_loadu_pd(c.add(b * 4));
-                *a = _mm256_fmadd_pd(wv, cv, *a);
+                *a = V::load(w.add(b * V::N)).fmadd(V::load(c.add(b * V::N)), *a);
             }
             if rem != 0 {
-                let wv = _mm256_maskload_pd(w.add(full * 4), mask);
-                let cv = _mm256_maskload_pd(c.add(full * 4), mask);
-                tail_acc = _mm256_fmadd_pd(wv, cv, tail_acc);
+                let wv = V::load_masked(w.add(full * V::N), mask);
+                let cv = V::load_masked(c.add(full * V::N), mask);
+                tail_acc = wv.fmadd(cv, tail_acc);
             }
         }
-        // Fixed-order reduction: block order, then `(l0+l1)+(l2+l3)`
-        // within each block — deterministic for a given ISA.
+        // Fixed-order reduction: block order, then `Lanes::hsum` within
+        // each block — deterministic for a given ISA.
         let mut total = 0.0;
-        let mut lanes = [0.0f64; 4];
         for a in acc.iter().take(full) {
-            _mm256_storeu_pd(lanes.as_mut_ptr(), *a);
-            total += (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            total += a.hsum();
         }
         if rem != 0 {
-            _mm256_storeu_pd(lanes.as_mut_ptr(), tail_acc);
-            total += (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        }
-        total
-    }
-
-    /// AVX-512 row kernel: 8-wide mode blocks with a `maskz` tail load
-    /// (`__mmask8` of the low `n_modes % 8` lanes). Same accumulator and
-    /// reduction discipline as [`Self::row_dot_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn row_dot_avx512(&self, r: usize, coeffs: &[f64]) -> f64 {
-        use core::arch::x86_64::*;
-        let nm = self.n_modes;
-        let (lo, hi) = self.row_range(r);
-        let full = nm / 8;
-        let rem = nm % 8;
-        let mut acc = [_mm512_setzero_pd(); MAX_MODES / 8];
-        let mut tail_acc = _mm512_setzero_pd();
-        let mask: __mmask8 = (1u8 << rem).wrapping_sub(1);
-        for e in lo..hi {
-            let w = self.weights.as_ptr().add(e * nm);
-            let c = coeffs.as_ptr().add(self.cols[e] as usize * nm);
-            for (b, a) in acc.iter_mut().enumerate().take(full) {
-                let wv = _mm512_loadu_pd(w.add(b * 8));
-                let cv = _mm512_loadu_pd(c.add(b * 8));
-                *a = _mm512_fmadd_pd(wv, cv, *a);
-            }
-            if rem != 0 {
-                let wv = _mm512_maskz_loadu_pd(mask, w.add(full * 8));
-                let cv = _mm512_maskz_loadu_pd(mask, c.add(full * 8));
-                tail_acc = _mm512_fmadd_pd(wv, cv, tail_acc);
-            }
-        }
-        let mut total = 0.0;
-        let mut lanes = [0.0f64; 8];
-        for a in acc.iter().take(full) {
-            _mm512_storeu_pd(lanes.as_mut_ptr(), *a);
-            total += ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-        }
-        if rem != 0 {
-            _mm512_storeu_pd(lanes.as_mut_ptr(), tail_acc);
-            total += ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+            total += tail_acc.hsum();
         }
         total
     }
@@ -381,5 +325,23 @@ impl EvalPlan {
         }
         metrics.partial_slots += (end - start) as u64;
         metrics
+    }
+}
+
+/// [`EvalPlan::row_dot`]'s two bodies for row `.1` against the
+/// coefficients `.2`, as [`dispatch`] takes them.
+struct RowDot<'a>(&'a EvalPlan, usize, &'a [f64]);
+
+impl VectorKernel for RowDot<'_> {
+    type Output = f64;
+
+    #[inline]
+    fn scalar(self) -> f64 {
+        self.0.row_dot_scalar(self.1, self.2)
+    }
+
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(self) -> f64 {
+        self.0.row_dot_vector::<V>(self.1, self.2)
     }
 }

@@ -18,7 +18,7 @@
 use crate::plan::EvalPlan;
 use std::time::Instant;
 use ustencil_core::blocks::{self, block_bounds};
-use ustencil_core::integrate::{ElementData, MAX_MODES};
+use ustencil_core::integrate::ElementData;
 use ustencil_core::kernel::{AccumulateWeights, Scratch, StencilTraversal};
 use ustencil_core::{BlockStats, ComputationGrid, ExecConfig, KernelSetup, Metrics, Probe};
 use ustencil_dg::DubinerBasis;
@@ -45,8 +45,8 @@ impl EvalPlan {
     /// # Panics
     /// Panics when `options` does not
     /// [resolve](ustencil_core::ExecConfig::resolve) over `mesh` (the
-    /// `(3k + 1) h <= 1` requirement, as in `PostProcessor::run`) or the
-    /// degree exceeds the engine's mode budget.
+    /// `(3k + 1) h <= 1` requirement and the degree limit, as in
+    /// `PostProcessor::run`).
     pub fn compile(
         mesh: &TriMesh,
         grid: &ComputationGrid,
@@ -57,7 +57,6 @@ impl EvalPlan {
         let tracer = Tracer::new(options.instrument);
         let basis = DubinerBasis::new(degree);
         let n_modes = basis.n_modes();
-        assert!(n_modes <= MAX_MODES, "degree {degree} exceeds mode budget");
         // Resolved once, so every block — and every patch recompile under
         // the same options — runs the same kernel on the same ISA.
         let setup = {

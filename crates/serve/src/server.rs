@@ -259,11 +259,6 @@ impl PlanServer {
         }
     }
 
-    /// The underlying cache's counters right now.
-    pub fn cache_snapshot(&self) -> crate::cache::CacheSnapshot {
-        self.shared.cache.snapshot()
-    }
-
     /// Closes the queue, drains remaining requests, joins the workers, and
     /// returns every ledger the run accumulated.
     pub fn shutdown(self) -> ServeLedgers {

@@ -13,8 +13,7 @@
 //! record the same spans and flows produce byte-identical JSON.
 //!
 //! Timestamps are emitted in microseconds (the trace-event unit) as exact
-//! `ns / 1000` fractions; [`Timeline::from_trace_events`] recovers the
-//! original nanosecond integers, so a timeline round-trips losslessly.
+//! `ns / 1000` fractions.
 
 use crate::json::Json;
 use crate::span::{sort_records, SpanRecord};
@@ -49,8 +48,7 @@ pub struct FlowArrow {
     pub recv_ns: u64,
 }
 
-/// A multi-track timeline, convertible to (and from) Chrome trace-event
-/// JSON.
+/// A multi-track timeline, convertible to Chrome trace-event JSON.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     processes: Vec<(u64, String)>,
@@ -204,122 +202,6 @@ impl Timeline {
     pub fn to_pretty_string(&self) -> String {
         self.to_trace_events().to_pretty_string()
     }
-
-    /// Parses a trace-event document produced by
-    /// [`to_trace_events`](Self::to_trace_events) back into a timeline.
-    /// Exact inverse for timelines in canonical order (the unit-tested
-    /// round trip).
-    pub fn from_trace_events(doc: &Json) -> Result<Timeline, String> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .ok_or("missing 'traceEvents' array")?;
-        let mut timeline = Timeline::new();
-        let mut open_flows: Vec<(u64, FlowArrow)> = Vec::new();
-        for ev in events {
-            let name = ev
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("event without 'name'")?
-                .to_string();
-            let ph = ev
-                .get("ph")
-                .and_then(Json::as_str)
-                .ok_or("event without 'ph'")?;
-            let pid = |ev: &Json| {
-                ev.get("pid")
-                    .and_then(Json::as_u64)
-                    .ok_or("event without 'pid'")
-            };
-            let tid = |ev: &Json| {
-                ev.get("tid")
-                    .and_then(Json::as_u64)
-                    .ok_or("event without 'tid'")
-            };
-            let ts_ns = |ev: &Json| -> Result<u64, &'static str> {
-                let ts = ev.get("ts").and_then(Json::as_f64).ok_or("bad 'ts'")?;
-                Ok((ts * 1000.0).round() as u64)
-            };
-            match ph {
-                "M" => {
-                    let display = ev
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Json::as_str)
-                        .ok_or("metadata event without args.name")?;
-                    match name.as_str() {
-                        "process_name" => timeline.add_process(pid(ev)?, display),
-                        "thread_name" => {
-                            timeline.add_track(pid(ev)?, tid(ev)?, display, Vec::new())
-                        }
-                        other => return Err(format!("unknown metadata event '{other}'")),
-                    }
-                }
-                "X" => {
-                    let (p, t) = (pid(ev)?, tid(ev)?);
-                    let span = SpanRecord {
-                        name,
-                        depth: ev
-                            .get("args")
-                            .and_then(|a| a.get("depth"))
-                            .and_then(Json::as_u64)
-                            .ok_or("complete event without args.depth")?
-                            as u32,
-                        start_ns: ts_ns(ev)?,
-                        duration_ns: (ev
-                            .get("dur")
-                            .and_then(Json::as_f64)
-                            .ok_or("complete event without 'dur'")?
-                            * 1000.0)
-                            .round() as u64,
-                    };
-                    let track = timeline
-                        .tracks
-                        .iter_mut()
-                        .find(|tr| tr.pid == p && tr.tid == t)
-                        .ok_or_else(|| format!("span on undeclared track ({p}, {t})"))?;
-                    track.spans.push(span);
-                }
-                "s" => {
-                    let id = ev
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or("flow without id")?;
-                    open_flows.push((
-                        id,
-                        FlowArrow {
-                            id,
-                            name,
-                            from: (pid(ev)?, tid(ev)?),
-                            to: (0, 0),
-                            send_ns: ts_ns(ev)?,
-                            recv_ns: 0,
-                        },
-                    ));
-                }
-                "f" => {
-                    let id = ev
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or("flow without id")?;
-                    let slot = open_flows
-                        .iter_mut()
-                        .find(|(open_id, _)| *open_id == id)
-                        .ok_or_else(|| format!("flow end {id} without a start"))?;
-                    slot.1.to = (pid(ev)?, tid(ev)?);
-                    slot.1.recv_ns = ts_ns(ev)?;
-                    timeline.flows.push(slot.1.clone());
-                    let keep = id;
-                    open_flows.retain(|(open_id, _)| *open_id != keep);
-                }
-                other => return Err(format!("unknown event phase '{other}'")),
-            }
-        }
-        if let Some((id, _)) = open_flows.first() {
-            return Err(format!("flow start {id} without an end"));
-        }
-        Ok(timeline)
-    }
 }
 
 #[cfg(test)]
@@ -359,18 +241,6 @@ mod tests {
         t.add_flow("halo 0→1", (1, 0), (1, 1), 1_100, 1_900);
         t.add_flow("halo 1→0", (1, 1), (1, 0), 1_300, 2_100);
         t
-    }
-
-    #[test]
-    fn trace_event_json_round_trips() {
-        let timeline = sample();
-        let doc = timeline.to_trace_events();
-        let text = doc.to_pretty_string();
-        let reparsed = Json::parse(&text).expect("emitted JSON parses");
-        let restored = Timeline::from_trace_events(&reparsed).expect("restores");
-        assert_eq!(restored, timeline);
-        // Re-emission is byte-identical: canonical order is stable.
-        assert_eq!(restored.to_pretty_string(), text);
     }
 
     #[test]
@@ -426,22 +296,5 @@ mod tests {
         assert_eq!(first_span.get("dur").and_then(Json::as_f64), Some(4.5));
         // The flow end carries the binding point marker Perfetto expects.
         assert_eq!(events[8].get("bp").and_then(Json::as_str), Some("e"));
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected() {
-        assert!(Timeline::from_trace_events(&Json::object()).is_err());
-        let orphan_flow = Json::object().set(
-            "traceEvents",
-            vec![Json::object()
-                .set("name", "x")
-                .set("cat", "comm")
-                .set("ph", "s")
-                .set("id", 0u64)
-                .set("ts", 1.0)
-                .set("pid", 0u64)
-                .set("tid", 0u64)],
-        );
-        assert!(Timeline::from_trace_events(&orphan_flow).is_err());
     }
 }

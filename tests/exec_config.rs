@@ -12,16 +12,19 @@ use ustencil::{run_dist, DirtySet, DistOptions, EvalPlan, PatchError};
 fn every_entry_point_rejects_a_bad_config_with_resolves_message() {
     // 32 structured triangles: the longest edge is far too long for the
     // default `h_factor` of 1, so the first case is the too-wide stencil.
+    // The last case fits the domain but asks for a degree whose modes the
+    // kernels' fixed-size tables cannot hold.
     let mesh = generate_mesh(MeshClass::StructuredPattern, 32, 0);
-    let field = project_l2(&mesh, 1, |x, y| x - y, 0);
-    let grid = ComputationGrid::quadrature_points(&mesh, 1);
     let cases = [
-        (1.0, "exceeds the periodic unit domain"),
-        (0.0, "h factor must be positive"),
-        (-1.0, "h factor must be positive"),
-        (f64::NAN, "h factor must be positive"),
+        (1, 1.0, "exceeds the periodic unit domain"),
+        (1, 0.0, "h factor must be positive"),
+        (1, -1.0, "h factor must be positive"),
+        (1, f64::NAN, "h factor must be positive"),
+        (4, 0.1, "degree 4 exceeds the kernels' maximum of 3"),
     ];
-    for (h_factor, want) in cases {
+    for (degree, h_factor, want) in cases {
+        let field = project_l2(&mesh, degree, |x, y| x - y, 0);
+        let grid = ComputationGrid::quadrature_points(&mesh, degree);
         let config = ExecConfig {
             h_factor,
             ..ExecConfig::default()
@@ -32,7 +35,7 @@ fn every_entry_point_rejects_a_bad_config_with_resolves_message() {
                 .run(&mesh, &field, &grid);
         };
         let compile = || {
-            EvalPlan::compile(&mesh, &grid, 1, &config);
+            EvalPlan::compile(&mesh, &grid, degree, &config);
         };
         let dist = || {
             let _ = run_dist(
@@ -48,8 +51,9 @@ fn every_entry_point_rejects_a_bad_config_with_resolves_message() {
             ("run_dist", &dist),
         ];
         for (entry, call) in entries {
-            let panic = catch_unwind(AssertUnwindSafe(call))
-                .expect_err(&format!("{entry} accepted h_factor {h_factor}"));
+            let panic = catch_unwind(AssertUnwindSafe(call)).expect_err(&format!(
+                "{entry} accepted degree {degree}, h_factor {h_factor}"
+            ));
             let message = panic
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -57,7 +61,7 @@ fn every_entry_point_rejects_a_bad_config_with_resolves_message() {
                 .unwrap_or("<non-string panic>");
             assert!(
                 message.contains(want),
-                "{entry}, h_factor {h_factor}: panicked with {message:?}, want {want:?}"
+                "{entry}, degree {degree}, h_factor {h_factor}: panicked with {message:?}, want {want:?}"
             );
         }
     }
