@@ -192,7 +192,7 @@ pub const fn flops_per_clip() -> u64 {
 /// rectangle that may overhang the unit square. Returns shifts `(sx, sy)`
 /// with each component in `{-1, 0, 1}`; at most 4 when the support is
 /// narrower than the domain.
-pub fn needed_shifts(support: &ustencil_geometry::Rect) -> impl Iterator<Item = Vec2> {
+pub fn needed_shifts(support: &ustencil_geometry::Rect) -> impl Iterator<Item = Vec2> + Clone {
     let xs = [
         Some(0.0),
         (support.x0 < 0.0).then_some(-1.0),

@@ -11,7 +11,7 @@
 
 use crate::integrate::{ElementData, MAX_DEGREE, MAX_MODES};
 use crate::simd::{dispatch, Lanes, SimdIsa, VectorKernel};
-use ustencil_geometry::{Point2, Triangle, Vec2};
+use ustencil_geometry::{ConvexPolygon, Point2, Triangle, Vec2};
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Kernel1d;
 
@@ -130,21 +130,26 @@ pub(crate) struct ReduceCtx<'a> {
 /// Staging buffer holding the surviving sub-triangles of one element-image
 /// integration.
 ///
-/// The traversal driver clips and fan-triangulates first, staging each
-/// surviving sub-triangle with its Jacobian. The whole per-point pipeline —
-/// mapping quadrature nodes to physical points, the piecewise-polynomial
-/// SIAC kernel weighting, the element-frame transform, and the monomial
-/// mode reduction — then runs over the staged batch in one pass, the
-/// cells-then-modes loop order. On the vector ISAs that entire pipeline is
-/// lane-parallel across quadrature nodes: the unit-triangle map and the
-/// element transform are affine FMAs, the kernel's Horner step gathers
-/// per-lane cell coefficients, and the coordinates are raised to their
-/// monomial powers in registers, so the branchy per-point work of the
-/// fused path becomes straight-line vector code.
+/// The traversal driver clips and fan-triangulates first — the image cut to
+/// each overlapped lattice column is kept here while the column's cells are
+/// cut from it — staging each surviving sub-triangle with its Jacobian. The
+/// whole per-point pipeline — mapping quadrature nodes to physical points,
+/// the piecewise-polynomial SIAC kernel weighting, the element-frame
+/// transform, and the monomial mode reduction — then runs over the staged
+/// batch in one pass, the cells-then-modes loop order. On the vector ISAs
+/// that entire pipeline is lane-parallel across quadrature nodes: the
+/// unit-triangle map and the element transform are affine FMAs, the
+/// kernel's Horner step gathers per-lane cell coefficients, and the
+/// coordinates are raised to their monomial powers in registers, so the
+/// branchy per-point work of the fused path becomes straight-line vector
+/// code.
 #[derive(Debug, Clone, Default)]
 pub struct QuadStage {
+    /// The element image clipped to each overlapped lattice column, in
+    /// column order.
+    pub(super) strips: Vec<ConvexPolygon>,
     /// Surviving sub-triangles with their absolute Jacobians.
-    subs: Vec<(Triangle, f64)>,
+    pub(super) subs: Vec<(Triangle, f64)>,
     /// Vector-arm scratch: effective weights per (sub, node) lane slot.
     bw: Vec<f64>,
     /// Vector-arm scratch: element-frame `u` per lane slot.
@@ -166,17 +171,12 @@ impl QuadStage {
         self.subs.is_empty()
     }
 
-    /// Discards the staged sub-triangles (capacity is retained).
+    /// Discards the column strips and the staged sub-triangles (capacity
+    /// is retained).
     #[inline]
     pub(crate) fn clear(&mut self) {
+        self.strips.clear();
         self.subs.clear();
-    }
-
-    /// Stages one clipped sub-triangle with its absolute Jacobian
-    /// `jac = |∂(x,y)/∂(u,v)|`.
-    #[inline]
-    pub(crate) fn push(&mut self, tri: Triangle, jac: f64) {
-        self.subs.push((tri, jac));
     }
 
     /// Reduces the staged batch to per-monomial sums
@@ -530,6 +530,8 @@ pub struct ScratchCapacity {
     pub candidates: usize,
     /// Capacity of the staged sub-triangle buffer.
     pub staged: usize,
+    /// Capacity of the lattice-column strip buffer.
+    pub strips: usize,
 }
 
 /// The per-worker scratch arena threaded through every traversal.
@@ -564,6 +566,7 @@ impl Scratch {
         ScratchCapacity {
             candidates: self.candidates.capacity(),
             staged: self.stage.subs.capacity(),
+            strips: self.stage.strips.capacity(),
         }
     }
 }
@@ -640,7 +643,7 @@ mod tests {
         let inv_h = 1.0 / 0.11;
         let mut s = QuadStage::default();
         for &(tri, jac) in &sample_subs() {
-            s.push(tri, jac);
+            s.subs.push((tri, jac));
         }
         assert_eq!(s.len(), 3);
         let soa = RuleSoa::new(&rule);
@@ -683,7 +686,7 @@ mod tests {
         let exps = [(0usize, 0usize)];
         let mut s = QuadStage::default();
         for &(tri, jac) in &sample_subs() {
-            s.push(tri, jac);
+            s.subs.push((tri, jac));
         }
         // Center far away: every staged node falls outside the support.
         let center = Point2::new(100.0, -40.0);
@@ -717,7 +720,7 @@ mod tests {
         ];
         let mut s = QuadStage::default();
         for &(tri, jac) in &sample_subs() {
-            s.push(tri, jac);
+            s.subs.push((tri, jac));
         }
         let center = Point2::new(0.5, 0.5);
         let inv_h = 1.0 / 0.07;
@@ -755,7 +758,7 @@ mod tests {
         let exps = [(0usize, 0usize), (1, 0), (0, 1)];
         let mut s = QuadStage::default();
         for &(tri, jac) in &sample_subs() {
-            s.push(tri, jac);
+            s.subs.push((tri, jac));
         }
         let center = Point2::new(0.5, 0.5);
         let inv_h = 1.0 / 0.13;
@@ -791,12 +794,12 @@ mod tests {
         );
         let mut s = Scratch::new();
         for _ in 0..100 {
-            s.stage.push(tri, 1.0);
+            s.stage.subs.push((tri, 1.0));
         }
         s.stage.clear();
         let snap = s.capacity();
         for _ in 0..100 {
-            s.stage.push(tri, 1.0);
+            s.stage.subs.push((tri, 1.0));
         }
         s.stage.clear();
         assert_eq!(s.capacity(), snap);

@@ -25,7 +25,7 @@ use crate::integrate::{flops_per_clip, flops_per_quad_eval, needed_shifts, Eleme
 use crate::metrics::Metrics;
 use crate::probe::Probe;
 use crate::simd::{SimdIsa, SimdPolicy};
-use ustencil_geometry::{clip_triangle_rect, fan_triangulate, Aabb, Point2, Vec2, GEOM_EPS};
+use ustencil_geometry::{clip_slab_x, clip_slab_y, fan_triangulate, Aabb, Point2, Vec2, GEOM_EPS};
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
 use ustencil_spatial::TriangleGrid;
@@ -38,6 +38,14 @@ pub struct StencilTraversal<'a> {
     rule: &'a TriangleRule,
     exps: &'a [(usize, usize)],
     n_modes: usize,
+    /// Lattice constants of `stencil`, resolved once: cell side, its
+    /// reciprocal (the one `Stencil2d::eval` forms, so the deferred scalar
+    /// kernel weighting reproduces its bits), cells per side, and the lower
+    /// support bound in cells.
+    h: f64,
+    inv_h: f64,
+    n_cells: usize,
+    lo: f64,
     /// Modeled flops of one quadrature-point evaluation, precomputed.
     eval_flops: u64,
     /// Resolved ISA the staged mode reduction dispatches on.
@@ -63,6 +71,10 @@ impl<'a> StencilTraversal<'a> {
             rule,
             exps,
             n_modes,
+            h: stencil.h(),
+            inv_h: 1.0 / stencil.h(),
+            n_cells: stencil.cells_per_side(),
+            lo: stencil.kernel().support().0,
             eval_flops: flops_per_quad_eval(stencil.kernel().smoothness(), n_modes),
             simd: SimdPolicy::Auto.resolve(),
             soa: RuleSoa::new(rule),
@@ -114,13 +126,16 @@ impl<'a> StencilTraversal<'a> {
         tri_grid.for_each_candidate(center, half_width, |id| candidates.push(id));
         probe.record_candidates(candidates.len() as u64);
 
+        // The periodic shifts depend on the query center only.
+        let shifts = needed_shifts(&support);
+
         for &id in candidates.iter() {
             metrics.intersection_tests += 1;
             metrics.elem_data_loads += elem_load_values;
             let ed = cache.get_or_gather(id, &gather);
             let mut hit = false;
             let subregions_before = metrics.subregions;
-            for shift in needed_shifts(&support) {
+            for shift in shifts.clone() {
                 let bb = Aabb::new(ed.bbox.min + shift, ed.bbox.max + shift);
                 if support.intersects_aabb(&bb) {
                     let quads_before = metrics.quad_evals;
@@ -159,13 +174,17 @@ impl<'a> StencilTraversal<'a> {
 
     /// The single copy of the clip / fan-triangulate / quadrature loop.
     ///
-    /// Stage 1 (cells): clip each overlapped lattice square against the
-    /// shifted triangle, fan-triangulate, and stage every surviving
-    /// sub-triangle with its Jacobian. Stage 2 (modes): run the whole
-    /// per-node pipeline — map each quadrature node to its physical point,
-    /// apply the SIAC kernel weight `K_h`, transform to the element frame,
-    /// and reduce to monomial-power sums — in one lane-parallel pass over
-    /// the staged batch, handing the sums to the sink.
+    /// Stage 1 (cells): cut the shifted triangle to each overlapped lattice
+    /// column once (the x-slab), then per lattice square cut its column's
+    /// strip to the row (the y-slab) — the passes of a per-cell
+    /// Sutherland–Hodgman clip in their order, so every polygon is that
+    /// clip's bit for bit (DESIGN.md §10, "Lattice clip") — fan-triangulate,
+    /// and stage every surviving sub-triangle with its Jacobian. Stage 2
+    /// (modes): run the whole per-node pipeline — map each quadrature node
+    /// to its physical point, apply the SIAC kernel weight `K_h`, transform
+    /// to the element frame, and reduce to monomial-power sums — in one
+    /// lane-parallel pass over the staged batch, handing the sums to the
+    /// sink.
     fn image_into_sink<S: ContributionSink>(
         &self,
         center: Point2,
@@ -175,46 +194,58 @@ impl<'a> StencilTraversal<'a> {
         sink: &mut S,
         metrics: &mut Metrics,
     ) -> bool {
-        let stencil = self.stencil;
-        let h = stencil.h();
-        let n_cells = stencil.cells_per_side();
-        let (lo, _) = stencil.kernel().support();
-        let shifted = elem.tri.translate(shift);
+        let (h, n_cells, lo) = (self.h, self.n_cells, self.lo);
         let bbox = Aabb::new(elem.bbox.min + shift, elem.bbox.max + shift);
 
-        // Lattice cell range overlapped by the shifted element's bbox.
+        // Lattice cell range overlapped by the shifted element's bbox. The
+        // cast truncates toward zero and saturates (negative and NaN → 0):
+        // it is `floor().max(0.0) as usize` for every quotient, without a
+        // libm `floor` call per bound on baseline x86-64.
         let x_base = center.x + lo * h;
         let y_base = center.y + lo * h;
-        let i0 = (((bbox.min.x - x_base) / h).floor().max(0.0)) as usize;
-        let j0 = (((bbox.min.y - y_base) / h).floor().max(0.0)) as usize;
+        let i0 = ((bbox.min.x - x_base) / h) as usize;
+        let j0 = ((bbox.min.y - y_base) / h) as usize;
         if i0 >= n_cells || j0 >= n_cells {
             return false;
         }
         if bbox.max.x < x_base || bbox.max.y < y_base {
             return false;
         }
-        let i1 = ((((bbox.max.x - x_base) / h).floor()) as usize).min(n_cells - 1);
-        let j1 = ((((bbox.max.y - y_base) / h).floor()) as usize).min(n_cells - 1);
+        let i1 = (((bbox.max.x - x_base) / h) as usize).min(n_cells - 1);
+        let j1 = (((bbox.max.y - y_base) / h) as usize).min(n_cells - 1);
 
         let nq = self.rule.len() as u64;
         let (origin, inv) = elem.ref_coords();
-        // Same reciprocal `Stencil2d::eval` forms internally, so the
-        // deferred scalar kernel weighting reproduces its bits exactly.
-        let inv_h = 1.0 / h;
 
+        let image = elem.tri.translate(shift).to_polygon();
         stage.clear();
+        let QuadStage { strips, subs, .. } = stage;
+        strips.resize(i1 - i0 + 1, image);
+        // Cell bounds are `Stencil2d::cell_rect`'s two expressions.
+        for (i, strip) in (i0..).zip(strips.iter_mut()) {
+            let x0 = center.x + (lo + i as f64) * h;
+            clip_slab_x(strip, x0, x0 + h);
+        }
         let mut any = false;
         for j in j0..=j1 {
-            for i in i0..=i1 {
-                let cell = stencil.cell_rect(center, i, j);
+            let y0 = center.y + (lo + j as f64) * h;
+            for strip in strips.iter_mut() {
                 metrics.cell_clips += 1;
                 metrics.flops += flops_per_clip();
-                let poly = clip_triangle_rect(&shifted, &cell);
+                // The last row cuts its strips in place, the others a copy.
+                let mut copy;
+                let poly = if j == j1 {
+                    strip
+                } else {
+                    copy = *strip;
+                    &mut copy
+                };
+                clip_slab_y(poly, y0, y0 + h);
                 if poly.is_degenerate(GEOM_EPS) {
                     continue;
                 }
                 any = true;
-                for sub in fan_triangulate(&poly) {
+                for sub in fan_triangulate(poly) {
                     // Work is accounted per sub-region even when the
                     // degenerate-jacobian guard skips its staging, matching
                     // the historical counter semantics.
@@ -225,7 +256,7 @@ impl<'a> StencilTraversal<'a> {
                     if jac == 0.0 {
                         continue;
                     }
-                    stage.push(sub, jac);
+                    subs.push((sub, jac));
                 }
             }
         }
@@ -234,10 +265,10 @@ impl<'a> StencilTraversal<'a> {
                 exps: self.exps,
                 n_modes: self.n_modes,
                 isa: self.simd,
-                kernel: stencil.kernel(),
+                kernel: self.stencil.kernel(),
                 rule: self.rule,
                 soa: &self.soa,
-                inv_h,
+                inv_h: self.inv_h,
                 center,
                 shift,
                 origin,
@@ -254,61 +285,113 @@ mod tests {
     use super::*;
     use crate::kernel::AccumulateSolution;
     use ustencil_dg::project_l2;
+    use ustencil_geometry::{clip_triangle_rect, Triangle};
     use ustencil_mesh::{generate_mesh, MeshClass};
     use ustencil_quadrature::TriangleRule;
 
     /// The staged SoA path must agree with the fused reference evaluation
-    /// (integrate_physical over `K_h · u`) to rounding.
+    /// (integrate_physical over `K_h · u`) to rounding, and stage exactly
+    /// the reference's sub-triangles — same order, same bits — at both
+    /// smoothness levels and with elements up to two cells wide (images
+    /// spanning three lattice columns or rows).
     #[test]
     fn staged_matches_fused_reference() {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 5);
         let field = project_l2(&mesh, 2, |x, y| 0.3 + x - 0.4 * y + x * y, 1);
         let basis = field.basis().clone();
-        let k = 2;
-        let stencil = Stencil2d::symmetric(k, mesh.max_edge_length());
-        let rule =
-            TriangleRule::with_strength(crate::integrate::IntegrationCtx::required_strength(k, 2));
         let exps = basis.monomial_exponents();
-        let trav = StencilTraversal::new(&stencil, &rule, exps, basis.n_modes());
-
-        let center = Point2::new(0.5, 0.5);
-        let mut stage = QuadStage::default();
-        let mut metrics = Metrics::default();
-        let mut ref_metrics = Metrics::default();
-        let ctx = crate::integrate::IntegrationCtx::new(&stencil, &rule, &basis);
-        let mut any_hit = 0u32;
-        for e in 0..mesh.n_triangles() {
-            let ed = ElementData::gather(&mesh, &field, &basis, e);
-            let mut sink = AccumulateSolution::new();
-            let hit =
-                trav.integrate_image(center, &ed, Vec2::ZERO, &mut stage, &mut sink, &mut metrics);
-            let staged = sink.take();
-            // Fused reference: kernel × polynomial at each quadrature point.
-            let (fused, ref_hit) = fused_reference(&ctx, center, &ed, &mut ref_metrics);
-            assert_eq!(hit, ref_hit, "element {e}");
-            let tol = 1e-13 * fused.abs().max(1.0);
-            assert!(
-                (staged - fused).abs() < tol,
-                "element {e}: {staged} vs {fused}"
+        for (k, h_factor) in [(2, 1.0), (1, 1.0), (2, 0.5), (1, 0.5)] {
+            let stencil = Stencil2d::symmetric(k, h_factor * mesh.max_edge_length());
+            let rule = TriangleRule::with_strength(
+                crate::integrate::IntegrationCtx::required_strength(k, 2),
             );
-            any_hit += hit as u32;
+            let trav = StencilTraversal::new(&stencil, &rule, exps, basis.n_modes());
+
+            let center = Point2::new(0.5, 0.5);
+            let mut stage = QuadStage::default();
+            let mut metrics = Metrics::default();
+            let mut ref_metrics = Metrics::default();
+            let ctx = crate::integrate::IntegrationCtx::new(&stencil, &rule, &basis);
+            let mut any_hit = 0u32;
+            let mut widest = 0;
+            for e in 0..mesh.n_triangles() {
+                let ed = ElementData::gather(&mesh, &field, &basis, e);
+                let mut sink = AccumulateSolution::new();
+                let hit = trav.integrate_image(
+                    center,
+                    &ed,
+                    Vec2::ZERO,
+                    &mut stage,
+                    &mut sink,
+                    &mut metrics,
+                );
+                let staged = sink.take();
+                // Fused reference: kernel × polynomial at each quadrature point.
+                let (fused, ref_hit, ref_subs) =
+                    fused_reference(&ctx, center, &ed, &mut ref_metrics);
+                assert_eq!(hit, ref_hit, "k {k}, element {e}");
+                let tol = 1e-13 * fused.abs().max(1.0);
+                assert!(
+                    (staged - fused).abs() < tol,
+                    "k {k}, element {e}: {staged} vs {fused}"
+                );
+                // A miss may return before the stage is cleared.
+                if hit {
+                    assert_eq!(stage.subs, ref_subs, "k {k}, element {e}");
+                    widest = widest.max(stage.strips.len());
+                } else {
+                    assert!(ref_subs.is_empty(), "k {k}, element {e}");
+                }
+                any_hit += hit as u32;
+            }
+            assert!(any_hit > 0, "test must exercise intersecting elements");
+            assert_eq!(widest, if h_factor < 1.0 { 3 } else { 2 });
+            // Identical traversal ⇒ identical counters.
+            assert_eq!(metrics.cell_clips, ref_metrics.cell_clips);
+            assert_eq!(metrics.subregions, ref_metrics.subregions);
+            assert_eq!(metrics.quad_evals, ref_metrics.quad_evals);
+            assert_eq!(metrics.flops, ref_metrics.flops);
         }
-        assert!(any_hit > 0, "test must exercise intersecting elements");
-        // Identical traversal ⇒ identical counters.
-        assert_eq!(metrics.cell_clips, ref_metrics.cell_clips);
-        assert_eq!(metrics.subregions, ref_metrics.subregions);
-        assert_eq!(metrics.quad_evals, ref_metrics.quad_evals);
-        assert_eq!(metrics.flops, ref_metrics.flops);
     }
 
-    /// The pre-refactor fused loop, kept in test code as the numerical
-    /// reference for the staged path.
+    /// The lattice indices are cast, not floored: the same index for every
+    /// quotient, finite or not.
+    #[test]
+    fn saturating_cast_is_floor_clamped_at_zero() {
+        let mut quotients = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            0.9999999999999999,
+            1.0,
+            1.0000000000000002,
+            6.999999999999999,
+            7.0,
+            4503599627370495.5,
+            1e19,
+            1.8446744073709552e19,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        quotients.extend(quotients.clone().iter().map(|q| -q));
+        for q in quotients {
+            assert_eq!(q as usize, q.floor().max(0.0) as usize, "{q}");
+            assert_eq!(q as usize, q.floor() as usize, "{q}");
+        }
+    }
+
+    /// The pre-refactor fused loop — one four-pass clip per lattice cell —
+    /// kept in test code as the reference for the staged path: its value,
+    /// its hit flag and the sub-triangles it integrates, in order.
     fn fused_reference(
         ctx: &crate::integrate::IntegrationCtx<'_>,
         center: Point2,
         elem: &ElementData,
         metrics: &mut Metrics,
-    ) -> (f64, bool) {
+    ) -> (f64, bool, Vec<(Triangle, f64)>) {
         let stencil = ctx.stencil;
         let h = stencil.h();
         let n_cells = stencil.cells_per_side();
@@ -319,11 +402,12 @@ mod tests {
         let y_base = center.y + lo * h;
         let i0 = (((bbox.min.x - x_base) / h).floor().max(0.0)) as usize;
         let j0 = (((bbox.min.y - y_base) / h).floor().max(0.0)) as usize;
+        let mut subs = Vec::new();
         if i0 >= n_cells || j0 >= n_cells {
-            return (0.0, false);
+            return (0.0, false, subs);
         }
         if bbox.max.x < x_base || bbox.max.y < y_base {
-            return (0.0, false);
+            return (0.0, false, subs);
         }
         let i1 = ((((bbox.max.x - x_base) / h).floor()) as usize).min(n_cells - 1);
         let j1 = ((((bbox.max.y - y_base) / h).floor()) as usize).min(n_cells - 1);
@@ -349,9 +433,13 @@ mod tests {
                         let p = Point2::new(x, y);
                         stencil.eval(center, p) * elem.eval(p, ctx.exps)
                     });
+                    let jac = sub.jacobian().abs();
+                    if jac != 0.0 {
+                        subs.push((sub, jac));
+                    }
                 }
             }
         }
-        (total, any)
+        (total, any, subs)
     }
 }

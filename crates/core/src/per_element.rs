@@ -14,7 +14,6 @@ use crate::integrate::{needed_shifts, ElementData};
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
 use crate::probe::{BlockStats, Probe};
-use std::collections::HashMap;
 use ustencil_dg::DgField;
 use ustencil_geometry::Rect;
 use ustencil_mesh::{Partition, TriMesh};
@@ -72,7 +71,12 @@ impl PerElementRun<'_> {
         let elem_values = Metrics::element_data_values(self.field.degree());
         let points = self.grid.points();
 
-        let mut partials: HashMap<u32, f64> = HashMap::new();
+        // Dense accumulator: `slot[id]` is one past the point's position in
+        // `partials` (0 = untouched), so a hit costs two indexed accesses
+        // instead of a hash. Zeroing it is O(grid) per patch — negligible
+        // against the ≈ 250 candidate tests every touched point costs.
+        let mut slot = vec![0u32; points.len()];
+        let mut partials: Vec<(u32, f64)> = Vec::new();
         let mut scratch = Scratch::new();
         let mut sink = AccumulateSolution::new();
 
@@ -128,7 +132,12 @@ impl PerElementRun<'_> {
                     probe.record_quad_points(metrics.quad_evals - quads_before);
                     metrics.true_intersections += hit as u64;
                     if hit {
-                        *partials.entry(id).or_insert(0.0) += v;
+                        let at = &mut slot[id as usize];
+                        if *at == 0 {
+                            partials.push((id, 0.0));
+                            *at = partials.len() as u32;
+                        }
+                        partials[*at as usize - 1].1 += v;
                         metrics.solution_writes += 1;
                     }
                 }
@@ -136,8 +145,9 @@ impl PerElementRun<'_> {
             probe.record_subregions(metrics.subregions - subregions_before);
         }
 
-        let mut partials: Vec<(u32, f64)> = partials.into_iter().collect();
         partials.sort_unstable_by_key(|&(id, _)| id);
+        // The partials outlive the patch; their growth slack need not.
+        partials.shrink_to_fit();
         metrics.partial_slots += partials.len() as u64;
 
         PatchResult { partials, metrics }

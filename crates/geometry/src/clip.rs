@@ -25,99 +25,90 @@ use crate::triangle::Triangle;
 pub fn clip_polygon(subject: &ConvexPolygon, clip: &ConvexPolygon) -> ConvexPolygon {
     let mut output = *subject;
     let cv = clip.vertices();
-    let n = cv.len();
-    let mut input = ConvexPolygon::empty();
-    for i in 0..n {
-        if output.is_empty() {
-            break;
-        }
-        let e0 = cv[i];
-        let e1 = cv[(i + 1) % n];
-        std::mem::swap(&mut input, &mut output);
-        output.clear();
-        clip_against_edge(&input, &mut output, |p| orient2d(e0, e1, p));
+    for (i, &e0) in cv.iter().enumerate() {
+        let e1 = cv[(i + 1) % cv.len()];
+        clip_pass(&mut output, |p| orient2d(e0, e1, p));
     }
     output
 }
 
-/// Clips a triangle against an axis-aligned rectangle.
+/// Clips a triangle against an axis-aligned rectangle: the x-slab, then the
+/// y-slab (left, right, bottom, top). The half-plane tests are plain
+/// coordinate differences instead of cross products, which is both faster
+/// and exactly consistent with the lattice geometry.
 ///
-/// This is the hot path of the stencil evaluators: each stencil lattice
-/// square is a `Rect`, and the mesh/stencil intersection (Figure 5) reduces
-/// to millions of triangle-vs-square clips. The four half-plane tests use
-/// plain coordinate comparisons instead of cross products, which is both
-/// faster and exactly consistent with the lattice geometry.
+/// The stencil traversal does not call this per lattice cell: it clips the
+/// x-slab once per lattice column and only the y-slab per cell, which is
+/// this function's result bit for bit (DESIGN.md §10, "Lattice clip").
 pub fn clip_triangle_rect(tri: &Triangle, rect: &Rect) -> ConvexPolygon {
-    let mut output = tri.to_polygon();
-    let mut input = ConvexPolygon::empty();
-
-    // Left edge: keep x >= x0.
-    std::mem::swap(&mut input, &mut output);
-    output.clear();
-    clip_against_edge(&input, &mut output, |p| p.x - rect.x0);
-    if output.is_empty() {
-        return output;
-    }
-
-    // Right edge: keep x <= x1.
-    std::mem::swap(&mut input, &mut output);
-    output.clear();
-    clip_against_edge(&input, &mut output, |p| rect.x1 - p.x);
-    if output.is_empty() {
-        return output;
-    }
-
-    // Bottom edge: keep y >= y0.
-    std::mem::swap(&mut input, &mut output);
-    output.clear();
-    clip_against_edge(&input, &mut output, |p| p.y - rect.y0);
-    if output.is_empty() {
-        return output;
-    }
-
-    // Top edge: keep y <= y1.
-    std::mem::swap(&mut input, &mut output);
-    output.clear();
-    clip_against_edge(&input, &mut output, |p| rect.y1 - p.y);
-    output
+    let mut poly = tri.to_polygon();
+    clip_slab_x(&mut poly, rect.x0, rect.x1);
+    clip_slab_y(&mut poly, rect.y0, rect.y1);
+    poly
 }
 
-/// One Sutherland–Hodgman pass: keeps the part of `input` where
-/// `signed_dist >= 0`. `signed_dist` must be affine (a half-plane).
+/// Keeps, in place, the part of `poly` with `x0 <= x <= x1`.
 #[inline]
-fn clip_against_edge<F: Fn(Point2) -> f64>(
-    input: &ConvexPolygon,
-    output: &mut ConvexPolygon,
-    signed_dist: F,
-) {
-    let verts = input.vertices();
+pub fn clip_slab_x(poly: &mut ConvexPolygon, x0: f64, x1: f64) {
+    clip_pass(poly, |p| p.x - x0);
+    clip_pass(poly, |p| x1 - p.x);
+}
+
+/// Keeps, in place, the part of `poly` with `y0 <= y <= y1`.
+#[inline]
+pub fn clip_slab_y(poly: &mut ConvexPolygon, y0: f64, y1: f64) {
+    clip_pass(poly, |p| p.y - y0);
+    clip_pass(poly, |p| y1 - p.y);
+}
+
+/// One Sutherland–Hodgman pass, in place: keeps the part of `poly` where
+/// `signed_dist >= 0`. `signed_dist` must be affine (a half-plane).
+///
+/// Every vertex is classified first. A polygon wholly inside is left
+/// untouched — the pass would re-emit its vertices in order, so skipping it
+/// moves no bit — and one wholly outside is emptied. Otherwise each edge
+/// writes its crossing point and its end vertex unconditionally and advances
+/// the output index only past the ones the pass keeps: the emission order of
+/// the textbook loop without its data-dependent branches.
+#[inline]
+fn clip_pass(poly: &mut ConvexPolygon, signed_dist: impl Fn(Point2) -> f64) {
+    const N: usize = ConvexPolygon::CAPACITY;
+    let verts = poly.vertices();
     let n = verts.len();
-    if n == 0 {
+    let mut dist = [0.0; N];
+    let mut kept = 0;
+    for (d, &v) in dist.iter_mut().zip(verts) {
+        *d = signed_dist(v);
+        kept += (*d >= 0.0) as usize;
+    }
+    if kept == n {
         return;
     }
-    let mut s = verts[n - 1];
-    let mut ds = signed_dist(s);
-    for &e in verts {
-        let de = signed_dist(e);
-        if de >= 0.0 {
-            if ds < 0.0 {
-                output.push(intersect_at(s, e, ds, de));
-            }
-            output.push(e);
-        } else if ds >= 0.0 {
-            output.push(intersect_at(s, e, ds, de));
-        }
-        s = e;
-        ds = de;
+    if kept == 0 {
+        poly.clear();
+        return;
     }
-}
-
-/// Point where segment `s -> e` crosses the zero level of an affine function
-/// with values `ds` at `s` and `de` at `e` (signs must differ).
-#[inline]
-fn intersect_at(s: Point2, e: Point2, ds: f64, de: f64) -> Point2 {
-    let t = ds / (ds - de);
-    s.lerp(e, t)
+    // Slot `N` takes what the pass drops. Like `push`, a subject that emits
+    // more than `N` vertices (no convex one does) asserts in debug builds
+    // and keeps the first `N` in release.
+    let mut out = [Point2::ORIGIN; N + 1];
+    let mut len = 0;
+    let (mut s, mut ds) = (verts[n - 1], dist[n - 1]);
+    for (&e, &de) in verts.iter().zip(&dist) {
+        let keep_e = de >= 0.0;
+        // Where segment `s -> e` meets the zero level; meaningless (and
+        // dropped) unless the edge crosses it.
+        out[len.min(N)] = s.lerp(e, ds / (ds - de));
+        len += if keep_e { ds < 0.0 } else { ds >= 0.0 } as usize;
+        out[len.min(N)] = e;
+        len += keep_e as usize;
+        (s, ds) = (e, de);
+    }
+    debug_assert!(len <= N, "polygon vertex overflow");
+    poly.clear();
+    for &v in &out[..len.min(N)] {
+        poly.push(v);
+    }
 }
 
 /// Fan-triangulates a convex polygon from its first vertex.

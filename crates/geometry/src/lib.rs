@@ -25,7 +25,7 @@ pub mod rect;
 pub mod triangle;
 
 pub use aabb::Aabb;
-pub use clip::{clip_polygon, clip_triangle_rect, fan_triangulate};
+pub use clip::{clip_polygon, clip_slab_x, clip_slab_y, clip_triangle_rect, fan_triangulate};
 pub use point::{Point2, Vec2};
 pub use polygon::{ConvexPolygon, PolygonCapacityError};
 pub use rect::Rect;

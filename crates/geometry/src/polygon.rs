@@ -37,6 +37,7 @@ impl ConvexPolygon {
     /// builds assert, release builds keep the first `CAPACITY` vertices.
     /// Use [`try_from_vertices`](Self::try_from_vertices) at fallible
     /// boundaries.
+    #[inline]
     pub fn from_vertices(vertices: &[Point2]) -> Self {
         debug_assert!(
             vertices.len() <= Self::CAPACITY,
@@ -114,6 +115,7 @@ impl ConvexPolygon {
 
     /// Signed area by the shoelace formula; positive for counter-clockwise
     /// order.
+    #[inline]
     pub fn signed_area(&self) -> f64 {
         let v = self.vertices();
         if v.len() < 3 {
@@ -166,6 +168,7 @@ impl ConvexPolygon {
     }
 
     /// Ensures counter-clockwise orientation, reversing in place if needed.
+    #[inline]
     pub fn make_ccw(&mut self) {
         if self.signed_area() < 0.0 {
             self.verts[..self.len as usize].reverse();

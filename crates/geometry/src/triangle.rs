@@ -108,6 +108,7 @@ impl Triangle {
 
     /// Conversion to a [`ConvexPolygon`] in counter-clockwise order
     /// (reverses clockwise input).
+    #[inline]
     pub fn to_polygon(&self) -> ConvexPolygon {
         let mut p = ConvexPolygon::from_vertices(&[self.a, self.b, self.c]);
         p.make_ccw();

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Distil one benchmark set into the on-disk trajectory (ROADMAP aim 1).
 
-Usage: bench_record.py SET_DIR --pr N      (writes BENCH_<N>.json at the root)
+Usage: bench_record.py SET_DIR --pr N [--base PARENT_SET_DIR]
+                                           (writes BENCH_<N>.json at the root)
 
 SET_DIR is what `benchmark --runs R --out SET_DIR` leaves behind: one
 `run-*` sub-directory per seed, each with a `<workload>.json` result (and a
@@ -10,9 +11,11 @@ end-to-end metric the record keeps the median, the quartiles (the exclusive
 method `--compare` uses) and the run count; per-layer metrics keep their
 median. Next to them: what the runs say about the program and the host (git
 rev, nproc, SIMD ISA, rustc, seeds, failed frames) and the `tools/loc.py`
-totals of the tree the record is written from. Two records are compared by
-eye or by `benchmark --compare` on the sets themselves; this file gates
-nothing.
+totals of the tree the record is written from. `--base` adds the end-to-end
+summary of the parent's set from the same session (`base_end_to_end`): the
+host drifts between sessions by more than most changes move, so a record is
+best read against its own base. Two records are compared by eye or by
+`benchmark --compare` on the sets themselves; this file gates nothing.
 """
 
 import argparse
@@ -55,13 +58,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("set_dir", type=Path)
     ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--base", type=Path)
     args = ap.parse_args()
 
     # Untraced results sit one directory per seed; a traced result, when
     # the set has one, sits in the set's own directory (as `--runs` leaves it).
-    runs = sorted(args.set_dir.glob("run-*")) or [args.set_dir]
+    runs_of = lambda set_dir: sorted(set_dir.glob("run-*")) or [set_dir]
+    runs = runs_of(args.set_dir)
     load = lambda dirs, pattern: [json.loads(p.read_text()) for d in dirs for p in sorted(d.glob(pattern))]
-    untraced = [r for r in load(runs, "*.json") if r.get("traced") is False]
+    untraced_of = lambda dirs: [r for r in load(dirs, "*.json") if r.get("traced") is False]
+    untraced = untraced_of(runs)
     layered = load({*runs, args.set_dir}, "*.layers.json")
     if not untraced:
         sys.exit(f"{args.set_dir}: no untraced <workload>.json results")
@@ -82,6 +88,8 @@ def main():
     }
     if layered:
         record["per_layer"] = distil(layered, quartiles=False)
+    if args.base:
+        record["base_end_to_end"] = distil(untraced_of(runs_of(args.base)), quartiles=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}: {len(record['end_to_end'])} workload(s), {len(runs)} run(s)")
