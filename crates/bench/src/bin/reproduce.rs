@@ -17,7 +17,7 @@ use ustencil_core::per_element::memory_overhead;
 use ustencil_core::prelude::*;
 use ustencil_dist::{run_dist, DistOptions, SCHEME_LABEL as DIST_SCHEME_LABEL};
 use ustencil_mesh::MeshClass;
-use ustencil_plan::{PlanExt, PATCH_SCHEME_LABEL, SCHEME_LABEL};
+use ustencil_plan::{EvalPlan, PATCH_SCHEME_LABEL, SCHEME_LABEL};
 use ustencil_serve::traffic::{self, TrafficConfig};
 use ustencil_serve::SCHEME_LABEL as SERVE_SCHEME_LABEL;
 use ustencil_trace::Timeline;
@@ -370,7 +370,7 @@ fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
             .instrument(true)
             .simd(simd);
         eprintln!("  [compiling plan for {} triangles...]", n);
-        let plan = processor.compile_plan(&w.mesh, w.p, &w.grid);
+        let plan = EvalPlan::compile(&w.mesh, &w.grid, w.p, processor.config());
         let build_ms = plan.build_wall().as_secs_f64() * 1e3;
 
         // Synthetic timesteps: the projected field with coefficients
@@ -435,7 +435,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
     use ustencil_bench::test_function;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{elements_on_longest_edge, refine_elements};
-    use ustencil_plan::{DirtySet, EvalPlan};
+    use ustencil_plan::DirtySet;
 
     /// Width of the refined band in domain units; elements whose centroid
     /// falls under the front are split 1 → 4.
@@ -581,12 +581,12 @@ fn serve_cmd(opts: &CliOptions) -> Vec<RunRecord> {
     let naive = traffic::run_naive(&cfg);
 
     println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7} {:>8}",
-        "mode", "wall ms", "req/s", "p50 us", "p99 us", "compiles", "hits", "batches"
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7} {:>7}",
+        "mode", "wall ms", "req/s", "p50 us", "p99 us", "compiles", "hits", "waits"
     );
     for (mode, out) in [("cached", &cached), ("naive", &naive)] {
         println!(
-            "{:>8} {:>10.1} {:>10.0} {:>10} {:>10} {:>9} {:>7} {:>8}",
+            "{:>8} {:>10.1} {:>10.0} {:>10} {:>10} {:>9} {:>7} {:>7}",
             mode,
             out.wall_ms,
             out.throughput_rps,
@@ -594,17 +594,13 @@ fn serve_cmd(opts: &CliOptions) -> Vec<RunRecord> {
             out.latency_us(0.99),
             out.stats.compiles,
             out.stats.hits,
-            out.stats.batches
+            out.stats.single_flight_waits
         );
     }
     let speedup = cached.throughput_rps / naive.throughput_rps;
     println!(
-        "throughput: cached is {speedup:.1}x naive ({} compiles for {} requests; \
-         {} single-flight waits, {} coalesced batches)",
-        cached.stats.compiles,
-        cached.stats.requests,
-        cached.stats.single_flight_waits,
-        cached.stats.batches
+        "throughput: cached is {speedup:.1}x naive ({} compiles for {} requests, {} rows)",
+        cached.stats.compiles, cached.stats.requests, cached.stats.rows
     );
     println!("(compile-once/apply-many economics as a service: see DESIGN.md section 14)");
     vec![cached.record, naive.record]
@@ -902,6 +898,13 @@ fn checkjson(path: &str) -> Result<(), String> {
                 return Err(format!(
                     "{ctx}: {} misses but {} compiles + {} disk loads + {} patches",
                     serve.misses, serve.compiles, serve.disk_loads, serve.patches
+                ));
+            }
+            // One cache lookup per request, each counted exactly once.
+            if serve.hits + serve.misses + serve.single_flight_waits != serve.requests {
+                return Err(format!(
+                    "{ctx}: {} hits + {} misses + {} single-flight waits but {} requests",
+                    serve.hits, serve.misses, serve.single_flight_waits, serve.requests
                 ));
             }
             if serve.service_us.count() != serve.requests {

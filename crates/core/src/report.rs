@@ -42,8 +42,10 @@ use ustencil_trace::{
 /// evicted); v6 adds the run-level `simd` object (requested policy,
 /// dispatched ISA and lane width, and the achieved fraction of nominal
 /// peak from the flop counters); v7 removes the run-level `locality`
-/// object together with the storage-order option it profiled.
-pub const REPORT_SCHEMA_VERSION: u64 = 7;
+/// object together with the storage-order option it profiled; v8 removes
+/// the serve `batches` counter together with request coalescing and renames
+/// `batched_rows` to `rows`.
+pub const REPORT_SCHEMA_VERSION: u64 = 8;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -211,20 +213,21 @@ json_record! {
         pub misses: u64,
         /// Compiles charged to this tenant (it was the single-flight leader).
         pub compiles: u64,
-        /// Output rows evaluated for the tenant across all coalesced batches.
-        pub batched_rows: u64,
-        /// Microseconds each request waited between admission and the start of
-        /// its service batch.
+        /// Output rows evaluated for the tenant.
+        pub rows: u64,
+        /// Microseconds each request waited between admission and a worker
+        /// picking it up.
         pub queue_wait_us: Hist64,
-        /// Microseconds from admission to answer (wait + batch service).
+        /// Microseconds from admission to answer (wait + service).
         pub service_us: Hist64,
     }
 }
 
 json_record! {
     /// Aggregate ledger of a plan-cache service run (`scheme = "serve"`): cache
-    /// effectiveness, single-flight and coalescing behaviour, and the run-wide
-    /// latency distributions, plus one [`TenantLedger`] per client.
+    /// effectiveness, single-flight behaviour, and the run-wide latency
+    /// distributions, plus one [`TenantLedger`] per client. Every request is
+    /// one cache lookup, so `hits + misses + single_flight_waits == requests`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ServeStats {
         /// Client threads that generated traffic.
@@ -250,10 +253,8 @@ json_record! {
         pub patches: u64,
         /// Plans evicted from the memory tier under the byte budget.
         pub evictions: u64,
-        /// Coalesced `apply_many` batches executed.
-        pub batches: u64,
-        /// Output rows evaluated across all batches.
-        pub batched_rows: u64,
+        /// Output rows evaluated across all requests.
+        pub rows: u64,
         /// Resident bytes of the memory tier when the run ended.
         pub cache_bytes: u64,
         /// Run-wide admission-to-service queue-wait distribution, microseconds.
@@ -653,16 +654,16 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v6, with the locality block) is rejected
-        // the same way, not half-parsed.
-        let v6 = text.replacen(
+        // The previous generation (v7, with the serve `batches` counter) is
+        // rejected the same way, not half-parsed.
+        let v7 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 6",
+            "\"schema\": 7",
             1,
         );
-        let err = RunReport::from_json(&v6).unwrap_err();
+        let err = RunReport::from_json(&v7).unwrap_err();
         assert!(
-            err.contains("schema version 6 is not supported"),
+            err.contains("schema version 7 is not supported"),
             "unhelpful error: {err}"
         );
     }
@@ -682,7 +683,7 @@ mod tests {
                 hits: 90 - t,
                 misses: 10 + 2 * t,
                 compiles: 3,
-                batched_rows: 40_000 + t,
+                rows: 40_000 + t,
                 queue_wait_us: wait,
                 service_us: service,
             })
@@ -713,8 +714,7 @@ mod tests {
                 disk_loads: 4,
                 patches: 2,
                 evictions: 3,
-                batches: 75,
-                batched_rows: 600_000,
+                rows: 600_000,
                 cache_bytes: 4_500_000,
                 queue_wait_us: wait,
                 service_us: service,

@@ -124,16 +124,6 @@ impl EvalPlan {
         }
     }
 
-    /// Applies the plan to a batch of fields (e.g. the timesteps of a
-    /// simulation), reusing the plan across all of them.
-    ///
-    /// # Panics
-    /// Panics when any field's degree or element count does not match the
-    /// plan.
-    pub fn apply_many(&self, fields: &[DgField], options: &ExecConfig) -> Vec<PlanSolution> {
-        fields.iter().map(|f| self.apply_with(f, options)).collect()
-    }
-
     /// Applies only the named rows of the plan, writing row
     /// `r`'s value into `out[r]` and leaving every other slot untouched.
     /// Each named row runs the same per-row dot product as a full

@@ -9,12 +9,10 @@
 //! keys compile to bit-identical plans; two problems with different content
 //! — even at the *same shape* — get different keys.
 //!
-//! That content sensitivity is the point: the historical
-//! [`CachedPlan`](crate::CachedPlan) invalidation checked only element
-//! count, degree, and row count, so feeding it a same-shape mesh with
-//! moved vertices silently reused the stale operator. Keys close that
-//! hazard, and they are what the concurrent cache in `ustencil-serve`
-//! shards and single-flights on.
+//! That content sensitivity is the point: a shape check (element count,
+//! degree, row count) would hand a same-shape mesh with moved vertices the
+//! stale operator. Keys close that hazard, and they are what the cache in
+//! `ustencil-serve` looks up, single-flights and names its disk files by.
 
 use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa};
 use ustencil_mesh::TriMesh;
@@ -134,8 +132,20 @@ impl PlanKey {
         }
     }
 
-    /// A stable 64-bit digest of the whole key — the shard selector and
-    /// on-disk file name of the serve-layer cache.
+    /// Whether `other` was compiled under the same kernel — degree,
+    /// smoothness, width factor and SIMD ISA — so the two keys differ at
+    /// most in mesh/grid content: the signature of a mesh edit, and the
+    /// precondition for [`EvalPlan::patched`](crate::EvalPlan::patched) to
+    /// reproduce a fresh compile bitwise.
+    pub fn same_kernel(&self, other: &Self) -> bool {
+        self.degree == other.degree
+            && self.smoothness == other.smoothness
+            && self.h_factor_bits == other.h_factor_bits
+            && self.simd == other.simd
+    }
+
+    /// A stable 64-bit digest of the whole key — the on-disk file name of
+    /// the serve-layer cache.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.mesh_hash);
@@ -179,6 +189,8 @@ mod tests {
         let kb = PlanKey::new(&b, &gb, 1, &ExecConfig::default());
         assert_ne!(ka, kb);
         assert_ne!(ka.digest(), kb.digest());
+        // Content is all that differs: the signature of a mesh edit.
+        assert!(ka.same_kernel(&kb));
     }
 
     #[test]
@@ -196,6 +208,7 @@ mod tests {
             },
         );
         assert_ne!(base, smoother);
+        assert!(!base.same_kernel(&smoother));
         let narrower = PlanKey::new(
             &mesh,
             &grid,
@@ -206,6 +219,7 @@ mod tests {
             },
         );
         assert_ne!(base, narrower);
+        assert!(!base.same_kernel(&narrower));
         // Parallelism and instrumentation do not change the compiled
         // weights, so they must not change the key.
         let parallel = PlanKey::new(
@@ -260,6 +274,7 @@ mod tests {
         if auto_isa != ustencil_core::SimdIsa::Scalar {
             assert_ne!(auto, scalar);
             assert_ne!(auto.digest(), scalar.digest());
+            assert!(!auto.same_kernel(&scalar));
         } else {
             assert_eq!(auto, scalar);
         }

@@ -31,12 +31,9 @@
 //! * [`EvalPlan::compile`] — build a plan from a mesh, grid, and the one
 //!   [`ExecConfig`](ustencil_core::ExecConfig) compile, patch and apply
 //!   all run under;
-//! * [`EvalPlan::apply`] / [`EvalPlan::apply_many`] — evaluate fields;
-//! * [`PlanExt`] — compile straight from a configured
-//!   [`PostProcessor`](ustencil_core::PostProcessor);
-//! * [`CachedPlan`] — a front end that compiles lazily and recompiles only
-//!   when the problem content ([`PlanKey`]) changes, patching incrementally
-//!   when the change is a mesh edit;
+//! * [`EvalPlan::apply`] / [`EvalPlan::apply_with`] — evaluate a field;
+//! * [`PlanKey`] — the content key a plan is cached under (the cache
+//!   itself is `ustencil-serve`'s `PlanCache`);
 //! * [`EvalPlan::patch`] / [`EvalPlan::patched`] — after a mesh edit,
 //!   recompile only the rows whose `(3k+1)h` stencil footprint touches the
 //!   dirty region ([`DirtySet::diff`]) and splice them into the existing
@@ -46,7 +43,6 @@
 #![deny(missing_docs)]
 
 mod apply;
-mod cached;
 mod compile;
 mod delta;
 mod key;
@@ -57,7 +53,6 @@ mod serial;
 mod tests;
 
 pub use apply::PlanSolution;
-pub use cached::{CachedPlan, PlanExt};
 pub use compile::CompileOptions;
 pub use delta::{DirtySet, PatchError, PlanDelta, PATCH_SCHEME_LABEL};
 pub use key::{grid_content_hash, mesh_content_hash, PlanKey};

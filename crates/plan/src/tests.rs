@@ -1,8 +1,8 @@
-//! Unit tests for plan compilation, application, caching, and
+//! Unit tests for plan compilation, application, patching, and
 //! serialization (cross-scheme equivalence properties live in the
 //! workspace-level `tests/plan_equivalence_prop.rs`).
 
-use crate::{DirtySet, EvalPlan, PatchError, PlanExt, SCHEME_LABEL};
+use crate::{DirtySet, EvalPlan, PatchError, SCHEME_LABEL};
 use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
@@ -40,7 +40,7 @@ fn plan_matches_direct_run() {
         .h_factor(0.5)
         .parallel(false);
     let direct = processor.run(&mesh, &field, &grid);
-    let plan = processor.compile_plan(&mesh, field.degree(), &grid);
+    let plan = EvalPlan::compile(&mesh, &grid, field.degree(), processor.config());
     let sol = plan.apply_with(&field, &ExecConfig::default());
     let diff = sol.max_abs_diff(&direct.values);
     assert!(diff <= 1e-12, "plan vs direct differ by {diff}");
@@ -126,12 +126,6 @@ fn apply_variants_agree() {
             assert_eq!(av.to_bits(), cv.to_bits(), "{n_blocks} blocks, row subset");
         }
     }
-    // Batched applies are per-field applies.
-    let fields = vec![field.clone(), field];
-    let many = plan.apply_many(&fields, &ExecConfig::default());
-    assert_eq!(many.len(), 2);
-    assert_eq!(many[0].values, a.values);
-    assert_eq!(many[1].values, a.values);
 }
 
 #[test]
@@ -311,71 +305,6 @@ fn run_record_carries_plan_stats() {
 }
 
 #[test]
-fn cached_plan_recompiles_only_on_shape_change() {
-    let (mesh, field, grid) = setup(150, 1, 8);
-    let processor = PostProcessor::new(Scheme::PerElement)
-        .h_factor(0.5)
-        .parallel(false);
-    let mut cached = processor.plan();
-    assert!(cached.get().is_none());
-    let first = cached.run(&mesh, &field, &grid);
-    assert_eq!(cached.rebuilds(), 1);
-    let second = cached.run(&mesh, &field, &grid);
-    assert_eq!(cached.rebuilds(), 1, "same shape must reuse the plan");
-    assert_eq!(first.values, second.values);
-    // A different degree forces a rebuild.
-    let field2 = project_l2(&mesh, 2, |x, y| x + y, 0);
-    let grid2 = ComputationGrid::quadrature_points(&mesh, 2);
-    let _ = cached.run(&mesh, &field2, &grid2);
-    assert_eq!(cached.rebuilds(), 2);
-    // Explicit invalidation also forces one.
-    cached.invalidate();
-    let _ = cached.run(&mesh, &field2, &grid2);
-    assert_eq!(cached.rebuilds(), 3);
-    // The cached plan agrees with the direct run it replaces.
-    let direct = processor.run(&mesh, &field2, &grid2);
-    let again = cached.run(&mesh, &field2, &grid2);
-    assert!(again.max_abs_diff(&direct.values) <= 1e-12);
-}
-
-#[test]
-fn cached_plan_detects_same_shape_content_change() {
-    // Regression: the old shape-only check (element count, degree, rows)
-    // reused the stale operator when the mesh changed content at equal
-    // shape. Content keys must force the recompile.
-    let processor = PostProcessor::new(Scheme::PerPoint)
-        .h_factor(0.5)
-        .parallel(false);
-    let mesh_a = generate_mesh(MeshClass::LowVariance, 150, 1);
-    let mesh_b = generate_mesh(MeshClass::LowVariance, 150, 2);
-    assert_eq!(mesh_a.n_triangles(), mesh_b.n_triangles());
-    let field_a = project_l2(&mesh_a, 1, |x, y| x + 2.0 * y, 2);
-    let field_b = project_l2(&mesh_b, 1, |x, y| x + 2.0 * y, 2);
-    let grid_a = ComputationGrid::quadrature_points(&mesh_a, 1);
-    let grid_b = ComputationGrid::quadrature_points(&mesh_b, 1);
-    assert_eq!(grid_a.len(), grid_b.len());
-    let mut cached = processor.plan();
-    let _ = cached.run(&mesh_a, &field_a, &grid_a);
-    assert_eq!(cached.rebuilds(), 1);
-    let on_b = cached.run(&mesh_b, &field_b, &grid_b);
-    assert_eq!(
-        cached.rebuilds(),
-        2,
-        "same-shape different-content mesh must recompile"
-    );
-    // And the recompiled answer is the right one for mesh B.
-    let direct_b = processor.run(&mesh_b, &field_b, &grid_b);
-    assert!(on_b.max_abs_diff(&direct_b.values) <= 1e-12);
-    // Switching back is a content change again, not a cache hit.
-    let _ = cached.run(&mesh_a, &field_a, &grid_a);
-    assert_eq!(cached.rebuilds(), 3);
-    assert_eq!(
-        cached.key().copied(),
-        Some(crate::PlanKey::new(&mesh_a, &grid_a, 1, processor.config(),))
-    );
-}
-
-#[test]
 fn serialization_round_trip_is_bit_exact() {
     let (mesh, field, grid) = setup(120, 2, 6);
     let plan = EvalPlan::compile(&mesh, &grid, 2, &small_options());
@@ -422,12 +351,6 @@ fn serialization_round_trip_is_bit_exact() {
     let a = plan.apply(&field);
     let b = loaded.apply(&field);
     assert_eq!(a.values, b.values);
-    // A seeded cache uses the loaded plan without recompiling.
-    let mut cached = PostProcessor::new(Scheme::PerPoint).h_factor(0.5).plan();
-    cached.set(loaded);
-    let c = cached.run(&mesh, &field, &grid);
-    assert_eq!(cached.rebuilds(), 0);
-    assert_eq!(c.values, a.values);
 }
 
 #[test]
@@ -587,37 +510,6 @@ fn patched_plan_matches_fresh_compile_after_refinement() {
         .iter()
         .zip(&fresh.weights)
         .all(|(a, b)| a.to_bits() == b.to_bits()));
-}
-
-#[test]
-fn cached_plan_patches_on_mesh_edit() {
-    let processor = PostProcessor::new(Scheme::PerPoint)
-        .h_factor(0.5)
-        .parallel(false);
-    let (mesh, field, grid) = setup(200, 1, 41);
-    let mut cached = processor.plan();
-    let _ = cached.run(&mesh, &field, &grid);
-    assert_eq!((cached.rebuilds(), cached.patches()), (1, 0));
-    assert!(cached.last_delta().is_none());
-    // A mesh edit at unchanged kernel/degree takes the patch path.
-    let moved = ustencil_mesh::displace_band(&mesh, 0.2, 0.8, 0.15, 13);
-    let moved_field = project_l2(&moved, 1, |x, y| 0.2 + x - 0.5 * y + x * y, 2);
-    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
-    let sol = cached.run(&moved, &moved_field, &moved_grid);
-    assert_eq!((cached.rebuilds(), cached.patches()), (1, 1));
-    let delta = cached.last_delta().expect("patched run records a delta");
-    assert!(delta.respliced_rows > 0);
-    let direct = processor.run(&moved, &moved_field, &moved_grid);
-    assert!(sol.max_abs_diff(&direct.values) <= 1e-12);
-    // A plain re-run is a hit: no rebuild, no patch, delta cleared.
-    let _ = cached.run(&moved, &moved_field, &moved_grid);
-    assert_eq!((cached.rebuilds(), cached.patches()), (1, 1));
-    // A degree change is not content-only: full recompile.
-    let field2 = project_l2(&moved, 2, |x, y| x + y, 0);
-    let grid2 = ComputationGrid::quadrature_points(&moved, 2);
-    let _ = cached.run(&moved, &field2, &grid2);
-    assert_eq!((cached.rebuilds(), cached.patches()), (2, 1));
-    assert!(cached.last_delta().is_none());
 }
 
 #[test]

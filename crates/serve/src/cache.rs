@@ -1,5 +1,5 @@
-//! The concurrent plan cache: sharded by key digest, LRU-evicting under a
-//! byte budget, with single-flight compilation.
+//! The concurrent plan cache: one map behind one lock, LRU-evicting under
+//! a byte budget, with single-flight compilation.
 //!
 //! # Single flight
 //!
@@ -7,25 +7,29 @@
 //! scale. When K requesters race on the same cold key, the first to insert
 //! the in-flight marker becomes the *leader* and compiles (or revives the
 //! plan from the [`DiskTier`]); the other K−1 become *followers* and block
-//! on the marker's condvar, outside any shard lock. Everyone receives the
+//! on the marker's condvar, outside the cache lock. Everyone receives the
 //! same `Arc<EvalPlan>`, so results are bitwise identical to a fresh
 //! compile by construction and the compile runs exactly once. A leader
 //! whose compile panics abandons its flight on the way out: the marker
-//! leaves the shard and the followers wake to look the key up again, so a
+//! leaves the map and the followers wake to look the key up again, so a
 //! failed compile never wedges a key.
 //!
-//! # Sharding and eviction
+//! # One lock, one budget
 //!
-//! Keys map to one of N shards by `digest % N`; each shard is an
-//! independent mutex around a hash map, so lookups for different meshes
-//! never contend and the compile itself always runs unlocked. The byte
-//! budget (plan CSR bytes, the same accounting as
-//! [`PlanStats::bytes`](ustencil_core::PlanStats)) is split evenly across
-//! shards; when a shard exceeds its slice, least-recently-used *ready*
-//! entries are evicted — in-flight entries and the entry just produced are
-//! never victims, so a hot insert cannot evict itself. Evicted plans are
-//! spilled to the disk tier (when configured) before being dropped, which
-//! is what makes a later miss a cheap revive instead of a recompile.
+//! The lock is held for a map operation — lookup, publish, evict (and the
+//! victim's best-effort disk spill) — never for a compile, a patch or a
+//! disk revive, so lookups for different meshes wait on each other for
+//! microseconds unless the budget is evicting. (Eight digest-selected
+//! shards were measured against this and retired: no effect on throughput
+//! or p99, and a budget split eight ways that nothing honoured — DESIGN.md
+//! §14.) `byte_budget` bounds the whole cache in plan CSR bytes, the same
+//! accounting as [`PlanStats::bytes`](ustencil_core::PlanStats): after
+//! every publish, least-recently-used *ready* entries are evicted until the
+//! resident total fits. In-flight entries and the entry just produced are
+//! never victims, so the budget is exceeded by at most that one plan (a hot
+//! insert cannot evict itself). Evicted plans are spilled to the disk tier
+//! (when configured) before being dropped, which is what makes a later
+//! miss a cheap revive instead of a recompile.
 //!
 //! # Delta revalidation
 //!
@@ -33,8 +37,8 @@
 //! problem is a *miss* — but most of the old plan's rows are still exactly
 //! right. [`PlanCache::get_or_patch`] exploits that: each produced entry
 //! retains its [`Origin`] (the mesh/grid `Arc`s it was compiled for), and
-//! a leader that misses first looks for a resident *sibling* — same
-//! kernel and degree, different content — diffs the two problems
+//! a leader that misses first looks for a resident *sibling* — same kernel
+//! ([`PlanKey::same_kernel`]), different content — diffs the two problems
 //! ([`DirtySet::diff`]) and splices in only the dirty-footprint rows
 //! ([`EvalPlan::patched`]). The cache entry is revalidated at delta cost
 //! instead of evict-and-recompile cost; followers blocked on the flight
@@ -48,26 +52,14 @@ use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_mesh::TriMesh;
 use ustencil_plan::{DirtySet, EvalPlan, PlanKey};
 
-/// Configuration of a [`PlanCache`].
-#[derive(Debug)]
+/// Configuration of a [`PlanCache`]. The default is unbounded, memory only.
+#[derive(Debug, Default)]
 pub struct CacheConfig {
-    /// Number of independent shards (default 8; clamped to ≥ 1).
-    pub shards: usize,
-    /// Total resident-plan byte budget across all shards; 0 = unbounded.
+    /// Resident-plan byte budget of the whole cache; 0 = unbounded.
     pub byte_budget: u64,
     /// Optional warm-start disk tier: misses try it before compiling, and
     /// evictions spill to it.
     pub disk: Option<DiskTier>,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            byte_budget: 0,
-            disk: None,
-        }
-    }
 }
 
 /// How a [`PlanCache::get_or_compile`] / [`PlanCache::get_or_patch`] call
@@ -82,7 +74,7 @@ pub enum Outcome {
     /// This call led the production and revived the plan from disk.
     DiskLoad,
     /// This call led the production and patched a resident sibling plan
-    /// (same kernel/degree, edited mesh) instead of compiling.
+    /// (same kernel, edited mesh) instead of compiling.
     Patched,
     /// This call led the production and compiled the plan.
     Compiled,
@@ -134,7 +126,7 @@ enum FlightState {
     Pending,
     Done(Arc<EvalPlan>),
     /// The leader unwound out of its `make`; nobody will complete this
-    /// flight, and its entry is already gone from the shard.
+    /// flight, and its entry is already gone from the map.
     Abandoned,
 }
 
@@ -169,7 +161,7 @@ impl Flight {
 }
 
 /// Armed while a leader runs its `make`. If `make` unwinds, dropping the
-/// guard takes the key's in-flight entry out of the shard, un-counts the
+/// guard takes the key's in-flight entry out of the map, un-counts the
 /// leader's miss (so `misses == compiles + disk_loads + patches` holds) and
 /// wakes the followers with [`FlightState::Abandoned`]; they look the key
 /// up again and one of them leads with its own closure.
@@ -181,8 +173,8 @@ struct AbandonOnUnwind<'a> {
 
 impl Drop for AbandonOnUnwind<'_> {
     fn drop(&mut self) {
-        if let Ok(mut shard) = self.cache.shard_of(&self.key).lock() {
-            shard.map.remove(&self.key);
+        if let Ok(mut memory) = self.cache.memory.lock() {
+            memory.map.remove(&self.key);
         }
         self.cache.misses.fetch_sub(1, Ordering::Relaxed);
         self.flight.finish(FlightState::Abandoned);
@@ -206,7 +198,7 @@ enum Lookup {
 
 struct Entry {
     slot: Slot,
-    /// Global LRU clock value of the last touch.
+    /// LRU clock value of the last touch.
     last_used: u64,
     /// CSR bytes (0 while in flight).
     bytes: u64,
@@ -216,21 +208,22 @@ struct Entry {
     origin: Option<Arc<Origin>>,
 }
 
+/// The memory tier: everything the cache lock guards.
 #[derive(Default)]
-struct Shard {
+struct MemoryTier {
     map: HashMap<PlanKey, Entry>,
     resident_bytes: u64,
+    /// LRU clock: every lookup ticks it once.
+    tick: u64,
 }
 
-/// A sharded, byte-budgeted, single-flight cache of compiled plans. All
-/// methods take `&self`; the cache is meant to be shared across threads
-/// behind an `Arc`.
+/// A byte-budgeted, single-flight cache of compiled plans. All methods
+/// take `&self`; the cache is meant to be shared across threads behind an
+/// `Arc`.
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    budget_per_shard: u64,
+    memory: Mutex<MemoryTier>,
+    byte_budget: u64,
     disk: Option<DiskTier>,
-    /// Global LRU clock: every lookup ticks it once.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
@@ -243,8 +236,7 @@ pub struct PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("shards", &self.shards.len())
-            .field("budget_per_shard", &self.budget_per_shard)
+            .field("byte_budget", &self.byte_budget)
             .field("snapshot", &self.snapshot())
             .finish()
     }
@@ -253,19 +245,10 @@ impl std::fmt::Debug for PlanCache {
 impl PlanCache {
     /// An empty cache under `config`.
     pub fn new(config: CacheConfig) -> Self {
-        let n = config.shards.max(1);
         Self {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            // Integer split: a budget smaller than the shard count rounds to
-            // 0 per shard, which would read as "unbounded" — clamp up to 1
-            // so a tiny budget stays an aggressive evictor instead.
-            budget_per_shard: if config.byte_budget == 0 {
-                0
-            } else {
-                (config.byte_budget / n as u64).max(1)
-            },
+            memory: Mutex::default(),
+            byte_budget: config.byte_budget,
             disk: config.disk,
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -281,8 +264,8 @@ impl PlanCache {
     /// caller per key runs `compile` at a time; concurrent requesters for
     /// the same cold key block and share the leader's result.
     ///
-    /// `compile` runs without any cache lock held, so long compiles never
-    /// stall lookups for other keys (or even other plans in this shard).
+    /// `compile` runs without the cache lock held, so long compiles never
+    /// stall lookups for other keys.
     pub fn get_or_compile(
         &self,
         key: PlanKey,
@@ -293,7 +276,7 @@ impl PlanCache {
 
     /// Delta-aware variant of [`get_or_compile`](Self::get_or_compile): the
     /// leader first tries to *patch* a resident sibling plan — one compiled
-    /// at the same kernel/degree for an earlier revision of the mesh
+    /// at the same kernel for an earlier revision of the mesh
     /// ([`EvalPlan::patched`]) — and only compiles from scratch when no
     /// sibling exists or the edit changed the kernel scale. Either way the
     /// produced entry retains `(mesh, grid)` as its [`Origin`], so it can
@@ -339,7 +322,7 @@ impl PlanCache {
                     });
                     return self.produce(key, &flight, origin, make);
                 }
-                // Block outside the shard lock until the leader publishes.
+                // Block outside the cache lock until the leader publishes.
                 Lookup::Follow(flight) => {
                     self.waits.fetch_add(1, Ordering::Relaxed);
                     if let Some(plan) = flight.wait() {
@@ -350,16 +333,13 @@ impl PlanCache {
         }
     }
 
-    fn shard_of(&self, key: &PlanKey) -> &Mutex<Shard> {
-        &self.shards[(key.digest() as usize) % self.shards.len()]
-    }
-
     /// The shared lookup front half: hit, follow an in-flight leader, or
     /// become the leader by publishing an in-flight marker.
     fn lookup_or_lead(&self, key: &PlanKey) -> Lookup {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = self.shard_of(key).lock().expect("shard poisoned");
-        match guard.map.get_mut(key) {
+        let mut memory = self.memory.lock().expect("cache poisoned");
+        memory.tick += 1;
+        let now = memory.tick;
+        match memory.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = now;
                 match &entry.slot {
@@ -373,7 +353,7 @@ impl PlanCache {
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let f = Arc::new(Flight::new());
-                guard.map.insert(
+                memory.map.insert(
                     *key,
                     Entry {
                         slot: Slot::InFlight(f.clone()),
@@ -388,8 +368,8 @@ impl PlanCache {
     }
 
     /// Leader path: revive from disk or run `make` (compile, or sibling
-    /// patch then compile), publish into the shard with its origin, evict
-    /// down to budget, wake followers. `make` runs without any lock held,
+    /// patch then compile), publish into the map with its origin, evict
+    /// down to budget, wake followers. `make` runs without the lock held,
     /// under the guard that abandons the flight if it unwinds.
     fn produce(
         &self,
@@ -421,22 +401,23 @@ impl PlanCache {
         };
         let bytes = plan.bytes() as u64;
         {
-            let mut guard = self.shard_of(&key).lock().expect("shard poisoned");
-            let entry = guard.map.get_mut(&key).expect("in-flight entry present");
+            let mut memory = self.memory.lock().expect("cache poisoned");
+            let entry = memory.map.get_mut(&key).expect("in-flight entry present");
             entry.slot = Slot::Ready(plan.clone());
             entry.bytes = bytes;
             entry.origin = origin;
-            guard.resident_bytes += bytes;
-            self.evict_over_budget(&mut guard, &key);
+            memory.resident_bytes += bytes;
+            self.evict_over_budget(&mut memory, &key);
         }
-        // Publish only after the shard state is consistent; followers that
+        // Publish only after the map state is consistent; followers that
         // wake will find a Ready entry on their next lookup too.
         flight.finish(FlightState::Done(plan.clone()));
         (plan, outcome)
     }
 
-    /// Scans for the most recently used resident plan that shares `key`'s
-    /// kernel half (degree, smoothness, `h_factor`) and retained
+    /// Picks the most recently used resident plan compiled under `key`'s
+    /// kernel ([`PlanKey::same_kernel`] — the SIMD ISA included, or the
+    /// splice would mix weights that differ at the FMA level) that retained
     /// its origin, diffs that origin against the requested problem, and
     /// patches. `None` when no such sibling exists or the patch is
     /// rejected (e.g. the edit changed the longest edge and with it `h`) —
@@ -448,52 +429,44 @@ impl PlanCache {
         grid: &ComputationGrid,
         options: &ExecConfig,
     ) -> Option<EvalPlan> {
-        let mut best: Option<(u64, Arc<EvalPlan>, Arc<Origin>)> = None;
-        for shard in &self.shards {
-            let guard = shard.lock().expect("shard poisoned");
-            for (k, entry) in &guard.map {
-                let kernel_match = k.degree == key.degree
-                    && k.smoothness == key.smoothness
-                    && k.h_factor_bits == key.h_factor_bits
-                    && k != key;
-                if !kernel_match {
-                    continue;
-                }
-                if let (Slot::Ready(plan), Some(origin)) = (&entry.slot, &entry.origin) {
-                    if best.as_ref().is_none_or(|(lu, _, _)| entry.last_used > *lu) {
-                        best = Some((entry.last_used, plan.clone(), origin.clone()));
-                    }
-                }
-            }
-        }
-        // Diff and patch outside every shard lock: only the two Arcs were
-        // taken from the scan.
-        let (_, base, origin) = best?;
+        // `key`'s own entry is in flight (the caller leads it), so it never
+        // matches. Only the two Arcs leave the lock: diff and patch run
+        // outside it.
+        let (base, origin) = {
+            let memory = self.memory.lock().expect("cache poisoned");
+            memory
+                .map
+                .iter()
+                .filter(|(k, _)| k.same_kernel(key))
+                .filter_map(|(_, e)| match (&e.slot, &e.origin) {
+                    (Slot::Ready(plan), Some(origin)) => Some((e.last_used, plan, origin)),
+                    _ => None,
+                })
+                .max_by_key(|&(last_used, _, _)| last_used)
+                .map(|(_, plan, origin)| (plan.clone(), origin.clone()))?
+        };
         let dirty = DirtySet::diff(&origin.mesh, &origin.grid, mesh, grid);
         base.patched(mesh, grid, &dirty, options)
             .ok()
             .map(|(plan, _)| plan)
     }
 
-    /// Evicts least-recently-used ready entries until the shard fits its
-    /// budget slice. `keep` (the entry just produced) and in-flight entries
-    /// are never victims, so the shard may transiently exceed the budget by
-    /// one resident plan — the alternative, evicting what was just
-    /// produced, would livelock a working set of one.
-    fn evict_over_budget(&self, shard: &mut Shard, keep: &PlanKey) {
-        if self.budget_per_shard == 0 {
-            return;
-        }
-        while shard.resident_bytes > self.budget_per_shard {
-            let victim = shard
+    /// Evicts least-recently-used ready entries until the cache fits its
+    /// budget. `keep` (the entry just produced) and in-flight entries are
+    /// never victims, so the cache may exceed the budget by that one plan —
+    /// the alternative, evicting what was just produced, would livelock a
+    /// working set of one.
+    fn evict_over_budget(&self, memory: &mut MemoryTier, keep: &PlanKey) {
+        while self.byte_budget != 0 && memory.resident_bytes > self.byte_budget {
+            let victim = memory
                 .map
                 .iter()
                 .filter(|(k, e)| *k != keep && matches!(e.slot, Slot::Ready(_)))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
-            let entry = shard.map.remove(&victim).expect("victim just found");
-            shard.resident_bytes -= entry.bytes;
+            let entry = memory.map.remove(&victim).expect("victim just found");
+            memory.resident_bytes -= entry.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             if let (Some(disk), Slot::Ready(plan)) = (self.disk.as_ref(), &entry.slot) {
                 // Spill-on-evict is best-effort: a failed write only costs
@@ -513,27 +486,18 @@ impl PlanCache {
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("shard poisoned").resident_bytes)
-                .sum(),
+            resident_bytes: self.memory.lock().expect("cache poisoned").resident_bytes,
         }
     }
 
-    /// Number of resident (ready) plans across all shards.
+    /// Number of resident (ready) plans.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("shard poisoned")
-                    .map
-                    .values()
-                    .filter(|e| matches!(e.slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        let memory = self.memory.lock().expect("cache poisoned");
+        memory
+            .map
+            .values()
+            .filter(|e| matches!(e.slot, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether no plan is resident.

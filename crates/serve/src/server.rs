@@ -1,23 +1,25 @@
-//! The request layer: a bounded submission queue, worker threads, and
-//! same-plan batch coalescing.
+//! The request layer: a bounded submission queue in front of worker
+//! threads.
 //!
 //! Clients [`submit`](ServerClient::submit) field-evaluation requests and
-//! block on a [`Ticket`] for the answer. Workers pop the queue head and
-//! *coalesce*: every queued request against the same [`PlanKey`] (up to
-//! `max_batch`) joins the head's batch and is served by a single
-//! [`apply_many`](ustencil_plan::EvalPlan::apply_many) sweep — one pass
-//! over the plan's CSR serving many tenants' fields, which is where the
-//! compile-once/apply-many economics of the paper turn into service
-//! throughput.
+//! block on a [`Ticket`] for the answer. A worker pops one request, looks
+//! its plan up ([`PlanCache::get_or_patch`] — hit, single-flight wait, disk
+//! revive, sibling patch or compile) and applies it to the request's field.
+//! One lookup per request is what makes the ledger conserve:
+//! `hits + misses + single_flight_waits == requests`. (Coalescing queued
+//! same-plan requests into one batch was measured and retired, DESIGN.md
+//! §14: with one apply per field a batch shared a map lookup, not a pass
+//! over the weights.)
 //!
 //! Admission is backpressured: the queue holds at most `queue_capacity`
 //! requests and `submit` blocks until space frees, so a burst slows
 //! producers instead of growing memory without bound.
 //!
 //! Every request is timed with two microsecond clocks — queue wait
-//! (admission → its batch starts) and service latency (admission → answer
-//! ready) — recorded into per-tenant [`Hist64`] ledgers and run-wide
-//! histograms, which is where the reported p50/p99 numbers come from.
+//! (admission → a worker picks it up) and service latency (admission →
+//! answer ready) — recorded into per-tenant [`Hist64`] ledgers; the
+//! run-wide histograms, where the reported p50/p99 come from, are their
+//! merge.
 
 use crate::cache::{Outcome, PlanCache};
 use std::collections::VecDeque;
@@ -38,11 +40,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; `submit` blocks when full (default 64).
     pub queue_capacity: usize,
-    /// Maximum requests coalesced into one apply batch (default 32).
-    pub max_batch: usize,
-    /// What cache-miss compiles, sibling patches and the batched SpMV
-    /// sweeps all run under (also part of every request's [`PlanKey`], so
-    /// two servers with different kernels never share plans by accident).
+    /// What cache-miss compiles, sibling patches and the applies all run
+    /// under (also part of every request's [`PlanKey`], so two servers with
+    /// different kernels never share plans by accident).
     pub exec: ExecConfig,
 }
 
@@ -51,7 +51,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            max_batch: 32,
             exec: ExecConfig::default(),
         }
     }
@@ -75,15 +74,12 @@ pub struct Problem {
 pub struct Response {
     /// Post-processed value at each grid point.
     pub values: Vec<f64>,
-    /// Microseconds between admission and the start of the serving batch.
+    /// Microseconds between admission and a worker picking the request up.
     pub queue_wait_us: u64,
     /// Microseconds between admission and this response being ready.
     pub service_us: u64,
-    /// How the serving batch's plan lookup was satisfied (batch followers
-    /// report [`Outcome::Hit`]: they rode an already-resolved plan).
+    /// How the request's plan lookup was satisfied.
     pub outcome: Outcome,
-    /// Requests served by the same batch (1 = no coalescing happened).
-    pub batch_size: usize,
 }
 
 /// A pending answer; [`wait`](Ticket::wait) blocks until the serving
@@ -118,42 +114,38 @@ struct QueueState {
     closed: bool,
 }
 
-/// Per-tenant accumulator, converted to [`TenantLedger`] at shutdown.
-#[derive(Debug, Clone, Copy)]
-struct LedgerAcc {
-    requests: u64,
-    hits: u64,
-    misses: u64,
-    compiles: u64,
-    batched_rows: u64,
-    queue_wait_us: Hist64,
-    service_us: Hist64,
+/// A tenant's ledger before its first request.
+pub(crate) fn empty_ledger(tenant: usize) -> TenantLedger {
+    TenantLedger {
+        tenant: tenant as u64,
+        requests: 0,
+        hits: 0,
+        misses: 0,
+        compiles: 0,
+        rows: 0,
+        queue_wait_us: Hist64::new(),
+        service_us: Hist64::new(),
+    }
 }
 
-impl LedgerAcc {
-    fn new() -> Self {
-        Self {
-            requests: 0,
-            hits: 0,
-            misses: 0,
-            compiles: 0,
-            batched_rows: 0,
-            queue_wait_us: Hist64::new(),
-            service_us: Hist64::new(),
-        }
+/// The run-wide (queue-wait, service-latency) histograms: the tenants' merged.
+pub(crate) fn merged_latencies(tenants: &[TenantLedger]) -> (Hist64, Hist64) {
+    let mut merged = (Hist64::new(), Hist64::new());
+    for t in tenants {
+        merged.0.merge(&t.queue_wait_us);
+        merged.1.merge(&t.service_us);
     }
+    merged
 }
 
 /// One worker's service totals, surfaced as a `RunRecord` patch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStat {
-    /// Nanoseconds the worker spent serving batches (not idle waiting).
+    /// Nanoseconds the worker spent serving requests (not idle waiting).
     pub busy_ns: u64,
-    /// Batches the worker executed.
-    pub batches: u64,
     /// Output rows the worker evaluated.
     pub rows: u64,
-    /// Summed apply metrics of the worker's batches.
+    /// Summed apply metrics of the worker's requests.
     pub metrics: Metrics,
 }
 
@@ -167,13 +159,11 @@ pub struct ServeLedgers {
     pub workers: Vec<WorkerStat>,
     /// Final cache counters and resident size.
     pub cache: crate::cache::CacheSnapshot,
-    /// Coalesced batches executed.
-    pub batches: u64,
-    /// Output rows evaluated across all batches.
-    pub batched_rows: u64,
+    /// Output rows evaluated across all requests.
+    pub rows: u64,
     /// Submissions that had to block on a full queue (backpressure events).
     pub blocked_submits: u64,
-    /// Run-wide queue-wait distribution, microseconds.
+    /// Run-wide queue-wait distribution (the tenants' merged), microseconds.
     pub queue_wait_us: Hist64,
     /// Run-wide service-latency distribution, microseconds.
     pub service_us: Hist64,
@@ -186,17 +176,15 @@ struct Shared {
     /// Signals submitters that queue space freed.
     space: Condvar,
     capacity: usize,
-    max_batch: usize,
     cache: PlanCache,
     exec: ExecConfig,
-    ledgers: Mutex<Vec<LedgerAcc>>,
-    global_hists: Mutex<(Hist64, Hist64)>,
+    ledgers: Mutex<Vec<TenantLedger>>,
     worker_stats: Mutex<Vec<WorkerStat>>,
     blocked_submits: AtomicU64,
 }
 
 /// The running service: a [`PlanCache`] fronted by worker threads and a
-/// bounded, coalescing submission queue.
+/// bounded submission queue.
 #[derive(Debug)]
 pub struct PlanServer {
     shared: Arc<Shared>,
@@ -207,7 +195,6 @@ impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
             .field("capacity", &self.capacity)
-            .field("max_batch", &self.max_batch)
             .field("cache", &self.cache)
             .finish()
     }
@@ -221,7 +208,8 @@ pub struct ServerClient {
 
 impl PlanServer {
     /// Starts `config.workers` worker threads over `cache`, tracking
-    /// `n_tenants` ledgers.
+    /// `n_tenants` ledgers (a request under a tenant id beyond them is
+    /// served but enters no ledger or latency histogram).
     pub fn start(cache: PlanCache, config: ServerConfig, n_tenants: usize) -> Self {
         let n_workers = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -232,11 +220,9 @@ impl PlanServer {
             work: Condvar::new(),
             space: Condvar::new(),
             capacity: config.queue_capacity.max(1),
-            max_batch: config.max_batch.max(1),
             cache,
             exec: config.exec,
-            ledgers: Mutex::new(vec![LedgerAcc::new(); n_tenants]),
-            global_hists: Mutex::new((Hist64::new(), Hist64::new())),
+            ledgers: Mutex::new((0..n_tenants).map(empty_ledger).collect()),
             worker_stats: Mutex::new(vec![WorkerStat::default(); n_workers]),
             blocked_submits: AtomicU64::new(0),
         });
@@ -272,29 +258,12 @@ impl PlanServer {
             w.join().expect("serve worker panicked");
         }
         let shared = &self.shared;
-        let tenants = shared
-            .ledgers
-            .lock()
-            .expect("ledgers poisoned")
-            .iter()
-            .enumerate()
-            .map(|(t, l)| TenantLedger {
-                tenant: t as u64,
-                requests: l.requests,
-                hits: l.hits,
-                misses: l.misses,
-                compiles: l.compiles,
-                batched_rows: l.batched_rows,
-                queue_wait_us: l.queue_wait_us,
-                service_us: l.service_us,
-            })
-            .collect();
+        let tenants = shared.ledgers.lock().expect("ledgers poisoned").clone();
         let workers = shared.worker_stats.lock().expect("stats poisoned").clone();
-        let (queue_wait_us, service_us) = *shared.global_hists.lock().expect("hists poisoned");
+        let (queue_wait_us, service_us) = merged_latencies(&tenants);
         ServeLedgers {
+            rows: workers.iter().map(|w: &WorkerStat| w.rows).sum(),
             tenants,
-            batches: workers.iter().map(|w: &WorkerStat| w.batches).sum(),
-            batched_rows: workers.iter().map(|w: &WorkerStat| w.rows).sum(),
             workers,
             cache: shared.cache.snapshot(),
             blocked_submits: shared.blocked_submits.load(Ordering::Relaxed),
@@ -339,24 +308,13 @@ impl ServerClient {
     }
 }
 
-/// Pops the queue head plus every same-key request (up to `max_batch`), or
-/// `None` when the queue is closed and drained.
-fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
+/// Pops the queue head, or `None` when the queue is closed and drained.
+fn next_request(shared: &Shared) -> Option<Pending> {
     let mut state = shared.state.lock().expect("queue poisoned");
     loop {
         if let Some(head) = state.queue.pop_front() {
-            let key = head.key;
-            let mut batch = vec![head];
-            let mut i = 0;
-            while i < state.queue.len() && batch.len() < shared.max_batch {
-                if state.queue[i].key == key {
-                    batch.push(state.queue.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-            shared.space.notify_all();
-            return Some(batch);
+            shared.space.notify_one();
+            return Some(head);
         }
         if state.closed {
             return None;
@@ -366,71 +324,56 @@ fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
-    while let Some(batch) = next_batch(shared) {
+    while let Some(pending) = next_request(shared) {
         let started = Instant::now();
-        let leader = &batch[0];
-        let problem = leader.problem.clone();
+        let problem = &pending.problem;
         let exec = &shared.exec;
         // Delta-aware lookup: a mesh-edit miss patches the resident
         // sibling plan instead of recompiling from scratch.
         let (plan, outcome) =
             shared
                 .cache
-                .get_or_patch(leader.key, &problem.mesh, &problem.grid, exec, || {
+                .get_or_patch(pending.key, &problem.mesh, &problem.grid, exec, || {
                     EvalPlan::compile(&problem.mesh, &problem.grid, problem.degree, exec)
                 });
-        let fields: Vec<DgField> = batch.iter().map(|p| p.field.clone()).collect();
-        let solutions = plan.apply_many(&fields, exec);
-        let batch_size = batch.len();
-        let mut batch_metrics = Metrics::default();
-        let mut batch_rows = 0u64;
+        let solution = plan.apply_with(&pending.field, exec);
+        let queue_wait_us = (started - pending.enqueued).as_micros() as u64;
+        let service_us = pending.enqueued.elapsed().as_micros() as u64;
+        let rows = solution.values.len() as u64;
+        if let Some(ledger) = shared
+            .ledgers
+            .lock()
+            .expect("ledgers poisoned")
+            .get_mut(pending.tenant)
         {
-            let mut ledgers = shared.ledgers.lock().expect("ledgers poisoned");
-            let mut hists = shared.global_hists.lock().expect("hists poisoned");
-            for (i, (pending, solution)) in batch.iter().zip(solutions).enumerate() {
-                let queue_wait_us = (started - pending.enqueued).as_micros() as u64;
-                let service_us = pending.enqueued.elapsed().as_micros() as u64;
-                // The lookup outcome belongs to the batch leader; coalesced
-                // followers rode a plan that was resolved for them.
-                let outcome_i = if i == 0 { outcome } else { Outcome::Hit };
-                let rows = solution.values.len() as u64;
-                batch_rows += rows;
-                batch_metrics.merge(&solution.metrics);
-                if let Some(ledger) = ledgers.get_mut(pending.tenant) {
-                    ledger.requests += 1;
-                    ledger.batched_rows += rows;
-                    match outcome_i {
-                        Outcome::Compiled => {
-                            ledger.misses += 1;
-                            ledger.compiles += 1;
-                        }
-                        // Disk revives, sibling patches, and single-flight
-                        // rides answer from a plan the tenant did not pay
-                        // a full compile for.
-                        Outcome::Hit | Outcome::Waited | Outcome::DiskLoad | Outcome::Patched => {
-                            ledger.hits += 1
-                        }
-                    }
-                    ledger.queue_wait_us.record(queue_wait_us);
-                    ledger.service_us.record(service_us);
+            ledger.requests += 1;
+            ledger.rows += rows;
+            match outcome {
+                Outcome::Compiled => {
+                    ledger.misses += 1;
+                    ledger.compiles += 1;
                 }
-                hists.0.record(queue_wait_us);
-                hists.1.record(service_us);
-                // A dropped ticket just means the client stopped caring.
-                let _ = pending.reply.send(Response {
-                    values: solution.values,
-                    queue_wait_us,
-                    service_us,
-                    outcome: outcome_i,
-                    batch_size,
-                });
+                // Disk revives, sibling patches, and single-flight rides
+                // answer from a plan the tenant did not pay a full compile
+                // for.
+                Outcome::Hit | Outcome::Waited | Outcome::DiskLoad | Outcome::Patched => {
+                    ledger.hits += 1
+                }
             }
+            ledger.queue_wait_us.record(queue_wait_us);
+            ledger.service_us.record(service_us);
         }
+        // A dropped ticket just means the client stopped caring.
+        let _ = pending.reply.send(Response {
+            values: solution.values,
+            queue_wait_us,
+            service_us,
+            outcome,
+        });
         let mut stats = shared.worker_stats.lock().expect("stats poisoned");
         let stat = &mut stats[worker];
         stat.busy_ns += started.elapsed().as_nanos() as u64;
-        stat.batches += 1;
-        stat.rows += batch_rows;
-        stat.metrics.merge(&batch_metrics);
+        stat.rows += rows;
+        stat.metrics.merge(&solution.metrics);
     }
 }

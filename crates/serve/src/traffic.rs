@@ -6,15 +6,15 @@
 //! RNG is derived from `(seed, client)` with SplitMix64, and the zipf
 //! sampler uses platform-independent transcendental kernels (see the
 //! `rand` shim), so a `(config, seed)` pair replays the same request
-//! sequence everywhere. What *is* timing-dependent — which requests
-//! coalesce into a batch, which lookups ride single-flight — changes only
-//! service latency, never any returned value: every request for a key gets
-//! the same shared plan, and `apply_many` of a batch is bit-identical to
-//! separate applies.
+//! sequence everywhere. What *is* timing-dependent — which lookups ride
+//! single-flight — changes only service latency, never any returned value:
+//! every request for a key gets the same shared plan.
 
 use crate::cache::{CacheConfig, PlanCache};
 use crate::disk::DiskTier;
-use crate::server::{PlanServer, Problem, ServerConfig, WorkerStat};
+use crate::server::{
+    empty_ledger, merged_latencies, PlanServer, Problem, ServerConfig, WorkerStat,
+};
 use rand::distributions::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ use ustencil_core::{ComputationGrid, ExecConfig, Metrics, RunRecord, ServeStats,
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::EvalPlan;
-use ustencil_trace::{Hist64, Tracer};
+use ustencil_trace::Tracer;
 
 /// Scheme label serve runs carry in `RunRecord` JSON.
 pub const SCHEME_LABEL: &str = "serve";
@@ -54,8 +54,6 @@ pub struct TrafficConfig {
     pub workers: usize,
     /// Bounded queue capacity (default 64).
     pub queue_capacity: usize,
-    /// Coalescing cap per batch (default 32).
-    pub max_batch: usize,
     /// Warm-start disk tier directory (default none).
     pub disk_dir: Option<PathBuf>,
 }
@@ -73,7 +71,6 @@ impl Default for TrafficConfig {
             byte_budget: 0,
             workers: 2,
             queue_capacity: 64,
-            max_batch: 32,
             disk_dir: None,
         }
     }
@@ -197,7 +194,6 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
         .as_ref()
         .map(|d| DiskTier::new(d).expect("disk tier directory"));
     let cache = PlanCache::new(CacheConfig {
-        shards: 8,
         byte_budget: cfg.byte_budget,
         disk,
     });
@@ -206,7 +202,6 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
         ServerConfig {
             workers: cfg.workers,
             queue_capacity: cfg.queue_capacity,
-            max_batch: cfg.max_batch,
             exec,
         },
         cfg.clients,
@@ -252,8 +247,7 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
         disk_loads: ledgers.cache.disk_loads,
         patches: ledgers.cache.patches,
         evictions: ledgers.cache.evictions,
-        batches: ledgers.batches,
-        batched_rows: ledgers.batched_rows,
+        rows: ledgers.rows,
         cache_bytes: ledgers.cache.resident_bytes,
         queue_wait_us: ledgers.queue_wait_us,
         service_us: ledgers.service_us,
@@ -297,16 +291,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
                 let exec = &exec;
                 let ledgers = &ledgers;
                 s.spawn(move || {
-                    let mut ledger = TenantLedger {
-                        tenant: client as u64,
-                        requests: 0,
-                        hits: 0,
-                        misses: 0,
-                        compiles: 0,
-                        batched_rows: 0,
-                        queue_wait_us: Hist64::new(),
-                        service_us: Hist64::new(),
-                    };
+                    let mut ledger = empty_ledger(client);
                     let mut stat = WorkerStat::default();
                     let mut rng = StdRng::seed_from_u64(client_seed(cfg.seed, client));
                     for _ in 0..requests_of(cfg.requests, cfg.clients, client) {
@@ -323,11 +308,10 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
                         ledger.requests += 1;
                         ledger.misses += 1;
                         ledger.compiles += 1;
-                        ledger.batched_rows += solution.values.len() as u64;
+                        ledger.rows += solution.values.len() as u64;
                         ledger.queue_wait_us.record(0);
                         ledger.service_us.record(us);
                         stat.busy_ns += t0.elapsed().as_nanos() as u64;
-                        stat.batches += 1;
                         stat.rows += solution.values.len() as u64;
                         stat.metrics.merge(&solution.metrics);
                     }
@@ -343,12 +327,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
     let mut pairs = ledgers.into_inner().expect("ledgers poisoned");
     pairs.sort_by_key(|(l, _)| l.tenant);
     let (tenants, workers): (Vec<TenantLedger>, Vec<WorkerStat>) = pairs.into_iter().unzip();
-    let mut queue_wait_us = Hist64::new();
-    let mut service_us = Hist64::new();
-    for t in &tenants {
-        queue_wait_us.merge(&t.queue_wait_us);
-        service_us.merge(&t.service_us);
-    }
+    let (queue_wait_us, service_us) = merged_latencies(&tenants);
     let requests: u64 = tenants.iter().map(|t| t.requests).sum();
     let stats = ServeStats {
         clients: cfg.clients as u64,
@@ -361,8 +340,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
         disk_loads: 0,
         patches: 0,
         evictions: 0,
-        batches: workers.iter().map(|w| w.batches).sum(),
-        batched_rows: workers.iter().map(|w| w.rows).sum(),
+        rows: workers.iter().map(|w| w.rows).sum(),
         cache_bytes: 0,
         queue_wait_us,
         service_us,
@@ -406,7 +384,7 @@ fn build_record(
             .iter()
             .map(|w| PatchRecord {
                 wall_ns: w.busy_ns,
-                elements: w.batches,
+                elements: 0,
                 points: w.rows,
                 metrics: w.metrics,
             })

@@ -47,10 +47,9 @@ fn evict_spill_reload_apply_is_bitwise_equal() {
     let key_a = PlanKey::new(&mesh_a, &grid_a, 1, &options);
     let key_b = PlanKey::new(&mesh_b, &grid_b, 1, &options);
 
-    // One shard + a 1-byte budget: every insert evicts the previous
-    // resident plan, spilling it to disk.
+    // A 1-byte budget: every insert evicts the previous resident plan,
+    // spilling it to disk.
     let cache = PlanCache::new(CacheConfig {
-        shards: 1,
         byte_budget: 1,
         disk: Some(DiskTier::new(&dir).expect("create disk tier")),
     });
@@ -85,6 +84,52 @@ fn evict_spill_reload_apply_is_bitwise_equal() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The budget bounds the whole cache: six plans through room for two and a
+/// half leave the last two requested resident, within budget, and every
+/// victim on disk.
+#[test]
+fn byte_budget_bounds_the_whole_cache() {
+    let dir = scratch("budget");
+    let fixtures: Vec<_> = (60..66u64)
+        .map(|seed| {
+            let mesh = generate_mesh(MeshClass::LowVariance, 120, seed);
+            let grid = ComputationGrid::quadrature_points(&mesh, 1);
+            let options = fixture(seed).2;
+            let key = PlanKey::new(&mesh, &grid, 1, &options);
+            (key, EvalPlan::compile(&mesh, &grid, 1, &options))
+        })
+        .collect();
+    let sizes: Vec<u64> = fixtures.iter().map(|(_, p)| p.bytes() as u64).collect();
+    let byte_budget = 5 * sizes.iter().max().unwrap() / 2;
+    assert!(
+        3 * sizes.iter().min().unwrap() > byte_budget,
+        "no three of these plans fit the budget: {sizes:?}"
+    );
+    let cache = PlanCache::new(CacheConfig {
+        byte_budget,
+        disk: Some(DiskTier::new(&dir).expect("create disk tier")),
+    });
+    for (key, plan) in &fixtures {
+        let (_, outcome) = cache.get_or_compile(*key, || plan.clone());
+        assert_eq!(outcome, Outcome::Compiled);
+    }
+
+    let snap = cache.snapshot();
+    assert_eq!((cache.len(), snap.evictions), (2, 4), "{snap:?}");
+    assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
+    assert_eq!(snap.resident_bytes, sizes[4] + sizes[5]);
+    let disk = cache.disk().expect("disk configured");
+    assert_eq!(disk.len(), 4);
+    for (i, (key, _)) in fixtures.iter().enumerate() {
+        assert_eq!(disk.path_of(key).exists(), i < 4, "plan {i}");
+    }
+    for (key, _) in &fixtures[4..] {
+        let (_, outcome) = cache.get_or_compile(*key, || unreachable!("resident"));
+        assert_eq!(outcome, Outcome::Hit);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_disk_file_degrades_to_recompile() {
     let dir = scratch("corrupt");
@@ -96,7 +141,6 @@ fn corrupt_disk_file_degrades_to_recompile() {
     fs::write(tier.path_of(&key), b"{ not json at all").expect("write corrupt file");
 
     let cache = PlanCache::new(CacheConfig {
-        shards: 1,
         byte_budget: 0,
         disk: Some(tier),
     });
@@ -127,7 +171,6 @@ fn old_version_disk_file_degrades_to_recompile() {
         .expect("write old-version file");
 
     let cache = PlanCache::new(CacheConfig {
-        shards: 1,
         byte_budget: 0,
         disk: Some(tier),
     });
@@ -154,7 +197,6 @@ fn foreign_plan_under_live_name_degrades_to_recompile() {
     assert_eq!(tier.len(), 1);
 
     let cache = PlanCache::new(CacheConfig {
-        shards: 1,
         byte_budget: 0,
         disk: Some(tier),
     });
@@ -181,7 +223,6 @@ fn truncated_disk_file_degrades_to_recompile() {
     fs::write(&path, &text[..text.len() / 2]).expect("write truncated file");
 
     let cache = PlanCache::new(CacheConfig {
-        shards: 1,
         byte_budget: 0,
         disk: Some(tier),
     });

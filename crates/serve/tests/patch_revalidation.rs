@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use ustencil_core::{ComputationGrid, ExecConfig};
+use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{displace_band, generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
@@ -122,6 +122,45 @@ fn kernel_changing_edit_falls_back_to_compile() {
     } else {
         assert_eq!(outcome, Outcome::Patched);
     }
+
+    // Another degree on the same mesh is another kernel: never a patch.
+    let grid2 = Arc::new(ComputationGrid::quadrature_points(&mesh, 2));
+    let key2 = PlanKey::new(&mesh, &grid2, 2, &options);
+    let (plan2, outcome) = cache.get_or_patch(key2, &mesh, &grid2, &options, || {
+        EvalPlan::compile(&mesh, &grid2, 2, &options)
+    });
+    assert_eq!((outcome, plan2.degree()), (Outcome::Compiled, 2));
+
+    // Nor is a plan compiled under another SIMD ISA a sibling: its kept
+    // rows would carry that ISA's FMA rounding into the splice.
+    let Some(policy) = SimdPolicy::ALL
+        .into_iter()
+        .find(|p| p.resolve() != SimdIsa::Scalar)
+    else {
+        eprintln!("skipped scalar-sibling: this host resolves every policy to scalar");
+        return;
+    };
+    let scalar = ExecConfig {
+        simd: SimdPolicy::Scalar,
+        ..options
+    };
+    let vector = ExecConfig {
+        simd: policy,
+        ..options
+    };
+    let cache = PlanCache::new(CacheConfig::default());
+    let scalar_key = PlanKey::new(&mesh, &grid, 1, &scalar);
+    let _ = cache.get_or_patch(scalar_key, &mesh, &grid, &scalar, || {
+        EvalPlan::compile(&mesh, &grid, 1, &scalar)
+    });
+    let (moved, moved_grid) = edited(&mesh);
+    let key = PlanKey::new(&moved, &moved_grid, 1, &vector);
+    let (plan, outcome) = cache.get_or_patch(key, &moved, &moved_grid, &vector, || {
+        EvalPlan::compile(&moved, &moved_grid, 1, &vector)
+    });
+    assert_eq!(outcome, Outcome::Compiled, "{policy:?} beside scalar");
+    let fresh = EvalPlan::compile(&moved, &moved_grid, 1, &vector);
+    assert!(plan.weights_bits().eq(fresh.weights_bits()));
 }
 
 #[test]

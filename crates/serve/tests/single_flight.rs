@@ -150,7 +150,7 @@ fn server_coalesced_answers_match_fresh_compile_apply() {
     });
     let ledgers = server.shutdown();
 
-    // However the requests batched, every answer is bitwise the fresh
+    // However the requests interleaved, every answer is bitwise the fresh
     // compile-and-apply result.
     let fresh = EvalPlan::compile(&problem.mesh, &problem.grid, 1, &options).apply(&field);
     for r in &responses {
@@ -160,13 +160,18 @@ fn server_coalesced_answers_match_fresh_compile_apply() {
                 .iter()
                 .zip(&fresh.values)
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "batched answer differs from fresh apply"
+            "served answer differs from fresh apply"
         );
-        assert!(r.batch_size >= 1);
     }
-    // One key, so one compile however many batches ran.
-    assert_eq!(ledgers.cache.compiles, 1);
-    assert_eq!(ledgers.batched_rows, (K * fresh.values.len()) as u64);
+    // One key, so one compile; one lookup per request, each counted once.
+    let cache = ledgers.cache;
+    assert_eq!(cache.compiles, 1);
+    assert_eq!(
+        cache.hits + cache.misses + cache.single_flight_waits,
+        K as u64,
+        "{cache:?}"
+    );
+    assert_eq!(ledgers.rows, (K * fresh.values.len()) as u64);
     let requests: u64 = ledgers.tenants.iter().map(|t| t.requests).sum();
     assert_eq!(requests, K as u64);
     let compiles: u64 = ledgers.tenants.iter().map(|t| t.compiles).sum();

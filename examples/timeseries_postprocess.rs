@@ -16,7 +16,6 @@ use std::time::Instant;
 use ustencil::dg::project_l2;
 use ustencil::engine::prelude::*;
 use ustencil::mesh::{generate_mesh, MeshClass};
-use ustencil::plan::PlanExt;
 use ustencil::EvalPlan;
 
 fn main() {
@@ -36,12 +35,12 @@ fn main() {
     let p = 1;
     let grid = ComputationGrid::quadrature_points(&mesh, p);
 
-    // 2. Compile the plan once, from a configured PostProcessor. This pays
-    //    the full geometric discovery cost (clipping, fan triangulation,
-    //    quadrature x kernel x basis) exactly one time.
+    // 2. Compile the plan once, under a configured PostProcessor's
+    //    ExecConfig. This pays the full geometric discovery cost (clipping,
+    //    fan triangulation, quadrature x kernel x basis) exactly one time.
     let processor = PostProcessor::new(Scheme::PerElement).blocks(16);
     let t0 = Instant::now();
-    let plan = processor.compile_plan(&mesh, p, &grid);
+    let plan = EvalPlan::compile(&mesh, &grid, p, processor.config());
     println!(
         "compiled plan: {} rows, {} entries, {:.1} MiB in {:.2?}",
         plan.rows(),

@@ -21,9 +21,10 @@
 //! * [`dist`] — the rank-sharded execution runtime: explicit halo
 //!   exchange over serialized transports, deterministic fault injection,
 //!   and per-rank comms accounting (see DESIGN.md §11),
-//! * [`serve`] — the multi-tenant plan-cache service: sharded concurrent
-//!   cache with single-flight compilation, a disk warm-start tier, and a
-//!   coalescing request queue with per-tenant ledgers (see DESIGN.md §14),
+//! * [`serve`] — the multi-tenant plan-cache service: a byte-budgeted
+//!   concurrent cache with single-flight compilation, a disk warm-start
+//!   tier, and a bounded request queue with per-tenant ledgers (see
+//!   DESIGN.md §14),
 //! * [`trace`] — phase spans, streaming histograms, imbalance summaries and
 //!   the JSON run reports (see DESIGN.md, "Observability").
 //!
@@ -47,5 +48,5 @@ pub use ustencil_trace as trace;
 
 pub use ustencil_core::prelude::*;
 pub use ustencil_dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
-pub use ustencil_plan::{CachedPlan, DirtySet, EvalPlan, PatchError, PlanDelta, PlanExt, PlanKey};
+pub use ustencil_plan::{DirtySet, EvalPlan, PatchError, PlanDelta, PlanKey};
 pub use ustencil_serve::{PlanCache, PlanServer};
