@@ -34,8 +34,8 @@ use ustencil_trace::{
 /// run-level `serve` object (plan-cache service counters, per-tenant
 /// ledgers, and queue-wait/service-latency histograms); v4 adds the
 /// overlap fields to each rank's comms ledger (`interior`/`frontier`
-/// owned-work partition and the `dup_payloads`/`coalesced` sliding-window
-/// counters, with `exchange_ns` now meaning *exposed* exchange time); v5
+/// owned-work partition and two sliding-window counters, with
+/// `exchange_ns` now meaning *exposed* exchange time); v5
 /// adds the optional plan `delta` object (incremental-recompilation stats:
 /// dirty elements, respliced rows/nnz, patch vs full-compile wall) and the
 /// serve `patches` counter (cache entries revalidated by delta instead of
@@ -44,8 +44,10 @@ use ustencil_trace::{
 /// peak from the flop counters); v7 removes the run-level `locality`
 /// object together with the storage-order option it profiled; v8 removes
 /// the serve `batches` counter together with request coalescing and renames
-/// `batched_rows` to `rows`.
-pub const REPORT_SCHEMA_VERSION: u64 = 8;
+/// `batched_rows` to `rows`; v9 removes the three reliability counters
+/// (retransmits, discarded duplicates, coalesced messages) from each rank's
+/// comms ledger together with the rank runtime's reliability protocol.
+pub const REPORT_SCHEMA_VERSION: u64 = 9;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -172,12 +174,6 @@ json_record! {
         pub msgs_recv: u64,
         /// Wire bytes the rank received.
         pub bytes_recv: u64,
-        /// Payload messages the reliability layer sent more than once.
-        pub retransmits: u64,
-        /// Duplicate frames the receive side discarded (retransmit overlap).
-        pub dup_payloads: u64,
-        /// Messages that rode a coalesced bundle frame instead of their own.
-        pub coalesced: u64,
         /// Nanoseconds of exposed exchange (post + drain; the overlapped
         /// in-flight time is excluded).
         pub exchange_ns: u64,
@@ -654,16 +650,16 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v7, with the serve `batches` counter) is
-        // rejected the same way, not half-parsed.
-        let v7 = text.replacen(
+        // The previous generation (v8, with the reliability counters in
+        // each comms ledger) is rejected the same way, not half-parsed.
+        let v8 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 7",
+            "\"schema\": 8",
             1,
         );
-        let err = RunReport::from_json(&v7).unwrap_err();
+        let err = RunReport::from_json(&v8).unwrap_err();
         assert!(
-            err.contains("schema version 7 is not supported"),
+            err.contains("schema version 8 is not supported"),
             "unhelpful error: {err}"
         );
     }
@@ -831,9 +827,6 @@ mod tests {
                     bytes_sent: 48_000 + r,
                     msgs_recv: 6,
                     bytes_recv: 48_100 - r,
-                    retransmits: r,
-                    dup_payloads: r,
-                    coalesced: 2 * r,
                     exchange_ns: 1_000_000,
                     eval_ns: 9_000_000,
                     reduce_ns: 500_000,
@@ -878,8 +871,7 @@ mod tests {
             "\"critical_path\"",
             "\"interior\"",
             "\"frontier\"",
-            "\"dup_payloads\"",
-            "\"coalesced\"",
+            "\"msgs_recv\"",
         ] {
             let broken = text.replace(key, "\"zzz\"");
             assert!(RunReport::from_json(&broken).is_err(), "corrupting {key}");

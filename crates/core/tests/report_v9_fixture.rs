@@ -1,32 +1,36 @@
-//! Pins report schema v8 to bytes on disk. `fixtures/report_v8.json` is the
+//! Pins report schema v9 to bytes on disk. `fixtures/report_v9.json` is the
 //! v7 fixture — written by the hand-rolled emitter of rev `c154f7c` (before
 //! the records were declared through `ustencil_trace::json_record!`) from
 //! four real runs on 60–120-triangle meshes, one per record type: a direct
 //! run with a `device_sim` (`RunRecord::from_solution`), a plan+patch run
 //! with `delta` (`EvalPlan::to_run_record_patched`), a 2-rank dist run with
 //! `comms` and `critical_path` (`DistSolution::to_run_record`), and a serve
-//! run with two tenants (`traffic::run_cached`) — with the v8 edits made by
-//! hand in its serve run: `"schema": 8`, `batches` deleted, `batched_rows`
-//! → `rows`, and the two values one lookup per request changes (cache
-//! `hits` 1 → 4, the worker patch's `elements` 3 → 0). Regenerating it with
-//! a later emitter would pin nothing: the bytes are the contract.
+//! run with two tenants (`traffic::run_cached`) — with the later versions'
+//! edits made by hand. v8, in its serve run: `batches` deleted,
+//! `batched_rows` → `rows`, and the two values one lookup per request
+//! changes (cache `hits` 1 → 4, the worker patch's `elements` 3 → 0). v9,
+//! in its dist run: `"schema": 9` and the three reliability counters
+//! (the keys after `bytes_recv`) deleted from both comms ledgers; the run's
+//! spans and message counts are still the five-phase, chunked exchange's,
+//! which a parser does not care about. Regenerating it with a later emitter
+//! would pin nothing: the bytes are the contract.
 
 use ustencil_core::RunReport;
 use ustencil_trace::Json;
 
-const FIXTURE: &str = include_str!("fixtures/report_v8.json");
+const FIXTURE: &str = include_str!("fixtures/report_v9.json");
 
 #[test]
-fn v8_fixture_round_trips_byte_for_byte() {
+fn v9_fixture_round_trips_byte_for_byte() {
     let report = RunReport::from_json(FIXTURE).expect("fixture parses");
     assert_eq!(report.runs.len(), 4);
     assert_eq!(report.to_pretty_string(), FIXTURE);
     // The same bytes under the previous version number are refused whole,
     // by the typed message, before any record is read.
-    let v7 = FIXTURE.replacen("\"schema\": 8", "\"schema\": 7", 1);
-    let err = RunReport::from_json(&v7).expect_err("a v7 document is refused");
+    let v8 = FIXTURE.replacen("\"schema\": 9", "\"schema\": 8", 1);
+    let err = RunReport::from_json(&v8).expect_err("a v8 document is refused");
     assert!(
-        err.contains("report schema version 7 is not supported"),
+        err.contains("report schema version 8 is not supported"),
         "{err}"
     );
 }

@@ -2,75 +2,41 @@
 //! `std::sync::mpsc`.
 //!
 //! Each rank owns a receiver; every endpoint holds senders to all ranks.
-//! Fault rules (and the held-message pocket implementing reorder) live in
-//! fabric-shared state guarded by a mutex: decisions happen at send time,
-//! in the sender's context, keyed purely by message identity — see
-//! [`FaultPlan`].
+//! `mpsc` loses, duplicates and corrupts nothing, which is the whole
+//! [`Transport`] contract; it also happens to keep each sender's messages
+//! in order, which nothing above relies on.
 
-use crate::fault::{FaultAction, FaultPlan};
 use crate::transport::{Message, Transport, TransportError};
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-struct Shared {
-    faults: FaultPlan,
-    /// Messages parked by a Hold rule, keyed by destination; flushed after
-    /// the next delivered message to that destination.
-    held: HashMap<u32, Vec<Message>>,
-}
 
 /// One rank's endpoint of the channel fabric.
 pub struct ChannelEndpoint {
     rank: u32,
-    n_ranks: u32,
     rx: Receiver<Message>,
     txs: Vec<Sender<Message>>,
-    shared: Arc<Mutex<Shared>>,
 }
 
 /// Builds connected endpoint sets for the channel fabric.
 pub struct ChannelFabric;
 
 impl ChannelFabric {
-    /// `n` fully connected endpoints with no fault injection.
-    pub fn endpoints(n: usize) -> Vec<ChannelEndpoint> {
-        Self::endpoints_with_faults(n, FaultPlan::none())
-    }
-
-    /// `n` fully connected endpoints applying `faults` to payload sends.
+    /// `n` fully connected endpoints, in rank order.
     ///
     /// # Panics
     /// Panics when `n == 0`.
-    pub fn endpoints_with_faults(n: usize, faults: FaultPlan) -> Vec<ChannelEndpoint> {
+    pub fn endpoints(n: usize) -> Vec<ChannelEndpoint> {
         assert!(n > 0, "need at least one rank");
-        let shared = Arc::new(Mutex::new(Shared {
-            faults,
-            held: HashMap::new(),
-        }));
         let (txs, rxs): (Vec<Sender<Message>>, Vec<Receiver<Message>>) =
             (0..n).map(|_| channel()).unzip();
         rxs.into_iter()
             .enumerate()
             .map(|(rank, rx)| ChannelEndpoint {
                 rank: rank as u32,
-                n_ranks: n as u32,
                 rx,
                 txs: txs.clone(),
-                shared: Arc::clone(&shared),
             })
             .collect()
-    }
-}
-
-impl ChannelEndpoint {
-    fn deliver(&self, msg: Message) -> Result<(), TransportError> {
-        let to = msg.to as usize;
-        if to >= self.txs.len() {
-            return Err(TransportError::Closed);
-        }
-        self.txs[to].send(msg).map_err(|_| TransportError::Closed)
     }
 }
 
@@ -80,109 +46,51 @@ impl Transport for ChannelEndpoint {
     }
 
     fn n_ranks(&self) -> u32 {
-        self.n_ranks
+        self.txs.len() as u32
     }
 
     fn send(&mut self, msg: Message) -> Result<(), TransportError> {
-        // Acks bypass fault rules only if a rule doesn't name their tag
-        // explicitly; a `tag: None` rule matches them too.
-        let (action, flush) = {
-            let mut shared = self.shared.lock().expect("fabric poisoned");
-            let action = shared.faults.decide(&msg);
-            match action {
-                Some(FaultAction::Hold) => {
-                    shared.held.entry(msg.to).or_default().push(msg);
-                    return Ok(());
-                }
-                Some(FaultAction::Drop) => (action, Vec::new()),
-                Some(FaultAction::Duplicate) | None => {
-                    let flush = shared.held.remove(&msg.to).unwrap_or_default();
-                    (action, flush)
-                }
-            }
-        };
-        match action {
-            Some(FaultAction::Drop) => Ok(()),
-            _ => {
-                let to = msg.to;
-                if action == Some(FaultAction::Duplicate) {
-                    self.deliver(msg.clone())?;
-                }
-                self.deliver(msg)?;
-                // Held messages ride out *behind* the newer message —
-                // the reorder the Hold rule exists to produce. Dropped
-                // receivers are fine here: the flush is best-effort.
-                for held in flush {
-                    debug_assert_eq!(held.to, to);
-                    let _ = self.deliver(held);
-                }
-                Ok(())
-            }
-        }
+        let tx = self
+            .txs
+            .get(msg.to as usize)
+            .ok_or(TransportError::Closed)?;
+        tx.send(msg).map_err(|_| TransportError::Closed)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => TransportError::Timeout,
+            RecvTimeoutError::Disconnected => TransportError::Closed,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultRule;
     use crate::transport::Tag;
-
-    fn msg(from: u32, to: u32, seq: u64) -> Message {
-        Message {
-            from,
-            to,
-            tag: Tag::HaloCoeffs,
-            seq,
-            flow: seq,
-            payload: vec![seq as u8],
-        }
-    }
 
     #[test]
     fn basic_delivery() {
         let mut eps = ChannelFabric::endpoints(2);
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
-        e0.send(msg(0, 1, 1)).unwrap();
+        let msg = Message {
+            from: 0,
+            to: 1,
+            tag: Tag::HaloCoeffs,
+            flow: 1,
+            payload: vec![1],
+        };
+        e0.send(msg.clone()).unwrap();
         let got = e1.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(got.seq, 1);
+        assert_eq!(got, msg);
         assert!(matches!(
             e0.recv_timeout(Duration::from_millis(10)),
             Err(TransportError::Timeout)
         ));
-    }
-
-    #[test]
-    fn drop_rule_loses_the_message() {
-        let plan = FaultPlan::none().with_rule(FaultRule::drop_first(0, Tag::HaloCoeffs, 1));
-        let mut eps = ChannelFabric::endpoints_with_faults(2, plan);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        e0.send(msg(0, 1, 1)).unwrap();
-        e0.send(msg(0, 1, 2)).unwrap();
-        let got = e1.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(got.seq, 2, "first send must be dropped, second delivered");
-    }
-
-    #[test]
-    fn hold_rule_reorders() {
-        let plan = FaultPlan::none().with_rule(FaultRule::hold_first(0, 1, 1));
-        let mut eps = ChannelFabric::endpoints_with_faults(2, plan);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        e0.send(msg(0, 1, 1)).unwrap();
-        e0.send(msg(0, 1, 2)).unwrap();
-        let a = e1.recv_timeout(Duration::from_millis(100)).unwrap();
-        let b = e1.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!((a.seq, b.seq), (2, 1), "held message arrives second");
+        // A destination outside the fabric is refused, not dropped.
+        let stray = Message { to: 2, ..msg };
+        assert_eq!(e0.send(stray), Err(TransportError::Closed));
     }
 }

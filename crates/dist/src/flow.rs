@@ -1,24 +1,16 @@
 //! Comm-flow tracing: per-endpoint send/recv event logs and the matching
 //! pass that turns them into send→recv pairs.
 //!
-//! Every payload message carries a per-sender monotone flow id (see
+//! Every message carries a per-sender monotone flow id (see
 //! [`Message::flow`](crate::transport::Message::flow)), so `(sender,
-//! flow)` names one logical message independently of retransmission. An
-//! instrumented [`ReliableLink`](crate::link::ReliableLink) records a
-//! [`FlowPoint`] when a halo-phase message is first sent and when its
-//! payload is first surfaced to the application; [`match_flow_logs`]
-//! joins the per-rank logs into [`FlowPair`]s — the rank-to-rank arcs a
-//! trace timeline draws.
-//!
-//! [`match_wire_log`] performs the same join on a
-//! [`RecordingFabric`](crate::record::RecordingFabric) message log, where
-//! delivery order is a pure function of send order: the matched set is
-//! bit-deterministic across repeated runs, which is what the flow tests
-//! pin down. A flow that was sent but never received (a permanent drop)
-//! is *flagged* as an orphan, never a panic — fault-injected runs must
-//! stay analyzable.
+//! flow)` names one message. An instrumented [`Link`](crate::link::Link)
+//! records a [`FlowPoint`] when a halo-phase message is sent and when it is
+//! received; [`match_flow_logs`] joins the per-rank logs into
+//! [`FlowPair`]s — the rank-to-rank arcs a trace timeline draws. A flow
+//! that was sent but never received (its receiver died, or failed before
+//! shipping its log) is *flagged*, never a panic: a degraded run must stay
+//! analyzable.
 
-use crate::record::{Disposition, MessageRecord};
 use crate::transport::Tag;
 use std::collections::BTreeMap;
 
@@ -41,9 +33,9 @@ pub struct FlowPoint {
 /// One endpoint's flow events, in recording order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowLog {
-    /// First-attempt sends of instrumented payload messages.
+    /// Halo-phase messages sent.
     pub sends: Vec<FlowPoint>,
-    /// First surfacing of each received payload (duplicates excluded).
+    /// Halo-phase messages received.
     pub recvs: Vec<FlowPoint>,
 }
 
@@ -118,45 +110,6 @@ pub fn match_flow_logs(logs: &[(u32, &FlowLog)]) -> FlowMatch {
         unmatched_sends,
         unmatched_recvs,
     }
-}
-
-/// The flow-level summary of a recording-fabric wire log: which logical
-/// payload messages made it into a receiver's hands, and which never did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireFlowSummary {
-    /// Flows with at least one `Received` record, as
-    /// `(from, to, flow, tag)`, sorted.
-    pub delivered: Vec<(u32, u32, u64, Tag)>,
-    /// Flows that were sent (possibly repeatedly) but never received —
-    /// flagged, not fatal. Sorted like `delivered`.
-    pub orphaned: Vec<(u32, u32, u64, Tag)>,
-}
-
-/// Joins a [`RecordingFabric`](crate::record::RecordingFabric) log on
-/// `(from, flow)`, ignoring acknowledgements and bundle frames (a bundle's
-/// sub-messages are endpoint-level events, invisible at the wire layer; the
-/// link-side [`FlowLog`] is the right place to account for them). A flow
-/// counts as delivered when any of its copies was popped by the receiver
-/// ([`Disposition::Received`]); a flow whose every copy was dropped, held
-/// forever, or left unread is an orphan.
-pub fn match_wire_log(log: &[MessageRecord]) -> WireFlowSummary {
-    let mut flows: BTreeMap<(u32, u32, u64, Tag), bool> = BTreeMap::new();
-    for r in log {
-        if r.tag == Tag::Ack || r.tag == Tag::Bundle {
-            continue;
-        }
-        let received = flows.entry((r.from, r.to, r.flow, r.tag)).or_insert(false);
-        *received |= r.disposition == Disposition::Received;
-    }
-    let mut summary = WireFlowSummary::default();
-    for (key, received) in flows {
-        if received {
-            summary.delivered.push(key);
-        } else {
-            summary.orphaned.push(key);
-        }
-    }
-    summary
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Rank-sharded execution runtime: explicit halo exchange, deterministic
-//! transport, and comms accounting.
+//! Rank-sharded execution runtime: explicit halo exchange over a
+//! serialized transport, dead-rank recovery, and comms accounting.
 //!
 //! The paper's scheme tiles an unstructured mesh into overlapped patches
 //! whose evaluation needs no communication until an ordered reduction; this
@@ -12,31 +12,26 @@
 //!
 //! The stack, bottom to top:
 //!
-//! * [`transport`] — the message and the five-method transport contract;
-//! * [`channel`] / [`record`] — an in-process fabric over `mpsc` channels
-//!   with ranks on real threads, and a deterministic recording fabric
-//!   whose delivery order is a pure function of send order and whose log
-//!   lets tests assert exactly which messages were dropped, held, or
-//!   delivered;
-//! * [`fault`] — deterministic drop/delay(reorder) injection, keyed by
-//!   message identity, never timing;
-//! * [`flow`] — comm-flow tracing: every payload message carries a
-//!   per-sender monotone flow id; instrumented links log send/recv points
-//!   and a deterministic join pairs them into the arcs a trace timeline
-//!   draws (lost flows are flagged, never fatal);
-//! * [`link`] — sliding-window acknowledgement with bounded retry on top
-//!   of any transport: posted sends ride the wire while the rank computes,
-//!   cumulative acks cover whole sequence ranges, same-destination
-//!   overflow coalesces into bundle frames — at-least-once on the wire,
-//!   exactly-once to the application, every payload and ack byte counted;
+//! * [`transport`] — the message and the transport contract: every
+//!   accepted message is delivered exactly once, in any order, or the
+//!   endpoint reports `Closed`;
+//! * [`channel`] — the in-process fabric: `mpsc` channels, ranks on real
+//!   threads;
+//! * [`flow`] — comm-flow tracing: every message carries a per-sender
+//!   monotone flow id; instrumented links log send/recv points and a
+//!   deterministic join pairs them into the arcs a trace timeline draws
+//!   (lost flows are flagged, never fatal);
+//! * [`link`] — a rank's end of the wire: stamps the flow id, counts
+//!   every wire byte, logs flow points. No protocol — delivery is the
+//!   transport's contract;
 //! * [`shard`] — who owns which elements and points, the ghost-ring width
 //!   and the push sets a halo exchange must move, and the interior/frontier
 //!   split of each rank's owned elements by stencil footprint;
 //! * [`schedule`] — the one rank schedule: static scatter, a thread per
-//!   rank, the five-phase overlapped body (post → interior → drain →
-//!   frontier → flush) with its spans and exposed-comms timing, the
-//!   coordinator's gather with deadline, and the assemble loop that
-//!   re-resolves a failed rank through the same work's two passes. It
+//!   rank, the four-phase overlapped body (post → interior → drain →
+//!   frontier) with its spans and exposed-comms timing, the coordinator's
+//!   gather with deadline, and the assemble loop that re-resolves a dead
+//!   rank through the same work's two passes. It
 //!   also owns what both paths share in public: [`DistOptions`],
 //!   [`RankReport`] and [`DistSolution`] with its one set of accessors;
 //! * [`push`] / [`pull`] — the two works the schedule runs. [`push`] is the
@@ -56,26 +51,20 @@
 #![deny(missing_docs)]
 
 pub mod channel;
-pub mod fault;
 pub mod flow;
 pub mod link;
 pub mod pull;
 pub mod push;
-pub mod record;
 pub mod schedule;
 pub mod shard;
 pub mod transport;
 pub mod wire;
 
 pub use channel::{ChannelEndpoint, ChannelFabric};
-pub use fault::{FaultAction, FaultPlan, FaultRule};
-pub use flow::{
-    match_flow_logs, match_wire_log, FlowLog, FlowMatch, FlowPair, FlowPoint, WireFlowSummary,
-};
-pub use link::{DistError, LinkConfig, ReliableLink};
+pub use flow::{match_flow_logs, FlowLog, FlowMatch, FlowPair, FlowPoint};
+pub use link::{DistError, Link};
 pub use pull::{run_plan_dist, run_plan_dist_on};
 pub use push::{run_dist, run_dist_on};
-pub use record::{Disposition, MessageRecord, RecordingEndpoint, RecordingFabric};
 pub use schedule::{DistOptions, DistSolution, RankReport, SCHEME_LABEL};
 pub use shard::{ghost_ring_width, RankShard, ShardPlan};
 pub use transport::{Message, Tag, Transport, TransportError, HEADER_BYTES};

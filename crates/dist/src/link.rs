@@ -1,95 +1,32 @@
-//! The reliability layer: sliding-window acknowledgement on top of any
-//! [`Transport`].
+//! A rank's end of the wire: a [`Transport`] endpoint plus the bookkeeping
+//! every message owes the run report.
 //!
-//! The transport may drop, delay, or reorder messages; this layer restores
-//! at-least-once delivery with bounded retry, and deduplicates by
-//! `(sender, seq)` so the application above sees each payload exactly
-//! once. Unlike the stop-and-wait protocol it replaced, sends are
-//! *posted*: up to [`LinkConfig::window`] frames per peer ride the wire
-//! unacknowledged while the caller computes, acknowledgements are
-//! cumulative (one [`Tag::Ack`] carries the receiver's next-expected
-//! sequence number, covering every earlier frame), and messages that
-//! overflow the window are coalesced into a single [`Tag::Bundle`] frame
-//! when a slot frees — fewer round trips and fewer header bytes per
-//! exchange. [`flush`](ReliableLink::flush) drains the pipeline when the
-//! overlap phase ends.
-//!
-//! While an endpoint waits (in [`flush`](ReliableLink::flush) or
-//! [`recv_payload`](ReliableLink::recv_payload)) it keeps servicing
-//! incoming traffic — acknowledging and queueing payloads, firing its own
-//! retransmit timers — so ranks sending to each other at the same time
-//! cannot deadlock.
+//! [`Link::send`] stamps the per-sender flow id; `send` and
+//! [`Link::recv`] count wire bytes into [`CommStats`] and, on an
+//! instrumented run, log the halo-phase [`FlowPoint`]s a timeline draws as
+//! arrows. Delivery is the transport's contract, not this layer's: there is
+//! no sequence number, window, acknowledgement or timer here.
 
 use crate::flow::{FlowLog, FlowPoint};
-use crate::transport::{Message, Tag, Transport, TransportError, HEADER_BYTES};
-use crate::wire;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::transport::{Message, Tag, Transport, TransportError};
 use std::time::{Duration, Instant};
 use ustencil_trace::CommStats;
-
-/// Whether a tag belongs to the halo-exchange phase, whose messages get
-/// flow-log instrumentation. `OwnedValues` is excluded deliberately: a
-/// worker ships its flow log *inside* that message, so its own send point
-/// could never appear in the snapshot and every run would report a bogus
-/// unmatched recv at the coordinator.
-fn is_flow_tag(tag: Tag) -> bool {
-    matches!(tag, Tag::HaloCoeffs | Tag::HaloRequest)
-}
-
-/// Tunables for the reliability layer.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkConfig {
-    /// How long the oldest unacknowledged frame may wait before it is
-    /// retransmitted. The default is generous: in-process fabrics don't
-    /// lose messages unless a fault plan says so, and a busy peer (e.g.
-    /// the coordinator evaluating its own shard) must not trigger
-    /// spurious retransmits.
-    pub ack_timeout: Duration,
-    /// Retransmissions per frame after its first attempt before the peer
-    /// is declared unreachable.
-    pub max_retries: u32,
-    /// Frames that may be in flight (sent, unacknowledged) per peer.
-    /// Posts beyond the window queue on the sender and are coalesced
-    /// into one bundle frame when a slot frees. Values below 1 behave
-    /// as 1 (stop-and-wait).
-    ///
-    /// The default is sized so a typical halo push set is entirely in
-    /// flight before the interior sweep begins: nobody pumps acks while
-    /// evaluating, so queued frames would otherwise wait for the
-    /// sender's post-eval flush and serialize the drain.
-    pub window: usize,
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        Self {
-            ack_timeout: Duration::from_secs(30),
-            max_retries: 4,
-            window: 64,
-        }
-    }
-}
 
 /// Failures surfaced by the distributed runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {
-    /// A peer never acknowledged within the retry budget.
-    Unreachable {
-        /// The rank that did not answer.
-        peer: u32,
-    },
     /// A receive deadline passed with nothing arriving.
     Timeout,
     /// The fabric shut down underneath us.
     Closed,
-    /// A peer sent bytes that do not decode as the expected payload.
+    /// A peer sent bytes that do not decode as the expected payload, or a
+    /// message the exchange does not owe it.
     Protocol(String),
 }
 
 impl std::fmt::Display for DistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistError::Unreachable { peer } => write!(f, "rank {peer} unreachable"),
             DistError::Timeout => write!(f, "receive deadline passed"),
             DistError::Closed => write!(f, "transport closed"),
             DistError::Protocol(why) => write!(f, "protocol error: {why}"),
@@ -99,64 +36,32 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-/// One frame awaiting acknowledgement.
-struct Pending {
-    msg: Message,
-    last_sent: Instant,
-    retries: u32,
+impl From<TransportError> for DistError {
+    fn from(e: TransportError) -> Self {
+        match e {
+            TransportError::Closed => DistError::Closed,
+            TransportError::Timeout => DistError::Timeout,
+        }
+    }
 }
 
-/// Sender-side state toward one peer.
-#[derive(Default)]
-struct PeerTx {
-    /// Next frame sequence number toward this peer (per-peer, contiguous
-    /// from 0 — the receiver's cumulative-ack watermark depends on it).
-    next_seq: u64,
-    /// Frames in flight, oldest first. Never longer than the window.
-    unacked: VecDeque<Pending>,
-    /// Posted messages waiting for a window slot: `(tag, flow, payload)`.
-    queue: VecDeque<(Tag, u64, Vec<u8>)>,
-}
-
-/// Receiver-side state for one source.
-#[derive(Default)]
-struct PeerRx {
-    /// All frames below this sequence number have been delivered.
-    next_expected: u64,
-    /// Frames at or above the watermark already delivered out of order.
-    ooo: BTreeSet<u64>,
-    /// Whether a payload arrived since the last cumulative ack we sent.
-    dirty: bool,
-}
-
-/// A reliable endpoint: one per rank, wrapping that rank's transport.
-pub struct ReliableLink<T: Transport> {
+/// One rank's counted, flow-stamped view of its transport endpoint.
+pub struct Link<T: Transport> {
     transport: T,
-    config: LinkConfig,
-    /// Per-sender monotone flow id: one per logical payload message,
-    /// shared by its retransmits (and preserved inside bundle frames).
     next_flow: u64,
-    tx: HashMap<u32, PeerTx>,
-    rx: HashMap<u32, PeerRx>,
-    /// Payload messages deduplicated and unbundled, ready for the app.
-    inbox: VecDeque<Message>,
     stats: CommStats,
-    /// When set, halo-phase sends and first-seen recvs are logged as
-    /// [`FlowPoint`]s with timestamps relative to this epoch.
+    /// When set, halo-phase sends and recvs are logged as [`FlowPoint`]s
+    /// with timestamps relative to this epoch.
     flow_epoch: Option<Instant>,
     flow_log: FlowLog,
 }
 
-impl<T: Transport> ReliableLink<T> {
-    /// Wraps `transport` with reliability state.
-    pub fn new(transport: T, config: LinkConfig) -> Self {
+impl<T: Transport> Link<T> {
+    /// Wraps `transport`.
+    pub fn new(transport: T) -> Self {
         Self {
             transport,
-            config,
             next_flow: 0,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
-            inbox: VecDeque::new(),
             stats: CommStats::default(),
             flow_epoch: None,
             flow_log: FlowLog::default(),
@@ -177,451 +82,80 @@ impl<T: Transport> ReliableLink<T> {
         &self.flow_log
     }
 
-    fn flow_ts(&self, epoch: Instant) -> u64 {
-        epoch.elapsed().as_nanos() as u64
-    }
-
     /// This endpoint's rank.
     pub fn rank(&self) -> u32 {
         self.transport.rank()
     }
 
-    /// Total ranks in the fabric.
-    pub fn n_ranks(&self) -> u32 {
-        self.transport.n_ranks()
-    }
-
-    /// Counters so far (payloads and acknowledgements both count — they
-    /// are all bytes on the wire).
+    /// Messages and wire bytes so far, both directions.
     pub fn stats(&self) -> CommStats {
         self.stats
     }
 
-    /// Whether any frame is still queued or awaiting acknowledgement.
-    pub fn has_pending(&self) -> bool {
-        self.tx
-            .values()
-            .any(|st| !st.unacked.is_empty() || !st.queue.is_empty())
-    }
-
-    fn raw_send(&mut self, msg: Message) -> Result<(), DistError> {
-        self.stats.record_send(msg.wire_bytes());
-        self.transport.send(msg).map_err(|e| match e {
-            TransportError::Closed => DistError::Closed,
-            TransportError::Timeout => DistError::Timeout,
+    /// The flow point of `msg` against `peer`, if this message is logged:
+    /// the run is instrumented and the tag belongs to the halo exchange.
+    /// `OwnedValues` is excluded deliberately: a worker ships its flow log
+    /// *inside* that message, so its own send point could never appear in
+    /// the snapshot and every run would report a bogus unmatched recv at
+    /// the coordinator.
+    fn flow_point(&self, msg: &Message, peer: u32) -> Option<FlowPoint> {
+        let epoch = self.flow_epoch?;
+        matches!(msg.tag, Tag::HaloCoeffs | Tag::HaloRequest).then(|| FlowPoint {
+            flow: msg.flow,
+            peer,
+            tag: msg.tag,
+            ts_ns: epoch.elapsed().as_nanos() as u64,
+            bytes: msg.wire_bytes(),
         })
     }
 
-    /// Posts `payload` toward rank `to` without waiting: the message is
-    /// framed and sent immediately when the window has room, queued (and
-    /// later coalesced) otherwise. Delivery is guaranteed only after a
-    /// successful [`flush`](Self::flush) — the overlap contract is
-    /// post, compute, then drain.
-    pub fn post(&mut self, to: u32, tag: Tag, payload: Vec<u8>) -> Result<(), DistError> {
-        // The flow id is assigned once, at post: every wire copy of this
-        // logical message — retransmits, bundle sub-frames — carries it.
-        let flow = self.next_flow;
-        self.next_flow += 1;
-        if let Some(epoch) = self.flow_epoch {
-            if is_flow_tag(tag) {
-                self.flow_log.sends.push(FlowPoint {
-                    flow,
-                    peer: to,
-                    tag,
-                    ts_ns: self.flow_ts(epoch),
-                    bytes: HEADER_BYTES + payload.len() as u64,
-                });
-            }
-        }
-        self.tx
-            .entry(to)
-            .or_default()
-            .queue
-            .push_back((tag, flow, payload));
-        self.fill_window(to)
-    }
-
-    /// Moves queued messages toward `to` into the window. One queued
-    /// message becomes its own frame; several become one bundle frame —
-    /// the same-destination coalescing that keeps a busy exchange from
-    /// paying per-message round trips.
-    fn fill_window(&mut self, to: u32) -> Result<(), DistError> {
-        let from = self.transport.rank();
-        let window = self.config.window.max(1);
-        loop {
-            let mut coalesced = 0u64;
-            let msg = {
-                let st = self.tx.entry(to).or_default();
-                if st.unacked.len() >= window || st.queue.is_empty() {
-                    return Ok(());
-                }
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                let msg = if st.queue.len() == 1 {
-                    let (tag, flow, payload) = st.queue.pop_front().expect("queue non-empty");
-                    Message {
-                        from,
-                        to,
-                        tag,
-                        seq,
-                        flow,
-                        payload,
-                    }
-                } else {
-                    let parts: Vec<(Tag, u64, Vec<u8>)> = st.queue.drain(..).collect();
-                    coalesced = parts.len() as u64;
-                    // The frame header's flow names the first sub-message;
-                    // each part keeps its own flow inside the payload.
-                    let flow = parts[0].1;
-                    Message {
-                        from,
-                        to,
-                        tag: Tag::Bundle,
-                        seq,
-                        flow,
-                        payload: wire::encode_bundle(&parts),
-                    }
-                };
-                st.unacked.push_back(Pending {
-                    msg: msg.clone(),
-                    last_sent: Instant::now(),
-                    retries: 0,
-                });
-                msg
-            };
-            self.stats.coalesced += coalesced;
-            self.raw_send(msg)?;
-        }
-    }
-
-    /// Applies a cumulative acknowledgement from `from`: every in-flight
-    /// frame below `ack_seq` is confirmed, freeing window slots.
-    fn handle_ack(&mut self, from: u32, ack_seq: u64) -> Result<(), DistError> {
-        if let Some(st) = self.tx.get_mut(&from) {
-            while st.unacked.front().is_some_and(|p| p.msg.seq < ack_seq) {
-                st.unacked.pop_front();
-            }
-        }
-        self.fill_window(from)
-    }
-
-    fn log_recv(&mut self, msg: &Message) {
-        if let Some(epoch) = self.flow_epoch {
-            if is_flow_tag(msg.tag) {
-                self.flow_log.recvs.push(FlowPoint {
-                    flow: msg.flow,
-                    peer: msg.from,
-                    tag: msg.tag,
-                    ts_ns: self.flow_ts(epoch),
-                    bytes: HEADER_BYTES + msg.payload.len() as u64,
-                });
-            }
-        }
-    }
-
-    /// Handles one incoming message: acks advance the send window;
-    /// payload frames are deduplicated against the receive watermark,
-    /// unbundled, and queued for the application. Out-of-order frames are
-    /// surfaced immediately (the runtime is order-agnostic); only the
-    /// cumulative watermark is withheld until the gap fills.
-    fn absorb(&mut self, msg: Message) -> Result<(), DistError> {
-        self.stats.record_recv(msg.wire_bytes());
-        if msg.tag == Tag::Ack {
-            return self.handle_ack(msg.from, msg.seq);
-        }
-        let fresh = {
-            let st = self.rx.entry(msg.from).or_default();
-            st.dirty = true;
-            if msg.seq < st.next_expected || st.ooo.contains(&msg.seq) {
-                false
-            } else {
-                st.ooo.insert(msg.seq);
-                while st.ooo.remove(&st.next_expected) {
-                    st.next_expected += 1;
-                }
-                true
-            }
+    /// Hands `payload` to the transport, addressed to rank `to`.
+    pub fn send(&mut self, to: u32, tag: Tag, payload: Vec<u8>) -> Result<(), DistError> {
+        let msg = Message {
+            from: self.transport.rank(),
+            to,
+            tag,
+            flow: self.next_flow,
+            payload,
         };
-        if !fresh {
-            // A retransmit whose original got through (or whose ack was
-            // lost): count it and re-ack on the next pump, never re-queue.
-            self.stats.dup_payloads += 1;
-            return Ok(());
-        }
-        if msg.tag == Tag::Bundle {
-            let parts = wire::decode_bundle(&msg.payload).map_err(DistError::Protocol)?;
-            for (tag, flow, payload) in parts {
-                let sub = Message {
-                    from: msg.from,
-                    to: msg.to,
-                    tag,
-                    seq: msg.seq,
-                    flow,
-                    payload,
-                };
-                self.log_recv(&sub);
-                self.inbox.push_back(sub);
-            }
-        } else {
-            self.log_recv(&msg);
-            self.inbox.push_back(msg);
-        }
-        Ok(())
+        self.next_flow += 1;
+        self.stats.record_send(msg.wire_bytes());
+        self.flow_log.sends.extend(self.flow_point(&msg, to));
+        Ok(self.transport.send(msg)?)
     }
 
-    /// Sends one cumulative ack to every source with unacknowledged
-    /// arrivals — a batch of payloads absorbed together costs one ack.
-    fn send_acks(&mut self) -> Result<(), DistError> {
-        let from = self.transport.rank();
-        let dirty: Vec<(u32, u64)> = self
-            .rx
-            .iter_mut()
-            .filter(|(_, st)| st.dirty)
-            .map(|(&src, st)| {
-                st.dirty = false;
-                (src, st.next_expected)
-            })
-            .collect();
-        for (src, next_expected) in dirty {
-            self.raw_send(Message {
-                from,
-                to: src,
-                tag: Tag::Ack,
-                seq: next_expected,
-                flow: 0,
-                payload: Vec::new(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Retransmits the oldest unacknowledged frame of any peer whose ack
-    /// timer expired; a frame out of retries fails the peer.
-    fn fire_timers(&mut self) -> Result<(), DistError> {
-        let now = Instant::now();
-        let peers: Vec<u32> = self.tx.keys().copied().collect();
-        for peer in peers {
-            let resend = {
-                let st = self.tx.get_mut(&peer).expect("peer state exists");
-                match st.unacked.front_mut() {
-                    Some(p) if now.duration_since(p.last_sent) >= self.config.ack_timeout => {
-                        self.stats.timeouts += 1;
-                        if p.retries >= self.config.max_retries {
-                            return Err(DistError::Unreachable { peer });
-                        }
-                        p.retries += 1;
-                        p.last_sent = now;
-                        self.stats.retransmits += 1;
-                        Some(p.msg.clone())
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(msg) = resend {
-                self.raw_send(msg)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The earliest instant at which a retransmit timer fires.
-    fn next_timer(&self) -> Option<Instant> {
-        self.tx
-            .values()
-            .filter_map(|st| st.unacked.front())
-            .map(|p| p.last_sent + self.config.ack_timeout)
-            .min()
-    }
-
-    /// Services the link without blocking: drains every immediately
-    /// available incoming message, sends the cumulative acks they earned,
-    /// and fires due retransmit timers. Call this between units of
-    /// overlapped computation to keep the pipeline moving.
-    pub fn poll(&mut self) -> Result<(), DistError> {
-        loop {
-            match self.transport.recv_timeout(Duration::ZERO) {
-                Ok(m) => self.absorb(m)?,
-                Err(TransportError::Timeout) => break,
-                Err(TransportError::Closed) => return Err(DistError::Closed),
-            }
-        }
-        self.send_acks()?;
-        self.fire_timers()
-    }
-
-    /// Blocks until every posted frame (to every peer) is acknowledged,
-    /// servicing incoming traffic the whole time. Fails with
-    /// [`DistError::Unreachable`] when a frame exhausts its retries.
-    pub fn flush(&mut self) -> Result<(), DistError> {
-        loop {
-            self.poll()?;
-            if !self.has_pending() {
-                return Ok(());
-            }
-            let now = Instant::now();
-            let wait = self.next_timer().map_or(Duration::from_millis(1), |t| {
-                t.saturating_duration_since(now)
-            });
-            match self.transport.recv_timeout(wait) {
-                Ok(m) => self.absorb(m)?,
-                Err(TransportError::Timeout) => {}
-                Err(TransportError::Closed) => return Err(DistError::Closed),
-            }
-        }
-    }
-
-    /// Sends `payload` to rank `to` and blocks until it (and everything
-    /// posted before it) is acknowledged: [`post`](Self::post) +
-    /// [`flush`](Self::flush). The stop-and-wait surface, kept for
-    /// messages with no computation to hide behind.
-    pub fn send_reliable(&mut self, to: u32, tag: Tag, payload: Vec<u8>) -> Result<(), DistError> {
-        self.post(to, tag, payload)?;
-        self.flush()
-    }
-
-    /// Receives the next payload message (never an acknowledgement),
-    /// waiting at most `timeout`. Each payload is returned exactly once
-    /// even when the fabric duplicated it through retransmission, and the
-    /// link's own posted frames keep retransmitting while waiting.
-    pub fn recv_payload(&mut self, timeout: Duration) -> Result<Message, DistError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.poll()?;
-            if let Some(msg) = self.inbox.pop_front() {
-                return Ok(msg);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DistError::Timeout);
-            }
-            let until = self.next_timer().map_or(deadline, |t| t.min(deadline));
-            match self
-                .transport
-                .recv_timeout(until.saturating_duration_since(now))
-            {
-                Ok(m) => self.absorb(m)?,
-                Err(TransportError::Timeout) => {}
-                Err(TransportError::Closed) => return Err(DistError::Closed),
-            }
-        }
+    /// Receives the next message, waiting at most `timeout`.
+    pub fn recv(&mut self, timeout: Duration) -> Result<Message, DistError> {
+        let msg = self.transport.recv_timeout(timeout)?;
+        self.stats.record_recv(msg.wire_bytes());
+        self.flow_log.recvs.extend(self.flow_point(&msg, msg.from));
+        Ok(msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultRule};
-    use crate::record::{Disposition, RecordingFabric};
+    use crate::channel::{ChannelEndpoint, ChannelFabric};
+    use crate::flow::match_flow_logs;
 
-    fn links(
-        n: usize,
-        faults: FaultPlan,
-        config: LinkConfig,
-    ) -> (
-        RecordingFabric,
-        Vec<ReliableLink<crate::record::RecordingEndpoint>>,
-    ) {
-        let (fabric, eps) = RecordingFabric::with_faults(n, faults);
-        let links = eps
-            .into_iter()
-            .map(|ep| ReliableLink::new(ep, config))
-            .collect();
-        (fabric, links)
-    }
-
-    #[test]
-    fn dropped_message_is_retransmitted_and_arrives_once() {
-        let faults = FaultPlan::none().with_rule(FaultRule::drop_first(0, Tag::HaloCoeffs, 1));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(20),
-            max_retries: 4,
-            ..LinkConfig::default()
-        };
-        let (fabric, mut ls) = links(2, faults, config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        let receiver = std::thread::spawn(move || {
-            let msg = l1.recv_payload(Duration::from_secs(5)).unwrap();
-            (msg.payload.clone(), l1.stats())
-        });
-        l0.send_reliable(1, Tag::HaloCoeffs, vec![42, 7]).unwrap();
-        let (payload, _) = receiver.join().unwrap();
-        assert_eq!(payload, vec![42, 7]);
-        assert!(l0.stats().retransmits >= 1, "drop must force a retransmit");
-        let log = fabric.log();
-        let halo: Vec<_> = log.iter().filter(|r| r.tag == Tag::HaloCoeffs).collect();
-        assert_eq!(halo[0].disposition, Disposition::Dropped);
-        assert!(halo[1..]
-            .iter()
-            .any(|r| r.disposition == Disposition::Delivered));
-    }
-
-    #[test]
-    fn duplicate_delivery_is_deduplicated() {
-        // Drop the *ack*: the payload arrives, the sender times out and
-        // retransmits, and the receiver must surface the payload once.
-        let faults = FaultPlan::none().with_rule(FaultRule::drop_first(1, Tag::Ack, 1));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(20),
-            max_retries: 4,
-            ..LinkConfig::default()
-        };
-        let (_fabric, mut ls) = links(2, faults, config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        let receiver = std::thread::spawn(move || {
-            let first = l1.recv_payload(Duration::from_secs(5)).unwrap();
-            let second = l1.recv_payload(Duration::from_millis(100));
-            (first.seq, second.err(), l1.stats())
-        });
-        l0.send_reliable(1, Tag::HaloCoeffs, vec![9]).unwrap();
-        let (first_seq, second, stats) = receiver.join().unwrap();
-        assert_eq!(first_seq, 0);
-        assert_eq!(
-            second,
-            Some(DistError::Timeout),
-            "duplicate must not surface"
-        );
-        assert!(stats.dup_payloads >= 1, "the duplicate frame is counted");
-    }
-
-    #[test]
-    fn unreachable_peer_exhausts_retries() {
-        let faults =
-            FaultPlan::none().with_rule(FaultRule::drop_first(0, Tag::HaloCoeffs, u32::MAX));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(5),
-            max_retries: 2,
-            ..LinkConfig::default()
-        };
-        let (_fabric, mut ls) = links(2, faults, config);
-        let _l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        let err = l0.send_reliable(1, Tag::HaloCoeffs, vec![1]).unwrap_err();
-        assert_eq!(err, DistError::Unreachable { peer: 1 });
-        assert_eq!(l0.stats().retransmits, 2);
+    fn pair() -> (Link<ChannelEndpoint>, Link<ChannelEndpoint>) {
+        let mut links = ChannelFabric::endpoints(2).into_iter().map(Link::new);
+        (links.next().unwrap(), links.next().unwrap())
     }
 
     #[test]
     fn instrumented_links_log_matching_flow_points() {
-        use crate::flow::match_flow_logs;
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(100),
-            max_retries: 4,
-            ..LinkConfig::default()
-        };
-        let (_fabric, mut ls) = links(2, FaultPlan::none(), config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
+        let (mut l0, mut l1) = pair();
         let epoch = Instant::now();
         l0.instrument_flows(epoch);
         l1.instrument_flows(epoch);
-        let receiver = std::thread::spawn(move || {
-            l1.recv_payload(Duration::from_secs(5)).unwrap();
-            l1
-        });
-        l0.send_reliable(1, Tag::HaloCoeffs, vec![1, 2, 3]).unwrap();
-        let l1 = receiver.join().unwrap();
+        l0.send(1, Tag::HaloCoeffs, vec![1, 2, 3]).unwrap();
+        // The result tag is counted but never logged.
+        l0.send(1, Tag::OwnedValues, vec![4]).unwrap();
+        for _ in 0..2 {
+            l1.recv(Duration::from_secs(5)).unwrap();
+        }
         let matched = match_flow_logs(&[(0, l0.flow_log()), (1, l1.flow_log())]);
         assert_eq!(matched.pairs.len(), 1);
         assert!(matched.unmatched_sends.is_empty());
@@ -629,201 +163,21 @@ mod tests {
         let p = matched.pairs[0];
         assert_eq!((p.src, p.dst, p.flow, p.tag), (0, 1, 0, Tag::HaloCoeffs));
         assert!(p.send_ns <= p.recv_ns, "send must precede the receive");
-    }
-
-    #[test]
-    fn retransmits_share_one_flow_id() {
-        let faults = FaultPlan::none().with_rule(FaultRule::drop_first(0, Tag::HaloCoeffs, 1));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(20),
-            max_retries: 4,
-            ..LinkConfig::default()
-        };
-        let (fabric, mut ls) = links(2, faults, config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        l0.instrument_flows(Instant::now());
-        let receiver = std::thread::spawn(move || {
-            l1.recv_payload(Duration::from_secs(5)).unwrap();
-        });
-        l0.send_reliable(1, Tag::HaloCoeffs, vec![5]).unwrap();
-        receiver.join().unwrap();
-        // Dropped original and delivered retransmit are one logical flow:
-        // one send point in the log, every wire copy stamped flow 0.
-        assert_eq!(l0.flow_log().sends.len(), 1);
-        let halo: Vec<_> = fabric
-            .log()
-            .into_iter()
-            .filter(|r| r.tag == Tag::HaloCoeffs)
-            .collect();
-        assert!(halo.len() >= 2, "drop must force a retransmit");
-        assert!(halo.iter().all(|r| r.flow == 0));
+        assert_eq!(l0.stats().msgs_sent, 2);
+        assert_eq!(l0.stats().bytes_sent, l1.stats().bytes_recv);
     }
 
     #[test]
     fn simultaneous_senders_do_not_deadlock() {
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(100),
-            max_retries: 4,
-            ..LinkConfig::default()
-        };
-        let (_fabric, mut ls) = links(2, FaultPlan::none(), config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
+        let (mut l0, mut l1) = pair();
         let t1 = std::thread::spawn(move || {
-            l1.send_reliable(0, Tag::HaloCoeffs, vec![1]).unwrap();
-            l1.recv_payload(Duration::from_secs(5)).unwrap().payload
+            l1.send(0, Tag::HaloCoeffs, vec![1]).unwrap();
+            l1.recv(Duration::from_secs(5)).unwrap().payload
         });
-        l0.send_reliable(1, Tag::HaloCoeffs, vec![2]).unwrap();
-        let got0 = l0.recv_payload(Duration::from_secs(5)).unwrap().payload;
+        l0.send(1, Tag::HaloCoeffs, vec![2]).unwrap();
+        let got0 = l0.recv(Duration::from_secs(5)).unwrap().payload;
         let got1 = t1.join().unwrap();
         assert_eq!(got0, vec![1]);
         assert_eq!(got1, vec![2]);
-    }
-
-    #[test]
-    fn window_overflow_coalesces_into_one_bundle() {
-        // Deterministic, single-threaded: post five messages against a
-        // window of two, ack the first two, and the remaining three must
-        // travel as ONE bundle frame with their flow ids intact.
-        let config = LinkConfig {
-            ack_timeout: Duration::from_secs(5),
-            max_retries: 2,
-            window: 2,
-        };
-        let (fabric, mut ls) = links(2, FaultPlan::none(), config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        for i in 0..5u8 {
-            l0.post(1, Tag::HaloCoeffs, vec![i]).unwrap();
-        }
-        // Only the window's worth of frames is on the wire.
-        let singles = fabric
-            .log()
-            .iter()
-            .filter(|r| r.tag == Tag::HaloCoeffs && r.disposition == Disposition::Delivered)
-            .count();
-        assert_eq!(singles, 2, "window must cap frames in flight");
-
-        let mut got: Vec<u8> = Vec::new();
-        for _ in 0..2 {
-            got.push(l1.recv_payload(Duration::from_millis(200)).unwrap().payload[0]);
-        }
-        // The receiver's cumulative ack frees both slots; the backlog
-        // coalesces into a single bundle frame.
-        l0.poll().unwrap();
-        assert_eq!(l0.stats().coalesced, 3, "three messages share one frame");
-        let bundles = fabric
-            .log()
-            .iter()
-            .filter(|r| r.tag == Tag::Bundle && r.disposition == Disposition::Delivered)
-            .count();
-        assert_eq!(bundles, 1);
-        for _ in 0..3 {
-            got.push(l1.recv_payload(Duration::from_millis(200)).unwrap().payload[0]);
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4], "all five payloads, exactly once");
-        l0.flush().unwrap();
-        assert!(!l0.has_pending());
-        assert_eq!(l0.stats().retransmits, 0, "no loss, no retransmits");
-    }
-
-    #[test]
-    fn out_of_order_and_duplicate_frames_inside_the_window() {
-        // Drive the receive side with raw frames: deliver seq 1 before
-        // seq 0, with a duplicate of seq 1 in between. Both payloads must
-        // surface exactly once and the cumulative watermark must jump to
-        // 2 only after the gap fills.
-        use crate::transport::Transport;
-        let (_fabric, mut eps) = RecordingFabric::new(2);
-        let e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut l1 = ReliableLink::new(e1, LinkConfig::default());
-        let frame = |seq: u64, byte: u8| Message {
-            from: 0,
-            to: 1,
-            tag: Tag::HaloCoeffs,
-            seq,
-            flow: seq,
-            payload: vec![byte],
-        };
-        e0.send(frame(1, 11)).unwrap();
-        e0.send(frame(1, 11)).unwrap(); // duplicate inside the window
-        e0.send(frame(0, 10)).unwrap();
-        let a = l1.recv_payload(Duration::from_millis(100)).unwrap();
-        let b = l1.recv_payload(Duration::from_millis(100)).unwrap();
-        assert_eq!((a.payload[0], b.payload[0]), (11, 10));
-        assert_eq!(l1.stats().dup_payloads, 1);
-        assert!(l1
-            .recv_payload(Duration::from_millis(50))
-            .is_err_and(|e| e == DistError::Timeout));
-        // The last cumulative ack covers both frames: seq = next expected.
-        let acks: Vec<u64> = {
-            let mut seqs = Vec::new();
-            while let Ok(m) = e0.recv_timeout(Duration::from_millis(10)) {
-                assert_eq!(m.tag, Tag::Ack);
-                seqs.push(m.seq);
-            }
-            seqs
-        };
-        assert_eq!(acks.last(), Some(&2), "watermark advances past the gap");
-    }
-
-    #[test]
-    fn reordered_frames_need_no_retransmit() {
-        // A hold rule delivers frame 0 *after* frame 1. With both inside
-        // the window, the cumulative ack recovers without any retransmit.
-        let faults = FaultPlan::none().with_rule(FaultRule::hold_first(0, 1, 1));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_secs(5),
-            max_retries: 2,
-            window: 4,
-        };
-        let (_fabric, mut ls) = links(2, faults, config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        l0.post(1, Tag::HaloCoeffs, vec![1]).unwrap();
-        l0.post(1, Tag::HaloCoeffs, vec![2]).unwrap();
-        let a = l1.recv_payload(Duration::from_millis(200)).unwrap();
-        let b = l1.recv_payload(Duration::from_millis(200)).unwrap();
-        assert_eq!((a.payload[0], b.payload[0]), (2, 1), "reordered delivery");
-        l0.flush().unwrap();
-        assert_eq!(l0.stats().retransmits, 0);
-        assert_eq!(l1.stats().dup_payloads, 0);
-    }
-
-    #[test]
-    fn drop_at_the_window_edge_recovers_exactly_once() {
-        // The FIRST frame of a full window is dropped; later frames arrive
-        // out of order ahead of the watermark. The timer retransmits only
-        // the lost frame, the cumulative ack then confirms the whole
-        // window, and the queued backlog drains — every payload exactly
-        // once, no duplicate ever surfacing.
-        let faults = FaultPlan::none().with_rule(FaultRule::drop_first(0, Tag::HaloCoeffs, 1));
-        let config = LinkConfig {
-            ack_timeout: Duration::from_millis(20),
-            max_retries: 4,
-            window: 2,
-        };
-        let (_fabric, mut ls) = links(2, faults, config);
-        let mut l1 = ls.pop().unwrap();
-        let mut l0 = ls.pop().unwrap();
-        let receiver = std::thread::spawn(move || {
-            let mut got: Vec<u8> = (0..4)
-                .map(|_| l1.recv_payload(Duration::from_secs(5)).unwrap().payload[0])
-                .collect();
-            let extra = l1.recv_payload(Duration::from_millis(100));
-            got.sort_unstable();
-            (got, extra.err(), l1.stats())
-        });
-        for i in 0..4u8 {
-            l0.post(1, Tag::HaloCoeffs, vec![i]).unwrap();
-        }
-        l0.flush().unwrap();
-        let (got, extra, _stats) = receiver.join().unwrap();
-        assert_eq!(got, vec![0, 1, 2, 3], "all payloads, exactly once");
-        assert_eq!(extra, Some(DistError::Timeout), "no duplicate surfaces");
-        assert!(l0.stats().retransmits >= 1, "the drop forced a retransmit");
     }
 }

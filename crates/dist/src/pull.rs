@@ -6,7 +6,7 @@
 //! scatter: a compiled plan knows exactly which element columns its rows
 //! reference, so each rank requests precisely those columns from their
 //! owners ([`Tag::HaloRequest`], one per peer, in `exchange.post`) and the
-//! schedule's drain answers with chunked [`Tag::HaloCoeffs`] replies. No
+//! schedule's drain answers each with one [`Tag::HaloCoeffs`] reply. No
 //! geometric halo estimate is involved — the requested set is the support
 //! the plan actually stored, and the shard plan is built with a zero ring.
 //! *Interior rows* are the rows whose every stored column is locally
@@ -28,9 +28,7 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{
-    chunks_for, run_schedule, DistOptions, DistSolution, Exchange, RankReport, Site, Split, Work,
-};
+use crate::schedule::{run_schedule, DistOptions, DistSolution, RankReport, Site, Split, Work};
 use crate::transport::{Tag, Transport};
 use crate::wire::{encode_ids, RankResult};
 use std::time::Instant;
@@ -59,6 +57,7 @@ pub(crate) struct PullLocal {
 impl Work for PullWork {
     type Local = PullLocal;
     const SCHEME: Scheme = Scheme::PerPoint;
+    const POST: Tag = Tag::HaloRequest;
 
     fn new(setup: KernelSetup, exec: &ExecConfig) -> Self {
         Self {
@@ -102,30 +101,8 @@ impl Work for PullWork {
         PullLocal { plan, wanted }
     }
 
-    fn exchange(
-        &self,
-        site: &Site,
-        local: &PullLocal,
-        _: &DgField,
-        chunk_elems: usize,
-    ) -> Exchange {
-        let peers = (0..site.plan.n_ranks()).filter(|&q| q != site.rank);
-        Exchange {
-            posts: peers
-                .clone()
-                .map(|peer| {
-                    (
-                        peer as u32,
-                        Tag::HaloRequest,
-                        encode_ids(&local.wanted[peer]),
-                    )
-                })
-                .collect(),
-            requests: site.plan.n_ranks() - 1,
-            chunks: peers
-                .map(|peer| chunks_for(local.wanted[peer].len(), chunk_elems))
-                .sum(),
-        }
+    fn post(&self, _: &Site, local: &PullLocal, _: &DgField, peer: usize) -> Vec<u8> {
+        encode_ids(&local.wanted[peer])
     }
 
     /// The split is exact: every row lands in one list.
@@ -204,8 +181,8 @@ pub fn run_plan_dist(
     run_plan_dist_on(mesh, field, grid, options, transports)
 }
 
-/// [`run_plan_dist`] over caller-provided transport endpoints — the seam
-/// the deterministic/fault-injecting fabrics plug into.
+/// [`run_plan_dist`] over caller-provided transport endpoints (see
+/// [`run_dist_on`](crate::push::run_dist_on)).
 ///
 /// # Panics
 /// Panics on the same conditions as [`run_plan_dist`], or when the
@@ -258,10 +235,10 @@ mod tests {
             let stats = dist.plan_stats.as_ref().expect("plan shape");
             assert_eq!(stats.rows, global.stats().rows);
             assert_eq!(stats.nnz, global.stats().nnz);
-            if ranks > 1 {
-                let comm = dist.total_comm();
-                assert!(comm.bytes_sent > 0, "halo pull must move bytes");
-            }
+            // One request and one reply per ordered pair of ranks.
+            let comm = dist.total_comm();
+            assert_eq!(comm.msgs_sent, (2 * ranks * (ranks - 1)) as u64);
+            assert_eq!(comm.bytes_sent > 0, ranks > 1, "halo pull must move bytes");
         }
     }
 
@@ -281,7 +258,6 @@ mod tests {
             "eval.interior",
             "exchange.drain",
             "eval.frontier",
-            "exchange.flush",
             "reduce.gather",
         ] {
             assert!(names.contains(&phase), "missing span {phase}: {names:?}");
@@ -289,12 +265,7 @@ mod tests {
         // Every rank ships spans and flow points; the join is complete.
         for r in &dist.ranks {
             let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
-            for phase in [
-                "exchange.post",
-                "eval.interior",
-                "exchange.drain",
-                "exchange.flush",
-            ] {
+            for phase in ["exchange.post", "eval.interior", "exchange.drain"] {
                 assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);
             }
             assert!(!r.flows.sends.is_empty(), "rank {} logged no sends", r.rank);

@@ -1,5 +1,5 @@
 //! The one rank schedule: static scatter, one thread per rank, the
-//! five-phase overlapped body, the coordinator's gather, and the assemble
+//! four-phase overlapped body, the coordinator's gather, and the assemble
 //! loop with rank-failure recovery — generic over the `Work` it feeds.
 //!
 //! Each rank owns a contiguous shard of mesh elements (recursive
@@ -7,49 +7,53 @@
 //! elements. The only data that crosses ranks after the initial static
 //! scatter are serialized messages: dG coefficients during the halo
 //! exchange, and each rank's finished owned-point values during the
-//! gather — both through the [`Transport`] boundary with sliding-window
-//! reliability.
+//! gather — both through the [`Transport`] boundary, which delivers every
+//! message exactly once or reports the endpoint closed.
 //!
-//! ## The five phases
+//! ## The four phases
 //!
 //! A rank hides the exchange behind compute instead of waiting out a
 //! phase barrier:
 //!
-//! 1. `exchange.post` — the work's messages (coefficient pushes or pull
-//!    requests) are *posted* into the sliding window without waiting for
-//!    delivery;
+//! 1. `exchange.post` — the work's one message per peer (a coefficient
+//!    push or a pull request) is handed to the transport;
 //! 2. `eval.interior` — the owned work whose inputs are all locally owned
 //!    is evaluated while the messages ride the wire;
-//! 3. `exchange.drain` — the rank serves the requests and receives the
-//!    coefficient chunks the work said it is owed;
+//! 3. `exchange.drain` — the rank receives the one coefficient message
+//!    every peer owes it and, on the pull work, answers the one request
+//!    every peer posted;
 //! 4. `eval.frontier` — the remaining owned work runs against the
-//!    completed coefficient set;
-//! 5. `exchange.flush` — the rank's own window is settled (acks
-//!    collected, lost frames retransmitted). Deferred past the frontier
-//!    pass because peers ack only when they drain — flushing inside the
-//!    drain would stall the fastest rank on the slowest peer's interior.
+//!    completed coefficient set.
 //!
-//! Phases 1, 3 and 5 are *exposed* communication; `exchange_ns` (and the
+//! Phases 1 and 3 are *exposed* communication; `exchange_ns` (and the
 //! cost model's per-rank `exposed_fraction`) charge exactly those.
 //!
 //! ## Two works
 //!
 //! What differs between the direct per-element path
 //! ([`push`](crate::push)) and the plan path ([`pull`](crate::pull)) is
-//! what a `Work` supplies: what to post and what the drain is owed, how
-//! the owned work splits into interior and frontier, and how one pass
-//! over a coefficient vector is evaluated. Everything else — including
-//! recovery, which runs *the same work's* two passes against the caller's
-//! field with no link — is here, once.
+//! what a `Work` supplies: what to post, how the owned work splits into
+//! interior and frontier, and how one pass over a coefficient vector is
+//! evaluated. Everything else — including recovery, which runs *the same
+//! work's* two passes against the caller's field with no link — is here,
+//! once.
+//!
+//! ## A dead rank
+//!
+//! The one failure a reliable transport cannot mask. A worker whose body
+//! returns an error *or panics* contributes nothing; the coordinator's
+//! gather deadline then re-resolves its points. Its endpoint stays open
+//! until the run ends, so its peers never race its teardown.
 
 use crate::flow::{match_flow_logs, FlowLog, FlowMatch};
-use crate::link::{DistError, LinkConfig, ReliableLink};
+use crate::link::{DistError, Link};
 use crate::shard::{RankShard, ShardPlan};
 use crate::transport::{Message, Tag, Transport};
 use crate::wire::{
     decode_coeffs_into, decode_ids, decode_rank_result, encode_coeffs, encode_rank_result,
     RankResult,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use ustencil_core::{
     simulate_ranks, BlockStats, ComputationGrid, DeviceConfig, ExecConfig, KernelSetup, Metrics,
@@ -62,26 +66,18 @@ use ustencil_trace::{critical_path, exposed_comms_ns, CommStats, SpanRecord, Tim
 /// The `"scheme"` label rank-sharded runs carry in `RunReport` JSON.
 pub const SCHEME_LABEL: &str = "dist";
 
-/// Configuration of a rank-sharded run: the rank fabric's own tunables
-/// plus the one [`ExecConfig`] every rank evaluates under, set through
-/// the kernel/patch/instrument/SIMD builders.
+/// Configuration of a rank-sharded run: the rank count, the one deadline,
+/// and the one [`ExecConfig`] every rank evaluates under, set through the
+/// kernel/patch/instrument/SIMD builders.
 #[derive(Debug, Clone, Copy)]
 pub struct DistOptions {
     /// Number of ranks (worker threads; rank 0 runs on the caller's
     /// thread and coordinates the gather).
     pub n_ranks: usize,
-    /// Reliability-layer tunables (ack timeout, retry budget).
-    pub link: LinkConfig,
     /// How long phase receives wait before giving up: the halo exchange
     /// fails a run on expiry, while the gather falls back to re-resolving
     /// the missing ranks' points locally (rank-failure recovery).
     pub gather_timeout: Duration,
-    /// Elements per halo-coefficient message (default 48). Smaller chunks
-    /// start flowing sooner and interleave across peers; both sides
-    /// compute the chunk count from the shared plan replica (or from the
-    /// request itself), so the drain knows exactly how many messages to
-    /// expect without negotiation.
-    pub chunk_elems: usize,
     /// What every rank runs under. `n_blocks` is the patches per rank;
     /// `parallel` is unused, the ranks being the threads.
     pub(crate) exec: ExecConfig,
@@ -89,13 +85,11 @@ pub struct DistOptions {
 
 impl DistOptions {
     /// Defaults for `n_ranks` ranks: 16 patches per rank, paper kernel
-    /// defaults, generous timeouts, no instrumentation.
+    /// defaults, a generous deadline, no instrumentation.
     pub fn new(n_ranks: usize) -> Self {
         Self {
             n_ranks,
-            link: LinkConfig::default(),
             gather_timeout: Duration::from_secs(120),
-            chunk_elems: 48,
             exec: ExecConfig::default(),
         }
     }
@@ -120,12 +114,6 @@ impl DistOptions {
         self
     }
 
-    /// Sets the reliability-layer tunables.
-    pub fn link(mut self, config: LinkConfig) -> Self {
-        self.link = config;
-        self
-    }
-
     /// Sets the phase/gather deadline.
     pub fn gather_timeout(mut self, timeout: Duration) -> Self {
         self.gather_timeout = timeout;
@@ -138,13 +126,6 @@ impl DistOptions {
     /// (the default) costs nothing on the hot path.
     pub fn instrument(mut self, on: bool) -> Self {
         self.exec.instrument = on;
-        self
-    }
-
-    /// Sets the halo-coefficient chunk size (elements per message).
-    pub fn chunk_elems(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one element per chunk");
-        self.chunk_elems = n;
         self
     }
 
@@ -181,9 +162,8 @@ pub struct RankReport {
     /// frontier` is the rank's owned elements (push) or owned points
     /// (pull).
     pub frontier: u64,
-    /// Nanoseconds of *exposed* communication: the post, the drain and
-    /// the flush, excluding the interior evaluation the wire time was
-    /// hidden behind.
+    /// Nanoseconds of *exposed* communication: the post and the drain,
+    /// excluding the interior evaluation the wire time was hidden behind.
     pub exchange_ns: u64,
     /// Nanoseconds evaluating the two passes.
     pub eval_ns: u64,
@@ -253,7 +233,7 @@ impl DistSolution {
 
     /// Counted per-rank wire traffic, in the cost model's shape. The
     /// exposed fraction is measured, not modeled: the share of the rank's
-    /// busy time that was exchange (post + drain + flush) rather than
+    /// busy time that was exchange (post + drain) rather than
     /// evaluation — the cost model charges only that slice of the wire
     /// time, because the rest was hidden behind the interior pass.
     pub fn traffic(&self) -> Vec<RankTraffic> {
@@ -379,9 +359,6 @@ impl DistSolution {
                     bytes_sent: r.comm.bytes_sent,
                     msgs_recv: r.comm.msgs_recv,
                     bytes_recv: r.comm.bytes_recv,
-                    retransmits: r.comm.retransmits,
-                    dup_payloads: r.comm.dup_payloads,
-                    coalesced: r.comm.coalesced,
                     exchange_ns: r.exchange_ns,
                     eval_ns: r.eval_ns,
                     reduce_ns: r.reduce_ns,
@@ -406,18 +383,6 @@ pub(crate) struct Site<'a> {
     pub grid: &'a ComputationGrid,
 }
 
-/// What a rank puts on the wire in `exchange.post`, and what its drain is
-/// owed in return. Both sides derive the counts from replicated state, so
-/// the drain terminates without a negotiation round.
-pub(crate) struct Exchange {
-    /// `(peer, tag, payload)`, posted in order.
-    pub posts: Vec<(u32, Tag, Vec<u8>)>,
-    /// [`Tag::HaloRequest`] messages the drain must serve.
-    pub requests: usize,
-    /// [`Tag::HaloCoeffs`] chunks the drain must receive.
-    pub chunks: usize,
-}
-
 /// A rank's owned work, split by whether it can run before the drain.
 pub(crate) struct Split {
     /// Unit ids of the interior pass.
@@ -438,6 +403,13 @@ pub(crate) trait Work: Sync {
     type Local;
     /// The traversal the cost model charges this work's counters as.
     const SCHEME: Scheme;
+    /// What `exchange.post` sends every peer. [`Tag::HaloCoeffs`] pushes
+    /// the coefficients the peer's ring holds; [`Tag::HaloRequest`] names
+    /// the columns wanted from the peer, whose drain answers with one
+    /// `HaloCoeffs`. Either way a rank is owed exactly one `HaloCoeffs`
+    /// from every peer — and on the pull work one request from each — so
+    /// the drain terminates without a negotiation round.
+    const POST: Tag;
 
     /// Configures the work for a run from the kernel the coordinator
     /// resolved once, so every rank and the recovery path evaluate the
@@ -452,15 +424,10 @@ pub(crate) trait Work: Sync {
     /// report goes into `res`.
     fn localize(&self, site: &Site, tracer: &Tracer, res: &mut RankResult) -> Self::Local;
 
-    /// The messages to post, encoded from the rank's owned coefficients,
-    /// and the counts the drain waits for.
-    fn exchange(
-        &self,
-        site: &Site,
-        local: &Self::Local,
-        field: &DgField,
-        chunk_elems: usize,
-    ) -> Exchange;
+    /// The payload of the one [`POST`](Self::POST) message to `peer`,
+    /// encoded from the rank's owned coefficients. An empty set still
+    /// sends its (empty) message.
+    fn post(&self, site: &Site, local: &Self::Local, field: &DgField, peer: usize) -> Vec<u8>;
 
     /// Splits the owned work; runs after the post, while it rides the
     /// wire.
@@ -489,29 +456,15 @@ pub(crate) trait Work: Sync {
     }
 }
 
-/// Messages a set of `len` elements splits into: always at least one (an
-/// empty set still sends one empty message so the receive count stays a
-/// pure function of replicated state).
-pub(crate) fn chunks_for(len: usize, chunk: usize) -> usize {
-    len.div_ceil(chunk).max(1)
-}
-
-/// The [`chunks_for`] slices of `ids`: its `chunk`-sized pieces, or the
-/// one empty piece of an empty set.
-pub(crate) fn chunked(ids: &[u32], chunk: usize) -> impl Iterator<Item = &[u32]> {
-    ids.chunks(chunk).chain(ids.is_empty().then_some(ids))
-}
-
-/// The chunked coefficient replies to one pull request. Every requested
-/// id must be an element `rank` owns: anything else is a corrupt or
-/// misrouted request, not something to answer with zeros.
+/// The coefficient reply to one pull request. Every requested id must be
+/// an element `rank` owns: anything else is a corrupt or misrouted
+/// request, not something to answer with zeros.
 fn serve_request(
     plan: &ShardPlan,
     rank: usize,
     ids: &[u32],
     field: &DgField,
-    chunk_elems: usize,
-) -> Result<Vec<Vec<u8>>, DistError> {
+) -> Result<Vec<u8>, DistError> {
     if let Some(&bad) = ids
         .iter()
         .find(|&&e| e as usize >= field.n_elements() || plan.owner_of(e) as usize != rank)
@@ -520,9 +473,43 @@ fn serve_request(
             "halo request names element {bad}, which rank {rank} does not own"
         )));
     }
-    Ok(chunked(ids, chunk_elems)
-        .map(|c| encode_coeffs(c, field.coefficients(), field.n_modes()))
-        .collect())
+    Ok(encode_coeffs(ids, field.coefficients(), field.n_modes()))
+}
+
+/// The peers a drain is still owed one message of a kind by. The
+/// transport delivers exactly once, so a message from a rank that owes
+/// none — a second one from the same peer, one from the rank itself or
+/// from outside the fabric — is a protocol violation. It must not count
+/// toward the drain: the frontier pass would read zeros where the message
+/// still missing belongs.
+struct Owed(Vec<bool>);
+
+/// The violation: `msg` is one `who` is not owed.
+fn not_owed(who: std::fmt::Arguments, msg: &Message) -> DistError {
+    let (kind, from) = (msg.tag.label(), msg.from);
+    DistError::Protocol(format!("{who} is not owed a {kind} message by rank {from}"))
+}
+
+impl Owed {
+    /// One message from every rank but `rank` (`owed`), or none at all.
+    fn by_peers(n_ranks: usize, rank: usize, owed: bool) -> Self {
+        Self((0..n_ranks).map(|q| owed && q != rank).collect())
+    }
+
+    fn settled(&self) -> bool {
+        !self.0.contains(&true)
+    }
+
+    /// Accepts `msg` as its sender's one owed message.
+    fn take(&mut self, rank: usize, msg: &Message) -> Result<(), DistError> {
+        match self.0.get_mut(msg.from as usize) {
+            Some(owed) if *owed => {
+                *owed = false;
+                Ok(())
+            }
+            _ => Err(not_owed(format_args!("rank {rank}"), msg)),
+        }
+    }
 }
 
 /// Everything a rank needs, scattered at spawn. The mesh and shard plan
@@ -561,24 +548,22 @@ fn exposed<R>(tracer: &Tracer, name: &str, exposed_ns: &mut u64, f: impl FnOnce(
     out
 }
 
-/// One rank's overlapped run. Messages with tags the drain does not
-/// expect (a fast peer's result reaching the coordinator mid-exchange)
-/// are stashed in `pending`.
+/// One rank's overlapped run. A fast peer's result reaching the
+/// coordinator mid-exchange is stashed in `pending` for the gather.
 fn rank_body<W: Work, T: Transport>(
     work: &W,
     ctx: RankCtx,
-    link: &mut ReliableLink<T>,
+    link: &mut Link<T>,
     pending: &mut Vec<Message>,
     tracer: &Tracer,
 ) -> Result<RankResult, DistError> {
-    let rank = link.rank() as usize;
+    let (rank, n_ranks) = (link.rank() as usize, ctx.plan.n_ranks());
     let site = Site {
         mesh: &ctx.mesh,
         plan: &ctx.plan,
         rank,
         grid: &ctx.grid,
     };
-    let chunk_elems = ctx.options.chunk_elems;
     let mut field = ctx.field;
     let mut res = RankResult {
         values: vec![0.0; site.grid.len()],
@@ -587,14 +572,12 @@ fn rank_body<W: Work, T: Transport>(
     let local = work.localize(&site, tracer, &mut res);
     let mut exchange_ns = 0u64;
 
-    // Queue every message without waiting for delivery; encoding is part
-    // of the exposed cost.
-    let (requests, chunks) = exposed(tracer, "exchange.post", &mut exchange_ns, || {
-        let ex = work.exchange(&site, &local, &field, chunk_elems);
-        for (peer, tag, payload) in ex.posts {
-            link.post(peer, tag, payload)?;
-        }
-        Ok::<_, DistError>((ex.requests, ex.chunks))
+    // Encoding is part of the exposed cost.
+    exposed(tracer, "exchange.post", &mut exchange_ns, || {
+        (0..n_ranks).filter(|&q| q != rank).try_for_each(|peer| {
+            let payload = work.post(&site, &local, &field, peer);
+            link.send(peer as u32, W::POST, payload)
+        })
     })?;
 
     // The interior pass reads only owned coefficients, so the field's
@@ -609,38 +592,48 @@ fn rank_body<W: Work, T: Transport>(
         }
     }
 
-    // Receiving also pumps the retransmit timers, so lost frames from
-    // this rank's own window recover here. The ack-flush of this rank's
-    // outgoing frames is NOT here: peers only ack when they reach their
-    // own drains, so flushing now would make the fastest rank wait out
-    // the slowest peer's interior pass.
     exposed(tracer, "exchange.drain", &mut exchange_ns, || {
-        let (mut served, mut received) = (0, 0);
+        let mut coeffs = Owed::by_peers(n_ranks, rank, true);
+        let mut requests = Owed::by_peers(n_ranks, rank, W::POST == Tag::HaloRequest);
+        // A violation fails this rank only once its drain has settled: the
+        // peers' drains are owed this rank's replies, and one rank's bad
+        // mail must not become every rank's deadline.
+        let mut violation = None;
         let deadline = Instant::now() + ctx.options.gather_timeout;
-        while served < requests || received < chunks {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DistError::Timeout);
-            }
-            let msg = link.recv_payload(deadline - now)?;
-            match msg.tag {
-                Tag::HaloRequest => {
-                    let ids = decode_ids(&msg.payload).map_err(DistError::Protocol)?;
-                    for reply in serve_request(site.plan, rank, &ids, &field, chunk_elems)? {
-                        link.post(msg.from, Tag::HaloCoeffs, reply)?;
-                    }
-                    served += 1;
+        loop {
+            // Once nothing is owed the drain takes only what is already
+            // waiting — none of it owed either — and ends on an empty inbox.
+            let settled = coeffs.settled() && requests.settled();
+            let wait = if settled {
+                Duration::ZERO
+            } else {
+                deadline.saturating_duration_since(Instant::now())
+            };
+            let msg = match link.recv(wait) {
+                Err(DistError::Timeout) if settled => break,
+                received => received?,
+            };
+            let owed = match msg.tag {
+                Tag::HaloCoeffs => &mut coeffs,
+                Tag::HaloRequest => &mut requests,
+                Tag::OwnedValues => {
+                    pending.push(msg);
+                    continue;
                 }
-                Tag::HaloCoeffs => {
-                    let n_modes = field.n_modes();
-                    decode_coeffs_into(&msg.payload, n_modes, field.coefficients_mut())
-                        .map_err(DistError::Protocol)?;
-                    received += 1;
-                }
-                _ => pending.push(msg),
+            };
+            if let Err(e) = owed.take(rank, &msg) {
+                violation.get_or_insert(e);
+            } else if msg.tag == Tag::HaloRequest {
+                let ids = decode_ids(&msg.payload).map_err(DistError::Protocol)?;
+                let reply = serve_request(site.plan, rank, &ids, &field)?;
+                link.send(msg.from, Tag::HaloCoeffs, reply)?;
+            } else {
+                let n_modes = field.n_modes();
+                decode_coeffs_into(&msg.payload, n_modes, field.coefficients_mut())
+                    .map_err(DistError::Protocol)?;
             }
         }
-        Ok(())
+        violation.map_or(Ok(()), Err)
     })?;
 
     {
@@ -649,11 +642,6 @@ fn rank_body<W: Work, T: Transport>(
             work.pass(&site, &local, &split.frontier, &field, &mut res);
         }
     }
-
-    // By now every peer has drained and acked, so this normally returns
-    // immediately; it only waits (and retransmits) when frames were
-    // actually lost.
-    exposed(tracer, "exchange.flush", &mut exchange_ns, || link.flush())?;
     res.exchange_ns = exchange_ns;
     Ok(res)
 }
@@ -681,8 +669,8 @@ fn reresolve<W: Work>(work: &W, site: &Site, field: &DgField) -> RankResult {
 }
 
 /// Opens a rank's link, flow-instrumented when the run is.
-fn open_link<T: Transport>(transport: T, options: &DistOptions, epoch: Instant) -> ReliableLink<T> {
-    let mut link = ReliableLink::new(transport, options.link);
+fn open_link<T: Transport>(transport: T, options: &DistOptions, epoch: Instant) -> Link<T> {
+    let mut link = Link::new(transport);
     if options.exec.instrument {
         link.instrument_flows(epoch);
     }
@@ -691,7 +679,7 @@ fn open_link<T: Transport>(transport: T, options: &DistOptions, epoch: Instant) 
 
 /// Completes `res` with the observability the body cannot see: the link's
 /// counters and flow log and the tracer's spans, as of now.
-fn snapshot<T: Transport>(res: &mut RankResult, link: &ReliableLink<T>, tracer: Tracer) {
+fn snapshot<T: Transport>(res: &mut RankResult, link: &Link<T>, tracer: Tracer) {
     res.comm = link.stats();
     res.spans = tracer.into_records();
     let flows = link.flow_log().clone();
@@ -763,37 +751,52 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
     let workers: Vec<(RankCtx, T)> = ctxs.zip(transports).collect();
 
     let slots = std::thread::scope(|scope| -> Result<Vec<Option<RankResult>>, DistError> {
-        for (ctx, transport) in workers {
-            scope.spawn(move || {
-                let worker_tracer = Tracer::with_epoch(ctx.options.exec.instrument, ctx.epoch);
-                let mut link = open_link(transport, &ctx.options, ctx.epoch);
-                // An exchange failure contributes nothing: the
-                // coordinator's gather deadline re-resolves this rank.
-                if let Ok(mut res) =
-                    rank_body(work, ctx, &mut link, &mut Vec::new(), &worker_tracer)
-                {
-                    // Snapshot *before* encoding: the result message
-                    // cannot count itself (which is also why the result
-                    // tag is not flow-instrumented, see `link`).
-                    snapshot(&mut res, &link, worker_tracer);
-                    // A dead coordinator is unrecoverable from a worker;
-                    // exit and let the scope join.
-                    let _ = link.send_reliable(0, Tag::OwnedValues, encode_rank_result(&res));
-                }
-            });
-        }
+        // The handles hold what the workers return — their links — until
+        // the gather is over: a dead rank's endpoint stays open, so a peer
+        // posting to it waits out the deadline instead of racing a `Closed`.
+        let _open: Vec<_> = workers
+            .into_iter()
+            .map(|(ctx, transport)| {
+                scope.spawn(move || {
+                    let worker_tracer = Tracer::with_epoch(ctx.options.exec.instrument, ctx.epoch);
+                    let mut link = open_link(transport, &ctx.options, ctx.epoch);
+                    // A failed exchange or a panic (the transport's, a
+                    // poisoned lock's, an assert on the evaluation path) is
+                    // a dead rank: it contributes nothing, and the
+                    // coordinator's gather deadline re-resolves it.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        if let Ok(mut res) =
+                            rank_body(work, ctx, &mut link, &mut Vec::new(), &worker_tracer)
+                        {
+                            // Snapshot *before* encoding: the result message
+                            // cannot count itself (which is also why the
+                            // result tag is not flow-instrumented, see `link`).
+                            snapshot(&mut res, &link, worker_tracer);
+                            // A dead coordinator is unrecoverable from a
+                            // worker; exit and let the scope join.
+                            let _ = link.send(0, Tag::OwnedValues, encode_rank_result(&res));
+                        }
+                    }));
+                    link
+                })
+            })
+            .collect();
 
         let mut link = open_link(transport0, options, epoch);
         let mut pending = Vec::new();
         let own = rank_body(work, ctx0, &mut link, &mut pending, &tracer)?;
         let mut slots: Vec<Option<RankResult>> = (0..n).map(|_| None).collect();
         slots[0] = Some(own);
+        // The drain has settled, so the gather is owed one result per
+        // worker and nothing else.
         let absorb = |msg: Message, slots: &mut [Option<RankResult>]| -> Result<(), DistError> {
-            let r = msg.from as usize;
-            if msg.tag == Tag::OwnedValues && r < n && slots[r].is_none() {
-                slots[r] = Some(decode_rank_result(&msg.payload).map_err(DistError::Protocol)?);
+            match slots.get_mut(msg.from as usize) {
+                Some(slot @ None) if msg.tag == Tag::OwnedValues => {
+                    *slot = Some(decode_rank_result(&msg.payload).map_err(DistError::Protocol)?);
+                    Ok(())
+                }
+                _ => Err(not_owed(format_args!("the gather"), &msg)),
             }
-            Ok(())
         };
         {
             let _span = tracer.span("reduce.gather");
@@ -802,11 +805,7 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
             }
             let deadline = Instant::now() + options.gather_timeout;
             while slots.iter().any(Option::is_none) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match link.recv_payload(deadline - now) {
+                match link.recv(deadline.saturating_duration_since(Instant::now())) {
                     Ok(msg) => absorb(msg, &mut slots)?,
                     Err(DistError::Timeout) => break,
                     Err(e) => return Err(e),
@@ -897,14 +896,30 @@ mod tests {
     use ustencil_mesh::{generate_mesh, MeshClass};
 
     #[test]
-    fn empty_sets_still_chunk_to_one_message() {
-        assert_eq!(chunks_for(0, 48), 1);
-        assert_eq!(chunks_for(48, 48), 1);
-        assert_eq!(chunks_for(49, 48), 2);
-        let ids: Vec<u32> = (0..5).collect();
-        let got: Vec<&[u32]> = chunked(&ids, 2).collect();
-        assert_eq!(got, [&[0, 1][..], &[2, 3], &[4]]);
-        assert_eq!(chunked(&[], 2).collect::<Vec<_>>(), [&[][..]]);
+    fn empty_push_set_still_sends_its_one_empty_message() {
+        use crate::push::PushWork;
+        let mesh = generate_mesh(MeshClass::LowVariance, 200, 4);
+        let grid = ComputationGrid::quadrature_points(&mesh, 1);
+        // Sixteen shards under a zero-width ring: some pair does not touch,
+        // so one has nothing to push — and the other is owed a message
+        // anyway.
+        let plan = ShardPlan::build(&mesh, &grid, 16, 0.0);
+        let (rank, peer) = (0..16)
+            .flat_map(|r| (0..16).map(move |q| (r, q)))
+            .find(|&(r, q)| r != q && plan.push_set(r, q).is_empty())
+            .expect("distant shards share no ring");
+        let exec = ExecConfig::default();
+        let work = PushWork::new(exec.resolve(&mesh, 1), &exec);
+        let site = Site {
+            mesh: &mesh,
+            plan: &plan,
+            rank,
+            grid: &grid,
+        };
+        let mut field = DgField::zeros(1, mesh.n_triangles());
+        let payload = work.post(&site, &(), &field, peer);
+        let filled = decode_coeffs_into(&payload, field.n_modes(), field.coefficients_mut());
+        assert_eq!(filled, Ok(vec![]));
     }
 
     #[test]
@@ -916,16 +931,44 @@ mod tests {
         let owned = plan.shard(0).owned_elements.clone();
         let foreign = plan.shard(1).owned_elements[0];
 
-        let replies = serve_request(&plan, 0, &owned, &field, 48).unwrap();
-        assert_eq!(replies.len(), chunks_for(owned.len(), 48));
+        let reply = serve_request(&plan, 0, &owned, &field).unwrap();
+        assert_eq!(reply, encode_coeffs(&owned, field.coefficients(), 3));
         // In range but owned by the other rank: refused, not answered
         // with rank 0's zeros.
-        let err = serve_request(&plan, 0, &[owned[0], foreign], &field, 48).unwrap_err();
+        let err = serve_request(&plan, 0, &[owned[0], foreign], &field).unwrap_err();
         assert!(matches!(err, DistError::Protocol(_)), "{err}");
         // Out of range: refused before anything indexes with it.
-        let err = serve_request(&plan, 0, &[u32::MAX], &field, 48).unwrap_err();
+        let err = serve_request(&plan, 0, &[u32::MAX], &field).unwrap_err();
         assert!(matches!(err, DistError::Protocol(_)), "{err}");
-        let err = serve_request(&plan, 0, &[mesh.n_triangles() as u32], &field, 48).unwrap_err();
+        let err = serve_request(&plan, 0, &[mesh.n_triangles() as u32], &field).unwrap_err();
         assert!(matches!(err, DistError::Protocol(_)), "{err}");
+
+        // The same holds for who a message is *from*: each peer is owed
+        // one, so a rank outside the fabric, the rank itself, or a peer's
+        // second message is refused by name — never counted.
+        let from = |from: u32| Message {
+            from,
+            to: 0,
+            tag: Tag::HaloRequest,
+            flow: 0,
+            payload: Vec::new(),
+        };
+        let mut owed = Owed::by_peers(2, 0, true);
+        for stranger in [2, u32::MAX, 0] {
+            let err = owed.take(0, &from(stranger)).unwrap_err();
+            assert!(
+                matches!(&err, DistError::Protocol(why) if why.contains(&format!("rank {stranger}"))),
+                "{err}"
+            );
+        }
+        assert!(!owed.settled());
+        assert_eq!(owed.take(0, &from(1)), Ok(()));
+        assert!(owed.settled());
+        assert!(matches!(
+            owed.take(0, &from(1)),
+            Err(DistError::Protocol(_))
+        ));
+        // A work that posts no requests is owed none.
+        assert!(Owed::by_peers(2, 0, false).settled());
     }
 }

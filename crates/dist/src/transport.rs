@@ -1,13 +1,14 @@
 //! The message boundary: every byte that crosses a rank goes through here.
 //!
 //! A [`Transport`] endpoint can send a serialized [`Message`] to any rank
-//! and receive messages addressed to itself. The trait is deliberately
-//! minimal — unreliable, unordered delivery of opaque byte payloads — so
-//! that reliability (acknowledgements, retries, deduplication) lives in one
-//! place ([`ReliableLink`](crate::link::ReliableLink)) and transports stay
-//! swappable: an in-process channel fabric for real-thread execution
-//! ([`channel`](crate::channel)), a deterministic recording fabric for
-//! tests and fault injection ([`record`](crate::record)).
+//! and receive messages addressed to itself. The contract is the one
+//! `mpsc`, TCP and MPI give: every accepted message is delivered exactly
+//! once, or the endpoint reports [`TransportError::Closed`]; order is not
+//! promised. Nothing above this trait re-derives that guarantee — a lossy
+//! datagram transport would carry its own acknowledgement protocol *inside*
+//! its `Transport` impl, where the loss model is known. The one failure no
+//! transport can mask, a dead rank, is the schedule's
+//! ([`schedule`](crate::schedule): gather deadline, then re-resolve).
 
 use std::time::Duration;
 
@@ -24,14 +25,6 @@ pub enum Tag {
     /// A rank's finished owned-point values plus its execution summary,
     /// sent to the coordinator.
     OwnedValues,
-    /// Reliability-layer cumulative acknowledgement; `seq` names the next
-    /// sequence number the receiver expects from this direction (every
-    /// earlier seq is acknowledged).
-    Ack,
-    /// A coalesced frame carrying several logical messages for the same
-    /// destination, each keeping its own tag and flow id (layout in
-    /// [`wire`](crate::wire)). One window slot, one ack.
-    Bundle,
 }
 
 impl Tag {
@@ -41,8 +34,6 @@ impl Tag {
             Tag::HaloCoeffs => 0,
             Tag::HaloRequest => 1,
             Tag::OwnedValues => 2,
-            Tag::Ack => 3,
-            Tag::Bundle => 4,
         }
     }
 
@@ -52,8 +43,6 @@ impl Tag {
             Tag::HaloCoeffs => "halo.coeffs",
             Tag::HaloRequest => "halo.request",
             Tag::OwnedValues => "owned.values",
-            Tag::Ack => "ack",
-            Tag::Bundle => "bundle",
         }
     }
 
@@ -63,17 +52,14 @@ impl Tag {
             0 => Some(Tag::HaloCoeffs),
             1 => Some(Tag::HaloRequest),
             2 => Some(Tag::OwnedValues),
-            3 => Some(Tag::Ack),
-            4 => Some(Tag::Bundle),
             _ => None,
         }
     }
 }
 
-/// Bytes of the fixed message header (`from` + `to` + tag + `seq` +
-/// `flow`): the per-message overhead charged to the wire alongside the
-/// payload.
-pub const HEADER_BYTES: u64 = 4 + 4 + 1 + 8 + 8;
+/// Bytes of the fixed message header (`from` + `to` + tag + `flow`): the
+/// per-message overhead charged to the wire alongside the payload.
+pub const HEADER_BYTES: u64 = 4 + 4 + 1 + 8;
 
 /// One serialized message between ranks. Cross-rank data exists *only* in
 /// this form — no shared references to field or solution data ever cross a
@@ -86,16 +72,9 @@ pub struct Message {
     pub to: u32,
     /// Payload discriminator.
     pub tag: Tag,
-    /// Per-sender sequence number (the reliability layer's identity for
-    /// deduplication and acknowledgement).
-    pub seq: u64,
-    /// Per-sender monotone flow id, tagged once per *logical* payload
-    /// message: retransmits share their original's flow id, and sub-
-    /// messages inside a [`Tag::Bundle`] frame keep their own (the frame
-    /// header carries the first part's). Cumulative [`Tag::Ack`] frames
-    /// acknowledge sequence ranges, not messages, and carry flow 0.
-    /// `(from, flow)` therefore names one send→recv arc in a trace
-    /// timeline. Purely observational — reliability keys on `seq`.
+    /// Per-sender monotone flow id, stamped by the sender's
+    /// [`Link`](crate::link::Link): `(from, flow)` names the message, and
+    /// with it one send→recv arc in a trace timeline.
     pub flow: u64,
     /// Serialized payload (see [`wire`](crate::wire)).
     pub payload: Vec<u8>,
@@ -117,12 +96,12 @@ pub enum TransportError {
     Timeout,
 }
 
-/// An unreliable, unordered point-to-point message fabric endpoint.
+/// A reliable, unordered point-to-point message fabric endpoint.
 ///
-/// Implementations may drop, delay, or reorder messages (the fault-
-/// injecting fabrics do so deliberately); they must never duplicate a
-/// message on their own or corrupt a payload. One endpoint belongs to
-/// exactly one rank and is used from that rank's thread only.
+/// An implementation delivers every message it accepts exactly once and
+/// uncorrupted, in any order, or reports [`TransportError::Closed`]. One
+/// endpoint belongs to exactly one rank and is used from that rank's thread
+/// only.
 pub trait Transport: Send {
     /// This endpoint's rank.
     fn rank(&self) -> u32;
@@ -130,8 +109,8 @@ pub trait Transport: Send {
     /// Total ranks in the fabric.
     fn n_ranks(&self) -> u32;
 
-    /// Enqueues a message for delivery. `Ok` means accepted by the fabric,
-    /// not that the peer received it.
+    /// Hands a message to the fabric. `Ok` means it will be delivered, not
+    /// that the peer has read it.
     fn send(&mut self, msg: Message) -> Result<(), TransportError>;
 
     /// Receives the next message addressed to this rank, waiting at most
@@ -145,15 +124,10 @@ mod tests {
 
     #[test]
     fn tag_bytes_round_trip() {
-        for tag in [
-            Tag::HaloCoeffs,
-            Tag::HaloRequest,
-            Tag::OwnedValues,
-            Tag::Ack,
-            Tag::Bundle,
-        ] {
+        for tag in [Tag::HaloCoeffs, Tag::HaloRequest, Tag::OwnedValues] {
             assert_eq!(Tag::from_byte(tag.to_byte()), Some(tag));
         }
+        assert_eq!(Tag::from_byte(3), None);
         assert_eq!(Tag::from_byte(200), None);
     }
 
@@ -163,12 +137,11 @@ mod tests {
             from: 0,
             to: 1,
             tag: Tag::HaloCoeffs,
-            seq: 9,
             flow: 9,
             payload: vec![0u8; 40],
         };
         assert_eq!(m.wire_bytes(), HEADER_BYTES + 40);
-        // from + to + tag + seq + flow.
-        assert_eq!(HEADER_BYTES, 4 + 4 + 1 + 8 + 8);
+        // from + to + tag + flow.
+        assert_eq!(HEADER_BYTES, 17);
     }
 }

@@ -8,11 +8,7 @@
 //! * **ids** — `u32 count` + `count × u32` element ids
 //!   ([`Tag::HaloRequest`](crate::transport::Tag));
 //! * **rank result** — owned-point values in shard order plus the rank's
-//!   execution summary ([`Tag::OwnedValues`](crate::transport::Tag));
-//! * **bundle** — `u32 count`, then per logical message `u8 tag` +
-//!   `u64 flow` + length-prefixed payload bytes: several same-destination
-//!   messages coalesced into one [`Tag::Bundle`](crate::transport::Tag)
-//!   frame by the sliding-window link.
+//!   execution summary ([`Tag::OwnedValues`](crate::transport::Tag)).
 
 use crate::flow::FlowPoint;
 use crate::transport::Tag;
@@ -204,45 +200,6 @@ pub fn decode_ids(payload: &[u8]) -> Result<Vec<u32>, String> {
         return Err("trailing bytes in ids payload".into());
     }
     Ok(ids)
-}
-
-/// Encodes several logical messages — `(tag, flow, payload)` each — into
-/// one bundle-frame payload.
-pub fn encode_bundle(parts: &[(Tag, u64, Vec<u8>)]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u32(parts.len() as u32);
-    for (tag, flow, payload) in parts {
-        w.buf.push(tag.to_byte());
-        w.u64(*flow);
-        w.bytes(payload);
-    }
-    w.finish()
-}
-
-/// Decodes a bundle-frame payload back into its logical messages.
-pub fn decode_bundle(payload: &[u8]) -> Result<Vec<(Tag, u64, Vec<u8>)>, String> {
-    let mut r = WireReader::new(payload);
-    // Per part: tag byte, flow id, payload length prefix.
-    let count = r.count(1 + 8 + 4)?;
-    let mut parts = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag_byte = r.take(1)?[0];
-        let tag = Tag::from_byte(tag_byte)
-            .ok_or_else(|| format!("unknown bundle tag byte {tag_byte}"))?;
-        if tag == Tag::Ack || tag == Tag::Bundle {
-            return Err(format!(
-                "tag {} may not travel inside a bundle",
-                tag.label()
-            ));
-        }
-        let flow = r.u64()?;
-        let bytes = r.bytes()?.to_vec();
-        parts.push((tag, flow, bytes));
-    }
-    if !r.exhausted() {
-        return Err("trailing bytes in bundle payload".into());
-    }
-    Ok(parts)
 }
 
 /// One rank's finished contribution: owned-point values (in the shard
@@ -453,10 +410,7 @@ mod tests {
                 bytes_sent: 900,
                 msgs_recv: 3,
                 bytes_recv: 700,
-                retransmits: 1,
-                timeouts: 1,
-                dup_payloads: 1,
-                coalesced: 2,
+                retransmits: 0,
             },
             exchange_ns: 123,
             eval_ns: 456,
@@ -515,31 +469,6 @@ mod tests {
         assert_eq!(decoded.flow_recvs, res.flow_recvs);
     }
 
-    #[test]
-    fn bundle_round_trip_preserves_tags_and_flows() {
-        let parts = vec![
-            (Tag::HaloCoeffs, 7u64, vec![1, 2, 3]),
-            (Tag::HaloRequest, 9u64, vec![]),
-            (Tag::HaloCoeffs, 12u64, vec![255; 17]),
-        ];
-        let decoded = decode_bundle(&encode_bundle(&parts)).unwrap();
-        assert_eq!(decoded, parts);
-        assert_eq!(decode_bundle(&encode_bundle(&[])).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn bundle_rejects_nested_or_truncated_frames() {
-        let nested = encode_bundle(&[(Tag::Bundle, 0, vec![])]);
-        assert!(decode_bundle(&nested).is_err());
-        let ack = encode_bundle(&[(Tag::Ack, 0, vec![])]);
-        assert!(decode_bundle(&ack).is_err());
-        let good = encode_bundle(&[(Tag::HaloCoeffs, 1, vec![4, 5])]);
-        assert!(decode_bundle(&good[..good.len() - 1]).is_err());
-        let mut extended = good.clone();
-        extended.push(0);
-        assert!(decode_bundle(&extended).is_err());
-    }
-
     /// Four corrupt bytes must not size an allocation: every
     /// length-prefixed list refuses a count its payload cannot back.
     #[test]
@@ -549,16 +478,15 @@ mod tests {
 
         assert!(decode_ids(&with_huge(&[], &[0; 8])).is_err());
         assert!(decode_coeffs_into(&with_huge(&[], &[0; 24]), 2, &mut [0.0; 4]).is_err());
-        assert!(decode_bundle(&with_huge(&[], &[0; 26])).is_err());
         assert!(decode_spans(&mut WireReader::new(&with_huge(&[], &[0; 48]))).is_err());
         assert!(decode_flow_points(&mut WireReader::new(&with_huge(&[], &[0; 64]))).is_err());
 
         // The rank result's two own lists: values lead the payload, the
-        // patch count follows the thirteen fixed u64 fields.
+        // patch count follows the ten fixed u64 fields.
         let empty = encode_rank_result(&RankResult::default());
         assert!(decode_rank_result(&empty).is_ok());
         assert!(decode_rank_result(&with_huge(&[], &empty[4..])).is_err());
-        let patches_at = 4 + 13 * 8;
+        let patches_at = 4 + 10 * 8;
         let corrupt = with_huge(&empty[..patches_at], &empty[patches_at + 4..]);
         assert!(decode_rank_result(&corrupt).is_err());
 

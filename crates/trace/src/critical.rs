@@ -15,7 +15,7 @@
 //! intervals not covered by any of its computation intervals — the wait
 //! the run actually paid, as opposed to traffic hidden behind local work.
 //! The dist runtime's interior-first schedule (post → interior eval →
-//! drain → frontier eval → flush) exists to shrink exactly this number:
+//! drain → frontier eval) exists to shrink exactly this number:
 //! this module is the instrument that shows how much of the exchange the
 //! overlap actually hid.
 

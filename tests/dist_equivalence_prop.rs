@@ -1,15 +1,17 @@
-//! Property and fault-injection tests of the rank-sharded runtime:
-//! sharded runs must agree with single-rank runs across rank counts and
-//! kernel smoothness, candidate-pair work counters must partition exactly,
-//! and injected transport faults (drops, reorders, a failed rank) must
-//! never change the answer — on either work the one schedule runs.
+//! Property and failure tests of the rank-sharded runtime: sharded runs
+//! must agree with single-rank runs across rank counts and kernel
+//! smoothness, candidate-pair work counters must partition exactly, and
+//! what a transport may do (reorder) or a rank may suffer (death, by
+//! silence or by panic) must never change the answer — on either work the
+//! one schedule runs. A transport that breaks its contract (a duplicate)
+//! gives a typed error or a re-resolved rank, never a changed value.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use ustencil::dg::project_l2;
 use ustencil::dist::{
-    run_dist, run_dist_on, run_plan_dist, run_plan_dist_on, ChannelFabric, Disposition,
-    DistOptions, DistSolution, FaultPlan, FaultRule, LinkConfig, RecordingFabric, Tag, Transport,
+    run_dist, run_dist_on, run_plan_dist, run_plan_dist_on, ChannelEndpoint, ChannelFabric,
+    DistError, DistOptions, DistSolution, Message, Tag, Transport, TransportError,
 };
 use ustencil::engine::prelude::*;
 use ustencil::mesh::{generate_mesh, MeshClass};
@@ -109,8 +111,8 @@ proptest! {
     }
 }
 
-/// The two works the one schedule runs; every fault test below drives
-/// both through the same injected faults.
+/// The two works the one schedule runs; every failure test below drives
+/// both through the same meddling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Path {
     /// `run_dist`: per-element scatter, coefficients pushed.
@@ -121,7 +123,7 @@ enum Path {
 
 const PATHS: [Path; 2] = [Path::Push, Path::Pull];
 
-/// A four-rank fixture, its options, and the fault-free values of `path`.
+/// A four-rank fixture, its options, and the undisturbed values of `path`.
 /// On the pull path those are also checked bitwise against the global
 /// `EvalPlan::apply`, so "equals the clean run" means "equals the plan".
 struct Case {
@@ -159,17 +161,83 @@ impl Case {
         }
     }
 
-    fn run_on<T: Transport>(
-        &self,
-        path: Path,
-        opts: &DistOptions,
-        endpoints: Vec<T>,
-    ) -> DistSolution {
+    /// Runs `path` on four channel endpoints whose sends go through
+    /// `rule`, with a gather deadline short enough to wait out.
+    fn run_meddled(&self, path: Path, rule: fn(&Message) -> Do) -> Result<DistSolution, DistError> {
+        let opts = self.opts.gather_timeout(Duration::from_millis(500));
+        let endpoints = ChannelFabric::endpoints(4)
+            .into_iter()
+            .map(|inner| Meddler {
+                inner,
+                rule,
+                held: Vec::new(),
+                again: None,
+            })
+            .collect();
         match path {
-            Path::Push => run_dist_on(&self.mesh, &self.field, &self.grid, opts, endpoints),
-            Path::Pull => run_plan_dist_on(&self.mesh, &self.field, &self.grid, opts, endpoints),
+            Path::Push => run_dist_on(&self.mesh, &self.field, &self.grid, &opts, endpoints),
+            Path::Pull => run_plan_dist_on(&self.mesh, &self.field, &self.grid, &opts, endpoints),
         }
-        .unwrap()
+    }
+}
+
+/// What a [`Meddler`] does with one message.
+enum Do {
+    Pass,
+    /// Accepted, never delivered: the sender is dead to that peer.
+    Swallow,
+    /// Delivered behind the endpoint's next message to the same rank.
+    HoldBehindNext,
+    /// Received twice, back to back — a transport breaking its contract.
+    /// Done by the receiving endpoint, so that no thread schedule can part
+    /// the copies.
+    Twice,
+    /// The sending rank dies mid-send.
+    Panic,
+}
+
+/// The test-side transport: a channel endpoint that asks a rule, deciding
+/// by message identity alone (`(from, flow)` names one), what to do with
+/// each message. `crates/dist` has no injector; `run_*_on` being generic
+/// over the transport is the seam.
+struct Meddler {
+    inner: ChannelEndpoint,
+    rule: fn(&Message) -> Do,
+    held: Vec<Message>,
+    again: Option<Message>,
+}
+
+impl Transport for Meddler {
+    fn rank(&self) -> u32 {
+        self.inner.rank()
+    }
+    fn n_ranks(&self) -> u32 {
+        self.inner.n_ranks()
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, TransportError> {
+        if let Some(copy) = self.again.take() {
+            return Ok(copy);
+        }
+        let msg = self.inner.recv_timeout(timeout)?;
+        if let Do::Twice = (self.rule)(&msg) {
+            self.again = Some(msg.clone());
+        }
+        Ok(msg)
+    }
+    fn send(&mut self, msg: Message) -> Result<(), TransportError> {
+        match (self.rule)(&msg) {
+            Do::Pass | Do::Twice => {}
+            Do::Swallow => return Ok(()),
+            Do::HoldBehindNext => {
+                self.held.push(msg);
+                return Ok(());
+            }
+            Do::Panic => panic!("rank {} dies sending its {}", msg.from, msg.tag.label()),
+        }
+        let (release, keep) = self.held.drain(..).partition(|m| m.to == msg.to);
+        self.held = keep;
+        self.inner.send(msg)?;
+        release.into_iter().try_for_each(|m| self.inner.send(m))
     }
 }
 
@@ -185,81 +253,21 @@ fn assert_split_partitions_owned_work(path: Path, sol: &DistSolution) {
     }
 }
 
-/// A dropped-then-retransmitted halo message must not change the result:
-/// the reliability layer retries, the receiver deduplicates, and the
-/// recorded wire history shows the drop followed by a delivery.
-#[test]
-fn dropped_halo_messages_are_retried_without_changing_results() {
-    for path in PATHS {
-        let case = Case::new(path, 77);
-        // One drop per message kind the path puts on the wire.
-        let drops: &[(u32, Tag)] = match path {
-            Path::Push => &[(1, Tag::HaloCoeffs), (2, Tag::OwnedValues)],
-            Path::Pull => &[
-                (1, Tag::HaloRequest),
-                (3, Tag::HaloCoeffs),
-                (2, Tag::OwnedValues),
-            ],
-        };
-        let faults = drops.iter().fold(FaultPlan::none(), |plan, &(from, tag)| {
-            plan.with_rule(FaultRule::drop_first(from, tag, 1))
-        });
-        let (fabric, endpoints) = RecordingFabric::with_faults(4, faults);
-        let opts = case.opts.link(LinkConfig {
-            ack_timeout: Duration::from_millis(50),
-            max_retries: 6,
-            ..LinkConfig::default()
-        });
-        let faulty = case.run_on(path, &opts, endpoints);
-
-        assert_eq!(
-            faulty.values, case.clean.values,
-            "{path:?}: retried messages must leave the values bit-identical"
-        );
-        assert_eq!(
-            pair_counters(&faulty.metrics),
-            pair_counters(&case.clean.metrics)
-        );
-        // The halo-phase retransmit is visible in the shipped counters; the
-        // result-message retransmit happens after the stats snapshot (a
-        // rank's result cannot count itself) and is asserted through the
-        // wire log below instead.
-        let total = faulty.total_comm();
-        assert!(
-            total.retransmits >= 1,
-            "{path:?}: the halo drop must force a retransmit"
-        );
-        assert!(faulty.ranks.iter().all(|r| !r.reresolved));
-        assert_split_partitions_owned_work(path, &faulty);
-
-        // The wire log shows each injected drop followed by a successful
-        // retransmission of the same message.
-        let log = fabric.log();
-        for &(from, tag) in drops {
-            let dropped = log
-                .iter()
-                .find(|r| r.from == from && r.tag == tag && r.disposition == Disposition::Dropped)
-                .expect("injected drop must be recorded");
-            assert!(
-                log.iter().any(|r| r.from == from
-                    && r.tag == tag
-                    && r.seq == dropped.seq
-                    && r.disposition == Disposition::Delivered),
-                "{path:?}: the dropped message must eventually be delivered"
-            );
-        }
-    }
-}
-
 /// Held (reordered) messages must not change the result: receivers match
 /// halo payloads by content, not arrival order.
 #[test]
 fn reordered_messages_leave_results_unchanged() {
     for path in PATHS {
         let case = Case::new(path, 78);
-        let faults = FaultPlan::none().with_rule(FaultRule::hold_first(1, 0, 1));
-        let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
-        let faulty = case.run_on(path, &case.opts, endpoints);
+        // Rank 1's first message goes to rank 0 — its push, or its pull
+        // request — and now arrives behind its next one there: its result,
+        // or its reply to rank 0's own request.
+        let faulty = case
+            .run_meddled(path, |m| match (m.from, m.flow) {
+                (1, 0) => Do::HoldBehindNext,
+                _ => Do::Pass,
+            })
+            .unwrap();
 
         assert_eq!(faulty.values, case.clean.values, "{path:?}");
         assert_eq!(
@@ -280,18 +288,12 @@ fn failed_rank_is_reresolved_by_the_coordinator() {
         // Rank 3 completes its exchange but its result message is
         // swallowed forever — from the coordinator's view the rank died
         // after the halo phase.
-        let faults =
-            FaultPlan::none().with_rule(FaultRule::drop_first(3, Tag::OwnedValues, u32::MAX));
-        let endpoints = ChannelFabric::endpoints_with_faults(4, faults);
-        let opts = case
-            .opts
-            .link(LinkConfig {
-                ack_timeout: Duration::from_millis(20),
-                max_retries: 2,
-                ..LinkConfig::default()
+        let recovered = case
+            .run_meddled(path, |m| match (m.from, m.tag) {
+                (3, Tag::OwnedValues) => Do::Swallow,
+                _ => Do::Pass,
             })
-            .gather_timeout(Duration::from_millis(500));
-        let recovered = case.run_on(path, &opts, endpoints);
+            .unwrap();
 
         assert_eq!(
             recovered.values, case.clean.values,
@@ -317,5 +319,72 @@ fn failed_rank_is_reresolved_by_the_coordinator() {
             "{path:?}: recovered patch shapes"
         );
         assert_eq!(lost.comm.msgs_sent, 0, "a re-resolved rank has no link");
+    }
+}
+
+/// Exactly rank `r` of `sol` was re-resolved, to the clean run's bits.
+fn assert_only_rank_reresolved(path: Path, case: &Case, sol: &DistSolution, r: usize) {
+    assert_eq!(sol.values, case.clean.values, "{path:?}");
+    let flagged: Vec<u32> = sol
+        .ranks
+        .iter()
+        .filter(|r| r.reresolved)
+        .map(|r| r.rank)
+        .collect();
+    assert_eq!(flagged, [r as u32], "{path:?}");
+}
+
+/// The one rank death an in-process run can suffer — a worker thread
+/// panicking — is a dead rank like any other: after the exchange it is
+/// re-resolved; before it, its peers' drains time out and the run fails
+/// with the typed error. The panic never leaves `run_*_on`.
+#[test]
+fn panicking_rank_is_a_dead_rank() {
+    for path in PATHS {
+        let case = Case::new(path, 80);
+        let recovered = case
+            .run_meddled(path, |m| match (m.from, m.tag) {
+                (3, Tag::OwnedValues) => Do::Panic,
+                _ => Do::Pass,
+            })
+            .unwrap();
+        assert_only_rank_reresolved(path, &case, &recovered, 3);
+
+        let err = case
+            .run_meddled(path, |m| match (m.from, m.flow) {
+                (3, 0) => Do::Panic,
+                _ => Do::Pass,
+            })
+            .unwrap_err();
+        assert_eq!(err, DistError::Timeout, "{path:?}");
+    }
+}
+
+/// The drain counts senders, not messages: a second `HaloCoeffs` from one
+/// peer must not stand in for the one still missing (the frontier pass
+/// would read zeros). At the coordinator it fails the run by name; at a
+/// worker it fails that rank, which is re-resolved.
+#[test]
+fn duplicated_halo_message_is_refused_not_counted() {
+    for path in PATHS {
+        let case = Case::new(path, 81);
+        let err = case
+            .run_meddled(path, |m| match (m.from, m.to, m.tag) {
+                (1, 0, Tag::HaloCoeffs) => Do::Twice,
+                _ => Do::Pass,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, DistError::Protocol(why) if why.contains("by rank 1")),
+            "{path:?}: {err}"
+        );
+
+        let recovered = case
+            .run_meddled(path, |m| match (m.from, m.to, m.tag) {
+                (1, 2, Tag::HaloCoeffs) => Do::Twice,
+                _ => Do::Pass,
+            })
+            .unwrap();
+        assert_only_rank_reresolved(path, &case, &recovered, 2);
     }
 }
