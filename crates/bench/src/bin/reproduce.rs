@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use ustencil_bench::cli::{parse_cli, CliOptions, USAGE};
-use ustencil_bench::{mesh_sizes, size_label, Workload};
+use ustencil_bench::{size_label, triangle_ladder, Workload};
 use ustencil_core::per_element::memory_overhead;
 use ustencil_core::prelude::*;
 use ustencil_dist::{run_dist, DistOptions, SCHEME_LABEL as DIST_SCHEME_LABEL};
@@ -572,7 +572,6 @@ fn serve_cmd(opts: &CliOptions) -> Vec<RunRecord> {
         clients: opts.clients,
         requests: opts.requests,
         seed: opts.seed,
-        ..TrafficConfig::default()
     };
     println!("\n== Plan-cache service: {} ==", traffic::describe(&cfg));
     eprintln!("  [driving the cached service...]");
@@ -913,10 +912,10 @@ fn checkjson(path: &str) -> Result<(), String> {
             if serve.requests == 0 {
                 return Err(format!("{ctx}: serve run served no requests"));
             }
-            if serve.misses != serve.compiles + serve.disk_loads + serve.patches {
+            if serve.misses != serve.compiles + serve.patches {
                 return Err(format!(
-                    "{ctx}: {} misses but {} compiles + {} disk loads + {} patches",
-                    serve.misses, serve.compiles, serve.disk_loads, serve.patches
+                    "{ctx}: {} misses but {} compiles + {} patches",
+                    serve.misses, serve.compiles, serve.patches
                 ));
             }
             // One cache lookup per request, each counted exactly once.
@@ -994,7 +993,7 @@ fn main() {
     let sizes: Vec<usize> = opts
         .sizes
         .clone()
-        .unwrap_or_else(|| mesh_sizes(opts.full).to_vec());
+        .unwrap_or_else(|| triangle_ladder(opts.full).to_vec());
     let caps = degree_caps(opts.full);
     let mut r = Runner::new(opts.seed, opts.simd);
 

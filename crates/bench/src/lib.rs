@@ -95,7 +95,7 @@ impl Workload {
 
 /// The mesh-size ladder: the paper's 4k–1024k in full mode, a tractable
 /// prefix by default (the evaluation host has two cores, not 8 GPUs).
-pub fn mesh_sizes(full: bool) -> &'static [usize] {
+pub fn triangle_ladder(full: bool) -> &'static [usize] {
     if full {
         &[4_000, 16_000, 64_000, 256_000, 1_024_000]
     } else {
@@ -143,8 +143,8 @@ mod tests {
 
     #[test]
     fn size_ladder() {
-        assert_eq!(mesh_sizes(false).len(), 3);
-        assert_eq!(mesh_sizes(true).len(), 5);
+        assert_eq!(triangle_ladder(false).len(), 3);
+        assert_eq!(triangle_ladder(true).len(), 5);
         assert_eq!(size_label(64_000), "64k");
         assert_eq!(size_label(500), "500");
     }

@@ -46,8 +46,10 @@ use ustencil_trace::{
 /// the serve `batches` counter together with request coalescing and renames
 /// `batched_rows` to `rows`; v9 removes the three reliability counters
 /// (retransmits, discarded duplicates, coalesced messages) from each rank's
-/// comms ledger together with the rank runtime's reliability protocol.
-pub const REPORT_SCHEMA_VERSION: u64 = 9;
+/// comms ledger together with the rank runtime's reliability protocol;
+/// v10 removes the serve disk-load counter together with the plan cache's
+/// disk tier.
+pub const REPORT_SCHEMA_VERSION: u64 = 10;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -234,24 +236,22 @@ json_record! {
         pub catalog: u64,
         /// Requests answered from a resident compiled plan.
         pub hits: u64,
-        /// Requests that had to produce a plan (compile or disk load).
+        /// Requests that had to produce a plan (compile or patch).
         pub misses: u64,
-        /// Plans actually compiled (≤ misses: single-flight followers and disk
-        /// warm-starts do not compile).
+        /// Plans actually compiled (≤ misses: single-flight followers and
+        /// sibling patches do not compile).
         pub compiles: u64,
         /// Requesters that blocked on another request's in-flight compile
         /// instead of duplicating it.
         pub single_flight_waits: u64,
-        /// Plans revived from the disk tier instead of recompiled.
-        pub disk_loads: u64,
         /// Plans produced by patching a resident sibling plan (delta
         /// revalidation) instead of compiling from scratch.
         pub patches: u64,
-        /// Plans evicted from the memory tier under the byte budget.
+        /// Plans evicted from the cache under the byte budget.
         pub evictions: u64,
         /// Output rows evaluated across all requests.
         pub rows: u64,
-        /// Resident bytes of the memory tier when the run ended.
+        /// Resident plan bytes of the cache when the run ended.
         pub cache_bytes: u64,
         /// Run-wide admission-to-service queue-wait distribution, microseconds.
         pub queue_wait_us: Hist64,
@@ -650,16 +650,16 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v8, with the reliability counters in
-        // each comms ledger) is rejected the same way, not half-parsed.
-        let v8 = text.replacen(
+        // The previous generation (v9, with the serve disk-load counter) is
+        // rejected the same way, not half-parsed.
+        let v9 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 8",
+            "\"schema\": 9",
             1,
         );
-        let err = RunReport::from_json(&v8).unwrap_err();
+        let err = RunReport::from_json(&v9).unwrap_err();
         assert!(
-            err.contains("schema version 8 is not supported"),
+            err.contains("schema version 9 is not supported"),
             "unhelpful error: {err}"
         );
     }
@@ -707,7 +707,6 @@ mod tests {
                 misses: 20,
                 compiles: 6,
                 single_flight_waits: 9,
-                disk_loads: 4,
                 patches: 2,
                 evictions: 3,
                 rows: 600_000,

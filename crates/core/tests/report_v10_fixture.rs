@@ -1,4 +1,4 @@
-//! Pins report schema v9 to bytes on disk. `fixtures/report_v9.json` is the
+//! Pins report schema v10 to bytes on disk. `fixtures/report_v10.json` is the
 //! v7 fixture — written by the hand-rolled emitter of rev `c154f7c` (before
 //! the records were declared through `ustencil_trace::json_record!`) from
 //! four real runs on 60–120-triangle meshes, one per record type: a direct
@@ -12,25 +12,26 @@
 //! in its dist run: `"schema": 9` and the three reliability counters
 //! (the keys after `bytes_recv`) deleted from both comms ledgers; the run's
 //! spans and message counts are still the five-phase, chunked exchange's,
-//! which a parser does not care about. Regenerating it with a later emitter
+//! which a parser does not care about. v10, in its serve run: `"schema": 10`
+//! and the disk-load counter deleted. Regenerating it with a later emitter
 //! would pin nothing: the bytes are the contract.
 
 use ustencil_core::RunReport;
 use ustencil_trace::Json;
 
-const FIXTURE: &str = include_str!("fixtures/report_v9.json");
+const FIXTURE: &str = include_str!("fixtures/report_v10.json");
 
 #[test]
-fn v9_fixture_round_trips_byte_for_byte() {
+fn v10_fixture_round_trips_byte_for_byte() {
     let report = RunReport::from_json(FIXTURE).expect("fixture parses");
     assert_eq!(report.runs.len(), 4);
     assert_eq!(report.to_pretty_string(), FIXTURE);
     // The same bytes under the previous version number are refused whole,
     // by the typed message, before any record is read.
-    let v8 = FIXTURE.replacen("\"schema\": 9", "\"schema\": 8", 1);
-    let err = RunReport::from_json(&v8).expect_err("a v8 document is refused");
+    let v9 = FIXTURE.replacen("\"schema\": 10", "\"schema\": 9", 1);
+    let err = RunReport::from_json(&v9).expect_err("a v9 document is refused");
     assert!(
-        err.contains("report schema version 8 is not supported"),
+        err.contains("report schema version 9 is not supported"),
         "{err}"
     );
 }

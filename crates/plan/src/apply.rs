@@ -10,7 +10,7 @@ use ustencil_trace::{SpanRecord, Tracer};
 
 /// Upper bound on modal coefficients per element supported by the
 /// lane-accumulator row kernel (degree 6 ⇒ 28 modes, with headroom).
-pub(crate) const MAX_MODES: usize = 32;
+const MAX_MODES: usize = 32;
 
 /// Result of applying a plan to one field.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@
 //! That content sensitivity is the point: a shape check (element count,
 //! degree, row count) would hand a same-shape mesh with moved vertices the
 //! stale operator. Keys close that hazard, and they are what the cache in
-//! `ustencil-serve` looks up, single-flights and names its disk files by.
+//! `ustencil-serve` looks up and single-flights.
 
 use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa};
 use ustencil_mesh::TriMesh;
@@ -143,19 +143,6 @@ impl PlanKey {
             && self.h_factor_bits == other.h_factor_bits
             && self.simd == other.simd
     }
-
-    /// A stable 64-bit digest of the whole key — the on-disk file name of
-    /// the serve-layer cache.
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.mesh_hash);
-        h.write_u64(self.grid_hash);
-        h.write_u64(self.degree as u64);
-        h.write_u64(self.smoothness as u64);
-        h.write_u64(self.h_factor_bits);
-        h.write_u64(self.simd as u64);
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +160,6 @@ mod tests {
     #[test]
     fn equal_content_means_equal_key() {
         assert_eq!(key_for(7), key_for(7));
-        assert_eq!(key_for(7).digest(), key_for(7).digest());
     }
 
     #[test]
@@ -188,7 +174,6 @@ mod tests {
         let ka = PlanKey::new(&a, &ga, 1, &ExecConfig::default());
         let kb = PlanKey::new(&b, &gb, 1, &ExecConfig::default());
         assert_ne!(ka, kb);
-        assert_ne!(ka.digest(), kb.digest());
         // Content is all that differs: the signature of a mesh edit.
         assert!(ka.same_kernel(&kb));
     }
@@ -273,7 +258,6 @@ mod tests {
         // key (different compiled weights at the FMA level).
         if auto_isa != ustencil_core::SimdIsa::Scalar {
             assert_ne!(auto, scalar);
-            assert_ne!(auto.digest(), scalar.digest());
             assert!(!auto.same_kernel(&scalar));
         } else {
             assert_eq!(auto, scalar);

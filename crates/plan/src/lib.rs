@@ -20,9 +20,9 @@
 //! ```
 //!
 //! parallel over contiguous row chunks, instrumented with the same
-//! `Probe`/`Tracer` spans as the direct pipeline. Plans serialize to JSON
-//! ([`EvalPlan::to_json`]) with bit-exact weights, so they can be built
-//! offline and loaded at serve time, and their size/timing surface through
+//! `Probe`/`Tracer` spans as the direct pipeline. Plans live in memory —
+//! recompiling one is faster than loading it from disk (DESIGN.md §9) —
+//! and their size/timing surface through
 //! [`RunReport`](ustencil_core::RunReport) as
 //! [`PlanStats`](ustencil_core::PlanStats).
 //!
@@ -48,7 +48,6 @@ mod delta;
 mod key;
 mod plan;
 mod record;
-mod serial;
 #[cfg(test)]
 mod tests;
 

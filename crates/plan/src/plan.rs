@@ -32,7 +32,7 @@ pub struct EvalPlan {
     pub(crate) cols: Vec<u32>,
     /// Entry-major weights, `nnz * n_modes` values.
     pub(crate) weights: Vec<f64>,
-    /// Wall-clock time of compilation (zero for deserialized plans).
+    /// Wall-clock time of compilation.
     pub(crate) build_wall: Duration,
     /// Compilation phase spans (empty unless instrumented).
     pub(crate) build_spans: Vec<SpanRecord>,
@@ -126,7 +126,7 @@ impl EvalPlan {
         &self.cols[lo..hi]
     }
 
-    /// Wall-clock time spent compiling (zero for deserialized plans).
+    /// Wall-clock time spent compiling.
     #[inline]
     pub fn build_wall(&self) -> Duration {
         self.build_wall

@@ -1,6 +1,6 @@
-//! Unit tests for plan compilation, application, patching, and
-//! serialization (cross-scheme equivalence properties live in the
-//! workspace-level `tests/plan_equivalence_prop.rs`).
+//! Unit tests for plan compilation, application and patching
+//! (cross-scheme equivalence properties live in the workspace-level
+//! `tests/plan_equivalence_prop.rs`).
 
 use crate::{DirtySet, EvalPlan, PatchError, SCHEME_LABEL};
 use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
@@ -302,96 +302,6 @@ fn run_record_carries_plan_stats() {
     report.runs.push(record);
     let parsed = ustencil_core::RunReport::from_json(&report.to_pretty_string()).unwrap();
     assert_eq!(parsed, report);
-}
-
-#[test]
-fn serialization_round_trip_is_bit_exact() {
-    let (mesh, field, grid) = setup(120, 2, 6);
-    let plan = EvalPlan::compile(&mesh, &grid, 2, &small_options());
-    let text = plan.to_pretty_string();
-    // The document is exactly the v3 key set: the bare CSR, no storage-order
-    // fields.
-    let ustencil_trace::Json::Obj(pairs) = plan.to_json() else {
-        panic!("plan document is not an object");
-    };
-    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        keys,
-        [
-            "format",
-            "degree",
-            "smoothness",
-            "n_modes",
-            "n_elements",
-            "h",
-            "row_ptr",
-            "cols",
-            "weights"
-        ]
-    );
-    assert!(text.contains("\"format\": \"ustencil-plan/v3\""));
-    let loaded = EvalPlan::from_json(&text).expect("serialized plan parses");
-    assert_eq!(loaded.degree(), plan.degree());
-    assert_eq!(loaded.smoothness(), plan.smoothness());
-    assert_eq!(loaded.n_elements(), plan.n_elements());
-    assert_eq!(loaded.h().to_bits(), plan.h().to_bits());
-    assert_eq!(loaded.row_ptr, plan.row_ptr);
-    assert_eq!(loaded.cols, plan.cols);
-    assert_eq!(
-        loaded
-            .weights
-            .iter()
-            .map(|w| w.to_bits())
-            .collect::<Vec<_>>(),
-        plan.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-        "weights must survive serialization byte-identically"
-    );
-    // Loaded plans report a zero (offline) build but apply identically.
-    assert_eq!(loaded.build_wall().as_nanos(), 0);
-    let a = plan.apply(&field);
-    let b = loaded.apply(&field);
-    assert_eq!(a.values, b.values);
-}
-
-#[test]
-fn malformed_plans_are_rejected() {
-    let (mesh, _, grid) = setup(100, 1, 1);
-    let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
-    let text = plan.to_pretty_string();
-    assert!(EvalPlan::from_json("{}").is_err());
-    assert!(EvalPlan::from_json("not json").is_err());
-    // Wrong format tag.
-    let bad = text.replace("ustencil-plan/v3", "ustencil-plan/v999");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Old format tag (v2 documents are no longer accepted).
-    let bad = text.replace("ustencil-plan/v3", "ustencil-plan/v2");
-    let err = EvalPlan::from_json(&bad).unwrap_err();
-    assert!(err.contains("unsupported plan format"), "{err}");
-    // Truncated weight blob (drop one f64 = 16 hex digits).
-    let start = text.find("\"weights\": \"").unwrap() + "\"weights\": \"".len();
-    let mut bad = text.clone();
-    bad.replace_range(start..start + 16, "");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Corrupted hex.
-    let mut bad = text.clone();
-    bad.replace_range(start..start + 1, "z");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // Inconsistent mode count.
-    let bad = text.replace("\"n_modes\": 3", "\"n_modes\": 6");
-    assert!(EvalPlan::from_json(&bad).is_err());
-    // A degree whose mode count overflows usize is a typed error, not an
-    // arithmetic panic.
-    let bad = text.replace("\"degree\": 1", "\"degree\": 9007199254740992");
-    let err = EvalPlan::from_json(&bad).unwrap_err();
-    assert!(err.contains("inconsistent with degree"), "{err}");
-    // A self-consistent degree-7 document (36 modes) is beyond what the
-    // row kernel can apply, so it is rejected at load rather than on the
-    // first apply.
-    let bad = text
-        .replace("\"degree\": 1", "\"degree\": 7")
-        .replace("\"n_modes\": 3", "\"n_modes\": 36");
-    let err = EvalPlan::from_json(&bad).unwrap_err();
-    assert!(err.contains("mode budget"), "{err}");
 }
 
 #[test]

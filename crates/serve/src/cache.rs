@@ -5,8 +5,8 @@
 //!
 //! A cold key costs a full plan compile — the 27 s discovery pass at paper
 //! scale. When K requesters race on the same cold key, the first to insert
-//! the in-flight marker becomes the *leader* and compiles (or revives the
-//! plan from the [`DiskTier`]); the other K−1 become *followers* and block
+//! the in-flight marker becomes the *leader* and compiles (or patches a
+//! sibling); the other K−1 become *followers* and block
 //! on the marker's condvar, outside the cache lock. Everyone receives the
 //! same `Arc<EvalPlan>`, so results are bitwise identical to a fresh
 //! compile by construction and the compile runs exactly once. A leader
@@ -16,10 +16,9 @@
 //!
 //! # One lock, one budget
 //!
-//! The lock is held for a map operation — lookup, publish, evict (and the
-//! victim's best-effort disk spill) — never for a compile, a patch or a
-//! disk revive, so lookups for different meshes wait on each other for
-//! microseconds unless the budget is evicting. (Eight digest-selected
+//! The lock is held for a map operation — lookup, publish, evict — never
+//! for a compile or a patch, so lookups for different meshes wait on each
+//! other for microseconds. (Eight hash-selected
 //! shards were measured against this and retired: no effect on throughput
 //! or p99, and a budget split eight ways that nothing honoured — DESIGN.md
 //! §14.) `byte_budget` bounds the whole cache in plan CSR bytes, the same
@@ -27,16 +26,16 @@
 //! every publish, least-recently-used *ready* entries are evicted until the
 //! resident total fits. In-flight entries and the entry just produced are
 //! never victims, so the budget is exceeded by at most that one plan (a hot
-//! insert cannot evict itself). Evicted plans are spilled to the disk tier
-//! (when configured) before being dropped, which is what makes a later
-//! miss a cheap revive instead of a recompile.
+//! insert cannot evict itself). An evicted plan is dropped; its next miss
+//! recompiles it, which is cheaper than reloading a stored copy would be
+//! (DESIGN.md §9).
 //!
 //! # Delta revalidation
 //!
 //! A mesh edit changes the [`PlanKey`] content hashes, so the edited
 //! problem is a *miss* — but most of the old plan's rows are still exactly
 //! right. [`PlanCache::get_or_patch`] exploits that: each produced entry
-//! retains its [`Origin`] (the mesh/grid `Arc`s it was compiled for), and
+//! retains its origin (the mesh/grid `Arc`s it was compiled for), and
 //! a leader that misses first looks for a resident *sibling* — same kernel
 //! ([`PlanKey::same_kernel`]), different content — diffs the two problems
 //! ([`DirtySet::diff`]) and splices in only the dirty-footprint rows
@@ -44,7 +43,6 @@
 //! instead of evict-and-recompile cost; followers blocked on the flight
 //! share the patched plan like any other.
 
-use crate::disk::DiskTier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,27 +50,15 @@ use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_mesh::TriMesh;
 use ustencil_plan::{DirtySet, EvalPlan, PlanKey};
 
-/// Configuration of a [`PlanCache`]. The default is unbounded, memory only.
-#[derive(Debug, Default)]
-pub struct CacheConfig {
-    /// Resident-plan byte budget of the whole cache; 0 = unbounded.
-    pub byte_budget: u64,
-    /// Optional warm-start disk tier: misses try it before compiling, and
-    /// evictions spill to it.
-    pub disk: Option<DiskTier>,
-}
-
 /// How a [`PlanCache::get_or_compile`] / [`PlanCache::get_or_patch`] call
 /// was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// The plan was resident in the memory tier.
+    /// The plan was resident.
     Hit,
     /// Another requester was already producing the plan; this call blocked
     /// on the in-flight entry and shared its result.
     Waited,
-    /// This call led the production and revived the plan from disk.
-    DiskLoad,
     /// This call led the production and patched a resident sibling plan
     /// (same kernel, edited mesh) instead of compiling.
     Patched,
@@ -85,18 +71,15 @@ pub enum Outcome {
 /// served by [`EvalPlan::patched`] instead of a full compile. The `Arc`s
 /// come straight from the request's catalog entry, so retention costs two
 /// reference counts, not a mesh copy.
-#[derive(Debug, Clone)]
-pub struct Origin {
-    /// The mesh the plan was compiled over.
-    pub mesh: Arc<TriMesh>,
-    /// The grid the plan's rows evaluate at.
-    pub grid: Arc<ComputationGrid>,
+struct Origin {
+    mesh: Arc<TriMesh>,
+    grid: Arc<ComputationGrid>,
 }
 
 /// Monotone counters of a cache's lifetime, plus the current resident size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSnapshot {
-    /// Lookups answered from the memory tier.
+    /// Lookups answered from a resident plan.
     pub hits: u64,
     /// Lookups that found no resident or in-flight plan (the leaders).
     pub misses: u64,
@@ -104,8 +87,6 @@ pub struct CacheSnapshot {
     pub compiles: u64,
     /// Lookups that blocked on another requester's in-flight production.
     pub single_flight_waits: u64,
-    /// Plans revived from the disk tier instead of compiled.
-    pub disk_loads: u64,
     /// Plans produced by patching a resident sibling (an edited-mesh
     /// revalidation) instead of compiling.
     pub patches: u64,
@@ -162,7 +143,7 @@ impl Flight {
 
 /// Armed while a leader runs its `make`. If `make` unwinds, dropping the
 /// guard takes the key's in-flight entry out of the map, un-counts the
-/// leader's miss (so `misses == compiles + disk_loads + patches` holds) and
+/// leader's miss (so `misses == compiles + patches` holds) and
 /// wakes the followers with [`FlightState::Abandoned`]; they look the key
 /// up again and one of them leads with its own closure.
 struct AbandonOnUnwind<'a> {
@@ -208,7 +189,7 @@ struct Entry {
     origin: Option<Arc<Origin>>,
 }
 
-/// The memory tier: everything the cache lock guards.
+/// Everything the cache lock guards.
 #[derive(Default)]
 struct MemoryTier {
     map: HashMap<PlanKey, Entry>,
@@ -223,12 +204,10 @@ struct MemoryTier {
 pub struct PlanCache {
     memory: Mutex<MemoryTier>,
     byte_budget: u64,
-    disk: Option<DiskTier>,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
     waits: AtomicU64,
-    disk_loads: AtomicU64,
     patches: AtomicU64,
     evictions: AtomicU64,
 }
@@ -243,24 +222,23 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache under `config`.
-    pub fn new(config: CacheConfig) -> Self {
+    /// An empty cache holding at most `byte_budget` bytes of plan CSR data
+    /// (0 = unbounded).
+    pub fn new(byte_budget: u64) -> Self {
         Self {
             memory: Mutex::default(),
-            byte_budget: config.byte_budget,
-            disk: config.disk,
+            byte_budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             waits: AtomicU64::new(0),
-            disk_loads: AtomicU64::new(0),
             patches: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// The plan for `key`, from (in preference order) the memory tier, an
-    /// in-flight production, the disk tier, or `compile`. At most one
+    /// The plan for `key`, from (in preference order) the resident map, an
+    /// in-flight production, or `compile`. At most one
     /// caller per key runs `compile` at a time; concurrent requesters for
     /// the same cold key block and share the leader's result.
     ///
@@ -279,12 +257,12 @@ impl PlanCache {
     /// at the same kernel for an earlier revision of the mesh
     /// ([`EvalPlan::patched`]) — and only compiles from scratch when no
     /// sibling exists or the edit changed the kernel scale. Either way the
-    /// produced entry retains `(mesh, grid)` as its [`Origin`], so it can
+    /// produced entry retains `(mesh, grid)` as its origin, so it can
     /// serve as the patch base for the *next* edit. Followers share the
     /// patched plan exactly as they share a compiled one.
     ///
-    /// Lookup order: memory tier, in-flight production, disk tier, sibling
-    /// patch, `compile`.
+    /// Lookup order: resident map, in-flight production, sibling patch,
+    /// `compile`.
     pub fn get_or_patch(
         &self,
         key: PlanKey,
@@ -367,8 +345,8 @@ impl PlanCache {
         }
     }
 
-    /// Leader path: revive from disk or run `make` (compile, or sibling
-    /// patch then compile), publish into the map with its origin, evict
+    /// Leader path: run `make` (compile, or sibling patch then compile),
+    /// publish into the map with its origin, evict
     /// down to budget, wake followers. `make` runs without the lock held,
     /// under the guard that abandons the flight if it unwinds.
     fn produce(
@@ -378,27 +356,19 @@ impl PlanCache {
         origin: Option<Arc<Origin>>,
         make: impl FnOnce() -> (EvalPlan, Outcome),
     ) -> (Arc<EvalPlan>, Outcome) {
-        let (plan, outcome) = match self.disk.as_ref().and_then(|d| d.load(&key)) {
-            Some(p) => {
-                self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                (Arc::new(p), Outcome::DiskLoad)
-            }
-            None => {
-                let guard = AbandonOnUnwind {
-                    cache: self,
-                    key,
-                    flight,
-                };
-                let (plan, outcome) = make();
-                // `make` returned: disarm, the flight completes below.
-                std::mem::forget(guard);
-                match outcome {
-                    Outcome::Patched => self.patches.fetch_add(1, Ordering::Relaxed),
-                    _ => self.compiles.fetch_add(1, Ordering::Relaxed),
-                };
-                (Arc::new(plan), outcome)
-            }
+        let guard = AbandonOnUnwind {
+            cache: self,
+            key,
+            flight,
         };
+        let (plan, outcome) = make();
+        // `make` returned: disarm, the flight completes below.
+        std::mem::forget(guard);
+        match outcome {
+            Outcome::Patched => self.patches.fetch_add(1, Ordering::Relaxed),
+            _ => self.compiles.fetch_add(1, Ordering::Relaxed),
+        };
+        let plan = Arc::new(plan);
         let bytes = plan.bytes() as u64;
         {
             let mut memory = self.memory.lock().expect("cache poisoned");
@@ -468,11 +438,6 @@ impl PlanCache {
             let entry = memory.map.remove(&victim).expect("victim just found");
             memory.resident_bytes -= entry.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let (Some(disk), Slot::Ready(plan)) = (self.disk.as_ref(), &entry.slot) {
-                // Spill-on-evict is best-effort: a failed write only costs
-                // a recompile later.
-                let _ = disk.store(&victim, plan);
-            }
         }
     }
 
@@ -483,7 +448,6 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             single_flight_waits: self.waits.load(Ordering::Relaxed),
-            disk_loads: self.disk_loads.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_bytes: self.memory.lock().expect("cache poisoned").resident_bytes,
@@ -503,10 +467,5 @@ impl PlanCache {
     /// Whether no plan is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The configured disk tier, if any.
-    pub fn disk(&self) -> Option<&DiskTier> {
-        self.disk.as_ref()
     }
 }

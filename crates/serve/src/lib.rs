@@ -12,10 +12,10 @@
 //!   different-content meshes can never alias). Cold keys compile under
 //!   **single flight**: one compile per key no matter how many requesters
 //!   race, the rest block and share the result. A byte budget on the whole
-//!   cache drives LRU eviction, an optional [`DiskTier`] makes eviction a
-//!   spill and the next miss a cheap revive (`ustencil-plan/v3` JSON on
-//!   disk), and a mesh-edit miss patches a resident same-kernel sibling
-//!   instead of compiling.
+//!   cache drives LRU eviction, and a mesh-edit miss patches a resident
+//!   same-kernel sibling instead of compiling. The cache has one tier,
+//!   memory: loading a stored plan was measured slower than recompiling it
+//!   (DESIGN.md §9).
 //! * [`PlanServer`] — worker threads behind a bounded submission queue
 //!   (blocking admission = backpressure). A worker serves one request with
 //!   one cache lookup and one apply. Every request is timed into per-tenant
@@ -27,18 +27,16 @@
 //!
 //! Correctness stance: caching changes *when* work happens, never *what*
 //! is computed — every requester of a key receives the same shared plan,
-//! and a revived or patched plan is bitwise the fresh compile (tested in
-//! `tests/{single_flight,disk_tier,patch_revalidation}.rs`).
+//! and a patched plan is bitwise the fresh compile (tested in
+//! `tests/{single_flight,patch_revalidation}.rs`).
 
 #![deny(missing_docs)]
 
 mod cache;
-mod disk;
 mod server;
 pub mod traffic;
 
-pub use cache::{CacheConfig, CacheSnapshot, Origin, Outcome, PlanCache};
-pub use disk::DiskTier;
+pub use cache::{CacheSnapshot, Outcome, PlanCache};
 pub use server::{
     PlanServer, Problem, Response, ServeLedgers, ServerClient, ServerConfig, Ticket, WorkerStat,
 };

@@ -3,16 +3,16 @@
 //!
 //! Clients [`submit`](ServerClient::submit) field-evaluation requests and
 //! block on a [`Ticket`] for the answer. A worker pops one request, looks
-//! its plan up ([`PlanCache::get_or_patch`] — hit, single-flight wait, disk
-//! revive, sibling patch or compile) and applies it to the request's field.
+//! its plan up ([`PlanCache::get_or_patch`] — hit, single-flight wait,
+//! sibling patch or compile) and applies it to the request's field.
 //! One lookup per request is what makes the ledger conserve:
 //! `hits + misses + single_flight_waits == requests`. (Coalescing queued
 //! same-plan requests into one batch was measured and retired, DESIGN.md
 //! §14: with one apply per field a batch shared a map lookup, not a pass
 //! over the weights.)
 //!
-//! Admission is backpressured: the queue holds at most `queue_capacity`
-//! requests and `submit` blocks until space frees, so a burst slows
+//! Admission is backpressured: the queue holds at most 64 requests
+//! (`QUEUE_CAPACITY`) and `submit` blocks until space frees, so a burst slows
 //! producers instead of growing memory without bound.
 //!
 //! Every request is timed with two microsecond clocks — queue wait
@@ -33,13 +33,14 @@ use ustencil_mesh::TriMesh;
 use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_trace::Hist64;
 
+/// Requests the submission queue holds before `submit` blocks.
+const QUEUE_CAPACITY: usize = 64;
+
 /// Configuration of a [`PlanServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads draining the queue (default 2; clamped to ≥ 1).
     pub workers: usize,
-    /// Bounded queue capacity; `submit` blocks when full (default 64).
-    pub queue_capacity: usize,
     /// What cache-miss compiles, sibling patches and the applies all run
     /// under (also part of every request's [`PlanKey`], so two servers with
     /// different kernels never share plans by accident).
@@ -50,7 +51,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 2,
-            queue_capacity: 64,
             exec: ExecConfig::default(),
         }
     }
@@ -175,7 +175,6 @@ struct Shared {
     work: Condvar,
     /// Signals submitters that queue space freed.
     space: Condvar,
-    capacity: usize,
     cache: PlanCache,
     exec: ExecConfig,
     ledgers: Mutex<Vec<TenantLedger>>,
@@ -194,7 +193,6 @@ pub struct PlanServer {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("capacity", &self.capacity)
             .field("cache", &self.cache)
             .finish()
     }
@@ -219,7 +217,6 @@ impl PlanServer {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            capacity: config.queue_capacity.max(1),
             cache,
             exec: config.exec,
             ledgers: Mutex::new((0..n_tenants).map(empty_ledger).collect()),
@@ -296,7 +293,7 @@ impl ServerClient {
             reply: tx,
         };
         let mut state = self.shared.state.lock().expect("queue poisoned");
-        while state.queue.len() >= self.shared.capacity && !state.closed {
+        while state.queue.len() >= QUEUE_CAPACITY && !state.closed {
             self.shared.blocked_submits.fetch_add(1, Ordering::Relaxed);
             state = self.shared.space.wait(state).expect("queue poisoned");
         }
@@ -353,12 +350,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
                     ledger.misses += 1;
                     ledger.compiles += 1;
                 }
-                // Disk revives, sibling patches, and single-flight rides
-                // answer from a plan the tenant did not pay a full compile
-                // for.
-                Outcome::Hit | Outcome::Waited | Outcome::DiskLoad | Outcome::Patched => {
-                    ledger.hits += 1
-                }
+                // Sibling patches and single-flight rides answer from a
+                // plan the tenant did not pay a full compile for.
+                Outcome::Hit | Outcome::Waited | Outcome::Patched => ledger.hits += 1,
             }
             ledger.queue_wait_us.record(queue_wait_us);
             ledger.service_us.record(service_us);

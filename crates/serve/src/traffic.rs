@@ -10,15 +10,13 @@
 //! single-flight — changes only service latency, never any returned value:
 //! every request for a key gets the same shared plan.
 
-use crate::cache::{CacheConfig, PlanCache};
-use crate::disk::DiskTier;
+use crate::cache::PlanCache;
 use crate::server::{
     empty_ledger, merged_latencies, PlanServer, Problem, ServerConfig, WorkerStat,
 };
 use rand::distributions::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use ustencil_core::report::PatchRecord;
@@ -31,6 +29,17 @@ use ustencil_trace::Tracer;
 /// Scheme label serve runs carry in `RunRecord` JSON.
 pub const SCHEME_LABEL: &str = "serve";
 
+/// Distinct meshes in the fixture catalog.
+const CATALOG: usize = 6;
+/// Target triangles per catalog mesh.
+const TRIANGLES: usize = 600;
+/// Field polynomial degree.
+const DEGREE: usize = 1;
+/// Zipf popularity exponent over the catalog.
+const ZIPF_S: f64 = 1.1;
+/// Server worker threads of the cached run.
+const WORKERS: usize = 2;
+
 /// Configuration of a synthetic traffic run.
 #[derive(Debug, Clone)]
 pub struct TrafficConfig {
@@ -40,22 +49,6 @@ pub struct TrafficConfig {
     pub requests: usize,
     /// Master seed: catalog meshes, client RNGs, zipf draws.
     pub seed: u64,
-    /// Distinct meshes in the fixture catalog (default 6).
-    pub catalog: usize,
-    /// Target triangles per catalog mesh (default 600).
-    pub mesh_size: usize,
-    /// Field polynomial degree (default 1).
-    pub degree: usize,
-    /// Zipf popularity exponent over the catalog (default 1.1).
-    pub zipf_s: f64,
-    /// Cache byte budget, 0 = unbounded (default 0).
-    pub byte_budget: u64,
-    /// Server worker threads (default 2).
-    pub workers: usize,
-    /// Bounded queue capacity (default 64).
-    pub queue_capacity: usize,
-    /// Warm-start disk tier directory (default none).
-    pub disk_dir: Option<PathBuf>,
 }
 
 impl Default for TrafficConfig {
@@ -64,14 +57,6 @@ impl Default for TrafficConfig {
             clients: 8,
             requests: 200,
             seed: 42,
-            catalog: 6,
-            mesh_size: 600,
-            degree: 1,
-            zipf_s: 1.1,
-            byte_budget: 0,
-            workers: 2,
-            queue_capacity: 64,
-            disk_dir: None,
         }
     }
 }
@@ -127,23 +112,23 @@ fn safe_h_factor(mesh: &TriMesh, p: usize) -> f64 {
     }
 }
 
-/// Builds the seeded fixture catalog: `catalog` meshes of `mesh_size`
-/// triangles, one degree-`degree` field each. The compile width factor is
+/// Builds the seeded fixture catalog: [`CATALOG`] meshes of [`TRIANGLES`]
+/// triangles, one degree-[`DEGREE`] field each. The compile width factor is
 /// the tightest safe factor across the catalog, so every fixture shares
 /// one `ExecConfig` (and plans differ only by content, never kernel).
 fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, ExecConfig) {
-    let meshes: Vec<TriMesh> = (0..cfg.catalog)
+    let meshes: Vec<TriMesh> = (0..CATALOG)
         .map(|i| {
             generate_mesh(
                 MeshClass::LowVariance,
-                cfg.mesh_size,
+                TRIANGLES,
                 cfg.seed.wrapping_add(i as u64),
             )
         })
         .collect();
     let h_factor = meshes
         .iter()
-        .map(|m| safe_h_factor(m, cfg.degree))
+        .map(|m| safe_h_factor(m, DEGREE))
         .fold(1.0, f64::min);
     let exec = ExecConfig {
         h_factor,
@@ -156,19 +141,19 @@ fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, ExecConfig) {
             let shift = 0.1 * i as f64;
             let field = project_l2(
                 &mesh,
-                cfg.degree,
+                DEGREE,
                 move |x, y| {
                     let tau = std::f64::consts::TAU;
                     (tau * (x + shift)).sin() * (tau * y).cos() + 0.5
                 },
                 2,
             );
-            let grid = ComputationGrid::quadrature_points(&mesh, cfg.degree);
+            let grid = ComputationGrid::quadrature_points(&mesh, DEGREE);
             Fixture {
                 problem: Arc::new(Problem {
                     mesh: Arc::new(mesh),
                     grid: Arc::new(grid),
-                    degree: cfg.degree,
+                    degree: DEGREE,
                 }),
                 field,
             }
@@ -189,24 +174,16 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
         let _span = tracer.span("serve.catalog");
         build_catalog(cfg)
     };
-    let disk = cfg
-        .disk_dir
-        .as_ref()
-        .map(|d| DiskTier::new(d).expect("disk tier directory"));
-    let cache = PlanCache::new(CacheConfig {
-        byte_budget: cfg.byte_budget,
-        disk,
-    });
+    // Unbounded: the catalog's plans all fit, so nothing is ever evicted.
     let server = PlanServer::start(
-        cache,
+        PlanCache::new(0),
         ServerConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
+            workers: WORKERS,
             exec,
         },
         cfg.clients,
     );
-    let zipf = Zipf::new(fixtures.len(), cfg.zipf_s);
+    let zipf = Zipf::new(fixtures.len(), ZIPF_S);
     let started = Instant::now();
     {
         let _span = tracer.span("serve.traffic");
@@ -244,7 +221,6 @@ pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
         misses: ledgers.cache.misses,
         compiles: ledgers.cache.compiles,
         single_flight_waits: ledgers.cache.single_flight_waits,
-        disk_loads: ledgers.cache.disk_loads,
         patches: ledgers.cache.patches,
         evictions: ledgers.cache.evictions,
         rows: ledgers.rows,
@@ -279,7 +255,7 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
         let _span = tracer.span("serve.catalog");
         build_catalog(cfg)
     };
-    let zipf = Zipf::new(fixtures.len(), cfg.zipf_s);
+    let zipf = Zipf::new(fixtures.len(), ZIPF_S);
     let ledgers: Mutex<Vec<(TenantLedger, WorkerStat)>> = Mutex::new(Vec::new());
     let started = Instant::now();
     {
@@ -337,7 +313,6 @@ pub fn run_naive(cfg: &TrafficConfig) -> TrafficOutcome {
         misses: requests,
         compiles: requests,
         single_flight_waits: 0,
-        disk_loads: 0,
         patches: 0,
         evictions: 0,
         rows: workers.iter().map(|w| w.rows).sum(),
@@ -401,6 +376,6 @@ fn build_record(
 pub fn describe(cfg: &TrafficConfig) -> String {
     format!(
         "{} clients x {} requests over {} meshes (zipf s={}, seed {})",
-        cfg.clients, cfg.requests, cfg.catalog, cfg.zipf_s, cfg.seed
+        cfg.clients, cfg.requests, CATALOG, ZIPF_S, cfg.seed
     )
 }

@@ -9,7 +9,7 @@ use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{displace_band, generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
-use ustencil_serve::{CacheConfig, Outcome, PlanCache, PlanServer, Problem, ServerConfig};
+use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
 
 fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 200, seed);
@@ -40,7 +40,7 @@ fn edited_mesh_miss_patches_the_resident_sibling() {
     let (mesh, grid, options) = fixture(31);
     let mesh = Arc::new(mesh);
     let grid = Arc::new(grid);
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
 
     // Warm the cache with the base problem.
     let base_key = PlanKey::new(&mesh, &grid, 1, &options);
@@ -70,7 +70,7 @@ fn edited_mesh_miss_patches_the_resident_sibling() {
     assert_eq!(snap.compiles, 1);
     assert_eq!(snap.patches, 1);
     // The leader-outcome invariant checkjson asserts on serve reports.
-    assert_eq!(snap.misses, snap.compiles + snap.disk_loads + snap.patches);
+    assert_eq!(snap.misses, snap.compiles + snap.patches);
 
     // Re-requesting the edited key is now a plain hit.
     let (again, outcome) = cache.get_or_patch(edit_key, &moved, &moved_grid, &options, || {
@@ -96,7 +96,7 @@ fn kernel_changing_edit_falls_back_to_compile() {
     let (mesh, grid, options) = fixture(37);
     let mesh = Arc::new(mesh);
     let grid = Arc::new(grid);
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
     let base_key = PlanKey::new(&mesh, &grid, 1, &options);
     let _ = cache.get_or_patch(base_key, &mesh, &grid, &options, || {
         EvalPlan::compile(&mesh, &grid, 1, &options)
@@ -148,7 +148,7 @@ fn kernel_changing_edit_falls_back_to_compile() {
         simd: policy,
         ..options
     };
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
     let scalar_key = PlanKey::new(&mesh, &grid, 1, &scalar);
     let _ = cache.get_or_patch(scalar_key, &mesh, &grid, &scalar, || {
         EvalPlan::compile(&mesh, &grid, 1, &scalar)
@@ -168,7 +168,7 @@ fn concurrent_edit_requesters_share_one_patch() {
     let (mesh, grid, options) = fixture(41);
     let mesh = Arc::new(mesh);
     let grid = Arc::new(grid);
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
     let base_key = PlanKey::new(&mesh, &grid, 1, &options);
     let _ = cache.get_or_patch(base_key, &mesh, &grid, &options, || {
         EvalPlan::compile(&mesh, &grid, 1, &options)
@@ -224,11 +224,10 @@ fn server_answers_after_mesh_edit_match_fresh_compile() {
     let edit_field = project_l2(&edit.mesh, 1, |x, y| x * y + 0.25, 2);
 
     let server = PlanServer::start(
-        PlanCache::new(CacheConfig::default()),
+        PlanCache::new(0),
         ServerConfig {
             workers: 2,
             exec: options,
-            ..ServerConfig::default()
         },
         2,
     );
@@ -255,6 +254,6 @@ fn server_answers_after_mesh_edit_match_fresh_compile() {
     assert_eq!(ledgers.tenants[1].hits, 1);
     assert_eq!(
         ledgers.cache.misses,
-        ledgers.cache.compiles + ledgers.cache.disk_loads + ledgers.cache.patches
+        ledgers.cache.compiles + ledgers.cache.patches
     );
 }

@@ -1,6 +1,7 @@
 //! Single-flight stress tests: K concurrent requesters for the same cold
 //! key must trigger exactly one compile, and every requester's result must
-//! be bitwise identical to a fresh compile.
+//! be bitwise identical to a fresh compile. Also the byte budget's LRU
+//! eviction and the server queue's backpressure.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_dg::project_l2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
-use ustencil_serve::{CacheConfig, Outcome, PlanCache, PlanServer, Problem, ServerConfig};
+use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
 
 fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 150, seed);
@@ -32,7 +33,7 @@ fn bitwise_equal(a: &EvalPlan, b: &EvalPlan) {
 fn k_requesters_one_compile_bitwise_identical() {
     let (mesh, grid, options) = fixture(11);
     let key = PlanKey::new(&mesh, &grid, 1, &options);
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
     let probes = AtomicUsize::new(0);
 
     const K: usize = 16;
@@ -88,7 +89,7 @@ fn concurrent_distinct_keys_compile_once_each() {
         .iter()
         .map(|(m, g, o)| PlanKey::new(m, g, 1, o))
         .collect();
-    let cache = PlanCache::new(CacheConfig::default());
+    let cache = PlanCache::new(0);
     let probes: Vec<AtomicUsize> = (0..MESHES).map(|_| AtomicUsize::new(0)).collect();
 
     std::thread::scope(|s| {
@@ -128,11 +129,10 @@ fn server_coalesced_answers_match_fresh_compile_apply() {
     });
 
     let server = PlanServer::start(
-        PlanCache::new(CacheConfig::default()),
+        PlanCache::new(0),
         ServerConfig {
             workers: 2,
             exec: options,
-            ..ServerConfig::default()
         },
         4,
     );
@@ -194,7 +194,7 @@ fn panicking_leader_releases_its_followers() {
     let (mesh, grid, options) = fixture(31);
     let key = PlanKey::new(&mesh, &grid, 1, &options);
     let fix = Arc::new((mesh, grid, options));
-    let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+    let cache = Arc::new(PlanCache::new(0));
 
     // The leader announces it is inside its compile, holds the flight open
     // until every follower has blocked on it, then panics.
@@ -246,10 +246,115 @@ fn panicking_leader_releases_its_followers() {
         bitwise_equal(plan, &fresh);
     }
     // The key is healthy afterwards, and the abandoned leader's miss is not
-    // on the books: misses == compiles + disk_loads + patches.
+    // on the books: misses == compiles + patches.
     let (_, outcome) = cache.get_or_compile(key, || unreachable!("resident by now"));
     assert_eq!(outcome, Outcome::Hit);
     let snap = cache.snapshot();
     assert_eq!((snap.misses, snap.compiles), (1, 1), "{snap:?}");
-    assert_eq!((snap.disk_loads, snap.patches), (0, 0));
+    assert_eq!(snap.patches, 0);
+}
+
+/// The budget bounds the whole cache: six plans through room for two and a
+/// half leave the last two requested resident and within budget, and an
+/// evicted plan comes back by recompiling.
+#[test]
+fn byte_budget_bounds_the_whole_cache() {
+    let fixtures: Vec<_> = (60..66u64)
+        .map(|seed| {
+            let mesh = generate_mesh(MeshClass::LowVariance, 120, seed);
+            let grid = ComputationGrid::quadrature_points(&mesh, 1);
+            let options = fixture(seed).2;
+            let key = PlanKey::new(&mesh, &grid, 1, &options);
+            (key, EvalPlan::compile(&mesh, &grid, 1, &options))
+        })
+        .collect();
+    let sizes: Vec<u64> = fixtures.iter().map(|(_, p)| p.bytes() as u64).collect();
+    let byte_budget = 5 * sizes.iter().max().unwrap() / 2;
+    assert!(
+        3 * sizes.iter().min().unwrap() > byte_budget,
+        "no three of these plans fit the budget: {sizes:?}"
+    );
+    let cache = PlanCache::new(byte_budget);
+    for (key, plan) in &fixtures {
+        let (_, outcome) = cache.get_or_compile(*key, || plan.clone());
+        assert_eq!(outcome, Outcome::Compiled);
+    }
+
+    let snap = cache.snapshot();
+    assert_eq!((cache.len(), snap.evictions), (2, 4), "{snap:?}");
+    assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
+    assert_eq!(snap.resident_bytes, sizes[4] + sizes[5]);
+    for (key, _) in &fixtures[4..] {
+        let (_, outcome) = cache.get_or_compile(*key, || unreachable!("resident"));
+        assert_eq!(outcome, Outcome::Hit);
+    }
+    // The oldest plan was evicted, so asking for it again compiles it.
+    let (key, plan) = &fixtures[0];
+    let compiled = AtomicUsize::new(0);
+    let (_, outcome) = cache.get_or_compile(*key, || {
+        compiled.fetch_add(1, Ordering::SeqCst);
+        plan.clone()
+    });
+    assert_eq!((outcome, compiled.into_inner()), (Outcome::Compiled, 1));
+    let snap = cache.snapshot();
+    assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
+}
+
+/// A burst larger than the queue blocks its submitter instead of growing
+/// the queue, and every request is still answered exactly right.
+#[test]
+fn burst_beyond_the_queue_blocks_the_submitter() {
+    // The server's queue holds 64 requests. While the first request's
+    // compile runs, the two workers hold at most two requests, so the 67th
+    // submit must block. On a 2-core x86-64 host under the test profile the
+    // compile of this mesh takes 0.26-0.31 s and the first 66 submits take
+    // 15-20 ms (each hashes the mesh into its key): a 13-fold margin.
+    const WORKERS: usize = 2;
+    const REQUESTS: usize = 64 + WORKERS + 16;
+    let mesh = generate_mesh(MeshClass::LowVariance, 1200, 71);
+    let grid = ComputationGrid::quadrature_points(&mesh, 1);
+    let options = fixture(71).2;
+    let field = project_l2(&mesh, 1, |x, y| x - y * y + 0.5, 2);
+    let problem = Arc::new(Problem {
+        mesh: Arc::new(mesh),
+        grid: Arc::new(grid),
+        degree: 1,
+    });
+
+    let server = PlanServer::start(
+        PlanCache::new(0),
+        ServerConfig {
+            workers: WORKERS,
+            exec: options,
+        },
+        1,
+    );
+    let client = server.client();
+    let tickets: Vec<_> = (0..REQUESTS)
+        .map(|_| client.submit(0, &problem, field.clone()))
+        .collect();
+    let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    let ledgers = server.shutdown();
+
+    assert!(
+        ledgers.blocked_submits >= 1,
+        "the burst never filled the queue"
+    );
+    let fresh = EvalPlan::compile(&problem.mesh, &problem.grid, 1, &options).apply(&field);
+    for r in &responses {
+        assert!(
+            r.values
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(fresh.values.iter().map(|v| v.to_bits())),
+            "served answer differs from fresh apply"
+        );
+    }
+    let cache = ledgers.cache;
+    assert_eq!(
+        cache.hits + cache.misses + cache.single_flight_waits,
+        REQUESTS as u64,
+        "{cache:?}"
+    );
+    assert_eq!(cache.compiles, 1);
 }

@@ -14,9 +14,9 @@ use ustencil_quadrature::GaussLegendre;
 /// the cells are exactly the stencil lattice of the paper's Figure 5 — no
 /// quadrature sub-interval ever straddles a kernel breakpoint.
 ///
-/// A non-zero `node_offset` shifts the whole node lattice, which is how the
-/// one-sided boundary kernels of [`crate::onesided`] are built; the moment
-/// conditions (and therefore polynomial reproduction) hold for any offset.
+/// A non-zero `node_offset` shifts the whole node lattice, which is how
+/// one-sided boundary kernels (Ryan–Shu) are built; the moment conditions
+/// (and therefore polynomial reproduction) hold for any offset.
 #[derive(Debug, Clone)]
 pub struct Kernel1d {
     k: usize,

@@ -19,8 +19,6 @@
 //! * [`kernel`] — the 1D symmetric SIAC kernel with coefficients solved from
 //!   the moment conditions and a piecewise-polynomial compiled form for fast
 //!   exact evaluation,
-//! * [`onesided`] — position-dependent one-sided kernels for non-periodic
-//!   boundaries (Ryan–Shu), the paper's cited alternative to periodic wrap,
 //! * [`stencil`] — the 2D tensor-product stencil geometry: the
 //!   `(3k+1) x (3k+1)` lattice of squares of side `h` (Figure 5) whose
 //!   cells never cross a kernel breakpoint.
@@ -30,11 +28,9 @@
 pub mod bspline;
 pub mod filter1d;
 pub mod kernel;
-pub mod onesided;
 pub mod stencil;
 
 pub use bspline::BSpline;
 pub use filter1d::LineField;
 pub use kernel::Kernel1d;
-pub use onesided::OneSidedKernel;
 pub use stencil::Stencil2d;

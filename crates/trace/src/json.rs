@@ -340,8 +340,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 // one slice. The delimiters are ASCII, so they can never
                 // split a multi-byte UTF-8 scalar, and validating the run
                 // once keeps parsing linear even for megabyte strings
-                // (per-character re-validation of the tail made loading
-                // serialized evaluation plans quadratic).
+                // (per-character re-validation of the tail made parsing a
+                // long string quadratic in its length).
                 let start = *pos;
                 while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
                     *pos += 1;

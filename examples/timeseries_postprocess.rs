@@ -4,9 +4,8 @@
 //! A time-dependent simulation produces a new coefficient vector every
 //! frame while the mesh, evaluation grid, and kernel stay fixed — exactly
 //! the shape of redundancy `ustencil::plan` removes. This example compiles
-//! a plan, post-processes a rotating-field time series with it, checks one
-//! frame against a direct run, and round-trips the plan through JSON the
-//! way an offline build/serve split would.
+//! a plan, post-processes a rotating-field time series with it, and checks
+//! one frame against a direct run.
 //!
 //! ```sh
 //! cargo run --release --example timeseries_postprocess
@@ -73,21 +72,5 @@ fn main() {
     let diff = plan.apply(&field).max_abs_diff(&direct.values);
     println!("one direct run: {direct_wall:.2?}; plan vs direct max |diff| = {diff:.2e}");
     assert!(diff <= 1e-12, "plan must match the direct pipeline");
-
-    // 5. The build/serve split: serialize the plan, load it back, and
-    //    verify the loaded copy evaluates bit-identically.
-    let json = plan.to_pretty_string();
-    let loaded = EvalPlan::from_json(&json).expect("plan round trip");
-    let a = plan.apply(&field);
-    let b = loaded.apply(&field);
-    assert!(a
-        .values
-        .iter()
-        .zip(&b.values)
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
-    println!(
-        "serialized plan: {:.1} MiB of JSON, loaded copy is bit-identical",
-        json.len() as f64 / (1024.0 * 1024.0)
-    );
     let _ = checksum;
 }

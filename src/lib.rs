@@ -22,9 +22,8 @@
 //!   exchange over a serialized transport, dead-rank recovery, and
 //!   per-rank comms accounting (see DESIGN.md §11),
 //! * [`serve`] — the multi-tenant plan-cache service: a byte-budgeted
-//!   concurrent cache with single-flight compilation, a disk warm-start
-//!   tier, and a bounded request queue with per-tenant ledgers (see
-//!   DESIGN.md §14),
+//!   concurrent cache with single-flight compilation and a bounded
+//!   request queue with per-tenant ledgers (see DESIGN.md §14),
 //! * [`trace`] — phase spans, streaming histograms, imbalance summaries and
 //!   the JSON run reports (see DESIGN.md, "Observability").
 //!

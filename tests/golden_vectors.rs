@@ -2,8 +2,7 @@
 //! small fixed configuration, committed as hex-encoded f64 bit patterns.
 //!
 //! Any refactor that changes results *bit-wise* fails this test loudly —
-//! the complement of the tolerance-based property tests, in the same
-//! spirit as the plan serialization round-trip. To regenerate after an
+//! the complement of the tolerance-based property tests. To regenerate after an
 //! intentional numerical change:
 //!
 //! ```text

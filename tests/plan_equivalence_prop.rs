@@ -1,6 +1,5 @@
 //! Property-based tests of the evaluation-plan compiler: a compiled plan
-//! is a drop-in replacement for the direct pipeline, and serialization is
-//! lossless to the bit. Case counts are kept small because every case
+//! is a drop-in replacement for the direct pipeline. Case counts are kept small because every case
 //! compiles a plan and runs full post-processing passes.
 
 use proptest::prelude::*;
@@ -66,45 +65,5 @@ proptest! {
                 scheme.label()
             );
         }
-    }
-
-    /// A plan survives a JSON round trip with byte-identical weights and
-    /// identical CSR structure, so offline-built plans evaluate exactly
-    /// like freshly compiled ones.
-    #[test]
-    fn serialized_plans_are_bit_exact(
-        seed in 0u64..1000,
-        n in 80usize..180,
-        p in 1usize..=2,
-        k in 1usize..=3,
-    ) {
-        let (mesh, field, grid, h_factor) = build(MeshClass::LowVariance, n, p, k, seed);
-        let plan = EvalPlan::compile(&mesh, &grid, p, &CompileOptions {
-            smoothness: Some(k),
-            h_factor,
-            parallel: false,
-            ..CompileOptions::default()
-        });
-        let loaded = EvalPlan::from_json(&plan.to_pretty_string()).expect("round trip");
-        prop_assert!(loaded.rows() == plan.rows(), "row count changed");
-        prop_assert!(loaded.nnz() == plan.nnz(), "entry count changed");
-        prop_assert!(
-            loaded.h().to_bits() == plan.h().to_bits(),
-            "kernel scale changed"
-        );
-        prop_assert!(
-            loaded
-                .weights_bits()
-                .zip(plan.weights_bits())
-                .all(|(a, b)| a == b),
-            "weights differ after round trip"
-        );
-        // And therefore the evaluations agree bit for bit.
-        let a = plan.apply(&field);
-        let b = loaded.apply(&field);
-        prop_assert!(
-            a.values.iter().zip(&b.values).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "loaded plan evaluates differently"
-        );
     }
 }
