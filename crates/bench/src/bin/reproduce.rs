@@ -234,8 +234,8 @@ fn fig14(r: &mut Runner, sizes: &[usize]) {
 }
 
 /// Figure 14 with `--ranks`: the rank-sharded runtime on real threads.
-/// Unlike the block-partitioned projection above, every cross-rank byte
-/// here is an actual serialized message through the transport layer, so
+/// Unlike the block-partitioned projection above, all cross-rank data
+/// here moves as actual messages through the transport layer, so
 /// the device model's communication term is charged with *counted*
 /// traffic rather than an estimate. Each rank count is validated against
 /// the in-process per-element reference before being reported.

@@ -166,3 +166,45 @@ fn deleting_any_one_key_is_rejected_by_name_unless_derived() {
     }
     assert!(seen.iter().all(|&n| n > 0), "every class occurs: {seen:?}");
 }
+
+/// splitmix64: a fixed seed gives the same mutations on every host.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut x = *state;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Hostile bytes: 2 000 seeded mutants of the fixture — one to three bit
+/// flips, truncations or insertions each — are each parsed to `Ok` or
+/// `Err`, never a panic, and an `Ok` report re-emits.
+#[test]
+fn mutated_fixture_bytes_never_panic_the_parser() {
+    const STRUCTURAL: &[u8] = b"{}[]\",:-+.eE0123456789 \\nul";
+    let mut state = 2013;
+    let mut parsed = 0;
+    for case in 0..2000 {
+        let mut bytes = FIXTURE.as_bytes().to_vec();
+        for _ in 0..1 + next(&mut state) % 3 {
+            let at = (next(&mut state) % (bytes.len() as u64 + 1)) as usize;
+            let r = next(&mut state);
+            match r % 3 {
+                0 if at < bytes.len() => bytes[at] ^= 1 << ((r >> 8) % 8),
+                1 => bytes.truncate(at),
+                _ if (r >> 8) & 1 == 0 => bytes.insert(at, (r >> 16) as u8),
+                _ => bytes.insert(at, STRUCTURAL[(r >> 16) as usize % STRUCTURAL.len()]),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let outcome = std::panic::catch_unwind(|| {
+            RunReport::from_json(&text).map(|report| report.to_pretty_string())
+        });
+        match outcome {
+            Ok(result) => parsed += result.is_ok() as usize,
+            Err(_) => panic!("mutant {case} panicked the parser:\n{text}"),
+        }
+    }
+    // Flips inside strings and digits leave a well-formed report.
+    assert!(parsed > 0 && parsed < 2000, "{parsed} of 2000 parsed");
+}

@@ -68,7 +68,7 @@ impl Transport for ChannelEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Tag;
+    use crate::transport::Payload;
 
     #[test]
     fn basic_delivery() {
@@ -78,9 +78,8 @@ mod tests {
         let msg = Message {
             from: 0,
             to: 1,
-            tag: Tag::HaloCoeffs,
             flow: 1,
-            payload: vec![1],
+            payload: Payload::Request(vec![1]),
         };
         e0.send(msg.clone()).unwrap();
         let got = e1.recv_timeout(Duration::from_millis(100)).unwrap();

@@ -1,14 +1,14 @@
-//! Rank-sharded execution runtime: explicit halo exchange over a
-//! serialized transport, dead-rank recovery, and comms accounting.
+//! Rank-sharded execution runtime: explicit halo exchange over a message
+//! transport, dead-rank recovery, and comms accounting.
 //!
 //! The paper's scheme tiles an unstructured mesh into overlapped patches
 //! whose evaluation needs no communication until an ordered reduction; this
-//! crate pushes that structure across *address spaces*. The mesh is
+//! crate pushes that structure across *ranks that share nothing*. The mesh is
 //! sharded over ranks by the same recursive bisection the in-process
 //! tiler uses, each rank gets a ghost ring sized from the stencil extent
-//! `(3k + 1) h`, and every byte of dynamic data that crosses a rank
-//! boundary moves as a serialized message through the [`Transport`] trait
-//! — no shared references to field or solution data exist between ranks.
+//! `(3k + 1) h`, and all dynamic data that crosses a rank boundary moves
+//! inside a message that owns it, through the [`Transport`] trait — no
+//! shared references to field or solution data exist between ranks.
 //!
 //! The stack, bottom to top:
 //!
@@ -58,7 +58,6 @@ pub mod push;
 pub mod schedule;
 pub mod shard;
 pub mod transport;
-pub mod wire;
 
 pub use channel::{ChannelEndpoint, ChannelFabric};
 pub use flow::{match_flow_logs, FlowLog, FlowMatch, FlowPair, FlowPoint};
@@ -67,5 +66,4 @@ pub use pull::{run_plan_dist, run_plan_dist_on};
 pub use push::{run_dist, run_dist_on};
 pub use schedule::{DistOptions, DistSolution, RankReport, SCHEME_LABEL};
 pub use shard::{ghost_ring_width, RankShard, ShardPlan};
-pub use transport::{Message, Tag, Transport, TransportError, HEADER_BYTES};
-pub use wire::RankResult;
+pub use transport::{Message, Payload, RankResult, Tag, Transport, TransportError, HEADER_BYTES};

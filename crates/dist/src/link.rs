@@ -8,7 +8,7 @@
 //! no sequence number, window, acknowledgement or timer here.
 
 use crate::flow::{FlowLog, FlowPoint};
-use crate::transport::{Message, Tag, Transport, TransportError};
+use crate::transport::{Message, Payload, Tag, Transport, TransportError};
 use std::time::{Duration, Instant};
 use ustencil_trace::CommStats;
 
@@ -19,8 +19,9 @@ pub enum DistError {
     Timeout,
     /// The fabric shut down underneath us.
     Closed,
-    /// A peer sent bytes that do not decode as the expected payload, or a
-    /// message the exchange does not owe it.
+    /// A peer sent a payload that does not fit the exchange (coefficients
+    /// for elements outside the field, a request for elements the rank does
+    /// not own), or a message the exchange does not owe it.
     Protocol(String),
 }
 
@@ -100,21 +101,21 @@ impl<T: Transport> Link<T> {
     /// the coordinator.
     fn flow_point(&self, msg: &Message, peer: u32) -> Option<FlowPoint> {
         let epoch = self.flow_epoch?;
-        matches!(msg.tag, Tag::HaloCoeffs | Tag::HaloRequest).then(|| FlowPoint {
+        let tag = msg.tag();
+        (tag != Tag::OwnedValues).then(|| FlowPoint {
             flow: msg.flow,
             peer,
-            tag: msg.tag,
+            tag,
             ts_ns: epoch.elapsed().as_nanos() as u64,
             bytes: msg.wire_bytes(),
         })
     }
 
     /// Hands `payload` to the transport, addressed to rank `to`.
-    pub fn send(&mut self, to: u32, tag: Tag, payload: Vec<u8>) -> Result<(), DistError> {
+    pub fn send(&mut self, to: u32, payload: Payload) -> Result<(), DistError> {
         let msg = Message {
             from: self.transport.rank(),
             to,
-            tag,
             flow: self.next_flow,
             payload,
         };
@@ -150,9 +151,13 @@ mod tests {
         let epoch = Instant::now();
         l0.instrument_flows(epoch);
         l1.instrument_flows(epoch);
-        l0.send(1, Tag::HaloCoeffs, vec![1, 2, 3]).unwrap();
+        let coeffs = Payload::Coeffs {
+            ids: vec![4],
+            values: vec![1.0, 2.0, 3.0],
+        };
+        l0.send(1, coeffs).unwrap();
         // The result tag is counted but never logged.
-        l0.send(1, Tag::OwnedValues, vec![4]).unwrap();
+        l0.send(1, Payload::Result(Box::default())).unwrap();
         for _ in 0..2 {
             l1.recv(Duration::from_secs(5)).unwrap();
         }
@@ -171,13 +176,13 @@ mod tests {
     fn simultaneous_senders_do_not_deadlock() {
         let (mut l0, mut l1) = pair();
         let t1 = std::thread::spawn(move || {
-            l1.send(0, Tag::HaloCoeffs, vec![1]).unwrap();
+            l1.send(0, Payload::Request(vec![1])).unwrap();
             l1.recv(Duration::from_secs(5)).unwrap().payload
         });
-        l0.send(1, Tag::HaloCoeffs, vec![2]).unwrap();
+        l0.send(1, Payload::Request(vec![2])).unwrap();
         let got0 = l0.recv(Duration::from_secs(5)).unwrap().payload;
         let got1 = t1.join().unwrap();
-        assert_eq!(got0, vec![1]);
-        assert_eq!(got1, vec![2]);
+        assert_eq!(got0, Payload::Request(vec![1]));
+        assert_eq!(got1, Payload::Request(vec![2]));
     }
 }

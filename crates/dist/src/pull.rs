@@ -29,8 +29,7 @@
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
 use crate::schedule::{run_schedule, DistOptions, DistSolution, RankReport, Site, Split, Work};
-use crate::transport::{Tag, Transport};
-use crate::wire::{encode_ids, RankResult};
+use crate::transport::{Payload, RankResult, Tag, Transport};
 use std::time::Instant;
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics, PlanStats, Scheme};
 use ustencil_dg::DgField;
@@ -101,8 +100,8 @@ impl Work for PullWork {
         PullLocal { plan, wanted }
     }
 
-    fn post(&self, _: &Site, local: &PullLocal, _: &DgField, peer: usize) -> Vec<u8> {
-        encode_ids(&local.wanted[peer])
+    fn post(&self, _: &Site, local: &PullLocal, _: &DgField, peer: usize) -> Payload {
+        Payload::Request(local.wanted[peer].clone())
     }
 
     /// The split is exact: every row lands in one list.

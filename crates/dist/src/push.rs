@@ -38,10 +38,9 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{run_schedule, DistOptions, DistSolution, Site, Split, Work};
+use crate::schedule::{coeffs_of, run_schedule, DistOptions, DistSolution, Site, Split, Work};
 use crate::shard::ghost_ring_width;
-use crate::transport::{Tag, Transport};
-use crate::wire::{encode_coeffs, RankResult};
+use crate::transport::{Payload, RankResult, Tag, Transport};
 use std::time::Instant;
 use ustencil_core::per_element::{add_partials, PerElementRun};
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
@@ -91,9 +90,8 @@ impl Work for PushWork {
 
     fn localize(&self, _: &Site, _: &Tracer, _: &mut RankResult) {}
 
-    fn post(&self, site: &Site, _: &(), field: &DgField, peer: usize) -> Vec<u8> {
-        let ids = site.plan.push_set(site.rank, peer);
-        encode_coeffs(&ids, field.coefficients(), field.n_modes())
+    fn post(&self, site: &Site, _: &(), field: &DgField, peer: usize) -> Payload {
+        coeffs_of(site.plan.push_set(site.rank, peer), field)
     }
 
     fn split(&self, site: &Site, _: &()) -> Split {

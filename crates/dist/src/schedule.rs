@@ -5,8 +5,8 @@
 //! Each rank owns a contiguous shard of mesh elements (recursive
 //! bisection) and resolves exactly the grid points that live on its owned
 //! elements. The only data that crosses ranks after the initial static
-//! scatter are serialized messages: dG coefficients during the halo
-//! exchange, and each rank's finished owned-point values during the
+//! scatter are messages that own their payloads: dG coefficients during the
+//! halo exchange, and each rank's finished owned-point values during the
 //! gather — both through the [`Transport`] boundary, which delivers every
 //! message exactly once or reports the endpoint closed.
 //!
@@ -48,11 +48,7 @@
 use crate::flow::{match_flow_logs, FlowLog, FlowMatch};
 use crate::link::{DistError, Link};
 use crate::shard::{RankShard, ShardPlan};
-use crate::transport::{Message, Tag, Transport};
-use crate::wire::{
-    decode_coeffs_into, decode_ids, decode_rank_result, encode_coeffs, encode_rank_result,
-    RankResult,
-};
+use crate::transport::{Message, Payload, RankResult, Tag, Transport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use ustencil_core::{
@@ -316,8 +312,7 @@ impl DistSolution {
     /// flattened across ranks, one comms ledger per rank (with its exposed
     /// communication time and flow counts), the aggregate plan shape on
     /// the pull path, and — for instrumented runs — the cross-rank
-    /// critical path. Histograms stay empty — distribution probes are
-    /// rank-local diagnostics and are not shipped through the transport.
+    /// critical path. Histograms stay empty — ranks evaluate unprobed.
     pub fn to_run_record(
         &self,
         label: &str,
@@ -425,9 +420,9 @@ pub(crate) trait Work: Sync {
     fn localize(&self, site: &Site, tracer: &Tracer, res: &mut RankResult) -> Self::Local;
 
     /// The payload of the one [`POST`](Self::POST) message to `peer`,
-    /// encoded from the rank's owned coefficients. An empty set still
-    /// sends its (empty) message.
-    fn post(&self, site: &Site, local: &Self::Local, field: &DgField, peer: usize) -> Vec<u8>;
+    /// built from the rank's owned coefficients. An empty set still sends
+    /// its (empty) message.
+    fn post(&self, site: &Site, local: &Self::Local, field: &DgField, peer: usize) -> Payload;
 
     /// Splits the owned work; runs after the post, while it rides the
     /// wire.
@@ -456,6 +451,15 @@ pub(crate) trait Work: Sync {
     }
 }
 
+/// The coefficients of elements `ids`, copied out of `field`.
+pub(crate) fn coeffs_of(ids: Vec<u32>, field: &DgField) -> Payload {
+    let values = ids.iter().flat_map(|&e| field.element_coeffs(e as usize));
+    Payload::Coeffs {
+        values: values.copied().collect(),
+        ids,
+    }
+}
+
 /// The coefficient reply to one pull request. Every requested id must be
 /// an element `rank` owns: anything else is a corrupt or misrouted
 /// request, not something to answer with zeros.
@@ -464,7 +468,7 @@ fn serve_request(
     rank: usize,
     ids: &[u32],
     field: &DgField,
-) -> Result<Vec<u8>, DistError> {
+) -> Result<Payload, DistError> {
     if let Some(&bad) = ids
         .iter()
         .find(|&&e| e as usize >= field.n_elements() || plan.owner_of(e) as usize != rank)
@@ -473,7 +477,25 @@ fn serve_request(
             "halo request names element {bad}, which rank {rank} does not own"
         )));
     }
-    Ok(encode_coeffs(ids, field.coefficients(), field.n_modes()))
+    Ok(coeffs_of(ids.to_vec(), field))
+}
+
+/// Writes received coefficients into `field`'s slots for `ids`. A payload
+/// that does not hold `n_modes` values per id, or names an element outside
+/// the field, is refused before anything is written.
+fn fill(field: &mut DgField, ids: &[u32], values: &[f64]) -> Result<(), DistError> {
+    let (nm, n) = (field.n_modes(), field.n_elements());
+    if values.len() != ids.len() * nm || ids.iter().any(|&e| e as usize >= n) {
+        return Err(DistError::Protocol(format!(
+            "{} coefficients for {} elements of {nm} modes do not fit {n} elements",
+            values.len(),
+            ids.len()
+        )));
+    }
+    for (&e, v) in ids.iter().zip(values.chunks_exact(nm)) {
+        field.element_coeffs_mut(e as usize).copy_from_slice(v);
+    }
+    Ok(())
 }
 
 /// The peers a drain is still owed one message of a kind by. The
@@ -484,9 +506,10 @@ fn serve_request(
 /// still missing belongs.
 struct Owed(Vec<bool>);
 
-/// The violation: `msg` is one `who` is not owed.
-fn not_owed(who: std::fmt::Arguments, msg: &Message) -> DistError {
-    let (kind, from) = (msg.tag.label(), msg.from);
+/// The violation: a `tag` message from rank `from` is one `who` is not
+/// owed.
+fn not_owed(who: std::fmt::Arguments, from: u32, tag: Tag) -> DistError {
+    let kind = tag.label();
     DistError::Protocol(format!("{who} is not owed a {kind} message by rank {from}"))
 }
 
@@ -507,7 +530,7 @@ impl Owed {
                 *owed = false;
                 Ok(())
             }
-            _ => Err(not_owed(format_args!("rank {rank}"), msg)),
+            _ => Err(not_owed(format_args!("rank {rank}"), msg.from, msg.tag())),
         }
     }
 }
@@ -517,7 +540,7 @@ impl Owed {
 /// carries only that rank's owned coefficients (every other slot is zero
 /// until the drain fills the ones the work reads) and the grid only its
 /// owned points. No dynamic field or solution data is shared — it moves
-/// only as serialized messages.
+/// only inside messages.
 struct RankCtx {
     mesh: TriMesh,
     plan: ShardPlan,
@@ -572,11 +595,11 @@ fn rank_body<W: Work, T: Transport>(
     let local = work.localize(&site, tracer, &mut res);
     let mut exchange_ns = 0u64;
 
-    // Encoding is part of the exposed cost.
+    // Building the payloads is part of the exposed cost.
     exposed(tracer, "exchange.post", &mut exchange_ns, || {
         (0..n_ranks).filter(|&q| q != rank).try_for_each(|peer| {
             let payload = work.post(&site, &local, &field, peer);
-            link.send(peer as u32, W::POST, payload)
+            link.send(peer as u32, payload)
         })
     })?;
 
@@ -613,7 +636,7 @@ fn rank_body<W: Work, T: Transport>(
                 Err(DistError::Timeout) if settled => break,
                 received => received?,
             };
-            let owed = match msg.tag {
+            let owed = match msg.tag() {
                 Tag::HaloCoeffs => &mut coeffs,
                 Tag::HaloRequest => &mut requests,
                 Tag::OwnedValues => {
@@ -621,16 +644,17 @@ fn rank_body<W: Work, T: Transport>(
                     continue;
                 }
             };
-            if let Err(e) = owed.take(rank, &msg) {
-                violation.get_or_insert(e);
-            } else if msg.tag == Tag::HaloRequest {
-                let ids = decode_ids(&msg.payload).map_err(DistError::Protocol)?;
-                let reply = serve_request(site.plan, rank, &ids, &field)?;
-                link.send(msg.from, Tag::HaloCoeffs, reply)?;
-            } else {
-                let n_modes = field.n_modes();
-                decode_coeffs_into(&msg.payload, n_modes, field.coefficients_mut())
-                    .map_err(DistError::Protocol)?;
+            match (owed.take(rank, &msg), &msg.payload) {
+                (Err(e), _) => {
+                    violation.get_or_insert(e);
+                }
+                (Ok(()), Payload::Request(ids)) => {
+                    let reply = serve_request(site.plan, rank, ids, &field)?;
+                    link.send(msg.from, reply)?;
+                }
+                (Ok(()), Payload::Coeffs { ids, values }) => fill(&mut field, ids, values)?,
+                // Stashed for the gather above.
+                (Ok(()), Payload::Result(_)) => {}
             }
         }
         violation.map_or(Ok(()), Err)
@@ -768,13 +792,13 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
                         if let Ok(mut res) =
                             rank_body(work, ctx, &mut link, &mut Vec::new(), &worker_tracer)
                         {
-                            // Snapshot *before* encoding: the result message
+                            // Snapshot *before* sending: the result message
                             // cannot count itself (which is also why the
                             // result tag is not flow-instrumented, see `link`).
                             snapshot(&mut res, &link, worker_tracer);
                             // A dead coordinator is unrecoverable from a
                             // worker; exit and let the scope join.
-                            let _ = link.send(0, Tag::OwnedValues, encode_rank_result(&res));
+                            let _ = link.send(0, Payload::Result(Box::new(res)));
                         }
                     }));
                     link
@@ -790,12 +814,13 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
         // The drain has settled, so the gather is owed one result per
         // worker and nothing else.
         let absorb = |msg: Message, slots: &mut [Option<RankResult>]| -> Result<(), DistError> {
-            match slots.get_mut(msg.from as usize) {
-                Some(slot @ None) if msg.tag == Tag::OwnedValues => {
-                    *slot = Some(decode_rank_result(&msg.payload).map_err(DistError::Protocol)?);
+            let (from, tag) = (msg.from, msg.tag());
+            match (slots.get_mut(from as usize), msg.payload) {
+                (Some(slot @ None), Payload::Result(res)) => {
+                    *slot = Some(*res);
                     Ok(())
                 }
-                _ => Err(not_owed(format_args!("the gather"), &msg)),
+                _ => Err(not_owed(format_args!("the gather"), from, tag)),
             }
         };
         {
@@ -916,10 +941,29 @@ mod tests {
             rank,
             grid: &grid,
         };
-        let mut field = DgField::zeros(1, mesh.n_triangles());
+        let field = DgField::zeros(1, mesh.n_triangles());
         let payload = work.post(&site, &(), &field, peer);
-        let filled = decode_coeffs_into(&payload, field.n_modes(), field.coefficients_mut());
-        assert_eq!(filled, Ok(vec![]));
+        assert_eq!(
+            payload,
+            Payload::Coeffs {
+                ids: vec![],
+                values: vec![]
+            }
+        );
+    }
+
+    #[test]
+    fn coeffs_that_do_not_fit_the_field_are_a_protocol_error() {
+        let mut field = DgField::zeros(1, 4);
+        assert_eq!(fill(&mut field, &[2], &[1.0, 2.0, 3.0]), Ok(()));
+        assert_eq!(&field.coefficients()[6..9], &[1.0, 2.0, 3.0]);
+        // Too few values for the ids, or an id past the last element: refused
+        // before anything is written.
+        for (ids, values) in [(&[0, 1][..], &[5.0; 3][..]), (&[0, 4], &[5.0; 6])] {
+            let err = fill(&mut field, ids, values).unwrap_err();
+            assert!(matches!(err, DistError::Protocol(_)), "{err}");
+        }
+        assert_eq!(&field.coefficients()[..3], &[0.0; 3]);
     }
 
     #[test]
@@ -932,7 +976,14 @@ mod tests {
         let foreign = plan.shard(1).owned_elements[0];
 
         let reply = serve_request(&plan, 0, &owned, &field).unwrap();
-        assert_eq!(reply, encode_coeffs(&owned, field.coefficients(), 3));
+        let values = vec![0.0; owned.len() * 3];
+        assert_eq!(
+            reply,
+            Payload::Coeffs {
+                ids: owned.clone(),
+                values
+            }
+        );
         // In range but owned by the other rank: refused, not answered
         // with rank 0's zeros.
         let err = serve_request(&plan, 0, &[owned[0], foreign], &field).unwrap_err();
@@ -949,9 +1000,8 @@ mod tests {
         let from = |from: u32| Message {
             from,
             to: 0,
-            tag: Tag::HaloRequest,
             flow: 0,
-            payload: Vec::new(),
+            payload: Payload::Request(Vec::new()),
         };
         let mut owed = Owed::by_peers(2, 0, true);
         for stranger in [2, u32::MAX, 0] {

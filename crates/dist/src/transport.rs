@@ -1,19 +1,24 @@
-//! The message boundary: every byte that crosses a rank goes through here.
+//! The message boundary: everything that crosses a rank goes through here.
 //!
-//! A [`Transport`] endpoint can send a serialized [`Message`] to any rank
-//! and receive messages addressed to itself. The contract is the one
-//! `mpsc`, TCP and MPI give: every accepted message is delivered exactly
-//! once, or the endpoint reports [`TransportError::Closed`]; order is not
-//! promised. Nothing above this trait re-derives that guarantee — a lossy
-//! datagram transport would carry its own acknowledgement protocol *inside*
-//! its `Transport` impl, where the loss model is known. The one failure no
-//! transport can mask, a dead rank, is the schedule's
-//! ([`schedule`](crate::schedule): gather deadline, then re-resolve).
+//! A [`Transport`] endpoint can send a [`Message`] to any rank and receive
+//! messages addressed to itself. A message owns its typed [`Payload`]
+//! outright — no shared reference to field or solution data crosses a rank
+//! — so an in-process fabric moves it without serialising anything. The
+//! contract is the one `mpsc`, TCP and MPI give: every accepted message is
+//! delivered exactly once, or the endpoint reports
+//! [`TransportError::Closed`]; order is not promised. Nothing above this
+//! trait re-derives that guarantee — a lossy datagram transport would carry
+//! its own acknowledgement protocol *inside* its `Transport` impl, where the
+//! loss model is known. The one failure no transport can mask, a dead rank,
+//! is the schedule's ([`schedule`](crate::schedule): gather deadline, then
+//! re-resolve).
 
+use crate::flow::FlowPoint;
 use std::time::Duration;
+use ustencil_core::{BlockStats, Metrics};
+use ustencil_trace::{CommStats, SpanRecord};
 
-/// What a message carries. The tag is part of the wire header; payload
-/// layouts per tag are defined in [`wire`](crate::wire).
+/// What a message carries: its [`Payload`]'s kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tag {
     /// Modal coefficients of a set of elements (halo push, or the response
@@ -28,15 +33,6 @@ pub enum Tag {
 }
 
 impl Tag {
-    /// Wire encoding of the tag.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            Tag::HaloCoeffs => 0,
-            Tag::HaloRequest => 1,
-            Tag::OwnedValues => 2,
-        }
-    }
-
     /// Human-readable label (timeline flow names, diagnostics).
     pub fn label(self) -> &'static str {
         match self {
@@ -45,46 +41,118 @@ impl Tag {
             Tag::OwnedValues => "owned.values",
         }
     }
-
-    /// Decodes a tag byte.
-    pub fn from_byte(b: u8) -> Option<Tag> {
-        match b {
-            0 => Some(Tag::HaloCoeffs),
-            1 => Some(Tag::HaloRequest),
-            2 => Some(Tag::OwnedValues),
-            _ => None,
-        }
-    }
 }
 
 /// Bytes of the fixed message header (`from` + `to` + tag + `flow`): the
 /// per-message overhead charged to the wire alongside the payload.
 pub const HEADER_BYTES: u64 = 4 + 4 + 1 + 8;
 
-/// One serialized message between ranks. Cross-rank data exists *only* in
-/// this form — no shared references to field or solution data ever cross a
-/// rank boundary.
+/// The data one message hands its receiver.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// [`Tag::HaloCoeffs`]: the modal coefficients of elements `ids`,
+    /// `values.len() / ids.len()` per element, in `ids` order.
+    Coeffs {
+        /// The elements whose coefficients these are.
+        ids: Vec<u32>,
+        /// Element-major coefficients.
+        values: Vec<f64>,
+    },
+    /// [`Tag::HaloRequest`]: the elements whose coefficients are wanted.
+    Request(Vec<u32>),
+    /// [`Tag::OwnedValues`]: a rank's finished contribution.
+    Result(Box<RankResult>),
+}
+
+/// One message between ranks. Cross-rank data exists *only* in this form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Sending rank.
     pub from: u32,
     /// Destination rank.
     pub to: u32,
-    /// Payload discriminator.
-    pub tag: Tag,
     /// Per-sender monotone flow id, stamped by the sender's
     /// [`Link`](crate::link::Link): `(from, flow)` names the message, and
     /// with it one send→recv arc in a trace timeline.
     pub flow: u64,
-    /// Serialized payload (see [`wire`](crate::wire)).
-    pub payload: Vec<u8>,
+    /// What the message carries.
+    pub payload: Payload,
 }
 
 impl Message {
-    /// Total bytes this message occupies on the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + self.payload.len() as u64
+    /// The payload's kind.
+    pub fn tag(&self) -> Tag {
+        match self.payload {
+            Payload::Coeffs { .. } => Tag::HaloCoeffs,
+            Payload::Request(_) => Tag::HaloRequest,
+            Payload::Result(_) => Tag::OwnedValues,
+        }
     }
+
+    /// Bytes this message would occupy on a wire: the header plus the
+    /// payload in a little-endian, `u32`-length-prefixed layout (a `u32`
+    /// per id, an `f64` per value, a `u64` per counter, a span's name as a
+    /// prefixed byte string). This is what [`CommStats`] and the cost
+    /// model's comm term charge.
+    pub fn wire_bytes(&self) -> u64 {
+        let list = |n: usize, item: usize| 4 + n * item;
+        let payload = match &self.payload {
+            Payload::Coeffs { ids, values } => list(ids.len(), 4) + 8 * values.len(),
+            Payload::Request(ids) => list(ids.len(), 4),
+            // Values; the comm counters, three times, interior and
+            // frontier; per patch wall, elements, points and the work
+            // counters; per span a name prefix, depth, start and duration;
+            // per flow point flow, peer, tag, timestamp and bytes.
+            Payload::Result(r) => {
+                let names: usize = r.spans.iter().map(|s| s.name.len()).sum();
+                list(r.values.len(), 8)
+                    + 8 * (CommStats::N_COUNTERS + 5)
+                    + list(r.patches.len(), 8 * (3 + Metrics::N_COUNTERS))
+                    + list(r.spans.len(), 4 + 4 + 8 + 8)
+                    + names
+                    + list(r.flow_sends.len(), 32)
+                    + list(r.flow_recvs.len(), 32)
+            }
+        };
+        HEADER_BYTES + payload as u64
+    }
+}
+
+/// One rank's finished contribution: owned-point values (in the shard
+/// plan's owned-point order, ids implicit) plus its execution summary.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankResult {
+    /// Values of the rank's owned points, shard order.
+    pub values: Vec<f64>,
+    /// Transport counters snapshotted *before* this message was sent (the
+    /// message carrying the snapshot is necessarily excluded from it).
+    pub comm: CommStats,
+    /// Nanoseconds of *exposed* communication: the post + drain spans
+    /// where the rank had nothing to compute (overlapped wire time hides
+    /// under `eval_ns` and is deliberately not charged here).
+    pub exchange_ns: u64,
+    /// Nanoseconds in the local evaluation phases (interior + frontier).
+    pub eval_ns: u64,
+    /// Nanoseconds in the local reduce phase.
+    pub reduce_ns: u64,
+    /// Owned work units whose stencil footprint stays inside owned
+    /// territory, evaluated while halo messages were in flight (elements
+    /// for the push runtime, plan rows for the sharded plan path).
+    pub interior: u64,
+    /// Owned work units whose footprint touches a halo ring, evaluated
+    /// after the drain. `interior + frontier` partitions the owned work.
+    pub frontier: u64,
+    /// Per-patch stats of the rank's evaluation (ranks evaluate unprobed).
+    pub patches: Vec<BlockStats>,
+    /// The rank's tracer spans (empty when instrumentation is off). Start
+    /// offsets are measured from the run's shared epoch, so shipped spans
+    /// land on the coordinator's time axis directly.
+    pub spans: Vec<SpanRecord>,
+    /// Flow-log send points (halo-phase messages only; see
+    /// [`FlowLog`](crate::flow::FlowLog)).
+    pub flow_sends: Vec<FlowPoint>,
+    /// Flow-log receive points.
+    pub flow_recvs: Vec<FlowPoint>,
 }
 
 /// Transport-level failures.
@@ -123,24 +191,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_bytes_round_trip() {
-        for tag in [Tag::HaloCoeffs, Tag::HaloRequest, Tag::OwnedValues] {
-            assert_eq!(Tag::from_byte(tag.to_byte()), Some(tag));
-        }
-        assert_eq!(Tag::from_byte(3), None);
-        assert_eq!(Tag::from_byte(200), None);
-    }
-
-    #[test]
     fn wire_bytes_include_header() {
-        let m = Message {
+        let m = |payload| Message {
             from: 0,
             to: 1,
-            tag: Tag::HaloCoeffs,
             flow: 9,
-            payload: vec![0u8; 40],
+            payload,
         };
-        assert_eq!(m.wire_bytes(), HEADER_BYTES + 40);
+        let coeffs = m(Payload::Coeffs {
+            ids: vec![3, 7],
+            values: vec![0.0; 6],
+        });
+        assert_eq!(coeffs.tag(), Tag::HaloCoeffs);
+        assert_eq!(coeffs.wire_bytes(), HEADER_BYTES + 4 + 2 * 4 + 6 * 8);
+        assert_eq!(
+            m(Payload::Request(vec![1, 2])).wire_bytes(),
+            HEADER_BYTES + 12
+        );
+        // Values count, ten fixed u64s, four empty list counts.
+        let empty = m(Payload::Result(Box::default()));
+        assert_eq!(empty.wire_bytes(), HEADER_BYTES + 4 + 10 * 8 + 4 * 4);
         // from + to + tag + flow.
         assert_eq!(HEADER_BYTES, 17);
     }

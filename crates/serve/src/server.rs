@@ -23,6 +23,7 @@
 
 use crate::cache::{Outcome, PlanCache};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -93,8 +94,9 @@ impl Ticket {
     /// Blocks until the response arrives.
     ///
     /// # Panics
-    /// Panics if the server shut down without answering (a bug: shutdown
-    /// drains the queue first).
+    /// Panics if serving this request panicked (e.g. a kernel too wide for
+    /// the problem's mesh fails `ExecConfig::resolve`); the worker survives
+    /// and serves the next request.
     pub fn wait(self) -> Response {
         self.rx.recv().expect("server dropped a pending request")
     }
@@ -322,52 +324,59 @@ fn next_request(shared: &Shared) -> Option<Pending> {
 
 fn worker_loop(shared: &Shared, worker: usize) {
     while let Some(pending) = next_request(shared) {
-        let started = Instant::now();
-        let problem = &pending.problem;
-        let exec = &shared.exec;
-        // Delta-aware lookup: a mesh-edit miss patches the resident
-        // sibling plan instead of recompiling from scratch.
-        let (plan, outcome) =
-            shared
-                .cache
-                .get_or_patch(pending.key, &problem.mesh, &problem.grid, exec, || {
-                    EvalPlan::compile(&problem.mesh, &problem.grid, problem.degree, exec)
-                });
-        let solution = plan.apply_with(&pending.field, exec);
-        let queue_wait_us = (started - pending.enqueued).as_micros() as u64;
-        let service_us = pending.enqueued.elapsed().as_micros() as u64;
-        let rows = solution.values.len() as u64;
-        if let Some(ledger) = shared
-            .ledgers
-            .lock()
-            .expect("ledgers poisoned")
-            .get_mut(pending.tenant)
-        {
-            ledger.requests += 1;
-            ledger.rows += rows;
-            match outcome {
-                Outcome::Compiled => {
-                    ledger.misses += 1;
-                    ledger.compiles += 1;
-                }
-                // Sibling patches and single-flight rides answer from a
-                // plan the tenant did not pay a full compile for.
-                Outcome::Hit | Outcome::Waited | Outcome::Patched => ledger.hits += 1,
-            }
-            ledger.queue_wait_us.record(queue_wait_us);
-            ledger.service_us.record(service_us);
-        }
-        // A dropped ticket just means the client stopped caring.
-        let _ = pending.reply.send(Response {
-            values: solution.values,
-            queue_wait_us,
-            service_us,
-            outcome,
-        });
-        let mut stats = shared.worker_stats.lock().expect("stats poisoned");
-        let stat = &mut stats[worker];
-        stat.busy_ns += started.elapsed().as_nanos() as u64;
-        stat.rows += rows;
-        stat.metrics.merge(&solution.metrics);
+        // A panicking request drops its reply sender unanswered, which fails
+        // that ticket only; the worker goes on to the next request.
+        let _ = catch_unwind(AssertUnwindSafe(|| serve(shared, worker, pending)));
     }
+}
+
+/// Answers one request and enters it in the ledgers.
+fn serve(shared: &Shared, worker: usize, pending: Pending) {
+    let started = Instant::now();
+    let problem = &pending.problem;
+    let exec = &shared.exec;
+    // Delta-aware lookup: a mesh-edit miss patches the resident
+    // sibling plan instead of recompiling from scratch.
+    let (plan, outcome) =
+        shared
+            .cache
+            .get_or_patch(pending.key, &problem.mesh, &problem.grid, exec, || {
+                EvalPlan::compile(&problem.mesh, &problem.grid, problem.degree, exec)
+            });
+    let solution = plan.apply_with(&pending.field, exec);
+    let queue_wait_us = (started - pending.enqueued).as_micros() as u64;
+    let service_us = pending.enqueued.elapsed().as_micros() as u64;
+    let rows = solution.values.len() as u64;
+    if let Some(ledger) = shared
+        .ledgers
+        .lock()
+        .expect("ledgers poisoned")
+        .get_mut(pending.tenant)
+    {
+        ledger.requests += 1;
+        ledger.rows += rows;
+        match outcome {
+            Outcome::Compiled => {
+                ledger.misses += 1;
+                ledger.compiles += 1;
+            }
+            // Sibling patches and single-flight rides answer from a
+            // plan the tenant did not pay a full compile for.
+            Outcome::Hit | Outcome::Waited | Outcome::Patched => ledger.hits += 1,
+        }
+        ledger.queue_wait_us.record(queue_wait_us);
+        ledger.service_us.record(service_us);
+    }
+    // A dropped ticket just means the client stopped caring.
+    let _ = pending.reply.send(Response {
+        values: solution.values,
+        queue_wait_us,
+        service_us,
+        outcome,
+    });
+    let mut stats = shared.worker_stats.lock().expect("stats poisoned");
+    let stat = &mut stats[worker];
+    stat.busy_ns += started.elapsed().as_nanos() as u64;
+    stat.rows += rows;
+    stat.metrics.merge(&solution.metrics);
 }

@@ -1,12 +1,14 @@
 //! Single-flight stress tests: K concurrent requesters for the same cold
 //! key must trigger exactly one compile, and every requester's result must
 //! be bitwise identical to a fresh compile. Also the byte budget's LRU
-//! eviction and the server queue's backpressure.
+//! eviction, the server queue's backpressure, and a worker outliving a
+//! request that panics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use ustencil_core::{ComputationGrid, ExecConfig};
-use ustencil_dg::project_l2;
+use ustencil_dg::{project_l2, DgField};
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
@@ -357,4 +359,48 @@ fn burst_beyond_the_queue_blocks_the_submitter() {
         "{cache:?}"
     );
     assert_eq!(cache.compiles, 1);
+}
+
+/// A request whose compile panics fails its own ticket only: the one
+/// worker survives it, answers the next request, and shutdown returns.
+#[test]
+fn panicking_request_fails_only_its_ticket() {
+    let (mesh, grid, options) = fixture(5);
+    let field = project_l2(&mesh, 1, |x, y| x - y * y + 0.5, 2);
+    let good = Arc::new(Problem {
+        mesh: Arc::new(mesh),
+        grid: Arc::new(grid),
+        degree: 1,
+    });
+    // Eight triangles: the stencil is wider than the unit domain, so
+    // `ExecConfig::resolve` asserts inside the compile.
+    let coarse = generate_mesh(MeshClass::LowVariance, 8, 5);
+    let bad = Arc::new(Problem {
+        grid: Arc::new(ComputationGrid::quadrature_points(&coarse, 1)),
+        mesh: Arc::new(coarse.clone()),
+        degree: 1,
+    });
+    let server = PlanServer::start(
+        PlanCache::new(0),
+        ServerConfig {
+            workers: 1,
+            exec: options,
+        },
+        1,
+    );
+    let client = server.client();
+    let doomed = client.submit(0, &bad, DgField::zeros(1, coarse.n_triangles()));
+    let answered = client.submit(0, &good, field.clone());
+    assert!(std::panic::catch_unwind(|| doomed.wait()).is_err());
+    // Waited for off-thread: a dead worker would leave it blocked for ever.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(answered.wait()));
+    let response = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the request after the panic was never answered");
+    waiter.join().unwrap().unwrap();
+    let fresh = EvalPlan::compile(&good.mesh, &good.grid, 1, &options).apply(&field);
+    assert_eq!(response.values, fresh.values);
+    let ledgers = server.shutdown();
+    assert_eq!(ledgers.tenants[0].requests, 1, "only the answer is entered");
 }

@@ -1,7 +1,7 @@
 //! Communication counters for rank-sharded execution.
 //!
-//! The distributed runtime (`ustencil-dist`) moves every cross-rank byte
-//! through a serialized transport; [`CommStats`] is the ledger each
+//! The distributed runtime (`ustencil-dist`) moves every cross-rank payload
+//! through a message transport; [`CommStats`] is the ledger each
 //! endpoint keeps while doing so. The counters are plain saturating sums —
 //! cheap enough to maintain unconditionally — and merge across ranks the
 //! same way the engine's `Metrics` work counters do, so run reports can

@@ -16,7 +16,7 @@
 //!   trait and the [`json_record!`] / [`json_counters!`] macros that emit a
 //!   struct together with its JSON form;
 //! * [`comm`] — per-endpoint communication counters ([`CommStats`]) for
-//!   the rank-sharded runtime's serialized transports;
+//!   the rank-sharded runtime's transports;
 //! * [`timeline`] — multi-track Chrome trace-event timelines ([`Timeline`])
 //!   with send→recv flow arrows, loadable in Perfetto;
 //! * [`critical`] — timeline analysis: exposed communication time, the

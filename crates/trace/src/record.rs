@@ -4,8 +4,8 @@
 //! the macro emits the struct as declared plus its [`JsonField`] impl, a
 //! JSON object whose keys are the field names in declaration order. The
 //! counter structs incremented in the hot loops go through
-//! [`json_counters!`](crate::json_counters), which adds the merge and the
-//! fixed-size array form the wire codec ships. Hand-written impls remain
+//! [`json_counters!`](crate::json_counters), which adds the counter count
+//! and the merge. Hand-written impls remain
 //! only where a key is derived on emit and recomputed on parse, or where
 //! the JSON shape is not a struct.
 
@@ -175,8 +175,8 @@ macro_rules! json_record {
 
 /// Declares a struct of `u64` counters once. On top of what
 /// [`json_record!`](crate::json_record) emits, the field list drives
-/// `merge` (field-wise through the named `fn(u64, u64) -> u64`) and the
-/// `[u64; N_COUNTERS]` form in declaration order that binary codecs ship.
+/// `N_COUNTERS` and `merge` (field-wise through the named
+/// `fn(u64, u64) -> u64`).
 #[macro_export]
 macro_rules! json_counters {
     (
@@ -199,17 +199,6 @@ macro_rules! json_counters {
             /// Adds another block's counters into this one.
             pub fn merge(&mut self, other: &Self) {
                 $(self.$field = $add(self.$field, other.$field);)*
-            }
-
-            /// The counters in declaration order.
-            pub fn counters(&self) -> [u64; Self::N_COUNTERS] {
-                [$(self.$field),*]
-            }
-
-            /// Inverse of [`counters`](Self::counters).
-            pub fn from_counters(counters: [u64; Self::N_COUNTERS]) -> Self {
-                let [$($field),*] = counters;
-                Self { $($field),* }
             }
         }
     };
@@ -299,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_and_round_trip_through_the_array() {
+    fn counters_merge_and_round_trip_through_json() {
         let mut p = Pair {
             a: u64::MAX - 1,
             b: 2,
@@ -307,8 +296,6 @@ mod tests {
         p.merge(&Pair { a: 5, b: 3 });
         assert_eq!(p, Pair { a: u64::MAX, b: 5 });
         assert_eq!(Pair::N_COUNTERS, 2);
-        assert_eq!(p.counters(), [u64::MAX, 5]);
-        assert_eq!(Pair::from_counters(p.counters()), p);
         let small = Pair { a: 1, b: 2 };
         assert_eq!(Pair::from_json(&small.to_json()).unwrap(), small);
     }

@@ -19,7 +19,7 @@
 //!   (see DESIGN.md §9), plus the incremental patch engine that
 //!   revalidates a compiled plan after a mesh edit (see DESIGN.md §16),
 //! * [`dist`] — the rank-sharded execution runtime: explicit halo
-//!   exchange over a serialized transport, dead-rank recovery, and
+//!   exchange over a message transport, dead-rank recovery, and
 //!   per-rank comms accounting (see DESIGN.md §11),
 //! * [`serve`] — the multi-tenant plan-cache service: a byte-budgeted
 //!   concurrent cache with single-flight compilation and a bounded

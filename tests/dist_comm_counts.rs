@@ -1,0 +1,86 @@
+//! Every rank's four `CommStats` counters on one fixed mesh, pinned to the
+//! values the byte codec this runtime once had produced (its encoded
+//! lengths plus the 17-byte header). `Message::wire_bytes` now computes
+//! them from the typed payload; these numbers hold it to the old layout,
+//! so run reports and the cost model's comm term see the same traffic.
+
+use ustencil::dg::project_l2;
+use ustencil::dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
+use ustencil::engine::prelude::*;
+use ustencil::mesh::{generate_mesh, MeshClass};
+
+/// Per rank: `[msgs_sent, bytes_sent, msgs_recv, bytes_recv]`.
+type Counts = Vec<[u64; 4]>;
+
+fn counts(s: &DistSolution) -> Counts {
+    s.ranks
+        .iter()
+        .map(|r| {
+            let c = r.comm;
+            [c.msgs_sent, c.bytes_sent, c.msgs_recv, c.bytes_recv]
+        })
+        .collect()
+}
+
+#[test]
+fn comm_counters_equal_the_retired_codecs_lengths() {
+    let mesh = generate_mesh(MeshClass::LowVariance, 600, 7);
+    let field = project_l2(&mesh, 1, |x, y| (x * 4.2).sin() + 0.6 * y - 0.3 * x * y, 2);
+    let grid = ComputationGrid::quadrature_points(&mesh, 1);
+    // (ranks, instrumented, push, pull). Instrumentation adds spans and
+    // flow points to the result messages, so only rank 0's receives move.
+    let pinned: [(usize, bool, Counts, Counts); 4] = [
+        (
+            2,
+            false,
+            vec![[1, 8113, 2, 19270], [1, 8113, 1, 8113]],
+            vec![[2, 9290, 3, 20447], [2, 9290, 2, 9290]],
+        ),
+        (
+            2,
+            true,
+            vec![[1, 8113, 2, 19483], [1, 8113, 1, 8113]],
+            vec![[2, 9290, 3, 20760], [2, 9290, 2, 9290]],
+        ),
+        (
+            4,
+            false,
+            vec![
+                [3, 12075, 6, 31890],
+                [3, 12327, 3, 12159],
+                [3, 12243, 3, 12187],
+                [3, 12159, 3, 12215],
+            ],
+            vec![
+                [6, 13878, 9, 33669],
+                [6, 14118, 6, 13974],
+                [6, 14038, 6, 13990],
+                [6, 13958, 6, 14006],
+            ],
+        ),
+        (
+            4,
+            true,
+            vec![
+                [3, 12075, 6, 32913],
+                [3, 12327, 3, 12159],
+                [3, 12243, 3, 12187],
+                [3, 12159, 3, 12215],
+            ],
+            vec![
+                [6, 13878, 9, 35376],
+                [6, 14118, 6, 13974],
+                [6, 14038, 6, 13990],
+                [6, 13958, 6, 14006],
+            ],
+        ),
+    ];
+    for (ranks, instrument, push, pull) in pinned {
+        let options = DistOptions::new(ranks).instrument(instrument);
+        let label = format!("{ranks} ranks, instrumented {instrument}");
+        let run = run_dist(&mesh, &field, &grid, &options).unwrap();
+        assert_eq!(counts(&run), push, "push, {label}");
+        let run = run_plan_dist(&mesh, &field, &grid, &options).unwrap();
+        assert_eq!(counts(&run), pull, "pull, {label}");
+    }
+}

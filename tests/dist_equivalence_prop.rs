@@ -232,7 +232,7 @@ impl Transport for Meddler {
                 self.held.push(msg);
                 return Ok(());
             }
-            Do::Panic => panic!("rank {} dies sending its {}", msg.from, msg.tag.label()),
+            Do::Panic => panic!("rank {} dies sending its {}", msg.from, msg.tag().label()),
         }
         let (release, keep) = self.held.drain(..).partition(|m| m.to == msg.to);
         self.held = keep;
@@ -289,7 +289,7 @@ fn failed_rank_is_reresolved_by_the_coordinator() {
         // swallowed forever — from the coordinator's view the rank died
         // after the halo phase.
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.tag) {
+            .run_meddled(path, |m| match (m.from, m.tag()) {
                 (3, Tag::OwnedValues) => Do::Swallow,
                 _ => Do::Pass,
             })
@@ -343,7 +343,7 @@ fn panicking_rank_is_a_dead_rank() {
     for path in PATHS {
         let case = Case::new(path, 80);
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.tag) {
+            .run_meddled(path, |m| match (m.from, m.tag()) {
                 (3, Tag::OwnedValues) => Do::Panic,
                 _ => Do::Pass,
             })
@@ -369,7 +369,7 @@ fn duplicated_halo_message_is_refused_not_counted() {
     for path in PATHS {
         let case = Case::new(path, 81);
         let err = case
-            .run_meddled(path, |m| match (m.from, m.to, m.tag) {
+            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
                 (1, 0, Tag::HaloCoeffs) => Do::Twice,
                 _ => Do::Pass,
             })
@@ -380,7 +380,7 @@ fn duplicated_halo_message_is_refused_not_counted() {
         );
 
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.to, m.tag) {
+            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
                 (1, 2, Tag::HaloCoeffs) => Do::Twice,
                 _ => Do::Pass,
             })
