@@ -3,36 +3,29 @@
 //!
 //! The traversal driver discovers intersections and reduces every element
 //! image to monomial-power sums; a [`ContributionSink`] decides what those
-//! sums become. Two production sinks exist:
+//! sums become:
 //!
 //! * [`AccumulateSolution`] contracts the sums against the element's own
-//!   monomial coefficients — the direct evaluation all three schemes
-//!   (per-point, per-element, tiled) perform;
-//! * [`AccumulateWeights`] keeps the sums symbolic and folds them into
-//!   per-mode CSR weights — the evaluation-plan compiler's path.
+//!   monomial coefficients — the direct evaluation every scheme performs;
+//! * [`AccumulateWeights`] keeps them symbolic and folds each
+//!   `(point, element)` pair's into per-mode weights — the evaluation-plan
+//!   compiler's path.
 //!
 //! New backends (f32, SIMD batches, GPU staging) plug in here: implement
 //! the trait, reuse the driver unchanged.
 
 use crate::integrate::{ElementData, MAX_MODES};
 use ustencil_dg::DubinerBasis;
+use ustencil_geometry::Vec2;
 
 /// Consumer of per-element-image integration results.
 ///
 /// The driver calls [`absorb`](Self::absorb) once per element image whose
-/// clipped intersection has positive area, and
-/// [`finish_candidate`](Self::finish_candidate) once per candidate element
-/// after all of its periodic images have been processed.
+/// clipped intersection has positive area.
 pub trait ContributionSink {
     /// Absorbs the monomial-power sums `Σ_q w_q u^a v^b` of one element
     /// image (`elem` is the element the sums belong to).
     fn absorb(&mut self, elem: &ElementData, mono_sums: &[f64; MAX_MODES]);
-
-    /// Called after the last periodic image of candidate `id`; `hit` is
-    /// true when any image truly intersected the stencil.
-    fn finish_candidate(&mut self, id: u32, hit: bool) {
-        let _ = (id, hit);
-    }
 }
 
 /// The direct-evaluation sink: contracts each element image's monomial
@@ -64,74 +57,96 @@ impl ContributionSink for AccumulateSolution {
     }
 }
 
-/// The plan-compilation sink: accumulates each candidate's monomial sums
-/// across its periodic images, then transforms monomial → modal once per
-/// surviving candidate and appends the per-mode weights to its CSR row.
-#[derive(Debug, Clone)]
-pub struct AccumulateWeights<'a> {
-    basis: &'a DubinerBasis,
-    mono_w: [f64; MAX_MODES],
-    cols: Vec<u32>,
+/// The plan-compilation sink: keeps the sums symbolic. Driven by
+/// [`element_query`](super::StencilTraversal::element_query), it records
+/// one hit per element image that met a point ([`hit`](Self::hit)), and
+/// [`finish_element`](Self::finish_element) turns the element's hits into
+/// one entry per point: the point and its per-mode weights.
+#[derive(Debug, Clone, Default)]
+pub struct AccumulateWeights {
+    /// The basis's monomial coefficients, one row of `n_modes` per mode.
+    modal: Vec<f64>,
+    n_modes: usize,
+    points: Vec<u32>,
     weights: Vec<f64>,
-    row_entries: u32,
+    absorbed: bool,
+    first: usize,
+    images: bool,
 }
 
-impl<'a> AccumulateWeights<'a> {
+impl AccumulateWeights {
     /// A sink producing weights in `basis`'s modal expansion.
-    pub fn new(basis: &'a DubinerBasis) -> Self {
+    pub fn new(basis: &DubinerBasis) -> Self {
+        let n_modes = basis.n_modes();
+        let rows = (0..n_modes).map(|m| basis.monomial_coefficients(m));
+        let modal = rows.flat_map(|c| c.iter().copied()).collect();
         Self {
-            basis,
-            mono_w: [0.0; MAX_MODES],
-            cols: Vec::new(),
-            weights: Vec::new(),
-            row_entries: 0,
+            modal,
+            n_modes,
+            ..Self::default()
         }
     }
 
-    /// Starts a new CSR row (one per query point).
+    /// Records that the image `elem + shift` just integrated met `point`.
     #[inline]
-    pub fn begin_row(&mut self) {
-        self.row_entries = 0;
+    pub fn hit(&mut self, point: u32, shift: Vec2) {
+        self.images |= shift != Vec2::ZERO;
+        self.points.push(point);
+        if !std::mem::take(&mut self.absorbed) {
+            self.weights.resize(self.weights.len() + self.n_modes, 0.0);
+        }
     }
 
-    /// Entries appended to the current row so far.
-    #[inline]
-    pub fn row_entries(&self) -> u32 {
-        self.row_entries
+    /// Closes the current element, returning how many entries it added. A
+    /// point met through several images (a support nearly as wide as the
+    /// domain) sums them from `0.0` as met, σ over `[0, −1, +1]` per axis:
+    /// `needed_shifts`' order of a point query's shifts `−σ`, as no accepted
+    /// support meets both the `−1` and `+1` image on one axis. Then `w[m] =
+    /// Σ_slot c[m][slot] · s[slot]` from `0.0`, the transpose of
+    /// `ElementData::gather`'s basis change.
+    pub fn finish_element(&mut self) -> usize {
+        let (first, nm) = (self.first, self.n_modes);
+        if std::mem::take(&mut self.images) {
+            let hits = self.points[first..].iter().enumerate();
+            let mut keys: Vec<u64> = hits.map(|(k, &p)| (p as u64) << 32 | k as u64).collect();
+            keys.sort_unstable();
+            if keys.windows(2).any(|w| w[0] >> 32 == w[1] >> 32) {
+                let images = self.weights.split_off(first * nm);
+                self.points.truncate(first);
+                for pair in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                    let mut sum = [0.0; MAX_MODES];
+                    for k in pair.iter().map(|&key| key as u32 as usize) {
+                        let image = &images[k * nm..(k + 1) * nm];
+                        sum.iter_mut().zip(image).for_each(|(w, s)| *w += s);
+                    }
+                    self.points.push((pair[0] >> 32) as u32);
+                    self.weights.extend_from_slice(&sum[..nm]);
+                }
+            }
+        }
+        for entry in self.weights[first * nm..].chunks_exact_mut(nm) {
+            let mut mono = [0.0; MAX_MODES];
+            mono[..nm].copy_from_slice(entry);
+            for (w, c) in entry.iter_mut().zip(self.modal.chunks_exact(nm)) {
+                *w = c.iter().zip(&mono).fold(0.0, |w, (c, s)| w + c * s);
+            }
+        }
+        self.first = self.points.len();
+        self.first - first
     }
 
-    /// Consumes the sink, returning the accumulated CSR column ids and the
-    /// `n_modes`-strided weight array.
-    pub fn into_csr(self) -> (Vec<u32>, Vec<f64>) {
-        (self.cols, self.weights)
+    /// The entries of every finished element, in order: their points, and
+    /// `n_modes` weights each.
+    pub fn into_entries(self) -> (Vec<u32>, Vec<f64>) {
+        (self.points, self.weights)
     }
 }
 
-impl ContributionSink for AccumulateWeights<'_> {
+impl ContributionSink for AccumulateWeights {
     #[inline]
-    fn absorb(&mut self, elem: &ElementData, mono_sums: &[f64; MAX_MODES]) {
-        for (w, s) in self.mono_w.iter_mut().zip(mono_sums).take(elem.n_modes()) {
-            *w += s;
-        }
-    }
-
-    fn finish_candidate(&mut self, id: u32, hit: bool) {
-        if hit {
-            // Monomial → modal: the transpose of the basis change
-            // `ElementData::gather` applies to coefficients.
-            let n_modes = self.basis.n_modes();
-            self.cols.push(id);
-            for m in 0..n_modes {
-                let mc = self.basis.monomial_coefficients(m);
-                let mut w = 0.0;
-                for (slot, &c) in mc.iter().enumerate().take(n_modes) {
-                    w += c * self.mono_w[slot];
-                }
-                self.weights.push(w);
-            }
-            self.row_entries += 1;
-        }
-        self.mono_w = [0.0; MAX_MODES];
+    fn absorb(&mut self, _: &ElementData, mono_sums: &[f64; MAX_MODES]) {
+        self.weights.extend_from_slice(&mono_sums[..self.n_modes]);
+        self.absorbed = true;
     }
 }
 
@@ -167,22 +182,24 @@ mod tests {
         let mesh = generate_mesh(MeshClass::LowVariance, 40, 1);
         let ed = ElementData::gather_geometry(&mesh, 0, basis.n_modes());
         let mut sink = AccumulateWeights::new(&basis);
-        sink.begin_row();
         let mut sums = [0.0; MAX_MODES];
         sums[0] = 1.0;
+        // Point 7 met through two images, point 8 through one that
+        // absorbed nothing (every sub-triangle degenerate).
         sink.absorb(&ed, &sums);
-        sink.finish_candidate(7, true);
-        // A missed candidate appends nothing but still clears the sums.
+        sink.hit(7, Vec2::ZERO);
+        sink.hit(8, Vec2::ZERO);
         sink.absorb(&ed, &sums);
-        sink.finish_candidate(8, false);
-        assert_eq!(sink.row_entries(), 1);
-        let (cols, weights) = sink.into_csr();
-        assert_eq!(cols, vec![7]);
-        assert_eq!(weights.len(), basis.n_modes());
+        sink.hit(7, Vec2::new(1.0, 0.0));
+        assert_eq!(sink.finish_element(), 2);
+        assert_eq!(sink.finish_element(), 0, "finishing resets the element");
+        let (points, weights) = sink.into_entries();
+        assert_eq!(points, vec![7, 8]);
         // Constant-monomial sums transform to the modal coefficients of the
-        // constant: weight[m] = mc_m[0].
-        for (m, &w) in weights.iter().enumerate() {
-            assert_eq!(w, basis.monomial_coefficients(m)[0]);
+        // constant: weight[m] = 2 · mc_m[0] for the two images, 0 for none.
+        for m in 0..basis.n_modes() {
+            assert_eq!(weights[m], 2.0 * basis.monomial_coefficients(m)[0]);
+            assert_eq!(weights[basis.n_modes() + m], 0.0);
         }
     }
 }

@@ -6,11 +6,12 @@
 //! fan triangulation, and the quadrature staging — and hands every staged
 //! element image to a [`ContributionSink`](super::ContributionSink). The
 //! direct schemes and the plan compiler differ only in the sink they plug
-//! in and in how they discover (point, element) pairs; the pair-level loop
-//! bodies live in [`point_query`](StencilTraversal::point_query) (gather
-//! schemes: per-point, plan compile) and
-//! [`integrate_image`](StencilTraversal::integrate_image) (scatter scheme:
-//! per-element, and through it tiled execution).
+//! in and in how they discover (point, element) pairs. There are two
+//! discoveries: [`point_query`](StencilTraversal::point_query), the
+//! paper's per-point baseline, and
+//! [`element_query`](StencilTraversal::element_query), the per-element
+//! scheme (and through it tiled execution, the rank runtime's push work
+//! and the plan compiler).
 //!
 //! The innermost evaluation is cells-then-modes: all surviving
 //! sub-triangles of one element image are staged into the
@@ -25,10 +26,12 @@ use crate::integrate::{flops_per_clip, flops_per_quad_eval, needed_shifts, Eleme
 use crate::metrics::Metrics;
 use crate::probe::Probe;
 use crate::simd::{SimdIsa, SimdPolicy};
-use ustencil_geometry::{clip_slab_x, clip_slab_y, fan_triangulate, Aabb, Point2, Vec2, GEOM_EPS};
+use ustencil_geometry::{
+    clip_slab_x, clip_slab_y, fan_triangulate, Aabb, Point2, Rect, Vec2, GEOM_EPS,
+};
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
-use ustencil_spatial::TriangleGrid;
+use ustencil_spatial::{PointGrid, TriangleGrid};
 
 /// The shared stencil-traversal driver. Holds everything constant across
 /// integrations of one run; per-query mutable state lives in
@@ -90,11 +93,9 @@ impl<'a> StencilTraversal<'a> {
 
     /// One gather-style query: center the stencil at `center`, walk the
     /// triangle hash grid's candidates, and integrate every periodic image
-    /// that meets the support, feeding the sink. This is the shared loop of
-    /// the per-point scheme and the plan compiler; they differ only in the
-    /// sink and in `elem_load_values` (the modeled memory traffic charged
-    /// per candidate — the per-point scheme re-reads element data per pair,
-    /// plan compilation charges nothing).
+    /// that meets the support, feeding the sink. `elem_load_values` is the
+    /// modeled memory traffic charged per candidate (the per-point scheme
+    /// re-reads element data per pair).
     ///
     /// Counter and probe semantics are exactly the historical ones:
     /// `cells_visited` from the hash-grid walk, one candidates sample per
@@ -145,16 +146,62 @@ impl<'a> StencilTraversal<'a> {
             }
             probe.record_subregions(metrics.subregions - subregions_before);
             metrics.true_intersections += hit as u64;
-            sink.finish_candidate(id, hit);
         }
+    }
+
+    /// One scatter-style query (Algorithm 3): for every periodic image
+    /// `elem + shift` that can meet a stencil (`p + σ` sees `T − σ`, Eq. 3),
+    /// walk `point_grid`'s candidates, bbox-test, integrate into the sink,
+    /// and call `on_hit(point, shift, sink)` after each true intersection.
+    /// Shifts are a point query's (zeros `+0.0`). Counted: per candidate, one
+    /// `intersection_tests` and two `point_data_loads` (Section 3.4).
+    #[allow(clippy::too_many_arguments)]
+    pub fn element_query<S: ContributionSink>(
+        &self,
+        elem: &ElementData,
+        points: &[Point2],
+        point_grid: &PointGrid,
+        scratch: &mut Scratch,
+        sink: &mut S,
+        metrics: &mut Metrics,
+        probe: &mut Probe,
+        mut on_hit: impl FnMut(u32, Vec2, &mut S),
+    ) {
+        let (hw, bb) = (self.stencil.width() / 2.0, elem.bbox);
+        let (candidates, stage) = (&mut scratch.candidates, &mut scratch.stage);
+        let subregions_before = metrics.subregions;
+        let inflated = Rect::new(bb.min.x - hw, bb.min.y - hw, bb.max.x + hw, bb.max.y + hw);
+        for sigma in needed_shifts(&inflated) {
+            let shift = Vec2::new(0.0 - sigma.x, 0.0 - sigma.y);
+            let image_bb = Aabb::new(bb.min + shift, bb.max + shift);
+            metrics.cells_visited += point_grid.candidate_cells(&image_bb, hw) as u64;
+            candidates.clear();
+            point_grid.for_each_candidate(&image_bb, hw, |id| candidates.push(id));
+            probe.record_candidates(candidates.len() as u64);
+            for &id in candidates.iter() {
+                metrics.intersection_tests += 1;
+                metrics.point_data_loads += 2;
+                let center = points[id as usize];
+                if !self.stencil.support_rect(center).intersects_aabb(&image_bb) {
+                    continue;
+                }
+                let quads_before = metrics.quad_evals;
+                let hit = self.integrate_image(center, elem, shift, stage, sink, metrics);
+                probe.record_quad_points(metrics.quad_evals - quads_before);
+                metrics.true_intersections += hit as u64;
+                if hit {
+                    on_hit(id, shift, sink);
+                }
+            }
+        }
+        probe.record_subregions(metrics.subregions - subregions_before);
     }
 
     /// Integrates the stencil centered at `center` against the periodic
     /// image `elem + shift`, feeding the sink. Returns whether any lattice
-    /// square truly intersected the image. This is the scatter-scheme entry
-    /// point (the per-element scheme discovers pairs through the point hash
-    /// grid and calls this per surviving pair); `point_query` funnels into
-    /// the same body.
+    /// square truly intersected the image. This is the pair-level entry
+    /// point of [`element_query`](Self::element_query); `point_query`
+    /// funnels into the same body.
     ///
     /// The caller has already established that the shifted bounding box
     /// meets the stencil support, and accounts `true_intersections` /

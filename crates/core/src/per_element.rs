@@ -10,12 +10,11 @@
 use crate::blocks;
 use crate::config::{ExecConfig, KernelSetup};
 use crate::grid_points::ComputationGrid;
-use crate::integrate::{needed_shifts, ElementData};
+use crate::integrate::ElementData;
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
 use crate::probe::{BlockStats, Probe};
 use ustencil_dg::DgField;
-use ustencil_geometry::Rect;
 use ustencil_mesh::{Partition, TriMesh};
 use ustencil_spatial::PointGrid;
 
@@ -59,10 +58,8 @@ impl PerElementRun<'_> {
     fn patch_body(&self, elements: &[u32], probe: &mut Probe) -> PatchResult {
         let mut metrics = Metrics::default();
         let basis = self.field.basis();
-        let stencil = &self.setup.stencil;
-        let half_width = stencil.width() / 2.0;
         let trav = StencilTraversal::new(
-            stencil,
+            &self.setup.stencil,
             &self.setup.rule,
             basis.monomial_exponents(),
             basis.n_modes(),
@@ -79,6 +76,7 @@ impl PerElementRun<'_> {
         let mut partials: Vec<(u32, f64)> = Vec::new();
         let mut scratch = Scratch::new();
         let mut sink = AccumulateSolution::new();
+        let mut writes = 0;
 
         for &e in elements {
             // Element data is gathered once and reused for every
@@ -86,64 +84,27 @@ impl PerElementRun<'_> {
             // data-reuse property.
             metrics.elem_data_loads += elem_values;
             let ed = ElementData::gather(self.mesh, self.field, basis, e as usize);
-            let subregions_before = metrics.subregions;
-
-            // Periodic images of the search region (Eq. 3, per-element
-            // bounds). A point image p + sigma sees the element image
-            // T - sigma.
-            let inflated = Rect::new(
-                ed.bbox.min.x - half_width,
-                ed.bbox.min.y - half_width,
-                ed.bbox.max.x + half_width,
-                ed.bbox.max.y + half_width,
-            );
-            for sigma in needed_shifts(&inflated) {
-                let query = ustencil_geometry::Aabb::new(ed.bbox.min - sigma, ed.bbox.max - sigma);
-                metrics.cells_visited += self.point_grid.candidate_cells(&query, half_width) as u64;
-                scratch.candidates.clear();
-                self.point_grid
-                    .for_each_candidate(&query, half_width, |id| scratch.candidates.push(id));
-                probe.record_candidates(scratch.candidates.len() as u64);
-
-                let elem_shift = -sigma;
-                let image_min = ed.bbox.min + elem_shift;
-                let image_max = ed.bbox.max + elem_shift;
-                let image_bb = ustencil_geometry::Aabb::new(image_min, image_max);
-                for &id in &scratch.candidates {
-                    metrics.intersection_tests += 1;
-                    // Only the point's spatial offset is read per
-                    // integration (2 values, Section 3.4).
-                    metrics.point_data_loads += 2;
-                    let center = points[id as usize];
-                    let support = stencil.support_rect(center);
-                    if !support.intersects_aabb(&image_bb) {
-                        continue;
-                    }
-                    let quads_before = metrics.quad_evals;
-                    let hit = trav.integrate_image(
-                        center,
-                        &ed,
-                        elem_shift,
-                        &mut scratch.stage,
-                        &mut sink,
-                        &mut metrics,
-                    );
-                    let v = sink.take();
-                    probe.record_quad_points(metrics.quad_evals - quads_before);
-                    metrics.true_intersections += hit as u64;
-                    if hit {
-                        let at = &mut slot[id as usize];
-                        if *at == 0 {
-                            partials.push((id, 0.0));
-                            *at = partials.len() as u32;
-                        }
-                        partials[*at as usize - 1].1 += v;
-                        metrics.solution_writes += 1;
-                    }
+            let on_hit = |id: u32, _, sink: &mut AccumulateSolution| {
+                let at = &mut slot[id as usize];
+                if *at == 0 {
+                    partials.push((id, 0.0));
+                    *at = partials.len() as u32;
                 }
-            }
-            probe.record_subregions(metrics.subregions - subregions_before);
+                partials[*at as usize - 1].1 += sink.take();
+                writes += 1;
+            };
+            trav.element_query(
+                &ed,
+                points,
+                self.point_grid,
+                &mut scratch,
+                &mut sink,
+                &mut metrics,
+                probe,
+                on_hit,
+            );
         }
+        metrics.solution_writes += writes;
 
         partials.sort_unstable_by_key(|&(id, _)| id);
         // The partials outlive the patch; their growth slack need not.

@@ -46,12 +46,6 @@ impl Probe {
         Self::new(false)
     }
 
-    /// Whether samples are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records how many candidates one hash-grid query delivered.
     #[inline]
     pub fn record_candidates(&mut self, n: u64) {
@@ -151,7 +145,7 @@ mod tests {
         p.record_candidates(10);
         p.record_subregions(3);
         p.record_quad_points(7);
-        assert!(!p.is_enabled());
+        assert!(!p.enabled);
         assert!(p.candidates_per_query().is_empty());
         assert!(p.subregions_per_element().is_empty());
         assert!(p.quad_points_per_integration().is_empty());
@@ -182,7 +176,7 @@ mod tests {
         // Merging an enabled probe into a disabled one enables it.
         let mut d = Probe::disabled();
         d.merge(&a);
-        assert!(d.is_enabled());
+        assert!(d.enabled);
         assert_eq!(d.candidates_per_query().count(), 2);
     }
 

@@ -1,19 +1,28 @@
-//! Plan compilation: run the per-point discovery machinery once, folding
-//! quadrature × kernel × basis into per-mode weights.
+//! Plan compilation the way the paper evaluates (Algorithm 3): discover
+//! `(point, element)` pairs per element, fold quadrature × kernel × basis
+//! into per-mode weights (Eq. 2, DESIGN.md §9), then assemble CSR rows.
 //!
-//! The weight of entry `(point r, element e)` for mode `m` is (Eq. 2)
+//! **Scatter, then assemble.** Elements are scattered in the
+//! [`TriangleGrid`]'s storage order (cells row-major, then element id), in
+//! blocks that are runs of it. Each element runs the per-element scheme's
+//! discovery, [`StencilTraversal::element_query`], over a [`PointGrid`] of
+//! the rows' points, and emits one entry per point it meets: its
+//! monomial-power sums, transformed monomial → modal once. A block
+//! counting-sorts its entries by row, and the blocks are concatenated row
+//! by row, so each row holds its entries in storage order.
 //!
-//! ```text
-//! w[r][e][m] = Σ_cells Σ_subtris |J| Σ_q ω_q · K_h(p_q - x_r) · φ_m(p_q)
-//! ```
+//! **Bits.** An entry is one `(point, element)` integral with no
+//! cross-element sum, integrated with the `(center, elem, shift)` a point
+//! query would use, so every row is bitwise the per-point gather's (kept
+//! as the reference in `gather.rs`) under two rules:
 //!
-//! where the cells are the stencil lattice squares clipped against (a
-//! periodic image of) element `e`, the sub-triangles come from fan
-//! triangulation of each clip polygon, and `φ_m` is evaluated through the
-//! same monomial path the direct engine uses: accumulate monomial-power
-//! sums `Σ ω_q K u^a v^b` first, then transform monomial → modal with the
-//! basis change matrix once per entry. This mirrors `ElementData::eval`
-//! term for term, so plan applies agree with direct evaluation to rounding.
+//! * a pair met through several periodic images sums them in the order
+//!   they were met ([`AccumulateWeights::finish_element`]); a pair met
+//!   once keeps its image's sums, where the point query adds them to `0.0`
+//!   — a zero's sign, which a transform summed from `0.0` never sees;
+//! * a point query visits the triangle grid's cells from its window's
+//!   origin `(x0, y0)`, so a row's storage order is rotated to it where the
+//!   window wraps the periodic domain ([`RowCompiler::rotate_wrapped`]).
 
 use crate::plan::EvalPlan;
 use std::time::Instant;
@@ -22,21 +31,17 @@ use ustencil_core::integrate::ElementData;
 use ustencil_core::kernel::{AccumulateWeights, Scratch, StencilTraversal};
 use ustencil_core::{BlockStats, ComputationGrid, ExecConfig, KernelSetup, Metrics, Probe};
 use ustencil_dg::DubinerBasis;
+use ustencil_geometry::Point2;
 use ustencil_mesh::TriMesh;
-use ustencil_spatial::{Boundary, TriangleGrid};
+use ustencil_spatial::{Boundary, PointGrid, TriangleGrid};
 use ustencil_trace::Tracer;
 
 /// The [`ExecConfig`] a plan is compiled, patched and applied under, by
 /// the name callers that build it as `CompileOptions { .. }` spell.
 pub type CompileOptions = ExecConfig;
 
-/// One block's share of the CSR arrays, concatenated by [`assemble_csr`].
-pub(crate) struct BlockOut {
-    /// Entries per row, for the row-pointer prefix sum.
-    row_counts: Vec<u32>,
-    cols: Vec<u32>,
-    weights: Vec<f64>,
-}
+/// The CSR arrays `(row_ptr, cols, weights)` of [`EvalPlan`].
+pub(crate) type Csr = (Vec<u64>, Vec<u32>, Vec<f64>);
 
 impl EvalPlan {
     /// Compiles a plan for degree-`degree` fields over `mesh`, evaluated at
@@ -55,41 +60,15 @@ impl EvalPlan {
     ) -> EvalPlan {
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
-        let basis = DubinerBasis::new(degree);
-        let n_modes = basis.n_modes();
-        // Resolved once, so every block — and every patch recompile under
-        // the same options — runs the same kernel on the same ISA.
-        let setup = {
-            let _span = tracer.span("setup.kernel");
-            options.resolve(mesh, degree)
-        };
-        let tri_grid = {
-            let _span = tracer.span("build.tri_grid");
-            TriangleGrid::build(mesh, Boundary::Periodic)
-        };
-        let rows = RowCompiler {
-            mesh,
-            grid,
-            basis: &basis,
-            setup: &setup,
-            tri_grid: &tri_grid,
-        };
-        let blocks = {
-            let _span = tracer.span("compile.rows");
-            rows.sweep(grid.len(), options, |s, e| s as u32..e as u32)
-        };
-        let (row_ptr, cols, weights) = {
-            let _span = tracer.span("assemble.csr");
-            assemble_csr(&blocks)
-        };
-        let build_metrics = Metrics::sum(blocks.iter().map(|(_, stats)| &stats.metrics));
-
+        let rows = RowCompiler::new(mesh, degree, options);
+        let ((row_ptr, cols, weights), build_metrics) =
+            rows.compile(grid.points(), options, &tracer);
         EvalPlan {
             degree,
-            smoothness: setup.k,
-            n_modes,
+            smoothness: rows.setup.k,
+            n_modes: rows.basis.n_modes(),
             n_elements: mesh.n_triangles(),
-            h: setup.h,
+            h: rows.setup.h,
             row_ptr,
             cols,
             weights,
@@ -100,100 +79,205 @@ impl EvalPlan {
     }
 }
 
-/// Everything the rows of one problem are compiled from. Both the full
-/// compile and the incremental patch path (`crate::delta`) compile rows
-/// through [`sweep`](Self::sweep), so a recompiled row replays exactly the
-/// call sequence of its fresh-compile counterpart — the basis of the patch
-/// path's bitwise guarantee.
+/// Everything the rows of one problem are compiled from: the full compile
+/// and the patch path (`crate::delta`, over its dirty rows' points) both
+/// compile through [`compile`](Self::compile).
 pub(crate) struct RowCompiler<'a> {
-    pub(crate) mesh: &'a TriMesh,
-    pub(crate) grid: &'a ComputationGrid,
-    pub(crate) basis: &'a DubinerBasis,
-    pub(crate) setup: &'a KernelSetup,
-    pub(crate) tri_grid: &'a TriangleGrid,
+    mesh: &'a TriMesh,
+    basis: DubinerBasis,
+    pub(crate) setup: KernelSetup,
+    tri_grid: TriangleGrid,
 }
 
-impl RowCompiler<'_> {
-    /// Compiles `n` rows in `config.n_blocks` blocks; block `(s, e)`
-    /// compiles the grid points `ids(s, e)` in that order.
-    pub(crate) fn sweep<I: ExactSizeIterator<Item = u32>>(
-        &self,
-        n: usize,
-        config: &ExecConfig,
-        ids: impl Fn(usize, usize) -> I + Sync,
-    ) -> Vec<(BlockOut, BlockStats)> {
-        let bounds = block_bounds(n, config.n_blocks);
-        blocks::map(bounds, config.parallel, |(s, e)| {
-            BlockStats::measure(config.instrument, 0, |probe| self.block(ids(s, e), probe))
-        })
+impl<'a> RowCompiler<'a> {
+    /// Resolves `options` once, so every block — and every patch recompile
+    /// under the same options — runs the same kernel on the same ISA.
+    pub(crate) fn new(mesh: &'a TriMesh, degree: usize, options: &ExecConfig) -> Self {
+        RowCompiler {
+            mesh,
+            basis: DubinerBasis::new(degree),
+            setup: options.resolve(mesh, degree),
+            tri_grid: TriangleGrid::build(mesh, Boundary::Periodic),
+        }
     }
 
-    /// Compiles one CSR row per entry of `points`.
+    /// Compiles one CSR row per entry of `points` (row `i` is the stencil
+    /// centered at `points[i]`), in `config.n_blocks` element blocks.
+    pub(crate) fn compile(
+        &self,
+        points: &[Point2],
+        config: &ExecConfig,
+        tracer: &Tracer,
+    ) -> (Csr, Metrics) {
+        let grid = self.tri_grid.grid();
+        let n = grid.cells_per_side();
+        let (mut order, mut cell_of) = (Vec::new(), vec![0; self.mesh.n_triangles()]);
+        for cell in 0..n * n {
+            for &e in grid.cell_items(cell % n, cell / n) {
+                order.push(e);
+                cell_of[e as usize] = cell as u32;
+            }
+        }
+        let point_grid =
+            PointGrid::build_half_edge(points, self.mesh.max_edge_length(), Boundary::Clamped);
+        let blocks = {
+            let _span = tracer.span("compile.rows");
+            let bounds = block_bounds(order.len(), config.n_blocks);
+            blocks::map(bounds, config.parallel, |(s, e)| {
+                BlockStats::measure(config.instrument, (e - s) as u64, |probe| {
+                    self.block(&order[s..e], points, &point_grid, probe)
+                })
+            })
+        };
+        let _span = tracer.span("assemble.csr");
+        let metrics = Metrics::sum(blocks.iter().map(|(_, stats)| &stats.metrics));
+        let (n_rows, nm) = (points.len(), self.basis.n_modes());
+        // Each block's `starts` is a prefix sum over rows; so is their sum.
+        let mut row_ptr = vec![0u64; n_rows + 1];
+        for (b, _) in &blocks {
+            row_ptr
+                .iter_mut()
+                .zip(&b.starts)
+                .for_each(|(p, &s)| *p += s as u64);
+        }
+        let nnz = row_ptr[n_rows] as usize;
+        let (mut cols, mut weights) = (vec![0u32; nnz], vec![0.0; nnz * nm]);
+        // Per row range: its rows, its share of the plan and each row's
+        // end. Last block first, each row fills backwards from its end, so
+        // each block is freed once copied and block 0 completes the row.
+        let mut end = row_ptr[1..].to_vec();
+        let (mut c_rest, mut w_rest, mut e_rest) = (&mut cols[..], &mut weights[..], &mut end[..]);
+        let mut ranges: Vec<_> = block_bounds(n_rows, config.n_blocks)
+            .into_iter()
+            .map(|(s, e)| {
+                let len = (row_ptr[e] - row_ptr[s]) as usize;
+                let (c, c_tail) = std::mem::take(&mut c_rest).split_at_mut(len);
+                let (w, w_tail) = std::mem::take(&mut w_rest).split_at_mut(len * nm);
+                let (x, x_tail) = std::mem::take(&mut e_rest).split_at_mut(e - s);
+                (c_rest, w_rest, e_rest) = (c_tail, w_tail, x_tail);
+                (s..e, c, w, x)
+            })
+            .collect();
+        for (i, (b, _)) in blocks.into_iter().enumerate().rev() {
+            let items = ranges.iter_mut().collect();
+            blocks::map(items, config.parallel, |(rows, cols, weights, end)| {
+                let base = row_ptr[rows.start] as usize;
+                for (r, at) in rows.clone().zip(end.iter_mut()) {
+                    let (lo, hi) = (b.starts[r] as usize, b.starts[r + 1] as usize);
+                    *at -= (hi - lo) as u64;
+                    let to = *at as usize - base;
+                    cols[to..to + hi - lo].copy_from_slice(&b.cols[lo..hi]);
+                    weights[to * nm..(to + hi - lo) * nm]
+                        .copy_from_slice(&b.weights[lo * nm..hi * nm]);
+                    if i == 0 {
+                        let end = row_ptr[r + 1] as usize - base;
+                        let row = (&mut cols[to..end], &mut weights[to * nm..end * nm]);
+                        self.rotate_wrapped(points[r], &cell_of, row);
+                    }
+                }
+            });
+        }
+        ((row_ptr, cols, weights), metrics)
+    }
+
+    /// Scatters one run of elements into entries, counting-sorted by row.
     fn block(
         &self,
-        points: impl ExactSizeIterator<Item = u32>,
+        elements: &[u32],
+        points: &[Point2],
+        point_grid: &PointGrid,
         probe: &mut Probe,
     ) -> (BlockOut, Metrics) {
         let mut metrics = Metrics::default();
-        let n_modes = self.basis.n_modes();
-        let trav = StencilTraversal::new(
-            &self.setup.stencil,
-            &self.setup.rule,
-            self.basis.monomial_exponents(),
-            n_modes,
-        )
-        .with_simd(self.setup.isa);
-        let n_rows = points.len();
-        let mut row_counts = Vec::with_capacity(n_rows);
+        let nm = self.basis.n_modes();
+        let exps = self.basis.monomial_exponents();
+        let trav = StencilTraversal::new(&self.setup.stencil, &self.setup.rule, exps, nm)
+            .with_simd(self.setup.isa);
         let mut scratch = Scratch::new();
-        let mut sink = AccumulateWeights::new(self.basis);
-
-        for point in points {
-            let center = self.grid.points()[point as usize];
-            sink.begin_row();
-            // Same traversal as a direct per-point query, but the weights
-            // sink keeps the quadrature symbolic; no element coefficients
-            // are read (`elem_load_values = 0`), only geometry is gathered.
-            trav.point_query(
-                center,
-                self.tri_grid,
-                |e| ElementData::gather_geometry(self.mesh, e, n_modes),
-                0,
-                &mut scratch,
-                &mut sink,
-                &mut metrics,
-                probe,
+        let mut sink = AccumulateWeights::new(&self.basis);
+        let mut cols = Vec::new();
+        for &e in elements {
+            // Geometry only: no coefficient is read (`elem_data_loads = 0`).
+            let ed = ElementData::gather_geometry(self.mesh, e as usize, nm);
+            let on_hit = |point, shift, sink: &mut AccumulateWeights| sink.hit(point, shift);
+            let (scratch, metrics) = (&mut scratch, &mut metrics);
+            trav.element_query(
+                &ed, points, point_grid, scratch, &mut sink, metrics, probe, on_hit,
             );
-            row_counts.push(sink.row_entries());
-            metrics.solution_writes += 1;
+            cols.resize(cols.len() + sink.finish_element(), e);
         }
-        metrics.partial_slots += n_rows as u64;
-
-        let (cols, weights) = sink.into_csr();
-        let out = BlockOut {
-            row_counts,
-            cols,
-            weights,
-        };
+        let (rows, weights) = sink.into_entries();
+        metrics.solution_writes += rows.len() as u64;
+        let out = BlockOut::sort_by_row(points.len(), nm, &rows, &cols, &weights);
         (out, metrics)
+    }
+
+    /// Rotates the row centered at `center` from storage order, sorted by
+    /// cell `(iy, ix)`, into the order `TriangleGrid::for_each_candidate`
+    /// visits cells: cell rows from the window's first, `y0`, on, then in
+    /// each the columns from `x0` on. Both are stable rotations.
+    fn rotate_wrapped(&self, center: Point2, cell_of: &[u32], row: (&mut [u32], &mut [f64])) {
+        let (cols, weights) = row;
+        let (grid, nm) = (self.tri_grid.grid(), self.basis.n_modes());
+        let n = grid.cells_per_side();
+        // `for_each_candidate`'s window, expression for expression.
+        let reach = self.setup.stencil.width() / 2.0 + grid.cell_size();
+        let (x0, xc) = grid.axis_span(center.x - reach, center.x + reach);
+        let (y0, yc) = grid.axis_span(center.y - reach, center.y + reach);
+        let cell = |cols: &[u32], k: usize| cell_of[cols[k] as usize] as usize;
+        let rotate = |cols: &mut [u32], weights: &mut [f64], lo: usize, hi: usize, mid| {
+            cols[lo..hi].rotate_left(mid);
+            weights[lo * nm..hi * nm].rotate_left(mid * nm);
+        };
+        if y0 + yc > n {
+            let below = (0..cols.len())
+                .take_while(|&k| cell(cols, k) / n < y0)
+                .count();
+            rotate(cols, weights, 0, cols.len(), below);
+        }
+        let mut start = 0;
+        while x0 + xc > n && start < cols.len() {
+            let iy = cell(cols, start) / n;
+            let end = (start..cols.len())
+                .find(|&k| cell(cols, k) / n != iy)
+                .unwrap_or(cols.len());
+            let left = (start..end).take_while(|&k| cell(cols, k) % n < x0).count();
+            rotate(cols, weights, start, end, left);
+            start = end;
+        }
     }
 }
 
-/// Concatenates swept blocks into `(row_ptr, cols, weights)`.
-pub(crate) fn assemble_csr(blocks: &[(BlockOut, BlockStats)]) -> (Vec<u64>, Vec<u32>, Vec<f64>) {
-    let n_rows: usize = blocks.iter().map(|(b, _)| b.row_counts.len()).sum();
-    let mut row_ptr = Vec::with_capacity(n_rows + 1);
-    let mut cols = Vec::with_capacity(blocks.iter().map(|(b, _)| b.cols.len()).sum());
-    let mut weights = Vec::with_capacity(blocks.iter().map(|(b, _)| b.weights.len()).sum());
-    row_ptr.push(0u64);
-    let mut acc = 0u64;
-    for (b, _) in blocks {
-        for &c in &b.row_counts {
-            acc += c as u64;
-            row_ptr.push(acc);
+/// One block's entries by row: row `r` owns `cols[starts[r]..starts[r + 1]]`
+/// (and `n_modes` weights each), in element order.
+struct BlockOut {
+    starts: Vec<u32>,
+    cols: Vec<u32>,
+    weights: Vec<f64>,
+}
+
+impl BlockOut {
+    /// A stable counting sort of the entries `(rows[i], cols[i])` by row.
+    fn sort_by_row(n_rows: usize, nm: usize, rows: &[u32], cols: &[u32], weights: &[f64]) -> Self {
+        let mut starts = vec![0u32; n_rows + 1];
+        for &r in rows {
+            starts[r as usize + 1] += 1;
         }
-        cols.extend_from_slice(&b.cols);
-        weights.extend_from_slice(&b.weights);
+        for r in 0..n_rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts[..n_rows].to_vec();
+        let (mut out_cols, mut out_weights) = (vec![0; cols.len()], vec![0.0; weights.len()]);
+        for (i, &r) in rows.iter().enumerate() {
+            let at = next[r as usize] as usize;
+            next[r as usize] += 1;
+            out_cols[at] = cols[i];
+            out_weights[at * nm..(at + 1) * nm].copy_from_slice(&weights[i * nm..(i + 1) * nm]);
+        }
+        BlockOut {
+            starts,
+            cols: out_cols,
+            weights: out_weights,
+        }
     }
-    (row_ptr, cols, weights)
 }

@@ -1,54 +1,43 @@
 //! Incremental plan recompilation: patch a compiled [`EvalPlan`] after a
 //! mesh change instead of recompiling from scratch.
 //!
-//! A mesh edit (refinement, coarsening, vertex displacement) invalidates
-//! only the rows whose stencil support touches the edited region: row `r`
-//! at point `x_r` integrates over the `(3k+1)h` support square centered at
-//! `x_r`, so an element that kept its exact geometry contributes the exact
-//! same weights as before. The patch path exploits that in three steps:
+//! Row `r` integrates over the `(3k+1)h` support square centered at its
+//! point, so an element that kept its exact geometry contributes the same
+//! weights as before, and an edit invalidates only the rows whose support
+//! meets the edited region. The patch path:
 //!
 //! 1. **Diff** ([`DirtySet::diff`]): match elements and grid points of the
-//!    old and new problem by coordinate *bit patterns* (the same currency
-//!    as [`PlanKey`](crate::PlanKey)). Unmatched old elements leave stale
+//!    old and new problem by coordinate *bit patterns* (the currency of
+//!    [`PlanKey`](crate::PlanKey)). Unmatched old elements leave stale
 //!    AABBs behind; unmatched new elements are the changed set.
-//! 2. **Closure** ([`EvalPlan::patch`]): inflate every dirty box by the
-//!    kernel support — the catch box of dirty box `B` is
-//!    `[B.min - hi·h, B.max - lo·h]`, where `(lo, hi)` is the 1D kernel
-//!    support in units of `h` — under all periodic shifts (the same
-//!    shift-enumeration geometry `ShardPlan::split_interior` uses for halo
-//!    rings), and collect the grid points inside any catch box. Those rows,
-//!    plus rows of grid points that did not exist before, are recompiled
-//!    through the very [`compile_block`] the full compile runs.
-//! 3. **Splice** ([`PlanDelta::splice`]): rebuild the CSR by copying kept
-//!    rows (with columns renumbered old → new element ids) and inserting
-//!    the recompiled fragments.
+//! 2. **Closure** ([`EvalPlan::patch`]): the rows whose support meets a
+//!    periodic image of a dirty box, found as an element finds its points,
+//!    plus the rows of new grid points. The full compile's row compiler
+//!    recompiles them over their points only.
+//! 3. **Splice** ([`PlanDelta::splice`]): copy the kept rows, columns
+//!    renumbered old → new, and insert the recompiled ones.
 //!
-//! **Bitwise guarantee.** A patched plan is bit-identical to a fresh
-//! compile of the new problem (same options) row for row:
-//! kept rows because every element with positive-area overlap against
-//! their support is matched with identical bits, the candidate order of the
-//! new [`TriangleGrid`] preserves the relative order of matched elements
-//! (monotone matching + identical cell geometry, since the grid's cell
-//! size derives from the unchanged longest edge), and non-contributing
-//! candidates emit nothing; recompiled rows because they replay the exact
-//! fresh-compile call sequence. The property suite
-//! (`tests/plan_patch_prop.rs`) asserts this equality directly.
-//!
-//! The patch refuses (with [`PatchError`]) when the change alters the
-//! kernel itself — `h = h_factor · max_edge` must keep its bit pattern —
-//! or the options disagree with the plan; callers fall back to a full
-//! compile.
+//! **Bitwise guarantee.** A patched plan is a fresh compile of the new
+//! problem, row for row (`tests/plan_patch_prop.rs`). A compiled row holds
+//! its point's entries in the triangle grid's storage order rotated to its
+//! candidate window (`compile.rs`), which depends on that point alone, so
+//! a recompiled row is the fresh row. A kept row is too: every element it
+//! overlaps matched with identical bits, monotonically, over the same cell
+//! geometry (the cell size derives from the unchanged longest edge). The
+//! patch refuses ([`PatchError`]) when the kernel scale `h = h_factor ·
+//! max_edge` changes bits or the options disagree with the plan; callers
+//! fall back to a full compile.
 
-use crate::compile::{assemble_csr, RowCompiler};
+use crate::compile::RowCompiler;
 use crate::key::Fnv1a;
 use crate::plan::EvalPlan;
 use std::collections::HashMap;
 use std::time::Instant;
+use ustencil_core::integrate::needed_shifts;
 use ustencil_core::{ComputationGrid, DeltaStats, ExecConfig, Metrics};
-use ustencil_dg::DubinerBasis;
-use ustencil_geometry::{Aabb, Point2};
-use ustencil_mesh::{TriMesh, PERIODIC_SHIFTS};
-use ustencil_spatial::{Boundary, TriangleGrid};
+use ustencil_geometry::{Aabb, Point2, Rect};
+use ustencil_mesh::TriMesh;
+use ustencil_spatial::{Boundary, PointGrid};
 use ustencil_trace::{SpanRecord, Tracer};
 
 /// The `"scheme"` string carried by runs whose plan came from the patch
@@ -228,17 +217,6 @@ impl DirtySet {
     pub fn dirty_elements(&self) -> u64 {
         (self.changed.len() + self.stale_boxes.len()) as u64
     }
-
-    /// True when nothing changed: every element and grid point of the new
-    /// problem has a bit-identical counterpart and vice versa. Patching a
-    /// clean set reproduces the base plan bit for bit without touching the
-    /// traversal machinery.
-    pub fn is_clean(&self) -> bool {
-        self.changed.is_empty()
-            && self.stale_boxes.is_empty()
-            && self.row_source.iter().all(|&s| s != NONE)
-            && self.row_map.iter().all(|&m| m != NONE)
-    }
 }
 
 /// Per-element coordinate bit patterns (three vertices × two coordinates),
@@ -298,53 +276,6 @@ fn points_by_owner(grid: &ComputationGrid, n_elements: usize) -> PointsByOwner {
         cursor[o as usize] += 1;
     }
     PointsByOwner { offsets, items }
-}
-
-/// A uniform bin grid over the shifted catch boxes, so the closure test is
-/// a cell lookup instead of a scan over every dirty box.
-struct CatchGrid {
-    n: usize,
-    boxes: Vec<Aabb>,
-    cells: Vec<Vec<u32>>,
-}
-
-impl CatchGrid {
-    fn build(catch_boxes: Vec<Aabb>, stencil_width: f64) -> CatchGrid {
-        let n = ((1.0 / stencil_width.max(1e-9)).floor() as usize).clamp(1, 128);
-        let mut cells = vec![Vec::new(); n * n];
-        let span = |lo: f64, hi: f64| -> Option<(usize, usize)> {
-            if hi < 0.0 || lo > 1.0 {
-                return None;
-            }
-            let i0 = ((lo.max(0.0) * n as f64) as usize).min(n - 1);
-            let i1 = ((hi.min(1.0) * n as f64) as usize).min(n - 1);
-            Some((i0, i1))
-        };
-        for (id, b) in catch_boxes.iter().enumerate() {
-            let (Some((x0, x1)), Some((y0, y1))) = (span(b.min.x, b.max.x), span(b.min.y, b.max.y))
-            else {
-                continue;
-            };
-            for iy in y0..=y1 {
-                for ix in x0..=x1 {
-                    cells[iy * n + ix].push(id as u32);
-                }
-            }
-        }
-        CatchGrid {
-            n,
-            boxes: catch_boxes,
-            cells,
-        }
-    }
-
-    fn hits(&self, p: Point2) -> bool {
-        let ix = ((p.x.clamp(0.0, 1.0) * self.n as f64) as usize).min(self.n - 1);
-        let iy = ((p.y.clamp(0.0, 1.0) * self.n as f64) as usize).min(self.n - 1);
-        self.cells[iy * self.n + ix]
-            .iter()
-            .any(|&id| self.boxes[id as usize].contains(p))
-    }
 }
 
 /// The computed patch: recompiled CSR fragments for the dirty closure plus
@@ -503,86 +434,52 @@ impl EvalPlan {
         }
         // Past the checks the kernel is bit for bit the one this plan was
         // compiled with, which resolved then; mismatches stay typed errors.
-        let setup = options.resolve(mesh, self.degree);
-        let (stencil, h) = (&setup.stencil, setup.h);
-
+        let rows = RowCompiler::new(mesh, self.degree, options);
+        let stencil = &rows.setup.stencil;
         let tracer = Tracer::new(options.instrument);
-        let n = grid.len();
+        let points = grid.points();
 
-        // Closure: rows whose support rect intersects a dirty box under
-        // any periodic shift, plus rows of points with no old counterpart.
-        let mut recompute = vec![false; n];
-        let mut any = false;
-        for (r, &src) in dirty.row_source.iter().enumerate() {
-            if src == NONE {
-                recompute[r] = true;
-                any = true;
-            }
-        }
+        // Closure: rows of points with no old counterpart, plus rows whose
+        // support meets a periodic image of a dirty box, found the way an
+        // element finds its points (`StencilTraversal::element_query`).
+        let mut recompute: Vec<bool> = dirty.row_source.iter().map(|&s| s == NONE).collect();
         if !dirty.changed.is_empty() || !dirty.stale_boxes.is_empty() {
             let _span = tracer.span("patch.closure");
-            let (lo, hi) = stencil.kernel().support();
-            let (lo_h, hi_h) = (lo * h, hi * h);
-            let dirty_boxes = dirty
-                .stale_boxes
-                .iter()
-                .copied()
-                .chain(dirty.changed.iter().map(|&e| elem_aabb(mesh, e as usize)));
-            let mut catch_boxes = Vec::new();
-            for b in dirty_boxes {
-                let catch = Aabb::new(
-                    Point2::new(b.min.x - hi_h, b.min.y - hi_h),
-                    Point2::new(b.max.x - lo_h, b.max.y - lo_h),
-                );
-                for &s in PERIODIC_SHIFTS.iter() {
-                    catch_boxes.push(catch.translate(s));
-                }
-            }
-            let catch = CatchGrid::build(catch_boxes, stencil.width());
-            for (r, p) in grid.points().iter().enumerate() {
-                if !recompute[r] && catch.hits(*p) {
-                    recompute[r] = true;
-                    any = true;
+            let half_width = stencil.width() / 2.0;
+            let point_grid =
+                PointGrid::build_half_edge(points, mesh.max_edge_length(), Boundary::Clamped);
+            let changed = dirty.changed.iter().map(|&e| elem_aabb(mesh, e as usize));
+            for b in dirty.stale_boxes.iter().copied().chain(changed) {
+                let (lo, hi) = (b.min.x - half_width, b.max.x + half_width);
+                let inflated = Rect::new(lo, b.min.y - half_width, hi, b.max.y + half_width);
+                for sigma in needed_shifts(&inflated) {
+                    let image = Aabb::new(b.min - sigma, b.max - sigma);
+                    point_grid.for_each_candidate(&image, half_width, |r| {
+                        let support = stencil.support_rect(points[r as usize]);
+                        recompute[r as usize] |= support.intersects_aabb(&image);
+                    });
                 }
             }
         }
+        let frag_rows: Vec<u32> = (0..grid.len() as u32)
+            .filter(|&r| recompute[r as usize])
+            .collect();
 
-        let frag_rows: Vec<u32> = if any {
-            (0..n as u32).filter(|&r| recompute[r as usize]).collect()
-        } else {
-            Vec::new()
-        };
-
-        // Recompile the closure through the full compile's row machinery
-        // (same basis/stencil/rule/grid construction, same per-row calls).
-        let (frag_row_ptr, frag_cols, frag_weights, metrics) = if frag_rows.is_empty() {
-            (vec![0u64], Vec::new(), Vec::new(), Metrics::default())
-        } else {
+        // Recompile the closure through the full compile's row compiler,
+        // over the closure's points only, unprobed: patched rows are kept
+        // for their CSR slices and counters only.
+        let ((frag_row_ptr, frag_cols, frag_weights), metrics) = {
             let _span = tracer.span("patch.recompute");
-            let basis = DubinerBasis::new(self.degree);
-            let tri_grid = TriangleGrid::build(mesh, Boundary::Periodic);
-            let rows = RowCompiler {
-                mesh,
-                grid,
-                basis: &basis,
-                setup: &setup,
-                tri_grid: &tri_grid,
-            };
-            // Patched rows are kept for their CSR slices and counters only.
+            let frag_points: Vec<Point2> = frag_rows.iter().map(|&r| points[r as usize]).collect();
             let unprobed = ExecConfig {
                 instrument: false,
                 ..*options
             };
-            let blocks = rows.sweep(frag_rows.len(), &unprobed, |s, e| {
-                frag_rows[s..e].iter().copied()
-            });
-            let (row_ptr, cols, weights) = assemble_csr(&blocks);
-            let metrics = Metrics::sum(blocks.iter().map(|(_, stats)| &stats.metrics));
-            (row_ptr, cols, weights, metrics)
+            rows.compile(&frag_points, &unprobed, &Tracer::new(false))
         };
 
         Ok(PlanDelta {
-            new_rows: n,
+            new_rows: grid.len(),
             new_elements: mesh.n_triangles(),
             frag_rows,
             frag_row_ptr,

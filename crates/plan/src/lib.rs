@@ -9,7 +9,7 @@
 //! of it per call; for time-dependent output (the paper's motivating use of
 //! SIAC filtering) that is the dominant redundant cost.
 //!
-//! An [`EvalPlan`] removes it. Compilation runs the per-point discovery
+//! An [`EvalPlan`] removes it. Compilation runs the per-element discovery
 //! machinery once and folds quadrature × kernel × basis into per-mode
 //! weights, stored in CSR layout: each output point owns a row of
 //! `(element, weight[0..n_modes])` entries. Applying the plan to a field is
@@ -45,6 +45,8 @@
 mod apply;
 mod compile;
 mod delta;
+#[cfg(test)]
+mod gather;
 mod key;
 mod plan;
 mod record;

@@ -2,9 +2,11 @@
 //! (cross-scheme equivalence properties live in the workspace-level
 //! `tests/plan_equivalence_prop.rs`).
 
+use crate::gather::gather_rows;
 use crate::{DirtySet, EvalPlan, PatchError, SCHEME_LABEL};
 use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
 use ustencil_dg::project_l2;
+use ustencil_geometry::Point2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 
 fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, ComputationGrid) {
@@ -97,6 +99,102 @@ fn parallel_and_sequential_compile_agree_exactly() {
         seq.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
         par.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
     );
+}
+
+/// Holds a plan to the gather compile (`gather.rs`) of the same rows: the
+/// same row pointers, the same columns in the same order, the same weight
+/// bits.
+fn assert_is_gather(plan: &EvalPlan, mesh: &TriMesh, points: &[Point2], options: &ExecConfig) {
+    let (row_ptr, cols, weights) = gather_rows(mesh, points, plan.degree, options);
+    assert_eq!(plan.row_ptr, row_ptr, "{options:?}: row pointers");
+    assert_eq!(plan.cols, cols, "{options:?}: columns");
+    let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&plan.weights) == bits(&weights),
+        "{options:?}: weights"
+    );
+}
+
+#[test]
+fn scatter_compile_is_bitwise_the_gather_compile() {
+    for (class, n_tri, seed) in [
+        (MeshClass::LowVariance, 160, 31),
+        (MeshClass::HighVariance, 200, 37),
+    ] {
+        let mesh = generate_mesh(class, n_tri, seed);
+        for p in [1, 2] {
+            let grid = ComputationGrid::quadrature_points(&mesh, p);
+            let h_factor = (0.9 / ((3 * p + 1) as f64 * mesh.max_edge_length())).min(0.5);
+            for simd in [SimdPolicy::Scalar, SimdPolicy::Auto] {
+                for n_blocks in [1, 7, 16] {
+                    let options = ExecConfig {
+                        h_factor,
+                        n_blocks,
+                        parallel: n_blocks > 1,
+                        simd,
+                        ..ExecConfig::default()
+                    };
+                    let plan = EvalPlan::compile(&mesh, &grid, p, &options);
+                    assert_is_gather(&plan, &mesh, grid.points(), &options);
+                }
+            }
+        }
+    }
+}
+
+/// A support of at least half the domain: pairs meet through up to four
+/// periodic images, and candidate windows span the whole triangle grid.
+#[test]
+fn scatter_compile_is_bitwise_the_gather_compile_on_wide_supports() {
+    let mesh = generate_mesh(MeshClass::LowVariance, 24, 5);
+    for p in [1, 2] {
+        let grid = ComputationGrid::quadrature_points(&mesh, p);
+        for width in [0.6, 0.99] {
+            let options = ExecConfig {
+                h_factor: width / ((3 * p + 1) as f64 * mesh.max_edge_length()),
+                n_blocks: 3,
+                ..ExecConfig::default()
+            };
+            let plan = EvalPlan::compile(&mesh, &grid, p, &options);
+            assert_is_gather(&plan, &mesh, grid.points(), &options);
+        }
+    }
+}
+
+/// The rank runtime's pull compiles the rows of a rank's points only: each
+/// is the gather row, and the global plan's row of the same point.
+#[test]
+fn sub_grid_rows_are_bitwise_the_gather_rows() {
+    let (mesh, _, grid) = setup(200, 1, 41);
+    let picked: Vec<usize> = (0..grid.len())
+        .filter(|&i| grid.points()[i].x < 0.3 || i % 5 == 0)
+        .collect();
+    let sub = ComputationGrid::from_points(
+        picked.iter().map(|&i| grid.points()[i]).collect(),
+        picked.iter().map(|&i| grid.owners()[i]).collect(),
+    );
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &sub, 1, &options);
+    assert_is_gather(&plan, &mesh, sub.points(), &options);
+    let global = EvalPlan::compile(&mesh, &grid, 1, &options);
+    for (row, &i) in picked.iter().enumerate() {
+        assert_eq!(plan.row_cols(row), global.row_cols(i), "row {row}");
+    }
+}
+
+/// A patch's recompiled rows — here a band at the periodic seam, whose
+/// candidate windows wrap — are the gather rows of the edited problem.
+#[test]
+fn patched_rows_are_bitwise_the_gather_rows() {
+    let (mesh, _, grid) = setup(300, 1, 43);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    let moved = ustencil_mesh::displace_band(&mesh, 0.0, 0.06, 0.2, 3);
+    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
+    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
+    let (patched, delta) = plan.patched(&moved, &moved_grid, &dirty, &options).unwrap();
+    assert!(delta.respliced_rows > 0 && (delta.respliced_rows as usize) < plan.rows());
+    assert_is_gather(&patched, &moved, moved_grid.points(), &options);
 }
 
 #[test]
@@ -336,7 +434,6 @@ fn clean_diff_patches_to_the_identical_plan() {
     let (mesh, _, grid) = setup(150, 1, 23);
     let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
     let dirty = DirtySet::diff(&mesh, &grid, &mesh, &grid);
-    assert!(dirty.is_clean());
     assert_eq!(dirty.dirty_elements(), 0);
     let (patched, delta) = plan
         .patched(&mesh, &grid, &dirty, &small_options())
@@ -365,7 +462,6 @@ fn patched_plan_matches_fresh_compile_after_displacement() {
     );
     let moved_grid = ComputationGrid::quadrature_points(&moved, 2);
     let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
-    assert!(!dirty.is_clean());
     assert!(dirty.dirty_elements() > 0);
     let (patched, delta) = plan
         .patched(&moved, &moved_grid, &dirty, &small_options())

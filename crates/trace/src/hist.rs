@@ -115,11 +115,6 @@ impl Hist64 {
         }
     }
 
-    /// Raw count in bucket `b`.
-    pub fn bucket_count(&self, b: usize) -> u64 {
-        self.buckets[b]
-    }
-
     /// Iterates `(bucket index, count)` over non-empty buckets.
     pub fn iter_nonempty(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
@@ -246,9 +241,9 @@ mod tests {
         assert_eq!(h.sum(), 109);
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 109.0 / 6.0).abs() < 1e-12);
-        assert_eq!(h.bucket_count(0), 1); // the zero
-        assert_eq!(h.bucket_count(1), 2); // the ones
-        assert_eq!(h.bucket_count(2), 1); // the two
+        assert_eq!(h.buckets[0], 1); // the zero
+        assert_eq!(h.buckets[1], 2); // the ones
+        assert_eq!(h.buckets[2], 1); // the two
     }
 
     #[test]

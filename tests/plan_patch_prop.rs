@@ -105,7 +105,9 @@ proptest! {
             .expect("same-kernel edit must patch");
 
         prop_assert!(stats.respliced_rows as usize <= patched.rows());
-        if dirty.is_clean() {
+        // Nothing dirty and the grids are the meshes' quadrature points, so
+        // every row has a bit-identical source.
+        if dirty.dirty_elements() == 0 {
             prop_assert_eq!(stats.respliced_rows, 0, "clean diff resplices nothing");
             assert_bitwise(&patched, &base, "identity patch")?;
         }
@@ -121,7 +123,7 @@ fn empty_edit_patches_to_the_identity() {
     let (mesh, grid, options) = build(140, 2, 7);
     let base = EvalPlan::compile(&mesh, &grid, 1, &options);
     let dirty = DirtySet::diff(&mesh, &grid, &mesh, &grid);
-    assert!(dirty.is_clean());
+    assert_eq!(dirty.dirty_elements(), 0);
     let (patched, stats) = base.patched(&mesh, &grid, &dirty, &options).unwrap();
     assert_eq!(stats.respliced_rows, 0);
     assert_eq!(patched.cols(), base.cols());
