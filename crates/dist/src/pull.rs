@@ -87,7 +87,7 @@ impl Work for PullWork {
         };
         res.reduce_ns = compile_start.elapsed().as_nanos() as u64;
 
-        let mut needed: Vec<u32> = plan.cols().to_vec();
+        let mut needed: Vec<u32> = plan.cols().collect();
         needed.sort_unstable();
         needed.dedup();
         let mut wanted = vec![Vec::new(); site.plan.n_ranks()];

@@ -1,6 +1,6 @@
 //! Applying a compiled plan to dG fields: the SpMV-style hot loop.
 
-use crate::plan::EvalPlan;
+use crate::plan::{Chunk, EvalPlan};
 use std::time::{Duration, Instant};
 use ustencil_core::blocks::{block_bounds, map_slices};
 use ustencil_core::simd::{dispatch, Lanes, VectorKernel};
@@ -153,20 +153,13 @@ impl EvalPlan {
         }
         let isa = options.simd.resolve();
         let coeffs = field.coefficients();
-        let nm = self.n_modes as u64;
         block_bounds(rows.len(), options.n_blocks)
             .into_iter()
             .map(|(s, e)| {
                 let body = |_: &mut Probe| {
                     let mut metrics = Metrics::default();
                     for &r in &rows[s..e] {
-                        let r = r as usize;
-                        out[r] = self.row_dot(r, coeffs, isa);
-                        let (lo, hi) = self.row_range(r);
-                        metrics.solution_writes += 1;
-                        let entries = (hi - lo) as u64;
-                        metrics.elem_data_loads += entries * nm;
-                        metrics.flops += 2 * entries * nm;
+                        out[r as usize] = self.eval_row(r as usize, coeffs, isa, &mut metrics).0;
                     }
                     metrics.partial_slots += (e - s) as u64;
                     ((), metrics)
@@ -193,6 +186,43 @@ impl EvalPlan {
         );
     }
 
+    /// Evaluates rows `[start, end)` into `out` (length `end - start`).
+    fn apply_block(
+        &self,
+        start: usize,
+        end: usize,
+        coeffs: &[f64],
+        out: &mut [f64],
+        isa: SimdIsa,
+        probe: &mut Probe,
+    ) -> Metrics {
+        let mut metrics = Metrics::default();
+        for (slot, r) in (start..end).enumerate() {
+            let (value, entries) = self.eval_row(r, coeffs, isa, &mut metrics);
+            out[slot] = value;
+            // Row entries are this scheme's "candidates": the histogram
+            // shows how many stored elements each output point reads.
+            probe.record_candidates(entries);
+        }
+        metrics.partial_slots += (end - start) as u64;
+        metrics
+    }
+
+    /// Row `r`'s value against `coeffs` and its entry count, its work
+    /// counted into `metrics`.
+    #[inline]
+    fn eval_row(&self, r: usize, coeffs: &[f64], isa: SimdIsa, m: &mut Metrics) -> (f64, u64) {
+        let (chunk, local) = self.locate(r);
+        let (lo, hi) = chunk.range(local);
+        let entries = (hi - lo) as u64;
+        m.solution_writes += 1;
+        m.elem_data_loads += entries * self.n_modes as u64;
+        m.flops += 2 * entries * self.n_modes as u64;
+        (chunk.row_dot(local, coeffs, isa), entries)
+    }
+}
+
+impl Chunk {
     /// One row's dot product against `coeffs`, dispatched on the resolved
     /// SIMD ISA. The scalar body is byte-for-byte the historical per-mode
     /// lane kernel, so `SimdPolicy::Scalar` reproduces pre-SIMD results
@@ -226,7 +256,7 @@ impl EvalPlan {
     fn row_dot_lanes<const L: usize>(&self, r: usize, coeffs: &[f64]) -> f64 {
         let nm = self.n_modes;
         debug_assert!(nm <= L);
-        let (lo, hi) = self.row_range(r);
+        let (lo, hi) = self.range(r);
         let mut lane = [0.0f64; L];
         for e in lo..hi {
             let w = &self.weights[e * nm..(e + 1) * nm];
@@ -253,7 +283,8 @@ impl EvalPlan {
     #[inline(always)]
     unsafe fn row_dot_vector<V: Lanes>(&self, r: usize, coeffs: &[f64]) -> f64 {
         let nm = self.n_modes;
-        let (lo, hi) = self.row_range(r);
+        let (lo, hi) = self.range(r);
+        debug_assert!(hi <= self.cols.len() && hi * nm <= self.weights.len());
         let full = nm / V::N;
         let rem = nm % V::N;
         // Sized for the narrowest register (4 lanes); `check_field` holds
@@ -262,13 +293,16 @@ impl EvalPlan {
         let mut tail_acc = V::zero();
         let mask = V::mask_first(rem);
         for e in lo..hi {
-            // SAFETY: entry `e` owns weights `[e·nm, (e + 1)·nm)` and its
-            // column `cols[e] < n_elements` owns that range of `coeffs`
+            let col = self.cols[e] as usize;
+            debug_assert!((col + 1) * nm <= coeffs.len());
+            // SAFETY: entry `e` owns weights `[e·nm, (e + 1)·nm)` (a chunk
+            // holds `n_modes` weights per column) and its column
+            // `col < n_elements` owns that range of `coeffs`
             // (`check_field` matched the field to the plan); the blocks
             // read `full · V::N + rem = nm` values of each, the masked tail
             // touching nothing past them.
             let w = self.weights.as_ptr().add(e * nm);
-            let c = coeffs.as_ptr().add(self.cols[e] as usize * nm);
+            let c = coeffs.as_ptr().add(col * nm);
             for (b, a) in acc.iter_mut().enumerate().take(full) {
                 *a = V::load(w.add(b * V::N)).fmadd(V::load(c.add(b * V::N)), *a);
             }
@@ -289,38 +323,11 @@ impl EvalPlan {
         }
         total
     }
-
-    /// Evaluates rows `[start, end)` into `out` (length `end - start`).
-    fn apply_block(
-        &self,
-        start: usize,
-        end: usize,
-        coeffs: &[f64],
-        out: &mut [f64],
-        isa: SimdIsa,
-        probe: &mut Probe,
-    ) -> Metrics {
-        let mut metrics = Metrics::default();
-        let nm = self.n_modes;
-        for (slot, r) in (start..end).enumerate() {
-            out[slot] = self.row_dot(r, coeffs, isa);
-            let (lo, hi) = self.row_range(r);
-            // Row entries are this scheme's "candidates": the histogram
-            // shows how many stored elements each output point reads.
-            probe.record_candidates((hi - lo) as u64);
-            metrics.solution_writes += 1;
-            let entries = (hi - lo) as u64;
-            metrics.elem_data_loads += entries * nm as u64;
-            metrics.flops += 2 * entries * nm as u64;
-        }
-        metrics.partial_slots += (end - start) as u64;
-        metrics
-    }
 }
 
-/// [`EvalPlan::row_dot`]'s two bodies for row `.1` against the
+/// [`Chunk::row_dot`]'s two bodies for the chunk's row `.1` against the
 /// coefficients `.2`, as [`dispatch`] takes them.
-struct RowDot<'a>(&'a EvalPlan, usize, &'a [f64]);
+struct RowDot<'a>(&'a Chunk, usize, &'a [f64]);
 
 impl VectorKernel for RowDot<'_> {
     type Output = f64;

@@ -24,7 +24,8 @@
 //!   origin `(x0, y0)`, so a row's storage order is rotated to it where the
 //!   window wraps the periodic domain ([`RowCompiler::rotate_wrapped`]).
 
-use crate::plan::EvalPlan;
+use crate::plan::{Chunk, EvalPlan, CHUNK_ROWS, OVERFLOW};
+use std::sync::Arc;
 use std::time::Instant;
 use ustencil_core::blocks::{self, block_bounds};
 use ustencil_core::integrate::ElementData;
@@ -39,9 +40,6 @@ use ustencil_trace::Tracer;
 /// The [`ExecConfig`] a plan is compiled, patched and applied under, by
 /// the name callers that build it as `CompileOptions { .. }` spell.
 pub type CompileOptions = ExecConfig;
-
-/// The CSR arrays `(row_ptr, cols, weights)` of [`EvalPlan`].
-pub(crate) type Csr = (Vec<u64>, Vec<u32>, Vec<f64>);
 
 impl EvalPlan {
     /// Compiles a plan for degree-`degree` fields over `mesh`, evaluated at
@@ -61,17 +59,14 @@ impl EvalPlan {
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
         let rows = RowCompiler::new(mesh, degree, options);
-        let ((row_ptr, cols, weights), build_metrics) =
-            rows.compile(grid.points(), options, &tracer);
+        let (chunks, build_metrics) = rows.compile(grid.points(), options, &tracer);
         EvalPlan {
             degree,
             smoothness: rows.setup.k,
             n_modes: rows.basis.n_modes(),
             n_elements: mesh.n_triangles(),
             h: rows.setup.h,
-            row_ptr,
-            cols,
-            weights,
+            chunks: chunks.into_iter().map(Arc::new).collect(),
             build_wall: start.elapsed(),
             build_spans: tracer.into_records(),
             build_metrics,
@@ -101,14 +96,15 @@ impl<'a> RowCompiler<'a> {
         }
     }
 
-    /// Compiles one CSR row per entry of `points` (row `i` is the stencil
-    /// centered at `points[i]`), in `config.n_blocks` element blocks.
+    /// Compiles one row per entry of `points` (row `i` is the stencil
+    /// centered at `points[i]`), in `config.n_blocks` element blocks, into
+    /// [`CHUNK_ROWS`]-row chunks.
     pub(crate) fn compile(
         &self,
         points: &[Point2],
         config: &ExecConfig,
         tracer: &Tracer,
-    ) -> (Csr, Metrics) {
+    ) -> (Vec<Chunk>, Metrics) {
         let grid = self.tri_grid.grid();
         let n = grid.cells_per_side();
         let (mut order, mut cell_of) = (Vec::new(), vec![0; self.mesh.n_triangles()]);
@@ -140,44 +136,47 @@ impl<'a> RowCompiler<'a> {
                 .zip(&b.starts)
                 .for_each(|(p, &s)| *p += s as u64);
         }
-        let nnz = row_ptr[n_rows] as usize;
-        let (mut cols, mut weights) = (vec![0u32; nnz], vec![0.0; nnz * nm]);
-        // Per row range: its rows, its share of the plan and each row's
-        // end. Last block first, each row fills backwards from its end, so
-        // each block is freed once copied and block 0 completes the row.
-        let mut end = row_ptr[1..].to_vec();
-        let (mut c_rest, mut w_rest, mut e_rest) = (&mut cols[..], &mut weights[..], &mut end[..]);
-        let mut ranges: Vec<_> = block_bounds(n_rows, config.n_blocks)
-            .into_iter()
-            .map(|(s, e)| {
-                let len = (row_ptr[e] - row_ptr[s]) as usize;
-                let (c, c_tail) = std::mem::take(&mut c_rest).split_at_mut(len);
-                let (w, w_tail) = std::mem::take(&mut w_rest).split_at_mut(len * nm);
-                let (x, x_tail) = std::mem::take(&mut e_rest).split_at_mut(e - s);
-                (c_rest, w_rest, e_rest) = (c_tail, w_tail, x_tail);
-                (s..e, c, w, x)
+        // Each chunk's row starts begin as its row ends, the rows' cursors:
+        // last block first, each row fills backwards from its end, so each
+        // block is freed once copied and block 0 leaves each its start.
+        let mut chunks: Vec<_> = (0..n_rows)
+            .step_by(CHUNK_ROWS)
+            .map(|s| {
+                let ptr = &row_ptr[s..=(s + CHUNK_ROWS).min(n_rows)];
+                let (first, last) = (ptr[0], ptr[ptr.len() - 1]);
+                let local = |p: &u64| u32::try_from(p - first).expect(OVERFLOW);
+                Chunk {
+                    n_modes: nm,
+                    row_ptr: ptr[1..].iter().chain([&last]).map(local).collect(),
+                    cols: vec![0; (last - first) as usize],
+                    weights: vec![0.0; (last - first) as usize * nm],
+                }
             })
             .collect();
         for (i, (b, _)) in blocks.into_iter().enumerate().rev() {
-            let items = ranges.iter_mut().collect();
-            blocks::map(items, config.parallel, |(rows, cols, weights, end)| {
-                let base = row_ptr[rows.start] as usize;
-                for (r, at) in rows.clone().zip(end.iter_mut()) {
+            let items = chunks.iter_mut().enumerate().collect();
+            blocks::map(items, config.parallel, |(c, chunk)| {
+                // Backwards, so block 0 finds the next row's start final.
+                for local in (0..chunk.rows()).rev() {
+                    let r = c * CHUNK_ROWS + local;
                     let (lo, hi) = (b.starts[r] as usize, b.starts[r + 1] as usize);
-                    *at -= (hi - lo) as u64;
-                    let to = *at as usize - base;
-                    cols[to..to + hi - lo].copy_from_slice(&b.cols[lo..hi]);
-                    weights[to * nm..(to + hi - lo) * nm]
+                    chunk.row_ptr[local] -= (hi - lo) as u32;
+                    let to = chunk.row_ptr[local] as usize;
+                    chunk.cols[to..to + hi - lo].copy_from_slice(&b.cols[lo..hi]);
+                    chunk.weights[to * nm..(to + hi - lo) * nm]
                         .copy_from_slice(&b.weights[lo * nm..hi * nm]);
                     if i == 0 {
-                        let end = row_ptr[r + 1] as usize - base;
-                        let row = (&mut cols[to..end], &mut weights[to * nm..end * nm]);
+                        let end = chunk.row_ptr[local + 1] as usize;
+                        let row = (
+                            &mut chunk.cols[to..end],
+                            &mut chunk.weights[to * nm..end * nm],
+                        );
                         self.rotate_wrapped(points[r], &cell_of, row);
                     }
                 }
             });
         }
-        ((row_ptr, cols, weights), metrics)
+        (chunks, metrics)
     }
 
     /// Scatters one run of elements into entries, counting-sorted by row.

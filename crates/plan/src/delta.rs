@@ -14,8 +14,10 @@
 //!    periodic image of a dirty box, found as an element finds its points,
 //!    plus the rows of new grid points. The full compile's row compiler
 //!    recompiles them over their points only.
-//! 3. **Splice** ([`PlanDelta::splice`]): copy the kept rows, columns
-//!    renumbered old → new, and insert the recompiled ones.
+//! 3. **Splice** ([`PlanDelta::splice`]): share every row chunk the edit
+//!    left alone (the same rows at the same index, every column its own
+//!    id) with the base plan; rebuild the others from the kept rows,
+//!    columns renumbered old → new, and the recompiled ones.
 //!
 //! **Bitwise guarantee.** A patched plan is a fresh compile of the new
 //! problem, row for row (`tests/plan_patch_prop.rs`). A compiled row holds
@@ -30,8 +32,9 @@
 
 use crate::compile::RowCompiler;
 use crate::key::Fnv1a;
-use crate::plan::EvalPlan;
+use crate::plan::{Chunk, EvalPlan, CHUNK_ROWS, OVERFLOW};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 use ustencil_core::integrate::needed_shifts;
 use ustencil_core::{ComputationGrid, DeltaStats, ExecConfig, Metrics};
@@ -45,7 +48,7 @@ use ustencil_trace::{SpanRecord, Tracer};
 pub const PATCH_SCHEME_LABEL: &str = "plan+patch";
 
 /// Sentinel for "no counterpart" in the diff maps.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Why a plan could not be patched for a given `(mesh, grid, options)`;
 /// callers should fall back to [`EvalPlan::compile`].
@@ -278,7 +281,7 @@ fn points_by_owner(grid: &ComputationGrid, n_elements: usize) -> PointsByOwner {
     PointsByOwner { offsets, items }
 }
 
-/// The computed patch: recompiled CSR fragments for the dirty closure plus
+/// The computed patch: recompiled row chunks for the dirty closure plus
 /// the renumbering maps, ready to be spliced into the base plan. Produced
 /// by [`EvalPlan::patch`]; independent of the base plan's storage, so one
 /// delta can be spliced into any clone of the base.
@@ -287,13 +290,12 @@ pub struct PlanDelta {
     new_rows: usize,
     new_elements: usize,
     /// New grid point ids whose rows were recompiled, ascending.
-    frag_rows: Vec<u32>,
-    frag_row_ptr: Vec<u64>,
-    /// New element ids.
-    frag_cols: Vec<u32>,
-    frag_weights: Vec<f64>,
-    row_source: Vec<u32>,
-    elem_map: Vec<u32>,
+    pub(crate) frag_rows: Vec<u32>,
+    /// The recompiled rows, `frag_rows[i]`'s at row `i` of the chunks;
+    /// columns are new element ids.
+    pub(crate) frag: Vec<Chunk>,
+    pub(crate) row_source: Vec<u32>,
+    pub(crate) elem_map: Vec<u32>,
     dirty_elements: u64,
     discover_ms: f64,
     metrics: Metrics,
@@ -307,9 +309,9 @@ impl PlanDelta {
         self.frag_rows.len()
     }
 
-    /// CSR entries in the recompiled rows.
+    /// Stored entries in the recompiled rows.
     pub fn respliced_nnz(&self) -> usize {
-        self.frag_cols.len()
+        self.frag.iter().map(|c| c.cols.len()).sum()
     }
 
     /// Elements in the dirty set the patch was computed for.
@@ -334,15 +336,15 @@ impl PlanDelta {
         }
     }
 
-    /// Splices the delta into `base`, producing the patched plan: kept rows
-    /// are copied with columns renumbered, recompiled fragments replace the
-    /// dirty rows, vanished rows/columns are compacted out and new ones
-    /// appended.
+    /// Splices the delta into `base`, producing the patched plan. A chunk
+    /// whose rows all kept their index and columns is the base's, shared;
+    /// the others are rebuilt from the kept rows, columns renumbered, and
+    /// the recompiled ones (vanished rows dropped, new ones appended).
     ///
     /// # Panics
     /// Panics when a kept row references a vanished element — that would
     /// mean the footprint closure missed a dependency, which the property
-    /// suite asserts never happens.
+    /// suite asserts never happens. Shared chunks are checked too.
     pub fn splice(&self, base: &EvalPlan) -> EvalPlan {
         let nm = base.n_modes;
         // Fragment lookup by new point id.
@@ -350,41 +352,69 @@ impl PlanDelta {
         for (i, &p) in self.frag_rows.iter().enumerate() {
             frag_of[p as usize] = i as u32;
         }
-
-        let nnz_guess = base.cols.len() + self.frag_cols.len();
-        let mut row_ptr: Vec<u64> = Vec::with_capacity(self.new_rows + 1);
-        let mut cols: Vec<u32> = Vec::with_capacity(nnz_guess);
-        let mut weights: Vec<f64> = Vec::with_capacity(nnz_guess * nm);
-        row_ptr.push(0);
-
+        let renumber = |src: usize, c: u32| {
+            let nc = self.elem_map[c as usize];
+            assert!(
+                nc != NONE,
+                "kept row {src} references a vanished element: \
+                 the dirty closure missed a dependency"
+            );
+            nc
+        };
         // Row r is grid point r: a recompiled fragment where the closure
-        // caught it, otherwise its old row with columns renumbered.
-        for (r, &f) in frag_of.iter().enumerate() {
-            if f != NONE {
-                let f = f as usize;
-                let (lo, hi) = (
-                    self.frag_row_ptr[f] as usize,
-                    self.frag_row_ptr[f + 1] as usize,
-                );
-                cols.extend_from_slice(&self.frag_cols[lo..hi]);
-                weights.extend_from_slice(&self.frag_weights[lo * nm..hi * nm]);
-            } else {
+        // caught it, otherwise its old row (`Some(old row)`).
+        let source = |r: usize| match frag_of[r] {
+            NONE => {
                 let src = self.row_source[r];
                 debug_assert!(src != NONE, "unsourced row {r} missing from fragments");
-                let (lo, hi) = base.row_range(src as usize);
-                for &c in &base.cols[lo..hi] {
-                    let nc = self.elem_map[c as usize];
-                    assert!(
-                        nc != NONE,
-                        "kept row {src} references a vanished element: \
-                         the dirty closure missed a dependency"
-                    );
-                    cols.push(nc);
-                }
-                weights.extend_from_slice(&base.weights[lo * nm..hi * nm]);
+                let (chunk, local) = base.locate(src as usize);
+                let (cols, weights) = chunk.row(local);
+                (cols, weights, Some(src as usize))
             }
-            row_ptr.push(cols.len() as u64);
-        }
+            f => {
+                let f = f as usize;
+                let (cols, weights) = self.frag[f / CHUNK_ROWS].row(f % CHUNK_ROWS);
+                (cols, weights, None)
+            }
+        };
+
+        let chunks = (0..self.new_rows)
+            .step_by(CHUNK_ROWS)
+            .map(|lo| {
+                let rows = lo..(lo + CHUNK_ROWS).min(self.new_rows);
+                // Shared: every row kept at its index, every column its own.
+                let shared = base.chunks.get(lo / CHUNK_ROWS).filter(|c| {
+                    c.rows() == rows.len()
+                        && rows.clone().all(|r| {
+                            frag_of[r] == NONE
+                                && self.row_source[r] as usize == r
+                                && c.row(r - lo).0.iter().all(|&e| renumber(r, e) == e)
+                        })
+                });
+                if let Some(chunk) = shared {
+                    return Arc::clone(chunk);
+                }
+                let nnz = rows.clone().map(|r| source(r).0.len()).sum();
+                let mut chunk = Chunk {
+                    n_modes: nm,
+                    row_ptr: vec![0],
+                    cols: Vec::with_capacity(nnz),
+                    weights: Vec::with_capacity(nnz * nm),
+                };
+                for r in rows {
+                    let (cols, weights, src) = source(r);
+                    match src {
+                        None => chunk.cols.extend_from_slice(cols),
+                        Some(src) => chunk.cols.extend(cols.iter().map(|&c| renumber(src, c))),
+                    }
+                    chunk.weights.extend_from_slice(weights);
+                    chunk
+                        .row_ptr
+                        .push(u32::try_from(chunk.cols.len()).expect(OVERFLOW));
+                }
+                Arc::new(chunk)
+            })
+            .collect();
 
         EvalPlan {
             degree: base.degree,
@@ -392,9 +422,7 @@ impl PlanDelta {
             n_modes: nm,
             n_elements: self.new_elements,
             h: base.h,
-            row_ptr,
-            cols,
-            weights,
+            chunks,
             build_wall: base.build_wall,
             build_spans: self.spans.clone(),
             build_metrics: base.build_metrics,
@@ -467,8 +495,8 @@ impl EvalPlan {
 
         // Recompile the closure through the full compile's row compiler,
         // over the closure's points only, unprobed: patched rows are kept
-        // for their CSR slices and counters only.
-        let ((frag_row_ptr, frag_cols, frag_weights), metrics) = {
+        // for their entries and counters only.
+        let (frag, metrics) = {
             let _span = tracer.span("patch.recompute");
             let frag_points: Vec<Point2> = frag_rows.iter().map(|&r| points[r as usize]).collect();
             let unprobed = ExecConfig {
@@ -482,9 +510,7 @@ impl EvalPlan {
             new_rows: grid.len(),
             new_elements: mesh.n_triangles(),
             frag_rows,
-            frag_row_ptr,
-            frag_cols,
-            frag_weights,
+            frag,
             row_source: dirty.row_source.clone(),
             elem_map: dirty.elem_map.clone(),
             dirty_elements: dirty.dirty_elements(),

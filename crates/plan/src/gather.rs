@@ -4,7 +4,6 @@
 //! each candidate's images summed in shift order and transformed once if
 //! any of them hit.
 
-use crate::compile::Csr;
 use ustencil_core::integrate::{needed_shifts, ElementData, MAX_MODES};
 use ustencil_core::kernel::{ContributionSink, QuadStage, StencilTraversal};
 use ustencil_core::{ExecConfig, Metrics};
@@ -13,13 +12,14 @@ use ustencil_geometry::{Aabb, Point2};
 use ustencil_mesh::TriMesh;
 use ustencil_spatial::{Boundary, TriangleGrid};
 
-/// Compiles one CSR row per point of `points` by point queries.
+/// Compiles one row per point of `points` by point queries, as flat CSR
+/// arrays `(row_ptr, cols, weights)`.
 pub(crate) fn gather_rows(
     mesh: &TriMesh,
     points: &[Point2],
     degree: usize,
     options: &ExecConfig,
-) -> Csr {
+) -> (Vec<u64>, Vec<u32>, Vec<f64>) {
     let basis = DubinerBasis::new(degree);
     let setup = options.resolve(mesh, degree);
     let tri_grid = TriangleGrid::build(mesh, Boundary::Periodic);

@@ -11,7 +11,7 @@
 //!
 //! An [`EvalPlan`] removes it. Compilation runs the per-element discovery
 //! machinery once and folds quadrature × kernel × basis into per-mode
-//! weights, stored in CSR layout: each output point owns a row of
+//! weights, stored as CSR row chunks: each output point owns a row of
 //! `(element, weight[0..n_modes])` entries. Applying the plan to a field is
 //! then a flat, cache-friendly SpMV-style loop:
 //!
@@ -36,9 +36,9 @@
 //!   itself is `ustencil-serve`'s `PlanCache`);
 //! * [`EvalPlan::patch`] / [`EvalPlan::patched`] — after a mesh edit,
 //!   recompile only the rows whose `(3k+1)h` stencil footprint touches the
-//!   dirty region ([`DirtySet::diff`]) and splice them into the existing
-//!   CSR ([`PlanDelta`]), at a fraction of full-compile cost (DESIGN.md
-//!   §16).
+//!   dirty region ([`DirtySet::diff`]) and splice them in ([`PlanDelta`]),
+//!   sharing untouched row chunks, at a fraction of full-compile cost
+//!   (DESIGN.md §16).
 
 #![deny(missing_docs)]
 

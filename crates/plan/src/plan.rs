@@ -1,5 +1,7 @@
-//! The compiled plan: a CSR sparse operator over `(point, element)` pairs.
+//! The compiled plan: a CSR sparse operator over `(point, element)` pairs,
+//! stored as shared row chunks.
 
+use std::sync::Arc;
 use std::time::Duration;
 use ustencil_core::{Metrics, PlanStats};
 use ustencil_trace::SpanRecord;
@@ -11,14 +13,54 @@ use ustencil_trace::SpanRecord;
 /// schema, distinguished by this label.
 pub const SCHEME_LABEL: &str = "plan";
 
-/// A compiled evaluation plan.
-///
-/// CSR layout: output point `r` owns entries `row_ptr[r]..row_ptr[r + 1]`;
-/// entry `e` references element `cols[e]` and carries `n_modes` weights at
-/// `weights[e * n_modes..(e + 1) * n_modes]`, one per modal coefficient of
-/// the field. Weights absorb the entire geometric pipeline (clipping, fan
-/// triangulation, quadrature, kernel values, basis transform), so applying
-/// the plan never touches the mesh.
+/// Rows per [`Chunk`]: a splice shares the chunks a patch left alone, so
+/// smaller chunks share more. 256 splices as fast as 64 and applies as
+/// fast as flat storage (EXPERIMENTS.md "Incremental recompilation").
+pub(crate) const CHUNK_ROWS: usize = 256;
+
+/// Why a chunk failed to build: its entries overflow its `u32` row starts.
+pub(crate) const OVERFLOW: &str = "chunk entries overflow u32";
+
+/// [`CHUNK_ROWS`] consecutive rows of a plan (fewer in the last chunk) in
+/// CSR form: local row `r` owns entries `row_ptr[r]..row_ptr[r + 1]`;
+/// entry `e` reads element `cols[e]` with the `n_modes` weights
+/// `weights[e * n_modes..(e + 1) * n_modes]`, one per modal coefficient.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Chunk {
+    pub(crate) n_modes: usize,
+    pub(crate) row_ptr: Vec<u32>,
+    pub(crate) cols: Vec<u32>,
+    pub(crate) weights: Vec<f64>,
+}
+
+impl Chunk {
+    /// Rows held.
+    #[inline]
+    pub(crate) fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// The half-open entry range of local row `r`.
+    #[inline]
+    pub(crate) fn range(&self, r: usize) -> (usize, usize) {
+        (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize)
+    }
+
+    /// Local row `r`'s columns and weights.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = self.range(r);
+        let nm = self.n_modes;
+        (&self.cols[lo..hi], &self.weights[lo * nm..hi * nm])
+    }
+}
+
+/// A compiled evaluation plan: one row per output point, each a list of
+/// `(element, weight[0..n_modes])` entries, held in chunks of 256 rows
+/// behind `Arc`s so a patched plan shares the chunks its patch left alone
+/// with its base. Weights absorb the entire geometric
+/// pipeline (clipping, fan triangulation, quadrature, kernel values, basis
+/// transform), so applying the plan never touches the mesh.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalPlan {
     pub(crate) degree: usize,
@@ -26,12 +68,8 @@ pub struct EvalPlan {
     pub(crate) n_modes: usize,
     pub(crate) n_elements: usize,
     pub(crate) h: f64,
-    /// Row starts; `rows + 1` entries, `row_ptr[0] == 0`.
-    pub(crate) row_ptr: Vec<u64>,
-    /// Element index of each entry.
-    pub(crate) cols: Vec<u32>,
-    /// Entry-major weights, `nnz * n_modes` values.
-    pub(crate) weights: Vec<f64>,
+    /// Row `r` is local row `r % CHUNK_ROWS` of chunk `r / CHUNK_ROWS`.
+    pub(crate) chunks: Vec<Arc<Chunk>>,
     /// Wall-clock time of compilation.
     pub(crate) build_wall: Duration,
     /// Compilation phase spans (empty unless instrumented).
@@ -80,41 +118,43 @@ impl EvalPlan {
     /// Output rows (grid points).
     #[inline]
     pub fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK_ROWS + c.rows())
     }
 
     /// Stored `(point, element)` entries.
-    #[inline]
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.chunks.iter().map(|c| c.cols.len()).sum()
     }
 
-    /// CSR column ids (the element each stored entry reads), concatenated
-    /// across rows. The distributed runtime scans this to learn which
+    /// Column ids (the element each stored entry reads), concatenated
+    /// across rows. The distributed runtime scans these to learn which
     /// non-owned elements a rank's rows reference — its halo set.
-    #[inline]
-    pub fn cols(&self) -> &[u32] {
-        &self.cols
+    pub fn cols(&self) -> impl Iterator<Item = u32> + '_ {
+        self.chunks.iter().flat_map(|c| c.cols.iter().copied())
     }
 
-    /// In-memory size of the CSR arrays in bytes.
+    /// In-memory size of the plan's arrays in bytes: its logical size,
+    /// counting every chunk whether or not another plan shares it.
     pub fn bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<u64>()
-            + self.cols.len() * std::mem::size_of::<u32>()
-            + self.weights.len() * std::mem::size_of::<f64>()
+        let bytes = |c: &Arc<Chunk>| 4 * (c.row_ptr.len() + c.cols.len()) + 8 * c.weights.len();
+        self.chunks.iter().map(bytes).sum()
     }
 
     /// The stored weights as raw IEEE-754 bit patterns, entry-major. This
     /// is the bit-exactness surface: two plans evaluate identically iff
     /// their structure matches and these streams are equal.
     pub fn weights_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        self.weights.iter().map(|w| w.to_bits())
+        self.chunks
+            .iter()
+            .flat_map(|c| c.weights.iter().map(|w| w.to_bits()))
     }
 
-    /// The half-open entry range of row `r`.
+    /// The chunk holding row `r`, and `r`'s row in it.
     #[inline]
-    pub(crate) fn row_range(&self, r: usize) -> (usize, usize) {
-        (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize)
+    pub(crate) fn locate(&self, r: usize) -> (&Chunk, usize) {
+        (&self.chunks[r / CHUNK_ROWS], r % CHUNK_ROWS)
     }
 
     /// The element columns row `r` reads, in stored (execution) order:
@@ -122,8 +162,8 @@ impl EvalPlan {
     /// interior/frontier row classification.
     #[inline]
     pub fn row_cols(&self, r: usize) -> &[u32] {
-        let (lo, hi) = self.row_range(r);
-        &self.cols[lo..hi]
+        let (chunk, r) = self.locate(r);
+        chunk.row(r).0
     }
 
     /// Wall-clock time spent compiling.

@@ -2,8 +2,11 @@
 //! (cross-scheme equivalence properties live in the workspace-level
 //! `tests/plan_equivalence_prop.rs`).
 
+use crate::delta::NONE;
 use crate::gather::gather_rows;
-use crate::{DirtySet, EvalPlan, PatchError, SCHEME_LABEL};
+use crate::plan::{Chunk, CHUNK_ROWS};
+use crate::{DirtySet, EvalPlan, PatchError, PlanDelta, SCHEME_LABEL};
+use std::sync::Arc;
 use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_geometry::Point2;
@@ -14,6 +17,19 @@ fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, C
     let field = project_l2(&mesh, p, |x, y| 0.2 + x - 0.5 * y + x * y, 2);
     let grid = ComputationGrid::quadrature_points(&mesh, p);
     (mesh, field, grid)
+}
+
+/// Each row's entry count: the structure a plan's row starts encode.
+fn row_lens(plan: &EvalPlan) -> Vec<usize> {
+    (0..plan.rows()).map(|r| plan.row_cols(r).len()).collect()
+}
+
+/// Two plans are the same operator bit for bit: the same rows, the same
+/// columns in the same order, the same weight bits.
+fn assert_bitwise(a: &EvalPlan, b: &EvalPlan) {
+    assert_eq!(row_lens(a), row_lens(b), "row lengths");
+    assert!(a.cols().eq(b.cols()), "columns");
+    assert!(a.weights_bits().eq(b.weights_bits()), "weight bits");
 }
 
 fn small_options() -> ExecConfig {
@@ -64,7 +80,8 @@ fn plan_shape_and_stats_are_consistent() {
     assert_eq!(stats.nnz, plan.nnz() as u64);
     assert_eq!(
         stats.bytes,
-        (8 * (plan.rows() + 1) + 4 * plan.nnz() + 8 * plan.nnz() * plan.n_modes()) as u64
+        (4 * (plan.rows() + plan.chunks.len()) + 4 * plan.nnz() + 8 * plan.nnz() * plan.n_modes())
+            as u64
     );
     assert!(stats.build_ms > 0.0);
     // The compile pass counted real geometric work.
@@ -92,25 +109,20 @@ fn parallel_and_sequential_compile_agree_exactly() {
         },
     );
     // Blocking only changes who computes each row, not what is computed:
-    // the CSR arrays must be bit-identical.
-    assert_eq!(seq.row_ptr, par.row_ptr);
-    assert_eq!(seq.cols, par.cols);
-    assert_eq!(
-        seq.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-        par.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-    );
+    // the plans must be bit-identical.
+    assert_bitwise(&seq, &par);
 }
 
 /// Holds a plan to the gather compile (`gather.rs`) of the same rows: the
-/// same row pointers, the same columns in the same order, the same weight
+/// same row lengths, the same columns in the same order, the same weight
 /// bits.
 fn assert_is_gather(plan: &EvalPlan, mesh: &TriMesh, points: &[Point2], options: &ExecConfig) {
     let (row_ptr, cols, weights) = gather_rows(mesh, points, plan.degree, options);
-    assert_eq!(plan.row_ptr, row_ptr, "{options:?}: row pointers");
-    assert_eq!(plan.cols, cols, "{options:?}: columns");
-    let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    let lens: Vec<usize> = row_ptr.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
+    assert_eq!(row_lens(plan), lens, "{options:?}: row lengths");
+    assert!(plan.cols().eq(cols), "{options:?}: columns");
     assert!(
-        bits(&plan.weights) == bits(&weights),
+        plan.weights_bits().eq(weights.iter().map(|w| w.to_bits())),
         "{options:?}: weights"
     );
 }
@@ -310,8 +322,8 @@ fn simd_policies_agree_on_plan_compile_and_apply() {
             );
             // The ISA perturbs weights at rounding level only — never the
             // CSR structure (clipping is pure geometry).
-            assert_eq!(plan.row_ptr, scalar_plan.row_ptr);
-            assert_eq!(plan.cols, scalar_plan.cols);
+            assert_eq!(row_lens(&plan), row_lens(&scalar_plan));
+            assert!(plan.cols().eq(scalar_plan.cols()));
             let sol = plan.apply_with(
                 &field,
                 &ExecConfig {
@@ -440,13 +452,7 @@ fn clean_diff_patches_to_the_identical_plan() {
         .expect("clean patch applies");
     assert_eq!(delta.respliced_rows, 0);
     assert_eq!(delta.respliced_nnz, 0);
-    assert_eq!(patched.row_ptr, plan.row_ptr);
-    assert_eq!(patched.cols, plan.cols);
-    assert!(patched
-        .weights
-        .iter()
-        .zip(&plan.weights)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert_bitwise(&patched, &plan);
 }
 
 #[test]
@@ -472,13 +478,7 @@ fn patched_plan_matches_fresh_compile_after_displacement() {
     // …and the result is bit-for-bit the fresh compile: kept rows reuse
     // identical CSR content, recomputed rows replay the same block kernel.
     let fresh = EvalPlan::compile(&moved, &moved_grid, 2, &small_options());
-    assert_eq!(patched.row_ptr, fresh.row_ptr);
-    assert_eq!(patched.cols, fresh.cols);
-    assert!(patched
-        .weights
-        .iter()
-        .zip(&fresh.weights)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert_bitwise(&patched, &fresh);
 }
 
 #[test]
@@ -509,13 +509,7 @@ fn patched_plan_matches_fresh_compile_after_refinement() {
     let fresh = EvalPlan::compile(&refined, &refined_grid, 1, &small_options());
     assert_eq!(patched.rows(), fresh.rows());
     assert_eq!(patched.n_elements(), refined.n_triangles());
-    assert_eq!(patched.row_ptr, fresh.row_ptr);
-    assert_eq!(patched.cols, fresh.cols);
-    assert!(patched
-        .weights
-        .iter()
-        .zip(&fresh.weights)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert_bitwise(&patched, &fresh);
 }
 
 #[test]
@@ -558,4 +552,171 @@ fn patch_rejects_kernel_and_shape_mismatches() {
         .patch(&moved, &moved_grid, &stale, &small_options())
         .unwrap_err();
     assert_eq!(err, PatchError::ShapeMismatch);
+}
+
+/// The rows of chunk `c` in a plan of `rows` rows.
+fn chunk_rows(c: usize, rows: usize) -> std::ops::Range<usize> {
+    c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(rows)
+}
+
+/// Whether chunk `c` of `delta` spliced into `base` holds no recompiled
+/// and no renumbered row: every row is the base's row at the same index,
+/// every column its own id, over as many rows as the base's chunk `c`.
+fn untouched(delta: &PlanDelta, base: &EvalPlan, c: usize) -> bool {
+    let rows = chunk_rows(c, delta.row_source.len());
+    base.chunks.get(c).is_some_and(|b| b.rows() == rows.len())
+        && rows.into_iter().all(|r| {
+            delta.frag_rows.binary_search(&(r as u32)).is_err()
+                && delta.row_source[r] as usize == r
+                && base
+                    .row_cols(r)
+                    .iter()
+                    .all(|&e| delta.elem_map[e as usize] == e)
+        })
+}
+
+/// Refines the elements of `mesh` whose centroid lies within 0.002 of
+/// `x`, sparing those on a longest edge so the kernel scale holds.
+fn refine_band(mesh: &TriMesh, xs: &[f64]) -> (TriMesh, ComputationGrid) {
+    let pinned = ustencil_mesh::elements_on_longest_edge(mesh);
+    let band: Vec<u32> = (0..mesh.n_triangles() as u32)
+        .filter(|&e| {
+            let c = mesh.centroid(e as usize);
+            !pinned[e as usize] && xs.iter().any(|x| (c.x - x).abs() <= 0.002)
+        })
+        .collect();
+    let refined = ustencil_mesh::refine_elements(mesh, &band);
+    let grid = ComputationGrid::quadrature_points(&refined, 1);
+    (refined, grid)
+}
+
+/// A refined band advancing across a 4k mesh the way `reproduce amr`
+/// drives it (0.004 wide, 0.008 a frame): each patched plan is bitwise a
+/// fresh compile and shares with its base exactly the chunks that hold no
+/// recompiled or renumbered row, and some chunks are shared.
+#[test]
+fn moving_front_patches_share_untouched_chunks() {
+    let base = generate_mesh(MeshClass::LowVariance, 4000, 2013);
+    let options = small_options();
+    let frame = |t: usize| refine_band(&base, &[0.25 + 0.008 * t as f64]);
+    let (mut mesh, mut grid) = frame(0);
+    let mut plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    for t in 1..=3 {
+        let (next_mesh, next_grid) = frame(t);
+        let dirty = DirtySet::diff(&mesh, &grid, &next_mesh, &next_grid);
+        let delta = plan
+            .patch(&next_mesh, &next_grid, &dirty, &options)
+            .unwrap();
+        let patched = delta.splice(&plan);
+        assert_bitwise(
+            &patched,
+            &EvalPlan::compile(&next_mesh, &next_grid, 1, &options),
+        );
+        let mut shared = 0;
+        for (c, chunk) in patched.chunks.iter().enumerate() {
+            let is_shared = plan.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk));
+            assert_eq!(
+                is_shared,
+                untouched(&delta, &plan, c),
+                "frame {t}, chunk {c}"
+            );
+            shared += usize::from(is_shared);
+        }
+        assert!(shared > 0, "frame {t}: no chunk shared");
+        (mesh, grid, plan) = (next_mesh, next_grid, patched);
+    }
+}
+
+/// Refining bands A ∪ B, then only B, moves B's tail children to lower
+/// element ids and rows: the chunks holding them are rebuilt though none of
+/// their rows was recompiled, and the plan stays bitwise a fresh compile.
+#[test]
+fn renumbered_survivors_take_the_rebuild_path() {
+    let base = generate_mesh(MeshClass::LowVariance, 4000, 2013);
+    let options = small_options();
+    let (mesh, grid) = refine_band(&base, &[0.25, 0.75]);
+    let (next_mesh, next_grid) = refine_band(&base, &[0.75]);
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    let dirty = DirtySet::diff(&mesh, &grid, &next_mesh, &next_grid);
+    let delta = plan
+        .patch(&next_mesh, &next_grid, &dirty, &options)
+        .unwrap();
+    let renumbered = delta.elem_map.iter().enumerate();
+    assert!(renumbered
+        .filter(|&(e, &m)| m != NONE && m as usize != e)
+        .any(|(e, _)| e >= base.n_triangles()));
+    let patched = delta.splice(&plan);
+    assert_bitwise(
+        &patched,
+        &EvalPlan::compile(&next_mesh, &next_grid, 1, &options),
+    );
+    let mut rebuilt_unpatched = 0;
+    for (c, chunk) in patched.chunks.iter().enumerate() {
+        let is_shared = plan.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk));
+        assert_eq!(is_shared, untouched(&delta, &plan, c), "chunk {c}");
+        let rows = chunk_rows(c, patched.rows());
+        let recompiled = rows
+            .into_iter()
+            .any(|r| delta.frag_rows.binary_search(&(r as u32)).is_ok());
+        rebuilt_unpatched += usize::from(!is_shared && !recompiled);
+    }
+    assert!(
+        rebuilt_unpatched > 0,
+        "no chunk rebuilt for renumbering alone"
+    );
+}
+
+/// The splice checks a chunk it shares as it checks one it rebuilds: drop
+/// the one recompiled row of an otherwise untouched chunk from the delta,
+/// and the base's row it falls back to reads a displaced element.
+#[test]
+#[should_panic(expected = "dirty closure missed a dependency")]
+fn splice_checks_the_chunks_it_shares() {
+    let (mesh, _, grid) = setup(4000, 1, 23);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    let moved = ustencil_mesh::displace_band(&mesh, 0.2, 0.204, 0.2, 3);
+    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
+    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
+    let mut delta = plan.patch(&moved, &moved_grid, &dirty, &options).unwrap();
+    let is_frag = |r: usize| delta.frag_rows.binary_search(&(r as u32)).is_ok();
+    let c = (0..plan.chunks.len())
+        .find(|&c| {
+            let rows = chunk_rows(c, plan.rows());
+            rows.clone().all(|r| delta.row_source[r] as usize == r)
+                && rows.filter(|&r| is_frag(r)).count() == 1
+        })
+        .expect("a chunk with one recompiled row");
+    let f = (delta.frag_rows.iter())
+        .position(|&r| r as usize / CHUNK_ROWS == c)
+        .unwrap();
+    let dropped = delta.frag_rows[f] as usize;
+    assert!(plan
+        .row_cols(dropped)
+        .iter()
+        .any(|&e| delta.elem_map[e as usize] == NONE));
+    // Drop row `f`, packing the other recompiled rows into chunks again.
+    let rows: Vec<_> = (0..delta.frag_rows.len())
+        .filter(|&i| i != f)
+        .map(|i| delta.frag[i / CHUNK_ROWS].row(i % CHUNK_ROWS))
+        .map(|(cols, weights)| (cols.to_vec(), weights.to_vec()))
+        .collect();
+    delta.frag = (rows.chunks(CHUNK_ROWS))
+        .map(|part| {
+            let mut chunk = Chunk {
+                n_modes: plan.n_modes,
+                row_ptr: vec![0],
+                cols: Vec::new(),
+                weights: Vec::new(),
+            };
+            for (cols, weights) in part {
+                chunk.cols.extend_from_slice(cols);
+                chunk.weights.extend_from_slice(weights);
+                chunk.row_ptr.push(chunk.cols.len() as u32);
+            }
+            chunk
+        })
+        .collect();
+    delta.frag_rows.remove(f);
+    let _ = delta.splice(&plan);
 }
