@@ -63,15 +63,6 @@ impl Metrics {
         }
         total
     }
-
-    /// Fraction of candidate tests that produced a true intersection.
-    pub fn hit_rate(&self) -> f64 {
-        if self.intersection_tests == 0 {
-            0.0
-        } else {
-            self.true_intersections as f64 / self.intersection_tests as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,16 +106,5 @@ mod tests {
         assert_eq!(Metrics::element_data_values(1), 6);
         assert_eq!(Metrics::element_data_values(2), 9);
         assert_eq!(Metrics::element_data_values(3), 13);
-    }
-
-    #[test]
-    fn hit_rate() {
-        let m = Metrics {
-            intersection_tests: 8,
-            true_intersections: 2,
-            ..Default::default()
-        };
-        assert_eq!(m.hit_rate(), 0.25);
-        assert_eq!(Metrics::default().hit_rate(), 0.0);
     }
 }

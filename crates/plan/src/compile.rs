@@ -59,13 +59,14 @@ impl EvalPlan {
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
         let rows = RowCompiler::new(mesh, degree, options);
-        let (chunks, build_metrics) = rows.compile(grid.points(), options, &tracer);
+        let (chunks, build_metrics) = rows.compile(&rows.order, grid.points(), options, &tracer);
         EvalPlan {
             degree,
             smoothness: rows.setup.k,
             n_modes: rows.basis.n_modes(),
             n_elements: mesh.n_triangles(),
             h: rows.setup.h,
+            isa: rows.setup.isa,
             chunks: chunks.into_iter().map(Arc::new).collect(),
             build_wall: start.elapsed(),
             build_spans: tracer.into_records(),
@@ -75,53 +76,68 @@ impl EvalPlan {
 }
 
 /// Everything the rows of one problem are compiled from: the full compile
-/// and the patch path (`crate::delta`, over its dirty rows' points) both
-/// compile through [`compile`](Self::compile).
+/// and the patch path (`crate::delta`) scatter element lists over point
+/// lists through [`compile`](Self::compile).
 pub(crate) struct RowCompiler<'a> {
     mesh: &'a TriMesh,
     basis: DubinerBasis,
     pub(crate) setup: KernelSetup,
     tri_grid: TriangleGrid,
+    /// Every element in the triangle grid's storage order.
+    pub(crate) order: Vec<u32>,
+    /// Each element's storage cell, `iy * n + ix`.
+    cell_of: Vec<u32>,
 }
 
 impl<'a> RowCompiler<'a> {
     /// Resolves `options` once, so every block — and every patch recompile
     /// under the same options — runs the same kernel on the same ISA.
     pub(crate) fn new(mesh: &'a TriMesh, degree: usize, options: &ExecConfig) -> Self {
-        RowCompiler {
-            mesh,
-            basis: DubinerBasis::new(degree),
-            setup: options.resolve(mesh, degree),
-            tri_grid: TriangleGrid::build(mesh, Boundary::Periodic),
-        }
-    }
-
-    /// Compiles one row per entry of `points` (row `i` is the stencil
-    /// centered at `points[i]`), in `config.n_blocks` element blocks, into
-    /// [`CHUNK_ROWS`]-row chunks.
-    pub(crate) fn compile(
-        &self,
-        points: &[Point2],
-        config: &ExecConfig,
-        tracer: &Tracer,
-    ) -> (Vec<Chunk>, Metrics) {
-        let grid = self.tri_grid.grid();
+        let tri_grid = TriangleGrid::build(mesh, Boundary::Periodic);
+        let (grid, mut order, mut cell_of) =
+            (tri_grid.grid(), Vec::new(), vec![0; mesh.n_triangles()]);
         let n = grid.cells_per_side();
-        let (mut order, mut cell_of) = (Vec::new(), vec![0; self.mesh.n_triangles()]);
         for cell in 0..n * n {
             for &e in grid.cell_items(cell % n, cell / n) {
                 order.push(e);
                 cell_of[e as usize] = cell as u32;
             }
         }
+        RowCompiler {
+            mesh,
+            basis: DubinerBasis::new(degree),
+            setup: options.resolve(mesh, degree),
+            tri_grid,
+            order,
+            cell_of,
+        }
+    }
+
+    /// Element `e`'s place in storage order: its cell, then its id.
+    #[inline]
+    pub(crate) fn storage_key(&self, e: u32) -> u64 {
+        (self.cell_of[e as usize] as u64) << 32 | e as u64
+    }
+
+    /// Compiles one row per entry of `points` (row `i` is the stencil
+    /// centered at `points[i]`) from the entries of `elements`, a
+    /// subsequence of [`order`](Self::order), scattered in
+    /// `config.n_blocks` runs, into [`CHUNK_ROWS`]-row chunks.
+    pub(crate) fn compile(
+        &self,
+        elements: &[u32],
+        points: &[Point2],
+        config: &ExecConfig,
+        tracer: &Tracer,
+    ) -> (Vec<Chunk>, Metrics) {
         let point_grid =
             PointGrid::build_half_edge(points, self.mesh.max_edge_length(), Boundary::Clamped);
         let blocks = {
             let _span = tracer.span("compile.rows");
-            let bounds = block_bounds(order.len(), config.n_blocks);
+            let bounds = block_bounds(elements.len(), config.n_blocks);
             blocks::map(bounds, config.parallel, |(s, e)| {
                 BlockStats::measure(config.instrument, (e - s) as u64, |probe| {
-                    self.block(&order[s..e], points, &point_grid, probe)
+                    self.block(&elements[s..e], points, &point_grid, probe)
                 })
             })
         };
@@ -171,7 +187,7 @@ impl<'a> RowCompiler<'a> {
                             &mut chunk.cols[to..end],
                             &mut chunk.weights[to * nm..end * nm],
                         );
-                        self.rotate_wrapped(points[r], &cell_of, row);
+                        self.rotate_wrapped(points[r], row);
                     }
                 }
             });
@@ -215,7 +231,7 @@ impl<'a> RowCompiler<'a> {
     /// cell `(iy, ix)`, into the order `TriangleGrid::for_each_candidate`
     /// visits cells: cell rows from the window's first, `y0`, on, then in
     /// each the columns from `x0` on. Both are stable rotations.
-    fn rotate_wrapped(&self, center: Point2, cell_of: &[u32], row: (&mut [u32], &mut [f64])) {
+    pub(crate) fn rotate_wrapped(&self, center: Point2, row: (&mut [u32], &mut [f64])) {
         let (cols, weights) = row;
         let (grid, nm) = (self.tri_grid.grid(), self.basis.n_modes());
         let n = grid.cells_per_side();
@@ -223,7 +239,7 @@ impl<'a> RowCompiler<'a> {
         let reach = self.setup.stencil.width() / 2.0 + grid.cell_size();
         let (x0, xc) = grid.axis_span(center.x - reach, center.x + reach);
         let (y0, yc) = grid.axis_span(center.y - reach, center.y + reach);
-        let cell = |cols: &[u32], k: usize| cell_of[cols[k] as usize] as usize;
+        let cell = |cols: &[u32], k: usize| self.cell_of[cols[k] as usize] as usize;
         let rotate = |cols: &mut [u32], weights: &mut [f64], lo: usize, hi: usize, mid| {
             cols[lo..hi].rotate_left(mid);
             weights[lo * nm..hi * nm].rotate_left(mid * nm);

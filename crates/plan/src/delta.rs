@@ -12,30 +12,34 @@
 //!    AABBs behind; unmatched new elements are the changed set.
 //! 2. **Closure** ([`EvalPlan::patch`]): the rows whose support meets a
 //!    periodic image of a dirty box, found as an element finds its points,
-//!    plus the rows of new grid points. The full compile's row compiler
-//!    recompiles them over their points only.
+//!    plus the rows of new grid points, which rerun full discovery. Eq. 2
+//!    sums independent `(point, element)` integrals, so every other closure
+//!    row is its base row (vanished elements dropped, survivors renumbered)
+//!    merged with the pairs the changed elements alone scatter onto it.
 //! 3. **Splice** ([`PlanDelta::splice`]): share every row chunk the edit
 //!    left alone (the same rows at the same index, every column its own
 //!    id) with the base plan; rebuild the others from the kept rows,
-//!    columns renumbered old → new, and the recompiled ones.
+//!    columns renumbered old → new, and the closure's.
 //!
 //! **Bitwise guarantee.** A patched plan is a fresh compile of the new
 //! problem, row for row (`tests/plan_patch_prop.rs`). A compiled row holds
 //! its point's entries in the triangle grid's storage order rotated to its
-//! candidate window (`compile.rs`), which depends on that point alone, so
-//! a recompiled row is the fresh row. A kept row is too: every element it
-//! overlaps matched with identical bits, monotonically, over the same cell
-//! geometry (the cell size derives from the unchanged longest edge). The
-//! patch refuses ([`PatchError`]) when the kernel scale `h = h_factor ·
-//! max_edge` changes bits or the options disagree with the plan; callers
-//! fall back to a full compile.
+//! candidate window (`compile.rs`), and an entry's weights are a function
+//! of the point's and the element's bits and the kernel alone. A surviving
+//! element matched with identical bits, monotonically, over the same cell
+//! geometry (the cell size derives from the unchanged longest edge), so it
+//! keeps its weights and its place: a merged row is the fresh row. The
+//! patch refuses ([`PatchError`]) when `h = h_factor · max_edge` changes
+//! bits or the options (smoothness, SIMD ISA) disagree with the plan;
+//! callers fall back to a full compile.
 
 use crate::compile::RowCompiler;
 use crate::key::Fnv1a;
-use crate::plan::{Chunk, EvalPlan, CHUNK_ROWS, OVERFLOW};
+use crate::plan::{chunk_row, Chunk, EvalPlan, CHUNK_ROWS};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use ustencil_core::blocks;
 use ustencil_core::integrate::needed_shifts;
 use ustencil_core::{ComputationGrid, DeltaStats, ExecConfig, Metrics};
 use ustencil_geometry::{Aabb, Point2, Rect};
@@ -58,8 +62,8 @@ pub enum PatchError {
     /// pattern, so *every* stored weight is stale, not just the dirty
     /// region's.
     KernelChanged,
-    /// The compile options (the kernel smoothness) disagree with what the
-    /// plan was compiled with.
+    /// The compile options (the kernel smoothness, or the SIMD ISA the
+    /// policy resolves to) disagree with what the plan was compiled with.
     OptionsMismatch,
     /// The dirty set was diffed against a different problem than the one
     /// being patched (element/row counts disagree).
@@ -68,17 +72,11 @@ pub enum PatchError {
 
 impl std::fmt::Display for PatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PatchError::KernelChanged => {
-                write!(f, "kernel scale h changed; all weights are stale")
-            }
-            PatchError::OptionsMismatch => {
-                write!(f, "compile options disagree with the plan's")
-            }
-            PatchError::ShapeMismatch => {
-                write!(f, "dirty set does not describe this plan's problem")
-            }
-        }
+        f.write_str(match self {
+            PatchError::KernelChanged => "kernel scale h changed; all weights are stale",
+            PatchError::OptionsMismatch => "compile options disagree with the plan's",
+            PatchError::ShapeMismatch => "dirty set does not describe this plan's problem",
+        })
     }
 }
 
@@ -319,7 +317,8 @@ impl PlanDelta {
         self.dirty_elements
     }
 
-    /// Work counters of the recompilation pass (closure rows only).
+    /// Work counters of the new grid points' full discovery and the changed
+    /// elements' scatter: `solution_writes` is one per pair integrated.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -367,13 +366,11 @@ impl PlanDelta {
             NONE => {
                 let src = self.row_source[r];
                 debug_assert!(src != NONE, "unsourced row {r} missing from fragments");
-                let (chunk, local) = base.locate(src as usize);
-                let (cols, weights) = chunk.row(local);
+                let (cols, weights) = chunk_row(&base.chunks, src as usize);
                 (cols, weights, Some(src as usize))
             }
             f => {
-                let f = f as usize;
-                let (cols, weights) = self.frag[f / CHUNK_ROWS].row(f % CHUNK_ROWS);
+                let (cols, weights) = chunk_row(&self.frag, f as usize);
                 (cols, weights, None)
             }
         };
@@ -395,12 +392,7 @@ impl PlanDelta {
                     return Arc::clone(chunk);
                 }
                 let nnz = rows.clone().map(|r| source(r).0.len()).sum();
-                let mut chunk = Chunk {
-                    n_modes: nm,
-                    row_ptr: vec![0],
-                    cols: Vec::with_capacity(nnz),
-                    weights: Vec::with_capacity(nnz * nm),
-                };
+                let mut chunk = Chunk::with_capacity(nm, nnz);
                 for r in rows {
                     let (cols, weights, src) = source(r);
                     match src {
@@ -408,9 +400,7 @@ impl PlanDelta {
                         Some(src) => chunk.cols.extend(cols.iter().map(|&c| renumber(src, c))),
                     }
                     chunk.weights.extend_from_slice(weights);
-                    chunk
-                        .row_ptr
-                        .push(u32::try_from(chunk.cols.len()).expect(OVERFLOW));
+                    chunk.end_row();
                 }
                 Arc::new(chunk)
             })
@@ -422,6 +412,7 @@ impl PlanDelta {
             n_modes: nm,
             n_elements: self.new_elements,
             h: base.h,
+            isa: base.isa,
             chunks,
             build_wall: base.build_wall,
             build_spans: self.spans.clone(),
@@ -432,7 +423,7 @@ impl PlanDelta {
 
 impl EvalPlan {
     /// Computes the patch for a mesh edit: the footprint closure of the
-    /// dirty set and the recompiled rows inside it. Pure discovery — splice
+    /// dirty set and its rows, rebuilt pair by pair. Pure discovery — splice
     /// the result with [`PlanDelta::splice`], or use [`EvalPlan::patched`]
     /// for the one-call version.
     ///
@@ -447,7 +438,9 @@ impl EvalPlan {
         options: &ExecConfig,
     ) -> Result<PlanDelta, PatchError> {
         let started = Instant::now();
-        if options.smoothness_for(self.degree) != self.smoothness {
+        if options.smoothness_for(self.degree) != self.smoothness
+            || options.simd.resolve() != self.isa
+        {
             return Err(PatchError::OptionsMismatch);
         }
         if dirty.old_elements != self.n_elements
@@ -493,18 +486,71 @@ impl EvalPlan {
             .filter(|&r| recompute[r as usize])
             .collect();
 
-        // Recompile the closure through the full compile's row compiler,
-        // over the closure's points only, unprobed: patched rows are kept
-        // for their entries and counters only.
-        let (frag, metrics) = {
-            let _span = tracer.span("patch.recompute");
-            let frag_points: Vec<Point2> = frag_rows.iter().map(|&r| points[r as usize]).collect();
-            let unprobed = ExecConfig {
-                instrument: false,
-                ..*options
-            };
-            rows.compile(&frag_points, &unprobed, &Tracer::new(false))
+        // Unprobed: the closure's rows are kept for entries and counters.
+        let unprobed = ExecConfig {
+            instrument: false,
+            ..*options
         };
+        let (new_rows, kept_rows): (Vec<u32>, Vec<u32>) = frag_rows
+            .iter()
+            .partition(|&&r| dirty.row_source[r as usize] == NONE);
+        let at = |ids: &[u32]| -> Vec<Point2> { ids.iter().map(|&r| points[r as usize]).collect() };
+        let (fresh, fresh_metrics) = {
+            let _span = tracer.span("patch.recompute");
+            rows.compile(&rows.order, &at(&new_rows), &unprobed, &Tracer::new(false))
+        };
+        let (scattered, scatter_metrics) = {
+            let _span = tracer.span("patch.scatter");
+            let mut changed = dirty.changed.clone();
+            changed.sort_unstable_by_key(|&e| rows.storage_key(e));
+            rows.compile(&changed, &at(&kept_rows), &unprobed, &Tracer::new(false))
+        };
+
+        // Merge a closure chunk per task: a new point's row is fresh; a kept
+        // row, its survivors and changed pairs in storage order, rotated.
+        let frag = {
+            let _span = tracer.span("patch.merge");
+            let nm = self.n_modes;
+            let starts = (0..frag_rows.len()).step_by(CHUNK_ROWS).collect();
+            blocks::map(starts, options.parallel, |lo| {
+                let (mut chunk, mut keys) = (Chunk::with_capacity(nm, 0), Vec::new());
+                for &r in &frag_rows[lo..(lo + CHUNK_ROWS).min(frag_rows.len())] {
+                    if let Ok(i) = new_rows.binary_search(&r) {
+                        let (cols, weights) = chunk_row(&fresh, i);
+                        chunk.cols.extend_from_slice(cols);
+                        chunk.weights.extend_from_slice(weights);
+                        chunk.end_row();
+                        continue;
+                    }
+                    let base = chunk_row(&self.chunks, dirty.row_source[r as usize] as usize);
+                    let added = chunk_row(&scattered, kept_rows.binary_search(&r).unwrap());
+                    let survivors = base.0.iter().map(|&c| dirty.elem_map[c as usize]);
+                    let entries = survivors.chain(added.0.iter().copied()).enumerate();
+                    let key = |(k, e)| (e != NONE).then(|| (rows.storage_key(e), k));
+                    keys.clear();
+                    keys.extend(entries.filter_map(key));
+                    keys.sort_unstable();
+                    debug_assert!(
+                        keys.windows(2).all(|w| w[0].0 < w[1].0),
+                        "row {r}: an element both survived and changed"
+                    );
+                    let start = chunk.cols.len();
+                    for &(key, k) in &keys {
+                        let (w, k) = match k.checked_sub(base.0.len()) {
+                            None => (base.1, k),
+                            Some(k) => (added.1, k),
+                        };
+                        chunk.cols.push(key as u32);
+                        chunk.weights.extend_from_slice(&w[k * nm..(k + 1) * nm]);
+                    }
+                    let row = (&mut chunk.cols[start..], &mut chunk.weights[start * nm..]);
+                    rows.rotate_wrapped(points[r as usize], row);
+                    chunk.end_row();
+                }
+                chunk
+            })
+        };
+        let metrics = Metrics::sum([&fresh_metrics, &scatter_metrics]);
 
         Ok(PlanDelta {
             new_rows: grid.len(),

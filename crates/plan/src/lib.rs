@@ -35,9 +35,9 @@
 //! * [`PlanKey`] — the content key a plan is cached under (the cache
 //!   itself is `ustencil-serve`'s `PlanCache`);
 //! * [`EvalPlan::patch`] / [`EvalPlan::patched`] — after a mesh edit,
-//!   recompile only the rows whose `(3k+1)h` stencil footprint touches the
-//!   dirty region ([`DirtySet::diff`]) and splice them in ([`PlanDelta`]),
-//!   sharing untouched row chunks, at a fraction of full-compile cost
+//!   re-integrate only the changed elements' pairs in the rows whose
+//!   `(3k+1)h` footprint touches the dirty region ([`DirtySet::diff`]) and
+//!   splice them in ([`PlanDelta`]), sharing untouched row chunks
 //!   (DESIGN.md §16).
 
 #![deny(missing_docs)]

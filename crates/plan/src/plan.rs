@@ -1,9 +1,10 @@
 //! The compiled plan: a CSR sparse operator over `(point, element)` pairs,
 //! stored as shared row chunks.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
-use ustencil_core::{Metrics, PlanStats};
+use ustencil_core::{Metrics, PlanStats, SimdIsa};
 use ustencil_trace::SpanRecord;
 
 /// The `"scheme"` string plan-based runs carry in `RunReport` JSON.
@@ -34,6 +35,22 @@ pub(crate) struct Chunk {
 }
 
 impl Chunk {
+    /// A chunk of no rows, to append rows to, with room for `nnz` entries.
+    pub(crate) fn with_capacity(n_modes: usize, nnz: usize) -> Chunk {
+        Chunk {
+            n_modes,
+            row_ptr: vec![0],
+            cols: Vec::with_capacity(nnz),
+            weights: Vec::with_capacity(nnz * n_modes),
+        }
+    }
+
+    /// Closes the row of the entries appended since the last row closed.
+    pub(crate) fn end_row(&mut self) {
+        self.row_ptr
+            .push(u32::try_from(self.cols.len()).expect(OVERFLOW));
+    }
+
     /// Rows held.
     #[inline]
     pub(crate) fn rows(&self) -> usize {
@@ -55,6 +72,11 @@ impl Chunk {
     }
 }
 
+/// Row `r`'s columns and weights, of rows stored [`CHUNK_ROWS`] a chunk.
+pub(crate) fn chunk_row<C: Borrow<Chunk>>(chunks: &[C], r: usize) -> (&[u32], &[f64]) {
+    chunks[r / CHUNK_ROWS].borrow().row(r % CHUNK_ROWS)
+}
+
 /// A compiled evaluation plan: one row per output point, each a list of
 /// `(element, weight[0..n_modes])` entries, held in chunks of 256 rows
 /// behind `Arc`s so a patched plan shares the chunks its patch left alone
@@ -68,6 +90,8 @@ pub struct EvalPlan {
     pub(crate) n_modes: usize,
     pub(crate) n_elements: usize,
     pub(crate) h: f64,
+    /// The ISA the weights were reduced on, and a patch must run on.
+    pub(crate) isa: SimdIsa,
     /// Row `r` is local row `r % CHUNK_ROWS` of chunk `r / CHUNK_ROWS`.
     pub(crate) chunks: Vec<Arc<Chunk>>,
     /// Wall-clock time of compilation.
@@ -162,8 +186,7 @@ impl EvalPlan {
     /// interior/frontier row classification.
     #[inline]
     pub fn row_cols(&self, r: usize) -> &[u32] {
-        let (chunk, r) = self.locate(r);
-        chunk.row(r).0
+        chunk_row(&self.chunks, r).0
     }
 
     /// Wall-clock time spent compiling.

@@ -7,7 +7,7 @@ use crate::gather::gather_rows;
 use crate::plan::{Chunk, CHUNK_ROWS};
 use crate::{DirtySet, EvalPlan, PatchError, PlanDelta, SCHEME_LABEL};
 use std::sync::Arc;
-use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdPolicy};
+use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdIsa, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_geometry::Point2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
@@ -554,6 +554,32 @@ fn patch_rejects_kernel_and_shape_mismatches() {
     assert_eq!(err, PatchError::ShapeMismatch);
 }
 
+/// A plan's weights carry the rounding of the ISA they were reduced on, so
+/// a patch under a policy that resolves to another ISA is refused.
+#[test]
+fn patch_rejects_another_simd_isa() {
+    let auto = ExecConfig {
+        simd: SimdPolicy::Auto,
+        ..small_options()
+    };
+    if auto.simd.resolve() == SimdIsa::Scalar {
+        eprintln!("skipped: `Auto` resolves to the scalar ISA on this host");
+        return;
+    }
+    let (mesh, _, grid) = setup(150, 1, 43);
+    let scalar = ExecConfig {
+        simd: SimdPolicy::Scalar,
+        ..small_options()
+    };
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &scalar);
+    let moved = ustencil_mesh::displace_band(&mesh, 0.3, 0.7, 0.2, 3);
+    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
+    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
+    let err = plan.patch(&moved, &moved_grid, &dirty, &auto).unwrap_err();
+    assert_eq!(err, PatchError::OptionsMismatch);
+    assert!(plan.patch(&moved, &moved_grid, &dirty, &scalar).is_ok());
+}
+
 /// The rows of chunk `c` in a plan of `rows` rows.
 fn chunk_rows(c: usize, rows: usize) -> std::ops::Range<usize> {
     c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(rows)
@@ -590,15 +616,37 @@ fn refine_band(mesh: &TriMesh, xs: &[f64]) -> (TriMesh, ComputationGrid) {
     (refined, grid)
 }
 
-/// A refined band advancing across a 4k mesh the way `reproduce amr`
-/// drives it (0.004 wide, 0.008 a frame): each patched plan is bitwise a
-/// fresh compile and shares with its base exactly the chunks that hold no
-/// recompiled or renumbered row, and some chunks are shared.
-#[test]
-fn moving_front_patches_share_untouched_chunks() {
+/// Asserts the patch integrated only the pairs the edit touched: one
+/// entry per column of a new grid point's fresh row, and per changed
+/// column of every other closure row, fewer than the closure rows hold.
+fn assert_pair_work(delta: &PlanDelta, dirty: &DirtySet, fresh: &EvalPlan) {
+    let (mut pairs, mut closure_nnz) = (0, 0);
+    for &r in &delta.frag_rows {
+        let cols = fresh.row_cols(r as usize);
+        closure_nnz += cols.len();
+        pairs += match delta.row_source[r as usize] {
+            NONE => cols.len(),
+            _ => (cols.iter())
+                .filter(|e| dirty.changed().binary_search(e).is_ok())
+                .count(),
+        };
+    }
+    assert_eq!(delta.metrics().solution_writes, pairs as u64);
+    assert!(pairs < closure_nnz, "{pairs} pairs of {closure_nnz}");
+}
+
+/// Drives a refined band (0.004 wide) from `start` on by 0.008 a frame, the
+/// way `reproduce amr` does, over a 4k mesh. Each frame's patched plan is
+/// bitwise a fresh compile, its patch integrated only the pairs the edit
+/// touched, and `check` sees the frame's delta, base plan, patched plan
+/// and grid.
+fn drive_front(
+    start: f64,
+    mut check: impl FnMut(usize, &PlanDelta, &EvalPlan, &EvalPlan, &ComputationGrid),
+) {
     let base = generate_mesh(MeshClass::LowVariance, 4000, 2013);
     let options = small_options();
-    let frame = |t: usize| refine_band(&base, &[0.25 + 0.008 * t as f64]);
+    let frame = |t: usize| refine_band(&base, &[(start + 0.008 * t as f64).fract()]);
     let (mut mesh, mut grid) = frame(0);
     let mut plan = EvalPlan::compile(&mesh, &grid, 1, &options);
     for t in 1..=3 {
@@ -608,23 +656,44 @@ fn moving_front_patches_share_untouched_chunks() {
             .patch(&next_mesh, &next_grid, &dirty, &options)
             .unwrap();
         let patched = delta.splice(&plan);
-        assert_bitwise(
-            &patched,
-            &EvalPlan::compile(&next_mesh, &next_grid, 1, &options),
-        );
+        let fresh = EvalPlan::compile(&next_mesh, &next_grid, 1, &options);
+        assert_bitwise(&patched, &fresh);
+        assert_pair_work(&delta, &dirty, &fresh);
+        check(t, &delta, &plan, &patched, &next_grid);
+        (mesh, grid, plan) = (next_mesh, next_grid, patched);
+    }
+}
+
+/// Each patched plan of a moving front shares with its base exactly the
+/// chunks that hold no recompiled or renumbered row, and some chunks are
+/// shared.
+#[test]
+fn moving_front_patches_share_untouched_chunks() {
+    drive_front(0.25, |t, delta, plan, patched, _| {
         let mut shared = 0;
         for (c, chunk) in patched.chunks.iter().enumerate() {
             let is_shared = plan.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk));
-            assert_eq!(
-                is_shared,
-                untouched(&delta, &plan, c),
-                "frame {t}, chunk {c}"
-            );
+            assert_eq!(is_shared, untouched(delta, plan, c), "frame {t}, chunk {c}");
             shared += usize::from(is_shared);
         }
         assert!(shared > 0, "frame {t}: no chunk shared");
-        (mesh, grid, plan) = (next_mesh, next_grid, patched);
-    }
+    });
+}
+
+/// A front crossing the periodic seam `x = 0/1` merges kept rows whose
+/// candidate windows wrap, so their merged entries must be rotated to the
+/// window's origin as a compiled row's are.
+#[test]
+fn front_across_the_seam_merges_wrapped_rows() {
+    drive_front(0.988, |t, delta, plan, _, grid| {
+        let half = plan.stencil_width() / 2.0;
+        let wrapped = (delta.frag_rows.iter())
+            .filter(|&&r| delta.row_source[r as usize] != NONE)
+            .map(|&r| grid.points()[r as usize].x)
+            .filter(|&x| x < half || x > 1.0 - half)
+            .count();
+        assert!(wrapped > 0, "frame {t}: no kept row's window wraps");
+    });
 }
 
 /// Refining bands A ∪ B, then only B, moves B's tail children to lower
