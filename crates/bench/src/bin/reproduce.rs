@@ -522,7 +522,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
                     std::process::exit(1);
                 });
             // At smoke scale, cross-check the patched plan against an
-            // independent fresh compile: bit-identical CSR content.
+            // independent fresh compile: bit-identical rows and weights.
             if n <= 4_000 {
                 let fresh = EvalPlan::compile(&next_mesh, &next_grid, 1, &options);
                 assert!(

@@ -90,10 +90,6 @@ impl ElemCache {
         }
         &self.data[slot]
     }
-
-    fn clear(&mut self) {
-        self.tags.fill(0);
-    }
 }
 
 /// Everything the staged mode reduction needs beyond the sub-triangles
@@ -553,12 +549,6 @@ impl Scratch {
             cache: ElemCache::new(),
             stage: QuadStage::default(),
         }
-    }
-
-    /// Invalidates the element cache (required when the same arena is
-    /// reused against a different mesh or field).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
     }
 
     /// Current buffer capacities (see [`ScratchCapacity`]).

@@ -111,7 +111,7 @@ json_record! {
         pub nnz: u64,
         /// Weight values per entry (the field's modes per element).
         pub n_modes: u64,
-        /// In-memory size of the plan's CSR arrays, in bytes.
+        /// In-memory size of the plan's arrays, in bytes.
         pub bytes: u64,
         /// Wall-clock milliseconds spent compiling the plan.
         pub build_ms: f64,

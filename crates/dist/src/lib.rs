@@ -38,7 +38,7 @@
 //!   sharded direct per-element scheme ([`run_dist`]): boundary
 //!   coefficients pushed to the peers whose rings hold them, owned ∪ halo
 //!   elements scattered onto owned points, two-stage reduction. [`pull`] is
-//!   the sharded plan path ([`run_plan_dist`]): per-rank CSR compile of
+//!   the sharded plan path ([`run_plan_dist`]): per-rank plan compile of
 //!   owned rows, a pull of exactly the columns the plan stored, row-split
 //!   SpMV — bitwise equal to a global plan apply.
 //!

@@ -1,5 +1,5 @@
 //! The pull work: rank-sharded plan compile and apply. Each rank compiles
-//! the CSR rows of its owned grid points, then applies them as a local
+//! the rows of its owned grid points, then applies them as a local
 //! SpMV over owned + pulled halo coefficients.
 //!
 //! The exchange is *pull*-based, unlike the push work's coefficient
@@ -104,13 +104,15 @@ impl Work for PullWork {
         Payload::Request(local.wanted[peer].clone())
     }
 
-    /// The split is exact: every row lands in one list.
+    /// The split is exact: every row lands in one list, interior iff every
+    /// column its evaluation reads is owned, so the interior pass never
+    /// reads a halo slot.
     fn split(&self, site: &Site, local: &PullLocal) -> Split {
         let (interior, frontier): (Vec<u32>, Vec<u32>) =
             (0..local.plan.rows() as u32).partition(|&row| {
                 local
                     .plan
-                    .row_cols(row as usize)
+                    .read_cols(row as usize)
                     .iter()
                     .all(|&c| site.plan.owner_of(c) as usize == site.rank)
             });
@@ -238,6 +240,23 @@ mod tests {
             let comm = dist.total_comm();
             assert_eq!(comm.msgs_sent, (2 * ranks * (ranks - 1)) as u64);
             assert_eq!(comm.bytes_sent > 0, ranks > 1, "halo pull must move bytes");
+        }
+    }
+
+    #[test]
+    fn sharded_apply_poisons_the_global_apply_rows_on_a_nan_coefficient() {
+        let (mesh, field, grid) = fixture(2000, 1, 17);
+        let global = EvalPlan::compile(&mesh, &grid, 1, &ExecConfig::default());
+        for e in (0..mesh.n_triangles()).step_by(250) {
+            let mut field = field.clone();
+            field.coefficients_mut()[3 * e] = f64::NAN;
+            let reference = global.apply(&field).values;
+            assert!(reference.iter().any(|v| v.is_nan()));
+            let dist = run_plan_dist(&mesh, &field, &grid, &DistOptions::new(2)).unwrap();
+            for (r, (a, b)) in dist.values.iter().zip(&reference).enumerate() {
+                let same = a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+                assert!(same, "NaN on element {e}, row {r}: {a} vs {b}");
+            }
         }
     }
 

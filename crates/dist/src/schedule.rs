@@ -193,7 +193,7 @@ pub struct DistSolution {
     pub metrics: Metrics,
     /// Aggregate shape of the sharded plan (pull path only; `None` for a
     /// direct run), derived from the apply counters: `rows`/`nnz` sum the
-    /// per-rank CSR pieces, `build_ms` and `apply_ms` are critical-path
+    /// per-rank plan pieces, `build_ms` and `apply_ms` are critical-path
     /// (max over ranks) times.
     pub plan_stats: Option<PlanStats>,
     /// Per-rank ledgers.

@@ -1,16 +1,22 @@
-//! Applying a compiled plan to dG fields: the SpMV-style hot loop.
+//! Applying a compiled plan to dG fields: the SpMV-style hot loop, one
+//! element group at a time.
 
-use crate::plan::{Chunk, EvalPlan};
+use crate::plan::{Chunk, EvalPlan, Group, CHUNK_ROWS, GROUP_ROWS};
+use std::ops::Range;
 use std::time::{Duration, Instant};
-use ustencil_core::blocks::{block_bounds, map_slices};
+use ustencil_core::blocks::{self, block_bounds};
+use ustencil_core::integrate::MAX_MODES;
 use ustencil_core::simd::{dispatch, Lanes, VectorKernel};
-use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdIsa, SimdRecord};
+use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
 
-/// Upper bound on modal coefficients per element supported by the
-/// lane-accumulator row kernel (degree 6 ⇒ 28 modes, with headroom).
-const MAX_MODES: usize = 32;
+/// A group's `(row, mode)` lanes, and room for the last register's past
+/// them.
+const LANE_SLOTS: usize = GROUP_ROWS * MAX_MODES + 8;
+
+/// Registers one sweep over a group's columns keeps in flight.
+const SWEEP_REGS: usize = 4;
 
 /// Result of applying a plan to one field.
 #[derive(Debug, Clone)]
@@ -57,10 +63,16 @@ impl EvalPlan {
     /// parallelism, instrumentation and SIMD policy (the kernel the plan
     /// was compiled with is fixed in its weights).
     ///
-    /// The row kernel dispatches on [`ExecConfig::simd`]:
+    /// Each block is a run of whole chunks. The group kernel dispatches on
+    /// [`ExecConfig::simd`]:
     /// [`SimdPolicy::Scalar`](ustencil_core::SimdPolicy::Scalar) runs the
     /// pre-SIMD per-mode lane loop byte-for-byte (bitwise-stable against
     /// historical golden vectors), vector ISAs agree with it to ≤1e-12.
+    ///
+    /// **Non-finite coefficients.** A group's row reads `0.0 ·` the
+    /// coefficients of every column the group holds, so a NaN or infinite
+    /// coefficient on element `e` makes non-finite every row of every group
+    /// with a column on `e`, and no other row (DESIGN.md §12).
     ///
     /// ```
     /// use ustencil_core::{ComputationGrid, ExecConfig, SimdPolicy};
@@ -103,12 +115,28 @@ impl EvalPlan {
         let mut values = vec![0.0; self.rows()];
         let block_stats = {
             let _span = tracer.span("apply.spmv");
-            let block = |s, e, slice: &mut [f64]| {
-                let body =
-                    |probe: &mut Probe| ((), self.apply_block(s, e, coeffs, slice, isa, probe));
+            let mut chunks = self.chunks.iter().zip(values.chunks_mut(CHUNK_ROWS));
+            let cuts = block_bounds(self.chunks.len(), options.n_blocks).into_iter();
+            let blocks = cuts.map(|(s, e)| chunks.by_ref().take(e - s).collect::<Vec<_>>());
+            blocks::map(blocks.collect(), options.parallel, |block| {
+                let body = |probe: &mut Probe| {
+                    let mut metrics = Metrics::default();
+                    for (chunk, out) in block {
+                        dispatch(isa, GroupsDot(chunk, 0..chunk.n_groups(), coeffs, out));
+                        self.count(chunk.n_rows(), chunk.nnz, &mut metrics);
+                        // Row entries are this scheme's "candidates": the
+                        // histogram shows how many elements each point reads.
+                        if options.instrument {
+                            let rows = chunk
+                                .groups()
+                                .flat_map(|g| (0..g.rows).map(move |i| g.entries(i).count()));
+                            rows.for_each(|n| probe.record_candidates(n as u64));
+                        }
+                    }
+                    ((), metrics)
+                };
                 BlockStats::measure(options.instrument, 0, body).1
-            };
-            map_slices(&mut values, options.n_blocks, options.parallel, block)
+            })
         };
 
         let wall = start.elapsed();
@@ -126,15 +154,15 @@ impl EvalPlan {
 
     /// Applies only the named rows of the plan, writing row
     /// `r`'s value into `out[r]` and leaving every other slot untouched.
-    /// Each named row runs the same per-row dot product as a full
-    /// apply, so a partition of the rows into subset calls reproduces
-    /// `apply_with`'s values *bitwise* — the property the distributed
-    /// runtime's interior/frontier overlap split rests on. Rows are swept
-    /// in the order given, chunked into at most `options.n_blocks` uniform
-    /// blocks for per-block stats, under `options.simd`; counters sum
-    /// exactly across a row partition. The sweep is sequential and
-    /// unprobed whatever `options` says: rows scatter into `out`, so there
-    /// is no contiguous slice to hand a worker.
+    /// Each named row's group runs the same kernel as in a full apply, once
+    /// for a run of named rows it holds, so a partition of the rows into
+    /// subset calls reproduces `apply_with`'s values *bitwise* — the
+    /// property the distributed runtime's interior/frontier overlap split
+    /// rests on. Rows are swept in the order given, chunked into at most
+    /// `options.n_blocks` uniform blocks for per-block stats, under
+    /// `options.simd`; counters sum exactly across a row partition. The
+    /// sweep is sequential and unprobed whatever `options` says: rows
+    /// scatter into `out`, so there is no contiguous slice to hand a worker.
     ///
     /// # Panics
     /// Panics when the field does not match the plan or `out` is not
@@ -153,15 +181,24 @@ impl EvalPlan {
         }
         let isa = options.simd.resolve();
         let coeffs = field.coefficients();
+        // The first row of the group last evaluated, and its values.
+        let (mut first, mut values) = (usize::MAX, [0.0; GROUP_ROWS]);
         block_bounds(rows.len(), options.n_blocks)
             .into_iter()
             .map(|(s, e)| {
                 let body = |_: &mut Probe| {
                     let mut metrics = Metrics::default();
                     for &r in &rows[s..e] {
-                        out[r as usize] = self.eval_row(r as usize, coeffs, isa, &mut metrics).0;
+                        let r = r as usize;
+                        let chunk = &self.chunks[r / CHUNK_ROWS];
+                        let (k, i) = chunk.group_of(r % CHUNK_ROWS);
+                        if first != r - i {
+                            first = r - i;
+                            dispatch(isa, GroupsDot(chunk, k..k + 1, coeffs, &mut values));
+                        }
+                        out[r] = values[i];
+                        self.count(1, chunk.group(k).entries(i).count(), &mut metrics);
                     }
-                    metrics.partial_slots += (e - s) as u64;
                     ((), metrics)
                 };
                 BlockStats::measure(false, 0, body).1
@@ -170,10 +207,6 @@ impl EvalPlan {
     }
 
     fn check_field(&self, field: &DgField) {
-        assert!(
-            self.n_modes <= MAX_MODES,
-            "plan exceeds the row kernel's {MAX_MODES}-mode lane budget"
-        );
         assert_eq!(
             field.degree(),
             self.degree,
@@ -186,159 +219,155 @@ impl EvalPlan {
         );
     }
 
-    /// Evaluates rows `[start, end)` into `out` (length `end - start`).
-    fn apply_block(
-        &self,
-        start: usize,
-        end: usize,
-        coeffs: &[f64],
-        out: &mut [f64],
-        isa: SimdIsa,
-        probe: &mut Probe,
-    ) -> Metrics {
-        let mut metrics = Metrics::default();
-        for (slot, r) in (start..end).enumerate() {
-            let (value, entries) = self.eval_row(r, coeffs, isa, &mut metrics);
-            out[slot] = value;
-            // Row entries are this scheme's "candidates": the histogram
-            // shows how many stored elements each output point reads.
-            probe.record_candidates(entries);
-        }
-        metrics.partial_slots += (end - start) as u64;
-        metrics
-    }
-
-    /// Row `r`'s value against `coeffs` and its entry count, its work
-    /// counted into `metrics`.
-    #[inline]
-    fn eval_row(&self, r: usize, coeffs: &[f64], isa: SimdIsa, m: &mut Metrics) -> (f64, u64) {
-        let (chunk, local) = self.locate(r);
-        let (lo, hi) = chunk.range(local);
-        let entries = (hi - lo) as u64;
-        m.solution_writes += 1;
-        m.elem_data_loads += entries * self.n_modes as u64;
-        m.flops += 2 * entries * self.n_modes as u64;
-        (chunk.row_dot(local, coeffs, isa), entries)
+    /// Counts the work of `rows` rows of `nnz` entries into `m`.
+    fn count(&self, rows: usize, nnz: usize, m: &mut Metrics) {
+        let (rows, loads) = (rows as u64, (nnz * self.n_modes) as u64);
+        m.solution_writes += rows;
+        m.partial_slots += rows;
+        m.elem_data_loads += loads;
+        m.flops += 2 * loads;
     }
 }
 
-impl Chunk {
-    /// One row's dot product against `coeffs`, dispatched on the resolved
-    /// SIMD ISA. The scalar body is byte-for-byte the historical per-mode
-    /// lane kernel, so `SimdPolicy::Scalar` reproduces pre-SIMD results
-    /// bitwise. The vector body keeps the same shape — independent per-mode
-    /// accumulator chains, reduced in a fixed order at the end — so every
-    /// ISA stays deterministic, while agreeing with the scalar body to
-    /// rounding (`≤ 1e-12`).
-    #[inline]
-    fn row_dot(&self, r: usize, coeffs: &[f64], isa: SimdIsa) -> f64 {
-        dispatch(isa, RowDot(self, r, coeffs))
-    }
+/// The groups `.1` of the chunk `.0` against the coefficients `.2`, their
+/// rows' values written to `.3` in order: one [`dispatch`] per run.
+///
+/// The portable body accumulates every `(row, mode)` lane over its row's
+/// entries in stored order with an unfused multiply and add, then sums each
+/// row's modes in order: byte-for-byte the historical per-row lane kernel,
+/// so `SimdPolicy::Scalar` reproduces pre-SIMD results bitwise. The vector
+/// body lays a group's `rows · n_modes` lanes, mode-major, over registers:
+/// per column one column load and one coefficient load (spread over the
+/// lanes by `splat` where a register holds one mode, else by `lookup`) feed
+/// an unmasked FMA per register, each lane an independent chain in column
+/// order. Each row then puts its modes into `V::N`-wide blocks padded with
+/// `0.0` and sums their [`Lanes::hsum`]s from `0.0`: the historical row
+/// kernel's reduction. In both, a column a row does not read adds
+/// `0.0 · c` to a lane that started at `+0.0` and so never holds `−0.0`,
+/// which leaves it unchanged: every ISA keeps its bits on finite input.
+struct GroupsDot<'a>(&'a Chunk, Range<usize>, &'a [f64], &'a mut [f64]);
 
-    /// The portable row kernel, accumulated in per-mode lanes. The lanes
-    /// break the single-accumulator FMA dependency chain (the former
-    /// hot-loop bottleneck: one serial add per mode-entry) into `n_modes`
-    /// independent chains the CPU can overlap and auto-vectorize.
-    #[inline]
-    fn row_dot_scalar(&self, r: usize, coeffs: &[f64]) -> f64 {
-        // Pick the narrowest lane array that holds n_modes, so the per-row
-        // lane reset and reduction don't pay for unused slots. The branch
-        // is perfectly predicted (n_modes is fixed per plan).
-        match self.n_modes {
-            1..=4 => self.row_dot_lanes::<4>(r, coeffs),
-            5..=8 => self.row_dot_lanes::<8>(r, coeffs),
-            9..=16 => self.row_dot_lanes::<16>(r, coeffs),
-            _ => self.row_dot_lanes::<MAX_MODES>(r, coeffs),
-        }
-    }
+impl VectorKernel for GroupsDot<'_> {
+    type Output = ();
 
-    #[inline]
-    fn row_dot_lanes<const L: usize>(&self, r: usize, coeffs: &[f64]) -> f64 {
-        let nm = self.n_modes;
-        debug_assert!(nm <= L);
-        let (lo, hi) = self.range(r);
-        let mut lane = [0.0f64; L];
-        for e in lo..hi {
-            let w = &self.weights[e * nm..(e + 1) * nm];
-            let col = self.cols[e] as usize;
-            let c = &coeffs[col * nm..col * nm + nm];
-            for m in 0..nm {
-                lane[m] += w[m] * c[m];
+    fn scalar(self) {
+        let GroupsDot(chunk, groups, coeffs, mut out) = self;
+        for group in groups.map(|k| chunk.group(k)) {
+            let (g, nm) = (group.rows, group.n_modes);
+            let mut lane = [0.0f64; GROUP_ROWS * MAX_MODES];
+            for (w, &col) in group.weights.chunks_exact(g * nm).zip(group.cols) {
+                let c = &coeffs[col as usize * nm..(col as usize + 1) * nm];
+                for (m, &c) in c.iter().enumerate() {
+                    for i in 0..g {
+                        lane[m * g + i] += w[m * g + i] * c;
+                    }
+                }
             }
+            for (i, v) in out[..g].iter_mut().enumerate() {
+                *v = (0..nm).map(|m| lane[m * g + i]).sum();
+            }
+            out = &mut out[g..];
         }
-        lane[..nm].iter().sum()
     }
 
-    /// The vector row kernel: the mode dimension is batched into blocks of
-    /// `V::N` lanes, one accumulator vector per block (so the per-mode
-    /// chains stay independent, exactly like the scalar lanes), with a
-    /// fault-suppressing masked load for the `n_modes % V::N` tail. The
-    /// whole entries loop is one body, instantiated inside `dispatch`'s
-    /// `#[target_feature]` entry point — a feature-gated call per entry
-    /// would block inlining and cost a dispatch-sized penalty per CSR
-    /// entry.
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(self) {
+        let GroupsDot(chunk, groups, coeffs, mut out) = self;
+        let n = V::N;
+        for group in groups.map(|k| chunk.group(k)) {
+            let (g, nm) = (group.rows, group.n_modes);
+            // The lanes' stores below rely on this bound.
+            assert!((1..=GROUP_ROWS).contains(&g) && nm <= MAX_MODES);
+            debug_assert_eq!(group.weights.len(), group.cols.len() * g * nm);
+            debug_assert!(group.present.iter().all(|&b| b >> g == 0));
+            let mut lanes = [0.0f64; LANE_SLOTS];
+            for k0 in (0..(g * nm).div_ceil(n)).step_by(SWEEP_REGS) {
+                if g == n {
+                    group.sweep::<V, true>(coeffs, k0, &mut lanes);
+                } else {
+                    group.sweep::<V, false>(coeffs, k0, &mut lanes);
+                }
+            }
+            for (i, v) in out[..g].iter_mut().enumerate() {
+                *v = 0.0;
+                for b in 0..nm.div_ceil(n) {
+                    let mut block = [0.0f64; 8];
+                    for (l, x) in block[..n].iter_mut().enumerate() {
+                        if b * n + l < nm {
+                            *x = lanes[(b * n + l) * g + i];
+                        }
+                    }
+                    *v += V::load(block.as_ptr()).hsum();
+                }
+            }
+            out = &mut out[g..];
+        }
+    }
+}
+
+impl Group<'_> {
+    /// Accumulates the registers `k0..` (at most [`SWEEP_REGS`]) of the
+    /// group's lanes over its columns into `lanes[k0 · V::N..]`: register
+    /// `k`'s lane `l` is `(row, mode) = (p % rows, p / rows)` for
+    /// `p = k · V::N + l`, its coefficients `splat` when `SPLAT` (a
+    /// register per mode), else looked up.
     ///
     /// # Safety
-    /// The CPU must support `V`'s instruction set.
+    /// The CPU must support `V`'s instruction set, and every column must
+    /// own `n_modes` coefficients of `coeffs`.
     #[inline(always)]
-    unsafe fn row_dot_vector<V: Lanes>(&self, r: usize, coeffs: &[f64]) -> f64 {
-        let nm = self.n_modes;
-        let (lo, hi) = self.range(r);
-        debug_assert!(hi <= self.cols.len() && hi * nm <= self.weights.len());
-        let full = nm / V::N;
-        let rem = nm % V::N;
-        // Sized for the narrowest register (4 lanes); `check_field` holds
-        // `n_modes` to `MAX_MODES`, so `full` blocks always fit.
-        let mut acc = [V::zero(); MAX_MODES / 4];
-        let mut tail_acc = V::zero();
-        let mask = V::mask_first(rem);
-        for e in lo..hi {
-            let col = self.cols[e] as usize;
+    unsafe fn sweep<V: Lanes, const SPLAT: bool>(
+        self,
+        coeffs: &[f64],
+        k0: usize,
+        lanes: &mut [f64; LANE_SLOTS],
+    ) {
+        let (g, nm, n) = (self.rows, self.n_modes, V::N);
+        let width = g * nm;
+        let regs = width.div_ceil(n).min(k0 + SWEEP_REGS) - k0;
+        // Registers below `full` hold `V::N` of a column's weights; the one
+        // past them the rest, read under a mask.
+        let (full, tail) = (width / n, V::mask_first(width % n));
+        let mut idx = [V::zero().index(); SWEEP_REGS];
+        for (k, idx) in idx.iter_mut().enumerate().take(regs) {
+            let mut at = [0.0f64; 8];
+            for (l, a) in at[..n].iter_mut().enumerate() {
+                *a = (((k0 + k) * n + l) / g).min(nm - 1) as f64;
+            }
+            *idx = V::load(at.as_ptr()).index();
+        }
+        let mut acc = [V::zero(); SWEEP_REGS];
+        for (j, &col) in self.cols.iter().enumerate() {
+            let col = col as usize;
             debug_assert!((col + 1) * nm <= coeffs.len());
-            // SAFETY: entry `e` owns weights `[e·nm, (e + 1)·nm)` (a chunk
-            // holds `n_modes` weights per column) and its column
-            // `col < n_elements` owns that range of `coeffs`
-            // (`check_field` matched the field to the plan); the blocks
-            // read `full · V::N + rem = nm` values of each, the masked tail
-            // touching nothing past them.
-            let w = self.weights.as_ptr().add(e * nm);
-            let c = coeffs.as_ptr().add(col * nm);
-            for (b, a) in acc.iter_mut().enumerate().take(full) {
-                *a = V::load(w.add(b * V::N)).fmadd(V::load(c.add(b * V::N)), *a);
+            // SAFETY: column `j` owns weights `[j·width, (j + 1)·width)`
+            // and its element `col < n_elements` the coefficients
+            // `[col·nm, (col + 1)·nm)` (`check_field` matched the field to
+            // the plan). A full register reads below `width`, the masked
+            // one nothing past it; `splat` reads mode `k < regs = nm`
+            // (`rows = V::N`), `lookup` the modes its indices clamp below
+            // `nm`.
+            let (w, c) = (
+                self.weights.as_ptr().add(j * width),
+                coeffs.as_ptr().add(col * nm),
+            );
+            for (k, a) in acc.iter_mut().enumerate().take(regs) {
+                let kk = k0 + k;
+                let wv = if kk < full {
+                    V::load(w.add(kk * n))
+                } else {
+                    V::load_masked(w.add(kk * n), tail)
+                };
+                let cv = if SPLAT {
+                    V::splat(*c.add(kk))
+                } else {
+                    V::lookup(V::table(c, nm), idx[k], 0)
+                };
+                *a = wv.fmadd(cv, *a);
             }
-            if rem != 0 {
-                let wv = V::load_masked(w.add(full * V::N), mask);
-                let cv = V::load_masked(c.add(full * V::N), mask);
-                tail_acc = wv.fmadd(cv, tail_acc);
-            }
         }
-        // Fixed-order reduction: block order, then `Lanes::hsum` within
-        // each block — deterministic for a given ISA.
-        let mut total = 0.0;
-        for a in acc.iter().take(full) {
-            total += a.hsum();
+        for (k, a) in acc.iter().enumerate().take(regs) {
+            a.store(lanes.as_mut_ptr().add((k0 + k) * n));
         }
-        if rem != 0 {
-            total += tail_acc.hsum();
-        }
-        total
-    }
-}
-
-/// [`Chunk::row_dot`]'s two bodies for the chunk's row `.1` against the
-/// coefficients `.2`, as [`dispatch`] takes them.
-struct RowDot<'a>(&'a Chunk, usize, &'a [f64]);
-
-impl VectorKernel for RowDot<'_> {
-    type Output = f64;
-
-    #[inline]
-    fn scalar(self) -> f64 {
-        self.0.row_dot_scalar(self.1, self.2)
-    }
-
-    #[inline(always)]
-    unsafe fn lanes<V: Lanes>(self) -> f64 {
-        self.0.row_dot_vector::<V>(self.1, self.2)
     }
 }

@@ -1,6 +1,7 @@
 //! Plan compilation the way the paper evaluates (Algorithm 3): discover
 //! `(point, element)` pairs per element, fold quadrature × kernel × basis
-//! into per-mode weights (Eq. 2, DESIGN.md §9), then assemble CSR rows.
+//! into per-mode weights (Eq. 2, DESIGN.md §9), then assemble element
+//! groups.
 //!
 //! **Scatter, then assemble.** Elements are scattered in the
 //! [`TriangleGrid`]'s storage order (cells row-major, then element id), in
@@ -8,8 +9,10 @@
 //! discovery, [`StencilTraversal::element_query`], over a [`PointGrid`] of
 //! the rows' points, and emits one entry per point it meets: its
 //! monomial-power sums, transformed monomial → modal once. A block
-//! counting-sorts its entries by row, and the blocks are concatenated row
-//! by row, so each row holds its entries in storage order.
+//! counting-sorts its entries by group ([`RowCompiler::layout`]); an
+//! element's hits on a group are adjacent, so each is one column of it.
+//! The blocks are concatenated group by group, so each group holds its
+//! columns in storage order.
 //!
 //! **Bits.** An entry is one `(point, element)` integral with no
 //! cross-element sum, integrated with the `(center, elem, shift)` a point
@@ -22,9 +25,11 @@
 //!   — a zero's sign, which a transform summed from `0.0` never sees;
 //! * a point query visits the triangle grid's cells from its window's
 //!   origin `(x0, y0)`, so a row's storage order is rotated to it where the
-//!   window wraps the periodic domain ([`RowCompiler::rotate_wrapped`]).
+//!   window wraps the periodic domain. The rows of a group share one
+//!   rotation ([`RowCompiler::layout`]), which is then the group's.
 
-use crate::plan::{Chunk, EvalPlan, CHUNK_ROWS, OVERFLOW};
+use crate::delta::NONE;
+use crate::plan::{Chunk, EvalPlan, CHUNK_ROWS, GROUP_ROWS, OVERFLOW};
 use std::sync::Arc;
 use std::time::Instant;
 use ustencil_core::blocks::{self, block_bounds};
@@ -59,7 +64,9 @@ impl EvalPlan {
         let start = Instant::now();
         let tracer = Tracer::new(options.instrument);
         let rows = RowCompiler::new(mesh, degree, options);
-        let (chunks, build_metrics) = rows.compile(&rows.order, grid.points(), options, &tracer);
+        let owners = Some(grid.owners());
+        let (chunks, build_metrics) =
+            rows.compile(&rows.order, grid.points(), owners, options, &tracer);
         EvalPlan {
             degree,
             smoothness: rows.setup.k,
@@ -113,96 +120,173 @@ impl<'a> RowCompiler<'a> {
         }
     }
 
-    /// Element `e`'s place in storage order: its cell, then its id.
+    /// Cuts the rows centered at `points` into groups: runs of at most
+    /// [`GROUP_ROWS`] consecutive rows of one chunk that share an owner in
+    /// `owners` and whose candidate windows' hull spans at most the grid on
+    /// each axis, cut greedily from each chunk's first row. Returns each
+    /// group's first row, then `points.len()`, and each group's origin: per
+    /// axis the hull's first cell where it wraps the periodic grid, else
+    /// `0`. Inside the hull each row's window lies unwrapped, so storage
+    /// order rotated to the origin ([`key`](Self::key)) keeps the order each
+    /// row's point query visits cells in. Without `owners` every row is a
+    /// group. The rule reads only the rows' points, owners and places, so a
+    /// compile and a patch of one problem cut the same groups.
+    pub(crate) fn layout(
+        &self,
+        points: &[Point2],
+        owners: Option<&[u32]>,
+    ) -> (Vec<u32>, Vec<[usize; 2]>) {
+        let grid = self.tri_grid.grid();
+        let n = grid.cells_per_side() as i64;
+        // `for_each_candidate`'s window, expression for expression.
+        let reach = self.setup.stencil.width() / 2.0 + grid.cell_size();
+        // Per axis the hull `lo..hi`, in cells from the group's first cell.
+        let origin = |hull: [(i64, i64, i64); 2]| {
+            hull.map(|(a, lo, hi)| {
+                let first = (a + lo).rem_euclid(n);
+                (if first + hi - lo > n { first } else { 0 }) as usize
+            })
+        };
+        let (mut starts, mut hulls) = (Vec::new(), Vec::new());
+        for (r, p) in points.iter().enumerate() {
+            let window = [p.x, p.y].map(|c| grid.axis_span(c - reach, c + reach));
+            let s = starts.last().map_or(0, |&s| s as usize);
+            let mut joined: [(i64, i64, i64); 2] = hulls.last().copied().unwrap_or_default();
+            for ((a, lo, hi), (first, count)) in joined.iter_mut().zip(window) {
+                // `first - a` the shorter way round: in `(-n / 2, n / 2]`.
+                let d = first as i64 - *a + if (first as i64) < *a { n } else { 0 };
+                let d = if 2 * d > n { d - n } else { d };
+                (*lo, *hi) = ((*lo).min(d), (*hi).max(d + count as i64));
+            }
+            let joins = owners.is_some_and(|o| o[r] == o[s])
+                && r % CHUNK_ROWS != 0
+                && r - s < GROUP_ROWS
+                && joined.iter().all(|&(_, lo, hi)| hi - lo <= n);
+            if joins {
+                *hulls.last_mut().unwrap() = joined;
+            } else {
+                starts.push(r as u32);
+                hulls.push(window.map(|(first, count)| (first as i64, 0, count as i64)));
+            }
+        }
+        starts.push(points.len() as u32);
+        (starts, hulls.into_iter().map(origin).collect())
+    }
+
+    /// Element `e`'s place in the storage order rotated to `origin`: its
+    /// cell's row and column counted from there, then its id.
     #[inline]
-    pub(crate) fn storage_key(&self, e: u32) -> u64 {
-        (self.cell_of[e as usize] as u64) << 32 | e as u64
+    pub(crate) fn key(&self, origin: [usize; 2], e: u32) -> u64 {
+        let n = self.tri_grid.grid().cells_per_side();
+        let cell = self.cell_of[e as usize] as usize;
+        let cell = match origin {
+            [0, 0] => cell,
+            [x0, y0] => (cell / n + n - y0) % n * n + (cell % n + n - x0) % n,
+        };
+        (cell as u64) << 32 | e as u64
     }
 
     /// Compiles one row per entry of `points` (row `i` is the stencil
-    /// centered at `points[i]`) from the entries of `elements`, a
-    /// subsequence of [`order`](Self::order), scattered in
-    /// `config.n_blocks` runs, into [`CHUNK_ROWS`]-row chunks.
+    /// centered at `points[i]`), grouped by [`layout`](Self::layout) over
+    /// `owners`, from the entries of `elements`, a subsequence of
+    /// [`order`](Self::order), scattered in `config.n_blocks` runs, into
+    /// [`CHUNK_ROWS`]-row chunks.
     pub(crate) fn compile(
         &self,
         elements: &[u32],
         points: &[Point2],
+        owners: Option<&[u32]>,
         config: &ExecConfig,
         tracer: &Tracer,
     ) -> (Vec<Chunk>, Metrics) {
         let point_grid =
             PointGrid::build_half_edge(points, self.mesh.max_edge_length(), Boundary::Clamped);
+        let (layout, origins) = self.layout(points, owners);
+        let mut of_row = vec![0; points.len()];
+        for (k, rows) in layout.windows(2).enumerate() {
+            of_row[rows[0] as usize..rows[1] as usize].fill(k as u32);
+        }
         let blocks = {
             let _span = tracer.span("compile.rows");
             let bounds = block_bounds(elements.len(), config.n_blocks);
             blocks::map(bounds, config.parallel, |(s, e)| {
                 BlockStats::measure(config.instrument, (e - s) as u64, |probe| {
-                    self.block(&elements[s..e], points, &point_grid, probe)
+                    let elements = &elements[s..e];
+                    self.block(elements, points, &point_grid, &layout, &of_row, probe)
                 })
             })
         };
-        let _span = tracer.span("assemble.csr");
+        let _span = tracer.span("assemble.groups");
         let metrics = Metrics::sum(blocks.iter().map(|(_, stats)| &stats.metrics));
         let (n_rows, nm) = (points.len(), self.basis.n_modes());
-        // Each block's `starts` is a prefix sum over rows; so is their sum.
-        let mut row_ptr = vec![0u64; n_rows + 1];
-        for (b, _) in &blocks {
-            row_ptr
-                .iter_mut()
-                .zip(&b.starts)
-                .for_each(|(p, &s)| *p += s as u64);
-        }
-        // Each chunk's row starts begin as its row ends, the rows' cursors:
-        // last block first, each row fills backwards from its end, so each
-        // block is freed once copied and block 0 leaves each its start.
+        let first_group = |row: usize| layout.partition_point(|&s| (s as usize) < row.min(n_rows));
+        // Each chunk's group offsets begin as its group ends, the groups'
+        // cursors: last block first, each group fills backwards from its
+        // end, so each block is freed once copied and block 0 leaves each
+        // its start.
         let mut chunks: Vec<_> = (0..n_rows)
             .step_by(CHUNK_ROWS)
-            .map(|s| {
-                let ptr = &row_ptr[s..=(s + CHUNK_ROWS).min(n_rows)];
-                let (first, last) = (ptr[0], ptr[ptr.len() - 1]);
-                let local = |p: &u64| u32::try_from(p - first).expect(OVERFLOW);
-                Chunk {
-                    n_modes: nm,
-                    row_ptr: ptr[1..].iter().chain([&last]).map(local).collect(),
-                    cols: vec![0; (last - first) as usize],
-                    weights: vec![0.0; (last - first) as usize * nm],
+            .map(|lo| {
+                let (mut chunk, mut cols, mut weights) = (Chunk::new(nm), 0, 0);
+                (chunk.col_ptr, chunk.w_ptr) = (Vec::new(), Vec::new());
+                for k in first_group(lo)..first_group(lo + CHUNK_ROWS) {
+                    for (b, _) in &blocks {
+                        let part = b.group(k);
+                        (cols, weights) = (cols + part.cols.len(), weights + part.weights.len());
+                    }
+                    chunk.rows.push(layout[k + 1] - lo as u32);
+                    chunk.col_ptr.push(u32::try_from(cols).expect(OVERFLOW));
+                    chunk.w_ptr.push(u32::try_from(weights).expect(OVERFLOW));
                 }
+                chunk.col_ptr.push(u32::try_from(cols).expect(OVERFLOW));
+                chunk.w_ptr.push(u32::try_from(weights).expect(OVERFLOW));
+                (chunk.cols, chunk.present) = (vec![0; cols], vec![0; cols]);
+                chunk.weights = vec![0.0; weights];
+                chunk
             })
             .collect();
         for (i, (b, _)) in blocks.into_iter().enumerate().rev() {
             let items = chunks.iter_mut().enumerate().collect();
             blocks::map(items, config.parallel, |(c, chunk)| {
-                // Backwards, so block 0 finds the next row's start final.
-                for local in (0..chunk.rows()).rev() {
-                    let r = c * CHUNK_ROWS + local;
-                    let (lo, hi) = (b.starts[r] as usize, b.starts[r + 1] as usize);
-                    chunk.row_ptr[local] -= (hi - lo) as u32;
-                    let to = chunk.row_ptr[local] as usize;
-                    chunk.cols[to..to + hi - lo].copy_from_slice(&b.cols[lo..hi]);
-                    chunk.weights[to * nm..(to + hi - lo) * nm]
-                        .copy_from_slice(&b.weights[lo * nm..hi * nm]);
+                let g0 = first_group(c * CHUNK_ROWS);
+                // Backwards, so block 0 finds the next group's start final.
+                for q in (0..chunk.n_groups()).rev() {
+                    let part = b.group(g0 + q);
+                    let (n, w) = (part.cols.len(), part.weights.len());
+                    chunk.col_ptr[q] -= n as u32;
+                    chunk.w_ptr[q] -= w as u32;
+                    let (to, w_to) = (chunk.col_ptr[q] as usize, chunk.w_ptr[q] as usize);
+                    chunk.cols[to..to + n].copy_from_slice(part.cols);
+                    chunk.present[to..to + n].copy_from_slice(part.present);
+                    chunk.weights[w_to..w_to + w].copy_from_slice(part.weights);
                     if i == 0 {
-                        let end = chunk.row_ptr[local + 1] as usize;
-                        let row = (
-                            &mut chunk.cols[to..end],
-                            &mut chunk.weights[to * nm..end * nm],
+                        let (end, w_end) = (chunk.col_ptr[q + 1], chunk.w_ptr[q + 1]);
+                        self.rotate(
+                            origins[g0 + q],
+                            &mut chunk.cols[to..end as usize],
+                            &mut chunk.present[to..end as usize],
+                            &mut chunk.weights[w_to..w_end as usize],
                         );
-                        self.rotate_wrapped(points[r], row);
                     }
+                }
+                if i == 0 {
+                    chunk.nnz = chunk.present.iter().map(|b| b.count_ones() as usize).sum();
                 }
             });
         }
         (chunks, metrics)
     }
 
-    /// Scatters one run of elements into entries, counting-sorted by row.
+    /// Scatters one run of elements into entries, counting-sorted by group.
     fn block(
         &self,
         elements: &[u32],
         points: &[Point2],
         point_grid: &PointGrid,
+        layout: &[u32],
+        of_row: &[u32],
         probe: &mut Probe,
-    ) -> (BlockOut, Metrics) {
+    ) -> (Chunk, Metrics) {
         let mut metrics = Metrics::default();
         let nm = self.basis.n_modes();
         let exps = self.basis.monomial_exponents();
@@ -223,76 +307,91 @@ impl<'a> RowCompiler<'a> {
         }
         let (rows, weights) = sink.into_entries();
         metrics.solution_writes += rows.len() as u64;
-        let out = BlockOut::sort_by_row(points.len(), nm, &rows, &cols, &weights);
+        let out = by_group(layout, of_row, nm, &rows, &cols, &weights);
         (out, metrics)
     }
 
-    /// Rotates the row centered at `center` from storage order, sorted by
-    /// cell `(iy, ix)`, into the order `TriangleGrid::for_each_candidate`
-    /// visits cells: cell rows from the window's first, `y0`, on, then in
-    /// each the columns from `x0` on. Both are stable rotations.
-    pub(crate) fn rotate_wrapped(&self, center: Point2, row: (&mut [u32], &mut [f64])) {
-        let (cols, weights) = row;
-        let (grid, nm) = (self.tri_grid.grid(), self.basis.n_modes());
-        let n = grid.cells_per_side();
-        // `for_each_candidate`'s window, expression for expression.
-        let reach = self.setup.stencil.width() / 2.0 + grid.cell_size();
-        let (x0, xc) = grid.axis_span(center.x - reach, center.x + reach);
-        let (y0, yc) = grid.axis_span(center.y - reach, center.y + reach);
+    /// Rotates a group's columns from storage order, sorted by cell
+    /// `(iy, ix)`, to the order starting at `origin` that its rows share
+    /// ([`key`](Self::key)): cell rows from `y0` on, then in each the
+    /// columns from `x0` on. Both are stable rotations; a column moves with
+    /// its presence byte and its weights.
+    fn rotate(
+        &self,
+        [x0, y0]: [usize; 2],
+        cols: &mut [u32],
+        present: &mut [u8],
+        weights: &mut [f64],
+    ) {
+        let (n, len) = (self.tri_grid.grid().cells_per_side(), cols.len());
+        let width = weights.len() / len.max(1);
         let cell = |cols: &[u32], k: usize| self.cell_of[cols[k] as usize] as usize;
-        let rotate = |cols: &mut [u32], weights: &mut [f64], lo: usize, hi: usize, mid| {
+        let mut rotate = |cols: &mut [u32], lo: usize, hi: usize, mid: usize| {
             cols[lo..hi].rotate_left(mid);
-            weights[lo * nm..hi * nm].rotate_left(mid * nm);
+            present[lo..hi].rotate_left(mid);
+            weights[lo * width..hi * width].rotate_left(mid * width);
         };
-        if y0 + yc > n {
-            let below = (0..cols.len())
-                .take_while(|&k| cell(cols, k) / n < y0)
-                .count();
-            rotate(cols, weights, 0, cols.len(), below);
+        if y0 > 0 {
+            let below = (0..len).take_while(|&k| cell(cols, k) / n < y0).count();
+            rotate(cols, 0, len, below);
         }
         let mut start = 0;
-        while x0 + xc > n && start < cols.len() {
+        while x0 > 0 && start < len {
             let iy = cell(cols, start) / n;
-            let end = (start..cols.len())
-                .find(|&k| cell(cols, k) / n != iy)
-                .unwrap_or(cols.len());
+            let end = (start..len).find(|&k| cell(cols, k) / n != iy);
+            let end = end.unwrap_or(len);
             let left = (start..end).take_while(|&k| cell(cols, k) % n < x0).count();
-            rotate(cols, weights, start, end, left);
+            rotate(cols, start, end, left);
             start = end;
         }
     }
 }
 
-/// One block's entries by row: row `r` owns `cols[starts[r]..starts[r + 1]]`
-/// (and `n_modes` weights each), in element order.
-struct BlockOut {
-    starts: Vec<u32>,
-    cols: Vec<u32>,
-    weights: Vec<f64>,
-}
-
-impl BlockOut {
-    /// A stable counting sort of the entries `(rows[i], cols[i])` by row.
-    fn sort_by_row(n_rows: usize, nm: usize, rows: &[u32], cols: &[u32], weights: &[f64]) -> Self {
-        let mut starts = vec![0u32; n_rows + 1];
-        for &r in rows {
-            starts[r as usize + 1] += 1;
+/// One block's entries as a chunk of every group (`layout`, `of_row` each
+/// row's group), a stable counting sort of the entries `(rows[i], cols[i])`
+/// by group: an element's entries are adjacent, so its hits on a group make
+/// one column, and the group's columns keep element order.
+fn by_group(
+    layout: &[u32],
+    of_row: &[u32],
+    nm: usize,
+    rows: &[u32],
+    cols: &[u32],
+    weights: &[f64],
+) -> Chunk {
+    let n_groups = layout.len() - 1;
+    let size = |k: usize| (layout[k + 1] - layout[k]) as usize;
+    let (mut last, mut n_cols) = (vec![NONE; n_groups], vec![0; n_groups]);
+    for (&r, &e) in rows.iter().zip(cols) {
+        let k = of_row[r as usize] as usize;
+        n_cols[k] += (std::mem::replace(&mut last[k], e) != e) as usize;
+    }
+    let mut out = Chunk::new(nm);
+    out.rows = layout.to_vec();
+    for (k, n) in n_cols.into_iter().enumerate() {
+        let (c, w) = (
+            out.col_ptr[k] as usize + n,
+            out.w_ptr[k] as usize + n * size(k) * nm,
+        );
+        out.col_ptr.push(u32::try_from(c).expect(OVERFLOW));
+        out.w_ptr.push(u32::try_from(w).expect(OVERFLOW));
+    }
+    let (c, w) = (out.col_ptr[n_groups] as usize, out.w_ptr[n_groups] as usize);
+    (out.cols, out.present, out.weights) = (vec![0; c], vec![0; c], vec![0.0; w]);
+    let mut next = out.col_ptr[..n_groups].to_vec();
+    last.fill(NONE);
+    for (i, (&r, &e)) in rows.iter().zip(cols).enumerate() {
+        let k = of_row[r as usize] as usize;
+        if std::mem::replace(&mut last[k], e) != e {
+            out.cols[next[k] as usize] = e;
+            next[k] += 1;
         }
-        for r in 0..n_rows {
-            starts[r + 1] += starts[r];
-        }
-        let mut next = starts[..n_rows].to_vec();
-        let (mut out_cols, mut out_weights) = (vec![0; cols.len()], vec![0.0; weights.len()]);
-        for (i, &r) in rows.iter().enumerate() {
-            let at = next[r as usize] as usize;
-            next[r as usize] += 1;
-            out_cols[at] = cols[i];
-            out_weights[at * nm..(at + 1) * nm].copy_from_slice(&weights[i * nm..(i + 1) * nm]);
-        }
-        BlockOut {
-            starts,
-            cols: out_cols,
-            weights: out_weights,
+        let (j, g, row) = (next[k] - 1, size(k), (r - layout[k]) as usize);
+        out.present[j as usize] |= 1 << row;
+        let at = out.w_ptr[k] as usize + (j - out.col_ptr[k]) as usize * g * nm + row;
+        for (m, &w) in weights[i * nm..(i + 1) * nm].iter().enumerate() {
+            out.weights[at + m * g] = w;
         }
     }
+    out
 }

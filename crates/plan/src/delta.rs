@@ -16,10 +16,12 @@
 //!    sums independent `(point, element)` integrals, so every other closure
 //!    row is its base row (vanished elements dropped, survivors renumbered)
 //!    merged with the pairs the changed elements alone scatter onto it.
+//!    A group holding a closure row, or whose rows no base group holds as
+//!    they are, is formed anew from its rows by a key merge.
 //! 3. **Splice** ([`PlanDelta::splice`]): share every row chunk the edit
 //!    left alone (the same rows at the same index, every column its own
-//!    id) with the base plan; rebuild the others from the kept rows,
-//!    columns renumbered old → new, and the closure's.
+//!    id) with the base plan; rebuild the others from the kept groups,
+//!    copied whole with columns renumbered old → new, and the new ones.
 //!
 //! **Bitwise guarantee.** A patched plan is a fresh compile of the new
 //! problem, row for row (`tests/plan_patch_prop.rs`). A compiled row holds
@@ -28,15 +30,20 @@
 //! of the point's and the element's bits and the kernel alone. A surviving
 //! element matched with identical bits, monotonically, over the same cell
 //! geometry (the cell size derives from the unchanged longest edge), so it
-//! keeps its weights and its place: a merged row is the fresh row. The
+//! keeps its weights and its place: a merged row is the fresh row. Groups
+//! are cut by one rule from the rows' points and owners
+//! ([`RowCompiler::layout`]), and a group's columns are its rows' in the
+//! order of their shared key, so the patched plan is the fresh compile
+//! group for group too. The
 //! patch refuses ([`PatchError`]) when `h = h_factor · max_edge` changes
 //! bits or the options (smoothness, SIMD ISA) disagree with the plan;
 //! callers fall back to a full compile.
 
 use crate::compile::RowCompiler;
 use crate::key::Fnv1a;
-use crate::plan::{chunk_row, Chunk, EvalPlan, CHUNK_ROWS};
+use crate::plan::{chunk_group, Chunk, EvalPlan, Group, CHUNK_ROWS, GROUP_ROWS};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use ustencil_core::blocks;
@@ -53,6 +60,12 @@ pub const PATCH_SCHEME_LABEL: &str = "plan+patch";
 
 /// Sentinel for "no counterpart" in the diff maps.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Groups one merge task of the patch forms.
+const MERGE_GROUPS: usize = 64;
+
+/// A source row no row of the group being formed comes from.
+const NO_ROW: usize = usize::MAX;
 
 /// Why a plan could not be patched for a given `(mesh, grid, options)`;
 /// callers should fall back to [`EvalPlan::compile`].
@@ -279,7 +292,7 @@ fn points_by_owner(grid: &ComputationGrid, n_elements: usize) -> PointsByOwner {
     PointsByOwner { offsets, items }
 }
 
-/// The computed patch: recompiled row chunks for the dirty closure plus
+/// The computed patch: the groups formed anew for the dirty closure plus
 /// the renumbering maps, ready to be spliced into the base plan. Produced
 /// by [`EvalPlan::patch`]; independent of the base plan's storage, so one
 /// delta can be spliced into any clone of the base.
@@ -289,9 +302,14 @@ pub struct PlanDelta {
     new_elements: usize,
     /// New grid point ids whose rows were recompiled, ascending.
     pub(crate) frag_rows: Vec<u32>,
-    /// The recompiled rows, `frag_rows[i]`'s at row `i` of the chunks;
-    /// columns are new element ids.
+    /// The new plan's groups: each one's first row, then the row count.
+    pub(crate) layout: Vec<u32>,
+    /// The groups formed anew, by index into `layout`, ascending.
+    pub(crate) frag_groups: Vec<u32>,
+    /// Those groups, in that order; columns are new element ids.
     pub(crate) frag: Vec<Chunk>,
+    /// Stored entries in the recompiled rows.
+    respliced_nnz: usize,
     pub(crate) row_source: Vec<u32>,
     pub(crate) elem_map: Vec<u32>,
     dirty_elements: u64,
@@ -309,7 +327,7 @@ impl PlanDelta {
 
     /// Stored entries in the recompiled rows.
     pub fn respliced_nnz(&self) -> usize {
-        self.frag.iter().map(|c| c.cols.len()).sum()
+        self.respliced_nnz
     }
 
     /// Elements in the dirty set the patch was computed for.
@@ -337,72 +355,58 @@ impl PlanDelta {
 
     /// Splices the delta into `base`, producing the patched plan. A chunk
     /// whose rows all kept their index and columns is the base's, shared;
-    /// the others are rebuilt from the kept rows, columns renumbered, and
-    /// the recompiled ones (vanished rows dropped, new ones appended).
+    /// the others are rebuilt group by group: a kept group is the base's,
+    /// copied whole with its columns renumbered, the others the delta's.
     ///
     /// # Panics
-    /// Panics when a kept row references a vanished element — that would
+    /// Panics when a kept group references a vanished element — that would
     /// mean the footprint closure missed a dependency, which the property
     /// suite asserts never happens. Shared chunks are checked too.
     pub fn splice(&self, base: &EvalPlan) -> EvalPlan {
         let nm = base.n_modes;
-        // Fragment lookup by new point id.
-        let mut frag_of = vec![NONE; self.new_rows];
-        for (i, &p) in self.frag_rows.iter().enumerate() {
-            frag_of[p as usize] = i as u32;
-        }
-        let renumber = |src: usize, c: u32| {
+        let renumber = |row: usize, c: u32| {
             let nc = self.elem_map[c as usize];
             assert!(
                 nc != NONE,
-                "kept row {src} references a vanished element: \
+                "kept row {row} references a vanished element: \
                  the dirty closure missed a dependency"
             );
             nc
         };
-        // Row r is grid point r: a recompiled fragment where the closure
-        // caught it, otherwise its old row (`Some(old row)`).
-        let source = |r: usize| match frag_of[r] {
-            NONE => {
-                let src = self.row_source[r];
-                debug_assert!(src != NONE, "unsourced row {r} missing from fragments");
-                let (cols, weights) = chunk_row(&base.chunks, src as usize);
-                (cols, weights, Some(src as usize))
-            }
-            f => {
-                let (cols, weights) = chunk_row(&self.frag, f as usize);
-                (cols, weights, None)
-            }
-        };
+        // Each new group's place among the groups formed anew, or NONE.
+        let mut anew = vec![NONE; self.layout.len() - 1];
+        for (f, &k) in self.frag_groups.iter().enumerate() {
+            anew[k as usize] = f as u32;
+        }
+        let frag: Vec<Group<'_>> = self.frag.iter().flat_map(|c| c.groups()).collect();
+        let first_group = |row: usize| self.layout.partition_point(|&s| (s as usize) < row);
 
         let chunks = (0..self.new_rows)
             .step_by(CHUNK_ROWS)
             .map(|lo| {
                 let rows = lo..(lo + CHUNK_ROWS).min(self.new_rows);
+                let groups = first_group(lo)..first_group(rows.end);
                 // Shared: every row kept at its index, every column its own.
                 let shared = base.chunks.get(lo / CHUNK_ROWS).filter(|c| {
-                    c.rows() == rows.len()
-                        && rows.clone().all(|r| {
-                            frag_of[r] == NONE
-                                && self.row_source[r] as usize == r
-                                && c.row(r - lo).0.iter().all(|&e| renumber(r, e) == e)
-                        })
+                    c.n_rows() == rows.len()
+                        && groups.clone().all(|k| anew[k] == NONE)
+                        && rows.clone().all(|r| self.row_source[r] as usize == r)
+                        && c.cols.iter().all(|&e| renumber(lo, e) == e)
                 });
                 if let Some(chunk) = shared {
                     return Arc::clone(chunk);
                 }
-                let nnz = rows.clone().map(|r| source(r).0.len()).sum();
-                let mut chunk = Chunk::with_capacity(nm, nnz);
-                for r in rows {
-                    let (cols, weights, src) = source(r);
-                    match src {
-                        None => chunk.cols.extend_from_slice(cols),
-                        Some(src) => chunk.cols.extend(cols.iter().map(|&c| renumber(src, c))),
+                // Each group is the delta's, or the base's, renumbered.
+                let source = |k: usize| match anew[k] {
+                    NONE => {
+                        let src = self.row_source[self.layout[k] as usize];
+                        debug_assert!(src != NONE, "unsourced group {k} missing from fragments");
+                        (chunk_group(&base.chunks, src as usize).0, true)
                     }
-                    chunk.weights.extend_from_slice(weights);
-                    chunk.end_row();
-                }
-                Arc::new(chunk)
+                    f => (frag[f as usize], false),
+                };
+                let sources: Vec<_> = groups.map(source).collect();
+                Arc::new(Chunk::from_groups(nm, &sources, |c| renumber(lo, c)))
             })
             .collect();
 
@@ -486,6 +490,22 @@ impl EvalPlan {
             .filter(|&r| recompute[r as usize])
             .collect();
 
+        // Groups formed anew: those holding a closure row, and those whose
+        // rows no base group holds as they are.
+        let (layout, origins) = rows.layout(points, Some(grid.owners()));
+        let group_rows = |k: usize| layout[k] as usize..layout[k + 1] as usize;
+        let held = |rows: Range<usize>| {
+            let first = dirty.row_source[rows.start];
+            let chunk = self.chunks.get(first as usize / CHUNK_ROWS)?;
+            let (k, i) = chunk.group_of(first as usize % CHUNK_ROWS);
+            let kept = |r: usize| dirty.row_source[r] == first + (r - rows.start) as u32;
+            Some(i == 0 && chunk.group(k).rows == rows.len() && rows.clone().all(kept))
+        };
+        let frag_groups: Vec<u32> = (0..layout.len() - 1)
+            .filter(|&k| group_rows(k).any(|r| recompute[r]) || held(group_rows(k)) != Some(true))
+            .map(|k| k as u32)
+            .collect();
+
         // Unprobed: the closure's rows are kept for entries and counters.
         let unprobed = ExecConfig {
             instrument: false,
@@ -495,60 +515,102 @@ impl EvalPlan {
             .iter()
             .partition(|&&r| dirty.row_source[r as usize] == NONE);
         let at = |ids: &[u32]| -> Vec<Point2> { ids.iter().map(|&r| points[r as usize]).collect() };
+        let quiet = Tracer::new(false);
         let (fresh, fresh_metrics) = {
             let _span = tracer.span("patch.recompute");
-            rows.compile(&rows.order, &at(&new_rows), &unprobed, &Tracer::new(false))
+            rows.compile(&rows.order, &at(&new_rows), None, &unprobed, &quiet)
         };
         let (scattered, scatter_metrics) = {
             let _span = tracer.span("patch.scatter");
             let mut changed = dirty.changed.clone();
-            changed.sort_unstable_by_key(|&e| rows.storage_key(e));
-            rows.compile(&changed, &at(&kept_rows), &unprobed, &Tracer::new(false))
+            changed.sort_unstable_by_key(|&e| rows.key([0, 0], e));
+            rows.compile(&changed, &at(&kept_rows), None, &unprobed, &quiet)
         };
 
-        // Merge a closure chunk per task: a new point's row is fresh; a kept
-        // row, its survivors and changed pairs in storage order, rotated.
-        let frag = {
+        // Form the new groups, a run of them per task. A row's entries are a
+        // new point's fresh row, else its base row's survivors and, in the
+        // closure, the changed elements' pairs. A group's sources are merged
+        // by their columns' keys in its shared order, one column per element;
+        // a base group several rows came from is read once.
+        let (frag, nnz): (Vec<Chunk>, Vec<usize>) = {
             let _span = tracer.span("patch.merge");
-            let nm = self.n_modes;
-            let starts = (0..frag_rows.len()).step_by(CHUNK_ROWS).collect();
-            blocks::map(starts, options.parallel, |lo| {
-                let (mut chunk, mut keys) = (Chunk::with_capacity(nm, 0), Vec::new());
-                for &r in &frag_rows[lo..(lo + CHUNK_ROWS).min(frag_rows.len())] {
-                    if let Ok(i) = new_rows.binary_search(&r) {
-                        let (cols, weights) = chunk_row(&fresh, i);
-                        chunk.cols.extend_from_slice(cols);
-                        chunk.weights.extend_from_slice(weights);
-                        chunk.end_row();
-                        continue;
+            let (nm, starts) = (self.n_modes, (0..frag_groups.len()).step_by(MERGE_GROUPS));
+            let renumbered = Some(&dirty.elem_map[..]);
+            let tasks = blocks::map(starts.collect(), options.parallel, |lo| {
+                let (mut chunk, mut nnz) = (Chunk::new(nm), 0);
+                let (mut sources, mut keys) = (Vec::new(), Vec::new());
+                for &k in &frag_groups[lo..(lo + MERGE_GROUPS).min(frag_groups.len())] {
+                    let group = group_rows(k as usize);
+                    // Each source: a group, the new row each of its rows is
+                    // (`NO_ROW` if none), and the map its columns go through.
+                    // A base group consecutive rows came from is read once.
+                    let mut base = (NO_ROW, 0);
+                    for (i, r) in group.clone().enumerate() {
+                        let (src, r32) = (dirty.row_source[r], r as u32);
+                        let at = |ids: &[u32]| ids.binary_search(&r32).unwrap();
+                        let mut alone = [NO_ROW; GROUP_ROWS];
+                        alone[0] = i;
+                        if src == NONE {
+                            sources.push((chunk_group(&fresh, at(&new_rows)).0, alone, None));
+                            continue;
+                        }
+                        let (g, bi) = chunk_group(&self.chunks, src as usize);
+                        if base.0 != src as usize - bi {
+                            base = (src as usize - bi, sources.len());
+                            sources.push((g, [NO_ROW; GROUP_ROWS], renumbered));
+                        }
+                        sources[base.1].1[bi] = i;
+                        if recompute[r] {
+                            sources.push((chunk_group(&scattered, at(&kept_rows)).0, alone, None));
+                        }
                     }
-                    let base = chunk_row(&self.chunks, dirty.row_source[r as usize] as usize);
-                    let added = chunk_row(&scattered, kept_rows.binary_search(&r).unwrap());
-                    let survivors = base.0.iter().map(|&c| dirty.elem_map[c as usize]);
-                    let entries = survivors.chain(added.0.iter().copied()).enumerate();
-                    let key = |(k, e)| (e != NONE).then(|| (rows.storage_key(e), k));
-                    keys.clear();
-                    keys.extend(entries.filter_map(key));
+                    let origin = origins[k as usize];
+                    for (s, (g, to, map)) in sources.iter().enumerate() {
+                        let mask = (0..g.rows).filter(|&o| to[o] != NO_ROW);
+                        let mask = mask.fold(0, |m, o| m | 1 << o);
+                        for (j, (&c, &bits)) in g.cols.iter().zip(g.present).enumerate() {
+                            let e = map.map_or(c, |m| m[c as usize]);
+                            if bits & mask != 0 && e != NONE {
+                                keys.push((rows.key(origin, e), (s << 28 | j) as u32));
+                            }
+                        }
+                    }
                     keys.sort_unstable();
-                    debug_assert!(
-                        keys.windows(2).all(|w| w[0].0 < w[1].0),
-                        "row {r}: an element both survived and changed"
-                    );
-                    let start = chunk.cols.len();
-                    for &(key, k) in &keys {
-                        let (w, k) = match k.checked_sub(base.0.len()) {
-                            None => (base.1, k),
-                            Some(k) => (added.1, k),
-                        };
-                        chunk.cols.push(key as u32);
-                        chunk.weights.extend_from_slice(&w[k * nm..(k + 1) * nm]);
+                    let (g, from) = (group.len(), chunk.weights.len());
+                    let closure = (group.clone().enumerate())
+                        .filter(|&(_, r)| recompute[r])
+                        .fold(0u8, |m, (i, _)| m | 1 << i);
+                    let runs = keys.chunk_by(|a, b| a.0 == b.0);
+                    let n_cols = runs.clone().count();
+                    chunk.weights.resize(from + n_cols * g * nm, 0.0);
+                    for (run, out) in runs.zip(chunk.weights[from..].chunks_exact_mut(g * nm)) {
+                        let mut bits = 0u8;
+                        for &(_, at) in run {
+                            let (src, to, _) = &sources[at as usize >> 28];
+                            let j = at as usize & ((1 << 28) - 1);
+                            let read = (0..src.rows).filter(|&o| src.present[j] >> o & 1 != 0);
+                            for (o, i) in read.map(|o| (o, to[o])).filter(|&(_, i)| i != NO_ROW) {
+                                debug_assert!(
+                                    bits >> i & 1 == 0,
+                                    "an element survived and changed"
+                                );
+                                bits |= 1 << i;
+                                for m in 0..nm {
+                                    out[m * g + i] = src.weight(j, o, m);
+                                }
+                            }
+                        }
+                        chunk.cols.push(run[0].0 as u32);
+                        chunk.present.push(bits);
+                        nnz += (bits & closure).count_ones() as usize;
                     }
-                    let row = (&mut chunk.cols[start..], &mut chunk.weights[start * nm..]);
-                    rows.rotate_wrapped(points[r as usize], row);
-                    chunk.end_row();
+                    chunk.end_group(g);
+                    sources.clear();
+                    keys.clear();
                 }
-                chunk
-            })
+                (chunk, nnz)
+            });
+            tasks.into_iter().unzip()
         };
         let metrics = Metrics::sum([&fresh_metrics, &scatter_metrics]);
 
@@ -556,7 +618,10 @@ impl EvalPlan {
             new_rows: grid.len(),
             new_elements: mesh.n_triangles(),
             frag_rows,
+            layout,
+            frag_groups,
             frag,
+            respliced_nnz: nnz.iter().sum(),
             row_source: dirty.row_source.clone(),
             elem_map: dirty.elem_map.clone(),
             dirty_elements: dirty.dirty_elements(),

@@ -1,7 +1,7 @@
 //! The canonical plan-cache key: everything a compiled plan depends on,
 //! hashed by *content*.
 //!
-//! A plan's CSR structure and weights are fully determined by the mesh
+//! A plan's structure and weights are fully determined by the mesh
 //! geometry, the evaluation grid, the field degree, the kernel
 //! (smoothness `k` and width factor), and the compile-time SIMD ISA.
 //! [`PlanKey`] captures exactly that tuple, with the mesh and grid reduced

@@ -11,15 +11,17 @@
 //!
 //! An [`EvalPlan`] removes it. Compilation runs the per-element discovery
 //! machinery once and folds quadrature × kernel × basis into per-mode
-//! weights, stored as CSR row chunks: each output point owns a row of
-//! `(element, weight[0..n_modes])` entries. Applying the plan to a field is
-//! then a flat, cache-friendly SpMV-style loop:
+//! weights: each output point owns a row of `(element, weight[0..n_modes])`
+//! entries, and the rows of one element's points are stored together as a
+//! group, one column list and one dense weight block (DESIGN.md §9).
+//! Applying the plan to a field is then a flat, cache-friendly SpMV-style
+//! loop:
 //!
 //! ```text
 //! value[row] = Σ_{entry ∈ row} Σ_m weight[entry][m] · coeff[col(entry)][m]
 //! ```
 //!
-//! parallel over contiguous row chunks, instrumented with the same
+//! parallel over runs of whole row chunks, instrumented with the same
 //! `Probe`/`Tracer` spans as the direct pipeline. Plans live in memory —
 //! recompiling one is faster than loading it from disk (DESIGN.md §9) —
 //! and their size/timing surface through

@@ -1,5 +1,5 @@
-//! The compiled plan: a CSR sparse operator over `(point, element)` pairs,
-//! stored as shared row chunks.
+//! The compiled plan: a sparse operator over `(point, element)` pairs,
+//! stored as shared row chunks of element groups.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -19,68 +19,163 @@ pub const SCHEME_LABEL: &str = "plan";
 /// fast as flat storage (EXPERIMENTS.md "Incremental recompilation").
 pub(crate) const CHUNK_ROWS: usize = 256;
 
-/// Why a chunk failed to build: its entries overflow its `u32` row starts.
+/// Rows per group at most: the four quadrature points of a p = 1 element.
+pub(crate) const GROUP_ROWS: usize = 4;
+
+/// Why a chunk failed to build: its entries overflow its `u32` offsets.
 pub(crate) const OVERFLOW: &str = "chunk entries overflow u32";
 
-/// [`CHUNK_ROWS`] consecutive rows of a plan (fewer in the last chunk) in
-/// CSR form: local row `r` owns entries `row_ptr[r]..row_ptr[r + 1]`;
-/// entry `e` reads element `cols[e]` with the `n_modes` weights
-/// `weights[e * n_modes..(e + 1) * n_modes]`, one per modal coefficient.
-#[derive(Debug, Clone, PartialEq)]
+/// [`CHUNK_ROWS`] consecutive rows of a plan (fewer in the last chunk), cut
+/// into element groups (DESIGN.md §9): group `k` holds local rows
+/// `rows[k]..rows[k + 1]`, the union of their columns
+/// `cols[col_ptr[k]..col_ptr[k + 1]]` in an order that keeps every row's,
+/// a presence byte per column (bit `i`: the group's row `i` reads it), and
+/// `rows · n_modes` weights per column from `weights[w_ptr[k]]` on,
+/// mode-major (row `i`, mode `m` at `m · rows + i`), `0.0` where the row
+/// does not read the column.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Chunk {
     pub(crate) n_modes: usize,
-    pub(crate) row_ptr: Vec<u32>,
+    pub(crate) rows: Vec<u32>,
+    pub(crate) col_ptr: Vec<u32>,
+    pub(crate) w_ptr: Vec<u32>,
     pub(crate) cols: Vec<u32>,
+    pub(crate) present: Vec<u8>,
     pub(crate) weights: Vec<f64>,
+    /// Stored `(row, element)` entries: the presence bits set.
+    pub(crate) nnz: usize,
+}
+
+/// Group `k` of a [`Chunk`], its arrays sliced as the chunk's describe.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Group<'a> {
+    pub(crate) rows: usize,
+    pub(crate) n_modes: usize,
+    pub(crate) cols: &'a [u32],
+    pub(crate) present: &'a [u8],
+    pub(crate) weights: &'a [f64],
+}
+
+impl<'a> Group<'a> {
+    /// The columns row `i` reads, as positions in the group, in its order.
+    pub(crate) fn entries(self, i: usize) -> impl Iterator<Item = usize> + 'a {
+        let present = self.present;
+        (0..present.len()).filter(move |&j| present[j] >> i & 1 != 0)
+    }
+
+    /// Every row's entries `(i, j)`, row by row.
+    pub(crate) fn row_major(self) -> impl Iterator<Item = (usize, usize)> + 'a {
+        (0..self.rows).flat_map(move |i| self.entries(i).map(move |j| (i, j)))
+    }
+
+    /// Row `i`'s weight for mode `m` of column `j`.
+    #[inline]
+    pub(crate) fn weight(&self, j: usize, i: usize, m: usize) -> f64 {
+        self.weights[(j * self.n_modes + m) * self.rows + i]
+    }
 }
 
 impl Chunk {
-    /// A chunk of no rows, to append rows to, with room for `nnz` entries.
-    pub(crate) fn with_capacity(n_modes: usize, nnz: usize) -> Chunk {
+    /// A chunk of no groups, to append groups to.
+    pub(crate) fn new(n_modes: usize) -> Chunk {
+        let (rows, col_ptr, w_ptr) = (vec![0], vec![0], vec![0]);
         Chunk {
             n_modes,
-            row_ptr: vec![0],
-            cols: Vec::with_capacity(nnz),
-            weights: Vec::with_capacity(nnz * n_modes),
+            rows,
+            col_ptr,
+            w_ptr,
+            ..Chunk::default()
         }
     }
 
-    /// Closes the row of the entries appended since the last row closed.
-    pub(crate) fn end_row(&mut self) {
-        self.row_ptr
-            .push(u32::try_from(self.cols.len()).expect(OVERFLOW));
+    /// The chunk of `groups`, whole, the columns of those marked `true`
+    /// mapped through `map`.
+    pub(crate) fn from_groups(
+        n_modes: usize,
+        groups: &[(Group<'_>, bool)],
+        map: impl Fn(u32) -> u32,
+    ) -> Chunk {
+        let mut chunk = Chunk::new(n_modes);
+        let cols = groups.iter().map(|(g, _)| g.cols.len()).sum();
+        (chunk.cols, chunk.present) = (Vec::with_capacity(cols), Vec::with_capacity(cols));
+        chunk.weights = Vec::with_capacity(groups.iter().map(|(g, _)| g.weights.len()).sum());
+        for &(group, mapped) in groups {
+            chunk
+                .cols
+                .extend(group.cols.iter().map(|&c| if mapped { map(c) } else { c }));
+            chunk.present.extend_from_slice(group.present);
+            chunk.weights.extend_from_slice(group.weights);
+            chunk.end_group(group.rows);
+        }
+        chunk
+    }
+
+    /// Closes a group of `rows` rows over the columns appended since the
+    /// last group closed.
+    pub(crate) fn end_group(&mut self, rows: usize) {
+        let from = *self.col_ptr.last().unwrap() as usize;
+        self.nnz += self.present[from..]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum::<usize>();
+        let fit = |n: usize| u32::try_from(n).expect(OVERFLOW);
+        self.rows.push(fit(self.n_rows() + rows));
+        self.col_ptr.push(fit(self.cols.len()));
+        self.w_ptr.push(fit(self.weights.len()));
     }
 
     /// Rows held.
     #[inline]
-    pub(crate) fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
+    pub(crate) fn n_rows(&self) -> usize {
+        *self.rows.last().unwrap() as usize
     }
 
-    /// The half-open entry range of local row `r`.
+    /// Groups held.
     #[inline]
-    pub(crate) fn range(&self, r: usize) -> (usize, usize) {
-        (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize)
+    pub(crate) fn n_groups(&self) -> usize {
+        self.rows.len() - 1
     }
 
-    /// Local row `r`'s columns and weights.
+    /// Group `k`.
     #[inline]
-    pub(crate) fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = self.range(r);
-        let nm = self.n_modes;
-        (&self.cols[lo..hi], &self.weights[lo * nm..hi * nm])
+    pub(crate) fn group(&self, k: usize) -> Group<'_> {
+        let (c0, c1) = (self.col_ptr[k] as usize, self.col_ptr[k + 1] as usize);
+        let (w0, w1) = (self.w_ptr[k] as usize, self.w_ptr[k + 1] as usize);
+        Group {
+            rows: (self.rows[k + 1] - self.rows[k]) as usize,
+            n_modes: self.n_modes,
+            cols: &self.cols[c0..c1],
+            present: &self.present[c0..c1],
+            weights: &self.weights[w0..w1],
+        }
+    }
+
+    /// Every group, in row order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = Group<'_>> {
+        (0..self.n_groups()).map(|k| self.group(k))
+    }
+
+    /// The group holding local row `r`, and `r`'s row in it.
+    #[inline]
+    pub(crate) fn group_of(&self, r: usize) -> (usize, usize) {
+        let k = self.rows.partition_point(|&s| s as usize <= r) - 1;
+        (k, r - self.rows[k] as usize)
     }
 }
 
-/// Row `r`'s columns and weights, of rows stored [`CHUNK_ROWS`] a chunk.
-pub(crate) fn chunk_row<C: Borrow<Chunk>>(chunks: &[C], r: usize) -> (&[u32], &[f64]) {
-    chunks[r / CHUNK_ROWS].borrow().row(r % CHUNK_ROWS)
+/// The group holding row `r` of chunks of [`CHUNK_ROWS`] rows, and `r`'s
+/// row in it.
+pub(crate) fn chunk_group<C: Borrow<Chunk>>(chunks: &[C], r: usize) -> (Group<'_>, usize) {
+    let chunk = chunks[r / CHUNK_ROWS].borrow();
+    let (k, i) = chunk.group_of(r % CHUNK_ROWS);
+    (chunk.group(k), i)
 }
 
 /// A compiled evaluation plan: one row per output point, each a list of
-/// `(element, weight[0..n_modes])` entries, held in chunks of 256 rows
-/// behind `Arc`s so a patched plan shares the chunks its patch left alone
-/// with its base. Weights absorb the entire geometric
+/// `(element, weight[0..n_modes])` entries, the rows of one element stored
+/// together as a group, held in chunks of 256 rows behind `Arc`s so a
+/// patched plan shares the chunks its patch left alone with its base.
+/// Weights absorb the entire geometric
 /// pipeline (clipping, fan triangulation, quadrature, kernel values, basis
 /// transform), so applying the plan never touches the mesh.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,49 +239,49 @@ impl EvalPlan {
     pub fn rows(&self) -> usize {
         self.chunks
             .last()
-            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK_ROWS + c.rows())
+            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK_ROWS + c.n_rows())
     }
 
     /// Stored `(point, element)` entries.
     pub fn nnz(&self) -> usize {
-        self.chunks.iter().map(|c| c.cols.len()).sum()
+        self.chunks.iter().map(|c| c.nnz).sum()
     }
 
     /// Column ids (the element each stored entry reads), concatenated
     /// across rows. The distributed runtime scans these to learn which
     /// non-owned elements a rank's rows reference — its halo set.
     pub fn cols(&self) -> impl Iterator<Item = u32> + '_ {
-        self.chunks.iter().flat_map(|c| c.cols.iter().copied())
+        let groups = self.chunks.iter().flat_map(|c| c.groups());
+        groups.flat_map(|g| g.row_major().map(move |(_, j)| g.cols[j]))
     }
 
     /// In-memory size of the plan's arrays in bytes: its logical size,
     /// counting every chunk whether or not another plan shares it.
     pub fn bytes(&self) -> usize {
-        let bytes = |c: &Arc<Chunk>| 4 * (c.row_ptr.len() + c.cols.len()) + 8 * c.weights.len();
+        let bytes = |c: &Arc<Chunk>| {
+            let offsets = c.rows.len() + c.col_ptr.len() + c.w_ptr.len();
+            4 * (offsets + c.cols.len()) + c.present.len() + 8 * c.weights.len()
+        };
         self.chunks.iter().map(bytes).sum()
     }
 
-    /// The stored weights as raw IEEE-754 bit patterns, entry-major. This
-    /// is the bit-exactness surface: two plans evaluate identically iff
-    /// their structure matches and these streams are equal.
+    /// The stored weights as raw IEEE-754 bit patterns, row by row and
+    /// entry-major, the groups' padding left out. This is the bit-exactness
+    /// surface: two plans evaluate identically iff their structure matches
+    /// and these streams are equal.
     pub fn weights_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.weights.iter().map(|w| w.to_bits()))
+        self.chunks.iter().flat_map(|c| c.groups()).flat_map(|g| {
+            let entry = move |(i, j)| (0..g.n_modes).map(move |m| g.weight(j, i, m).to_bits());
+            g.row_major().flat_map(entry)
+        })
     }
 
-    /// The chunk holding row `r`, and `r`'s row in it.
-    #[inline]
-    pub(crate) fn locate(&self, r: usize) -> (&Chunk, usize) {
-        (&self.chunks[r / CHUNK_ROWS], r % CHUNK_ROWS)
-    }
-
-    /// The element columns row `r` reads, in stored (execution) order:
-    /// global element ids — the basis of the sharded runtime's
-    /// interior/frontier row classification.
-    #[inline]
-    pub fn row_cols(&self, r: usize) -> &[u32] {
-        chunk_row(&self.chunks, r).0
+    /// The element columns row `r`'s evaluation reads coefficients of,
+    /// global element ids: every column of the group holding it, a row
+    /// reading `0.0 ·` those it stores no weights for. The basis of the
+    /// sharded runtime's interior/frontier row classification.
+    pub fn read_cols(&self, r: usize) -> &[u32] {
+        chunk_group(&self.chunks, r).0.cols
     }
 
     /// Wall-clock time spent compiling.

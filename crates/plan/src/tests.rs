@@ -4,13 +4,21 @@
 
 use crate::delta::NONE;
 use crate::gather::gather_rows;
-use crate::plan::{Chunk, CHUNK_ROWS};
+use crate::plan::{chunk_group, Chunk, CHUNK_ROWS};
 use crate::{DirtySet, EvalPlan, PatchError, PlanDelta, SCHEME_LABEL};
 use std::sync::Arc;
 use ustencil_core::{ComputationGrid, ExecConfig, PostProcessor, Scheme, SimdIsa, SimdPolicy};
 use ustencil_dg::project_l2;
 use ustencil_geometry::Point2;
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
+
+impl EvalPlan {
+    /// The element columns row `r` stores weights for, in stored order.
+    fn row_cols(&self, r: usize) -> impl Iterator<Item = u32> + '_ {
+        let (group, i) = chunk_group(&self.chunks, r);
+        group.entries(i).map(move |j| group.cols[j])
+    }
+}
 
 fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, ComputationGrid) {
     let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
@@ -19,17 +27,34 @@ fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, C
     (mesh, field, grid)
 }
 
-/// Each row's entry count: the structure a plan's row starts encode.
+/// Each row's entry count: the structure a plan's presence bits encode.
 fn row_lens(plan: &EvalPlan) -> Vec<usize> {
-    (0..plan.rows()).map(|r| plan.row_cols(r).len()).collect()
+    (0..plan.rows()).map(|r| plan.row_cols(r).count()).collect()
+}
+
+/// A group's row count, union columns, presence bytes and weight bits.
+type StoredGroup = (usize, Vec<u32>, Vec<u8>, Vec<u64>);
+
+/// Each group's row count, union columns, presence bytes and weight bits,
+/// padding included: the stored layout, group for group.
+fn groups(plan: &EvalPlan) -> Vec<StoredGroup> {
+    let group = |g: crate::plan::Group<'_>| {
+        let bits = g.weights.iter().map(|w| w.to_bits()).collect();
+        (g.rows, g.cols.to_vec(), g.present.to_vec(), bits)
+    };
+    plan.chunks
+        .iter()
+        .flat_map(|c| c.groups().map(group))
+        .collect()
 }
 
 /// Two plans are the same operator bit for bit: the same rows, the same
-/// columns in the same order, the same weight bits.
+/// columns in the same order, the same weight bits, and the same groups.
 fn assert_bitwise(a: &EvalPlan, b: &EvalPlan) {
     assert_eq!(row_lens(a), row_lens(b), "row lengths");
     assert!(a.cols().eq(b.cols()), "columns");
     assert!(a.weights_bits().eq(b.weights_bits()), "weight bits");
+    assert!(groups(a) == groups(b), "groups");
 }
 
 fn small_options() -> ExecConfig {
@@ -78,11 +103,16 @@ fn plan_shape_and_stats_are_consistent() {
     let stats = plan.stats();
     assert_eq!(stats.rows, grid.len() as u64);
     assert_eq!(stats.nnz, plan.nnz() as u64);
+    // Three u32 offsets per group and chunk, a u32 column and a presence
+    // byte per union column, a weight per row and mode of each.
+    let layout = |c: &Arc<Chunk>| 12 * (c.n_groups() + 1) + 5 * c.cols.len() + 8 * c.weights.len();
     assert_eq!(
         stats.bytes,
-        (4 * (plan.rows() + plan.chunks.len()) + 4 * plan.nnz() + 8 * plan.nnz() * plan.n_modes())
-            as u64
+        plan.chunks.iter().map(layout).sum::<usize>() as u64
     );
+    for g in groups(&plan) {
+        assert_eq!(g.3.len(), g.1.len() * g.0 * plan.n_modes());
+    }
     assert!(stats.build_ms > 0.0);
     // The compile pass counted real geometric work.
     let bm = plan.build_metrics();
@@ -190,7 +220,7 @@ fn sub_grid_rows_are_bitwise_the_gather_rows() {
     assert_is_gather(&plan, &mesh, sub.points(), &options);
     let global = EvalPlan::compile(&mesh, &grid, 1, &options);
     for (row, &i) in picked.iter().enumerate() {
-        assert_eq!(plan.row_cols(row), global.row_cols(i), "row {row}");
+        assert!(plan.row_cols(row).eq(global.row_cols(i)), "row {row}");
     }
 }
 
@@ -224,7 +254,8 @@ fn apply_variants_agree() {
             ..ExecConfig::default()
         };
         let b = plan.apply_with(&field, &options);
-        assert_eq!(b.block_stats.len(), n_blocks);
+        // A block is a run of whole chunks.
+        assert_eq!(b.block_stats.len(), n_blocks.min(plan.chunks.len()));
         assert_eq!(b.metrics, a.metrics, "{n_blocks} blocks");
         // All rows through the row-subset entry point, into a caller's
         // buffer, is the same apply again.
@@ -370,7 +401,7 @@ fn instrumented_apply_populates_stats() {
         },
     );
     assert!(sol.spans.iter().any(|s| s.name == "apply.spmv"));
-    assert_eq!(sol.block_stats.len(), 4);
+    assert_eq!(sol.block_stats.len(), 4.min(plan.chunks.len()));
     let probe = ustencil_core::BlockStats::merged_probe(&sol.block_stats);
     // One row-entry-count sample per grid point, summing to the nnz.
     assert_eq!(probe.candidates_per_query().count(), grid.len() as u64);
@@ -590,14 +621,11 @@ fn chunk_rows(c: usize, rows: usize) -> std::ops::Range<usize> {
 /// every column its own id, over as many rows as the base's chunk `c`.
 fn untouched(delta: &PlanDelta, base: &EvalPlan, c: usize) -> bool {
     let rows = chunk_rows(c, delta.row_source.len());
-    base.chunks.get(c).is_some_and(|b| b.rows() == rows.len())
+    base.chunks.get(c).is_some_and(|b| b.n_rows() == rows.len())
         && rows.into_iter().all(|r| {
             delta.frag_rows.binary_search(&(r as u32)).is_err()
                 && delta.row_source[r] as usize == r
-                && base
-                    .row_cols(r)
-                    .iter()
-                    .all(|&e| delta.elem_map[e as usize] == e)
+                && base.row_cols(r).all(|e| delta.elem_map[e as usize] == e)
         })
 }
 
@@ -622,7 +650,7 @@ fn refine_band(mesh: &TriMesh, xs: &[f64]) -> (TriMesh, ComputationGrid) {
 fn assert_pair_work(delta: &PlanDelta, dirty: &DirtySet, fresh: &EvalPlan) {
     let (mut pairs, mut closure_nnz) = (0, 0);
     for &r in &delta.frag_rows {
-        let cols = fresh.row_cols(r as usize);
+        let cols: Vec<u32> = fresh.row_cols(r as usize).collect();
         closure_nnz += cols.len();
         pairs += match delta.row_source[r as usize] {
             NONE => cols.len(),
@@ -762,30 +790,232 @@ fn splice_checks_the_chunks_it_shares() {
     let dropped = delta.frag_rows[f] as usize;
     assert!(plan
         .row_cols(dropped)
-        .iter()
-        .any(|&e| delta.elem_map[e as usize] == NONE));
-    // Drop row `f`, packing the other recompiled rows into chunks again.
-    let rows: Vec<_> = (0..delta.frag_rows.len())
-        .filter(|&i| i != f)
-        .map(|i| delta.frag[i / CHUNK_ROWS].row(i % CHUNK_ROWS))
-        .map(|(cols, weights)| (cols.to_vec(), weights.to_vec()))
+        .any(|e| delta.elem_map[e as usize] == NONE));
+    // Drop the row and the group formed anew around it: the splice falls
+    // back to the base's group.
+    let k = delta.layout.partition_point(|&s| s as usize <= dropped) - 1;
+    let g = delta.frag_groups.binary_search(&(k as u32)).unwrap();
+    let frag = delta.frag.iter().flat_map(|c| c.groups()).enumerate();
+    let kept: Vec<_> = frag
+        .filter(|&(i, _)| i != g)
+        .map(|(_, g)| (g, false))
         .collect();
-    delta.frag = (rows.chunks(CHUNK_ROWS))
-        .map(|part| {
-            let mut chunk = Chunk {
-                n_modes: plan.n_modes,
-                row_ptr: vec![0],
-                cols: Vec::new(),
-                weights: Vec::new(),
-            };
-            for (cols, weights) in part {
-                chunk.cols.extend_from_slice(cols);
-                chunk.weights.extend_from_slice(weights);
-                chunk.row_ptr.push(chunk.cols.len() as u32);
-            }
-            chunk
-        })
-        .collect();
+    let chunk = Chunk::from_groups(plan.n_modes, &kept, |e| e);
+    delta.frag = vec![chunk];
+    delta.frag_groups.remove(g);
     delta.frag_rows.remove(f);
     let _ = delta.splice(&plan);
+}
+
+/// Each group's row count, in row order.
+fn group_sizes(plan: &EvalPlan) -> Vec<usize> {
+    groups(plan).iter().map(|g| g.0).collect()
+}
+
+/// The historical row kernel of the scalar policy over the plan's rows,
+/// de-grouped: per-mode lanes, unfused multiply and add, modes summed in
+/// order.
+fn row_kernel(plan: &EvalPlan, coeffs: &[f64]) -> Vec<u64> {
+    let nm = plan.n_modes();
+    let mut weights = plan.weights_bits().map(f64::from_bits);
+    (0..plan.rows())
+        .map(|r| {
+            let mut lane = [0.0f64; 10];
+            for c in plan.row_cols(r) {
+                for (m, l) in lane.iter_mut().enumerate().take(nm) {
+                    *l += weights.next().unwrap() * coeffs[c as usize * nm + m];
+                }
+            }
+            lane[..nm].iter().sum::<f64>().to_bits()
+        })
+        .collect()
+}
+
+/// Asserts every group holds rows of one owner, in one chunk, at most
+/// four of them, and that each is its rows' columns in an order keeping
+/// each row's: the presence bits list the row's columns in stored order.
+fn assert_groups_hold_rows(plan: &EvalPlan, grid: &ComputationGrid) {
+    let mut row = 0;
+    for g in groups(plan) {
+        assert!((1..=4).contains(&g.0));
+        let rows = row..row + g.0;
+        assert_eq!(rows.start / CHUNK_ROWS, (rows.end - 1) / CHUNK_ROWS);
+        assert!(rows.clone().all(|r| grid.owners()[r] == grid.owners()[row]));
+        for (i, r) in rows.clone().enumerate() {
+            let cols = (g.1.iter().zip(&g.2)).filter(|(_, &b)| b >> i & 1 != 0);
+            assert!(plan.row_cols(r).eq(cols.map(|(&c, _)| c)), "row {r}");
+        }
+        assert!(g.2.iter().all(|&b| b != 0 && b >> g.0 == 0));
+        row = rows.end;
+    }
+    assert_eq!(row, plan.rows());
+}
+
+/// p = 2: an element's nine points make groups of 4 + 4 + 1, a chunk edge
+/// cuts the run of an element's points, and every row is still the gather
+/// row, applied bit for bit as the historical row kernel applies it.
+#[test]
+fn nine_point_elements_group_four_four_one_and_chunk_edges_cut_runs() {
+    let (mesh, field, grid) = setup(150, 2, 61);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &grid, 2, &options);
+    assert_is_gather(&plan, &mesh, grid.points(), &options);
+    assert_groups_hold_rows(&plan, &grid);
+    let sizes = group_sizes(&plan);
+    assert!(sizes.windows(3).any(|w| w == [4, 4, 1]), "{sizes:?}");
+    let cut = (1..plan.chunks.len()).find(|&c| {
+        let r = c * CHUNK_ROWS;
+        grid.owners()[r] == grid.owners()[r - 1]
+    });
+    assert!(cut.is_some(), "no chunk edge inside an element's points");
+    let scalar = ExecConfig {
+        simd: SimdPolicy::Scalar,
+        ..options
+    };
+    let values = plan.apply_with(&field, &scalar).values;
+    let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, row_kernel(&plan, field.coefficients()));
+}
+
+/// A grid whose points all have distinct owners is stored one row a group:
+/// today's CSR rows, with no padding.
+#[test]
+fn distinct_owners_give_groups_of_one_row() {
+    let (mesh, field, grid) = setup(150, 1, 67);
+    let owners = (0..grid.len() as u32).collect();
+    let single = ComputationGrid::from_points(grid.points().to_vec(), owners);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &single, 1, &options);
+    assert_is_gather(&plan, &mesh, single.points(), &options);
+    assert!(group_sizes(&plan).iter().all(|&g| g == 1));
+    assert!(groups(&plan).iter().all(|g| g.2.iter().all(|&b| b == 1)));
+    let grouped = EvalPlan::compile(&mesh, &grid, 1, &options);
+    assert_eq!(plan.nnz(), grouped.nnz());
+    for simd in [SimdPolicy::Scalar, SimdPolicy::Auto] {
+        let options = ExecConfig { simd, ..options };
+        let a = plan.apply_with(&field, &options).values;
+        let b = grouped.apply_with(&field, &options).values;
+        assert!(a.iter().zip(&b).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}
+
+/// A support nearly as wide as the domain: sibling points' candidate
+/// windows span the whole triangle grid from different first cells, so
+/// their hull wraps onto itself, no order keeps both rows' orders, and the
+/// element's points are split into several groups. That is the case hit
+/// here, and the only one the rule splits for. Rows stay the gather rows,
+/// applied as the row kernel applies them, and the patched plan is the
+/// fresh one, group for group.
+#[test]
+fn windows_wrapping_onto_themselves_split_groups() {
+    let mesh = generate_mesh(MeshClass::LowVariance, 24, 1);
+    let grid = ComputationGrid::quadrature_points(&mesh, 1);
+    let options = ExecConfig {
+        h_factor: 0.99 / (4.0 * mesh.max_edge_length()),
+        n_blocks: 3,
+        ..ExecConfig::default()
+    };
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    assert_is_gather(&plan, &mesh, grid.points(), &options);
+    assert_groups_hold_rows(&plan, &grid);
+    // Every element's four points would be one group but for the split.
+    let sizes = group_sizes(&plan);
+    assert!(sizes.len() > mesh.n_triangles(), "{sizes:?}");
+    let field = project_l2(&mesh, 1, |x, y| x * y - 0.25, 2);
+    let scalar = ExecConfig {
+        simd: SimdPolicy::Scalar,
+        ..options
+    };
+    let values = plan.apply_with(&field, &scalar).values;
+    let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, row_kernel(&plan, field.coefficients()));
+    let moved = ustencil_mesh::displace_band(&mesh, 0.4, 0.6, 0.2, 3);
+    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
+    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
+    let (patched, _) = plan
+        .patched(&moved, &moved_grid, &dirty, &options)
+        .expect("the band keeps the longest edge");
+    assert_bitwise(
+        &patched,
+        &EvalPlan::compile(&moved, &moved_grid, 1, &options),
+    );
+}
+
+/// A non-finite coefficient on element `e` reaches, through the groups'
+/// `0.0 ·` padding, every row of every group with a column on `e`: those
+/// rows are non-finite, every other row is bitwise the finite field's, and
+/// nothing panics.
+#[test]
+fn non_finite_coefficients_poison_exactly_the_groups_reading_them() {
+    let (mesh, field, grid) = setup(150, 1, 71);
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
+    let e = 17;
+    // Rows whose group has a column on `e`.
+    let mut reached = Vec::new();
+    for g in groups(&plan) {
+        let hit = g.1.contains(&e);
+        reached.extend(std::iter::repeat_n(hit, g.0));
+    }
+    assert!(reached.iter().any(|&r| r) && !reached.iter().all(|&r| r));
+    for simd in [SimdPolicy::Scalar, SimdPolicy::Auto] {
+        let options = ExecConfig {
+            simd,
+            ..ExecConfig::default()
+        };
+        let clean = plan.apply_with(&field, &options).values;
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut poisoned = field.clone();
+            poisoned.element_coeffs_mut(e as usize)[1] = bad;
+            let values = plan.apply_with(&poisoned, &options).values;
+            for (r, (v, c)) in values.iter().zip(&clean).enumerate() {
+                if reached[r] {
+                    assert!(!v.is_finite(), "{simd:?} {bad}: row {r} is {v}");
+                } else {
+                    assert_eq!(v.to_bits(), c.to_bits(), "{simd:?} {bad}: row {r}");
+                }
+            }
+        }
+    }
+}
+
+/// Rows that shift by a multiple of nine (p = 2) meet chunk edges at
+/// other points of an element, so some groups of rows no patch recompiled
+/// change makeup: they are formed anew from their rows, and the patched
+/// plan is the fresh compile, group for group. A wide refined region's
+/// children sit in the element list's tail, behind those of a few
+/// lower-numbered elements refined far away in the next frame.
+#[test]
+fn shifted_rows_regroup_without_recompiling() {
+    let base = generate_mesh(MeshClass::LowVariance, 1000, 2013);
+    let pinned = ustencil_mesh::elements_on_longest_edge(&base);
+    let eligible = |lo: f64, hi: f64| -> Vec<u32> {
+        let inside = |e: u32| (lo..hi).contains(&base.centroid(e as usize).x);
+        let ids = 0..base.n_triangles() as u32;
+        ids.filter(|&e| !pinned[e as usize] && inside(e)).collect()
+    };
+    let wide = eligible(0.6, 0.9);
+    let mut both: Vec<u32> = eligible(0.1, 0.2)[..10]
+        .iter()
+        .chain(&wide)
+        .copied()
+        .collect();
+    both.sort_unstable();
+    let (mesh, next) = (
+        ustencil_mesh::refine_elements(&base, &wide),
+        ustencil_mesh::refine_elements(&base, &both),
+    );
+    let grid = ComputationGrid::quadrature_points(&mesh, 2);
+    let next_grid = ComputationGrid::quadrature_points(&next, 2);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &grid, 2, &options);
+    let dirty = DirtySet::diff(&mesh, &grid, &next, &next_grid);
+    let delta = plan.patch(&next, &next_grid, &dirty, &options).unwrap();
+    let recompiled = |k: u32| {
+        let rows = delta.layout[k as usize]..delta.layout[k as usize + 1];
+        rows.into_iter()
+            .any(|r| delta.frag_rows.binary_search(&r).is_ok())
+    };
+    assert!(delta.frag_groups.iter().any(|&k| !recompiled(k)));
+    let fresh = EvalPlan::compile(&next, &next_grid, 2, &options);
+    assert_bitwise(&delta.splice(&plan), &fresh);
 }

@@ -21,7 +21,7 @@
 //! other for microseconds. (Eight hash-selected
 //! shards were measured against this and retired: no effect on throughput
 //! or p99, and a budget split eight ways that nothing honoured — DESIGN.md
-//! §14.) `byte_budget` bounds the whole cache in plan CSR bytes, the same
+//! §14.) `byte_budget` bounds the whole cache in plan bytes, the same
 //! accounting as [`PlanStats::bytes`](ustencil_core::PlanStats): after
 //! every publish, least-recently-used *ready* entries are evicted until the
 //! resident total fits. In-flight entries and the entry just produced are
@@ -92,7 +92,7 @@ pub struct CacheSnapshot {
     pub patches: u64,
     /// Plans evicted under the byte budget.
     pub evictions: u64,
-    /// Bytes of plan CSR data currently resident.
+    /// Bytes of plan data currently resident.
     pub resident_bytes: u64,
 }
 
@@ -181,7 +181,7 @@ struct Entry {
     slot: Slot,
     /// LRU clock value of the last touch.
     last_used: u64,
-    /// CSR bytes (0 while in flight).
+    /// Plan bytes (0 while in flight).
     bytes: u64,
     /// The problem the plan was compiled for, when the producer supplied
     /// it ([`PlanCache::get_or_patch`]); `None` entries can serve hits but
@@ -222,7 +222,7 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache holding at most `byte_budget` bytes of plan CSR data
+    /// An empty cache holding at most `byte_budget` bytes of plan data
     /// (0 = unbounded).
     pub fn new(byte_budget: u64) -> Self {
         Self {
