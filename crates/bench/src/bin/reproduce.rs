@@ -20,7 +20,6 @@ use ustencil_mesh::MeshClass;
 use ustencil_plan::{EvalPlan, PATCH_SCHEME_LABEL, SCHEME_LABEL};
 use ustencil_serve::traffic::{self, TrafficConfig};
 use ustencil_serve::SCHEME_LABEL as SERVE_SCHEME_LABEL;
-use ustencil_trace::Timeline;
 
 /// Largest default mesh size per polynomial degree (indexed by `p`).
 /// Quadratic stops at 4k and cubic is skipped by default so the
@@ -239,22 +238,14 @@ fn fig14(r: &mut Runner, sizes: &[usize]) {
 /// the device model's communication term is charged with *counted*
 /// traffic rather than an estimate. Each rank count is validated against
 /// the in-process per-element reference before being reported.
-fn fig14_ranks(r: &mut Runner, sizes: &[usize], ranks: &[usize], timeline_path: Option<&str>) {
-    println!("\n== Figure 14 (rank-sharded): per-element with interior-first overlap, linear polynomials ==");
+fn fig14_ranks(r: &mut Runner, sizes: &[usize], ranks: &[usize]) {
     println!(
-        "{:>8} {:>6} {:>12} {:>12} {:>11} {:>10} {:>10} {:>12} {:>10}",
-        "mesh",
-        "ranks",
-        "sim ms",
-        "barrier ms",
-        "exposed ms",
-        "halo elems",
-        "msgs",
-        "wire KiB",
-        "max diff"
+        "\n== Figure 14 (rank-sharded): per-element, exchange then evaluate, linear polynomials =="
     );
-    let mut timeline = Timeline::new();
-    let mut next_pid = 1u64;
+    println!(
+        "{:>8} {:>6} {:>12} {:>11} {:>10} {:>10} {:>12} {:>10}",
+        "mesh", "ranks", "sim ms", "exchange ms", "halo elems", "msgs", "wire KiB", "max diff"
+    );
     for &n in sizes {
         let reference = r
             .run(MeshClass::LowVariance, n, 1, Scheme::PerElement)
@@ -285,60 +276,29 @@ fn fig14_ranks(r: &mut Runner, sizes: &[usize], ranks: &[usize], timeline_path: 
                 ..Default::default()
             };
             let sim = sol.simulate(&cfg);
-            // The phase-barrier baseline: the same counted traffic with
-            // nothing hidden behind the interior sweep.
-            let barrier_traffic: Vec<RankTraffic> = sol
-                .traffic()
-                .into_iter()
-                .map(|t| RankTraffic {
-                    exposed_fraction: 1.0,
-                    ..t
-                })
-                .collect();
-            let barrier = simulate_ranks(
-                Scheme::PerElement,
-                &sol.rank_block_metrics(),
-                &barrier_traffic,
-                &cfg,
-            );
-            let exposed_ms =
+            let exchange_ms =
                 sol.ranks.iter().map(|rr| rr.exchange_ns).max().unwrap_or(0) as f64 / 1e6;
             let comm = sol.total_comm();
             let halo: u64 = sol.ranks.iter().map(|rr| rr.halo_elements).sum();
             println!(
-                "{:>8} {:>6} {:>12.2} {:>12.2} {:>11.3} {:>10} {:>10} {:>12.1} {:>10.1e}",
+                "{:>8} {:>6} {:>12.2} {:>11.3} {:>10} {:>10} {:>12.1} {:>10.1e}",
                 size_label(n),
                 n_ranks,
                 sim.total_ms,
-                barrier.total_ms,
-                exposed_ms,
+                exchange_ms,
                 halo,
                 comm.msgs_sent,
                 comm.bytes_sent as f64 / 1024.0,
                 diff
             );
             let label = format!("low-variance/{}/p1/dist@{}ranks", size_label(n), n_ranks);
-            sol.add_to_timeline(&mut timeline, next_pid, &label);
-            next_pid += 1;
             r.records.push(sol.to_run_record(&label, n, Some(sim)));
         }
     }
-    if let Some(path) = timeline_path {
-        let text = timeline.to_pretty_string();
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write '{path}': {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "  [wrote {} track(s), {} flow arrow(s) to {path}; load at ui.perfetto.dev]",
-            timeline.tracks().len(),
-            timeline.flows().len()
-        );
-    }
     println!(
         "(log-log in ranks x size: compute shrinks per rank while counted halo traffic grows; \
-         'sim ms' charges only the exposed slice of the exchange, 'barrier ms' the \
-         phase-barrier baseline on the same traffic)"
+         'sim ms' charges the whole counted wire time, 'exchange ms' is the slowest rank's \
+         measured post + drain)"
     );
 }
 
@@ -806,49 +766,13 @@ fn checkjson(path: &str) -> Result<(), String> {
             if run.comms.is_empty() {
                 return Err(format!("{ctx}: dist run without per-rank comms ledgers"));
             }
-            for phase in [
-                "exchange.post",
-                "eval.interior",
-                "exchange.drain",
-                "eval.frontier",
-                "reduce.gather",
-            ] {
+            for phase in ["exchange.post", "exchange.drain", "eval", "reduce.gather"] {
                 if !run.spans.iter().any(|s| s.name == phase) {
                     return Err(format!("{ctx}: dist run missing the '{phase}' span"));
                 }
             }
             if run.comms.len() > 1 && !run.comms.iter().any(|c| c.bytes_sent > 0) {
                 return Err(format!("{ctx}: multi-rank run counted no wire traffic"));
-            }
-            // The coordinator's phase timeline bounds every rank's exposed
-            // exchange: ranks finish draining before the gather completes.
-            let run_ms: f64 = run.spans.iter().map(|s| s.duration_ns as f64 / 1e6).sum();
-            for c in &run.comms {
-                if c.exposed_comms_ms.is_nan() || c.exposed_comms_ms < 0.0 {
-                    return Err(format!(
-                        "{ctx}: rank {} has invalid exposed_comms_ms {}",
-                        c.rank, c.exposed_comms_ms
-                    ));
-                }
-                // Small slack for untraced gaps between the coordinator's
-                // spans (the ranks' clocks are not the coordinator's).
-                if c.exposed_comms_ms > run_ms * 1.1 + 0.5 {
-                    return Err(format!(
-                        "{ctx}: rank {} exposed {}ms but the whole run spans {run_ms}ms",
-                        c.rank, c.exposed_comms_ms
-                    ));
-                }
-                // Interior and frontier must partition the rank's owned
-                // work: elements on the push path, plan rows on the pull
-                // path.
-                let split = c.interior + c.frontier;
-                if split != c.owned_elements && split != c.owned_points {
-                    return Err(format!(
-                        "{ctx}: rank {} interior {} + frontier {} covers neither \
-                         {} owned elements nor {} owned points",
-                        c.rank, c.interior, c.frontier, c.owned_elements, c.owned_points
-                    ));
-                }
             }
             // A re-resolved rank had no link: its ledger reads zero.
             let ranks = run.comms.len() as u64;
@@ -877,32 +801,6 @@ fn checkjson(path: &str) -> Result<(), String> {
                     return Err(format!(
                         "{ctx}: {recv} messages received for {sent} sent and {} gathered",
                         ranks - 1
-                    ));
-                }
-            }
-            if run.comms.len() > 1 {
-                // Instrumented multi-rank runs promise the exposed-comms
-                // analysis: a critical path with one utilization entry per
-                // rank, and a completely joined flow trace (every halo
-                // send recorded at its receiver).
-                let cp = run.critical_path.as_ref().ok_or_else(|| {
-                    format!("{ctx}: multi-rank dist run without a critical_path summary")
-                })?;
-                if cp.total_ms <= 0.0 {
-                    return Err(format!("{ctx}: critical path has no duration"));
-                }
-                if cp.utilization.len() != run.comms.len() {
-                    return Err(format!(
-                        "{ctx}: {} utilization entries for {} ranks",
-                        cp.utilization.len(),
-                        run.comms.len()
-                    ));
-                }
-                let sends: u64 = run.comms.iter().map(|c| c.flow_sends).sum();
-                let recvs: u64 = run.comms.iter().map(|c| c.flow_recvs).sum();
-                if sends == 0 || sends != recvs {
-                    return Err(format!(
-                        "{ctx}: flow trace is incomplete ({sends} sends, {recvs} recvs)"
                     ));
                 }
             }
@@ -1021,7 +919,7 @@ fn main() {
         ),
         "fig13" => fig13(&mut r, &sizes, &caps),
         "fig14" => match &opts.ranks {
-            Some(ranks) => fig14_ranks(&mut r, &sizes, ranks, opts.timeline.as_deref()),
+            Some(ranks) => fig14_ranks(&mut r, &sizes, ranks),
             None => fig14(&mut r, &sizes),
         },
         "profile" => profile(&mut r, &sizes),
@@ -1047,7 +945,7 @@ fn main() {
             );
             fig13(&mut r, &sizes, &caps);
             match &opts.ranks {
-                Some(ranks) => fig14_ranks(&mut r, &sizes, ranks, opts.timeline.as_deref()),
+                Some(ranks) => fig14_ranks(&mut r, &sizes, ranks),
                 None => fig14(&mut r, &sizes),
             }
         }

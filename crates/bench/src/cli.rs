@@ -48,8 +48,6 @@ options:
                       width falls back to scalar when the host lacks it
   --full              lift the size ladder and degree caps to paper scale
   --json <path>       also write the structured RunReport as JSON
-  --timeline <path>   write a Chrome trace-event timeline of a rank-sharded
-                      fig14 run (load at ui.perfetto.dev)
   --help, -h          print this message";
 
 /// Commands `reproduce` accepts.
@@ -94,8 +92,6 @@ pub struct CliOptions {
     pub full: bool,
     /// `--json` output path, when given.
     pub json: Option<String>,
-    /// `--timeline` trace-event output path, when given.
-    pub timeline: Option<String>,
     /// The positional path argument of `checkjson`.
     pub path_arg: Option<String>,
     /// Whether `--help`/`-h` was given.
@@ -116,7 +112,6 @@ impl Default for CliOptions {
             simd: SimdPolicy::Auto,
             full: false,
             json: None,
-            timeline: None,
             path_arg: None,
             help: false,
         }
@@ -205,9 +200,6 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
             }
             "--json" => {
                 opts.json = Some(value_of(&mut it, "--json")?.to_string());
-            }
-            "--timeline" => {
-                opts.timeline = Some(value_of(&mut it, "--timeline")?.to_string());
             }
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag '{flag}'\n\n{USAGE}"));
@@ -425,11 +417,12 @@ mod tests {
 
     #[test]
     fn timeline_flag() {
-        let opts = parse(&["fig14", "--ranks", "1,2", "--timeline", "out.trace.json"]).unwrap();
-        assert_eq!(opts.timeline.as_deref(), Some("out.trace.json"));
-        assert!(parse(&["fig14", "--timeline"])
-            .unwrap_err()
-            .contains("needs a value"));
+        // The trace-event timeline export is retired: its flag is unknown.
+        assert!(
+            parse(&["fig14", "--ranks", "1,2", "--timeline", "out.trace.json"])
+                .unwrap_err()
+                .contains("unknown flag '--timeline'")
+        );
     }
 
     #[test]

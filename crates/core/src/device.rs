@@ -193,27 +193,12 @@ pub fn simulate(scheme: Scheme, blocks: &[Metrics], config: &DeviceConfig) -> Si
 }
 
 /// One rank's wire traffic, as counted by the distributed runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankTraffic {
     /// Wire bytes the rank sent.
     pub bytes_sent: u64,
     /// Messages the rank sent.
     pub msgs_sent: u64,
-    /// Fraction of the rank's wire time that was *exposed* — not hidden
-    /// behind overlapped computation. Measured by the runtime as exchange
-    /// time over exchange + evaluation time; 1.0 (fully exposed, the
-    /// phase-barrier behaviour) when no overlap measurement exists.
-    pub exposed_fraction: f64,
-}
-
-impl Default for RankTraffic {
-    fn default() -> Self {
-        Self {
-            bytes_sent: 0,
-            msgs_sent: 0,
-            exposed_fraction: 1.0,
-        }
-    }
 }
 
 /// Simulates a rank-sharded execution: each rank is one device evaluating
@@ -262,14 +247,13 @@ pub fn simulate_ranks(
         .collect();
     let compute_ms = device_ms.iter().fold(0.0f64, |a, &b| a.max(b));
 
-    // Only the exposed slice of each rank's wire time is charged: traffic
-    // hidden behind overlapped computation already paid inside compute_ms.
+    // The ranks exchange before they evaluate, so the whole wire time is
+    // charged.
     let comms_cycles = traffic
         .iter()
         .map(|t| {
-            (t.bytes_sent as f64 * config.cost.link_byte_cycles
-                + t.msgs_sent as f64 * config.cost.msg_latency_cycles)
-                * t.exposed_fraction.clamp(0.0, 1.0)
+            t.bytes_sent as f64 * config.cost.link_byte_cycles
+                + t.msgs_sent as f64 * config.cost.msg_latency_cycles
         })
         .fold(0.0f64, f64::max);
     let comms_ms = comms_cycles * cycles_to_ms;
@@ -378,7 +362,6 @@ mod tests {
             RankTraffic {
                 bytes_sent: 1_000_000,
                 msgs_sent: 10,
-                exposed_fraction: 1.0,
             };
             2
         ];
@@ -390,20 +373,6 @@ mod tests {
         assert!(
             (rep_busy.total_ms - rep_quiet.total_ms - rep_busy.comms_ms).abs() < 1e-12,
             "comms must be additive on top of compute + reduction"
-        );
-        // Overlap scales the charge: a rank that hid 3/4 of its wire time
-        // pays exactly a quarter of the fully-exposed cost.
-        let hidden: Vec<RankTraffic> = busy
-            .iter()
-            .map(|t| RankTraffic {
-                exposed_fraction: 0.25,
-                ..*t
-            })
-            .collect();
-        let rep_hidden = simulate_ranks(Scheme::PerElement, &per_rank, &hidden, &cfg);
-        assert!(
-            (rep_hidden.comms_ms - rep_busy.comms_ms * 0.25).abs() < 1e-12,
-            "exposed fraction must scale the comms charge"
         );
     }
 
@@ -429,7 +398,6 @@ mod tests {
                 RankTraffic {
                     bytes_sent: if n > 1 { 100_000 } else { 0 },
                     msgs_sent: if n > 1 { (n - 1) as u64 * 2 } else { 0 },
-                    exposed_fraction: 1.0,
                 };
                 n
             ];

@@ -337,7 +337,7 @@ mod tests {
     use ustencil_quadrature::TriangleRule;
 
     /// The staged SoA path must agree with the fused reference evaluation
-    /// (integrate_physical over `K_h · u`) to rounding, and stage exactly
+    /// (`integrate_physical` over `K_h · u`) to rounding, and stage exactly
     /// the reference's sub-triangles — same order, same bits — at both
     /// smoothness levels and with elements up to two cells wide (images
     /// spanning three lattice columns or rows).
@@ -476,7 +476,7 @@ mod tests {
                     metrics.subregions += 1;
                     metrics.quad_evals += nq;
                     metrics.flops += nq * eval_flops;
-                    total += ctx.rule.integrate_physical(&sub, |x, y| {
+                    total += integrate_physical(ctx.rule, &sub, |x, y| {
                         let p = Point2::new(x, y);
                         stencil.eval(center, p) * elem.eval(p, ctx.exps)
                     });
@@ -488,5 +488,27 @@ mod tests {
             }
         }
         (total, any, subs)
+    }
+
+    /// `rule` mapped through `tri`'s affine map: the integral of `f` over
+    /// the physical triangle.
+    fn integrate_physical<F>(rule: &TriangleRule, tri: &Triangle, mut f: F) -> f64
+    where
+        F: FnMut(f64, f64) -> f64,
+    {
+        let jac = tri.jacobian().abs();
+        if jac == 0.0 {
+            return 0.0;
+        }
+        let sum: f64 = rule
+            .points()
+            .iter()
+            .zip(rule.weights())
+            .map(|(&(u, v), &w)| {
+                let p = tri.map_from_unit(u, v);
+                w * f(p.x, p.y)
+            })
+            .sum();
+        sum * jac
     }
 }

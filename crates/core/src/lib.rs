@@ -62,8 +62,8 @@ pub use kernel::{
 pub use metrics::Metrics;
 pub use probe::{BlockStats, Probe};
 pub use report::{
-    CriticalPathRecord, CriticalPhaseRecord, DeltaStats, PlanStats, RankCommRecord, RunRecord,
-    RunReport, ServeStats, SimdRecord, TenantLedger, REPORT_SCHEMA_VERSION,
+    DeltaStats, PlanStats, RankCommRecord, RunRecord, RunReport, ServeStats, SimdRecord,
+    TenantLedger, REPORT_SCHEMA_VERSION,
 };
 pub use simd::{SimdIsa, SimdPolicy, SimdWidth};
 
@@ -76,8 +76,8 @@ pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::probe::{BlockStats, Probe};
     pub use crate::report::{
-        CriticalPathRecord, CriticalPhaseRecord, DeltaStats, PlanStats, RankCommRecord, RunRecord,
-        RunReport, ServeStats, SimdRecord, TenantLedger, REPORT_SCHEMA_VERSION,
+        DeltaStats, PlanStats, RankCommRecord, RunRecord, RunReport, ServeStats, SimdRecord,
+        TenantLedger, REPORT_SCHEMA_VERSION,
     };
     pub use crate::simd::{SimdIsa, SimdPolicy, SimdWidth};
 }

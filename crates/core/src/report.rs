@@ -18,9 +18,7 @@ use crate::device::SimReport;
 use crate::engine::Solution;
 use crate::metrics::Metrics;
 use crate::probe::BlockStats;
-use ustencil_trace::{
-    json_record, CriticalPath, Hist64, ImbalanceSummary, Json, JsonField, SpanRecord,
-};
+use ustencil_trace::{json_record, Hist64, ImbalanceSummary, Json, JsonField, SpanRecord};
 
 /// Version of the report JSON layout. Bumped whenever a required key is
 /// added or changes meaning; [`RunReport::from_json`] rejects documents
@@ -48,8 +46,10 @@ use ustencil_trace::{
 /// (retransmits, discarded duplicates, coalesced messages) from each rank's
 /// comms ledger together with the rank runtime's reliability protocol;
 /// v10 removes the serve disk-load counter together with the plan cache's
-/// disk tier.
-pub const REPORT_SCHEMA_VERSION: u64 = 10;
+/// disk tier; v11 removes the run-level `critical_path` and each rank's
+/// `interior`, `frontier`, `exposed_comms_ms`, `flow_sends` and
+/// `flow_recvs` together with the overlapped rank schedule.
+pub const REPORT_SCHEMA_VERSION: u64 = 11;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -162,12 +162,6 @@ json_record! {
         pub halo_elements: u64,
         /// Grid points the rank resolves.
         pub owned_points: u64,
-        /// Owned work units evaluated while halo messages were in flight
-        /// (elements for the push runtime, plan rows for the plan path).
-        /// `interior + frontier` partitions the rank's owned work.
-        pub interior: u64,
-        /// Owned work units that waited for the exchange drain.
-        pub frontier: u64,
         /// Messages the rank handed to the transport.
         pub msgs_sent: u64,
         /// Wire bytes the rank handed to the transport.
@@ -176,21 +170,12 @@ json_record! {
         pub msgs_recv: u64,
         /// Wire bytes the rank received.
         pub bytes_recv: u64,
-        /// Nanoseconds of exposed exchange (post + drain; the overlapped
-        /// in-flight time is excluded).
+        /// Nanoseconds of exchange (post + drain).
         pub exchange_ns: u64,
         /// Nanoseconds in the local evaluation phase.
         pub eval_ns: u64,
         /// Nanoseconds in the local reduce + gather phase.
         pub reduce_ns: u64,
-        /// Milliseconds of the rank's communication intervals not hidden
-        /// behind its computation — the wait the run actually paid (0 for
-        /// uninstrumented runs).
-        pub exposed_comms_ms: f64,
-        /// Halo-phase flow send points the rank logged (0 uninstrumented).
-        pub flow_sends: u64,
-        /// Halo-phase flow receive points the rank logged (0 uninstrumented).
-        pub flow_recvs: u64,
     }
 }
 
@@ -315,54 +300,6 @@ impl SimdRecord {
 }
 
 json_record! {
-    /// One phase of the serialized critical path (see
-    /// [`ustencil_trace::critical_path`]).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct CriticalPhaseRecord {
-        /// Canonical phase name (`"build"`, `"exchange"`, `"eval"`,
-        /// `"reduce"`).
-        pub name: String,
-        /// The bottleneck rank.
-        pub rank: u64,
-        /// That rank's time in the phase, milliseconds.
-        pub duration_ms: f64,
-    }
-}
-
-json_record! {
-    /// The serialized cross-rank critical path of an instrumented rank-sharded
-    /// run, plus per-rank utilization.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct CriticalPathRecord {
-        /// Sum of the bottleneck phase durations, milliseconds.
-        pub total_ms: f64,
-        /// Phases in barrier order (phases nobody recorded are omitted).
-        pub phases: Vec<CriticalPhaseRecord>,
-        /// Per-rank utilization: computation time over the rank's active
-        /// window.
-        pub utilization: Vec<f64>,
-    }
-}
-
-impl From<&CriticalPath> for CriticalPathRecord {
-    fn from(cp: &CriticalPath) -> Self {
-        Self {
-            total_ms: cp.total_ns as f64 / 1e6,
-            phases: cp
-                .phases
-                .iter()
-                .map(|p| CriticalPhaseRecord {
-                    name: p.name.clone(),
-                    rank: p.rank,
-                    duration_ms: p.duration_ns as f64 / 1e6,
-                })
-                .collect(),
-            utilization: cp.utilization.clone(),
-        }
-    }
-}
-
-json_record! {
     /// Everything observed about one post-processing run.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct RunRecord {
@@ -392,9 +329,6 @@ json_record! {
         /// Per-rank communication ledgers (empty unless the run was
         /// rank-sharded).
         pub comms: Vec<RankCommRecord>,
-        /// Cross-rank critical path (present only for instrumented
-        /// rank-sharded runs).
-        pub critical_path: Option<CriticalPathRecord>,
         /// Plan-cache service ledger (present only for `scheme = "serve"`
         /// runs).
         pub serve: Option<ServeStats>,
@@ -611,7 +545,6 @@ mod tests {
             device_sim: None,
             plan: None,
             comms: vec![],
-            critical_path: None,
             serve: None,
             simd: None,
         });
@@ -650,16 +583,16 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v9, with the serve disk-load counter) is
+        // The previous generation (v10, with the overlap fields) is
         // rejected the same way, not half-parsed.
-        let v9 = text.replacen(
+        let v10 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 9",
+            "\"schema\": 10",
             1,
         );
-        let err = RunReport::from_json(&v9).unwrap_err();
+        let err = RunReport::from_json(&v10).unwrap_err();
         assert!(
-            err.contains("schema version 9 is not supported"),
+            err.contains("schema version 10 is not supported"),
             "unhelpful error: {err}"
         );
     }
@@ -698,7 +631,6 @@ mod tests {
             device_sim: None,
             plan: None,
             comms: vec![],
-            critical_path: None,
             serve: Some(ServeStats {
                 clients: 8,
                 requests: 200,
@@ -770,7 +702,6 @@ mod tests {
                 }),
             }),
             comms: vec![],
-            critical_path: None,
             serve: None,
             simd: Some(SimdRecord {
                 policy: "auto".into(),
@@ -820,8 +751,6 @@ mod tests {
                     owned_elements: 500,
                     halo_elements: 120 + r,
                     owned_points: 2000,
-                    interior: 410 - r,
-                    frontier: 90 + r,
                     msgs_sent: 6,
                     bytes_sent: 48_000 + r,
                     msgs_recv: 6,
@@ -829,32 +758,8 @@ mod tests {
                     exchange_ns: 1_000_000,
                     eval_ns: 9_000_000,
                     reduce_ns: 500_000,
-                    exposed_comms_ms: 0.75 + r as f64,
-                    flow_sends: 6,
-                    flow_recvs: 6,
                 })
                 .collect(),
-            critical_path: Some(CriticalPathRecord {
-                total_ms: 11.5,
-                phases: vec![
-                    CriticalPhaseRecord {
-                        name: "build".into(),
-                        rank: 0,
-                        duration_ms: 1.0,
-                    },
-                    CriticalPhaseRecord {
-                        name: "exchange".into(),
-                        rank: 1,
-                        duration_ms: 1.5,
-                    },
-                    CriticalPhaseRecord {
-                        name: "eval".into(),
-                        rank: 0,
-                        duration_ms: 9.0,
-                    },
-                ],
-                utilization: vec![0.8, 0.75],
-            }),
             serve: None,
             simd: None,
         });
@@ -862,15 +767,13 @@ mod tests {
         let parsed = RunReport::from_json(&text).expect("dist report parses");
         assert_eq!(parsed, report);
         assert_eq!(parsed.to_pretty_string(), text);
-        // The comms array is a required key, and so are the
-        // per-rank observability fields and the critical path.
+        // The comms array is a required key, and so are the per-rank
+        // fields.
         for key in [
             "\"comms\"",
-            "\"exposed_comms_ms\"",
-            "\"critical_path\"",
-            "\"interior\"",
-            "\"frontier\"",
+            "\"halo_elements\"",
             "\"msgs_recv\"",
+            "\"exchange_ns\"",
         ] {
             let broken = text.replace(key, "\"zzz\"");
             assert!(RunReport::from_json(&broken).is_err(), "corrupting {key}");

@@ -110,12 +110,6 @@ impl DubinerBasis {
         self.modes.len()
     }
 
-    /// The `(i, j)` index pair of mode `m`.
-    #[inline]
-    pub fn mode_indices(&self, m: usize) -> (usize, usize) {
-        self.modes[m]
-    }
-
     /// Evaluates mode `m` at reference coordinates `(u, v)`.
     #[inline]
     pub fn eval_mode(&self, m: usize, u: f64, v: f64) -> f64 {

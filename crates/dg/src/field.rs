@@ -2,8 +2,6 @@
 
 use crate::basis::DubinerBasis;
 use std::sync::Arc;
-use ustencil_geometry::Point2;
-use ustencil_mesh::TriMesh;
 
 /// A discontinuous Galerkin field: one modal coefficient vector per element.
 ///
@@ -103,21 +101,24 @@ impl DgField {
     pub fn eval_ref(&self, e: usize, u: f64, v: f64) -> f64 {
         self.basis.eval_expansion(self.element_coeffs(e), u, v)
     }
-
-    /// Evaluates the field at a physical point known to lie in element `e`
-    /// of `mesh`. Points outside the element are extrapolated (the element
-    /// polynomial is global).
-    pub fn eval_physical(&self, mesh: &TriMesh, e: usize, p: Point2) -> Option<f64> {
-        let tri = mesh.triangle(e);
-        let (u, v) = tri.map_to_unit(p)?;
-        Some(self.eval_ref(e, u, v))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ustencil_geometry::Point2;
+    use ustencil_mesh::TriMesh;
+
+    impl DgField {
+        /// Evaluates the field at a physical point known to lie in element
+        /// `e` of `mesh`. Points outside the element are extrapolated (the
+        /// element polynomial is global).
+        fn eval_physical(&self, mesh: &TriMesh, e: usize, p: Point2) -> Option<f64> {
+            let tri = mesh.triangle(e);
+            let (u, v) = tri.map_to_unit(p)?;
+            Some(self.eval_ref(e, u, v))
+        }
+    }
 
     #[test]
     fn zero_field_evaluates_to_zero() {

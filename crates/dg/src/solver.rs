@@ -299,17 +299,6 @@ impl AdvectionSolver {
         }
         n_steps
     }
-
-    /// Mesh-wide integral of the field (the conserved quantity of periodic
-    /// advection).
-    pub fn total_mass(&self, field: &DgField) -> f64 {
-        // Integral over an element = |J| * c_0 * \int_ref phi_0 =
-        // |J| c_0 * (1/2) * sqrt(2).
-        let phi0_int = 0.5 * 2f64.sqrt();
-        (0..self.mesh.n_triangles())
-            .map(|e| self.geom[e].jac * field.element_coeffs(e)[0] * phi0_int)
-            .sum()
-    }
 }
 
 /// Builds per-element, per-edge adjacency with periodic wrapping over the
@@ -385,6 +374,19 @@ mod tests {
     use crate::error::l2_error;
     use crate::project::project_l2;
     use ustencil_mesh::{generate_mesh, MeshClass};
+
+    impl AdvectionSolver {
+        /// Mesh-wide integral of the field (the conserved quantity of
+        /// periodic advection).
+        fn total_mass(&self, field: &DgField) -> f64 {
+            // Integral over an element = |J| * c_0 * \int_ref phi_0 =
+            // |J| c_0 * (1/2) * sqrt(2).
+            let phi0_int = 0.5 * 2f64.sqrt();
+            (0..self.mesh.n_triangles())
+                .map(|e| self.geom[e].jac * field.element_coeffs(e)[0] * phi0_int)
+                .sum()
+        }
+    }
 
     const TAU: f64 = std::f64::consts::TAU;
 

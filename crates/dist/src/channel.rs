@@ -78,7 +78,6 @@ mod tests {
         let msg = Message {
             from: 0,
             to: 1,
-            flow: 1,
             payload: Payload::Request(vec![1]),
         };
         e0.send(msg.clone()).unwrap();

@@ -17,22 +17,15 @@
 //!   endpoint reports `Closed`;
 //! * [`channel`] — the in-process fabric: `mpsc` channels, ranks on real
 //!   threads;
-//! * [`flow`] — comm-flow tracing: every message carries a per-sender
-//!   monotone flow id; instrumented links log send/recv points and a
-//!   deterministic join pairs them into the arcs a trace timeline draws
-//!   (lost flows are flagged, never fatal);
-//! * [`link`] — a rank's end of the wire: stamps the flow id, counts
-//!   every wire byte, logs flow points. No protocol — delivery is the
-//!   transport's contract;
+//! * [`link`] — a rank's end of the wire: counts every wire byte. No
+//!   protocol — delivery is the transport's contract;
 //! * [`shard`] — who owns which elements and points, the ghost-ring width
-//!   and the push sets a halo exchange must move, and the interior/frontier
-//!   split of each rank's owned elements by stencil footprint;
+//!   and the push sets a halo exchange must move;
 //! * [`schedule`] — the one rank schedule: static scatter, a thread per
-//!   rank, the four-phase overlapped body (post → interior → drain →
-//!   frontier) with its spans and exposed-comms timing, the coordinator's
-//!   gather with deadline, and the assemble loop that re-resolves a dead
-//!   rank through the same work's two passes. It
-//!   also owns what both paths share in public: [`DistOptions`],
+//!   rank, the barrier body (post → drain → one pass) with its spans and
+//!   exchange timing, the coordinator's gather with deadline, and the
+//!   assemble loop that re-resolves a dead rank through the same work's
+//!   pass. It also owns what both paths share in public: [`DistOptions`],
 //!   [`RankReport`] and [`DistSolution`] with its one set of accessors;
 //! * [`push`] / [`pull`] — the two works the schedule runs. [`push`] is the
 //!   sharded direct per-element scheme ([`run_dist`]): boundary
@@ -51,7 +44,6 @@
 #![deny(missing_docs)]
 
 pub mod channel;
-pub mod flow;
 pub mod link;
 pub mod pull;
 pub mod push;
@@ -60,7 +52,6 @@ pub mod shard;
 pub mod transport;
 
 pub use channel::{ChannelEndpoint, ChannelFabric};
-pub use flow::{match_flow_logs, FlowLog, FlowMatch, FlowPair, FlowPoint};
 pub use link::{DistError, Link};
 pub use pull::{run_plan_dist, run_plan_dist_on};
 pub use push::{run_dist, run_dist_on};

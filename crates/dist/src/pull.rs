@@ -9,9 +9,8 @@
 //! schedule's drain answers each with one [`Tag::HaloCoeffs`] reply. No
 //! geometric halo estimate is involved — the requested set is the support
 //! the plan actually stored, and the shard plan is built with a zero ring.
-//! *Interior rows* are the rows whose every stored column is locally
-//! owned; the remaining *frontier rows* reference pulled columns and run
-//! after the drain.
+//! The drain fills every column a group reads, so the pass is one
+//! [`EvalPlan::apply_with`] of the rank's rows.
 //!
 //! ## Numerical contract
 //!
@@ -19,16 +18,14 @@
 //! walks the full mesh replica through the same `TriangleGrid`), so the
 //! per-rank rows are *bit-identical* to the corresponding rows of a
 //! single-rank plan, and each output value is produced by the same
-//! entry-order dot product — the interior/frontier split changes which
-//! pass writes a row, never the dot product behind it. Sharded plan
-//! application is therefore bitwise equal to a global
-//! [`EvalPlan::apply`], for any rank count, and the row-partitioned apply
-//! counters sum exactly. For the same reason the coordinator's two-pass
-//! recovery of a failed rank is bitwise a one-pass apply of its rows.
+//! entry-order dot product. Sharded plan application is therefore bitwise
+//! equal to a global [`EvalPlan::apply`], for any rank count, and the
+//! row-partitioned apply counters sum exactly.
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{run_schedule, DistOptions, DistSolution, RankReport, Site, Split, Work};
+use crate::schedule::{run_schedule, DistOptions, DistSolution, RankReport, Site, Work};
+use crate::shard::RankShard;
 use crate::transport::{Payload, RankResult, Tag, Transport};
 use std::time::Instant;
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics, PlanStats, Scheme};
@@ -104,41 +101,17 @@ impl Work for PullWork {
         Payload::Request(local.wanted[peer].clone())
     }
 
-    /// The split is exact: every row lands in one list, interior iff every
-    /// column its evaluation reads is owned, so the interior pass never
-    /// reads a halo slot.
-    fn split(&self, site: &Site, local: &PullLocal) -> Split {
-        let (interior, frontier): (Vec<u32>, Vec<u32>) =
-            (0..local.plan.rows() as u32).partition(|&row| {
-                local
-                    .plan
-                    .read_cols(row as usize)
-                    .iter()
-                    .all(|&c| site.plan.owner_of(c) as usize == site.rank)
-            });
-        Split {
-            interior,
-            n_frontier: frontier.len() as u64,
-            frontier,
-        }
+    fn owned_units(shard: &RankShard) -> usize {
+        shard.owned_points.len()
     }
 
-    /// Applies the rows `ids`; each writes its own slot of `res.values`.
-    fn pass(
-        &self,
-        _: &Site,
-        local: &PullLocal,
-        ids: &[u32],
-        field: &DgField,
-        res: &mut RankResult,
-    ) {
+    /// Applies the rank's rows, sequentially and unprobed.
+    fn pass(&self, _: &Site, local: &PullLocal, field: &DgField, res: &mut RankResult) {
         let eval_start = Instant::now();
-        res.patches.extend(
-            local
-                .plan
-                .apply_rows_into(ids, field, &mut res.values, &self.exec),
-        );
-        res.eval_ns += eval_start.elapsed().as_nanos() as u64;
+        let sol = local.plan.apply_with(field, &self.exec);
+        res.values = sol.values;
+        res.patches = sol.block_stats;
+        res.eval_ns = eval_start.elapsed().as_nanos() as u64;
     }
 
     /// The apply counters encode the sharded plan's shape exactly: one
@@ -204,7 +177,6 @@ mod tests {
     use crate::SCHEME_LABEL;
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, MeshClass};
-    use ustencil_trace::Timeline;
 
     fn fixture(n_tri: usize, p: usize, seed: u64) -> (TriMesh, DgField, ComputationGrid) {
         let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
@@ -273,38 +245,25 @@ mod tests {
         for phase in [
             "compile.plan",
             "exchange.post",
-            "eval.interior",
             "exchange.drain",
-            "eval.frontier",
+            "eval",
             "reduce.gather",
         ] {
             assert!(names.contains(&phase), "missing span {phase}: {names:?}");
         }
-        // Every rank ships spans and flow points; the join is complete.
         for r in &dist.ranks {
             let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
-            for phase in ["exchange.post", "eval.interior", "exchange.drain"] {
+            for phase in ["exchange.post", "exchange.drain", "eval"] {
                 assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);
             }
-            assert!(!r.flows.sends.is_empty(), "rank {} logged no sends", r.rank);
-            // Interior + frontier rows partition the rank's owned points
-            // (one plan row per owned grid point).
-            assert_eq!(r.interior + r.frontier, r.owned_points, "rank {}", r.rank);
+            // One plan row per owned grid point, all evaluated after the
+            // drain.
+            assert_eq!(
+                (r.interior, r.frontier),
+                (0, r.owned_points),
+                "rank {}",
+                r.rank
+            );
         }
-        let matched = dist.flow_match();
-        assert!(!matched.pairs.is_empty());
-        assert!(matched.unmatched_sends.is_empty());
-        assert!(matched.unmatched_recvs.is_empty());
-        let cp = record.critical_path.as_ref().expect("critical path");
-        assert!(cp.total_ms > 0.0);
-        assert_eq!(cp.utilization.len(), 2);
-        for c in &record.comms {
-            assert!(c.exposed_comms_ms >= 0.0);
-            assert!(c.flow_sends > 0 && c.flow_recvs > 0, "rank {}", c.rank);
-        }
-        let mut timeline = Timeline::new();
-        dist.add_to_timeline(&mut timeline, 1, "plan@2ranks");
-        assert_eq!(timeline.tracks().len(), 2);
-        assert_eq!(timeline.flows().len(), matched.pairs.len());
     }
 }

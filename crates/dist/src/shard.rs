@@ -11,8 +11,8 @@
 //! owned grid point.
 
 use ustencil_core::ComputationGrid;
-use ustencil_geometry::{Aabb, Point2};
-use ustencil_mesh::{halo_elements, partition_recursive_bisection, TriMesh, PERIODIC_SHIFTS};
+use ustencil_geometry::Point2;
+use ustencil_mesh::{halo_elements, partition_recursive_bisection, TriMesh};
 use ustencil_spatial::{Boundary, PointGrid};
 
 /// The ghost-ring distance of a direct (push) run: half the stencil
@@ -45,7 +45,6 @@ pub struct RankShard {
 pub struct ShardPlan {
     shards: Vec<RankShard>,
     element_rank: Vec<u32>,
-    halo_width: f64,
 }
 
 impl ShardPlan {
@@ -89,7 +88,6 @@ impl ShardPlan {
         Self {
             shards,
             element_rank,
-            halo_width,
         }
     }
 
@@ -109,54 +107,6 @@ impl ShardPlan {
     #[inline]
     pub fn owner_of(&self, e: u32) -> u32 {
         self.element_rank[e as usize]
-    }
-
-    /// The ghost-ring distance the plan was built with.
-    #[inline]
-    pub fn halo_width(&self) -> f64 {
-        self.halo_width
-    }
-
-    /// Splits rank `r`'s owned elements into *interior* — elements whose
-    /// stencil footprint (their bounding box inflated by the plan's
-    /// halo width, the same `(3k+1)h/2`-derived reach the rings were
-    /// built from) is disjoint from every halo-ring element under every
-    /// periodic shift — and *frontier*, the rest. Interior elements can
-    /// be evaluated while halo coefficients are still in flight; frontier
-    /// elements wait for the drain. Both lists stay sorted ascending and
-    /// together partition `owned_elements` exactly. With no halo ring
-    /// (one rank, or an empty shard) everything is interior.
-    pub fn split_interior(&self, mesh: &TriMesh, r: usize) -> (Vec<u32>, Vec<u32>) {
-        let shard = &self.shards[r];
-        if shard.halo_elements.is_empty() {
-            return (shard.owned_elements.clone(), Vec::new());
-        }
-        let halo_bbs: Vec<Aabb> = shard
-            .halo_elements
-            .iter()
-            .map(|&e| mesh.triangle(e as usize).aabb())
-            .collect();
-        let mut ring = Aabb::EMPTY;
-        for bb in &halo_bbs {
-            ring = ring.union(bb);
-        }
-        let mut interior = Vec::new();
-        let mut frontier = Vec::new();
-        for &e in &shard.owned_elements {
-            let reach = mesh.triangle(e as usize).aabb().inflate(self.halo_width);
-            // The ring union is a cheap first reject; the per-element pass
-            // is what the interior guarantee actually rests on.
-            let near = PERIODIC_SHIFTS.iter().any(|&s| {
-                let shifted = reach.translate(s);
-                shifted.intersects(&ring) && halo_bbs.iter().any(|bb| shifted.intersects(bb))
-            });
-            if near {
-                frontier.push(e);
-            } else {
-                interior.push(e);
-            }
-        }
-        (interior, frontier)
     }
 
     /// The elements rank `from` must push to rank `to` in a halo exchange:
@@ -235,48 +185,6 @@ mod tests {
                 "peers' push sets must exactly cover rank {to}'s halo"
             );
         }
-    }
-
-    #[test]
-    fn interior_frontier_partition_owned_and_interior_stays_clear() {
-        use ustencil_geometry::Aabb;
-        use ustencil_mesh::PERIODIC_SHIFTS;
-        let (mesh, _, plan) = plan(600, 4);
-        for r in 0..plan.n_ranks() {
-            let shard = plan.shard(r);
-            let (interior, frontier) = plan.split_interior(&mesh, r);
-            let mut merged: Vec<u32> = interior.iter().chain(&frontier).copied().collect();
-            merged.sort_unstable();
-            assert_eq!(merged, shard.owned_elements, "split must partition owned");
-            assert!(interior.windows(2).all(|w| w[0] < w[1]));
-            assert!(frontier.windows(2).all(|w| w[0] < w[1]));
-            let halo_bbs: Vec<Aabb> = shard
-                .halo_elements
-                .iter()
-                .map(|&e| mesh.triangle(e as usize).aabb())
-                .collect();
-            for &e in &interior {
-                let reach = mesh.triangle(e as usize).aabb().inflate(plan.halo_width());
-                for s in PERIODIC_SHIFTS {
-                    for bb in &halo_bbs {
-                        assert!(
-                            !reach.translate(s).intersects(bb),
-                            "interior element {e} reaches the halo ring"
-                        );
-                    }
-                }
-            }
-            // A multi-rank shard of a periodic mesh always has a frontier.
-            assert!(!frontier.is_empty(), "rank {r} has no frontier");
-        }
-    }
-
-    #[test]
-    fn single_rank_is_all_interior() {
-        let (mesh, _, plan) = plan(200, 1);
-        let (interior, frontier) = plan.split_interior(&mesh, 0);
-        assert_eq!(interior, plan.shard(0).owned_elements);
-        assert!(frontier.is_empty());
     }
 
     #[test]

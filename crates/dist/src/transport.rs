@@ -13,7 +13,6 @@
 //! is the schedule's ([`schedule`](crate::schedule): gather deadline, then
 //! re-resolve).
 
-use crate::flow::FlowPoint;
 use std::time::Duration;
 use ustencil_core::{BlockStats, Metrics};
 use ustencil_trace::{CommStats, SpanRecord};
@@ -33,7 +32,7 @@ pub enum Tag {
 }
 
 impl Tag {
-    /// Human-readable label (timeline flow names, diagnostics).
+    /// Human-readable label (diagnostics).
     pub fn label(self) -> &'static str {
         match self {
             Tag::HaloCoeffs => "halo.coeffs",
@@ -43,8 +42,10 @@ impl Tag {
     }
 }
 
-/// Bytes of the fixed message header (`from` + `to` + tag + `flow`): the
-/// per-message overhead charged to the wire alongside the payload.
+/// Bytes of the fixed message header charged to the wire alongside the
+/// payload: `from` + `to` + tag + the 8-byte flow id of the retired
+/// flow-traced layout, kept so the counted traffic stays comparable across
+/// reports.
 pub const HEADER_BYTES: u64 = 4 + 4 + 1 + 8;
 
 /// The data one message hands its receiver.
@@ -71,10 +72,6 @@ pub struct Message {
     pub from: u32,
     /// Destination rank.
     pub to: u32,
-    /// Per-sender monotone flow id, stamped by the sender's
-    /// [`Link`](crate::link::Link): `(from, flow)` names the message, and
-    /// with it one send→recv arc in a trace timeline.
-    pub flow: u64,
     /// What the message carries.
     pub payload: Payload,
 }
@@ -99,19 +96,16 @@ impl Message {
         let payload = match &self.payload {
             Payload::Coeffs { ids, values } => list(ids.len(), 4) + 8 * values.len(),
             Payload::Request(ids) => list(ids.len(), 4),
-            // Values; the comm counters, three times, interior and
-            // frontier; per patch wall, elements, points and the work
-            // counters; per span a name prefix, depth, start and duration;
-            // per flow point flow, peer, tag, timestamp and bytes.
+            // Values; the comm counters and three times; per patch wall,
+            // elements, points and the work counters; per span a name
+            // prefix, depth, start and duration.
             Payload::Result(r) => {
                 let names: usize = r.spans.iter().map(|s| s.name.len()).sum();
                 list(r.values.len(), 8)
-                    + 8 * (CommStats::N_COUNTERS + 5)
+                    + 8 * (CommStats::N_COUNTERS + 3)
                     + list(r.patches.len(), 8 * (3 + Metrics::N_COUNTERS))
                     + list(r.spans.len(), 4 + 4 + 8 + 8)
                     + names
-                    + list(r.flow_sends.len(), 32)
-                    + list(r.flow_recvs.len(), 32)
             }
         };
         HEADER_BYTES + payload as u64
@@ -127,32 +121,18 @@ pub struct RankResult {
     /// Transport counters snapshotted *before* this message was sent (the
     /// message carrying the snapshot is necessarily excluded from it).
     pub comm: CommStats,
-    /// Nanoseconds of *exposed* communication: the post + drain spans
-    /// where the rank had nothing to compute (overlapped wire time hides
-    /// under `eval_ns` and is deliberately not charged here).
+    /// Nanoseconds of communication: the post and the drain.
     pub exchange_ns: u64,
-    /// Nanoseconds in the local evaluation phases (interior + frontier).
+    /// Nanoseconds in the local evaluation pass.
     pub eval_ns: u64,
     /// Nanoseconds in the local reduce phase.
     pub reduce_ns: u64,
-    /// Owned work units whose stencil footprint stays inside owned
-    /// territory, evaluated while halo messages were in flight (elements
-    /// for the push runtime, plan rows for the sharded plan path).
-    pub interior: u64,
-    /// Owned work units whose footprint touches a halo ring, evaluated
-    /// after the drain. `interior + frontier` partitions the owned work.
-    pub frontier: u64,
     /// Per-patch stats of the rank's evaluation (ranks evaluate unprobed).
     pub patches: Vec<BlockStats>,
     /// The rank's tracer spans (empty when instrumentation is off). Start
     /// offsets are measured from the run's shared epoch, so shipped spans
     /// land on the coordinator's time axis directly.
     pub spans: Vec<SpanRecord>,
-    /// Flow-log send points (halo-phase messages only; see
-    /// [`FlowLog`](crate::flow::FlowLog)).
-    pub flow_sends: Vec<FlowPoint>,
-    /// Flow-log receive points.
-    pub flow_recvs: Vec<FlowPoint>,
 }
 
 /// Transport-level failures.
@@ -195,7 +175,6 @@ mod tests {
         let m = |payload| Message {
             from: 0,
             to: 1,
-            flow: 9,
             payload,
         };
         let coeffs = m(Payload::Coeffs {
@@ -208,10 +187,10 @@ mod tests {
             m(Payload::Request(vec![1, 2])).wire_bytes(),
             HEADER_BYTES + 12
         );
-        // Values count, ten fixed u64s, four empty list counts.
+        // Values count, eight fixed u64s, two empty list counts.
         let empty = m(Payload::Result(Box::default()));
-        assert_eq!(empty.wire_bytes(), HEADER_BYTES + 4 + 10 * 8 + 4 * 4);
-        // from + to + tag + flow.
+        assert_eq!(empty.wire_bytes(), HEADER_BYTES + 4 + 8 * 8 + 2 * 4);
+        // from + to + tag + the retired flow id.
         assert_eq!(HEADER_BYTES, 17);
     }
 }

@@ -27,7 +27,7 @@ pub mod triangle;
 pub use aabb::Aabb;
 pub use clip::{clip_polygon, clip_slab_x, clip_slab_y, clip_triangle_rect, fan_triangulate};
 pub use point::{Point2, Vec2};
-pub use polygon::{ConvexPolygon, PolygonCapacityError};
+pub use polygon::ConvexPolygon;
 pub use rect::Rect;
 pub use triangle::Triangle;
 

@@ -42,12 +42,6 @@ impl Point2 {
         (self - other).norm()
     }
 
-    /// Squared Euclidean distance to another point (avoids the square root).
-    #[inline]
-    pub fn distance_sq(self, other: Point2) -> f64 {
-        (self - other).norm_sq()
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     #[inline]
     pub fn lerp(self, other: Point2, t: f64) -> Point2 {
@@ -110,23 +104,6 @@ impl Vec2 {
     #[inline]
     pub fn norm_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// The vector rotated 90 degrees counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
-    /// Unit vector in the same direction, or `None` for (near-)zero vectors.
-    #[inline]
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n > 0.0 && n.is_finite() {
-            Some(self / n)
-        } else {
-            None
-        }
     }
 }
 
@@ -227,6 +204,31 @@ pub fn orient2d(a: Point2, b: Point2, c: Point2) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Point2 {
+        /// Squared Euclidean distance to another point.
+        fn distance_sq(self, other: Point2) -> f64 {
+            (self - other).norm_sq()
+        }
+    }
+
+    impl Vec2 {
+        /// The vector rotated 90 degrees counter-clockwise.
+        fn perp(self) -> Vec2 {
+            Vec2::new(-self.y, self.x)
+        }
+
+        /// Unit vector in the same direction, or `None` for (near-)zero
+        /// vectors.
+        fn normalized(self) -> Option<Vec2> {
+            let n = self.norm();
+            if n > 0.0 && n.is_finite() {
+                Some(self / n)
+            } else {
+                None
+            }
+        }
+    }
 
     #[test]
     fn point_vector_arithmetic_round_trips() {

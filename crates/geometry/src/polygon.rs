@@ -35,8 +35,6 @@ impl ConvexPolygon {
     /// Capacity overflow is a caller bug (no geometric pipeline in this
     /// library produces more than [`Self::CAPACITY`] vertices): debug
     /// builds assert, release builds keep the first `CAPACITY` vertices.
-    /// Use [`try_from_vertices`](Self::try_from_vertices) at fallible
-    /// boundaries.
     #[inline]
     pub fn from_vertices(vertices: &[Point2]) -> Self {
         debug_assert!(
@@ -50,18 +48,6 @@ impl ConvexPolygon {
             p.push(v);
         }
         p
-    }
-
-    /// Builds a polygon from a vertex slice, reporting capacity overflow
-    /// instead of asserting — the fallible public boundary for callers
-    /// constructing polygons from external data.
-    pub fn try_from_vertices(vertices: &[Point2]) -> Result<Self, PolygonCapacityError> {
-        if vertices.len() > Self::CAPACITY {
-            return Err(PolygonCapacityError {
-                len: vertices.len(),
-            });
-        }
-        Ok(Self::from_vertices(vertices))
     }
 
     /// Number of vertices.
@@ -137,15 +123,6 @@ impl ConvexPolygon {
         self.signed_area().abs()
     }
 
-    /// Arithmetic mean of the vertices (equals the area centroid only for
-    /// triangles; used as an interior reference point for convex polygons).
-    pub fn vertex_mean(&self) -> Point2 {
-        let v = self.vertices();
-        let n = v.len().max(1) as f64;
-        let (sx, sy) = v.iter().fold((0.0, 0.0), |(x, y), p| (x + p.x, y + p.y));
-        Point2::new(sx / n, sy / n)
-    }
-
     /// Closed containment test for convex CCW polygons: the point must lie on
     /// or left of every directed edge.
     pub fn contains(&self, p: Point2, eps: f64) -> bool {
@@ -182,30 +159,50 @@ impl PartialEq for ConvexPolygon {
     }
 }
 
-/// Error of [`ConvexPolygon::try_from_vertices`]: the supplied vertex count
-/// exceeds the inline capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolygonCapacityError {
-    /// Number of vertices supplied.
-    pub len: usize,
-}
-
-impl std::fmt::Display for PolygonCapacityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "polygon exceeds inline capacity: {} > {}",
-            self.len,
-            ConvexPolygon::CAPACITY
-        )
-    }
-}
-
-impl std::error::Error for PolygonCapacityError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConvexPolygon {
+        /// Builds a polygon from a vertex slice, reporting capacity overflow
+        /// instead of asserting.
+        fn try_from_vertices(vertices: &[Point2]) -> Result<Self, PolygonCapacityError> {
+            if vertices.len() > Self::CAPACITY {
+                return Err(PolygonCapacityError {
+                    len: vertices.len(),
+                });
+            }
+            Ok(Self::from_vertices(vertices))
+        }
+
+        /// Arithmetic mean of the vertices (equals the area centroid only for
+        /// triangles; used as an interior reference point for convex polygons).
+        fn vertex_mean(&self) -> Point2 {
+            let v = self.vertices();
+            let n = v.len().max(1) as f64;
+            let (sx, sy) = v.iter().fold((0.0, 0.0), |(x, y), p| (x + p.x, y + p.y));
+            Point2::new(sx / n, sy / n)
+        }
+    }
+
+    /// Error of `ConvexPolygon::try_from_vertices`: the supplied vertex count
+    /// exceeds the inline capacity.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct PolygonCapacityError {
+        /// Number of vertices supplied.
+        len: usize,
+    }
+
+    impl std::fmt::Display for PolygonCapacityError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(
+                f,
+                "polygon exceeds inline capacity: {} > {}",
+                self.len,
+                ConvexPolygon::CAPACITY
+            )
+        }
+    }
 
     fn square() -> ConvexPolygon {
         ConvexPolygon::from_vertices(&[

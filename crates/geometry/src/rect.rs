@@ -29,12 +29,6 @@ impl Rect {
         Self { x0, y0, x1, y1 }
     }
 
-    /// Rectangle from min/max corner points.
-    #[inline]
-    pub fn from_corners(min: Point2, max: Point2) -> Self {
-        Self::new(min.x, min.y, max.x, max.y)
-    }
-
     /// Width in `x`.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -73,12 +67,6 @@ impl Rect {
             Point2::new(self.x1, self.y1),
             Point2::new(self.x0, self.y1),
         ])
-    }
-
-    /// Conversion to an [`Aabb`].
-    #[inline]
-    pub fn to_aabb(&self) -> Aabb {
-        Aabb::new(Point2::new(self.x0, self.y0), Point2::new(self.x1, self.y1))
     }
 
     /// The rectangle translated by `(dx, dy)`.

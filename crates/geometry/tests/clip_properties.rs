@@ -282,7 +282,7 @@ proptest! {
     #[test]
     fn clip_by_own_bbox_is_identity(t in arb_triangle(2.0)) {
         let b = t.aabb();
-        let r = Rect::from_corners(b.min, b.max);
+        let r = Rect::new(b.min.x, b.min.y, b.max.x, b.max.y);
         let clipped = clip_triangle_rect(&t, &r);
         prop_assert!((clipped.area() - t.area()).abs() < 1e-10 * (1.0 + t.area()));
     }

@@ -152,60 +152,6 @@ impl EvalPlan {
         }
     }
 
-    /// Applies only the named rows of the plan, writing row
-    /// `r`'s value into `out[r]` and leaving every other slot untouched.
-    /// Each named row's group runs the same kernel as in a full apply, once
-    /// for a run of named rows it holds, so a partition of the rows into
-    /// subset calls reproduces `apply_with`'s values *bitwise* — the
-    /// property the distributed runtime's interior/frontier overlap split
-    /// rests on. Rows are swept in the order given, chunked into at most
-    /// `options.n_blocks` uniform blocks for per-block stats, under
-    /// `options.simd`; counters sum exactly across a row partition. The
-    /// sweep is sequential and unprobed whatever `options` says: rows
-    /// scatter into `out`, so there is no contiguous slice to hand a worker.
-    ///
-    /// # Panics
-    /// Panics when the field does not match the plan or `out` is not
-    /// exactly [`rows`](EvalPlan::rows) long.
-    pub fn apply_rows_into(
-        &self,
-        rows: &[u32],
-        field: &DgField,
-        out: &mut [f64],
-        options: &ExecConfig,
-    ) -> Vec<BlockStats> {
-        self.check_field(field);
-        assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        let isa = options.simd.resolve();
-        let coeffs = field.coefficients();
-        // The first row of the group last evaluated, and its values.
-        let (mut first, mut values) = (usize::MAX, [0.0; GROUP_ROWS]);
-        block_bounds(rows.len(), options.n_blocks)
-            .into_iter()
-            .map(|(s, e)| {
-                let body = |_: &mut Probe| {
-                    let mut metrics = Metrics::default();
-                    for &r in &rows[s..e] {
-                        let r = r as usize;
-                        let chunk = &self.chunks[r / CHUNK_ROWS];
-                        let (k, i) = chunk.group_of(r % CHUNK_ROWS);
-                        if first != r - i {
-                            first = r - i;
-                            dispatch(isa, GroupsDot(chunk, k..k + 1, coeffs, &mut values));
-                        }
-                        out[r] = values[i];
-                        self.count(1, chunk.group(k).entries(i).count(), &mut metrics);
-                    }
-                    ((), metrics)
-                };
-                BlockStats::measure(false, 0, body).1
-            })
-            .collect()
-    }
-
     fn check_field(&self, field: &DgField) {
         assert_eq!(
             field.degree(),

@@ -276,14 +276,6 @@ impl EvalPlan {
         })
     }
 
-    /// The element columns row `r`'s evaluation reads coefficients of,
-    /// global element ids: every column of the group holding it, a row
-    /// reading `0.0 ·` those it stores no weights for. The basis of the
-    /// sharded runtime's interior/frontier row classification.
-    pub fn read_cols(&self, r: usize) -> &[u32] {
-        chunk_group(&self.chunks, r).0.cols
-    }
-
     /// Wall-clock time spent compiling.
     #[inline]
     pub fn build_wall(&self) -> Duration {

@@ -257,63 +257,10 @@ fn apply_variants_agree() {
         // A block is a run of whole chunks.
         assert_eq!(b.block_stats.len(), n_blocks.min(plan.chunks.len()));
         assert_eq!(b.metrics, a.metrics, "{n_blocks} blocks");
-        // All rows through the row-subset entry point, into a caller's
-        // buffer, is the same apply again.
-        let all: Vec<u32> = (0..plan.rows() as u32).collect();
-        let mut c = vec![0.0; plan.rows()];
-        plan.apply_rows_into(&all, &field, &mut c, &options);
-        for ((av, bv), cv) in a.values.iter().zip(&b.values).zip(&c) {
+        for (av, bv) in a.values.iter().zip(&b.values) {
             assert_eq!(av.to_bits(), bv.to_bits(), "{n_blocks} blocks");
-            assert_eq!(av.to_bits(), cv.to_bits(), "{n_blocks} blocks, row subset");
         }
     }
-}
-
-#[test]
-fn row_partition_apply_is_bitwise_the_full_apply() {
-    let (mesh, field, grid) = setup(150, 2, 17);
-    let plan = EvalPlan::compile(&mesh, &grid, 2, &small_options());
-    let full = plan.apply_with(
-        &field,
-        &ExecConfig {
-            n_blocks: 4,
-            parallel: false,
-            instrument: false,
-            ..ExecConfig::default()
-        },
-    );
-    // An arbitrary partition of the rows (the dist runtime's interior /
-    // frontier split is one instance): applying the two halves into one
-    // buffer must reproduce the full apply bit for bit, because each row
-    // is an independent dot product written exactly once.
-    let (evens, odds): (Vec<u32>, Vec<u32>) = (0..plan.rows() as u32).partition(|r| r % 2 == 0);
-    let mut out = vec![0.0; plan.rows()];
-    let three = ExecConfig {
-        n_blocks: 3,
-        ..ExecConfig::default()
-    };
-    let stats_a = plan.apply_rows_into(&evens, &field, &mut out, &three);
-    let stats_b = plan.apply_rows_into(&odds, &field, &mut out, &three);
-    for (a, b) in full.values.iter().zip(&out) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    // Work counters partition too: the two subsets together count exactly
-    // the full apply's writes, loads, and flops.
-    let sum = |stats: &[ustencil_core::BlockStats], f: fn(&ustencil_core::BlockStats) -> u64| {
-        stats.iter().map(f).sum::<u64>()
-    };
-    let writes =
-        sum(&stats_a, |b| b.metrics.solution_writes) + sum(&stats_b, |b| b.metrics.solution_writes);
-    let loads =
-        sum(&stats_a, |b| b.metrics.elem_data_loads) + sum(&stats_b, |b| b.metrics.elem_data_loads);
-    let flops = sum(&stats_a, |b| b.metrics.flops) + sum(&stats_b, |b| b.metrics.flops);
-    assert_eq!(writes, full.metrics.solution_writes);
-    assert_eq!(loads, full.metrics.elem_data_loads);
-    assert_eq!(flops, full.metrics.flops);
-    // Empty subset: no blocks, no work.
-    assert!(plan
-        .apply_rows_into(&[], &field, &mut out, &three)
-        .is_empty());
 }
 
 #[test]

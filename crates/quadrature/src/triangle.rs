@@ -2,7 +2,6 @@
 
 use crate::gauss::GaussLegendre;
 use crate::jacobi::GaussJacobi;
-use ustencil_geometry::Triangle;
 
 /// A quadrature rule over the reference unit triangle
 /// `{(u, v) : u >= 0, v >= 0, u + v <= 1}`.
@@ -87,33 +86,36 @@ impl TriangleRule {
             .map(|(&(u, v), &w)| w * f(u, v))
             .sum()
     }
-
-    /// Integrates `f(x, y)` over an arbitrary physical triangle by mapping
-    /// the reference rule through the element's affine map.
-    pub fn integrate_physical<F: FnMut(f64, f64) -> f64>(&self, tri: &Triangle, mut f: F) -> f64 {
-        let jac = tri.jacobian().abs();
-        if jac == 0.0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .points
-            .iter()
-            .zip(&self.weights)
-            .map(|(&(u, v), &w)| {
-                let p = tri.map_from_unit(u, v);
-                w * f(p.x, p.y)
-            })
-            .sum();
-        // Reference weights carry the reference measure; the affine map
-        // scales area by |J| (reference triangle area embedded in weights).
-        sum * jac
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustencil_geometry::Point2;
+    use ustencil_geometry::{Point2, Triangle};
+
+    impl TriangleRule {
+        /// Integrates `f(x, y)` over an arbitrary physical triangle by
+        /// mapping the reference rule through the element's affine map.
+        fn integrate_physical<F: FnMut(f64, f64) -> f64>(&self, tri: &Triangle, mut f: F) -> f64 {
+            let jac = tri.jacobian().abs();
+            if jac == 0.0 {
+                return 0.0;
+            }
+            let sum: f64 = self
+                .points
+                .iter()
+                .zip(&self.weights)
+                .map(|(&(u, v), &w)| {
+                    let p = tri.map_from_unit(u, v);
+                    w * f(p.x, p.y)
+                })
+                .sum();
+            // Reference weights carry the reference measure; the affine map
+            // scales area by |J| (reference triangle area embedded in
+            // weights).
+            sum * jac
+        }
+    }
 
     /// Exact integral of `u^i v^j` over the reference unit triangle:
     /// `i! j! / (i + j + 2)!`.

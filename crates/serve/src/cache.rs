@@ -50,7 +50,7 @@ use ustencil_core::{ComputationGrid, ExecConfig};
 use ustencil_mesh::TriMesh;
 use ustencil_plan::{DirtySet, EvalPlan, PlanKey};
 
-/// How a [`PlanCache::get_or_compile`] / [`PlanCache::get_or_patch`] call
+/// How a [`PlanCache::get_or_patch`] call
 /// was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
@@ -183,9 +183,8 @@ struct Entry {
     last_used: u64,
     /// Plan bytes (0 while in flight).
     bytes: u64,
-    /// The problem the plan was compiled for, when the producer supplied
-    /// it ([`PlanCache::get_or_patch`]); `None` entries can serve hits but
-    /// never act as a patch base.
+    /// The problem the plan was produced for, the base a sibling's patch
+    /// diffs against (`None` while in flight).
     origin: Option<Arc<Origin>>,
 }
 
@@ -237,23 +236,10 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `key`, from (in preference order) the resident map, an
-    /// in-flight production, or `compile`. At most one
-    /// caller per key runs `compile` at a time; concurrent requesters for
-    /// the same cold key block and share the leader's result.
-    ///
-    /// `compile` runs without the cache lock held, so long compiles never
-    /// stall lookups for other keys.
-    pub fn get_or_compile(
-        &self,
-        key: PlanKey,
-        compile: impl FnOnce() -> EvalPlan,
-    ) -> (Arc<EvalPlan>, Outcome) {
-        self.get_with(key, None, || (compile(), Outcome::Compiled))
-    }
-
-    /// Delta-aware variant of [`get_or_compile`](Self::get_or_compile): the
-    /// leader first tries to *patch* a resident sibling plan — one compiled
+    /// The plan for `key`. At most one caller per key produces it at a
+    /// time; concurrent requesters for the same cold key block and share
+    /// the leader's result. The leader first tries to *patch* a resident
+    /// sibling plan — one compiled
     /// at the same kernel for an earlier revision of the mesh
     /// ([`EvalPlan::patched`]) — and only compiles from scratch when no
     /// sibling exists or the edit changed the kernel scale. Either way the
@@ -271,7 +257,7 @@ impl PlanCache {
         options: &ExecConfig,
         compile: impl FnOnce() -> EvalPlan,
     ) -> (Arc<EvalPlan>, Outcome) {
-        self.get_with(key, Some((mesh, grid)), || {
+        self.get_with(key, (mesh, grid), || {
             match self.patch_from_sibling(&key, mesh, grid, options) {
                 Some(plan) => (plan, Outcome::Patched),
                 None => (compile(), Outcome::Compiled),
@@ -280,23 +266,21 @@ impl PlanCache {
     }
 
     /// Hit, follow an in-flight leader, or lead with `make` (retaining
-    /// `origin` with the produced entry). A follower whose leader abandoned
+    /// `(mesh, grid)` as the produced entry's origin). A follower whose leader abandoned
     /// the flight looks again, and leads if it is now first.
     fn get_with(
         &self,
         key: PlanKey,
-        origin: Option<(&Arc<TriMesh>, &Arc<ComputationGrid>)>,
+        (mesh, grid): (&Arc<TriMesh>, &Arc<ComputationGrid>),
         make: impl FnOnce() -> (EvalPlan, Outcome),
     ) -> (Arc<EvalPlan>, Outcome) {
         loop {
             match self.lookup_or_lead(&key) {
                 Lookup::Ready(plan) => return (plan, Outcome::Hit),
                 Lookup::Lead(flight) => {
-                    let origin = origin.map(|(mesh, grid)| {
-                        Arc::new(Origin {
-                            mesh: mesh.clone(),
-                            grid: grid.clone(),
-                        })
+                    let origin = Arc::new(Origin {
+                        mesh: mesh.clone(),
+                        grid: grid.clone(),
                     });
                     return self.produce(key, &flight, origin, make);
                 }
@@ -353,7 +337,7 @@ impl PlanCache {
         &self,
         key: PlanKey,
         flight: &Flight,
-        origin: Option<Arc<Origin>>,
+        origin: Arc<Origin>,
         make: impl FnOnce() -> (EvalPlan, Outcome),
     ) -> (Arc<EvalPlan>, Outcome) {
         let guard = AbandonOnUnwind {
@@ -375,7 +359,7 @@ impl PlanCache {
             let entry = memory.map.get_mut(&key).expect("in-flight entry present");
             entry.slot = Slot::Ready(plan.clone());
             entry.bytes = bytes;
-            entry.origin = origin;
+            entry.origin = Some(origin);
             memory.resident_bytes += bytes;
             self.evict_over_budget(&mut memory, &key);
         }

@@ -13,15 +13,17 @@ use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
 
-fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
+/// Each seed compiles under its own kernel width, so no fixture's plan is a
+/// sibling another's `get_or_patch` miss would patch instead of compiling.
+fn fixture(seed: u64) -> (Arc<TriMesh>, Arc<ComputationGrid>, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 150, seed);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
     let options = ExecConfig {
-        h_factor: 0.5,
+        h_factor: 0.5 + 1e-6 * seed as f64,
         parallel: false,
         ..ExecConfig::default()
     };
-    (mesh, grid, options)
+    (Arc::new(mesh), Arc::new(grid), options)
 }
 
 /// Two plans are the same operator if every CSR array matches bit for bit.
@@ -43,7 +45,7 @@ fn k_requesters_one_compile_bitwise_identical() {
         let handles: Vec<_> = (0..K)
             .map(|_| {
                 s.spawn(|| {
-                    cache.get_or_compile(key, || {
+                    cache.get_or_patch(key, &mesh, &grid, &options, || {
                         probes.fetch_add(1, Ordering::SeqCst);
                         EvalPlan::compile(&mesh, &grid, 1, &options)
                     })
@@ -102,7 +104,7 @@ fn concurrent_distinct_keys_compile_once_each() {
             let probe = &probes[i];
             let cache = &cache;
             s.spawn(move || {
-                let (plan, _) = cache.get_or_compile(key, || {
+                let (plan, _) = cache.get_or_patch(key, mesh, grid, options, || {
                     probe.fetch_add(1, Ordering::SeqCst);
                     EvalPlan::compile(mesh, grid, 1, options)
                 });
@@ -125,8 +127,8 @@ fn server_coalesced_answers_match_fresh_compile_apply() {
     let (mesh, grid, options) = fixture(23);
     let field = project_l2(&mesh, 1, |x, y| x * y + 0.25, 2);
     let problem = Arc::new(Problem {
-        mesh: Arc::new(mesh),
-        grid: Arc::new(grid),
+        mesh,
+        grid,
         degree: 1,
     });
 
@@ -202,9 +204,9 @@ fn panicking_leader_releases_its_followers() {
     // until every follower has blocked on it, then panics.
     let (leading_tx, leading_rx) = mpsc::channel();
     let leader = {
-        let cache = cache.clone();
+        let (cache, fix) = (cache.clone(), fix.clone());
         std::thread::spawn(move || {
-            cache.get_or_compile(key, || {
+            cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, || {
                 leading_tx.send(()).unwrap();
                 let deadline = Instant::now() + limit;
                 while cache.snapshot().single_flight_waits < FOLLOWERS as u64 {
@@ -227,7 +229,7 @@ fn panicking_leader_releases_its_followers() {
             done_tx.clone(),
         );
         std::thread::spawn(move || {
-            let result = cache.get_or_compile(key, || {
+            let result = cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, || {
                 compiles.fetch_add(1, Ordering::SeqCst);
                 EvalPlan::compile(&fix.0, &fix.1, 1, &fix.2)
             });
@@ -249,7 +251,8 @@ fn panicking_leader_releases_its_followers() {
     }
     // The key is healthy afterwards, and the abandoned leader's miss is not
     // on the books: misses == compiles + patches.
-    let (_, outcome) = cache.get_or_compile(key, || unreachable!("resident by now"));
+    let resident = || unreachable!("resident by now");
+    let (_, outcome) = cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, resident);
     assert_eq!(outcome, Outcome::Hit);
     let snap = cache.snapshot();
     assert_eq!((snap.misses, snap.compiles), (1, 1), "{snap:?}");
@@ -263,22 +266,23 @@ fn panicking_leader_releases_its_followers() {
 fn byte_budget_bounds_the_whole_cache() {
     let fixtures: Vec<_> = (60..66u64)
         .map(|seed| {
-            let mesh = generate_mesh(MeshClass::LowVariance, 120, seed);
-            let grid = ComputationGrid::quadrature_points(&mesh, 1);
+            let mesh = Arc::new(generate_mesh(MeshClass::LowVariance, 120, seed));
+            let grid = Arc::new(ComputationGrid::quadrature_points(&mesh, 1));
             let options = fixture(seed).2;
             let key = PlanKey::new(&mesh, &grid, 1, &options);
-            (key, EvalPlan::compile(&mesh, &grid, 1, &options))
+            let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+            (key, (mesh, grid, options), plan)
         })
         .collect();
-    let sizes: Vec<u64> = fixtures.iter().map(|(_, p)| p.bytes() as u64).collect();
+    let sizes: Vec<u64> = fixtures.iter().map(|f| f.2.bytes() as u64).collect();
     let byte_budget = 5 * sizes.iter().max().unwrap() / 2;
     assert!(
         3 * sizes.iter().min().unwrap() > byte_budget,
         "no three of these plans fit the budget: {sizes:?}"
     );
     let cache = PlanCache::new(byte_budget);
-    for (key, plan) in &fixtures {
-        let (_, outcome) = cache.get_or_compile(*key, || plan.clone());
+    for (key, (mesh, grid, options), plan) in &fixtures {
+        let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, || plan.clone());
         assert_eq!(outcome, Outcome::Compiled);
     }
 
@@ -286,14 +290,15 @@ fn byte_budget_bounds_the_whole_cache() {
     assert_eq!((cache.len(), snap.evictions), (2, 4), "{snap:?}");
     assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
     assert_eq!(snap.resident_bytes, sizes[4] + sizes[5]);
-    for (key, _) in &fixtures[4..] {
-        let (_, outcome) = cache.get_or_compile(*key, || unreachable!("resident"));
+    for (key, (mesh, grid, options), _) in &fixtures[4..] {
+        let resident = || unreachable!("resident");
+        let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, resident);
         assert_eq!(outcome, Outcome::Hit);
     }
     // The oldest plan was evicted, so asking for it again compiles it.
-    let (key, plan) = &fixtures[0];
+    let (key, (mesh, grid, options), plan) = &fixtures[0];
     let compiled = AtomicUsize::new(0);
-    let (_, outcome) = cache.get_or_compile(*key, || {
+    let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, || {
         compiled.fetch_add(1, Ordering::SeqCst);
         plan.clone()
     });
@@ -368,8 +373,8 @@ fn panicking_request_fails_only_its_ticket() {
     let (mesh, grid, options) = fixture(5);
     let field = project_l2(&mesh, 1, |x, y| x - y * y + 0.5, 2);
     let good = Arc::new(Problem {
-        mesh: Arc::new(mesh),
-        grid: Arc::new(grid),
+        mesh,
+        grid,
         degree: 1,
     });
     // Eight triangles: the stencil is wider than the unit domain, so

@@ -6,9 +6,10 @@
 //! The 1D "mesh" is a periodic partition of `[0, 1]` into intervals; the dG
 //! field stores Legendre modal coefficients per interval; filtering applies
 //! `u*(x) = (1/h) ∫ K((y - x)/h) u(y) dy` with exact per-piece Gauss
-//! integration (split at both kernel breaks and element boundaries).
+//! integration (split at both kernel breaks and element boundaries). The
+//! filter itself, and its derivative recovery, are test code: no caller
+//! outside this module's tests evaluates a line field.
 
-use crate::kernel::Kernel1d;
 use ustencil_quadrature::gauss::legendre;
 use ustencil_quadrature::GaussLegendre;
 
@@ -59,12 +60,6 @@ impl LineField {
         self.p
     }
 
-    /// Number of intervals.
-    #[inline]
-    pub fn n_intervals(&self) -> usize {
-        self.n
-    }
-
     /// Interval width.
     #[inline]
     pub fn h(&self) -> f64 {
@@ -101,83 +96,86 @@ impl LineField {
     }
 }
 
-/// Applies the SIAC kernel to a periodic 1D dG field at one point, with
-/// exact integration: the convolution integral is split at every kernel
-/// break *and* every element boundary, so each Gauss panel sees a single
-/// polynomial.
-pub fn filter_point(field: &LineField, kernel: &Kernel1d, h: f64, x: f64) -> f64 {
-    // u*(x) = ∫ K(s) u(x + h s) ds over the kernel support.
-    let (lo, hi) = kernel.support();
-    // Breakpoints in s: kernel cell edges and element boundaries mapped to
-    // s = (y - x)/h.
-    let mut breaks: Vec<f64> = (0..=kernel.n_cells()).map(|c| lo + c as f64).collect();
-    let eh = field.h();
-    // Element boundaries y = k * eh intersecting [x + h*lo, x + h*hi].
-    let y_lo = x + h * lo;
-    let y_hi = x + h * hi;
-    let k0 = (y_lo / eh).floor() as i64;
-    let k1 = (y_hi / eh).ceil() as i64;
-    for k in k0..=k1 {
-        let s = (k as f64 * eh - x) / h;
-        if s > lo && s < hi {
-            breaks.push(s);
-        }
-    }
-    breaks.sort_by(f64::total_cmp);
-    breaks.dedup_by(|a, b| (*a - *b).abs() < 1e-14);
-
-    // Panel degree: kernel piece (degree k) times field piece (degree p).
-    let rule = GaussLegendre::with_strength(kernel.smoothness() + field.degree());
-    breaks
-        .windows(2)
-        .map(|w| rule.integrate_on(w[0], w[1], |s| kernel.eval(s) * field.eval(x + h * s)))
-        .sum()
-}
-
-/// Filters the field at a uniform lattice of `m` sample points, returning
-/// `(x_i, u*(x_i))` pairs.
-pub fn filter_uniform(field: &LineField, kernel: &Kernel1d, h: f64, m: usize) -> Vec<(f64, f64)> {
-    (0..m)
-        .map(|i| {
-            let x = (i as f64 + 0.5) / m as f64;
-            (x, filter_point(field, kernel, h, x))
-        })
-        .collect()
-}
-
-/// SIAC **derivative recovery**: the derivative of the filtered solution,
-/// `(u*)'(x) = -(1/h) ∫ K'(s) u(x + h s) ds` (integration by parts; the
-/// kernel vanishes at its support ends). This extracts an accurate
-/// derivative from a *discontinuous* dG field, whose raw elementwise
-/// derivative is an order less accurate and undefined at interfaces.
-pub fn filter_derivative_point(field: &LineField, kernel: &Kernel1d, h: f64, x: f64) -> f64 {
-    let (lo, hi) = kernel.support();
-    let mut breaks: Vec<f64> = (0..=kernel.n_cells()).map(|c| lo + c as f64).collect();
-    let eh = field.h();
-    let y_lo = x + h * lo;
-    let y_hi = x + h * hi;
-    let k0 = (y_lo / eh).floor() as i64;
-    let k1 = (y_hi / eh).ceil() as i64;
-    for k in k0..=k1 {
-        let s = (k as f64 * eh - x) / h;
-        if s > lo && s < hi {
-            breaks.push(s);
-        }
-    }
-    breaks.sort_by(f64::total_cmp);
-    breaks.dedup_by(|a, b| (*a - *b).abs() < 1e-14);
-
-    let rule = GaussLegendre::with_strength(kernel.smoothness() + field.degree());
-    let sum: f64 = breaks
-        .windows(2)
-        .map(|w| rule.integrate_on(w[0], w[1], |s| kernel.eval_deriv(s) * field.eval(x + h * s)))
-        .sum();
-    -sum / h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel1d;
+
+    /// Applies the SIAC kernel to a periodic 1D dG field at one point, with
+    /// exact integration: the convolution integral is split at every kernel
+    /// break *and* every element boundary, so each Gauss panel sees a single
+    /// polynomial.
+    fn filter_point(field: &LineField, kernel: &Kernel1d, h: f64, x: f64) -> f64 {
+        // u*(x) = ∫ K(s) u(x + h s) ds over the kernel support.
+        let (lo, hi) = kernel.support();
+        // Breakpoints in s: kernel cell edges and element boundaries mapped to
+        // s = (y - x)/h.
+        let mut breaks: Vec<f64> = (0..=kernel.n_cells()).map(|c| lo + c as f64).collect();
+        let eh = field.h();
+        // Element boundaries y = k * eh intersecting [x + h*lo, x + h*hi].
+        let y_lo = x + h * lo;
+        let y_hi = x + h * hi;
+        let k0 = (y_lo / eh).floor() as i64;
+        let k1 = (y_hi / eh).ceil() as i64;
+        for k in k0..=k1 {
+            let s = (k as f64 * eh - x) / h;
+            if s > lo && s < hi {
+                breaks.push(s);
+            }
+        }
+        breaks.sort_by(f64::total_cmp);
+        breaks.dedup_by(|a, b| (*a - *b).abs() < 1e-14);
+
+        // Panel degree: kernel piece (degree k) times field piece (degree p).
+        let rule = GaussLegendre::with_strength(kernel.smoothness() + field.degree());
+        breaks
+            .windows(2)
+            .map(|w| rule.integrate_on(w[0], w[1], |s| kernel.eval(s) * field.eval(x + h * s)))
+            .sum()
+    }
+
+    /// Filters the field at a uniform lattice of `m` sample points, returning
+    /// `(x_i, u*(x_i))` pairs.
+    fn filter_uniform(field: &LineField, kernel: &Kernel1d, h: f64, m: usize) -> Vec<(f64, f64)> {
+        (0..m)
+            .map(|i| {
+                let x = (i as f64 + 0.5) / m as f64;
+                (x, filter_point(field, kernel, h, x))
+            })
+            .collect()
+    }
+
+    /// SIAC **derivative recovery**: the derivative of the filtered solution,
+    /// `(u*)'(x) = -(1/h) ∫ K'(s) u(x + h s) ds` (integration by parts; the
+    /// kernel vanishes at its support ends). This extracts an accurate
+    /// derivative from a *discontinuous* dG field, whose raw elementwise
+    /// derivative is an order less accurate and undefined at interfaces.
+    fn filter_derivative_point(field: &LineField, kernel: &Kernel1d, h: f64, x: f64) -> f64 {
+        let (lo, hi) = kernel.support();
+        let mut breaks: Vec<f64> = (0..=kernel.n_cells()).map(|c| lo + c as f64).collect();
+        let eh = field.h();
+        let y_lo = x + h * lo;
+        let y_hi = x + h * hi;
+        let k0 = (y_lo / eh).floor() as i64;
+        let k1 = (y_hi / eh).ceil() as i64;
+        for k in k0..=k1 {
+            let s = (k as f64 * eh - x) / h;
+            if s > lo && s < hi {
+                breaks.push(s);
+            }
+        }
+        breaks.sort_by(f64::total_cmp);
+        breaks.dedup_by(|a, b| (*a - *b).abs() < 1e-14);
+
+        let rule = GaussLegendre::with_strength(kernel.smoothness() + field.degree());
+        let sum: f64 = breaks
+            .windows(2)
+            .map(|w| {
+                rule.integrate_on(w[0], w[1], |s| kernel.eval_deriv(s) * field.eval(x + h * s))
+            })
+            .sum();
+        -sum / h
+    }
 
     const TAU: f64 = std::f64::consts::TAU;
 

@@ -13,16 +13,11 @@ use ustencil_quadrature::GaussLegendre;
 /// `3k + 1` unit cells: evaluation is a cell lookup plus a Horner step, and
 /// the cells are exactly the stencil lattice of the paper's Figure 5 — no
 /// quadrature sub-interval ever straddles a kernel breakpoint.
-///
-/// A non-zero `node_offset` shifts the whole node lattice, which is how
-/// one-sided boundary kernels (Ryan–Shu) are built; the moment conditions
-/// (and therefore polynomial reproduction) hold for any offset.
 #[derive(Debug, Clone)]
 pub struct Kernel1d {
     k: usize,
     coeffs: Vec<f64>,
-    node_offset: f64,
-    /// Left end of the support, `-(3k+1)/2 + node_offset`.
+    /// Left end of the support, `-(3k+1)/2`.
     lo: f64,
     /// Piecewise polynomial in the local cell coordinate `t ∈ [0, 1]`,
     /// row-major `[cell][degree]`, `k + 1` coefficients per cell.
@@ -43,18 +38,9 @@ impl Kernel1d {
     /// assert!(kernel.moment(2).abs() < 1e-11);
     /// ```
     pub fn symmetric(k: usize) -> Self {
-        Self::with_node_offset(k, 0.0)
-    }
-
-    /// A kernel whose B-spline node lattice is shifted by `node_offset`
-    /// (in units of the mesh scale `h`). Used for one-sided boundary
-    /// filtering; `node_offset = 0` recovers the symmetric kernel.
-    pub fn with_node_offset(k: usize, node_offset: f64) -> Self {
         let r = 2 * k;
         let spline = BSpline::new(k as u32 + 1);
-        let nodes: Vec<f64> = (0..=r)
-            .map(|g| -(r as f64) / 2.0 + g as f64 + node_offset)
-            .collect();
+        let nodes: Vec<f64> = (0..=r).map(|g| -(r as f64) / 2.0 + g as f64).collect();
 
         // Raw B-spline moments mu_i = ∫ t^i ψ(t) dt.
         let mu: Vec<f64> = (0..=r as u32).map(|i| spline.moment(i)).collect();
@@ -81,7 +67,7 @@ impl Kernel1d {
         // Compile the piecewise polynomial: interpolate K on k+1 points per
         // unit cell (K restricted to a cell is a degree-k polynomial).
         let n_cells = 3 * k + 1;
-        let lo = -((3 * k + 1) as f64) / 2.0 + node_offset;
+        let lo = -((3 * k + 1) as f64) / 2.0;
         let deg = k + 1;
         let mut pp = vec![0.0; n_cells * deg];
         let direct = |x: f64| -> f64 {
@@ -108,13 +94,7 @@ impl Kernel1d {
             pp[cell * deg..(cell + 1) * deg].copy_from_slice(&local);
         }
 
-        Self {
-            k,
-            coeffs,
-            node_offset,
-            lo,
-            pp,
-        }
+        Self { k, coeffs, lo, pp }
     }
 
     /// Smoothness parameter `k`.
@@ -123,22 +103,10 @@ impl Kernel1d {
         self.k
     }
 
-    /// Polynomial degree reproduced by convolution, `r = 2k`.
-    #[inline]
-    pub fn reproduction_degree(&self) -> usize {
-        2 * self.k
-    }
-
     /// B-spline coefficients `c_γ`.
     #[inline]
     pub fn coefficients(&self) -> &[f64] {
         &self.coeffs
-    }
-
-    /// The node-lattice offset (zero for the symmetric kernel).
-    #[inline]
-    pub fn node_offset(&self) -> f64 {
-        self.node_offset
     }
 
     /// Number of unit cells of the support, `3k + 1`.
@@ -184,50 +152,6 @@ impl Kernel1d {
         acc
     }
 
-    /// Derivative `K'(x)` of the kernel, from the compiled piecewise
-    /// polynomial (exact inside each lattice cell; breakpoint values take
-    /// the right-hand limit, irrelevant under integration).
-    ///
-    /// Used for SIAC *derivative recovery*: filtering a dG field against
-    /// `K'` yields an accurate derivative even though the raw field is
-    /// discontinuous — integrating by parts,
-    /// `d/dx u*(x) = -(1/h) ∫ K'(s) u(x + h s) ds`.
-    #[inline]
-    pub fn eval_deriv(&self, x: f64) -> f64 {
-        let rel = x - self.lo;
-        if rel < 0.0 {
-            return 0.0;
-        }
-        let cell = rel as usize;
-        if cell >= self.n_cells() {
-            return 0.0;
-        }
-        let t = rel - cell as f64;
-        let deg = self.k + 1;
-        let poly = &self.pp[cell * deg..(cell + 1) * deg];
-        // Horner on the derivative coefficients d_i = (i+1) * c_{i+1}.
-        let mut acc = 0.0;
-        for (i, &c) in poly.iter().enumerate().skip(1).rev() {
-            acc = acc * t + i as f64 * c;
-        }
-        acc
-    }
-
-    /// Slow reference evaluation straight from the B-spline definition
-    /// (used in tests and kept public for cross-validation).
-    pub fn eval_direct(&self, x: f64) -> f64 {
-        let spline = BSpline::new(self.k as u32 + 1);
-        let r = 2 * self.k;
-        self.coeffs
-            .iter()
-            .enumerate()
-            .map(|(g, &c)| {
-                let xg = -(r as f64) / 2.0 + g as f64 + self.node_offset;
-                c * spline.eval(x - xg)
-            })
-            .sum()
-    }
-
     /// Exact `j`-th kernel moment, cell-by-cell Gauss integration.
     pub fn moment(&self, j: u32) -> f64 {
         let rule = GaussLegendre::with_strength(j as usize + self.k);
@@ -243,6 +167,51 @@ impl Kernel1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Kernel1d {
+        /// Derivative `K'(x)` of the kernel, from the compiled piecewise
+        /// polynomial (exact inside each lattice cell; breakpoint values take
+        /// the right-hand limit, irrelevant under integration).
+        ///
+        /// Used for SIAC *derivative recovery*: filtering a dG field against
+        /// `K'` yields an accurate derivative even though the raw field is
+        /// discontinuous — integrating by parts,
+        /// `d/dx u*(x) = -(1/h) ∫ K'(s) u(x + h s) ds`.
+        #[inline]
+        pub(crate) fn eval_deriv(&self, x: f64) -> f64 {
+            let rel = x - self.lo;
+            if rel < 0.0 {
+                return 0.0;
+            }
+            let cell = rel as usize;
+            if cell >= self.n_cells() {
+                return 0.0;
+            }
+            let t = rel - cell as f64;
+            let deg = self.k + 1;
+            let poly = &self.pp[cell * deg..(cell + 1) * deg];
+            // Horner on the derivative coefficients d_i = (i+1) * c_{i+1}.
+            let mut acc = 0.0;
+            for (i, &c) in poly.iter().enumerate().skip(1).rev() {
+                acc = acc * t + i as f64 * c;
+            }
+            acc
+        }
+
+        /// Slow reference evaluation straight from the B-spline definition.
+        fn eval_direct(&self, x: f64) -> f64 {
+            let spline = BSpline::new(self.k as u32 + 1);
+            let r = 2 * self.k;
+            self.coeffs
+                .iter()
+                .enumerate()
+                .map(|(g, &c)| {
+                    let xg = -(r as f64) / 2.0 + g as f64;
+                    c * spline.eval(x - xg)
+                })
+                .sum()
+        }
+    }
 
     #[test]
     fn known_coefficients_for_k1() {
@@ -410,27 +379,5 @@ mod tests {
             assert!(m0.abs() < 1e-10, "k={k}: ∫K' = {m0}");
             assert!((m1 + 1.0).abs() < 1e-10, "k={k}: ∫xK' = {m1}");
         }
-    }
-
-    #[test]
-    fn offset_kernel_still_reproduces() {
-        let h = 0.25;
-        let k = 2usize;
-        let kernel = Kernel1d::with_node_offset(k, 1.75);
-        let rule = GaussLegendre::with_strength(3 * k + 2);
-        for deg in 0..=(2 * k) {
-            let u = |y: f64| (y + 0.1).powi(deg as i32);
-            let x = 0.4;
-            let mut acc = 0.0;
-            for c in 0..kernel.n_cells() {
-                let a = kernel.support().0 + c as f64;
-                acc += rule.integrate_on(a, a + 1.0, |s| kernel.eval(s) * u(x + h * s));
-            }
-            assert!((acc - u(x)).abs() < 1e-9, "deg={deg}: {acc} vs {}", u(x));
-        }
-        // Support is shifted.
-        let (lo, hi) = kernel.support();
-        assert!((lo - (-3.5 + 1.75)).abs() < 1e-14);
-        assert!((hi - (3.5 + 1.75)).abs() < 1e-14);
     }
 }

@@ -33,12 +33,6 @@ impl Stencil2d {
         }
     }
 
-    /// Builds a stencil from an explicit 1D kernel (e.g. one-sided).
-    pub fn from_kernel(kernel: Arc<Kernel1d>, h: f64) -> Self {
-        assert!(h > 0.0, "stencil scale must be positive");
-        Self { kernel, h }
-    }
-
     /// The underlying 1D kernel.
     #[inline]
     pub fn kernel(&self) -> &Arc<Kernel1d> {
@@ -84,12 +78,6 @@ impl Stencil2d {
         Rect::new(x0, y0, x0 + self.h, y0 + self.h)
     }
 
-    /// Iterator over all lattice squares of the stencil at `center`.
-    pub fn cells(&self, center: Point2) -> impl Iterator<Item = Rect> + '_ {
-        let n = self.cells_per_side();
-        (0..n).flat_map(move |j| (0..n).map(move |i| self.cell_rect(center, i, j)))
-    }
-
     /// The scaled 2D kernel value `K((p - center)/h) / h^2` at point `p`.
     #[inline]
     pub fn eval(&self, center: Point2, p: Point2) -> f64 {
@@ -104,6 +92,14 @@ impl Stencil2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Stencil2d {
+        /// Iterator over all lattice squares of the stencil at `center`.
+        fn cells(&self, center: Point2) -> impl Iterator<Item = Rect> + '_ {
+            let n = self.cells_per_side();
+            (0..n).flat_map(move |j| (0..n).map(move |i| self.cell_rect(center, i, j)))
+        }
+    }
 
     #[test]
     fn width_matches_paper_formula() {

@@ -3,6 +3,16 @@
 //! lengths plus the 17-byte header). `Message::wire_bytes` now computes
 //! them from the typed payload; these numbers hold it to the old layout,
 //! so run reports and the cost model's comm term see the same traffic.
+//!
+//! Only rank 0's `bytes_recv` moved when the overlapped schedule gave way to
+//! the barrier one, because it counts the gathered results. Per result:
+//! −16 B for `interior` and `frontier`, −8 B for the two flow-list counts,
+//! −32 B per flow point (1 + 1 push and 2 + 2 pull at 2 ranks, 3 + 3 and
+//! 6 + 6 at 4), −46 B for the spans (`eval.interior` and `eval.frontier`,
+//! 24 + 13 B each, became one `eval`, 24 + 4 B), and on the pull path
+//! −112 B per patch (3 + 11 counters) as 16 row blocks became one block
+//! per plan chunk, 5 at 2 ranks and 3 at 4. So push: −24, −134, 3 × −24,
+//! 3 × −262; pull: −1 256, −1 430, 3 × −1 480, 3 × −1 910.
 
 use ustencil::dg::project_l2;
 use ustencil::dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
@@ -27,32 +37,32 @@ fn comm_counters_equal_the_retired_codecs_lengths() {
     let mesh = generate_mesh(MeshClass::LowVariance, 600, 7);
     let field = project_l2(&mesh, 1, |x, y| (x * 4.2).sin() + 0.6 * y - 0.3 * x * y, 2);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    // (ranks, instrumented, push, pull). Instrumentation adds spans and
-    // flow points to the result messages, so only rank 0's receives move.
+    // (ranks, instrumented, push, pull). Instrumentation adds spans to the
+    // result messages, so only rank 0's receives move.
     let pinned: [(usize, bool, Counts, Counts); 4] = [
         (
             2,
             false,
-            vec![[1, 8113, 2, 19270], [1, 8113, 1, 8113]],
-            vec![[2, 9290, 3, 20447], [2, 9290, 2, 9290]],
+            vec![[1, 8113, 2, 19246], [1, 8113, 1, 8113]],
+            vec![[2, 9290, 3, 19191], [2, 9290, 2, 9290]],
         ),
         (
             2,
             true,
-            vec![[1, 8113, 2, 19483], [1, 8113, 1, 8113]],
-            vec![[2, 9290, 3, 20760], [2, 9290, 2, 9290]],
+            vec![[1, 8113, 2, 19349], [1, 8113, 1, 8113]],
+            vec![[2, 9290, 3, 19330], [2, 9290, 2, 9290]],
         ),
         (
             4,
             false,
             vec![
-                [3, 12075, 6, 31890],
+                [3, 12075, 6, 31818],
                 [3, 12327, 3, 12159],
                 [3, 12243, 3, 12187],
                 [3, 12159, 3, 12215],
             ],
             vec![
-                [6, 13878, 9, 33669],
+                [6, 13878, 9, 29229],
                 [6, 14118, 6, 13974],
                 [6, 14038, 6, 13990],
                 [6, 13958, 6, 14006],
@@ -62,13 +72,13 @@ fn comm_counters_equal_the_retired_codecs_lengths() {
             4,
             true,
             vec![
-                [3, 12075, 6, 32913],
+                [3, 12075, 6, 32127],
                 [3, 12327, 3, 12159],
                 [3, 12243, 3, 12187],
                 [3, 12159, 3, 12215],
             ],
             vec![
-                [6, 13878, 9, 35376],
+                [6, 13878, 9, 29646],
                 [6, 14118, 6, 13974],
                 [6, 14038, 6, 13990],
                 [6, 13958, 6, 14006],

@@ -197,8 +197,8 @@ enum Do {
 }
 
 /// The test-side transport: a channel endpoint that asks a rule, deciding
-/// by message identity alone (`(from, flow)` names one), what to do with
-/// each message. `crates/dist` has no injector; `run_*_on` being generic
+/// by message identity alone (sender, destination and kind), what to do
+/// with each message. `crates/dist` has no injector; `run_*_on` being generic
 /// over the transport is the seam.
 struct Meddler {
     inner: ChannelEndpoint,
@@ -241,15 +241,21 @@ impl Transport for Meddler {
     }
 }
 
-/// Interior + frontier partition each rank's owned work: elements on the
-/// push path, plan rows (one per owned point) on the pull path.
-fn assert_split_partitions_owned_work(path: Path, sol: &DistSolution) {
+/// Every rank reports all of its owned work as evaluated after the drain:
+/// elements on the push path, plan rows (one per owned point) on the pull
+/// path.
+fn assert_owned_work_runs_after_the_drain(path: Path, sol: &DistSolution) {
     for r in &sol.ranks {
         let owned = match path {
             Path::Push => r.owned_elements,
             Path::Pull => r.owned_points,
         };
-        assert_eq!(r.interior + r.frontier, owned, "{path:?} rank {}", r.rank);
+        assert_eq!(
+            (r.interior, r.frontier),
+            (0, owned),
+            "{path:?} rank {}",
+            r.rank
+        );
     }
 }
 
@@ -262,12 +268,17 @@ fn reordered_messages_leave_results_unchanged() {
         // Rank 1's first message goes to rank 0 — its push, or its pull
         // request — and now arrives behind its next one there: its result,
         // or its reply to rank 0's own request.
-        let faulty = case
-            .run_meddled(path, |m| match (m.from, m.flow) {
-                (1, 0) => Do::HoldBehindNext,
+        let rule: fn(&Message) -> Do = match path {
+            Path::Push => |m| match (m.from, m.to, m.tag()) {
+                (1, 0, Tag::HaloCoeffs) => Do::HoldBehindNext,
                 _ => Do::Pass,
-            })
-            .unwrap();
+            },
+            Path::Pull => |m| match (m.from, m.to, m.tag()) {
+                (1, 0, Tag::HaloRequest) => Do::HoldBehindNext,
+                _ => Do::Pass,
+            },
+        };
+        let faulty = case.run_meddled(path, rule).unwrap();
 
         assert_eq!(faulty.values, case.clean.values, "{path:?}");
         assert_eq!(
@@ -278,9 +289,9 @@ fn reordered_messages_leave_results_unchanged() {
 }
 
 /// A rank whose result message never arrives is re-resolved by the
-/// coordinator through the same work's two passes: the run still returns,
-/// values are identical, the failed rank is flagged, and its ledger has
-/// the split and patch shapes the rank itself would have shipped.
+/// coordinator through the same work's pass: the run still returns, values
+/// are identical, the failed rank is flagged, and its ledger has the patch
+/// shapes the rank itself would have shipped.
 #[test]
 fn failed_rank_is_reresolved_by_the_coordinator() {
     for path in PATHS {
@@ -304,12 +315,8 @@ fn failed_rank_is_reresolved_by_the_coordinator() {
             recovered.ranks.iter().filter(|r| r.reresolved).count() == 1,
             "only the failed rank is re-resolved"
         );
-        assert_split_partitions_owned_work(path, &recovered);
+        assert_owned_work_runs_after_the_drain(path, &recovered);
         let (lost, kept) = (&recovered.ranks[3], &case.clean.ranks[3]);
-        assert_eq!(
-            (lost.interior, lost.frontier),
-            (kept.interior, kept.frontier)
-        );
         let shapes = |r: &ustencil::dist::RankReport| -> Vec<Metrics> {
             r.patches.iter().map(|p| p.metrics).collect()
         };
@@ -351,8 +358,9 @@ fn panicking_rank_is_a_dead_rank() {
         assert_only_rank_reresolved(path, &case, &recovered, 3);
 
         let err = case
-            .run_meddled(path, |m| match (m.from, m.flow) {
-                (3, 0) => Do::Panic,
+            // Rank 3's first message: its post to rank 0.
+            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
+                (3, 0, Tag::HaloCoeffs | Tag::HaloRequest) => Do::Panic,
                 _ => Do::Pass,
             })
             .unwrap_err();
@@ -361,8 +369,8 @@ fn panicking_rank_is_a_dead_rank() {
 }
 
 /// The drain counts senders, not messages: a second `HaloCoeffs` from one
-/// peer must not stand in for the one still missing (the frontier pass
-/// would read zeros). At the coordinator it fails the run by name; at a
+/// peer must not stand in for the one still missing (the pass would read
+/// zeros). At the coordinator it fails the run by name; at a
 /// worker it fails that rank, which is re-resolved.
 #[test]
 fn duplicated_halo_message_is_refused_not_counted() {
@@ -386,5 +394,40 @@ fn duplicated_halo_message_is_refused_not_counted() {
             })
             .unwrap();
         assert_only_rank_reresolved(path, &case, &recovered, 2);
+    }
+}
+
+/// A run's values are a function of its inputs alone: at 2 and 4 ranks,
+/// instrumented or not, three runs of either work give the same bits (the
+/// instrumented ones included, so tracing changes no value).
+#[test]
+fn repeated_runs_are_bitwise_identical() {
+    let (mesh, field, grid) = build(300, 1, 82);
+    let h_factor = safe_h(&mesh, 1);
+    for path in PATHS {
+        for ranks in [2, 4] {
+            let runs: Vec<Vec<f64>> = [false, true]
+                .into_iter()
+                .flat_map(|instrument| (0..3).map(move |_| instrument))
+                .map(|instrument| {
+                    let opts = DistOptions::new(ranks)
+                        .h_factor(h_factor)
+                        .instrument(instrument);
+                    match path {
+                        Path::Push => run_dist(&mesh, &field, &grid, &opts),
+                        Path::Pull => run_plan_dist(&mesh, &field, &grid, &opts),
+                    }
+                    .unwrap()
+                    .values
+                })
+                .collect();
+            for (i, run) in runs.iter().enumerate() {
+                let same = run
+                    .iter()
+                    .zip(&runs[0])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{path:?}, {ranks} ranks: run {i} moved a bit");
+            }
+        }
     }
 }
