@@ -14,12 +14,18 @@ rev, nproc, SIMD ISA, rustc, seeds, failed frames) and the `tools/loc.py`
 totals of the tree the record is written from. `--base` adds the end-to-end
 summary of the parent's set from the same session (`base_end_to_end`): the
 host drifts between sessions by more than most changes move, so a record is
-best read against its own base. Two records are compared by eye or by
-`benchmark --compare` on the sets themselves; this file gates nothing.
+best read against its own base. It also adds `paired`: per workload and
+end-to-end metric, the change/base ratio of each seed both sets ran, the
+pairs the change won and lost (by the metric's `better` in BENCHMARK.json),
+the median ratio and a distribution-free confidence interval for it, the
+k-th smallest and k-th largest ratio (for ten pairs the 2nd and 9th, 97.9 %).
+Two records are compared by eye or by `benchmark --compare` on the sets
+themselves; this file gates nothing.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -45,6 +51,44 @@ def distil(results, quartiles):
         w: {name: summary(unit, values, quartiles) for name, (unit, values) in ms.items()}
         for w, ms in cells.items()
     }
+
+
+def median_ci(n):
+    """(k, coverage): the k-th smallest and k-th largest of n paired ratios
+    bound their median with `coverage`, the largest k reaching 95 % (k = 1
+    below six pairs, whatever it covers)."""
+    below = lambda k: sum(math.comb(n, i) for i in range(k)) / 2**n
+    k = max([k for k in range(1, n // 2 + 1) if 1 - 2 * below(k) >= 0.95], default=1)
+    return k, 1 - 2 * below(k)
+
+
+def paired(base, change):
+    """{workload: {metric: pair statistics}} over the seeds both sets ran."""
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    by_seed = lambda results: {(r["workload"], r["seed"]): r["metrics"] for r in results}
+    b, c = by_seed(base), by_seed(change)
+    out = {}
+    for w, seed in sorted(b.keys() & c.keys()):
+        for name, m in c[(w, seed)].items():
+            if name in better and name in b[(w, seed)]:
+                ratio = m["value"] / b[(w, seed)][name]["value"]
+                out.setdefault(w, {}).setdefault(name, []).append((seed, ratio))
+    for w, metrics in out.items():
+        for name, pairs in metrics.items():
+            ratios = sorted(r for _, r in pairs)
+            n = len(ratios)
+            k, coverage = median_ci(n)
+            win = (lambda r: r < 1) if better[name] == "lower" else (lambda r: r > 1)
+            metrics[name] = {
+                "ratios": {str(seed): r for seed, r in pairs},
+                "wins": sum(win(r) for r in ratios),
+                "losses": sum(r != 1 and not win(r) for r in ratios),
+                "median_ratio": statistics.median(ratios),
+                "ci": [ratios[k - 1], ratios[n - k]],
+                "ci_ranks": [k, n + 1 - k],
+                "ci_coverage": round(coverage, 4),
+            }
+    return out
 
 
 def loc_totals():
@@ -89,7 +133,9 @@ def main():
     if layered:
         record["per_layer"] = distil(layered, quartiles=False)
     if args.base:
-        record["base_end_to_end"] = distil(untraced_of(runs_of(args.base)), quartiles=True)
+        base = untraced_of(runs_of(args.base))
+        record["base_end_to_end"] = distil(base, quartiles=True)
+        record["paired"] = paired(base, untraced)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}: {len(record['end_to_end'])} workload(s), {len(runs)} run(s)")
