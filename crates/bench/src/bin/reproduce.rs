@@ -121,7 +121,7 @@ fn fig8(r: &mut Runner, sizes: &[usize]) {
     for &n in sizes {
         let pe = r.run(MeshClass::LowVariance, n, 1, Scheme::PerElement);
         let n_points = pe.values.len();
-        let overhead = memory_overhead(&pe.block_metrics, n_points);
+        let overhead = memory_overhead(&BlockStats::metrics_of(&pe.block_stats), n_points);
         println!("{:>8} {:>12.3} {:>14.3}", size_label(n), 1.0, overhead);
     }
     println!("(paper: per-element starts ~2.5-3x at 4k and decays toward 1 with mesh size)");
@@ -777,16 +777,10 @@ fn checkjson(path: &str) -> Result<(), String> {
             // A re-resolved rank had no link: its ledger reads zero.
             let ranks = run.comms.len() as u64;
             if ranks > 1 && run.comms.iter().all(|c| c.msgs_sent > 0) {
-                // One message per peer per kind: a coefficient push, or a
-                // pull request and its reply.
-                let per_peer = if run.plan.is_some() { 2 } else { 1 };
-                if let Some(c) = run
-                    .comms
-                    .iter()
-                    .find(|c| c.msgs_sent != per_peer * (ranks - 1))
-                {
+                // One coefficient push per peer.
+                if let Some(c) = run.comms.iter().find(|c| c.msgs_sent != ranks - 1) {
                     return Err(format!(
-                        "{ctx}: rank {} sent {} messages, not {per_peer} to each of {} peers",
+                        "{ctx}: rank {} sent {} messages, not 1 to each of {} peers",
                         c.rank,
                         c.msgs_sent,
                         ranks - 1

@@ -163,35 +163,10 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                     .parse()
                     .map_err(|_| format!("--seed value '{v}' is not an integer"))?;
             }
-            "--timesteps" => {
-                let v = value_of(&mut it, "--timesteps")?;
-                opts.timesteps =
-                    v.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(|| {
-                        format!("--timesteps value '{v}' is not a positive integer")
-                    })?;
-            }
-            "--clients" => {
-                let v = value_of(&mut it, "--clients")?;
-                opts.clients =
-                    v.parse::<usize>().ok().filter(|&c| c > 0).ok_or_else(|| {
-                        format!("--clients value '{v}' is not a positive integer")
-                    })?;
-            }
-            "--requests" => {
-                let v = value_of(&mut it, "--requests")?;
-                opts.requests =
-                    v.parse::<usize>().ok().filter(|&r| r > 0).ok_or_else(|| {
-                        format!("--requests value '{v}' is not a positive integer")
-                    })?;
-            }
-            "--frames" => {
-                let v = value_of(&mut it, "--frames")?;
-                opts.frames = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&f| f > 0)
-                    .ok_or_else(|| format!("--frames value '{v}' is not a positive integer"))?;
-            }
+            "--timesteps" => opts.timesteps = positive(&mut it, "--timesteps")?,
+            "--clients" => opts.clients = positive(&mut it, "--clients")?,
+            "--requests" => opts.requests = positive(&mut it, "--requests")?,
+            "--frames" => opts.frames = positive(&mut it, "--frames")?,
             "--simd" => {
                 let v = value_of(&mut it, "--simd")?;
                 opts.simd = SimdPolicy::from_label(v).ok_or_else(|| {
@@ -236,6 +211,15 @@ fn value_of<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a
         Some(v) if !v.starts_with("--") => Ok(v),
         _ => Err(format!("{flag} needs a value\n\n{USAGE}")),
     }
+}
+
+/// The positive integer that follows `flag`.
+fn positive(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
+    let v = value_of(it, flag)?;
+    v.parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} value '{v}' is not a positive integer"))
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The run parameters, declared once: [`ExecConfig`] is what every entry
 //! point (direct, plan compile/apply/patch, dist, serve) is configured
 //! with, and [`ExecConfig::resolve`] is the one place a config becomes a
-//! concrete kernel. Each field has a single consumer: `smoothness`,
-//! `h_factor` and `simd` are read by `resolve`, `n_blocks` and `parallel`
-//! by the block driver ([`crate::blocks`]), `instrument` by the
+//! concrete kernel. Each field has a single consumer: `h_factor` and
+//! `simd` are read by `resolve`, `n_blocks` and `parallel` by the block
+//! driver ([`crate::blocks`]), `instrument` by the
 //! `Tracer`/[`Probe`](crate::Probe) constructors.
 
 use crate::integrate::{IntegrationCtx, MAX_DEGREE};
@@ -12,13 +12,12 @@ use ustencil_mesh::TriMesh;
 use ustencil_quadrature::TriangleRule;
 use ustencil_siac::Stencil2d;
 
-/// How a run executes: the paper's kernel parameters (`k`, `h = h_factor
-/// · s`) and its `N_GPU × N_SM` concurrent blocks, plus this
-/// implementation's observability and SIMD switches.
+/// How a run executes: the paper's kernel scale (`h = h_factor · s`; the
+/// smoothness `k` is the field degree `p`) and its `N_GPU × N_SM`
+/// concurrent blocks, plus this implementation's observability and SIMD
+/// switches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Explicit kernel smoothness `k` (default: the field degree `p`).
-    pub smoothness: Option<usize>,
     /// Kernel width factor, `h = h_factor * max_edge` (default 1.0).
     pub h_factor: f64,
     /// Concurrent blocks: point/row blocks for gather sweeps, mesh patches
@@ -40,7 +39,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         Self {
-            smoothness: None,
             h_factor: 1.0,
             n_blocks: 16,
             parallel: true,
@@ -51,18 +49,14 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The kernel smoothness for degree-`degree` fields.
-    pub fn smoothness_for(&self, degree: usize) -> usize {
-        self.smoothness.unwrap_or(degree)
-    }
-
     /// The kernel scale `h` over `mesh`.
     pub fn scale_for(&self, mesh: &TriMesh) -> f64 {
         self.h_factor * mesh.max_edge_length()
     }
 
     /// Builds and validates the kernel this config describes for
-    /// degree-`degree` fields over `mesh`, and resolves the SIMD policy.
+    /// degree-`degree` fields over `mesh` (smoothness `k = degree`), and
+    /// resolves the SIMD policy.
     ///
     /// # Panics
     /// Panics for a non-positive (or NaN) `h_factor`, a `degree` above
@@ -74,9 +68,8 @@ impl ExecConfig {
             degree <= MAX_DEGREE,
             "degree {degree} exceeds the kernels' maximum of {MAX_DEGREE}"
         );
-        let k = self.smoothness_for(degree);
         let h = self.scale_for(mesh);
-        let stencil = Stencil2d::symmetric(k, h);
+        let stencil = Stencil2d::symmetric(degree, h);
         assert!(
             stencil.width() <= 1.0 + 1e-12,
             "stencil width {} exceeds the periodic unit domain; \
@@ -85,10 +78,9 @@ impl ExecConfig {
         );
         KernelSetup {
             degree,
-            k,
             h,
             stencil,
-            rule: TriangleRule::with_strength(IntegrationCtx::required_strength(k, degree)),
+            rule: TriangleRule::with_strength(IntegrationCtx::required_strength(degree, degree)),
             isa: self.simd.resolve(),
         }
     }
@@ -100,15 +92,14 @@ impl ExecConfig {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct KernelSetup {
-    /// Degree `p` of the fields the kernel was resolved for.
+    /// Degree `p` of the fields the kernel was resolved for, and its
+    /// smoothness `k`.
     pub degree: usize,
-    /// Kernel smoothness `k`.
-    pub k: usize,
     /// Kernel scale `h`.
     pub h: f64,
-    /// The scaled symmetric stencil, `(3k + 1) h` wide.
+    /// The scaled symmetric stencil, `(3p + 1) h` wide.
     pub stencil: Stencil2d,
-    /// Triangle rule of strength `2k + p`.
+    /// Triangle rule of strength `3p`.
     pub rule: TriangleRule,
     /// The ISA every block of the run reduces on.
     pub isa: SimdIsa,
@@ -120,22 +111,19 @@ mod tests {
     use ustencil_mesh::{generate_mesh, MeshClass};
 
     #[test]
-    fn smoothness_defaults_to_the_degree_and_an_override_wins() {
+    fn the_kernel_smoothness_is_the_field_degree() {
         let mesh = generate_mesh(MeshClass::LowVariance, 400, 3);
         let config = ExecConfig {
             h_factor: 0.5,
             ..ExecConfig::default()
         };
-        for p in 1..=3 {
+        for p in 0..=3 {
             let setup = config.resolve(&mesh, p);
-            assert_eq!((setup.k, setup.degree), (p, p));
+            assert_eq!(setup.degree, p);
+            assert_eq!(setup.stencil.kernel().smoothness(), p);
             assert_eq!(setup.stencil.width(), (3 * p + 1) as f64 * setup.h);
+            assert_eq!(setup.rule.strength(), 3 * p);
         }
-        let explicit = ExecConfig {
-            smoothness: Some(1),
-            ..config
-        };
-        assert_eq!(explicit.resolve(&mesh, 3).k, 1);
     }
 
     #[test]

@@ -95,9 +95,8 @@ ustencil_trace::json_record! {
         pub device_ms: Vec<f64>,
         /// Reduction-phase time in milliseconds.
         pub reduction_ms: f64,
-        /// Communication-phase time in milliseconds (0 for
-        /// single-address-space runs; counted wire traffic under
-        /// [`simulate_ranks`]).
+        /// Communication-phase time in milliseconds: the counted wire
+        /// traffic (0 for a single-address-space run, which sends none).
         pub comms_ms: f64,
         /// End-to-end simulated time: slowest device plus comms plus
         /// reduction.
@@ -137,61 +136,6 @@ impl CostModel {
     }
 }
 
-/// Simulates executing `blocks` (one [`Metrics`] per block/patch) on the
-/// configured devices.
-///
-/// Blocks are distributed round-robin across devices (the paper's even
-/// patch distribution) and LPT-scheduled onto each device's SMs; a device's
-/// compute time is its busiest SM. The reduction phase charges each
-/// partial-solution slot once, parallelized across all SMs of all devices,
-/// plus a second stage across devices.
-pub fn simulate(scheme: Scheme, blocks: &[Metrics], config: &DeviceConfig) -> SimReport {
-    assert!(config.n_devices > 0 && config.n_sms > 0, "empty device");
-    let cycles_to_ms = 1.0 / (config.cost.clock_ghz * 1e6);
-
-    // Distribute blocks to devices round-robin.
-    let mut device_cycles = vec![0.0f64; config.n_devices];
-    for (d, dev_cycles) in device_cycles.iter_mut().enumerate() {
-        // LPT scheduling of this device's blocks onto its SMs.
-        let mut costs: Vec<f64> = blocks
-            .iter()
-            .skip(d)
-            .step_by(config.n_devices)
-            .map(|m| config.cost.block_cycles(scheme, m))
-            .collect();
-        costs.sort_by(|a, b| b.total_cmp(a));
-        let mut sms = vec![0.0f64; config.n_sms];
-        for c in costs {
-            // Place on the least-loaded SM; a zero-SM configuration (caller
-            // bug) degrades to dropping the work instead of aborting.
-            if let Some((imin, _)) = sms.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)) {
-                sms[imin] += c;
-            }
-        }
-        *dev_cycles = sms.iter().fold(0.0f64, |a, &b| a.max(b));
-    }
-
-    let total_slots: u64 = blocks.iter().map(|m| m.partial_slots).sum();
-    let reduction_cycles = total_slots as f64 * config.cost.reduce_cycles
-        / (config.n_devices * config.n_sms) as f64
-        // Second stage: one pass over the solution per extra device.
-        + (config.n_devices.saturating_sub(1)) as f64
-            * total_slots as f64
-            * config.cost.reduce_cycles
-            / (config.n_devices * config.n_sms * 4) as f64;
-
-    let device_ms: Vec<f64> = device_cycles.iter().map(|c| c * cycles_to_ms).collect();
-    let compute_ms = device_ms.iter().fold(0.0f64, |a, &b| a.max(b));
-    let reduction_ms = reduction_cycles * cycles_to_ms;
-    SimReport {
-        device_ms,
-        reduction_ms,
-        comms_ms: 0.0,
-        total_ms: compute_ms + reduction_ms,
-        flops: blocks.iter().map(|m| m.flops).sum(),
-    }
-}
-
 /// One rank's wire traffic, as counted by the distributed runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankTraffic {
@@ -202,11 +146,15 @@ pub struct RankTraffic {
 }
 
 /// Simulates a rank-sharded execution: each rank is one device evaluating
-/// its own blocks, plus a communication phase charged from *counted* wire
-/// traffic and a cross-rank reduction.
+/// its own blocks, LPT-scheduled onto its SMs (a device's compute time is
+/// its busiest SM), plus a communication phase charged from *counted* wire
+/// traffic and a reduction that charges each partial-solution slot once
+/// across all SMs, plus a second stage across devices.
 ///
 /// `rank_blocks[r]` holds rank `r`'s per-patch metrics and `traffic[r]`
 /// its measured send-side traffic (the distributed runtime counts both).
+/// A single-address-space run is its blocks dealt round-robin to the
+/// devices (the paper's even patch distribution) with no traffic.
 /// The comms phase is the busiest rank's `bytes · link_byte_cycles +
 /// msgs · msg_latency_cycles` — ranks exchange halos concurrently, so the
 /// slowest link bounds the phase, which is what flattens the log-log
@@ -296,6 +244,15 @@ mod tests {
         assert!(pp > pe);
         let ratio = cfg.cost.uncoalesced_load_cycles / cfg.cost.coalesced_load_cycles;
         assert!(ratio >= 4.0, "model must penalize uncoalesced access");
+    }
+
+    /// `blocks` dealt round-robin to `config.n_devices` devices, no traffic.
+    fn simulate(scheme: Scheme, blocks: &[Metrics], config: &DeviceConfig) -> SimReport {
+        let n = config.n_devices;
+        let dealt: Vec<Vec<Metrics>> = (0..n)
+            .map(|d| blocks.iter().skip(d).step_by(n).copied().collect())
+            .collect();
+        simulate_ranks(scheme, &dealt, &vec![RankTraffic::default(); n], config)
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! scheme / tiling / parallelism combination the paper evaluates.
 
 use crate::config::ExecConfig;
-use crate::device::{simulate, DeviceConfig, SimReport};
+use crate::device::{simulate_ranks, DeviceConfig, RankTraffic, SimReport};
 use crate::grid_points::ComputationGrid;
 use crate::metrics::Metrics;
 use crate::per_element::{reduce_patches, PerElementRun};
@@ -81,20 +81,14 @@ pub struct PostProcessor {
 
 impl PostProcessor {
     /// A post-processor with the paper's defaults
-    /// ([`ExecConfig::default`]): kernel smoothness equal to the field
-    /// degree, `h` equal to the longest mesh edge, 16 blocks (one per M2090
-    /// SM), parallel execution on, instrumentation off.
+    /// ([`ExecConfig::default`]): `h` equal to the longest mesh edge, 16
+    /// blocks (one per M2090 SM), parallel execution on, instrumentation
+    /// off. The kernel smoothness is always the field degree.
     pub fn new(scheme: Scheme) -> Self {
         Self {
             scheme,
             config: ExecConfig::default(),
         }
-    }
-
-    /// Overrides the kernel smoothness `k` (default: the field degree `p`).
-    pub fn smoothness(mut self, k: usize) -> Self {
-        self.config.smoothness = Some(k);
-        self
     }
 
     /// Scales the kernel width: `h = h_factor * s` (default 1.0).
@@ -140,11 +134,6 @@ impl PostProcessor {
     pub fn simd(mut self, policy: SimdPolicy) -> Self {
         self.config.simd = policy;
         self
-    }
-
-    /// The configured scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
     }
 
     /// The execution config `run` uses — what plan compilers and other
@@ -218,14 +207,12 @@ impl PostProcessor {
             }
         };
         let wall = start.elapsed();
-        let block_metrics = BlockStats::metrics_of(&block_stats);
-        let metrics = Metrics::sum(&block_metrics);
+        let metrics = Metrics::sum(&BlockStats::metrics_of(&block_stats));
         let simd = SimdRecord::measured(config.simd, setup.isa, metrics.flops, wall.as_secs_f64());
 
         Solution {
             values,
             metrics,
-            block_metrics,
             block_stats,
             spans: tracer.records(),
             wall,
@@ -243,10 +230,8 @@ pub struct Solution {
     pub values: Vec<f64>,
     /// Aggregated work counters.
     pub metrics: Metrics,
-    /// Per-block (per-patch) work counters, the unit of device scheduling.
-    pub block_metrics: Vec<Metrics>,
-    /// Full per-block stats: counters plus wall time, element/point
-    /// ownership, and distribution probes (probes are empty unless the run
+    /// Per-block (per-patch) stats, the unit of device scheduling: counters
+    /// plus wall time, element/point ownership, and distribution probes (probes are empty unless the run
     /// was [instrumented](PostProcessor::instrument)).
     pub block_stats: Vec<BlockStats>,
     /// Phase spans of the run (empty unless instrumented).
@@ -264,9 +249,26 @@ pub struct Solution {
 
 impl Solution {
     /// Simulated execution time of this run's blocks on the configured
-    /// streaming devices.
+    /// streaming devices: the blocks dealt round-robin to the devices, with
+    /// no traffic between them.
     pub fn simulate(&self, config: &DeviceConfig) -> SimReport {
-        simulate(self.scheme, &self.block_metrics, config)
+        let n = config.n_devices;
+        let dealt: Vec<Vec<Metrics>> = (0..n)
+            .map(|d| {
+                self.block_stats
+                    .iter()
+                    .skip(d)
+                    .step_by(n)
+                    .map(|s| s.metrics)
+                    .collect()
+            })
+            .collect();
+        simulate_ranks(
+            self.scheme,
+            &dealt,
+            &vec![RankTraffic::default(); n],
+            config,
+        )
     }
 
     /// Maximum absolute difference against another solution (for scheme
@@ -382,6 +384,74 @@ mod tests {
         );
     }
 
+    /// Every bit of the simulated report of one fixed run at 1, 2, 4 and 8
+    /// devices: the blocks dealt round-robin to the devices, no traffic.
+    #[test]
+    fn simulated_report_bits_are_pinned() {
+        let mesh = generate_mesh(MeshClass::LowVariance, 300, 3);
+        let field = project_l2(&mesh, 1, |x, y| x + y, 0);
+        let grid = ComputationGrid::quadrature_points(&mesh, 1);
+        let sol = PostProcessor::new(Scheme::PerElement).run(&mesh, &field, &grid);
+        // (devices, device_ms, reduction_ms, total_ms) as bits; comms_ms
+        // is 0 and flops 115 307 220 at every count.
+        let pinned: [(usize, &[u64], u64, u64); 4] = [
+            (
+                1,
+                &[0x3ff35e108c3f3e04],
+                0x3f6be59bf1b546c0,
+                0x3ff36c035a3818a7,
+            ),
+            (
+                2,
+                &[0x3ff315ebffb904fc, 0x3ff35e108c3f3e04],
+                0x3f616f8177114c38,
+                0x3ff366c84cfac6aa,
+            ),
+            (
+                4,
+                &[
+                    0x3ff315ebffb904fc,
+                    0x3ff35e108c3f3e04,
+                    0x3ff14fad1f4647f4,
+                    0x3ff2deda7fe227ea,
+                ],
+                0x3f5868e8737e9de8,
+                0x3ff3642ac65c1dab,
+            ),
+            (
+                8,
+                &[
+                    0x3ff315ebffb904fc,
+                    0x3ff2b24c1c27c007,
+                    0x3ff14fad1f4647f4,
+                    0x3ff132df505d0fa6,
+                    0x3ff20603fec3d063,
+                    0x3ff35e108c3f3e04,
+                    0x3ff0cee985bcd021,
+                    0x3ff2deda7fe227ea,
+                ],
+                0x3f532ddb362ca0a4,
+                0x3ff362dc030cc92c,
+            ),
+        ];
+        for (n_devices, device_ms, reduction_ms, total_ms) in pinned {
+            let rep = sol.simulate(&DeviceConfig {
+                n_devices,
+                ..DeviceConfig::default()
+            });
+            let bits: Vec<u64> = rep.device_ms.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(bits, device_ms, "{n_devices} devices");
+            assert_eq!(
+                rep.reduction_ms.to_bits(),
+                reduction_ms,
+                "{n_devices} devices"
+            );
+            assert_eq!(rep.comms_ms.to_bits(), 0, "{n_devices} devices");
+            assert_eq!(rep.total_ms.to_bits(), total_ms, "{n_devices} devices");
+            assert_eq!(rep.flops, 115_307_220, "{n_devices} devices");
+        }
+    }
+
     #[test]
     fn rms_error_of_constant_filter() {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 1);
@@ -423,7 +493,6 @@ mod tests {
             .find(|r| r.name == "eval.per_element")
             .unwrap();
         assert!(eval.duration_ns > 0);
-        assert_eq!(sol.block_stats.len(), sol.block_metrics.len());
         let probe = crate::probe::BlockStats::merged_probe(&sol.block_stats);
         assert!(probe.candidates_per_query().count() > 0);
 

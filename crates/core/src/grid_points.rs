@@ -15,7 +15,6 @@ use ustencil_quadrature::TriangleRule;
 pub struct ComputationGrid {
     points: Vec<Point2>,
     owner: Vec<u32>,
-    points_per_element: usize,
 }
 
 impl ComputationGrid {
@@ -34,11 +33,7 @@ impl ComputationGrid {
                 owner.push(e as u32);
             }
         }
-        Self {
-            points,
-            owner,
-            points_per_element: ppe,
-        }
+        Self { points, owner }
     }
 
     /// A grid from explicit points and owners (for custom evaluation sets,
@@ -48,11 +43,7 @@ impl ComputationGrid {
     /// Panics when lengths differ.
     pub fn from_points(points: Vec<Point2>, owner: Vec<u32>) -> Self {
         assert_eq!(points.len(), owner.len(), "points/owner length mismatch");
-        Self {
-            points,
-            owner,
-            points_per_element: 0,
-        }
+        Self { points, owner }
     }
 
     /// Number of grid points.
@@ -78,12 +69,6 @@ impl ComputationGrid {
     pub fn owners(&self) -> &[u32] {
         &self.owner
     }
-
-    /// Points per element for quadrature-derived grids (0 for custom grids).
-    #[inline]
-    pub fn points_per_element(&self) -> usize {
-        self.points_per_element
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +81,6 @@ mod tests {
         let mesh = generate_mesh(MeshClass::StructuredPattern, 32, 0);
         for p in 1..=3usize {
             let grid = ComputationGrid::quadrature_points(&mesh, p);
-            assert_eq!(grid.points_per_element(), (p + 1) * (p + 1));
             assert_eq!(grid.len(), mesh.n_triangles() * (p + 1) * (p + 1));
         }
     }
@@ -106,8 +90,9 @@ mod tests {
         let mesh = generate_mesh(MeshClass::LowVariance, 100, 5);
         let grid = ComputationGrid::quadrature_points(&mesh, 2);
         for (p, &e) in grid.points().iter().zip(grid.owners()) {
+            let (u, v) = mesh.triangle(e as usize).map_to_unit(*p).unwrap();
             assert!(
-                mesh.triangle(e as usize).contains(*p, 1e-10),
+                u >= -1e-10 && v >= -1e-10 && u + v <= 1.0 + 1e-10,
                 "point {p:?} outside element {e}"
             );
         }

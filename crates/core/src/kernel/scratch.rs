@@ -155,12 +155,6 @@ pub struct QuadStage {
 }
 
 impl QuadStage {
-    /// Number of staged sub-triangles.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
     /// True when nothing is staged.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -571,6 +565,13 @@ impl Default for Scratch {
 mod tests {
     use super::*;
     use crate::simd::SimdPolicy;
+
+    impl QuadStage {
+        /// Number of staged sub-triangles.
+        fn len(&self) -> usize {
+            self.subs.len()
+        }
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn ctx<'a>(

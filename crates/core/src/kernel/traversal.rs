@@ -358,7 +358,6 @@ mod tests {
             let mut stage = QuadStage::default();
             let mut metrics = Metrics::default();
             let mut ref_metrics = Metrics::default();
-            let ctx = crate::integrate::IntegrationCtx::new(&stencil, &rule, &basis);
             let mut any_hit = 0u32;
             let mut widest = 0;
             for e in 0..mesh.n_triangles() {
@@ -375,7 +374,7 @@ mod tests {
                 let staged = sink.take();
                 // Fused reference: kernel × polynomial at each quadrature point.
                 let (fused, ref_hit, ref_subs) =
-                    fused_reference(&ctx, center, &ed, &mut ref_metrics);
+                    fused_reference(&stencil, &rule, exps, center, &ed, &mut ref_metrics);
                 assert_eq!(hit, ref_hit, "k {k}, element {e}");
                 let tol = 1e-13 * fused.abs().max(1.0);
                 assert!(
@@ -434,12 +433,13 @@ mod tests {
     /// kept in test code as the reference for the staged path: its value,
     /// its hit flag and the sub-triangles it integrates, in order.
     fn fused_reference(
-        ctx: &crate::integrate::IntegrationCtx<'_>,
+        stencil: &Stencil2d,
+        rule: &TriangleRule,
+        exps: &[(usize, usize)],
         center: Point2,
         elem: &ElementData,
         metrics: &mut Metrics,
     ) -> (f64, bool, Vec<(Triangle, f64)>) {
-        let stencil = ctx.stencil;
         let h = stencil.h();
         let n_cells = stencil.cells_per_side();
         let (lo, _) = stencil.kernel().support();
@@ -458,7 +458,7 @@ mod tests {
         }
         let i1 = ((((bbox.max.x - x_base) / h).floor()) as usize).min(n_cells - 1);
         let j1 = ((((bbox.max.y - y_base) / h).floor()) as usize).min(n_cells - 1);
-        let nq = ctx.rule.len() as u64;
+        let nq = rule.len() as u64;
         let eval_flops = flops_per_quad_eval(stencil.kernel().smoothness(), elem.n_modes());
         let mut total = 0.0;
         let mut any = false;
@@ -476,9 +476,9 @@ mod tests {
                     metrics.subregions += 1;
                     metrics.quad_evals += nq;
                     metrics.flops += nq * eval_flops;
-                    total += integrate_physical(ctx.rule, &sub, |x, y| {
+                    total += integrate_physical(rule, &sub, |x, y| {
                         let p = Point2::new(x, y);
-                        stencil.eval(center, p) * elem.eval(p, ctx.exps)
+                        stencil.eval(center, p) * elem.eval(p, exps)
                     });
                     let jac = sub.jacobian().abs();
                     if jac != 0.0 {

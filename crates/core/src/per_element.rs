@@ -130,13 +130,6 @@ impl PerElementRun<'_> {
         .into_iter()
         .unzip()
     }
-
-    /// Runs all patches and reduces the partial solutions into the final
-    /// grid-point values.
-    pub fn run(&self, partition: &Partition, config: &ExecConfig) -> (Vec<f64>, Vec<BlockStats>) {
-        let (results, stats) = self.run_patches(partition, config);
-        (reduce_patches(&results, self.grid.len()), stats)
-    }
 }
 
 /// The reduction phase: sums every patch's partial solutions into the final
@@ -176,6 +169,15 @@ mod tests {
     use ustencil_dg::project_l2;
     use ustencil_mesh::{generate_mesh, partition_recursive_bisection, MeshClass};
     use ustencil_spatial::Boundary;
+
+    impl PerElementRun<'_> {
+        /// Runs all patches and reduces the partial solutions into the final
+        /// grid-point values.
+        fn run(&self, partition: &Partition, config: &ExecConfig) -> (Vec<f64>, Vec<BlockStats>) {
+            let (results, stats) = self.run_patches(partition, config);
+            (reduce_patches(&results, self.grid.len()), stats)
+        }
+    }
 
     struct Fixture {
         mesh: TriMesh,

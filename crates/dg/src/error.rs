@@ -28,9 +28,10 @@ pub fn l2_error<F: Fn(f64, f64) -> f64>(
     acc.sqrt()
 }
 
+#[cfg(test)]
 /// Maximum absolute error of `field - f` sampled at the quadrature points of
 /// every element.
-pub fn linf_error<F: Fn(f64, f64) -> f64>(
+pub(crate) fn linf_error<F: Fn(f64, f64) -> f64>(
     mesh: &TriMesh,
     field: &DgField,
     f: F,
@@ -47,11 +48,6 @@ pub fn linf_error<F: Fn(f64, f64) -> f64>(
         }
     }
     max
-}
-
-/// L2 norm of the field itself.
-pub fn l2_norm(mesh: &TriMesh, field: &DgField) -> f64 {
-    l2_error(mesh, field, |_, _| 0.0, 0)
 }
 
 #[cfg(test)]
@@ -82,7 +78,7 @@ mod tests {
     fn l2_norm_of_constant_field() {
         let mesh = generate_mesh(MeshClass::StructuredPattern, 32, 0);
         let field = project_l2(&mesh, 1, |_, _| 2.0, 0);
-        assert!((l2_norm(&mesh, &field) - 2.0).abs() < 1e-12);
+        assert!((l2_error(&mesh, &field, |_, _| 0.0, 0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

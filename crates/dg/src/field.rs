@@ -31,7 +31,7 @@ impl DgField {
     /// A field wrapping existing coefficients.
     ///
     /// # Panics
-    /// Panics when `coeffs.len()` is not `n_elements * n_modes(p)`.
+    /// Panics when `coeffs.len()` is not `n_elements * (p + 1)(p + 2) / 2`.
     pub fn from_coefficients(p: usize, n_elements: usize, coeffs: Vec<f64>) -> Self {
         let basis = Arc::new(DubinerBasis::new(p));
         assert_eq!(

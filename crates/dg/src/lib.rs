@@ -25,14 +25,7 @@ pub mod project;
 pub mod solver;
 
 pub use basis::DubinerBasis;
-pub use error::{l2_error, l2_norm, linf_error};
+pub use error::l2_error;
 pub use field::DgField;
 pub use project::project_l2;
 pub use solver::{AdvectionConfig, AdvectionSolver};
-
-/// Number of modes of a total-degree-`p` modal basis on a triangle:
-/// `(p + 1)(p + 2) / 2`.
-#[inline]
-pub const fn n_modes(p: usize) -> usize {
-    (p + 1) * (p + 2) / 2
-}

@@ -156,11 +156,6 @@ impl AdvectionSolver {
         }
     }
 
-    /// The mesh the solver was assembled on.
-    pub fn mesh(&self) -> &TriMesh {
-        &self.mesh
-    }
-
     /// Stable time step from the CFL condition (inradius-based element
     /// scale).
     pub fn stable_dt(&self) -> f64 {

@@ -24,11 +24,11 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{run_schedule, DistOptions, DistSolution, RankReport, Site, Work};
+use crate::schedule::{run_schedule, DistOptions, DistSolution, Site, Work};
 use crate::shard::RankShard;
 use crate::transport::{Payload, RankResult, Tag, Transport};
 use std::time::Instant;
-use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics, PlanStats, Scheme};
+use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
 use ustencil_plan::EvalPlan;
@@ -113,30 +113,6 @@ impl Work for PullWork {
         res.patches = sol.block_stats;
         res.eval_ns = eval_start.elapsed().as_nanos() as u64;
     }
-
-    /// The apply counters encode the sharded plan's shape exactly: one
-    /// solution write per row, `nnz * n_modes` coefficient loads.
-    fn plan_stats(
-        &self,
-        n_modes: usize,
-        metrics: &Metrics,
-        ranks: &[RankReport],
-    ) -> Option<PlanStats> {
-        let nm = n_modes as u64;
-        let nnz = metrics.elem_data_loads / nm;
-        let rows = metrics.solution_writes;
-        let max_ms =
-            |f: fn(&RankReport) -> u64| ranks.iter().map(f).max().unwrap_or(0) as f64 / 1e6;
-        Some(PlanStats {
-            rows,
-            nnz,
-            n_modes: nm,
-            bytes: nnz * (4 + 8 * nm) + (rows + 1) * 8,
-            build_ms: max_ms(|r| r.reduce_ns),
-            apply_ms: max_ms(|r| r.eval_ns),
-            delta: None,
-        })
-    }
 }
 
 /// Runs the rank-sharded plan compile + apply over the in-process channel
@@ -205,9 +181,6 @@ mod tests {
                 reference.metrics.elem_data_loads
             );
             assert_eq!(dist.metrics.flops, reference.metrics.flops);
-            let stats = dist.plan_stats.as_ref().expect("plan shape");
-            assert_eq!(stats.rows, global.stats().rows);
-            assert_eq!(stats.nnz, global.stats().nnz);
             // One request and one reply per ordered pair of ranks.
             let comm = dist.total_comm();
             assert_eq!(comm.msgs_sent, (2 * ranks * (ranks - 1)) as u64);
@@ -233,14 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn record_carries_plan_shape_and_comms() {
+    fn record_carries_comms_and_barrier_spans() {
         let (mesh, field, grid) = fixture(200, 1, 3);
         let dist =
             run_plan_dist(&mesh, &field, &grid, &DistOptions::new(2).instrument(true)).unwrap();
         let record = dist.to_run_record("test/plan@2ranks", mesh.n_triangles(), None);
         assert_eq!(record.scheme, SCHEME_LABEL);
         assert_eq!(record.comms.len(), 2);
-        assert!(record.plan.is_some());
         let names: Vec<&str> = dist.spans.iter().map(|s| s.name.as_str()).collect();
         for phase in [
             "compile.plan",

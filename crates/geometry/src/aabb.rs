@@ -35,12 +35,6 @@ impl Aabb {
             .fold(Self::EMPTY, |b, p| b.union_point(p))
     }
 
-    /// True when the box contains no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.min.x > self.max.x || self.min.y > self.max.y
-    }
-
     /// Width in `x`.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -60,12 +54,6 @@ impl Aabb {
             0.5 * (self.min.x + self.max.x),
             0.5 * (self.min.y + self.max.y),
         )
-    }
-
-    /// Closed containment test.
-    #[inline]
-    pub fn contains(&self, p: Point2) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
     /// True when the two boxes share at least one point (closed test).
@@ -101,21 +89,32 @@ impl Aabb {
     pub fn translate(&self, offset: Vec2) -> Aabb {
         Aabb::new(self.min + offset, self.max + offset)
     }
-
-    /// Area of the box; zero for empty boxes.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.width() * self.height()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Aabb {
+        /// True when the box contains no points.
+        fn is_empty(&self) -> bool {
+            self.min.x > self.max.x || self.min.y > self.max.y
+        }
+
+        /// Closed containment test.
+        fn contains(&self, p: Point2) -> bool {
+            p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
+        }
+
+        /// Area of the box; zero for empty boxes.
+        fn area(&self) -> f64 {
+            if self.is_empty() {
+                0.0
+            } else {
+                self.width() * self.height()
+            }
+        }
+    }
 
     fn unit() -> Aabb {
         Aabb::new(Point2::new(0.0, 0.0), Point2::new(1.0, 1.0))

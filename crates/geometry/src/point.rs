@@ -30,12 +30,6 @@ impl Point2 {
     /// The origin `(0, 0)`.
     pub const ORIGIN: Point2 = Point2::new(0.0, 0.0);
 
-    /// Vector from the origin to this point.
-    #[inline]
-    pub fn to_vec(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
-    }
-
     /// Euclidean distance to another point.
     #[inline]
     pub fn distance(self, other: Point2) -> f64 {
@@ -61,12 +55,6 @@ impl Point2 {
     #[inline]
     pub fn max(self, other: Point2) -> Point2 {
         Point2::new(self.x.max(other.x), self.y.max(other.y))
-    }
-
-    /// True when both coordinates are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Small convex polygons with inline storage.
 
-use crate::aabb::Aabb;
-use crate::point::{orient2d, Point2};
+use crate::point::Point2;
 
 /// A convex polygon with counter-clockwise vertex order and inline storage.
 ///
@@ -50,12 +49,6 @@ impl ConvexPolygon {
         p
     }
 
-    /// Number of vertices.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
     /// True when the polygon has no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -93,12 +86,6 @@ impl ConvexPolygon {
         &self.verts[..self.len as usize]
     }
 
-    /// Vertex by index (must be `< len`).
-    #[inline]
-    pub fn vertex(&self, i: usize) -> Point2 {
-        self.verts[..self.len as usize][i]
-    }
-
     /// Signed area by the shoelace formula; positive for counter-clockwise
     /// order.
     #[inline]
@@ -123,27 +110,6 @@ impl ConvexPolygon {
         self.signed_area().abs()
     }
 
-    /// Closed containment test for convex CCW polygons: the point must lie on
-    /// or left of every directed edge.
-    pub fn contains(&self, p: Point2, eps: f64) -> bool {
-        let v = self.vertices();
-        if v.len() < 3 {
-            return false;
-        }
-        let n = v.len();
-        for i in 0..n {
-            if orient2d(v[i], v[(i + 1) % n], p) < -eps {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Bounding box of the polygon.
-    pub fn aabb(&self) -> Aabb {
-        Aabb::from_points(self.vertices().iter().copied())
-    }
-
     /// Ensures counter-clockwise orientation, reversing in place if needed.
     #[inline]
     pub fn make_ccw(&mut self) {
@@ -162,8 +128,36 @@ impl PartialEq for ConvexPolygon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aabb::Aabb;
+    use crate::point::orient2d;
 
     impl ConvexPolygon {
+        /// Number of vertices.
+        pub(crate) fn len(&self) -> usize {
+            self.len as usize
+        }
+
+        /// Closed containment test for convex CCW polygons: the point must lie on
+        /// or left of every directed edge.
+        fn contains(&self, p: Point2, eps: f64) -> bool {
+            let v = self.vertices();
+            if v.len() < 3 {
+                return false;
+            }
+            let n = v.len();
+            for i in 0..n {
+                if orient2d(v[i], v[(i + 1) % n], p) < -eps {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// Bounding box of the polygon.
+        fn aabb(&self) -> Aabb {
+            Aabb::from_points(self.vertices().iter().copied())
+        }
+
         /// Builds a polygon from a vertex slice, reporting capacity overflow
         /// instead of asserting.
         fn try_from_vertices(vertices: &[Point2]) -> Result<Self, PolygonCapacityError> {

@@ -29,36 +29,6 @@ impl Rect {
         Self { x0, y0, x1, y1 }
     }
 
-    /// Width in `x`.
-    #[inline]
-    pub fn width(&self) -> f64 {
-        self.x1 - self.x0
-    }
-
-    /// Height in `y`.
-    #[inline]
-    pub fn height(&self) -> f64 {
-        self.y1 - self.y0
-    }
-
-    /// Area.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
-    /// Center point.
-    #[inline]
-    pub fn center(&self) -> Point2 {
-        Point2::new(0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
-    }
-
-    /// Closed containment test.
-    #[inline]
-    pub fn contains(&self, p: Point2) -> bool {
-        p.x >= self.x0 && p.x <= self.x1 && p.y >= self.y0 && p.y <= self.y1
-    }
-
     /// Conversion to a counter-clockwise convex polygon.
     pub fn to_polygon(&self) -> ConvexPolygon {
         ConvexPolygon::from_vertices(&[
@@ -67,12 +37,6 @@ impl Rect {
             Point2::new(self.x1, self.y1),
             Point2::new(self.x0, self.y1),
         ])
-    }
-
-    /// The rectangle translated by `(dx, dy)`.
-    #[inline]
-    pub fn translate(&self, dx: f64, dy: f64) -> Rect {
-        Rect::new(self.x0 + dx, self.y0 + dy, self.x1 + dx, self.y1 + dy)
     }
 
     /// Closed overlap test against a bounding box.
@@ -85,6 +49,38 @@ impl Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rect {
+        /// Width in `x`.
+        fn width(&self) -> f64 {
+            self.x1 - self.x0
+        }
+
+        /// Height in `y`.
+        fn height(&self) -> f64 {
+            self.y1 - self.y0
+        }
+
+        /// Area.
+        fn area(&self) -> f64 {
+            self.width() * self.height()
+        }
+
+        /// Center point.
+        fn center(&self) -> Point2 {
+            Point2::new(0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
+        }
+
+        /// Closed containment test.
+        fn contains(&self, p: Point2) -> bool {
+            p.x >= self.x0 && p.x <= self.x1 && p.y >= self.y0 && p.y <= self.y1
+        }
+
+        /// The rectangle translated by `(dx, dy)`.
+        fn translate(&self, dx: f64, dy: f64) -> Rect {
+            Rect::new(self.x0 + dx, self.y0 + dy, self.x1 + dx, self.y1 + dy)
+        }
+    }
 
     #[test]
     fn basic_measures() {

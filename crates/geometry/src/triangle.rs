@@ -61,16 +61,6 @@ impl Triangle {
         ab.max(bc).max(ca)
     }
 
-    /// Closed containment test (works for either orientation).
-    pub fn contains(&self, p: Point2, eps: f64) -> bool {
-        let d1 = orient2d(self.a, self.b, p);
-        let d2 = orient2d(self.b, self.c, p);
-        let d3 = orient2d(self.c, self.a, p);
-        let has_neg = d1 < -eps || d2 < -eps || d3 < -eps;
-        let has_pos = d1 > eps || d2 > eps || d3 > eps;
-        !(has_neg && has_pos)
-    }
-
     /// Maps barycentric-style reference coordinates `(u, v)` with
     /// `u, v >= 0, u + v <= 1` to physical space:
     /// `x(u, v) = a + u (b - a) + v (c - a)`.
@@ -125,6 +115,18 @@ impl Triangle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Triangle {
+        /// Closed containment test (works for either orientation).
+        fn contains(&self, p: Point2, eps: f64) -> bool {
+            let d1 = orient2d(self.a, self.b, p);
+            let d2 = orient2d(self.b, self.c, p);
+            let d3 = orient2d(self.c, self.a, p);
+            let has_neg = d1 < -eps || d2 < -eps || d3 < -eps;
+            let has_pos = d1 > eps || d2 > eps || d3 > eps;
+            !(has_neg && has_pos)
+        }
+    }
 
     fn unit() -> Triangle {
         Triangle::new(

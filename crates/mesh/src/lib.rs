@@ -12,7 +12,7 @@
 //!   structured-pattern mesh for convergence studies,
 //! * [`partition`] — the recursive-bisection patch partitioner used by the
 //!   overlapped tiling scheme (Section 4),
-//! * [`periodic`] — helpers for the periodic unit-square domain,
+//! * [`periodic`] — the periodic translates of the unit-square domain,
 //! * [`stats`] — element-size statistics (the "variance" classification),
 //! * [`amr`] — deterministic mesh edits (midpoint refinement, band
 //!   displacement) driving the incremental plan-recompilation workload.
@@ -31,6 +31,6 @@ pub use amr::{displace_band, elements_on_longest_edge, refine_elements};
 pub use delaunay::delaunay_triangulate;
 pub use generate::{generate_mesh, MeshClass};
 pub use partition::{halo_elements, partition_recursive_bisection, partition_subset, Partition};
-pub use periodic::{minimal_image_delta, wrap_unit, PERIODIC_SHIFTS};
+pub use periodic::PERIODIC_SHIFTS;
 pub use stats::MeshStats;
 pub use trimesh::{MeshError, TriMesh};

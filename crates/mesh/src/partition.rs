@@ -45,19 +45,6 @@ impl Partition {
     pub fn patches(&self) -> impl ExactSizeIterator<Item = &[u32]> {
         self.patches.iter().map(|p| p.as_slice())
     }
-
-    /// Ratio of the largest patch size to the ideal (`n / k`); 1.0 is
-    /// perfect balance.
-    pub fn imbalance(&self) -> f64 {
-        let total: usize = self.patches.iter().map(Vec::len).sum();
-        let ideal = total as f64 / self.patches.len() as f64;
-        let max = self.patches.iter().map(Vec::len).max().unwrap_or(0);
-        if ideal == 0.0 {
-            1.0
-        } else {
-            max as f64 / ideal
-        }
-    }
 }
 
 /// Partitions the mesh into `k` patches of roughly equal area by recursive
@@ -197,6 +184,21 @@ mod tests {
     use super::*;
     use crate::generate::{generate_mesh, MeshClass};
 
+    impl Partition {
+        /// Ratio of the largest patch size to the ideal (`n / k`); 1.0 is
+        /// perfect balance.
+        fn imbalance(&self) -> f64 {
+            let total: usize = self.patches.iter().map(Vec::len).sum();
+            let ideal = total as f64 / self.patches.len() as f64;
+            let max = self.patches.iter().map(Vec::len).max().unwrap_or(0);
+            if ideal == 0.0 {
+                1.0
+            } else {
+                max as f64 / ideal
+            }
+        }
+    }
+
     fn check_partition(mesh: &TriMesh, part: &Partition) {
         let mut seen = vec![false; mesh.n_triangles()];
         for patch in part.patches() {
@@ -269,7 +271,8 @@ mod tests {
         let part = partition_recursive_bisection(&mesh, 16);
         for patch in part.patches() {
             let bb = Aabb::from_points(patch.iter().map(|&e| mesh.centroid(e as usize)));
-            assert!(bb.area() < 0.15, "patch box area {}", bb.area());
+            let area = bb.width() * bb.height();
+            assert!(area < 0.15, "patch box area {area}");
         }
     }
 

@@ -22,29 +22,27 @@ pub const PERIODIC_SHIFTS: [Vec2; 9] = [
     Vec2::new(-1.0, -1.0),
 ];
 
-/// Wraps a coordinate into `[0, 1)`.
-#[inline]
-pub fn wrap_unit(x: f64) -> f64 {
-    let r = x - x.floor();
-    // `x.floor()` of very small negatives can produce r == 1.0.
-    if r >= 1.0 {
-        r - 1.0
-    } else {
-        r
-    }
-}
-
-/// Signed minimal-image difference `a - b` on the periodic unit interval,
-/// in `[-1/2, 1/2)`.
-#[inline]
-pub fn minimal_image_delta(a: f64, b: f64) -> f64 {
-    let d = a - b;
-    d - (d + 0.5).floor()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Wraps a coordinate into `[0, 1)`.
+    fn wrap_unit(x: f64) -> f64 {
+        let r = x - x.floor();
+        // `x.floor()` of very small negatives can produce r == 1.0.
+        if r >= 1.0 {
+            r - 1.0
+        } else {
+            r
+        }
+    }
+
+    /// Signed minimal-image difference `a - b` on the periodic unit interval,
+    /// in `[-1/2, 1/2)`.
+    fn minimal_image_delta(a: f64, b: f64) -> f64 {
+        let d = a - b;
+        d - (d + 0.5).floor()
+    }
 
     #[test]
     fn wrap_unit_basic() {

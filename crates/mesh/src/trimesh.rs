@@ -1,6 +1,6 @@
 //! The triangular mesh container.
 
-use ustencil_geometry::{Aabb, Point2, Triangle};
+use ustencil_geometry::{Point2, Triangle};
 
 /// Errors produced by [`TriMesh::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -121,16 +121,6 @@ impl TriMesh {
         (0..self.n_triangles()).map(|i| self.triangle(i))
     }
 
-    /// Bounding box of the whole mesh.
-    pub fn aabb(&self) -> Aabb {
-        Aabb::from_points(self.vertices.iter().copied())
-    }
-
-    /// Sum of all triangle areas.
-    pub fn total_area(&self) -> f64 {
-        self.triangles().map(|t| t.area()).sum()
-    }
-
     /// Length of the longest edge over all triangles — the `s` of
     /// Section 3.2, which fixes both the hash-grid cell size and the stencil
     /// scaling `h`.
@@ -193,6 +183,19 @@ impl TriMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ustencil_geometry::Aabb;
+
+    impl TriMesh {
+        /// Bounding box of the whole mesh.
+        fn aabb(&self) -> Aabb {
+            Aabb::from_points(self.vertices.iter().copied())
+        }
+
+        /// Sum of all triangle areas.
+        pub(crate) fn total_area(&self) -> f64 {
+            self.triangles().map(|t| t.area()).sum()
+        }
+    }
 
     fn two_triangle_square() -> TriMesh {
         TriMesh::from_raw(

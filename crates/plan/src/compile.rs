@@ -69,7 +69,6 @@ impl EvalPlan {
             rows.compile(&rows.order, grid.points(), owners, options, &tracer);
         EvalPlan {
             degree,
-            smoothness: rows.setup.k,
             n_modes: rows.basis.n_modes(),
             n_elements: mesh.n_triangles(),
             h: rows.setup.h,

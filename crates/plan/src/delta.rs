@@ -36,7 +36,7 @@
 //! order of their shared key, so the patched plan is the fresh compile
 //! group for group too. The
 //! patch refuses ([`PatchError`]) when `h = h_factor · max_edge` changes
-//! bits or the options (smoothness, SIMD ISA) disagree with the plan;
+//! bits or the options' SIMD ISA disagrees with the plan's;
 //! callers fall back to a full compile.
 
 use crate::compile::RowCompiler;
@@ -75,8 +75,8 @@ pub enum PatchError {
     /// pattern, so *every* stored weight is stale, not just the dirty
     /// region's.
     KernelChanged,
-    /// The compile options (the kernel smoothness, or the SIMD ISA the
-    /// policy resolves to) disagree with what the plan was compiled with.
+    /// The SIMD ISA the compile options' policy resolves to is not the
+    /// one the plan was compiled with.
     OptionsMismatch,
     /// The dirty set was diffed against a different problem than the one
     /// being patched (element/row counts disagree).
@@ -219,11 +219,6 @@ impl DirtySet {
             row_map,
             row_source,
         }
-    }
-
-    /// New element ids with no bit-identical old counterpart, ascending.
-    pub fn changed(&self) -> &[u32] {
-        &self.changed
     }
 
     /// Elements in the dirty set: changed new elements plus vanished old
@@ -412,7 +407,6 @@ impl PlanDelta {
 
         EvalPlan {
             degree: base.degree,
-            smoothness: base.smoothness,
             n_modes: nm,
             n_elements: self.new_elements,
             h: base.h,
@@ -442,9 +436,7 @@ impl EvalPlan {
         options: &ExecConfig,
     ) -> Result<PlanDelta, PatchError> {
         let started = Instant::now();
-        if options.smoothness_for(self.degree) != self.smoothness
-            || options.simd.resolve() != self.isa
-        {
+        if options.simd.resolve() != self.isa {
             return Err(PatchError::OptionsMismatch);
         }
         if dirty.old_elements != self.n_elements
@@ -664,5 +656,17 @@ impl EvalPlan {
         let mut stats = delta.stats(self);
         stats.patch_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok((plan, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl DirtySet {
+        /// New element ids with no bit-identical old counterpart, ascending.
+        pub(crate) fn changed(&self) -> &[u32] {
+            &self.changed
+        }
     }
 }

@@ -2,8 +2,9 @@
 //! hashed by *content*.
 //!
 //! A plan's structure and weights are fully determined by the mesh
-//! geometry, the evaluation grid, the field degree, the kernel
-//! (smoothness `k` and width factor), and the compile-time SIMD ISA.
+//! geometry, the evaluation grid, the field degree (which is also the
+//! kernel smoothness `k`), the kernel width factor, and the compile-time
+//! SIMD ISA.
 //! [`PlanKey`] captures exactly that tuple, with the mesh and grid reduced
 //! to 64-bit FNV-1a digests over their raw buffers. Two problems with equal
 //! keys compile to bit-identical plans; two problems with different content
@@ -96,10 +97,8 @@ pub struct PlanKey {
     pub mesh_hash: u64,
     /// [`grid_content_hash`] of the evaluation grid.
     pub grid_hash: u64,
-    /// Field polynomial degree `p`.
+    /// Field polynomial degree `p`, and so the kernel smoothness `k`.
     pub degree: usize,
-    /// Resolved kernel smoothness `k` (the explicit override, or `p`).
-    pub smoothness: usize,
     /// IEEE-754 bit pattern of the kernel width factor `h_factor` (the
     /// realized `h` is `h_factor * max_edge`, already pinned by the mesh
     /// hash).
@@ -126,20 +125,18 @@ impl PlanKey {
             mesh_hash: mesh_content_hash(mesh),
             grid_hash: grid_content_hash(grid),
             degree,
-            smoothness: options.smoothness_for(degree),
             h_factor_bits: options.h_factor.to_bits(),
             simd: options.simd.resolve(),
         }
     }
 
-    /// Whether `other` was compiled under the same kernel — degree,
-    /// smoothness, width factor and SIMD ISA — so the two keys differ at
+    /// Whether `other` was compiled under the same kernel — degree, width
+    /// factor and SIMD ISA — so the two keys differ at
     /// most in mesh/grid content: the signature of a mesh edit, and the
     /// precondition for [`EvalPlan::patched`](crate::EvalPlan::patched) to
     /// reproduce a fresh compile bitwise.
     pub fn same_kernel(&self, other: &Self) -> bool {
         self.degree == other.degree
-            && self.smoothness == other.smoothness
             && self.h_factor_bits == other.h_factor_bits
             && self.simd == other.simd
     }
@@ -183,15 +180,7 @@ mod tests {
         let mesh = generate_mesh(MeshClass::LowVariance, 120, 3);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
         let base = PlanKey::new(&mesh, &grid, 1, &ExecConfig::default());
-        let smoother = PlanKey::new(
-            &mesh,
-            &grid,
-            1,
-            &ExecConfig {
-                smoothness: Some(2),
-                ..ExecConfig::default()
-            },
-        );
+        let smoother = PlanKey::new(&mesh, &grid, 2, &ExecConfig::default());
         assert_ne!(base, smoother);
         assert!(!base.same_kernel(&smoother));
         let narrower = PlanKey::new(

@@ -181,7 +181,6 @@ pub(crate) fn chunk_group<C: Borrow<Chunk>>(chunks: &[C], r: usize) -> (Group<'_
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalPlan {
     pub(crate) degree: usize,
-    pub(crate) smoothness: usize,
     pub(crate) n_modes: usize,
     pub(crate) n_elements: usize,
     pub(crate) h: f64,
@@ -198,16 +197,11 @@ pub struct EvalPlan {
 }
 
 impl EvalPlan {
-    /// Field polynomial degree the plan was compiled for.
+    /// Field polynomial degree the plan was compiled for, and so the
+    /// kernel smoothness `k` baked into the weights.
     #[inline]
     pub fn degree(&self) -> usize {
         self.degree
-    }
-
-    /// Kernel smoothness `k` baked into the weights.
-    #[inline]
-    pub fn smoothness(&self) -> usize {
-        self.smoothness
     }
 
     /// Modal coefficients per element, `(p + 1)(p + 2) / 2`.
@@ -220,18 +214,6 @@ impl EvalPlan {
     #[inline]
     pub fn n_elements(&self) -> usize {
         self.n_elements
-    }
-
-    /// Kernel scale `h` baked into the weights.
-    #[inline]
-    pub fn h(&self) -> f64 {
-        self.h
-    }
-
-    /// Stencil width `(3k + 1) h` of the compiled kernel.
-    #[inline]
-    pub fn stencil_width(&self) -> f64 {
-        (3 * self.smoothness + 1) as f64 * self.h
     }
 
     /// Output rows (grid points).

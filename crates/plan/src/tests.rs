@@ -18,6 +18,11 @@ impl EvalPlan {
         let (group, i) = chunk_group(&self.chunks, r);
         group.entries(i).map(move |j| group.cols[j])
     }
+
+    /// Stencil width `(3p + 1) h` of the compiled kernel.
+    fn stencil_width(&self) -> f64 {
+        (3 * self.degree + 1) as f64 * self.h
+    }
 }
 
 fn setup(n_tri: usize, p: usize, seed: u64) -> (TriMesh, ustencil_dg::DgField, ComputationGrid) {
@@ -97,7 +102,6 @@ fn plan_shape_and_stats_are_consistent() {
     let (mesh, field, grid) = setup(120, 1, 3);
     let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
     assert_eq!(plan.degree(), 1);
-    assert_eq!(plan.smoothness(), 1);
     assert_eq!(plan.n_modes(), 3);
     assert_eq!(plan.n_elements(), mesh.n_triangles());
     let stats = plan.stats();
@@ -510,19 +514,6 @@ fn patch_rejects_kernel_and_shape_mismatches() {
         )
         .unwrap_err();
     assert_eq!(err, PatchError::KernelChanged);
-    // A different kernel smoothness cannot be spliced into this plan.
-    let err = plan
-        .patch(
-            &moved,
-            &moved_grid,
-            &dirty,
-            &ExecConfig {
-                smoothness: Some(2),
-                ..small_options()
-            },
-        )
-        .unwrap_err();
-    assert_eq!(err, PatchError::OptionsMismatch);
     // A dirty set diffed against a different problem is rejected.
     let (other, _, other_grid) = setup(100, 1, 44);
     let stale = DirtySet::diff(&other, &other_grid, &moved, &moved_grid);

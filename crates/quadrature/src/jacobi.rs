@@ -12,7 +12,6 @@ use crate::gauss::GaussLegendre;
 /// exact when `f` is a polynomial of degree at most `2n - 1`.
 #[derive(Debug, Clone)]
 pub struct GaussJacobi {
-    alpha: u32,
     nodes: Vec<f64>,
     weights: Vec<f64>,
 }
@@ -104,22 +103,12 @@ impl GaussJacobi {
         let weights = crate::linalg::solve_dense(&mut matrix, &mut rhs, n)
             .expect("Gauss-Jacobi weight system is nonsingular");
 
-        Self {
-            alpha,
-            nodes,
-            weights,
-        }
+        Self { nodes, weights }
     }
 
     /// Smallest rule exact for polynomial factors of the given degree.
     pub fn with_strength(degree: usize, alpha: u32) -> Self {
         Self::new(degree / 2 + 1, alpha)
-    }
-
-    /// The weight exponent `alpha`.
-    #[inline]
-    pub fn alpha(&self) -> u32 {
-        self.alpha
     }
 
     /// Number of points.
@@ -145,21 +134,23 @@ impl GaussJacobi {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// Approximates `∫ (1-x)^alpha f(x) dx` over `[-1, 1]`; exact for
-    /// polynomial `f` of degree `<= 2n - 1`.
-    pub fn integrate<F: FnMut(f64) -> f64>(&self, mut f: F) -> f64 {
-        self.nodes
-            .iter()
-            .zip(&self.weights)
-            .map(|(&x, &w)| w * f(x))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GaussJacobi {
+        /// Approximates `∫ (1-x)^alpha f(x) dx` over `[-1, 1]`; exact for
+        /// polynomial `f` of degree `<= 2n - 1`.
+        fn integrate<F: FnMut(f64) -> f64>(&self, mut f: F) -> f64 {
+            self.nodes
+                .iter()
+                .zip(&self.weights)
+                .map(|(&x, &w)| w * f(x))
+                .sum()
+        }
+    }
 
     /// Reference: integral of (1-x)^alpha x^k over [-1,1] by high-order
     /// Gauss-Legendre (exact for polynomials).

@@ -19,12 +19,6 @@ impl BSpline {
         Self { order }
     }
 
-    /// The order `n` (one more than the polynomial degree).
-    #[inline]
-    pub fn order(&self) -> u32 {
-        self.order
-    }
-
     /// Polynomial degree of each piece.
     #[inline]
     pub fn degree(&self) -> u32 {

@@ -7,8 +7,8 @@
 //! field stores Legendre modal coefficients per interval; filtering applies
 //! `u*(x) = (1/h) ∫ K((y - x)/h) u(y) dy` with exact per-piece Gauss
 //! integration (split at both kernel breaks and element boundaries). The
-//! filter itself, and its derivative recovery, are test code: no caller
-//! outside this module's tests evaluates a line field.
+//! whole module is test code: nothing outside its tests evaluates a line
+//! field.
 
 use ustencil_quadrature::gauss::legendre;
 use ustencil_quadrature::GaussLegendre;

@@ -2,7 +2,6 @@
 
 use crate::bspline::BSpline;
 use ustencil_quadrature::linalg::solve_dense;
-use ustencil_quadrature::GaussLegendre;
 
 /// The SIAC kernel `K^{2k+1, k+1}`: `2k + 1` central B-splines of order
 /// `k + 1` on a unit-spaced node lattice, with coefficients solving the
@@ -16,7 +15,6 @@ use ustencil_quadrature::GaussLegendre;
 #[derive(Debug, Clone)]
 pub struct Kernel1d {
     k: usize,
-    coeffs: Vec<f64>,
     /// Left end of the support, `-(3k+1)/2`.
     lo: f64,
     /// Piecewise polynomial in the local cell coordinate `t ∈ [0, 1]`,
@@ -31,38 +29,16 @@ impl Kernel1d {
     /// ```
     /// use ustencil_siac::Kernel1d;
     /// let kernel = Kernel1d::symmetric(1);
-    /// // The classic K^{3,2} coefficients: (-1/12, 7/6, -1/12).
-    /// assert!((kernel.coefficients()[1] - 7.0 / 6.0).abs() < 1e-12);
-    /// // Unit mass, vanishing higher moments.
-    /// assert!((kernel.moment(0) - 1.0).abs() < 1e-11);
-    /// assert!(kernel.moment(2).abs() < 1e-11);
+    /// // The classic K^{3,2} coefficients are (-1/12, 7/6, -1/12); at 0
+    /// // only the centre hat is non-zero, so K(0) = 7/6.
+    /// assert!((kernel.eval(0.0) - 7.0 / 6.0).abs() < 1e-12);
+    /// // Even, and supported on the 3k + 1 = 4 unit cells of [-2, 2].
+    /// assert!((kernel.eval(0.75) - kernel.eval(-0.75)).abs() < 1e-12);
+    /// assert_eq!(kernel.support(), (-2.0, 2.0));
     /// ```
     pub fn symmetric(k: usize) -> Self {
-        let r = 2 * k;
         let spline = BSpline::new(k as u32 + 1);
-        let nodes: Vec<f64> = (0..=r).map(|g| -(r as f64) / 2.0 + g as f64).collect();
-
-        // Raw B-spline moments mu_i = ∫ t^i ψ(t) dt.
-        let mu: Vec<f64> = (0..=r as u32).map(|i| spline.moment(i)).collect();
-
-        // Moments of each shifted spline: m_j(x_γ) = Σ_i C(j,i) x_γ^{j-i} μ_i.
-        let n = r + 1;
-        let mut matrix = vec![0.0; n * n];
-        let mut rhs = vec![0.0; n];
-        rhs[0] = 1.0;
-        for j in 0..n {
-            for (g, &xg) in nodes.iter().enumerate() {
-                let mut m = 0.0;
-                let mut binom = 1.0;
-                for (i, &mui) in mu.iter().enumerate().take(j + 1) {
-                    m += binom * xg.powi((j - i) as i32) * mui;
-                    binom *= (j - i) as f64 / (i + 1) as f64;
-                }
-                matrix[j * n + g] = m;
-            }
-        }
-        let coeffs =
-            solve_dense(&mut matrix, &mut rhs, n).expect("SIAC moment system is nonsingular");
+        let (nodes, coeffs) = spline_coefficients(k);
 
         // Compile the piecewise polynomial: interpolate K on k+1 points per
         // unit cell (K restricted to a cell is a degree-k polynomial).
@@ -94,19 +70,13 @@ impl Kernel1d {
             pp[cell * deg..(cell + 1) * deg].copy_from_slice(&local);
         }
 
-        Self { k, coeffs, lo, pp }
+        Self { k, lo, pp }
     }
 
     /// Smoothness parameter `k`.
     #[inline]
     pub fn smoothness(&self) -> usize {
         self.k
-    }
-
-    /// B-spline coefficients `c_γ`.
-    #[inline]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coeffs
     }
 
     /// Number of unit cells of the support, `3k + 1`.
@@ -151,24 +121,55 @@ impl Kernel1d {
         }
         acc
     }
+}
 
-    /// Exact `j`-th kernel moment, cell-by-cell Gauss integration.
-    pub fn moment(&self, j: u32) -> f64 {
-        let rule = GaussLegendre::with_strength(j as usize + self.k);
-        (0..self.n_cells())
-            .map(|c| {
-                let a = self.lo + c as f64;
-                rule.integrate_on(a, a + 1.0, |x| x.powi(j as i32) * self.eval(x))
-            })
-            .sum()
+/// The lattice nodes `x_γ = -k + γ` and the B-spline coefficients `c_γ` of
+/// the smoothness-`k` kernel, solved from its moment conditions.
+fn spline_coefficients(k: usize) -> (Vec<f64>, Vec<f64>) {
+    let r = 2 * k;
+    let spline = BSpline::new(k as u32 + 1);
+    let nodes: Vec<f64> = (0..=r).map(|g| -(r as f64) / 2.0 + g as f64).collect();
+
+    // Raw B-spline moments mu_i = ∫ t^i ψ(t) dt.
+    let mu: Vec<f64> = (0..=r as u32).map(|i| spline.moment(i)).collect();
+
+    // Moments of each shifted spline: m_j(x_γ) = Σ_i C(j,i) x_γ^{j-i} μ_i.
+    let n = r + 1;
+    let mut matrix = vec![0.0; n * n];
+    let mut rhs = vec![0.0; n];
+    rhs[0] = 1.0;
+    for j in 0..n {
+        for (g, &xg) in nodes.iter().enumerate() {
+            let mut m = 0.0;
+            let mut binom = 1.0;
+            for (i, &mui) in mu.iter().enumerate().take(j + 1) {
+                m += binom * xg.powi((j - i) as i32) * mui;
+                binom *= (j - i) as f64 / (i + 1) as f64;
+            }
+            matrix[j * n + g] = m;
+        }
     }
+    let coeffs = solve_dense(&mut matrix, &mut rhs, n).expect("SIAC moment system is nonsingular");
+    (nodes, coeffs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ustencil_quadrature::GaussLegendre;
 
     impl Kernel1d {
+        /// Exact `j`-th kernel moment, cell-by-cell Gauss integration.
+        fn moment(&self, j: u32) -> f64 {
+            let rule = GaussLegendre::with_strength(j as usize + self.k);
+            (0..self.n_cells())
+                .map(|c| {
+                    let a = self.lo + c as f64;
+                    rule.integrate_on(a, a + 1.0, |x| x.powi(j as i32) * self.eval(x))
+                })
+                .sum()
+        }
+
         /// Derivative `K'(x)` of the kernel, from the compiled piecewise
         /// polynomial (exact inside each lattice cell; breakpoint values take
         /// the right-hand limit, irrelevant under integration).
@@ -201,14 +202,11 @@ mod tests {
         /// Slow reference evaluation straight from the B-spline definition.
         fn eval_direct(&self, x: f64) -> f64 {
             let spline = BSpline::new(self.k as u32 + 1);
-            let r = 2 * self.k;
-            self.coeffs
+            let (nodes, coeffs) = spline_coefficients(self.k);
+            nodes
                 .iter()
-                .enumerate()
-                .map(|(g, &c)| {
-                    let xg = -(r as f64) / 2.0 + g as f64;
-                    c * spline.eval(x - xg)
-                })
+                .zip(&coeffs)
+                .map(|(&xg, &c)| c * spline.eval(x - xg))
                 .sum()
         }
     }
@@ -217,7 +215,7 @@ mod tests {
     fn known_coefficients_for_k1() {
         // Classic K^{3,2} coefficients: (-1/12, 7/6, -1/12).
         let kernel = Kernel1d::symmetric(1);
-        let c = kernel.coefficients();
+        let (_, c) = spline_coefficients(kernel.smoothness());
         assert!((c[0] + 1.0 / 12.0).abs() < 1e-12, "{c:?}");
         assert!((c[1] - 7.0 / 6.0).abs() < 1e-12, "{c:?}");
         assert!((c[2] + 1.0 / 12.0).abs() < 1e-12, "{c:?}");
@@ -262,7 +260,7 @@ mod tests {
                 );
             }
             // Coefficient symmetry c_γ = c_{r-γ}.
-            let c = kernel.coefficients();
+            let (_, c) = spline_coefficients(kernel.smoothness());
             for g in 0..c.len() {
                 assert!((c[g] - c[c.len() - 1 - g]).abs() < 1e-11);
             }

@@ -26,11 +26,12 @@
 #![deny(missing_docs)]
 
 pub mod bspline;
-pub mod filter1d;
 pub mod kernel;
 pub mod stencil;
 
 pub use bspline::BSpline;
-pub use filter1d::LineField;
 pub use kernel::Kernel1d;
 pub use stencil::Stencil2d;
+
+#[cfg(test)]
+mod filter1d;

@@ -115,8 +115,11 @@ mod tests {
         let st = Stencil2d::symmetric(2, 0.25);
         let center = Point2::new(0.4, 0.6);
         let sup = st.support_rect(center);
-        let total: f64 = st.cells(center).map(|r| r.area()).sum();
-        assert!((total - sup.area()).abs() < 1e-12);
+        let total: f64 = st
+            .cells(center)
+            .map(|r| (r.x1 - r.x0) * (r.y1 - r.y0))
+            .sum();
+        assert!((total - (sup.x1 - sup.x0) * (sup.y1 - sup.y0)).abs() < 1e-12);
         let n = st.cells_per_side();
         assert_eq!(st.cells(center).count(), n * n);
         // First and last cell corners hit the support corners.

@@ -89,24 +89,6 @@ impl UniformGrid {
         self.cell
     }
 
-    /// The boundary mode.
-    #[inline]
-    pub fn boundary(&self) -> Boundary {
-        self.boundary
-    }
-
-    /// Total stored items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the grid stores nothing.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Items of one cell by `(ix, iy)` index (must be in range).
     #[inline]
     pub fn cell_items(&self, ix: usize, iy: usize) -> &[u32] {
@@ -165,6 +147,13 @@ impl UniformGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UniformGrid {
+        /// Total stored items.
+        pub(crate) fn len(&self) -> usize {
+            self.items.len()
+        }
+    }
 
     fn sample_points() -> Vec<Point2> {
         let mut pts = Vec::new();

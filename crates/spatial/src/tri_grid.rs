@@ -15,7 +15,6 @@ use ustencil_mesh::TriMesh;
 #[derive(Debug, Clone)]
 pub struct TriangleGrid {
     grid: UniformGrid,
-    max_edge: f64,
 }
 
 impl TriangleGrid {
@@ -42,19 +41,13 @@ impl TriangleGrid {
             })
             .collect();
         let grid = UniformGrid::from_positions(&centroids, factor * s, boundary);
-        Self { grid, max_edge: s }
+        Self { grid }
     }
 
     /// The underlying grid.
     #[inline]
     pub fn grid(&self) -> &UniformGrid {
         &self.grid
-    }
-
-    /// Longest mesh edge `s`.
-    #[inline]
-    pub fn max_edge(&self) -> f64 {
-        self.max_edge
     }
 
     /// Visits every triangle that can intersect the square stencil support

@@ -70,11 +70,6 @@ impl Tracer {
         self.epoch
     }
 
-    /// Whether spans are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens a span; it closes when the returned guard drops.
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
@@ -153,6 +148,13 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tracer {
+        /// Whether spans are being recorded.
+        fn enabled(&self) -> bool {
+            self.enabled
+        }
+    }
 
     #[test]
     fn nesting_depths_and_order() {

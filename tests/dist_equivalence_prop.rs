@@ -1,7 +1,7 @@
 //! Property and failure tests of the rank-sharded runtime: sharded runs
-//! must agree with single-rank runs across rank counts and kernel
-//! smoothness, candidate-pair work counters must partition exactly, and
-//! what a transport may do (reorder) or a rank may suffer (death, by
+//! must agree with single-rank runs across rank counts and field degrees
+//! (the kernel smoothness is the degree), candidate-pair work counters must
+//! partition exactly, and what a transport may do (reorder) or a rank may suffer (death, by
 //! silence or by panic) must never change the answer — on either work the
 //! one schedule runs. A transport that breaks its contract (a duplicate)
 //! gives a typed error or a re-resolved rank, never a changed value.
@@ -32,10 +32,10 @@ fn build(
     (mesh, field, grid)
 }
 
-/// Largest `h_factor` keeping a smoothness-`k` stencil inside the domain,
+/// Largest `h_factor` keeping a degree-`p` stencil inside the domain,
 /// with margin.
-fn safe_h(mesh: &ustencil::mesh::TriMesh, k: usize) -> f64 {
-    (0.9 / ((3 * k + 1) as f64 * mesh.max_edge_length())).min(1.0)
+fn safe_h(mesh: &ustencil::mesh::TriMesh, p: usize) -> f64 {
+    (0.9 / ((3 * p + 1) as f64 * mesh.max_edge_length())).min(1.0)
 }
 
 /// The work counters that partition exactly across ranks: every component
@@ -59,25 +59,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Sharded direct evaluation agrees with a single rank for random
-    /// meshes, smoothness, and rank counts, and the pair-driven counters
+    /// meshes, degrees, and rank counts, and the pair-driven counters
     /// sum bit-identically.
     #[test]
     fn sharded_per_element_matches_single_rank(
         seed in 0u64..1000,
         n in 120usize..300,
-        k in 1usize..=3,
+        p in 1usize..=3,
         ranks_ix in 0usize..3,
     ) {
         let ranks = [2usize, 4, 8][ranks_ix];
-        let p = k.min(2);
         let (mesh, field, grid) = build(n, p, seed);
-        let h = safe_h(&mesh, k);
+        let h = safe_h(&mesh, p);
         let single = run_dist(&mesh, &field, &grid,
-            &DistOptions::new(1).smoothness(k).h_factor(h)).unwrap();
+            &DistOptions::new(1).h_factor(h)).unwrap();
         let multi = run_dist(&mesh, &field, &grid,
-            &DistOptions::new(ranks).smoothness(k).h_factor(h)).unwrap();
+            &DistOptions::new(ranks).h_factor(h)).unwrap();
         let diff = multi.max_abs_diff(&single.values);
-        prop_assert!(diff <= 1e-12, "{ranks} ranks, k={k}: diff {diff}");
+        prop_assert!(diff <= 1e-12, "{ranks} ranks, p={p}: diff {diff}");
         prop_assert!(
             pair_counters(&multi.metrics) == pair_counters(&single.metrics),
             "pair-driven counters must partition exactly: {:?} vs {:?}",
@@ -92,17 +91,16 @@ proptest! {
     fn sharded_plan_apply_matches_single_rank(
         seed in 0u64..1000,
         n in 120usize..300,
-        k in 1usize..=2,
+        p in 1usize..=2,
         ranks_ix in 0usize..3,
     ) {
         let ranks = [2usize, 4, 8][ranks_ix];
-        let p = k.min(2);
         let (mesh, field, grid) = build(n, p, seed);
-        let h = safe_h(&mesh, k);
+        let h = safe_h(&mesh, p);
         let single = run_plan_dist(&mesh, &field, &grid,
-            &DistOptions::new(1).smoothness(k).h_factor(h)).unwrap();
+            &DistOptions::new(1).h_factor(h)).unwrap();
         let multi = run_plan_dist(&mesh, &field, &grid,
-            &DistOptions::new(ranks).smoothness(k).h_factor(h)).unwrap();
+            &DistOptions::new(ranks).h_factor(h)).unwrap();
         prop_assert!(multi.values == single.values,
             "plan rows are point-local, so sharded apply must be bitwise");
         prop_assert!(multi.metrics.solution_writes == single.metrics.solution_writes);
@@ -164,7 +162,8 @@ impl Case {
     /// Runs `path` on four channel endpoints whose sends go through
     /// `rule`, with a gather deadline short enough to wait out.
     fn run_meddled(&self, path: Path, rule: fn(&Message) -> Do) -> Result<DistSolution, DistError> {
-        let opts = self.opts.gather_timeout(Duration::from_millis(500));
+        let mut opts = self.opts;
+        opts.gather_timeout = Duration::from_millis(500);
         let endpoints = ChannelFabric::endpoints(4)
             .into_iter()
             .map(|inner| Meddler {

@@ -144,8 +144,11 @@ fn custom_evaluation_grid() {
     for j in 1..8 {
         for i in 1..8 {
             let pt = ustencil::geometry::Point2::new(i as f64 / 8.0, j as f64 / 8.0);
-            if let Some(e) = (0..mesh.n_triangles()).find(|&e| mesh.triangle(e).contains(pt, 1e-12))
-            {
+            let inside = |e: &usize| {
+                let uv = mesh.triangle(*e).map_to_unit(pt);
+                uv.is_some_and(|(u, v)| u >= -1e-12 && v >= -1e-12 && u + v <= 1.0 + 1e-12)
+            };
+            if let Some(e) = (0..mesh.n_triangles()).find(inside) {
                 points.push(pt);
                 owners.push(e as u32);
             }

@@ -93,12 +93,6 @@ fn patch_answers_a_config_it_cannot_use_with_a_typed_error() {
         let err = plan.patch(&moved, &moved_grid, &dirty, &changed);
         assert_eq!(err.unwrap_err(), PatchError::KernelChanged, "{h_factor}");
     }
-    let smoother = ExecConfig {
-        smoothness: Some(2),
-        ..options
-    };
-    let err = plan.patch(&moved, &moved_grid, &dirty, &smoother);
-    assert_eq!(err.unwrap_err(), PatchError::OptionsMismatch);
     let other = generate_mesh(MeshClass::LowVariance, 100, 44);
     let other_grid = ComputationGrid::quadrature_points(&other, 1);
     let stale = DirtySet::diff(&other, &other_grid, &moved, &moved_grid);
@@ -109,17 +103,14 @@ fn patch_answers_a_config_it_cannot_use_with_a_typed_error() {
 #[test]
 fn processor_builders_write_the_one_config() {
     let processor = PostProcessor::new(Scheme::PerElement)
-        .smoothness(2)
         .h_factor(0.5)
         .blocks(7)
         .parallel(false)
         .instrument(true)
         .simd(SimdPolicy::Scalar);
-    assert_eq!(processor.scheme(), Scheme::PerElement);
     assert_eq!(
         processor.config(),
         &ExecConfig {
-            smoothness: Some(2),
             h_factor: 0.5,
             n_blocks: 7,
             parallel: false,
@@ -130,10 +121,7 @@ fn processor_builders_write_the_one_config() {
     // Untouched, a processor runs under the paper's defaults.
     let defaults = ExecConfig::default();
     assert_eq!(PostProcessor::new(Scheme::PerPoint).config(), &defaults);
-    assert_eq!(
-        (defaults.smoothness, defaults.h_factor, defaults.n_blocks),
-        (None, 1.0, 16)
-    );
+    assert_eq!((defaults.h_factor, defaults.n_blocks), (1.0, 16));
     assert!(defaults.parallel && !defaults.instrument);
     assert_eq!(defaults.simd, SimdPolicy::Auto);
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the incremental patch engine: for random meshes,
-//! kernel smoothness k in {1, 2, 3}, and random mesh edits — refinement of a
-//! random element subset (including the empty and the everything-eligible
+//! field degree (and kernel smoothness) p in {1, 2, 3}, and random mesh
+//! edits — refinement of a random element subset (including the empty and the everything-eligible
 //! subset) or vertex displacement — a patched plan is *bitwise* the plan a
 //! fresh compile of the edited problem would build. Case counts are small
 //! because every case compiles at least two plans.
@@ -11,13 +11,12 @@ use ustencil::mesh::{displace_band, elements_on_longest_edge, generate_mesh, Mes
 use ustencil::plan::CompileOptions;
 use ustencil::{DirtySet, EvalPlan};
 
-fn build(n: usize, k: usize, seed: u64) -> (TriMesh, ComputationGrid, CompileOptions) {
+fn build(n: usize, p: usize, seed: u64) -> (TriMesh, ComputationGrid, CompileOptions) {
     let mesh = generate_mesh(MeshClass::LowVariance, n, seed);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    // Keep the (3k+1)h support inside the periodic unit square.
-    let h_factor = (0.9 / ((3 * k + 1) as f64 * mesh.max_edge_length())).min(1.0);
+    // Keep the (3p+1)h support inside the periodic unit square.
+    let h_factor = (0.9 / ((3 * p + 1) as f64 * mesh.max_edge_length())).min(1.0);
     let options = CompileOptions {
-        smoothness: Some(k),
         h_factor,
         parallel: false,
         ..CompileOptions::default()
@@ -82,15 +81,15 @@ proptest! {
     fn patched_plan_is_bitwise_a_fresh_compile(
         seed in 0u64..1000,
         n in 80usize..200,
-        k in 1usize..=3,
+        p in 1usize..=3,
         frac_pct in 0u32..=100,
         displace in proptest::bool::ANY,
     ) {
         // Snap the tails so the identity patch and the everything-dirty
         // patch keep showing up (the deterministic tests below pin both).
         let frac_pct = if frac_pct < 15 { 0 } else if frac_pct > 85 { 100 } else { frac_pct };
-        let (mesh, grid, options) = build(n, k, seed);
-        let base = EvalPlan::compile(&mesh, &grid, 1, &options);
+        let (mesh, grid, options) = build(n, p, seed);
+        let base = EvalPlan::compile(&mesh, &grid, p, &options);
 
         let edited = edit(&mesh, frac_pct as f64 / 100.0, displace, seed.wrapping_add(11));
         prop_assert_eq!(
@@ -111,7 +110,7 @@ proptest! {
             prop_assert_eq!(stats.respliced_rows, 0, "clean diff resplices nothing");
             assert_bitwise(&patched, &base, "identity patch")?;
         }
-        let fresh = EvalPlan::compile(&edited, &new_grid, 1, &options);
+        let fresh = EvalPlan::compile(&edited, &new_grid, p, &options);
         assert_bitwise(&patched, &fresh, "patched vs fresh")?;
     }
 }
@@ -121,7 +120,7 @@ proptest! {
 #[test]
 fn empty_edit_patches_to_the_identity() {
     let (mesh, grid, options) = build(140, 2, 7);
-    let base = EvalPlan::compile(&mesh, &grid, 1, &options);
+    let base = EvalPlan::compile(&mesh, &grid, 2, &options);
     let dirty = DirtySet::diff(&mesh, &grid, &mesh, &grid);
     assert_eq!(dirty.dirty_elements(), 0);
     let (patched, stats) = base.patched(&mesh, &grid, &dirty, &options).unwrap();
