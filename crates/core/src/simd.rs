@@ -9,7 +9,7 @@
 //!   chosen once per run by [`SimdPolicy::resolve`] from the policy, the
 //!   host CPU's feature flags and [`SIMD_ENV`].
 //! - [`Lanes`] is one vector register of `f64`s, implemented for the
-//!   256-bit (AVX2 + FMA) and 512-bit (AVX-512F) registers. A hot loop —
+//!   256-bit (AVX2 + FMA) and 512-bit (AVX-512F + DQ) registers. A hot loop —
 //!   the staged quadrature reduction
 //!   ([`QuadStage`](crate::kernel::QuadStage)`::mono_sums`), the SIAC kernel
 //!   evaluation inside it, the plan row kernel in `ustencil-plan` — is a
@@ -55,7 +55,7 @@ pub const SIMD_ENV: &str = "USTENCIL_SIMD";
 pub enum SimdWidth {
     /// 4 × f64 lanes (AVX2 + FMA, 256-bit).
     F64x4,
-    /// 8 × f64 lanes (AVX-512F, 512-bit).
+    /// 8 × f64 lanes (AVX-512F and DQ, 512-bit).
     F64x8,
 }
 
@@ -83,7 +83,7 @@ pub enum SimdIsa {
     Scalar,
     /// AVX2 + FMA, 4 × f64 lanes.
     Avx2,
-    /// AVX-512F, 8 × f64 lanes.
+    /// AVX-512F and DQ, 8 × f64 lanes.
     Avx512,
 }
 
@@ -187,7 +187,10 @@ impl SimdIsa {
                     && std::arch::is_x86_feature_detected!("fma")
             }
             #[cfg(target_arch = "x86_64")]
-            SimdIsa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            SimdIsa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -259,7 +262,7 @@ unsafe fn lanes_avx2<K: VectorKernel>(kernel: K) -> K::Output {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn lanes_avx512<K: VectorKernel>(kernel: K) -> K::Output {
     kernel.lanes::<__m512d>()
 }
@@ -302,6 +305,11 @@ pub trait Lanes: Copy {
     /// Reads the lanes of `mask` at `p` and zeroes the rest; memory behind
     /// an unselected lane is not accessed, so it need not be valid.
     unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self;
+    /// Reads the `mask.count_ones()` values at `p` into the lanes `mask`
+    /// selects (bit `l` for lane `l < N`), in lane order, and zeroes the
+    /// rest; memory past those values is not accessed, so it need not be
+    /// valid.
+    unsafe fn load_expand(p: *const f64, mask: u8) -> Self;
     /// `self * b`.
     unsafe fn mul(self, b: Self) -> Self;
     /// `self - b`.
@@ -334,6 +342,30 @@ pub trait Lanes: Copy {
 
 #[cfg(target_arch = "x86_64")]
 const TRUNCATE: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+
+/// Per 4-lane expand mask: the masked load of its first `count_ones`
+/// values, and the `_mm256_permutevar8x32_ps` positions moving value `r`
+/// to the `r`-th selected lane. An unselected lane takes lane 3, which the
+/// load zeroed unless all four lanes are selected.
+#[cfg(target_arch = "x86_64")]
+static EXPAND4: [([i64; 4], [i32; 8]); 16] = {
+    let mut table = [([0; 4], [6, 7, 6, 7, 6, 7, 6, 7]); 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let (mut lane, mut r) = (0, 0);
+        while lane < 4 {
+            if mask >> lane & 1 != 0 {
+                table[mask].0[r] = -1;
+                (table[mask].1[2 * lane], table[mask].1[2 * lane + 1]) =
+                    (2 * r as i32, 2 * r as i32 + 1);
+                r += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for __m256d {
@@ -376,6 +408,13 @@ impl Lanes for __m256d {
     #[inline(always)]
     unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self {
         _mm256_maskload_pd(p, mask)
+    }
+    #[inline(always)]
+    unsafe fn load_expand(p: *const f64, mask: u8) -> Self {
+        let (load, at) = &EXPAND4[mask as usize & 15];
+        let packed = _mm256_maskload_pd(p, _mm256_loadu_si256(load.as_ptr().cast()));
+        let at = _mm256_loadu_si256(at.as_ptr().cast());
+        _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(packed), at))
     }
     #[inline(always)]
     unsafe fn mul(self, b: Self) -> Self {
@@ -476,6 +515,10 @@ impl Lanes for __m512d {
     #[inline(always)]
     unsafe fn load_masked(p: *const f64, mask: Self::Mask) -> Self {
         _mm512_maskz_loadu_pd(mask, p)
+    }
+    #[inline(always)]
+    unsafe fn load_expand(p: *const f64, mask: u8) -> Self {
+        _mm512_maskz_expandloadu_pd(mask, p)
     }
     #[inline(always)]
     unsafe fn mul(self, b: Self) -> Self {
@@ -643,6 +686,23 @@ mod tests {
                 let got = lanes(V::load_masked(short.as_ptr(), V::mask_first(k)));
                 let want: Vec<f64> = (0..n).map(|i| if i < k { mem[i] } else { 0.0 }).collect();
                 assert_eq!(got, want, "mask_first({k})");
+            }
+            for mask in 0..=u8::MAX >> (8 - n) {
+                // The expand reads its values at the end of the slice.
+                let k = mask.count_ones() as usize;
+                let short = &mem[16 - k..];
+                let got = lanes(V::load_expand(short.as_ptr(), mask));
+                let mut next = short.iter();
+                let want: Vec<f64> = (0..n)
+                    .map(|l| {
+                        if mask >> l & 1 != 0 {
+                            *next.next().unwrap()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                assert_eq!(got, want, "load_expand({mask:#b})");
             }
             assert_eq!(lanes(a.mul(b)), each(&|x, y| x * y));
             assert_eq!(lanes(a.sub(b)), each(&|x, y| x - y));

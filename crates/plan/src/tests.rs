@@ -40,8 +40,8 @@ fn row_lens(plan: &EvalPlan) -> Vec<usize> {
 /// A group's row count, union columns, presence bytes and weight bits.
 type StoredGroup = (usize, Vec<u32>, Vec<u8>, Vec<u64>);
 
-/// Each group's row count, union columns, presence bytes and weight bits,
-/// padding included: the stored layout, group for group.
+/// Each group's row count, union columns, presence bytes and packed weight
+/// bits: the stored layout, group for group.
 fn groups(plan: &EvalPlan) -> Vec<StoredGroup> {
     let group = |g: crate::plan::Group<'_>| {
         let bits = g.weights.iter().map(|w| w.to_bits()).collect();
@@ -51,6 +51,16 @@ fn groups(plan: &EvalPlan) -> Vec<StoredGroup> {
         .iter()
         .flat_map(|c| c.groups().map(group))
         .collect()
+}
+
+/// Asserts every chunk stores one weight per stored entry and mode: the
+/// weights are packed, with no slot for a row that does not read a column.
+fn assert_packed(plan: &EvalPlan) {
+    for c in &plan.chunks {
+        let present: usize = c.present.iter().map(|b| b.count_ones() as usize).sum();
+        assert_eq!(present, c.nnz);
+        assert_eq!(c.weights.len(), c.nnz * plan.n_modes);
+    }
 }
 
 /// Two plans are the same operator bit for bit: the same rows, the same
@@ -108,14 +118,15 @@ fn plan_shape_and_stats_are_consistent() {
     assert_eq!(stats.rows, grid.len() as u64);
     assert_eq!(stats.nnz, plan.nnz() as u64);
     // Three u32 offsets per group and chunk, a u32 column and a presence
-    // byte per union column, a weight per row and mode of each.
+    // byte per union column, a weight per mode of each stored entry.
     let layout = |c: &Arc<Chunk>| 12 * (c.n_groups() + 1) + 5 * c.cols.len() + 8 * c.weights.len();
     assert_eq!(
         stats.bytes,
         plan.chunks.iter().map(layout).sum::<usize>() as u64
     );
     for g in groups(&plan) {
-        assert_eq!(g.3.len(), g.1.len() * g.0 * plan.n_modes());
+        let present: u32 = g.2.iter().map(|b| b.count_ones()).sum();
+        assert_eq!(g.3.len(), present as usize * plan.n_modes());
     }
     assert!(stats.build_ms > 0.0);
     // The compile pass counted real geometric work.
@@ -624,6 +635,7 @@ fn drive_front(
         let patched = delta.splice(&plan);
         let fresh = EvalPlan::compile(&next_mesh, &next_grid, 1, &options);
         assert_bitwise(&patched, &fresh);
+        assert_packed(&patched);
         assert_pair_work(&delta, &dirty, &fresh);
         check(t, &delta, &plan, &patched, &next_grid);
         (mesh, grid, plan) = (next_mesh, next_grid, patched);
@@ -743,6 +755,32 @@ fn splice_checks_the_chunks_it_shares() {
     delta.frag_groups.remove(g);
     delta.frag_rows.remove(f);
     let _ = delta.splice(&plan);
+}
+
+/// A compile, and a chunk rebuilt from its groups with columns mapped,
+/// store `nnz · n_modes` weights (patched plans: `drive_front`).
+#[test]
+fn compile_and_from_groups_store_one_weight_per_entry_and_mode() {
+    for p in [1, 2] {
+        let (mesh, _, grid) = setup(300, p, 41);
+        let plan = EvalPlan::compile(&mesh, &grid, p, &small_options());
+        assert_packed(&plan);
+        let groups: Vec<_> = plan.chunks.iter().flat_map(|c| c.groups()).collect();
+        let marked: Vec<_> = groups
+            .iter()
+            .enumerate()
+            .map(|(k, &g)| (g, k % 2 == 0))
+            .collect();
+        let chunk = Chunk::from_groups(plan.n_modes, &marked, |e| e + 1);
+        assert_eq!(chunk.nnz, plan.nnz());
+        assert_eq!(chunk.weights.len(), plan.nnz() * plan.n_modes);
+        let mut rebuilt = chunk.groups().zip(&groups).enumerate();
+        assert!(rebuilt.all(|(k, (a, b))| a.weights == b.weights
+            && a.cols
+                .iter()
+                .zip(b.cols)
+                .all(|(&x, &y)| x == y + (k % 2 == 0) as u32)));
+    }
 }
 
 /// Each group's row count, in row order.
@@ -879,8 +917,9 @@ fn windows_wrapping_onto_themselves_split_groups() {
     );
 }
 
-/// A non-finite coefficient on element `e` reaches, through the groups'
-/// `0.0 ·` padding, every row of every group with a column on `e`: those
+/// A non-finite coefficient on element `e` reaches, through the `0.0` a
+/// row's lane takes for a column it does not read, every row of every
+/// group with a column on `e`: those
 /// rows are non-finite, every other row is bitwise the finite field's, and
 /// nothing panics.
 #[test]
