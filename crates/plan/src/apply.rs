@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ustencil_core::blocks::{self, block_bounds};
 use ustencil_core::integrate::MAX_MODES;
-use ustencil_core::simd::{dispatch, Lanes, VectorKernel};
+use ustencil_core::simd::{dispatch, prefetch, Lanes, VectorKernel};
 use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
@@ -17,6 +17,10 @@ const LANE_SLOTS: usize = GROUP_ROWS * MAX_MODES + 8;
 
 /// Registers one sweep over a group's columns keeps in flight.
 const SWEEP_REGS: usize = 4;
+
+/// How far ahead of its column a sweep prefetches the packed weights: the
+/// best of 1, 2, 4 and 8 KiB (EXPERIMENTS.md "Element-group apply").
+const PREFETCH_BYTES: usize = 4096;
 
 /// Result of applying a plan to one field.
 #[derive(Debug, Clone)]
@@ -183,8 +187,9 @@ impl EvalPlan {
 /// row's modes in order: byte-for-byte the historical per-row lane kernel,
 /// so `SimdPolicy::Scalar` reproduces pre-SIMD results bitwise. The vector
 /// body lays a group's `rows · n_modes` lanes, mode-major, over registers:
-/// per column each register expands its present weights from the packed
-/// column ([`Lanes::load_expand`], [`Expand`]) and takes one coefficient
+/// per column it prefetches the weights [`PREFETCH_BYTES`] ahead, and each
+/// register expands its present weights from the packed column
+/// ([`Lanes::load_expand`], [`Expand`]) and takes one coefficient
 /// load (spread over the lanes by `splat` where a register holds one mode,
 /// else by `lookup`) into an unmasked FMA, each lane an independent chain
 /// in column order. Each row then puts its modes into `V::N`-wide blocks
@@ -380,6 +385,8 @@ impl Group<'_> {
                 self.weights.as_ptr().add(from),
                 coeffs.as_ptr().add(col * nm),
             );
+            // The next groups' weights, or past the chunk's: a hint only.
+            prefetch(w.wrapping_add(PREFETCH_BYTES / 8));
             let (mask, at) = (mask.get_unchecked(bits), at.get_unchecked(bits));
             let table = V::table(c, nm);
             for (k, a) in acc.iter_mut().enumerate().take(regs) {
