@@ -20,7 +20,10 @@ pairs the change won and lost (by the metric's `better` in BENCHMARK.json),
 the median ratio and a distribution-free confidence interval for it, the
 k-th smallest and k-th largest ratio (for ten pairs the 2nd and 9th, 97.9 %).
 Two records are compared by eye or by `benchmark --compare` on the sets
-themselves; this file gates nothing.
+themselves; this file gates nothing, but it prints `host changed` when the
+record's host calibration (the median over workloads of
+`host.triad_gbytes_per_s` or `host.fma_gflops`) is more than 25 % off the
+newest earlier `BENCH_*.json`'s: numbers from two hosts do not compare.
 """
 
 import argparse
@@ -91,6 +94,29 @@ def paired(base, change):
     return out
 
 
+HOST = ("host.triad_gbytes_per_s", "host.fma_gflops")
+
+
+def host(record):
+    """{metric: median over workloads} of a record's host calibration."""
+    layers = record.get("per_layer", {}).values()
+    values = {name: [m[name]["median"] for m in layers if name in m] for name in HOST}
+    return {name: statistics.median(v) for name, v in values.items() if v}
+
+
+def host_changes(record):
+    """One line per host metric more than 25 % off the newest earlier
+    record that has it."""
+    earlier = sorted((int(p.stem.split("_")[1]), p) for p in ROOT.glob("BENCH_[0-9]*.json"))
+    hosts = [(p.name, host(json.loads(p.read_text()))) for n, p in reversed(earlier) if n < record["pr"]]
+    lines = []
+    for name, now in host(record).items():
+        before = next(((f, h[name]) for f, h in hosts if name in h), None)
+        if before and abs(now / before[1] - 1) > 0.25:
+            lines.append(f"host changed: {name} {before[1]:.1f} -> {now:.1f} since {before[0]}")
+    return lines
+
+
 def loc_totals():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "loc.py")], capture_output=True, text=True, check=True
@@ -139,6 +165,8 @@ def main():
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}: {len(record['end_to_end'])} workload(s), {len(runs)} run(s)")
+    for line in host_changes(record):
+        print(line)
 
 
 if __name__ == "__main__":
