@@ -61,17 +61,21 @@ impl ContributionSink for AccumulateSolution {
 /// [`element_query`](super::StencilTraversal::element_query), it records
 /// one hit per element image that met a point ([`hit`](Self::hit)), and
 /// [`finish_element`](Self::finish_element) turns the element's hits into
-/// one entry per point: the point and its per-mode weights.
+/// one entry per point: the point, the element and its per-mode weights,
+/// kept until [`clear`](Self::clear), which keeps the buffers.
 #[derive(Debug, Clone, Default)]
 pub struct AccumulateWeights {
     /// The basis's monomial coefficients, one row of `n_modes` per mode.
     modal: Vec<f64>,
     n_modes: usize,
     points: Vec<u32>,
+    elements: Vec<u32>,
     weights: Vec<f64>,
     absorbed: bool,
-    first: usize,
     images: bool,
+    /// The image path's buffers: its hits' sort keys and their sums.
+    keys: Vec<u64>,
+    sums: Vec<f64>,
 }
 
 impl AccumulateWeights {
@@ -97,21 +101,23 @@ impl AccumulateWeights {
         }
     }
 
-    /// Closes the current element, returning how many entries it added. A
-    /// point met through several images (a support nearly as wide as the
-    /// domain) sums them from `0.0` as met, σ over `[0, −1, +1]` per axis:
-    /// `needed_shifts`' order of a point query's shifts `−σ`, as no accepted
-    /// support meets both the `−1` and `+1` image on one axis. Then `w[m] =
-    /// Σ_slot c[m][slot] · s[slot]` from `0.0`, the transpose of
-    /// `ElementData::gather`'s basis change.
-    pub fn finish_element(&mut self) -> usize {
-        let (first, nm) = (self.first, self.n_modes);
+    /// Closes element `elem` into its entries. A point met through several
+    /// images (a support nearly as wide as the domain) sums them from `0.0`
+    /// as met, σ over `[0, −1, +1]` per axis: `needed_shifts`' order of a
+    /// point query's shifts `−σ`, as no accepted support meets both the `−1`
+    /// and `+1` image on one axis. Then `w[m] = Σ_slot c[m][slot] · s[slot]`
+    /// from `0.0`, the transpose of `ElementData::gather`'s basis change.
+    pub fn finish_element(&mut self, elem: u32) {
+        let (first, nm) = (self.elements.len(), self.n_modes);
         if std::mem::take(&mut self.images) {
+            let (keys, images) = (&mut self.keys, &mut self.sums);
             let hits = self.points[first..].iter().enumerate();
-            let mut keys: Vec<u64> = hits.map(|(k, &p)| (p as u64) << 32 | k as u64).collect();
+            keys.clear();
+            keys.extend(hits.map(|(k, &p)| (p as u64) << 32 | k as u64));
             keys.sort_unstable();
             if keys.windows(2).any(|w| w[0] >> 32 == w[1] >> 32) {
-                let images = self.weights.split_off(first * nm);
+                images.clear();
+                images.extend(self.weights.drain(first * nm..));
                 self.points.truncate(first);
                 for pair in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                     let mut sum = [0.0; MAX_MODES];
@@ -131,14 +137,20 @@ impl AccumulateWeights {
                 *w = c.iter().zip(&mono).fold(0.0, |w, (c, s)| w + c * s);
             }
         }
-        self.first = self.points.len();
-        self.first - first
+        self.elements.resize(self.points.len(), elem);
     }
 
-    /// The entries of every finished element, in order: their points, and
-    /// `n_modes` weights each.
-    pub fn into_entries(self) -> (Vec<u32>, Vec<f64>) {
-        (self.points, self.weights)
+    /// Between elements, the entries since the last [`clear`](Self::clear),
+    /// in order: points, elements, and `n_modes` weights each.
+    pub fn entries(&self) -> (&[u32], &[u32], &[f64]) {
+        (&self.points, &self.elements, &self.weights)
+    }
+
+    /// Drops every entry, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.points.clear();
+        self.elements.clear();
+        self.weights.clear();
     }
 }
 
@@ -191,15 +203,52 @@ mod tests {
         sink.hit(8, Vec2::ZERO);
         sink.absorb(&ed, &sums);
         sink.hit(7, Vec2::new(1.0, 0.0));
-        assert_eq!(sink.finish_element(), 2);
-        assert_eq!(sink.finish_element(), 0, "finishing resets the element");
-        let (points, weights) = sink.into_entries();
-        assert_eq!(points, vec![7, 8]);
+        sink.finish_element(3);
+        sink.finish_element(4);
+        let (points, elements, weights) = sink.entries();
+        assert_eq!((points, elements), (&[7, 8][..], &[3, 3][..]), "4 met none");
         // Constant-monomial sums transform to the modal coefficients of the
         // constant: weight[m] = 2 · mc_m[0] for the two images, 0 for none.
         for m in 0..basis.n_modes() {
             assert_eq!(weights[m], 2.0 * basis.monomial_coefficients(m)[0]);
             assert_eq!(weights[basis.n_modes() + m], 0.0);
         }
+        sink.clear();
+        assert_eq!(sink.entries(), (&[][..], &[][..], &[][..]));
+    }
+
+    /// Meets points through several images, as a compile meets an element
+    /// once per chunk that reaches it: a second pass allocates nothing.
+    #[test]
+    fn imaged_hits_reuse_the_sinks_buffers() {
+        let basis = DubinerBasis::new(2);
+        let mesh = generate_mesh(MeshClass::LowVariance, 40, 1);
+        let ed = ElementData::gather_geometry(&mesh, 0, basis.n_modes());
+        let mut sink = AccumulateWeights::new(&basis);
+        let sums = [1.0; MAX_MODES];
+        let pass = |sink: &mut AccumulateWeights| {
+            for element in 0..50 {
+                for (k, shift) in [Vec2::ZERO, Vec2::new(-1.0, 0.0)].into_iter().enumerate() {
+                    for point in 0..20 + element % 7 {
+                        sink.absorb(&ed, &sums);
+                        sink.hit(point + k as u32, shift);
+                    }
+                }
+                sink.finish_element(element);
+            }
+            assert!(!sink.entries().0.is_empty());
+            sink.clear();
+            let s = &*sink;
+            [
+                s.points.capacity(),
+                s.elements.capacity(),
+                s.weights.capacity(),
+                s.keys.capacity(),
+                s.sums.capacity(),
+            ]
+        };
+        let warm = pass(&mut sink);
+        assert!(warm[3] > 0 && warm[4] > 0, "the image path ran");
+        assert_eq!(pass(&mut sink), warm);
     }
 }

@@ -96,7 +96,7 @@ impl PerElementRun<'_> {
             trav.element_query(
                 &ed,
                 points,
-                self.point_grid,
+                |bbox, hw, out| self.point_grid.candidates(bbox, hw, out),
                 &mut scratch,
                 &mut sink,
                 &mut metrics,

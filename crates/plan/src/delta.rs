@@ -185,7 +185,7 @@ impl DirtySet {
             .collect();
         let stale_boxes: Vec<Aabb> = (0..old_n)
             .filter(|&e| elem_map[e] == NONE)
-            .map(|e| elem_aabb(old_mesh, e))
+            .map(|e| old_mesh.triangle(e).aabb())
             .collect();
 
         // Pair grid points through matched owner elements, k-th with k-th,
@@ -249,11 +249,6 @@ fn elem_hash(bits: &[u64; 6]) -> u64 {
         h.write_u64(b);
     }
     h.finish()
-}
-
-fn elem_aabb(mesh: &TriMesh, e: usize) -> Aabb {
-    let idx = mesh.triangle_indices()[e];
-    Aabb::from_points(idx.iter().map(|&vi| mesh.vertices()[vi as usize]))
 }
 
 /// Grid point ids grouped by owner element, CSR-style (counting sort, so
@@ -463,7 +458,8 @@ impl EvalPlan {
             let half_width = stencil.width() / 2.0;
             let point_grid =
                 PointGrid::build_half_edge(points, mesh.max_edge_length(), Boundary::Clamped);
-            let changed = dirty.changed.iter().map(|&e| elem_aabb(mesh, e as usize));
+            let aabb = |&e: &u32| mesh.triangle(e as usize).aabb();
+            let changed = dirty.changed.iter().map(aabb);
             for b in dirty.stale_boxes.iter().copied().chain(changed) {
                 let (lo, hi) = (b.min.x - half_width, b.max.x + half_width);
                 let inflated = Rect::new(lo, b.min.y - half_width, hi, b.max.y + half_width);
@@ -496,25 +492,17 @@ impl EvalPlan {
             .map(|k| k as u32)
             .collect();
 
-        // Unprobed: the closure's rows are kept for entries and counters.
-        let unprobed = ExecConfig {
-            instrument: false,
-            ..*options
-        };
         let (new_rows, kept_rows): (Vec<u32>, Vec<u32>) = frag_rows
             .iter()
             .partition(|&&r| dirty.row_source[r as usize] == NONE);
         let at = |ids: &[u32]| -> Vec<Point2> { ids.iter().map(|&r| points[r as usize]).collect() };
-        let quiet = Tracer::new(false);
         let (fresh, fresh_metrics) = {
             let _span = tracer.span("patch.recompute");
-            rows.compile(&rows.order, &at(&new_rows), None, &unprobed, &quiet)
+            rows.compile(None, &at(&new_rows), None, options)
         };
         let (scattered, scatter_metrics) = {
             let _span = tracer.span("patch.scatter");
-            let mut changed = dirty.changed.clone();
-            changed.sort_unstable_by_key(|&e| rows.key([0, 0], e));
-            rows.compile(&changed, &at(&kept_rows), None, &unprobed, &quiet)
+            rows.compile(Some(&dirty.changed), &at(&kept_rows), None, options)
         };
 
         // Form the new groups, a run of them per task. A row's entries are a

@@ -197,6 +197,48 @@ fn scatter_compile_is_bitwise_the_gather_compile() {
             }
         }
     }
+    // Rows in a seeded shuffle of the quadrature points, owners carried
+    // along: every chunk's rows span the domain, so each chunk's windows
+    // reach nearly every element. Each pair must still be met once.
+    let mesh = generate_mesh(MeshClass::LowVariance, 600, 43);
+    let grid = ComputationGrid::quadrature_points(&mesh, 1);
+    let mut order: Vec<usize> = (0..grid.len()).collect();
+    let mut state = 2013u64;
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        order.swap(i, (z ^ (z >> 31)) as usize % (i + 1));
+    }
+    let shuffled = ComputationGrid::from_points(
+        order.iter().map(|&i| grid.points()[i]).collect(),
+        order.iter().map(|&i| grid.owners()[i]).collect(),
+    );
+    assert!(shuffled.len() >= 8 * CHUNK_ROWS);
+    let h_factor = 0.9 / (4.0 * mesh.max_edge_length());
+    let options = ExecConfig {
+        h_factor: h_factor.min(0.5),
+        ..small_options()
+    };
+    let pairs = |plan: &EvalPlan| {
+        let m = plan.build_metrics();
+        (
+            m.true_intersections,
+            m.cell_clips,
+            m.subregions,
+            m.quad_evals,
+        )
+    };
+    let unshuffled = pairs(&EvalPlan::compile(&mesh, &grid, 1, &options));
+    for n_blocks in [1, 7, 16] {
+        let options = ExecConfig {
+            n_blocks,
+            parallel: n_blocks > 1,
+            ..options
+        };
+        let plan = EvalPlan::compile(&mesh, &shuffled, 1, &options);
+        assert_is_gather(&plan, &mesh, shuffled.points(), &options);
+        assert_eq!(pairs(&plan), unshuffled, "{n_blocks} blocks: pair counters");
+    }
 }
 
 /// A support of at least half the domain: pairs meet through up to four

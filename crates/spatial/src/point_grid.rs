@@ -53,12 +53,13 @@ impl PointGrid {
         );
     }
 
-    /// Number of grid cells such a query touches (for the cost model).
-    pub fn candidate_cells(&self, bbox: &Aabb, half_width: f64) -> usize {
-        self.grid.cells_in_rect(
-            Point2::new(bbox.min.x - half_width, bbox.min.y - half_width),
-            Point2::new(bbox.max.x + half_width, bbox.max.y + half_width),
-        )
+    /// [`for_each_candidate`](Self::for_each_candidate), appending to
+    /// `out`; returns how many cells the query walked (for the cost model).
+    pub fn candidates(&self, bbox: &Aabb, half_width: f64, out: &mut Vec<u32>) -> usize {
+        let lo = Point2::new(bbox.min.x - half_width, bbox.min.y - half_width);
+        let hi = Point2::new(bbox.max.x + half_width, bbox.max.y + half_width);
+        self.grid.for_each_in_rect(lo, hi, |id| out.push(id));
+        self.grid.cells_in_rect(lo, hi)
     }
 }
 
