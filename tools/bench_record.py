@@ -3,6 +3,7 @@
 
 Usage: bench_record.py SET_DIR --pr N [--base PARENT_SET_DIR]
                                            (writes BENCH_<N>.json at the root)
+       bench_record.py --explain BENCH_<N>.json  (prints where the time went)
 
 SET_DIR is what `benchmark --runs R --out SET_DIR` leaves behind: one
 `run-*` sub-directory per seed, each with a `<workload>.json` result (and a
@@ -24,6 +25,11 @@ themselves; this file gates nothing, but it prints `host changed` when the
 record's host calibration (the median over workloads of
 `host.triad_gbytes_per_s` or `host.fma_gflops`) is more than 25 % off the
 newest earlier `BENCH_*.json`'s: numbers from two hosts do not compare.
+
+`--explain` reads a record's traced per-layer block: per workload, each
+span's median seconds per call as a share of the median frame (set-up spans
+of set-up, stage replays apart, as they run outside the frame), then fixed
+notes on the frozen metrics whose names mislead.
 """
 
 import argparse
@@ -117,6 +123,41 @@ def host_changes(record):
     return lines
 
 
+# Spans the frames call (`plan.compile` is the `compile` workload's frame),
+# the set-up calls, and the stage replays over a 1-in-8 element sample.
+FRAME = ("core.run", "plan.apply", "plan.diff", "plan.patch", "plan.splice", "dist.run_dist", "dist.run_plan_dist")
+SETUP = ("mesh.generate", "mesh.refine", "dg.project", "plan.compile")
+NOTES = (
+    "dist.reduce_s is pull's compile (each rank's reduce_ns), not a reduction.",
+    "dist.interior_ratio reads 0: the barrier schedule has no interior work.",
+    "dist.exposed_comm_s is the whole post and drain, not an exposed part of it.",
+    "plan.compile.intersection_tests, and a compile's cells_visited, are counted per chunk"
+    " from BENCH_42 on: an element meets the rows of each chunk whose windows reach it.",
+)
+
+
+def explain(record):
+    """Prints each workload's traced spans as shares of its frame or set-up."""
+    ms = lambda s: f"{s * 1e3:10.2f} ms"
+    for w, layers in sorted(record.get("per_layer", {}).items()):
+        e2e = record["end_to_end"][w]
+        frame, setup = e2e["frame_s_p50"]["median"], e2e["setup_s"]["median"]
+        print(f"{w}: frame {ms(frame).strip()}, set-up {ms(setup).strip()}")
+        busy = {n[: -len(".busy_s")]: m["median"] for n, m in layers.items() if n.endswith(".busy_s") and m["median"]}
+        in_frame = FRAME + ("plan.compile",) if w == "compile" else FRAME
+        for span, s in busy.items():
+            if span in in_frame:
+                print(f"  {span:<20}{ms(s)}  {s / frame:6.3f} of the frame")
+        for span, s in busy.items():
+            if span in SETUP and span not in in_frame:
+                print(f"  {span:<20}{ms(s)}  {s / setup:6.3f} of set-up")
+        replays = [f"{span} {ms(s).strip()}" for span, s in busy.items() if span not in FRAME + SETUP]
+        print(f"  replays, outside the frame: {', '.join(replays)}")
+    print("notes:")
+    for note in NOTES:
+        print(f"  {note}")
+
+
 def loc_totals():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "loc.py")], capture_output=True, text=True, check=True
@@ -126,10 +167,15 @@ def loc_totals():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("set_dir", type=Path)
-    ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("set_dir", type=Path, nargs="?")
+    ap.add_argument("--pr", type=int)
     ap.add_argument("--base", type=Path)
+    ap.add_argument("--explain", type=Path, metavar="BENCH_N.json")
     args = ap.parse_args()
+    if args.explain:
+        return explain(json.loads(args.explain.read_text()))
+    if args.set_dir is None or args.pr is None:
+        ap.error("writing a record takes SET_DIR and --pr")
 
     # Untraced results sit one directory per seed; a traced result, when
     # the set has one, sits in the set's own directory (as `--runs` leaves it).
