@@ -78,7 +78,10 @@ mod tests {
         let msg = Message {
             from: 0,
             to: 1,
-            payload: Payload::Request(vec![1]),
+            payload: Payload::Coeffs {
+                ids: vec![1],
+                values: vec![0.5],
+            },
         };
         e0.send(msg.clone()).unwrap();
         let got = e1.recv_timeout(Duration::from_millis(100)).unwrap();

@@ -27,13 +27,12 @@
 //!   assemble loop that re-resolves a dead rank through the same work's
 //!   pass. It also owns what both paths share in public: [`DistOptions`],
 //!   [`RankReport`] and [`DistSolution`] with its one set of accessors;
-//! * [`push`] / [`pull`] — the two works the schedule runs. [`push`] is the
-//!   sharded direct per-element scheme ([`run_dist`]): boundary
-//!   coefficients pushed to the peers whose rings hold them, owned ∪ halo
-//!   elements scattered onto owned points, two-stage reduction. [`pull`] is
-//!   the sharded plan path ([`run_plan_dist`]): per-rank plan compile of
-//!   owned rows, a pull of exactly the columns the plan stored, row-split
-//!   SpMV — bitwise equal to a global plan apply.
+//! * [`push`] / [`pull`] — the two works the schedule runs over the same
+//!   ghost ring and the same coefficient push. [`push`] is the sharded
+//!   direct per-element scheme ([`run_dist`]): owned ∪ halo elements
+//!   scattered onto owned points, two-stage reduction. [`pull`] is the
+//!   sharded plan path ([`run_plan_dist`]): per-rank plan compile of owned
+//!   rows, then a row-split SpMV — bitwise equal to a global plan apply.
 //!
 //! Work counters partition exactly (see the module docs of [`push`] and
 //! [`pull`] for which components are bit-identical to a single-rank run),

@@ -17,8 +17,8 @@ pub enum DistError {
     /// The fabric shut down underneath us.
     Closed,
     /// A peer sent a payload that does not fit the exchange (coefficients
-    /// for elements outside the field, a request for elements the rank does
-    /// not own), or a message the exchange does not owe it.
+    /// for elements outside the field), or a message the exchange does not
+    /// owe it.
     Protocol(String),
 }
 
@@ -100,14 +100,18 @@ mod tests {
     #[test]
     fn simultaneous_senders_do_not_deadlock() {
         let (mut l0, mut l1) = pair();
+        let coeffs = |e: u32| Payload::Coeffs {
+            ids: vec![e],
+            values: vec![f64::from(e)],
+        };
         let t1 = std::thread::spawn(move || {
-            l1.send(0, Payload::Request(vec![1])).unwrap();
+            l1.send(0, coeffs(1)).unwrap();
             l1.recv(Duration::from_secs(5)).unwrap().payload
         });
-        l0.send(1, Payload::Request(vec![2])).unwrap();
+        l0.send(1, coeffs(2)).unwrap();
         let got0 = l0.recv(Duration::from_secs(5)).unwrap().payload;
         let got1 = t1.join().unwrap();
-        assert_eq!(got0, Payload::Request(vec![1]));
-        assert_eq!(got1, Payload::Request(vec![2]));
+        assert_eq!(got0, coeffs(1));
+        assert_eq!(got1, coeffs(2));
     }
 }

@@ -1,16 +1,16 @@
-//! The pull work: rank-sharded plan compile and apply. Each rank compiles
-//! the rows of its owned grid points, then applies them as a local
-//! SpMV over owned + pulled halo coefficients.
+//! The plan work: rank-sharded plan compile and apply. Each rank compiles
+//! the rows of its owned grid points, then applies them as a local SpMV
+//! over its owned and halo coefficients.
 //!
-//! The exchange is *pull*-based, unlike the push work's coefficient
-//! scatter: a compiled plan knows exactly which element columns its rows
-//! reference, so each rank requests precisely those columns from their
-//! owners ([`Tag::HaloRequest`], one per peer, in `exchange.post`) and the
-//! schedule's drain answers each with one [`Tag::HaloCoeffs`] reply. No
-//! geometric halo estimate is involved — the requested set is the support
-//! the plan actually stored, and the shard plan is built with a zero ring.
-//! The drain fills every column a group reads, so the pass is one
-//! [`EvalPlan::apply_with`] of the rank's rows.
+//! The exchange is the schedule's, the same as [`push`](crate::push)'s:
+//! the shard plan carries the direct path's ghost ring, and each rank
+//! pushes every peer the owned elements in that peer's ring. A stored
+//! column is an element whose periodic image meets a row's support box,
+//! half a stencil width around an owned point, and the ring keeps every
+//! element whose image comes within half a stencil width plus a cell of
+//! the owned elements' box — so the drain fills every column a group
+//! reads, and the pass is one compile and one [`EvalPlan::apply_with`] of
+//! the rank's rows.
 //!
 //! ## Numerical contract
 //!
@@ -26,7 +26,7 @@ use crate::channel::ChannelFabric;
 use crate::link::DistError;
 use crate::schedule::{run_schedule, DistOptions, DistSolution, Site, Work};
 use crate::shard::RankShard;
-use crate::transport::{Payload, RankResult, Tag, Transport};
+use crate::transport::{RankResult, Transport};
 use std::time::Instant;
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
 use ustencil_dg::DgField;
@@ -42,18 +42,8 @@ pub(crate) struct PullWork {
     exec: ExecConfig,
 }
 
-/// A rank's compiled rows and the columns it must pull to apply them.
-pub(crate) struct PullLocal {
-    plan: EvalPlan,
-    /// Per peer: the deduplicated element columns the rows reference that
-    /// the peer owns (empty for this rank's own slot).
-    wanted: Vec<Vec<u32>>,
-}
-
 impl Work for PullWork {
-    type Local = PullLocal;
     const SCHEME: Scheme = Scheme::PerPoint;
-    const POST: Tag = Tag::HaloRequest;
 
     fn new(setup: KernelSetup, exec: &ExecConfig) -> Self {
         Self {
@@ -66,17 +56,15 @@ impl Work for PullWork {
         }
     }
 
-    /// The exchange needs only ownership — the plan's stored columns are
-    /// the exact pull set — and zero keeps the shard build from computing
-    /// rings nobody reads.
-    fn halo_width(&self, _: &TriMesh) -> f64 {
-        0.0
+    fn owned_units(shard: &RankShard) -> usize {
+        shard.owned_points.len()
     }
 
     /// Compiles the rows of the rank's owned points over the full mesh
-    /// replica (compilation is pure geometry — no cross-rank data). The
-    /// compile time is reported as the rank's `reduce_ns`.
-    fn localize(&self, site: &Site, tracer: &Tracer, res: &mut RankResult) -> PullLocal {
+    /// replica (compilation is pure geometry — no cross-rank data), then
+    /// applies them, sequentially and unprobed. The compile time is
+    /// reported as the rank's `reduce_ns`.
+    fn pass(&self, site: &Site, field: &DgField, tracer: &Tracer, res: &mut RankResult) {
         let compile_start = Instant::now();
         let plan = {
             let _span = tracer.span("compile.plan");
@@ -84,31 +72,8 @@ impl Work for PullWork {
         };
         res.reduce_ns = compile_start.elapsed().as_nanos() as u64;
 
-        let mut needed: Vec<u32> = plan.cols().collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let mut wanted = vec![Vec::new(); site.plan.n_ranks()];
-        for e in needed {
-            let owner = site.plan.owner_of(e) as usize;
-            if owner != site.rank {
-                wanted[owner].push(e);
-            }
-        }
-        PullLocal { plan, wanted }
-    }
-
-    fn post(&self, _: &Site, local: &PullLocal, _: &DgField, peer: usize) -> Payload {
-        Payload::Request(local.wanted[peer].clone())
-    }
-
-    fn owned_units(shard: &RankShard) -> usize {
-        shard.owned_points.len()
-    }
-
-    /// Applies the rank's rows, sequentially and unprobed.
-    fn pass(&self, _: &Site, local: &PullLocal, field: &DgField, res: &mut RankResult) {
         let eval_start = Instant::now();
-        let sol = local.plan.apply_with(field, &self.exec);
+        let sol = plan.apply_with(field, &self.exec);
         res.values = sol.values;
         res.patches = sol.block_stats;
         res.eval_ns = eval_start.elapsed().as_nanos() as u64;
@@ -181,10 +146,10 @@ mod tests {
                 reference.metrics.elem_data_loads
             );
             assert_eq!(dist.metrics.flops, reference.metrics.flops);
-            // One request and one reply per ordered pair of ranks.
+            // One coefficient message per ordered pair of ranks.
             let comm = dist.total_comm();
-            assert_eq!(comm.msgs_sent, (2 * ranks * (ranks - 1)) as u64);
-            assert_eq!(comm.bytes_sent > 0, ranks > 1, "halo pull must move bytes");
+            assert_eq!(comm.msgs_sent, (ranks * (ranks - 1)) as u64);
+            assert_eq!(comm.bytes_sent > 0, ranks > 1, "halo push must move bytes");
         }
     }
 

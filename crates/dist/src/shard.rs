@@ -15,7 +15,7 @@ use ustencil_geometry::Point2;
 use ustencil_mesh::{halo_elements, partition_recursive_bisection, TriMesh};
 use ustencil_spatial::{Boundary, PointGrid};
 
-/// The ghost-ring distance of a direct (push) run: half the stencil
+/// The ghost-ring distance of a rank run, on either work: half the stencil
 /// width, plus one point-grid cell because candidate lookups round query
 /// boxes out to cell boundaries, plus an epsilon against boundary ties.
 /// The cell size is probed from a throwaway grid so this can never drift
@@ -44,7 +44,6 @@ pub struct RankShard {
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     shards: Vec<RankShard>,
-    element_rank: Vec<u32>,
 }
 
 impl ShardPlan {
@@ -85,10 +84,7 @@ impl ShardPlan {
                 }
             })
             .collect();
-        Self {
-            shards,
-            element_rank,
-        }
+        Self { shards }
     }
 
     /// Number of ranks.
@@ -101,12 +97,6 @@ impl ShardPlan {
     #[inline]
     pub fn shard(&self, r: usize) -> &RankShard {
         &self.shards[r]
-    }
-
-    /// The rank that owns element `e`.
-    #[inline]
-    pub fn owner_of(&self, e: u32) -> u32 {
-        self.element_rank[e as usize]
     }
 
     /// The elements rank `from` must push to rank `to` in a halo exchange:
@@ -155,13 +145,12 @@ mod tests {
             let shard = plan.shard(r);
             for &e in &shard.owned_elements {
                 elem_seen[e as usize] += 1;
-                assert_eq!(plan.owner_of(e), r as u32);
             }
             for &p in &shard.owned_points {
                 point_seen[p as usize] += 1;
-                assert_eq!(
-                    plan.owner_of(grid.owners()[p as usize]),
-                    r as u32,
+                let owner = grid.owners()[p as usize];
+                assert!(
+                    shard.owned_elements.binary_search(&owner).is_ok(),
                     "point must live on its element's rank"
                 );
             }

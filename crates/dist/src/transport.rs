@@ -20,12 +20,8 @@ use ustencil_trace::{CommStats, SpanRecord};
 /// What a message carries: its [`Payload`]'s kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tag {
-    /// Modal coefficients of a set of elements (halo push, or the response
-    /// to a [`Tag::HaloRequest`]).
+    /// Modal coefficients of a set of elements (the halo push).
     HaloCoeffs,
-    /// A request for the coefficients of named elements (sharded plan
-    /// apply pulls exactly the columns its rows reference).
-    HaloRequest,
     /// A rank's finished owned-point values plus its execution summary,
     /// sent to the coordinator.
     OwnedValues,
@@ -36,7 +32,6 @@ impl Tag {
     pub fn label(self) -> &'static str {
         match self {
             Tag::HaloCoeffs => "halo.coeffs",
-            Tag::HaloRequest => "halo.request",
             Tag::OwnedValues => "owned.values",
         }
     }
@@ -59,8 +54,6 @@ pub enum Payload {
         /// Element-major coefficients.
         values: Vec<f64>,
     },
-    /// [`Tag::HaloRequest`]: the elements whose coefficients are wanted.
-    Request(Vec<u32>),
     /// [`Tag::OwnedValues`]: a rank's finished contribution.
     Result(Box<RankResult>),
 }
@@ -81,7 +74,6 @@ impl Message {
     pub fn tag(&self) -> Tag {
         match self.payload {
             Payload::Coeffs { .. } => Tag::HaloCoeffs,
-            Payload::Request(_) => Tag::HaloRequest,
             Payload::Result(_) => Tag::OwnedValues,
         }
     }
@@ -95,7 +87,6 @@ impl Message {
         let list = |n: usize, item: usize| 4 + n * item;
         let payload = match &self.payload {
             Payload::Coeffs { ids, values } => list(ids.len(), 4) + 8 * values.len(),
-            Payload::Request(ids) => list(ids.len(), 4),
             // Values; the comm counters and three times; per patch wall,
             // elements, points and the work counters; per span a name
             // prefix, depth, start and duration.
@@ -183,10 +174,6 @@ mod tests {
         });
         assert_eq!(coeffs.tag(), Tag::HaloCoeffs);
         assert_eq!(coeffs.wire_bytes(), HEADER_BYTES + 4 + 2 * 4 + 6 * 8);
-        assert_eq!(
-            m(Payload::Request(vec![1, 2])).wire_bytes(),
-            HEADER_BYTES + 12
-        );
         // Values count, eight fixed u64s, two empty list counts.
         let empty = m(Payload::Result(Box::default()));
         assert_eq!(empty.wire_bytes(), HEADER_BYTES + 4 + 8 * 8 + 2 * 4);

@@ -13,6 +13,11 @@
 //! −112 B per patch (3 + 11 counters) as 16 row blocks became one block
 //! per plan chunk, 5 at 2 ranks and 3 at 4. So push: −24, −134, 3 × −24,
 //! 3 × −262; pull: −1 256, −1 430, 3 × −1 480, 3 × −1 910.
+//!
+//! The pull rows moved again when the plan work gave up its request
+//! round for the push work's ghost ring: both works now send the same
+//! coefficient messages, so pull's sent counters equal push's, and pull
+//! rank 0 receives push's halo coefficients plus its own (smaller) results.
 
 use ustencil::dg::project_l2;
 use ustencil::dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
@@ -44,13 +49,13 @@ fn comm_counters_equal_the_retired_codecs_lengths() {
             2,
             false,
             vec![[1, 8113, 2, 19246], [1, 8113, 1, 8113]],
-            vec![[2, 9290, 3, 19191], [2, 9290, 2, 9290]],
+            vec![[1, 8113, 2, 18014], [1, 8113, 1, 8113]],
         ),
         (
             2,
             true,
             vec![[1, 8113, 2, 19349], [1, 8113, 1, 8113]],
-            vec![[2, 9290, 3, 19330], [2, 9290, 2, 9290]],
+            vec![[1, 8113, 2, 18153], [1, 8113, 1, 8113]],
         ),
         (
             4,
@@ -62,10 +67,10 @@ fn comm_counters_equal_the_retired_codecs_lengths() {
                 [3, 12159, 3, 12215],
             ],
             vec![
-                [6, 13878, 9, 29229],
-                [6, 14118, 6, 13974],
-                [6, 14038, 6, 13990],
-                [6, 13958, 6, 14006],
+                [3, 12075, 6, 27450],
+                [3, 12327, 3, 12159],
+                [3, 12243, 3, 12187],
+                [3, 12159, 3, 12215],
             ],
         ),
         (
@@ -78,10 +83,10 @@ fn comm_counters_equal_the_retired_codecs_lengths() {
                 [3, 12159, 3, 12215],
             ],
             vec![
-                [6, 13878, 9, 29646],
-                [6, 14118, 6, 13974],
-                [6, 14038, 6, 13990],
-                [6, 13958, 6, 14006],
+                [3, 12075, 6, 27867],
+                [3, 12327, 3, 12159],
+                [3, 12243, 3, 12187],
+                [3, 12159, 3, 12215],
             ],
         ),
     ];

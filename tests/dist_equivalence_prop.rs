@@ -115,7 +115,7 @@ proptest! {
 enum Path {
     /// `run_dist`: per-element scatter, coefficients pushed.
     Push,
-    /// `run_plan_dist`: row-split SpMV, coefficients pulled.
+    /// `run_plan_dist`: row-split SpMV over the same pushed ring.
     Pull,
 }
 
@@ -264,20 +264,14 @@ fn assert_owned_work_runs_after_the_drain(path: Path, sol: &DistSolution) {
 fn reordered_messages_leave_results_unchanged() {
     for path in PATHS {
         let case = Case::new(path, 78);
-        // Rank 1's first message goes to rank 0 — its push, or its pull
-        // request — and now arrives behind its next one there: its result,
-        // or its reply to rank 0's own request.
-        let rule: fn(&Message) -> Do = match path {
-            Path::Push => |m| match (m.from, m.to, m.tag()) {
+        // Rank 1's first message goes to rank 0 — its push — and now
+        // arrives behind its next one there: its result.
+        let faulty = case
+            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
                 (1, 0, Tag::HaloCoeffs) => Do::HoldBehindNext,
                 _ => Do::Pass,
-            },
-            Path::Pull => |m| match (m.from, m.to, m.tag()) {
-                (1, 0, Tag::HaloRequest) => Do::HoldBehindNext,
-                _ => Do::Pass,
-            },
-        };
-        let faulty = case.run_meddled(path, rule).unwrap();
+            })
+            .unwrap();
 
         assert_eq!(faulty.values, case.clean.values, "{path:?}");
         assert_eq!(
@@ -359,7 +353,7 @@ fn panicking_rank_is_a_dead_rank() {
         let err = case
             // Rank 3's first message: its post to rank 0.
             .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
-                (3, 0, Tag::HaloCoeffs | Tag::HaloRequest) => Do::Panic,
+                (3, 0, Tag::HaloCoeffs) => Do::Panic,
                 _ => Do::Pass,
             })
             .unwrap_err();
