@@ -133,6 +133,8 @@ NOTES = (
     "dist.exposed_comm_s is the whole post and drain, not an exposed part of it.",
     "plan.compile.intersection_tests, and a compile's cells_visited, are counted per chunk"
     " from BENCH_42 on: an element meets the rows of each chunk whose windows reach it.",
+    "From BENCH_43 on, pull's drain no longer waits for its peer's compile: that time moves from"
+    " dist.exposed_comm_s to dist.wait_s, and dist.msgs_sent reads 4, not 6.",
 )
 
 
