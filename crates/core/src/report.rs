@@ -48,8 +48,10 @@ use ustencil_trace::{json_record, Hist64, ImbalanceSummary, Json, JsonField, Spa
 /// v10 removes the serve disk-load counter together with the plan cache's
 /// disk tier; v11 removes the run-level `critical_path` and each rank's
 /// `interior`, `frontier`, `exposed_comms_ms`, `flow_sends` and
-/// `flow_recvs` together with the overlapped rank schedule.
-pub const REPORT_SCHEMA_VERSION: u64 = 11;
+/// `flow_recvs` together with the overlapped rank schedule; v12 removes the
+/// run's and each tenant's queue-wait histogram together with the request
+/// queue.
+pub const REPORT_SCHEMA_VERSION: u64 = 12;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -198,10 +200,7 @@ json_record! {
         pub compiles: u64,
         /// Output rows evaluated for the tenant.
         pub rows: u64,
-        /// Microseconds each request waited between admission and a worker
-        /// picking it up.
-        pub queue_wait_us: Hist64,
-        /// Microseconds from admission to answer (wait + service).
+        /// Microseconds from request to answer (lookup or compile, and apply).
         pub service_us: Hist64,
     }
 }
@@ -238,9 +237,7 @@ json_record! {
         pub rows: u64,
         /// Resident plan bytes of the cache when the run ended.
         pub cache_bytes: u64,
-        /// Run-wide admission-to-service queue-wait distribution, microseconds.
-        pub queue_wait_us: Hist64,
-        /// Run-wide admission-to-answer latency distribution, microseconds.
+        /// Run-wide request-to-answer latency distribution, microseconds.
         pub service_us: Hist64,
         /// Per-tenant ledgers, ordered by tenant id.
         pub tenants: Vec<TenantLedger>,
@@ -583,26 +580,24 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v10, with the overlap fields) is
+        // The previous generation (v11, with the queue-wait histograms) is
         // rejected the same way, not half-parsed.
-        let v10 = text.replacen(
+        let v11 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 10",
+            "\"schema\": 11",
             1,
         );
-        let err = RunReport::from_json(&v10).unwrap_err();
+        let err = RunReport::from_json(&v11).unwrap_err();
         assert!(
-            err.contains("schema version 10 is not supported"),
+            err.contains("schema version 11 is not supported"),
             "unhelpful error: {err}"
         );
     }
 
     #[test]
     fn serve_stats_round_trip() {
-        let mut wait = Hist64::new();
         let mut service = Hist64::new();
         for us in [12u64, 48, 210, 3_500, 90] {
-            wait.record(us);
             service.record(us * 3);
         }
         let tenants: Vec<TenantLedger> = (0..2)
@@ -613,7 +608,6 @@ mod tests {
                 misses: 10 + 2 * t,
                 compiles: 3,
                 rows: 40_000 + t,
-                queue_wait_us: wait,
                 service_us: service,
             })
             .collect();
@@ -643,7 +637,6 @@ mod tests {
                 evictions: 3,
                 rows: 600_000,
                 cache_bytes: 4_500_000,
-                queue_wait_us: wait,
                 service_us: service,
                 tenants,
             }),
@@ -661,7 +654,7 @@ mod tests {
             service.quantile_upper_bound(0.99)
         );
         // The serve object and its latency histograms are required keys.
-        for key in ["\"serve\"", "\"single_flight_waits\"", "\"queue_wait_us\""] {
+        for key in ["\"serve\"", "\"single_flight_waits\"", "\"service_us\""] {
             let broken = text.replace(key, "\"zzz\"");
             assert!(RunReport::from_json(&broken).is_err(), "corrupting {key}");
         }

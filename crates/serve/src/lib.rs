@@ -5,7 +5,7 @@
 //! milliseconds to apply. A production deployment — many clients querying
 //! fields over a shared mesh catalog — therefore lives or dies on never
 //! compiling the same plan twice. This crate is that layer, and the
-//! workspace's one plan cache, in three pieces:
+//! workspace's one plan cache, in two pieces:
 //!
 //! * [`PlanCache`] — a concurrent cache keyed by
 //!   [`PlanKey`](ustencil_plan::PlanKey) (content hashes, so same-shape
@@ -16,14 +16,13 @@
 //!   same-kernel sibling instead of compiling. The cache has one tier,
 //!   memory: loading a stored plan was measured slower than recompiling it
 //!   (DESIGN.md §9).
-//! * [`PlanServer`] — worker threads behind a bounded submission queue
-//!   (blocking admission = backpressure). A worker serves one request with
-//!   one cache lookup and one apply. Every request is timed into per-tenant
-//!   [`Hist64`](ustencil_trace::Hist64) ledgers surfaced as
-//!   [`ServeStats`](ustencil_core::ServeStats) in `RunRecord` JSON.
 //! * [`traffic`] — the deterministic zipf traffic generator behind
-//!   `reproduce serve`, driving cached and naive-per-request-compile modes
-//!   over the same seeded request stream for a side-by-side comparison.
+//!   `reproduce serve`: client threads that each look their plans up in
+//!   the cache and apply them, or compile per request (the naive
+//!   baseline), over the same seeded request stream. Every request is
+//!   timed into per-tenant [`Hist64`](ustencil_trace::Hist64) ledgers
+//!   surfaced as [`ServeStats`](ustencil_core::ServeStats) in `RunRecord`
+//!   JSON.
 //!
 //! Correctness stance: caching changes *when* work happens, never *what*
 //! is computed — every requester of a key receives the same shared plan,
@@ -33,11 +32,7 @@
 #![deny(missing_docs)]
 
 mod cache;
-mod server;
 pub mod traffic;
 
 pub use cache::{CacheSnapshot, Outcome, PlanCache};
-pub use server::{
-    PlanServer, Problem, Response, ServeLedgers, ServerClient, ServerConfig, Ticket, WorkerStat,
-};
 pub use traffic::{TrafficConfig, TrafficOutcome, SCHEME_LABEL};

@@ -6,10 +6,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use ustencil_core::{ComputationGrid, ExecConfig, SimdIsa, SimdPolicy};
-use ustencil_dg::project_l2;
 use ustencil_mesh::{displace_band, generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
-use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
+use ustencil_serve::{Outcome, PlanCache};
 
 fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 200, seed);
@@ -204,56 +203,4 @@ fn concurrent_edit_requesters_share_one_patch() {
         assert!(Arc::ptr_eq(plan, &results[0].0));
     }
     assert_eq!(cache.snapshot().patches, 1);
-}
-
-#[test]
-fn server_answers_after_mesh_edit_match_fresh_compile() {
-    let (mesh, grid, options) = fixture(43);
-    let base = Arc::new(Problem {
-        mesh: Arc::new(mesh),
-        grid: Arc::new(grid),
-        degree: 1,
-    });
-    let (moved, moved_grid) = edited(&base.mesh);
-    let edit = Arc::new(Problem {
-        mesh: moved,
-        grid: moved_grid,
-        degree: 1,
-    });
-    let base_field = project_l2(&base.mesh, 1, |x, y| x * y + 0.25, 2);
-    let edit_field = project_l2(&edit.mesh, 1, |x, y| x * y + 0.25, 2);
-
-    let server = PlanServer::start(
-        PlanCache::new(0),
-        ServerConfig {
-            workers: 2,
-            exec: options,
-        },
-        2,
-    );
-    let client = server.client();
-    // Warm with the base problem, then hit the edited revision.
-    client.submit(0, &base, base_field).wait();
-    let response = client.submit(1, &edit, edit_field.clone()).wait();
-    let ledgers = server.shutdown();
-
-    let fresh = EvalPlan::compile(&edit.mesh, &edit.grid, 1, &options).apply(&edit_field);
-    assert!(response
-        .values
-        .iter()
-        .zip(&fresh.values)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
-    assert_eq!(response.outcome, Outcome::Patched);
-    assert_eq!(
-        ledgers.cache.compiles, 1,
-        "edit revalidated, not recompiled"
-    );
-    assert_eq!(ledgers.cache.patches, 1);
-    // Tenant accounting: the patch is a hit (the tenant did not pay a
-    // compile), and the cache-level invariant holds.
-    assert_eq!(ledgers.tenants[1].hits, 1);
-    assert_eq!(
-        ledgers.cache.misses,
-        ledgers.cache.compiles + ledgers.cache.patches
-    );
 }

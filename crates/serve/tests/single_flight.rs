@@ -1,17 +1,14 @@
 //! Single-flight stress tests: K concurrent requesters for the same cold
 //! key must trigger exactly one compile, and every requester's result must
-//! be bitwise identical to a fresh compile. Also the byte budget's LRU
-//! eviction, the server queue's backpressure, and a worker outliving a
-//! request that panics.
+//! be bitwise identical to a fresh compile. Also a leader whose compile
+//! panics, and the byte budget's LRU eviction.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use ustencil_core::{ComputationGrid, ExecConfig};
-use ustencil_dg::{project_l2, DgField};
 use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
-use ustencil_serve::{Outcome, PlanCache, PlanServer, Problem, ServerConfig};
+use ustencil_serve::{Outcome, PlanCache};
 
 /// Each seed compiles under its own kernel width, so no fixture's plan is a
 /// sibling another's `get_or_patch` miss would patch instead of compiling.
@@ -120,69 +117,6 @@ fn concurrent_distinct_keys_compile_once_each() {
     assert_eq!(snap.compiles, MESHES as u64);
     assert_eq!(snap.misses, MESHES as u64);
     assert_eq!(cache.len(), MESHES);
-}
-
-#[test]
-fn server_coalesced_answers_match_fresh_compile_apply() {
-    let (mesh, grid, options) = fixture(23);
-    let field = project_l2(&mesh, 1, |x, y| x * y + 0.25, 2);
-    let problem = Arc::new(Problem {
-        mesh,
-        grid,
-        degree: 1,
-    });
-
-    let server = PlanServer::start(
-        PlanCache::new(0),
-        ServerConfig {
-            workers: 2,
-            exec: options,
-        },
-        4,
-    );
-    const K: usize = 12;
-    let responses: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..K)
-            .map(|i| {
-                let client = server.client();
-                let problem = &problem;
-                let field = field.clone();
-                s.spawn(move || client.submit(i % 4, problem, field).wait())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let ledgers = server.shutdown();
-
-    // However the requests interleaved, every answer is bitwise the fresh
-    // compile-and-apply result.
-    let fresh = EvalPlan::compile(&problem.mesh, &problem.grid, 1, &options).apply(&field);
-    for r in &responses {
-        assert_eq!(r.values.len(), fresh.values.len());
-        assert!(
-            r.values
-                .iter()
-                .zip(&fresh.values)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "served answer differs from fresh apply"
-        );
-    }
-    // One key, so one compile; one lookup per request, each counted once.
-    let cache = ledgers.cache;
-    assert_eq!(cache.compiles, 1);
-    assert_eq!(
-        cache.hits + cache.misses + cache.single_flight_waits,
-        K as u64,
-        "{cache:?}"
-    );
-    assert_eq!(ledgers.rows, (K * fresh.values.len()) as u64);
-    let requests: u64 = ledgers.tenants.iter().map(|t| t.requests).sum();
-    assert_eq!(requests, K as u64);
-    let compiles: u64 = ledgers.tenants.iter().map(|t| t.compiles).sum();
-    assert_eq!(compiles, 1, "exactly one tenant paid the compile");
-    // Latency histograms saw every request.
-    assert_eq!(ledgers.service_us.count(), K as u64);
-    assert_eq!(ledgers.queue_wait_us.count(), K as u64);
 }
 
 /// A leader whose compile panics must not wedge the key: its followers
@@ -305,107 +239,4 @@ fn byte_budget_bounds_the_whole_cache() {
     assert_eq!((outcome, compiled.into_inner()), (Outcome::Compiled, 1));
     let snap = cache.snapshot();
     assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
-}
-
-/// A burst larger than the queue blocks its submitter instead of growing
-/// the queue, and every request is still answered exactly right.
-#[test]
-fn burst_beyond_the_queue_blocks_the_submitter() {
-    // The server's queue holds 64 requests. While the first request's
-    // compile runs, the two workers hold at most two requests, so the 67th
-    // submit must block. On a 2-core x86-64 host under the test profile the
-    // compile of this mesh takes 0.26-0.31 s and the first 66 submits take
-    // 15-20 ms (each hashes the mesh into its key): a 13-fold margin.
-    const WORKERS: usize = 2;
-    const REQUESTS: usize = 64 + WORKERS + 16;
-    let mesh = generate_mesh(MeshClass::LowVariance, 1200, 71);
-    let grid = ComputationGrid::quadrature_points(&mesh, 1);
-    let options = fixture(71).2;
-    let field = project_l2(&mesh, 1, |x, y| x - y * y + 0.5, 2);
-    let problem = Arc::new(Problem {
-        mesh: Arc::new(mesh),
-        grid: Arc::new(grid),
-        degree: 1,
-    });
-
-    let server = PlanServer::start(
-        PlanCache::new(0),
-        ServerConfig {
-            workers: WORKERS,
-            exec: options,
-        },
-        1,
-    );
-    let client = server.client();
-    let tickets: Vec<_> = (0..REQUESTS)
-        .map(|_| client.submit(0, &problem, field.clone()))
-        .collect();
-    let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    let ledgers = server.shutdown();
-
-    assert!(
-        ledgers.blocked_submits >= 1,
-        "the burst never filled the queue"
-    );
-    let fresh = EvalPlan::compile(&problem.mesh, &problem.grid, 1, &options).apply(&field);
-    for r in &responses {
-        assert!(
-            r.values
-                .iter()
-                .map(|v| v.to_bits())
-                .eq(fresh.values.iter().map(|v| v.to_bits())),
-            "served answer differs from fresh apply"
-        );
-    }
-    let cache = ledgers.cache;
-    assert_eq!(
-        cache.hits + cache.misses + cache.single_flight_waits,
-        REQUESTS as u64,
-        "{cache:?}"
-    );
-    assert_eq!(cache.compiles, 1);
-}
-
-/// A request whose compile panics fails its own ticket only: the one
-/// worker survives it, answers the next request, and shutdown returns.
-#[test]
-fn panicking_request_fails_only_its_ticket() {
-    let (mesh, grid, options) = fixture(5);
-    let field = project_l2(&mesh, 1, |x, y| x - y * y + 0.5, 2);
-    let good = Arc::new(Problem {
-        mesh,
-        grid,
-        degree: 1,
-    });
-    // Eight triangles: the stencil is wider than the unit domain, so
-    // `ExecConfig::resolve` asserts inside the compile.
-    let coarse = generate_mesh(MeshClass::LowVariance, 8, 5);
-    let bad = Arc::new(Problem {
-        grid: Arc::new(ComputationGrid::quadrature_points(&coarse, 1)),
-        mesh: Arc::new(coarse.clone()),
-        degree: 1,
-    });
-    let server = PlanServer::start(
-        PlanCache::new(0),
-        ServerConfig {
-            workers: 1,
-            exec: options,
-        },
-        1,
-    );
-    let client = server.client();
-    let doomed = client.submit(0, &bad, DgField::zeros(1, coarse.n_triangles()));
-    let answered = client.submit(0, &good, field.clone());
-    assert!(std::panic::catch_unwind(|| doomed.wait()).is_err());
-    // Waited for off-thread: a dead worker would leave it blocked for ever.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let waiter = std::thread::spawn(move || tx.send(answered.wait()));
-    let response = rx
-        .recv_timeout(Duration::from_secs(120))
-        .expect("the request after the panic was never answered");
-    waiter.join().unwrap().unwrap();
-    let fresh = EvalPlan::compile(&good.mesh, &good.grid, 1, &options).apply(&field);
-    assert_eq!(response.values, fresh.values);
-    let ledgers = server.shutdown();
-    assert_eq!(ledgers.tenants[0].requests, 1, "only the answer is entered");
 }

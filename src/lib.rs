@@ -22,8 +22,8 @@
 //!   exchange over a message transport, dead-rank recovery, and
 //!   per-rank comms accounting (see DESIGN.md §11),
 //! * [`serve`] — the multi-tenant plan-cache service: a byte-budgeted
-//!   concurrent cache with single-flight compilation and a bounded
-//!   request queue with per-tenant ledgers (see DESIGN.md §14),
+//!   concurrent cache with single-flight compilation that clients call
+//!   directly, and per-tenant ledgers (see DESIGN.md §14),
 //! * [`trace`] — phase spans, streaming histograms, imbalance summaries and
 //!   the JSON run reports (see DESIGN.md, "Observability").
 //!
@@ -48,4 +48,4 @@ pub use ustencil_trace as trace;
 pub use ustencil_core::prelude::*;
 pub use ustencil_dist::{run_dist, run_plan_dist, DistOptions, DistSolution};
 pub use ustencil_plan::{DirtySet, EvalPlan, PatchError, PlanDelta, PlanKey};
-pub use ustencil_serve::{PlanCache, PlanServer};
+pub use ustencil_serve::PlanCache;
