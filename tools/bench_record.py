@@ -20,6 +20,9 @@ end-to-end metric, the change/base ratio of each seed both sets ran, the
 pairs the change won and lost (by the metric's `better` in BENCHMARK.json),
 the median ratio and a distribution-free confidence interval for it, the
 k-th smallest and k-th largest ratio (for ten pairs the 2nd and 9th, 97.9 %).
+Each row's interval is a test of its own, so writing a `--base` record prints
+the rows whose interval excludes 1 next to the count chance alone would give,
+the sum over rows of 1 - coverage (about 0.75 for 35 rows of ten pairs).
 Two records are compared by eye or by `benchmark --compare` on the sets
 themselves; this file gates nothing, but it prints `host changed` when the
 record's host calibration (the median over workloads of
@@ -101,6 +104,20 @@ def paired(base, change):
 
 
 HOST = ("host.triad_gbytes_per_s", "host.fma_gflops")
+
+
+def chance_rows(paired_rows):
+    """Lines naming the rows whose CI excludes 1, then the count expected
+    by chance when no row moved."""
+    rows = [(w, name, m) for w, ms in sorted(paired_rows.items()) for name, m in ms.items()]
+    lines = [
+        f"CI excludes 1: {w}/{name} {m['median_ratio']:.3f} (CI {m['ci'][0]:.3f}-{m['ci'][1]:.3f})"
+        for w, name, m in rows
+        if m["ci"][0] > 1 or m["ci"][1] < 1
+    ]
+    expected = sum(1 - m["ci_coverage"] for _, _, m in rows)
+    lines.append(f"{len(lines)} of {len(rows)} rows exclude 1; chance alone gives {expected:.2f}")
+    return lines
 
 
 def host(record):
@@ -215,6 +232,8 @@ def main():
     print(f"wrote {path.name}: {len(record['end_to_end'])} workload(s), {len(runs)} run(s)")
     for line in host_changes(record):
         print(line)
+    if args.base:
+        print("\n".join(chance_rows(record["paired"])))
 
 
 if __name__ == "__main__":
