@@ -12,7 +12,7 @@
 //! reference triangle. Normalization constants `N_ij` are computed once by
 //! exact quadrature so that the basis is orthonormal; a monomial expansion of
 //! every mode is also precomputed (exact interpolation of a known-degree
-//! polynomial), providing analytic reference gradients for the dG solver.
+//! polynomial).
 
 use ustencil_quadrature::gauss::legendre;
 use ustencil_quadrature::jacobi::jacobi;
@@ -135,27 +135,6 @@ impl DubinerBasis {
             .sum()
     }
 
-    /// Reference gradient `(d/du, d/dv)` of mode `m` at `(u, v)`, from the
-    /// exact monomial expansion.
-    pub fn grad_mode(&self, m: usize, u: f64, v: f64) -> (f64, f64) {
-        let n = self.n_modes();
-        let coeffs = &self.monomial[m * n..(m + 1) * n];
-        let mut du = 0.0;
-        let mut dv = 0.0;
-        for (c, &(a, b)) in coeffs.iter().zip(&self.exponents) {
-            if *c == 0.0 {
-                continue;
-            }
-            if a > 0 {
-                du += c * a as f64 * u.powi(a as i32 - 1) * v.powi(b as i32);
-            }
-            if b > 0 {
-                dv += c * b as f64 * u.powi(a as i32) * v.powi(b as i32 - 1);
-            }
-        }
-        (du, dv)
-    }
-
     /// The monomial coefficients of mode `m` over the exponent basis
     /// returned by [`Self::monomial_exponents`].
     pub fn monomial_coefficients(&self, m: usize) -> &[f64] {
@@ -246,23 +225,6 @@ mod tests {
                         "p={p} m={m} at ({u},{v}): {via_monomials} vs {direct}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let basis = DubinerBasis::new(3);
-        let h = 1e-6;
-        for m in 0..basis.n_modes() {
-            for &(u, v) in &[(0.2, 0.3), (0.5, 0.1), (0.1, 0.6)] {
-                let (du, dv) = basis.grad_mode(m, u, v);
-                let fd_u =
-                    (basis.eval_mode(m, u + h, v) - basis.eval_mode(m, u - h, v)) / (2.0 * h);
-                let fd_v =
-                    (basis.eval_mode(m, u, v + h) - basis.eval_mode(m, u, v - h)) / (2.0 * h);
-                assert!((du - fd_u).abs() < 1e-5, "m={m} du {du} vs {fd_u}");
-                assert!((dv - fd_v).abs() < 1e-5, "m={m} dv {dv} vs {fd_v}");
             }
         }
     }

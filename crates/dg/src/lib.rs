@@ -12,9 +12,7 @@
 //! * [`DgField`] — per-element modal coefficient storage with point
 //!   evaluation,
 //! * [`project`] — elementwise L2 projection of analytic functions,
-//! * [`error`] — quadrature-based L2 / L∞ error norms,
-//! * [`solver`] — a linear advection dG solver (upwind flux, SSP-RK3 time
-//!   stepping) for producing genuine simulation fields to post-process.
+//! * [`error`] — quadrature-based L2 / L∞ error norms.
 
 #![deny(missing_docs)]
 
@@ -22,10 +20,8 @@ pub mod basis;
 pub mod error;
 pub mod field;
 pub mod project;
-pub mod solver;
 
 pub use basis::DubinerBasis;
 pub use error::l2_error;
 pub use field::DgField;
 pub use project::project_l2;
-pub use solver::{AdvectionConfig, AdvectionSolver};

@@ -68,4 +68,8 @@ fn main() {
         "error reduction      : {:.1}x",
         raw / filtered.max(f64::MIN_POSITIVE)
     );
+    assert!(
+        filtered < raw,
+        "the SIAC filter must reduce the grid-point error"
+    );
 }

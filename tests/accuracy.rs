@@ -52,25 +52,27 @@ fn filtering_gains_accuracy_on_structured_pattern() {
     }
 }
 
-/// Superconvergence: the filtered solution converges faster than the
-/// projection's p+1 rate under mesh refinement (the classic SIAC result is
-/// 2p+1 on translation-invariant meshes; we assert a strictly better rate
-/// than the unfiltered field with margin).
+/// Superconvergence: under refinement n = 8 → 16 the projection converges
+/// at its p+1 rate and the filtered solution at least at the classic SIAC
+/// 2p+1 rate on translation-invariant meshes. Measured rates: p = 1, raw
+/// 2.01 and filtered 3.94 (0.94 above 3); p = 2, raw 2.98 and filtered 5.87
+/// (0.87 above 5).
 #[test]
 fn filtered_convergence_rate_beats_projection() {
-    let p = 1;
-    let (raw_c, fil_c) = rms_pair(8, p);
-    let (raw_f, fil_f) = rms_pair(16, p);
-    let raw_rate = (raw_c / raw_f).log2();
-    let fil_rate = (fil_c / fil_f).log2();
-    assert!(
-        raw_rate > 1.5 && raw_rate < 2.6,
-        "projection rate should be ~p+1: {raw_rate}"
-    );
-    assert!(
-        fil_rate > raw_rate + 0.5,
-        "superconvergence missing: filtered rate {fil_rate} vs raw {raw_rate}"
-    );
+    for p in [1usize, 2] {
+        let (raw_c, fil_c) = rms_pair(8, p);
+        let (raw_f, fil_f) = rms_pair(16, p);
+        let raw_rate = (raw_c / raw_f).log2();
+        let fil_rate = (fil_c / fil_f).log2();
+        assert!(
+            (raw_rate - (p + 1) as f64).abs() < 0.5,
+            "p={p}: projection rate should be ~p+1: {raw_rate}"
+        );
+        assert!(
+            fil_rate >= (2 * p + 1) as f64,
+            "p={p}: superconvergence missing: filtered rate {fil_rate} < 2p+1"
+        );
+    }
 }
 
 /// Polynomial exactness through the full engine: a degree-2p polynomial is
