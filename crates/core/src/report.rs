@@ -50,8 +50,10 @@ use ustencil_trace::{json_record, Hist64, ImbalanceSummary, Json, JsonField, Spa
 /// `interior`, `frontier`, `exposed_comms_ms`, `flow_sends` and
 /// `flow_recvs` together with the overlapped rank schedule; v12 removes the
 /// run's and each tenant's queue-wait histogram together with the request
-/// queue.
-pub const REPORT_SCHEMA_VERSION: u64 = 12;
+/// queue; v13 removes the serve `patches` and `evictions` counters together
+/// with the cache's sibling patching and byte budget, and the `simd`
+/// object's `fraction_of_peak`.
+pub const REPORT_SCHEMA_VERSION: u64 = 13;
 
 /// Canonical histogram names, in emission order. These are the keys of the
 /// report's `"histograms"` object.
@@ -192,9 +194,11 @@ json_record! {
         pub tenant: u64,
         /// Requests the tenant submitted.
         pub requests: u64,
-        /// Requests answered from a resident plan (memory or disk tier).
+        /// Requests answered from a plan the tenant did not compile: a
+        /// resident hit or a single-flight wait, so the tenants' hits sum to
+        /// the run's `hits + single_flight_waits`.
         pub hits: u64,
-        /// Requests that found no usable plan anywhere.
+        /// Requests that found no resident or in-flight plan.
         pub misses: u64,
         /// Compiles charged to this tenant (it was the single-flight leader).
         pub compiles: u64,
@@ -220,19 +224,14 @@ json_record! {
         pub catalog: u64,
         /// Requests answered from a resident compiled plan.
         pub hits: u64,
-        /// Requests that had to produce a plan (compile or patch).
+        /// Requests that found no resident or in-flight plan.
         pub misses: u64,
-        /// Plans actually compiled (≤ misses: single-flight followers and
-        /// sibling patches do not compile).
+        /// Plans actually compiled (== misses: single-flight followers do
+        /// not compile).
         pub compiles: u64,
         /// Requesters that blocked on another request's in-flight compile
         /// instead of duplicating it.
         pub single_flight_waits: u64,
-        /// Plans produced by patching a resident sibling plan (delta
-        /// revalidation) instead of compiling from scratch.
-        pub patches: u64,
-        /// Plans evicted from the cache under the byte budget.
-        pub evictions: u64,
         /// Output rows evaluated across all requests.
         pub rows: u64,
         /// Resident plan bytes of the cache when the run ended.
@@ -249,11 +248,8 @@ json_record! {
     /// caller asked for, the ISA
     /// [`SimdPolicy::resolve`](crate::simd::SimdPolicy::resolve) picked on
     /// this host, and the achieved
-    /// efficiency derived from the run's modeled flop counter over its wall
-    /// time. `fraction_of_peak` divides by
-    /// [`SimdIsa::nominal_peak_gflops`](crate::simd::SimdIsa::nominal_peak_gflops)
-    /// — a fixed device-model constant per ISA — so it is a stable cross-run
-    /// yardstick rather than a hardware measurement.
+    /// throughput derived from the run's modeled flop counter over its wall
+    /// time.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SimdRecord {
         /// [`SimdPolicy::label`](crate::simd::SimdPolicy::label) the run was
@@ -266,8 +262,6 @@ json_record! {
         pub lanes: u64,
         /// Achieved throughput: modeled flops over wall time, GFLOP/s.
         pub gflops: f64,
-        /// `gflops` over the dispatched ISA's nominal single-core peak.
-        pub fraction_of_peak: f64,
     }
 }
 
@@ -291,7 +285,6 @@ impl SimdRecord {
             isa: isa.label().to_string(),
             lanes: isa.lanes() as u64,
             gflops,
-            fraction_of_peak: gflops / isa.nominal_peak_gflops(),
         }
     }
 }
@@ -633,8 +626,6 @@ mod tests {
                 misses: 20,
                 compiles: 6,
                 single_flight_waits: 9,
-                patches: 2,
-                evictions: 3,
                 rows: 600_000,
                 cache_bytes: 4_500_000,
                 service_us: service,
@@ -701,7 +692,6 @@ mod tests {
                 isa: "avx2".into(),
                 lanes: 4,
                 gflops: 9.5,
-                fraction_of_peak: 9.5 / 48.0,
             }),
         });
         let text = report.to_pretty_string();
@@ -717,7 +707,7 @@ mod tests {
             "v7 record has no locality key"
         );
         // The simd object and its inner fields are required keys.
-        for key in ["\"simd\"", "\"fraction_of_peak\"", "\"lanes\""] {
+        for key in ["\"simd\"", "\"gflops\"", "\"lanes\""] {
             let broken = text.replace(key, "\"zzz\"");
             assert!(RunReport::from_json(&broken).is_err(), "corrupting {key}");
         }

@@ -168,15 +168,6 @@ impl SimdIsa {
         }
     }
 
-    /// Nominal peak f64 throughput of one core at this ISA, in GFLOP/s —
-    /// the denominator of the report's `fraction_of_peak`. A device-model
-    /// constant (2 FMA ports × 2 flops per FMA × lanes × a nominal 3 GHz),
-    /// deliberately not probed from the host: the fraction is a stable
-    /// cross-run efficiency yardstick, not a hardware benchmark.
-    pub fn nominal_peak_gflops(self) -> f64 {
-        2.0 * 2.0 * self.lanes() as f64 * 3.0
-    }
-
     /// Whether this CPU reports every feature the ISA's kernels use.
     fn supported(self) -> bool {
         match self {
@@ -639,11 +630,10 @@ mod tests {
     fn isa_shape_is_consistent() {
         for isa in [SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512] {
             assert!(isa.lanes().is_power_of_two());
-            assert!(isa.nominal_peak_gflops() > 0.0);
             assert!(!isa.label().is_empty());
         }
         assert_eq!(SimdIsa::Scalar.lanes(), 1);
-        assert!(SimdIsa::Avx512.nominal_peak_gflops() > SimdIsa::Avx2.nominal_peak_gflops());
+        assert!(SimdIsa::Avx512.lanes() > SimdIsa::Avx2.lanes());
     }
 
     #[test]

@@ -129,17 +129,6 @@ impl PlanKey {
             simd: options.simd.resolve(),
         }
     }
-
-    /// Whether `other` was compiled under the same kernel — degree, width
-    /// factor and SIMD ISA — so the two keys differ at
-    /// most in mesh/grid content: the signature of a mesh edit, and the
-    /// precondition for [`EvalPlan::patched`](crate::EvalPlan::patched) to
-    /// reproduce a fresh compile bitwise.
-    pub fn same_kernel(&self, other: &Self) -> bool {
-        self.degree == other.degree
-            && self.h_factor_bits == other.h_factor_bits
-            && self.simd == other.simd
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +161,10 @@ mod tests {
         let kb = PlanKey::new(&b, &gb, 1, &ExecConfig::default());
         assert_ne!(ka, kb);
         // Content is all that differs: the signature of a mesh edit.
-        assert!(ka.same_kernel(&kb));
+        assert_eq!(
+            (ka.degree, ka.h_factor_bits, ka.simd),
+            (kb.degree, kb.h_factor_bits, kb.simd)
+        );
     }
 
     #[test]
@@ -182,7 +174,6 @@ mod tests {
         let base = PlanKey::new(&mesh, &grid, 1, &ExecConfig::default());
         let smoother = PlanKey::new(&mesh, &grid, 2, &ExecConfig::default());
         assert_ne!(base, smoother);
-        assert!(!base.same_kernel(&smoother));
         let narrower = PlanKey::new(
             &mesh,
             &grid,
@@ -193,7 +184,6 @@ mod tests {
             },
         );
         assert_ne!(base, narrower);
-        assert!(!base.same_kernel(&narrower));
         // Parallelism and instrumentation do not change the compiled
         // weights, so they must not change the key.
         let parallel = PlanKey::new(
@@ -246,8 +236,7 @@ mod tests {
         // On hosts where Auto picks a vector ISA, Scalar must get its own
         // key (different compiled weights at the FMA level).
         if auto_isa != ustencil_core::SimdIsa::Scalar {
-            assert_ne!(auto, scalar);
-            assert!(!auto.same_kernel(&scalar));
+            assert_ne!(auto.simd, scalar.simd);
         } else {
             assert_eq!(auto, scalar);
         }

@@ -11,11 +11,9 @@
 //!   [`PlanKey`](ustencil_plan::PlanKey) (content hashes, so same-shape
 //!   different-content meshes can never alias). Cold keys compile under
 //!   **single flight**: one compile per key no matter how many requesters
-//!   race, the rest block and share the result. A byte budget on the whole
-//!   cache drives LRU eviction, and a mesh-edit miss patches a resident
-//!   same-kernel sibling instead of compiling. The cache has one tier,
-//!   memory: loading a stored plan was measured slower than recompiling it
-//!   (DESIGN.md §9).
+//!   race, the rest block and share the result. A compiled plan stays
+//!   resident, in memory: loading a stored plan was measured slower than
+//!   recompiling it (DESIGN.md §9).
 //! * [`traffic`] — the deterministic zipf traffic generator behind
 //!   `reproduce serve`: client threads that each look their plans up in
 //!   the cache and apply them, or compile per request (the naive
@@ -25,9 +23,8 @@
 //!   JSON.
 //!
 //! Correctness stance: caching changes *when* work happens, never *what*
-//! is computed — every requester of a key receives the same shared plan,
-//! and a patched plan is bitwise the fresh compile (tested in
-//! `tests/{single_flight,patch_revalidation}.rs`).
+//! is computed — every requester of a key receives the same shared plan
+//! (tested in `tests/single_flight.rs`).
 
 #![deny(missing_docs)]
 

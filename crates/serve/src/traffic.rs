@@ -3,7 +3,7 @@
 //! the plan cache or a naive per-request compile baseline.
 //!
 //! Each client answers its own requests on its own thread: one
-//! [`PlanCache::get_or_patch`] lookup and one apply (cached), or one
+//! [`PlanCache::get`] lookup and one apply (cached), or one
 //! compile and one apply (naive), so both modes are measured the same way.
 //! One lookup per request is what makes the ledger conserve:
 //! `hits + misses + single_flight_waits == requests`.
@@ -20,7 +20,6 @@ use crate::cache::{CacheSnapshot, Outcome, PlanCache};
 use rand::distributions::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 use ustencil_core::report::PatchRecord;
 use ustencil_core::{ComputationGrid, ExecConfig, Metrics, RunRecord, ServeStats, TenantLedger};
@@ -85,11 +84,10 @@ impl TrafficOutcome {
 }
 
 /// One catalog entry: a mesh, its grid, the key of their plan and the
-/// field tenants evaluate on it. The `Arc`s are what a resident plan
-/// retains as its origin for sibling patching.
+/// field tenants evaluate on it.
 struct Fixture {
-    mesh: Arc<TriMesh>,
-    grid: Arc<ComputationGrid>,
+    mesh: TriMesh,
+    grid: ComputationGrid,
     key: PlanKey,
     field: DgField,
 }
@@ -155,8 +153,8 @@ fn build_catalog(cfg: &TrafficConfig) -> (Vec<Fixture>, ExecConfig) {
             let grid = ComputationGrid::quadrature_points(&mesh, DEGREE);
             Fixture {
                 key: PlanKey::new(&mesh, &grid, DEGREE, &exec),
-                mesh: Arc::new(mesh),
-                grid: Arc::new(grid),
+                mesh,
+                grid,
                 field,
             }
         })
@@ -170,14 +168,12 @@ fn requests_of(total: usize, clients: usize, client: usize) -> usize {
 }
 
 /// Drives the plan cache with zipf traffic: each request is one
-/// [`PlanCache::get_or_patch`] lookup and one apply.
+/// [`PlanCache::get`] lookup and one apply.
 pub fn run_cached(cfg: &TrafficConfig) -> TrafficOutcome {
-    // Unbounded: the catalog's plans all fit, so nothing is ever evicted.
-    let cache = PlanCache::new(0);
+    let cache = PlanCache::new();
     drive(cfg, "serve/cached", Some(&cache), |f, exec| {
-        let (plan, outcome) = cache.get_or_patch(f.key, &f.mesh, &f.grid, exec, || {
-            EvalPlan::compile(&f.mesh, &f.grid, DEGREE, exec)
-        });
+        let (plan, outcome) =
+            cache.get(f.key, || EvalPlan::compile(&f.mesh, &f.grid, DEGREE, exec));
         (plan.apply_with(&f.field, exec), outcome)
     })
 }
@@ -248,8 +244,6 @@ fn drive(
         misses: counters.misses,
         compiles: counters.compiles,
         single_flight_waits: counters.single_flight_waits,
-        patches: counters.patches,
-        evictions: counters.evictions,
         rows: tenants.iter().map(|t| t.rows).sum(),
         cache_bytes: counters.resident_bytes,
         service_us,
@@ -311,9 +305,9 @@ fn client_loop(
                 ledger.misses += 1;
                 ledger.compiles += 1;
             }
-            // Sibling patches and single-flight rides answer from a
-            // plan the tenant did not pay a full compile for.
-            Outcome::Hit | Outcome::Waited | Outcome::Patched => ledger.hits += 1,
+            // A single-flight ride answers from a plan the tenant did not
+            // compile, so the tenant books it as a hit.
+            Outcome::Hit | Outcome::Waited => ledger.hits += 1,
         }
         ledger.service_us.record(elapsed.as_micros() as u64);
         busy_ns += elapsed.as_nanos() as u64;

@@ -1,7 +1,7 @@
 //! Single-flight stress tests: K concurrent requesters for the same cold
 //! key must trigger exactly one compile, and every requester's result must
 //! be bitwise identical to a fresh compile. Also a leader whose compile
-//! panics, and the byte budget's LRU eviction.
+//! panics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,17 +10,15 @@ use ustencil_mesh::{generate_mesh, MeshClass, TriMesh};
 use ustencil_plan::{EvalPlan, PlanKey};
 use ustencil_serve::{Outcome, PlanCache};
 
-/// Each seed compiles under its own kernel width, so no fixture's plan is a
-/// sibling another's `get_or_patch` miss would patch instead of compiling.
-fn fixture(seed: u64) -> (Arc<TriMesh>, Arc<ComputationGrid>, ExecConfig) {
+fn fixture(seed: u64) -> (TriMesh, ComputationGrid, ExecConfig) {
     let mesh = generate_mesh(MeshClass::LowVariance, 150, seed);
     let grid = ComputationGrid::quadrature_points(&mesh, 1);
     let options = ExecConfig {
-        h_factor: 0.5 + 1e-6 * seed as f64,
+        h_factor: 0.5,
         parallel: false,
         ..ExecConfig::default()
     };
-    (Arc::new(mesh), Arc::new(grid), options)
+    (mesh, grid, options)
 }
 
 /// Two plans are the same operator if every CSR array matches bit for bit.
@@ -34,7 +32,7 @@ fn bitwise_equal(a: &EvalPlan, b: &EvalPlan) {
 fn k_requesters_one_compile_bitwise_identical() {
     let (mesh, grid, options) = fixture(11);
     let key = PlanKey::new(&mesh, &grid, 1, &options);
-    let cache = PlanCache::new(0);
+    let cache = PlanCache::new();
     let probes = AtomicUsize::new(0);
 
     const K: usize = 16;
@@ -42,7 +40,7 @@ fn k_requesters_one_compile_bitwise_identical() {
         let handles: Vec<_> = (0..K)
             .map(|_| {
                 s.spawn(|| {
-                    cache.get_or_patch(key, &mesh, &grid, &options, || {
+                    cache.get(key, || {
                         probes.fetch_add(1, Ordering::SeqCst);
                         EvalPlan::compile(&mesh, &grid, 1, &options)
                     })
@@ -90,7 +88,7 @@ fn concurrent_distinct_keys_compile_once_each() {
         .iter()
         .map(|(m, g, o)| PlanKey::new(m, g, 1, o))
         .collect();
-    let cache = PlanCache::new(0);
+    let cache = PlanCache::new();
     let probes: Vec<AtomicUsize> = (0..MESHES).map(|_| AtomicUsize::new(0)).collect();
 
     std::thread::scope(|s| {
@@ -101,7 +99,7 @@ fn concurrent_distinct_keys_compile_once_each() {
             let probe = &probes[i];
             let cache = &cache;
             s.spawn(move || {
-                let (plan, _) = cache.get_or_patch(key, mesh, grid, options, || {
+                let (plan, _) = cache.get(key, || {
                     probe.fetch_add(1, Ordering::SeqCst);
                     EvalPlan::compile(mesh, grid, 1, options)
                 });
@@ -116,7 +114,12 @@ fn concurrent_distinct_keys_compile_once_each() {
     let snap = cache.snapshot();
     assert_eq!(snap.compiles, MESHES as u64);
     assert_eq!(snap.misses, MESHES as u64);
-    assert_eq!(cache.len(), MESHES);
+    // Every plan stays resident, and the resident size is theirs.
+    let resident: u64 = keys
+        .iter()
+        .map(|&key| cache.get(key, || unreachable!("resident")).0.bytes() as u64)
+        .sum();
+    assert_eq!(cache.snapshot().resident_bytes, resident);
 }
 
 /// A leader whose compile panics must not wedge the key: its followers
@@ -132,15 +135,15 @@ fn panicking_leader_releases_its_followers() {
     let (mesh, grid, options) = fixture(31);
     let key = PlanKey::new(&mesh, &grid, 1, &options);
     let fix = Arc::new((mesh, grid, options));
-    let cache = Arc::new(PlanCache::new(0));
+    let cache = Arc::new(PlanCache::new());
 
     // The leader announces it is inside its compile, holds the flight open
     // until every follower has blocked on it, then panics.
     let (leading_tx, leading_rx) = mpsc::channel();
     let leader = {
-        let (cache, fix) = (cache.clone(), fix.clone());
+        let cache = cache.clone();
         std::thread::spawn(move || {
-            cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, || {
+            cache.get(key, || {
                 leading_tx.send(()).unwrap();
                 let deadline = Instant::now() + limit;
                 while cache.snapshot().single_flight_waits < FOLLOWERS as u64 {
@@ -163,7 +166,7 @@ fn panicking_leader_releases_its_followers() {
             done_tx.clone(),
         );
         std::thread::spawn(move || {
-            let result = cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, || {
+            let result = cache.get(key, || {
                 compiles.fetch_add(1, Ordering::SeqCst);
                 EvalPlan::compile(&fix.0, &fix.1, 1, &fix.2)
             });
@@ -184,59 +187,9 @@ fn panicking_leader_releases_its_followers() {
         bitwise_equal(plan, &fresh);
     }
     // The key is healthy afterwards, and the abandoned leader's miss is not
-    // on the books: misses == compiles + patches.
-    let resident = || unreachable!("resident by now");
-    let (_, outcome) = cache.get_or_patch(key, &fix.0, &fix.1, &fix.2, resident);
+    // on the books: misses == compiles.
+    let (_, outcome) = cache.get(key, || unreachable!("resident by now"));
     assert_eq!(outcome, Outcome::Hit);
     let snap = cache.snapshot();
     assert_eq!((snap.misses, snap.compiles), (1, 1), "{snap:?}");
-    assert_eq!(snap.patches, 0);
-}
-
-/// The budget bounds the whole cache: six plans through room for two and a
-/// half leave the last two requested resident and within budget, and an
-/// evicted plan comes back by recompiling.
-#[test]
-fn byte_budget_bounds_the_whole_cache() {
-    let fixtures: Vec<_> = (60..66u64)
-        .map(|seed| {
-            let mesh = Arc::new(generate_mesh(MeshClass::LowVariance, 120, seed));
-            let grid = Arc::new(ComputationGrid::quadrature_points(&mesh, 1));
-            let options = fixture(seed).2;
-            let key = PlanKey::new(&mesh, &grid, 1, &options);
-            let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
-            (key, (mesh, grid, options), plan)
-        })
-        .collect();
-    let sizes: Vec<u64> = fixtures.iter().map(|f| f.2.bytes() as u64).collect();
-    let byte_budget = 5 * sizes.iter().max().unwrap() / 2;
-    assert!(
-        3 * sizes.iter().min().unwrap() > byte_budget,
-        "no three of these plans fit the budget: {sizes:?}"
-    );
-    let cache = PlanCache::new(byte_budget);
-    for (key, (mesh, grid, options), plan) in &fixtures {
-        let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, || plan.clone());
-        assert_eq!(outcome, Outcome::Compiled);
-    }
-
-    let snap = cache.snapshot();
-    assert_eq!((cache.len(), snap.evictions), (2, 4), "{snap:?}");
-    assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
-    assert_eq!(snap.resident_bytes, sizes[4] + sizes[5]);
-    for (key, (mesh, grid, options), _) in &fixtures[4..] {
-        let resident = || unreachable!("resident");
-        let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, resident);
-        assert_eq!(outcome, Outcome::Hit);
-    }
-    // The oldest plan was evicted, so asking for it again compiles it.
-    let (key, (mesh, grid, options), plan) = &fixtures[0];
-    let compiled = AtomicUsize::new(0);
-    let (_, outcome) = cache.get_or_patch(*key, mesh, grid, options, || {
-        compiled.fetch_add(1, Ordering::SeqCst);
-        plan.clone()
-    });
-    assert_eq!((outcome, compiled.into_inner()), (Outcome::Compiled, 1));
-    let snap = cache.snapshot();
-    assert!(snap.resident_bytes <= byte_budget, "{snap:?}");
 }

@@ -21,9 +21,9 @@
 //! * [`dist`] — the rank-sharded execution runtime: explicit halo
 //!   exchange over a message transport, dead-rank recovery, and
 //!   per-rank comms accounting (see DESIGN.md §11),
-//! * [`serve`] — the multi-tenant plan-cache service: a byte-budgeted
-//!   concurrent cache with single-flight compilation that clients call
-//!   directly, and per-tenant ledgers (see DESIGN.md §14),
+//! * [`serve`] — the multi-tenant plan-cache service: a concurrent cache
+//!   with single-flight compilation that clients call directly, and
+//!   per-tenant ledgers (see DESIGN.md §14),
 //! * [`trace`] — phase spans, streaming histograms, imbalance summaries and
 //!   the JSON run reports (see DESIGN.md, "Observability").
 //!
