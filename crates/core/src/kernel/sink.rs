@@ -61,8 +61,10 @@ impl ContributionSink for AccumulateSolution {
 /// [`element_query`](super::StencilTraversal::element_query), it records
 /// one hit per element image that met a point ([`hit`](Self::hit)), and
 /// [`finish_element`](Self::finish_element) turns the element's hits into
-/// one entry per point: the point, the element and its per-mode weights,
-/// kept until [`clear`](Self::clear), which keeps the buffers.
+/// one entry per point: the point, the element and its monomial sums,
+/// kept until [`clear`](Self::clear), which keeps the buffers. The caller
+/// turns an entry's sums into per-mode weights as it stores them
+/// ([`modal`](Self::modal)).
 #[derive(Debug, Clone, Default)]
 pub struct AccumulateWeights {
     /// The basis's monomial coefficients, one row of `n_modes` per mode.
@@ -105,8 +107,7 @@ impl AccumulateWeights {
     /// images (a support nearly as wide as the domain) sums them from `0.0`
     /// as met, σ over `[0, −1, +1]` per axis: `needed_shifts`' order of a
     /// point query's shifts `−σ`, as no accepted support meets both the `−1`
-    /// and `+1` image on one axis. Then `w[m] = Σ_slot c[m][slot] · s[slot]`
-    /// from `0.0`, the transpose of `ElementData::gather`'s basis change.
+    /// and `+1` image on one axis.
     pub fn finish_element(&mut self, elem: u32) {
         let (first, nm) = (self.elements.len(), self.n_modes);
         if std::mem::take(&mut self.images) {
@@ -130,18 +131,20 @@ impl AccumulateWeights {
                 }
             }
         }
-        for entry in self.weights[first * nm..].chunks_exact_mut(nm) {
-            let mut mono = [0.0; MAX_MODES];
-            mono[..nm].copy_from_slice(entry);
-            for (w, c) in entry.iter_mut().zip(self.modal.chunks_exact(nm)) {
-                *w = c.iter().zip(&mono).fold(0.0, |w, (c, s)| w + c * s);
-            }
-        }
         self.elements.resize(self.points.len(), elem);
     }
 
+    /// An entry's per-mode weights from its monomial sums `mono`, in mode
+    /// order: `w[m] = Σ_slot c[m][slot] · s[slot]` from `0.0`, the
+    /// transpose of `ElementData::gather`'s basis change.
+    #[inline]
+    pub fn modal<'s>(&'s self, mono: &'s [f64]) -> impl Iterator<Item = f64> + 's {
+        let rows = self.modal.chunks_exact(self.n_modes);
+        rows.map(move |c| c.iter().zip(mono).fold(0.0, |w, (c, s)| w + c * s))
+    }
+
     /// Between elements, the entries since the last [`clear`](Self::clear),
-    /// in order: points, elements, and `n_modes` weights each.
+    /// in order: points, elements, and `n_modes` monomial sums each.
     pub fn entries(&self) -> (&[u32], &[u32], &[f64]) {
         (&self.points, &self.elements, &self.weights)
     }
@@ -205,14 +208,17 @@ mod tests {
         sink.hit(7, Vec2::new(1.0, 0.0));
         sink.finish_element(3);
         sink.finish_element(4);
-        let (points, elements, weights) = sink.entries();
+        let (points, elements, sums) = sink.entries();
         assert_eq!((points, elements), (&[7, 8][..], &[3, 3][..]), "4 met none");
+        let nm = basis.n_modes();
+        assert_eq!(sums[..nm], [2.0, 0.0, 0.0], "the two images, summed");
+        assert_eq!(sums[nm..], [0.0; 3], "none absorbed");
         // Constant-monomial sums transform to the modal coefficients of the
         // constant: weight[m] = 2 · mc_m[0] for the two images, 0 for none.
-        for m in 0..basis.n_modes() {
-            assert_eq!(weights[m], 2.0 * basis.monomial_coefficients(m)[0]);
-            assert_eq!(weights[basis.n_modes() + m], 0.0);
+        for (m, w) in sink.modal(&sums[..nm]).enumerate() {
+            assert_eq!(w, 2.0 * basis.monomial_coefficients(m)[0]);
         }
+        assert!(sink.modal(&sums[nm..]).all(|w| w == 0.0));
         sink.clear();
         assert_eq!(sink.entries(), (&[][..], &[][..], &[][..]));
     }

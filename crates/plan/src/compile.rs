@@ -7,10 +7,10 @@
 //! own. The elements stored in the [`TriangleGrid`] cells its rows' windows
 //! reach run, in storage order (cells row-major, then element id), the
 //! per-element discovery [`StencilTraversal::element_query`] over the rows
-//! reaching their cell, and emit one entry per row met: monomial sums,
-//! transformed to modal once. A counting sort by group
-//! ([`RowCompiler::layout`]) writes them into the chunk's exact-size arrays;
-//! an element's hits on a group are adjacent, so each is one column.
+//! reaching their cell, and emit one entry per row met: monomial sums. A
+//! counting sort by group ([`RowCompiler::layout`]) writes them into the
+//! chunk's exact-size arrays, transformed to modal as they are written; an
+//! element's hits on a group are adjacent, so each is one column.
 //!
 //! **Bits.** An entry is one `(point, element)` integral with no
 //! cross-element sum, integrated with the `(center, elem, shift)` a point
@@ -286,7 +286,7 @@ impl<'a> RowCompiler<'a> {
                 sink.finish_element(e);
             }
         }
-        let (hit_rows, elements, weights) = block.sink.entries();
+        let (hit_rows, elements, sums) = block.sink.entries();
         block.metrics.solution_writes += hit_rows.len() as u64;
         block.of_row.clear();
         for (k, w) in starts.windows(2).enumerate() {
@@ -335,9 +335,9 @@ impl<'a> RowCompiler<'a> {
         let w_ptr = chunk.col_ptr.iter().map(|&j| fit(at[j as usize]));
         chunk.w_ptr.extend(w_ptr);
         chunk.weights.resize(hit_rows.len() * nm, 0.0);
-        for (entry, &(j, row)) in weights.chunks_exact(nm).zip(&block.col_of) {
+        for (mono, &(j, row)) in sums.chunks_exact(nm).zip(&block.col_of) {
             let (at, bits) = (at[j as usize], chunk.present[j as usize]);
-            for (m, &w) in entry.iter().enumerate() {
+            for (m, w) in block.sink.modal(mono).enumerate() {
                 chunk.weights[at + slot(bits, row as usize, m)] = w;
             }
         }

@@ -110,26 +110,28 @@ impl Chunk {
         }
     }
 
-    /// The chunk of `groups`, whole, the columns of those marked `true`
-    /// mapped through `map`.
-    pub(crate) fn from_groups(
-        n_modes: usize,
-        groups: &[(Group<'_>, bool)],
-        map: impl Fn(u32) -> u32,
-    ) -> Chunk {
+    /// A chunk of no groups with room for `groups`, whole.
+    pub(crate) fn for_groups(n_modes: usize, groups: &[(Group<'_>, bool)]) -> Chunk {
         let mut chunk = Chunk::new(n_modes);
         let cols = groups.iter().map(|(g, _)| g.cols.len()).sum();
+        for offsets in [&mut chunk.rows, &mut chunk.col_ptr, &mut chunk.w_ptr] {
+            offsets.reserve_exact(groups.len());
+        }
         (chunk.cols, chunk.present) = (Vec::with_capacity(cols), Vec::with_capacity(cols));
         chunk.weights = Vec::with_capacity(groups.iter().map(|(g, _)| g.weights.len()).sum());
-        for &(group, mapped) in groups {
-            chunk
-                .cols
-                .extend(group.cols.iter().map(|&c| if mapped { map(c) } else { c }));
-            chunk.present.extend_from_slice(group.present);
-            chunk.weights.extend_from_slice(group.weights);
-            chunk.end_group(group.rows);
-        }
         chunk
+    }
+
+    /// Appends `groups`, whole, the columns of those marked `true` mapped
+    /// through `map`.
+    pub(crate) fn push_groups(&mut self, groups: &[(Group<'_>, bool)], map: impl Fn(u32) -> u32) {
+        for &(group, mapped) in groups {
+            self.cols
+                .extend(group.cols.iter().map(|&c| if mapped { map(c) } else { c }));
+            self.present.extend_from_slice(group.present);
+            self.weights.extend_from_slice(group.weights);
+            self.end_group(group.rows);
+        }
     }
 
     /// Closes a group of `rows` rows over the columns appended since the
