@@ -411,9 +411,10 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
         "\n== AMR moving front: {} frame(s), incremental patch vs full compile; low-variance, p=1 ==",
         frames
     );
-    // After the patch, its spans: closure to merge, and the splice.
+    // After the patch, its spans: closure, recompute, scatter and the one
+    // pass that forms the patched plan's chunks.
     println!(
-        "{:>8} {:>6} {:>8} {:>10} {:>10} {:>8} {:>12} {:>8} {:>9} {:>8} {:>8} {:>10} {:>12} {:>7}",
+        "{:>8} {:>6} {:>8} {:>10} {:>10} {:>8} {:>12} {:>8} {:>9} {:>8} {:>8} {:>12} {:>7}",
         "mesh",
         "frame",
         "dirty",
@@ -424,8 +425,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
         "closure",
         "recompute",
         "scatter",
-        "merge",
-        "splice ms",
+        "chunks",
         "full ms",
         "ratio"
     );
@@ -475,7 +475,7 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
         }
         let no = "-";
         println!(
-            "{:>8} {:>6} {no:>8} {no:>10} {:>10} {no:>8} {no:>12} {no:>8} {no:>9} {no:>8} {no:>8} {no:>10} {full_ms:>12.1} {no:>7}",
+            "{:>8} {:>6} {no:>8} {no:>10} {:>10} {no:>8} {no:>12} {no:>8} {no:>9} {no:>8} {no:>8} {full_ms:>12.1} {no:>7}",
             size_label(n),
             0,
             grid.len(),
@@ -520,10 +520,10 @@ fn amr_cmd(r: &mut Runner, sizes: &[usize], frames: usize) {
                 let span = spans.filter(|s| s.name.strip_prefix("patch.") == Some(name));
                 span.map(|s| s.duration_ns as f64 * 1e-6).sum::<f64>()
             };
-            let [closure, recompute, scatter, merge, splice] =
-                ["closure", "recompute", "scatter", "merge", "splice"].map(span_ms);
+            let [closure, recompute, scatter, chunks] =
+                ["closure", "recompute", "scatter", "chunks"].map(span_ms);
             println!(
-                "{:>8} {:>6} {:>8} {:>10} {:>10} {diff_ms:>8.2} {:>12.2} {closure:>8.2} {recompute:>9.2} {scatter:>8.2} {merge:>8.2} {splice:>10.2} {:>12.1} {:>6.1}%",
+                "{:>8} {:>6} {:>8} {:>10} {:>10} {diff_ms:>8.2} {:>12.2} {closure:>8.2} {recompute:>9.2} {scatter:>8.2} {chunks:>8.2} {:>12.1} {:>6.1}%",
                 size_label(n),
                 t,
                 delta.dirty_elements,

@@ -242,8 +242,8 @@ pub struct Solution {
     pub stencil_width: f64,
     /// The scheme that produced this solution.
     pub scheme: Scheme,
-    /// SIMD dispatch summary: requested policy, resolved ISA, and achieved
-    /// fraction of nominal peak.
+    /// SIMD dispatch summary: requested policy, resolved ISA, lanes and
+    /// GFLOP/s.
     pub simd: SimdRecord,
 }
 

@@ -322,7 +322,7 @@ json_record! {
         /// Plan-cache service ledger (present only for `scheme = "serve"`
         /// runs).
         pub serve: Option<ServeStats>,
-        /// SIMD dispatch summary (policy, resolved ISA, fraction of peak);
+        /// SIMD dispatch summary (policy, resolved ISA, lanes, GFLOP/s);
         /// `None` for runs that never touch the evaluation kernels (e.g.
         /// serve traffic replays).
         pub simd: Option<SimdRecord>,

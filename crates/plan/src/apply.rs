@@ -35,8 +35,8 @@ pub struct PlanSolution {
     pub spans: Vec<SpanRecord>,
     /// Wall-clock time of the apply.
     pub wall: Duration,
-    /// SIMD dispatch summary: requested policy, resolved ISA, achieved
-    /// fraction of nominal peak over this apply's wall time.
+    /// SIMD dispatch summary: requested policy, resolved ISA, lanes and
+    /// GFLOP/s over this apply's wall time.
     pub simd: SimdRecord,
 }
 

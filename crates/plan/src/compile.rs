@@ -200,7 +200,7 @@ impl<'a> RowCompiler<'a> {
         // A chunk outlives the compile, so the calling thread allocates it
         // once a block has sized it, and the block fills it in place: the
         // plan then sits in the caller's allocator arena (glibc keeps one
-        // per thread), where a splice allocates the chunks that replace it.
+        // per thread), where a patch allocates the chunks that replace it.
         let (orders, allocate) = mpsc::channel::<([usize; 3], mpsc::Sender<Chunk>)>();
         let blocks = thread::scope(|s| {
             let sweep = s.spawn(move || {

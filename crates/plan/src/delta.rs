@@ -18,10 +18,11 @@
 //!    merged with the pairs the changed elements alone scatter onto it.
 //!    A group holding a closure row, or whose rows no base group holds as
 //!    they are, is formed anew from its rows by a key merge.
-//! 3. **Splice** ([`PlanDelta::splice`]): share every row chunk the edit
-//!    left alone (the same rows at the same index, every column its own
-//!    id) with the base plan; rebuild the others from the kept groups,
-//!    copied whole with columns renumbered old → new, and the new ones.
+//! 3. **Chunks** ([`EvalPlan::patch`]), in one pass: share every row chunk
+//!    the edit left alone (the same rows at the same index, every column
+//!    its own id) with the base plan; rebuild the others from the kept
+//!    groups, copied whole with columns renumbered old → new, and the new
+//!    ones merged straight in. [`PlanDelta::splice`] only assembles.
 //!
 //! **Bitwise guarantee.** A patched plan is a fresh compile of the new
 //! problem, row for row (`tests/plan_patch_prop.rs`). A compiled row holds
@@ -58,9 +59,6 @@ pub const PATCH_SCHEME_LABEL: &str = "plan+patch";
 
 /// Sentinel for "no counterpart" in the diff maps.
 pub(crate) const NONE: u32 = u32::MAX;
-
-/// Groups one merge task of the patch forms.
-const MERGE_GROUPS: usize = 64;
 
 /// A source row no row of the group being formed comes from.
 const NO_ROW: usize = usize::MAX;
@@ -129,7 +127,7 @@ impl DirtySet {
     ///
     /// The matching is deliberately monotone — an old element only matches
     /// a new element *after* the previous match, the first such one with
-    /// its bits — because the splice's bitwise claim needs surviving
+    /// its bits — because the patch's bitwise claim needs surviving
     /// elements to keep their relative order in the new mesh's
     /// spatial-grid cells. Renumberings that reorder surviving elements are
     /// therefore treated as changes (conservative: a bigger dirty set,
@@ -405,30 +403,20 @@ fn merge(chunk: &mut Chunk, sources: &mut [Source<'_>], key: impl Fn(u32) -> u64
     }
 }
 
-/// The computed patch: the groups formed anew for the dirty closure plus
-/// the renumbering maps, ready to be spliced into the base plan. Produced
-/// by [`EvalPlan::patch`]; independent of the base plan's storage, so one
-/// delta can be spliced into any clone of the base.
+/// The computed patch: the patched plan's chunks, those the edit left alone
+/// shared with the base plan, and what the patch counted. Produced by
+/// [`EvalPlan::patch`]; [`PlanDelta::splice`] pairs the chunks with the
+/// base's kernel, so one delta can be spliced into any clone of the base.
 #[derive(Debug, Clone)]
 pub struct PlanDelta {
-    new_rows: usize,
     new_elements: usize,
+    chunks: Vec<Arc<Chunk>>,
     /// New grid point ids whose rows were recompiled, ascending.
-    pub(crate) frag_rows: Vec<u32>,
-    /// The new plan's groups: each one's first row, then the row count.
-    pub(crate) layout: Vec<u32>,
-    /// The groups formed anew, by index into `layout`, ascending.
-    pub(crate) frag_groups: Vec<u32>,
-    /// Those groups, in that order; columns are new element ids.
-    pub(crate) frag: Vec<Chunk>,
+    pub(crate) closure_rows: Vec<u32>,
     /// Stored entries in the recompiled rows.
     respliced_nnz: usize,
-    pub(crate) row_source: Vec<u32>,
-    pub(crate) elem_map: Vec<u32>,
     dirty_elements: u64,
-    /// Whether the splice, as the patch, runs its blocks on worker threads.
-    parallel: bool,
-    discover_ms: f64,
+    patch_ms: f64,
     /// Work counters of the new grid points' full discovery and the changed
     /// elements' scatter: `solution_writes` is one per pair integrated.
     /// Read by the tests' pair-work check.
@@ -441,7 +429,7 @@ impl PlanDelta {
     /// Rows the patch recompiled (the footprint closure of the dirty set
     /// plus rows of newly created grid points).
     pub fn respliced_rows(&self) -> usize {
-        self.frag_rows.len()
+        self.closure_rows.len()
     }
 
     /// Stored entries in the recompiled rows.
@@ -454,94 +442,28 @@ impl PlanDelta {
         self.dirty_elements
     }
 
-    /// Stats in the report's shape; `patch_ms` covers the closure and row
-    /// recompute ([`EvalPlan::patched`] re-times it to include the splice).
+    /// Stats in the report's shape; `patch_ms` covers the whole patch.
     pub fn stats(&self, base: &EvalPlan) -> DeltaStats {
         DeltaStats {
             dirty_elements: self.dirty_elements,
             respliced_rows: self.respliced_rows() as u64,
             respliced_nnz: self.respliced_nnz() as u64,
-            patch_ms: self.discover_ms,
+            patch_ms: self.patch_ms,
             full_build_ms: base.build_wall().as_secs_f64() * 1e3,
         }
     }
 
-    /// Splices the delta into `base`, producing the patched plan. A chunk
-    /// whose rows all kept their index and columns is the base's, shared;
-    /// the others are rebuilt group by group: a kept group is the base's,
-    /// copied whole with its columns renumbered, the others the delta's.
-    ///
-    /// # Panics
-    /// Panics when a kept group references a vanished element — that would
-    /// mean the footprint closure missed a dependency, which the property
-    /// suite asserts never happens. Shared chunks are checked too.
+    /// Splices the delta into `base`, the plan it was computed from: the
+    /// patched plan is the delta's chunks under the base's kernel. No
+    /// weight is copied.
     pub fn splice(&self, base: &EvalPlan) -> EvalPlan {
-        let nm = base.n_modes;
-        let renumber = |row: usize, c: u32| {
-            let nc = self.elem_map[c as usize];
-            assert!(
-                nc != NONE,
-                "kept row {row} references a vanished element: \
-                 the dirty closure missed a dependency"
-            );
-            nc
-        };
-        // Each new group's place among the groups formed anew, or NONE.
-        let mut anew = vec![NONE; self.layout.len() - 1];
-        for (f, &k) in self.frag_groups.iter().enumerate() {
-            anew[k as usize] = f as u32;
-        }
-        let frag: Vec<Group<'_>> = self.frag.iter().flat_map(|c| c.groups()).collect();
-        let first_group = |row: usize| self.layout.partition_point(|&s| (s as usize) < row);
-
-        // Each chunk is the base's, shared, or rebuilt from its groups: the
-        // calling thread allocates it, as a compile's, and a block fills it.
-        let (mut chunks, mut rebuilt) = (Vec::new(), Vec::new());
-        for lo in (0..self.new_rows).step_by(CHUNK_ROWS) {
-            let rows = lo..(lo + CHUNK_ROWS).min(self.new_rows);
-            let groups = first_group(lo)..first_group(rows.end);
-            // Shared: every row kept at its index, every column its own.
-            let shared = base.chunks.get(lo / CHUNK_ROWS).filter(|c| {
-                c.n_rows() == rows.len()
-                    && groups.clone().all(|k| anew[k] == NONE)
-                    && rows.clone().all(|r| self.row_source[r] as usize == r)
-                    && c.cols.iter().all(|&e| renumber(lo, e) == e)
-            });
-            chunks.push(shared.cloned());
-            if shared.is_some() {
-                continue;
-            }
-            // Each group is the delta's, or the base's, renumbered.
-            let source = |k: usize| match anew[k] {
-                NONE => {
-                    let src = self.row_source[self.layout[k] as usize];
-                    debug_assert!(src != NONE, "unsourced group {k} missing from fragments");
-                    (chunk_group(&base.chunks, src as usize).0, true)
-                }
-                f => (frag[f as usize], false),
-            };
-            let sources: Vec<_> = groups.map(source).collect();
-            rebuilt.push((lo, Chunk::for_groups(nm, &sources), sources));
-        }
-        let filled = blocks::map(rebuilt, self.parallel, |(lo, mut chunk, sources)| {
-            chunk.push_groups(&sources, |c| renumber(lo, c));
-            (lo / CHUNK_ROWS, chunk)
-        });
-        for (c, chunk) in filled {
-            chunks[c] = Some(Arc::new(chunk));
-        }
-        let chunks = chunks
-            .into_iter()
-            .map(|c| c.expect("every chunk shared or rebuilt"));
-        let chunks = chunks.collect();
-
         EvalPlan {
             degree: base.degree,
-            n_modes: nm,
+            n_modes: base.n_modes,
             n_elements: self.new_elements,
             h: base.h,
             isa: base.isa,
-            chunks,
+            chunks: self.chunks.clone(),
             build_wall: base.build_wall,
             build_spans: self.spans.clone(),
             build_metrics: base.build_metrics,
@@ -551,13 +473,19 @@ impl PlanDelta {
 
 impl EvalPlan {
     /// Computes the patch for a mesh edit: the footprint closure of the
-    /// dirty set and its rows, rebuilt pair by pair. Pure discovery — splice
-    /// the result with [`PlanDelta::splice`], or use [`EvalPlan::patched`]
-    /// for the one-call version.
+    /// dirty set, its rows rebuilt pair by pair, and the patched plan's
+    /// chunks. Splice the result with [`PlanDelta::splice`], or use
+    /// [`EvalPlan::patched`] for the one-call version.
     ///
     /// `options` must describe the same kernel the plan was compiled
     /// with; `mesh`/`grid` are the *new* problem, `dirty` the diff from the
     /// plan's problem to the new one.
+    ///
+    /// # Panics
+    /// Panics when a kept row references a vanished element — that would
+    /// mean the footprint closure missed a dependency, which the property
+    /// suite asserts never happens. Shared chunks are checked as rebuilt
+    /// ones are.
     pub fn patch(
         &self,
         mesh: &TriMesh,
@@ -609,7 +537,7 @@ impl EvalPlan {
                 }
             }
         }
-        let frag_rows: Vec<u32> = (0..grid.len() as u32)
+        let closure_rows: Vec<u32> = (0..grid.len() as u32)
             .filter(|&r| recompute[r as usize])
             .collect();
 
@@ -624,12 +552,11 @@ impl EvalPlan {
             let kept = |r: usize| dirty.row_source[r] == first + (r - rows.start) as u32;
             Some(i == 0 && chunk.group(k).rows == rows.len() && rows.clone().all(kept))
         };
-        let frag_groups: Vec<u32> = (0..layout.len() - 1)
-            .filter(|&k| group_rows(k).any(|r| recompute[r]) || held(group_rows(k)) != Some(true))
-            .map(|k| k as u32)
+        let anew: Vec<bool> = (0..layout.len() - 1)
+            .map(|k| group_rows(k).any(|r| recompute[r]) || held(group_rows(k)) != Some(true))
             .collect();
 
-        let (new_rows, kept_rows): (Vec<u32>, Vec<u32>) = frag_rows
+        let (new_rows, kept_rows): (Vec<u32>, Vec<u32>) = closure_rows
             .iter()
             .partition(|&&r| dirty.row_source[r as usize] == NONE);
         let at = |ids: &[u32]| -> Vec<Point2> { ids.iter().map(|&r| points[r as usize]).collect() };
@@ -642,83 +569,133 @@ impl EvalPlan {
             rows.compile(Some(&dirty.changed), &at(&kept_rows), None, options)
         };
 
-        // Form the new groups, a run of them per task. A row's entries are a
-        // new point's fresh row, else its base row's survivors and, in the
-        // closure, the changed elements' pairs. A group's sources each hold
-        // their columns in its shared key order, so merging them forms its
-        // columns, one per element; a base group several rows came from is
-        // read once.
-        let (frag, nnz): (Vec<Chunk>, Vec<usize>) = {
-            let _span = tracer.span("patch.merge");
-            let (nm, starts) = (self.n_modes, (0..frag_groups.len()).step_by(MERGE_GROUPS));
-            let renumbered = Some(&dirty.elem_map[..]);
-            let tasks = blocks::map(starts.collect(), options.parallel, |lo| {
-                let (mut chunk, mut nnz, mut sources) = (Chunk::new(nm), 0, Vec::new());
-                for &k in &frag_groups[lo..(lo + MERGE_GROUPS).min(frag_groups.len())] {
-                    let group = group_rows(k as usize);
-                    // A base group consecutive rows came from is one source.
-                    let mut base = (NO_ROW, 0);
-                    for (i, r) in group.clone().enumerate() {
-                        let (src, r32) = (dirty.row_source[r], r as u32);
-                        let at = |ids: &[u32]| ids.binary_search(&r32).unwrap();
-                        let mut alone = [NO_ROW; GROUP_ROWS];
-                        alone[0] = i;
-                        if src == NONE {
-                            let g = chunk_group(&fresh, at(&new_rows)).0;
-                            sources.push(Source::new(g, alone, None));
-                            continue;
-                        }
-                        let (g, bi) = chunk_group(&self.chunks, src as usize);
-                        if base.0 != src as usize - bi {
-                            base = (src as usize - bi, sources.len());
-                            sources.push(Source::new(g, [NO_ROW; GROUP_ROWS], renumbered));
-                        }
-                        sources[base.1].to[bi] = i;
-                        if recompute[r] {
-                            let g = chunk_group(&scattered, at(&kept_rows)).0;
-                            sources.push(Source::new(g, alone, None));
-                        }
-                    }
-                    let closure = (group.clone().enumerate())
-                        .filter(|&(_, r)| recompute[r])
-                        .fold(0u8, |m, (i, _)| m | 1 << i);
-                    let origin = origins[k as usize];
-                    merge(&mut chunk, &mut sources, |e| rows.key(origin, e));
-                    let from = chunk.col_ptr[chunk.n_groups()] as usize;
-                    let stored = chunk.present[from..].iter().map(|b| b & closure);
-                    nnz += stored.map(|b| b.count_ones() as usize).sum::<usize>();
-                    chunk.end_group(group.len());
-                    sources.clear();
-                }
-                (chunk, nnz)
-            });
-            tasks.into_iter().unzip()
+        // The patched plan's chunks, in one pass: each is the base's,
+        // shared, or rebuilt from its groups.
+        let span = tracer.span("patch.chunks");
+        let renumber = |row: usize, c: u32| {
+            let nc = dirty.elem_map[c as usize];
+            assert!(
+                nc != NONE,
+                "kept row {row} references a vanished element: \
+                 the dirty closure missed a dependency"
+            );
+            nc
         };
-        let metrics = Metrics::sum([&fresh_metrics, &scatter_metrics]);
+        let renumbered = Some(&dirty.elem_map[..]);
+        let first_group = |row: usize| layout.partition_point(|&s| (s as usize) < row);
+        let (mut chunks, mut rebuilt) = (Vec::new(), Vec::new());
+        for lo in (0..grid.len()).step_by(CHUNK_ROWS) {
+            let hi = (lo + CHUNK_ROWS).min(grid.len());
+            let groups = first_group(lo)..first_group(hi);
+            // Shared: every row kept at its index, every column its own.
+            let shared = self.chunks.get(lo / CHUNK_ROWS).filter(|c| {
+                c.n_rows() == hi - lo
+                    && groups.clone().all(|k| !anew[k])
+                    && (lo..hi).all(|r| dirty.row_source[r] as usize == r)
+                    && c.cols.iter().all(|&e| renumber(lo, e) == e)
+            });
+            chunks.push(shared.cloned());
+            if shared.is_some() {
+                continue;
+            }
+            // Each group's sources, in turn. A kept group's is its base
+            // group. A formed group's rows are a new point's fresh row,
+            // else their base rows' survivors and, in the closure, the
+            // changed elements' pairs; a base group several rows come from
+            // is one source.
+            let (mut sources, mut ends) = (Vec::new(), Vec::new());
+            for k in groups.clone() {
+                if !anew[k] {
+                    let src = dirty.row_source[layout[k] as usize];
+                    debug_assert!(src != NONE, "unsourced group {k} not formed anew");
+                    let g = chunk_group(&self.chunks, src as usize).0;
+                    sources.push(Source::new(g, [NO_ROW; GROUP_ROWS], renumbered));
+                    ends.push(sources.len());
+                    continue;
+                }
+                let mut base = (NO_ROW, 0);
+                for (i, r) in group_rows(k).enumerate() {
+                    let (src, r32) = (dirty.row_source[r], r as u32);
+                    let at = |ids: &[u32]| ids.binary_search(&r32).unwrap();
+                    let mut alone = [NO_ROW; GROUP_ROWS];
+                    alone[0] = i;
+                    if src == NONE {
+                        let g = chunk_group(&fresh, at(&new_rows)).0;
+                        sources.push(Source::new(g, alone, None));
+                        continue;
+                    }
+                    let (g, bi) = chunk_group(&self.chunks, src as usize);
+                    if base.0 != src as usize - bi {
+                        base = (src as usize - bi, sources.len());
+                        sources.push(Source::new(g, [NO_ROW; GROUP_ROWS], renumbered));
+                    }
+                    sources[base.1].to[bi] = i;
+                    if recompute[r] {
+                        let g = chunk_group(&scattered, at(&kept_rows)).0;
+                        sources.push(Source::new(g, alone, None));
+                    }
+                }
+                ends.push(sources.len());
+            }
+            // The calling thread allocates the chunk, as a compile's, with
+            // room for its sources whole: a merged group's upper bound.
+            let chunk =
+                Chunk::for_groups(self.n_modes, groups.len(), sources.iter().map(|s| s.group));
+            rebuilt.push((lo, groups, ends, sources, chunk));
+        }
+        // A block fills each rebuilt chunk: a kept group copied whole with
+        // its columns renumbered, a formed one merged from its sources,
+        // which hold their columns in its shared key order.
+        let filled = blocks::map(rebuilt, options.parallel, |task| {
+            let (lo, groups, ends, mut sources, mut chunk) = task;
+            let (mut nnz, mut from) = (0, 0);
+            for (k, end) in groups.zip(ends) {
+                let group = &mut sources[from..end];
+                from = end;
+                if !anew[k] {
+                    chunk.push_group(group[0].group, |c| renumber(lo, c));
+                    continue;
+                }
+                let closure = (group_rows(k).enumerate())
+                    .filter(|&(_, r)| recompute[r])
+                    .fold(0u8, |m, (i, _)| m | 1 << i);
+                merge(&mut chunk, group, |e| rows.key(origins[k], e));
+                let merged = &chunk.present[chunk.col_ptr[chunk.n_groups()] as usize..];
+                nnz += merged
+                    .iter()
+                    .map(|b| (b & closure).count_ones() as usize)
+                    .sum::<usize>();
+                chunk.end_group(group_rows(k).len());
+            }
+            (lo / CHUNK_ROWS, chunk, nnz)
+        });
+        let mut respliced_nnz = 0;
+        for (c, chunk, nnz) in filled {
+            chunks[c] = Some(Arc::new(chunk));
+            respliced_nnz += nnz;
+        }
+        let chunks = chunks
+            .into_iter()
+            .map(|c| c.expect("every chunk shared or rebuilt"));
+        drop(span);
 
         Ok(PlanDelta {
-            new_rows: grid.len(),
             new_elements: mesh.n_triangles(),
-            frag_rows,
-            layout,
-            frag_groups,
-            frag,
-            respliced_nnz: nnz.iter().sum(),
-            row_source: dirty.row_source.clone(),
-            elem_map: dirty.elem_map.clone(),
+            chunks: chunks.collect(),
+            closure_rows,
+            respliced_nnz,
             dirty_elements: dirty.dirty_elements(),
-            parallel: options.parallel,
-            discover_ms: started.elapsed().as_secs_f64() * 1e3,
-            metrics,
+            patch_ms: started.elapsed().as_secs_f64() * 1e3,
+            metrics: Metrics::sum([&fresh_metrics, &scatter_metrics]),
             spans: tracer.into_records(),
         })
     }
 
     /// Patches the plan in one call: [`EvalPlan::patch`] followed by
     /// [`PlanDelta::splice`], returning the patched plan and the measured
-    /// delta stats (`patch_ms` covers closure, recompute, and splice; the
-    /// `full_build_ms` reference is the base plan's compile wall, carried
-    /// across chained patches so amortization stays honest).
+    /// delta stats (the `full_build_ms` reference is the base plan's
+    /// compile wall, carried across chained patches so amortization stays
+    /// honest).
     pub fn patched(
         &self,
         mesh: &TriMesh,
@@ -726,27 +703,8 @@ impl EvalPlan {
         dirty: &DirtySet,
         options: &ExecConfig,
     ) -> Result<(EvalPlan, DeltaStats), PatchError> {
-        let started = Instant::now();
         let delta = self.patch(mesh, grid, dirty, options)?;
-        let splice_started = Instant::now();
-        let mut plan = delta.splice(self);
-        if options.instrument {
-            let start_ns = plan
-                .build_spans
-                .iter()
-                .map(|s| s.start_ns + s.duration_ns)
-                .max()
-                .unwrap_or(0);
-            plan.build_spans.push(SpanRecord {
-                name: "patch.splice".to_string(),
-                depth: 0,
-                start_ns,
-                duration_ns: splice_started.elapsed().as_nanos() as u64,
-            });
-        }
-        let mut stats = delta.stats(self);
-        stats.patch_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok((plan, stats))
+        Ok((delta.splice(self), delta.stats(self)))
     }
 }
 
@@ -811,6 +769,22 @@ mod tests {
         /// New element ids with no bit-identical old counterpart, ascending.
         pub(crate) fn changed(&self) -> &[u32] {
             &self.changed
+        }
+
+        /// Old element → bit-identical new element, or [`NONE`].
+        pub(crate) fn elem_map(&self) -> &[u32] {
+            &self.elem_map
+        }
+
+        /// New grid row → bit-identical old grid row, or [`NONE`].
+        pub(crate) fn row_source(&self) -> &[u32] {
+            &self.row_source
+        }
+
+        /// Forgets stale box `i`: the patch then misses the rows only it
+        /// reaches.
+        pub(crate) fn drop_stale_box(&mut self, i: usize) {
+            self.stale_boxes.remove(i);
         }
     }
 

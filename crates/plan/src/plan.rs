@@ -110,28 +110,30 @@ impl Chunk {
         }
     }
 
-    /// A chunk of no groups with room for `groups`, whole.
-    pub(crate) fn for_groups(n_modes: usize, groups: &[(Group<'_>, bool)]) -> Chunk {
+    /// A chunk of no groups with room for `groups` groups and the columns
+    /// and weights of `sources`, whole.
+    pub(crate) fn for_groups<'a>(
+        n_modes: usize,
+        groups: usize,
+        sources: impl Iterator<Item = Group<'a>>,
+    ) -> Chunk {
         let mut chunk = Chunk::new(n_modes);
-        let cols = groups.iter().map(|(g, _)| g.cols.len()).sum();
         for offsets in [&mut chunk.rows, &mut chunk.col_ptr, &mut chunk.w_ptr] {
-            offsets.reserve_exact(groups.len());
+            offsets.reserve_exact(groups);
         }
+        let room = |(c, w), g: Group<'_>| (c + g.cols.len(), w + g.weights.len());
+        let (cols, weights) = sources.fold((0, 0), room);
         (chunk.cols, chunk.present) = (Vec::with_capacity(cols), Vec::with_capacity(cols));
-        chunk.weights = Vec::with_capacity(groups.iter().map(|(g, _)| g.weights.len()).sum());
+        chunk.weights = Vec::with_capacity(weights);
         chunk
     }
 
-    /// Appends `groups`, whole, the columns of those marked `true` mapped
-    /// through `map`.
-    pub(crate) fn push_groups(&mut self, groups: &[(Group<'_>, bool)], map: impl Fn(u32) -> u32) {
-        for &(group, mapped) in groups {
-            self.cols
-                .extend(group.cols.iter().map(|&c| if mapped { map(c) } else { c }));
-            self.present.extend_from_slice(group.present);
-            self.weights.extend_from_slice(group.weights);
-            self.end_group(group.rows);
-        }
+    /// Appends `group`, whole, its columns mapped through `map`.
+    pub(crate) fn push_group(&mut self, group: Group<'_>, map: impl Fn(u32) -> u32) {
+        self.cols.extend(group.cols.iter().map(|&c| map(c)));
+        self.present.extend_from_slice(group.present);
+        self.weights.extend_from_slice(group.weights);
+        self.end_group(group.rows);
     }
 
     /// Closes a group of `rows` rows over the columns appended since the

@@ -607,16 +607,17 @@ fn chunk_rows(c: usize, rows: usize) -> std::ops::Range<usize> {
     c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(rows)
 }
 
-/// Whether chunk `c` of `delta` spliced into `base` holds no recompiled
-/// and no renumbered row: every row is the base's row at the same index,
-/// every column its own id, over as many rows as the base's chunk `c`.
-fn untouched(delta: &PlanDelta, base: &EvalPlan, c: usize) -> bool {
-    let rows = chunk_rows(c, delta.row_source.len());
+/// Whether chunk `c` of `delta`, patched from `base` across `dirty`,
+/// holds no recompiled and no renumbered row: every row is the base's row
+/// at the same index, every column its own id, over as many rows as the
+/// base's chunk `c`.
+fn untouched(dirty: &DirtySet, delta: &PlanDelta, base: &EvalPlan, c: usize) -> bool {
+    let rows = chunk_rows(c, dirty.row_source().len());
     base.chunks.get(c).is_some_and(|b| b.n_rows() == rows.len())
         && rows.into_iter().all(|r| {
-            delta.frag_rows.binary_search(&(r as u32)).is_err()
-                && delta.row_source[r] as usize == r
-                && base.row_cols(r).all(|e| delta.elem_map[e as usize] == e)
+            delta.closure_rows.binary_search(&(r as u32)).is_err()
+                && dirty.row_source()[r] as usize == r
+                && base.row_cols(r).all(|e| dirty.elem_map()[e as usize] == e)
         })
 }
 
@@ -640,10 +641,10 @@ fn refine_band(mesh: &TriMesh, xs: &[f64]) -> (TriMesh, ComputationGrid) {
 /// column of every other closure row, fewer than the closure rows hold.
 fn assert_pair_work(delta: &PlanDelta, dirty: &DirtySet, fresh: &EvalPlan) {
     let (mut pairs, mut closure_nnz) = (0, 0);
-    for &r in &delta.frag_rows {
+    for &r in &delta.closure_rows {
         let cols: Vec<u32> = fresh.row_cols(r as usize).collect();
         closure_nnz += cols.len();
-        pairs += match delta.row_source[r as usize] {
+        pairs += match dirty.row_source()[r as usize] {
             NONE => cols.len(),
             _ => (cols.iter())
                 .filter(|e| dirty.changed().binary_search(e).is_ok())
@@ -657,11 +658,11 @@ fn assert_pair_work(delta: &PlanDelta, dirty: &DirtySet, fresh: &EvalPlan) {
 /// Drives a refined band (0.004 wide) from `start` on by 0.008 a frame, the
 /// way `reproduce amr` does, over a 4k mesh. Each frame's patched plan is
 /// bitwise a fresh compile, its patch integrated only the pairs the edit
-/// touched, and `check` sees the frame's delta, base plan, patched plan
-/// and grid.
+/// touched, and `check` sees the frame's diff, delta, base plan, patched
+/// plan and grid.
 fn drive_front(
     start: f64,
-    mut check: impl FnMut(usize, &PlanDelta, &EvalPlan, &EvalPlan, &ComputationGrid),
+    mut check: impl FnMut(usize, &DirtySet, &PlanDelta, &EvalPlan, &EvalPlan, &ComputationGrid),
 ) {
     let base = generate_mesh(MeshClass::LowVariance, 4000, 2013);
     let options = small_options();
@@ -679,7 +680,7 @@ fn drive_front(
         assert_bitwise(&patched, &fresh);
         assert_packed(&patched);
         assert_pair_work(&delta, &dirty, &fresh);
-        check(t, &delta, &plan, &patched, &next_grid);
+        check(t, &dirty, &delta, &plan, &patched, &next_grid);
         (mesh, grid, plan) = (next_mesh, next_grid, patched);
     }
 }
@@ -689,11 +690,12 @@ fn drive_front(
 /// shared.
 #[test]
 fn moving_front_patches_share_untouched_chunks() {
-    drive_front(0.25, |t, delta, plan, patched, _| {
+    drive_front(0.25, |t, dirty, delta, plan, patched, _| {
         let mut shared = 0;
         for (c, chunk) in patched.chunks.iter().enumerate() {
             let is_shared = plan.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk));
-            assert_eq!(is_shared, untouched(delta, plan, c), "frame {t}, chunk {c}");
+            let untouched = untouched(dirty, delta, plan, c);
+            assert_eq!(is_shared, untouched, "frame {t}, chunk {c}");
             shared += usize::from(is_shared);
         }
         assert!(shared > 0, "frame {t}: no chunk shared");
@@ -705,10 +707,10 @@ fn moving_front_patches_share_untouched_chunks() {
 /// window's origin as a compiled row's are.
 #[test]
 fn front_across_the_seam_merges_wrapped_rows() {
-    drive_front(0.988, |t, delta, plan, _, grid| {
+    drive_front(0.988, |t, dirty, delta, plan, _, grid| {
         let half = plan.stencil_width() / 2.0;
-        let wrapped = (delta.frag_rows.iter())
-            .filter(|&&r| delta.row_source[r as usize] != NONE)
+        let wrapped = (delta.closure_rows.iter())
+            .filter(|&&r| dirty.row_source()[r as usize] != NONE)
             .map(|&r| grid.points()[r as usize].x)
             .filter(|&x| x < half || x > 1.0 - half)
             .count();
@@ -813,7 +815,7 @@ fn renumbered_survivors_take_the_rebuild_path() {
     let delta = plan
         .patch(&next_mesh, &next_grid, &dirty, &options)
         .unwrap();
-    let renumbered = delta.elem_map.iter().enumerate();
+    let renumbered = dirty.elem_map().iter().enumerate();
     assert!(renumbered
         .filter(|&(e, &m)| m != NONE && m as usize != e)
         .any(|(e, _)| e >= base.n_triangles()));
@@ -825,11 +827,11 @@ fn renumbered_survivors_take_the_rebuild_path() {
     let mut rebuilt_unpatched = 0;
     for (c, chunk) in patched.chunks.iter().enumerate() {
         let is_shared = plan.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk));
-        assert_eq!(is_shared, untouched(&delta, &plan, c), "chunk {c}");
+        assert_eq!(is_shared, untouched(&dirty, &delta, &plan, c), "chunk {c}");
         let rows = chunk_rows(c, patched.rows());
         let recompiled = rows
             .into_iter()
-            .any(|r| delta.frag_rows.binary_search(&(r as u32)).is_ok());
+            .any(|r| delta.closure_rows.binary_search(&(r as u32)).is_ok());
         rebuilt_unpatched += usize::from(!is_shared && !recompiled);
     }
     assert!(
@@ -838,54 +840,44 @@ fn renumbered_survivors_take_the_rebuild_path() {
     );
 }
 
-/// The splice checks a chunk it shares as it checks one it rebuilds: drop
-/// the one recompiled row of an otherwise untouched chunk from the delta,
-/// and the base's row it falls back to reads a displaced element.
+/// The patch checks a chunk it shares as it checks one it rebuilds. Drop
+/// the last element: its stale box is the whole diff, and without it the
+/// closure is empty and every full chunk would be shared, yet some read the
+/// vanished element. The patch stops at the first of them.
 #[test]
-#[should_panic(expected = "dirty closure missed a dependency")]
-fn splice_checks_the_chunks_it_shares() {
+fn patch_checks_the_chunks_it_shares() {
     let (mesh, _, grid) = setup(4000, 1, 23);
     let options = small_options();
     let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
-    let moved = ustencil_mesh::displace_band(&mesh, 0.2, 0.204, 0.2, 3);
-    let moved_grid = ComputationGrid::quadrature_points(&moved, 1);
-    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
-    let mut delta = plan.patch(&moved, &moved_grid, &dirty, &options).unwrap();
-    let is_frag = |r: usize| delta.frag_rows.binary_search(&(r as u32)).is_ok();
+    let mut triangles = mesh.triangle_indices().to_vec();
+    let last = triangles.len() as u32 - 1;
+    triangles.pop();
+    let cut = TriMesh::from_raw(mesh.vertices().to_vec(), triangles);
+    let cut_grid = ComputationGrid::quadrature_points(&cut, 1);
+    let mut dirty = DirtySet::diff(&mesh, &grid, &cut, &cut_grid);
+    assert_eq!(dirty.dirty_elements(), 1);
+    let delta = plan.patch(&cut, &cut_grid, &dirty, &options).unwrap();
+    let fresh = EvalPlan::compile(&cut, &cut_grid, 1, &options);
+    assert_bitwise(&delta.splice(&plan), &fresh);
+    let rows = |c: usize| chunk_rows(c, cut_grid.len());
     let c = (0..plan.chunks.len())
-        .find(|&c| {
-            let rows = chunk_rows(c, plan.rows());
-            rows.clone().all(|r| delta.row_source[r] as usize == r)
-                && rows.filter(|&r| is_frag(r)).count() == 1
-        })
-        .expect("a chunk with one recompiled row");
-    let f = (delta.frag_rows.iter())
-        .position(|&r| r as usize / CHUNK_ROWS == c)
-        .unwrap();
-    let dropped = delta.frag_rows[f] as usize;
-    assert!(plan
-        .row_cols(dropped)
-        .any(|e| delta.elem_map[e as usize] == NONE));
-    // Drop the row and the group formed anew around it: the splice falls
-    // back to the base's group.
-    let k = delta.layout.partition_point(|&s| s as usize <= dropped) - 1;
-    let g = delta.frag_groups.binary_search(&(k as u32)).unwrap();
-    let frag = delta.frag.iter().flat_map(|c| c.groups()).enumerate();
-    let kept: Vec<_> = frag
-        .filter(|&(i, _)| i != g)
-        .map(|(_, g)| (g, false))
-        .collect();
-    let mut chunk = Chunk::for_groups(plan.n_modes, &kept);
-    chunk.push_groups(&kept, |e| e);
-    delta.frag = vec![chunk];
-    delta.frag_groups.remove(g);
-    delta.frag_rows.remove(f);
-    let _ = delta.splice(&plan);
+        .filter(|&c| rows(c).len() == CHUNK_ROWS)
+        .find(|&c| rows(c).any(|r| plan.row_cols(r).any(|e| e == last)))
+        .expect("a full chunk reading the element");
+    dirty.drop_stale_box(0);
+    let missed = std::panic::catch_unwind(|| plan.patch(&cut, &cut_grid, &dirty, &options));
+    let message = *missed.unwrap_err().downcast::<String>().unwrap();
+    let row = c * CHUNK_ROWS;
+    assert!(
+        message.starts_with(&format!("kept row {row} references a vanished element"))
+            && message.ends_with("the dirty closure missed a dependency"),
+        "{message}"
+    );
 }
 
 /// A compile, and a chunk rebuilt from its groups with columns mapped,
 /// store `nnz · n_modes` weights (patched plans: `drive_front`), the
-/// rebuilt one in the room `Chunk::for_groups` made.
+/// rebuilt one in exactly the room `Chunk::for_groups` made.
 #[test]
 fn compile_and_from_groups_store_one_weight_per_entry_and_mode() {
     for p in [1, 2] {
@@ -893,25 +885,43 @@ fn compile_and_from_groups_store_one_weight_per_entry_and_mode() {
         let plan = EvalPlan::compile(&mesh, &grid, p, &small_options());
         assert_packed(&plan);
         let groups: Vec<_> = plan.chunks.iter().flat_map(|c| c.groups()).collect();
-        let marked: Vec<_> = groups
-            .iter()
-            .enumerate()
-            .map(|(k, &g)| (g, k % 2 == 0))
-            .collect();
-        let mut chunk = Chunk::for_groups(plan.n_modes, &marked);
+        let mut chunk = Chunk::for_groups(plan.n_modes, groups.len(), groups.iter().copied());
         let room = [chunk.cols.capacity(), chunk.weights.capacity()];
-        chunk.push_groups(&marked, |e| e + 1);
+        for &g in &groups {
+            chunk.push_group(g, |e| e + 1);
+        }
         assert_eq!(room, [chunk.cols.len(), chunk.weights.len()]);
         assert_eq!(room, [chunk.cols.capacity(), chunk.weights.capacity()]);
         assert_eq!(chunk.nnz, plan.nnz());
         assert_eq!(chunk.weights.len(), plan.nnz() * plan.n_modes);
-        let mut rebuilt = chunk.groups().zip(&groups).enumerate();
-        assert!(rebuilt.all(|(k, (a, b))| a.weights == b.weights
-            && a.cols
-                .iter()
-                .zip(b.cols)
-                .all(|(&x, &y)| x == y + (k % 2 == 0) as u32)));
+        let mut rebuilt = chunk.groups().zip(&groups);
+        assert!(rebuilt
+            .all(|(a, b)| a.weights == b.weights
+                && a.cols.iter().zip(b.cols).all(|(&x, &y)| x == y + 1)));
     }
+}
+
+/// One delta spliced twice gives two plans of the same chunks, every one
+/// the delta's, each bitwise a fresh compile: the splice writes nothing.
+#[test]
+fn splicing_a_delta_twice_shares_every_chunk() {
+    let (mesh, _, grid) = setup(1000, 1, 29);
+    let options = small_options();
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &options);
+    let (moved, moved_grid) = refine_band(&mesh, &[0.5]);
+    let dirty = DirtySet::diff(&mesh, &grid, &moved, &moved_grid);
+    let delta = plan.patch(&moved, &moved_grid, &dirty, &options).unwrap();
+    assert!(delta.respliced_rows() > 0);
+    let (a, b) = (delta.splice(&plan), delta.splice(&plan));
+    assert_eq!(a.chunks.len(), b.chunks.len());
+    assert!(a
+        .chunks
+        .iter()
+        .zip(&b.chunks)
+        .all(|(x, y)| Arc::ptr_eq(x, y)));
+    let fresh = EvalPlan::compile(&moved, &moved_grid, 1, &options);
+    assert_bitwise(&a, &fresh);
+    assert_bitwise(&b, &fresh);
 }
 
 /// Each group's row count, in row order.
@@ -1118,12 +1128,21 @@ fn shifted_rows_regroup_without_recompiling() {
     let plan = EvalPlan::compile(&mesh, &grid, 2, &options);
     let dirty = DirtySet::diff(&mesh, &grid, &next, &next_grid);
     let delta = plan.patch(&next, &next_grid, &dirty, &options).unwrap();
-    let recompiled = |k: u32| {
-        let rows = delta.layout[k as usize]..delta.layout[k as usize + 1];
-        rows.into_iter()
-            .any(|r| delta.frag_rows.binary_search(&r).is_ok())
-    };
-    assert!(delta.frag_groups.iter().any(|&k| !recompiled(k)));
     let fresh = EvalPlan::compile(&next, &next_grid, 2, &options);
     assert_bitwise(&delta.splice(&plan), &fresh);
+    // A fresh group of rows none recompiled that no base group holds as
+    // they are: the same rows, in order, from a group's first row on.
+    let starts = |plan: &EvalPlan| {
+        let sizes = group_sizes(plan).into_iter();
+        sizes.scan(0, |row, n| Some((std::mem::replace(row, *row + n), n)))
+    };
+    let base_groups: Vec<(usize, usize)> = starts(&plan).collect();
+    let regrouped = starts(&fresh).filter(|&(row, n)| {
+        let (rows, src) = (row..row + n, dirty.row_source()[row] as usize);
+        let recompiled = |r: usize| delta.closure_rows.binary_search(&(r as u32)).is_ok();
+        let from_src = |r: usize| dirty.row_source()[r] as usize == src + (r - row);
+        let held = base_groups.binary_search(&(src, n)).is_ok() && rows.clone().all(from_src);
+        !(rows.clone().any(recompiled) || held)
+    });
+    assert!(regrouped.count() > 0);
 }
