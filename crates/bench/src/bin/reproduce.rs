@@ -792,15 +792,13 @@ fn checkjson(path: &str) -> Result<(), String> {
                         ranks - 1
                     ));
                 }
-                // Every message sent is received exactly once. The surplus
-                // is the gathered results, which their senders snapshot
-                // their ledgers too early to count.
-                let sent: u64 = run.comms.iter().map(|c| c.msgs_sent).sum();
-                let recv: u64 = run.comms.iter().map(|c| c.msgs_recv).sum();
-                if recv != sent + ranks - 1 {
+                // Every message sent is received exactly once.
+                let sum = |f: fn(&RankCommRecord) -> u64| run.comms.iter().map(f).sum::<u64>();
+                let sent = (sum(|c| c.msgs_sent), sum(|c| c.bytes_sent));
+                let recv = (sum(|c| c.msgs_recv), sum(|c| c.bytes_recv));
+                if recv != sent {
                     return Err(format!(
-                        "{ctx}: {recv} messages received for {sent} sent and {} gathered",
-                        ranks - 1
+                        "{ctx}: (messages, bytes) received {recv:?} for {sent:?} sent"
                     ));
                 }
             }

@@ -68,7 +68,6 @@ impl Transport for ChannelEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Payload;
 
     #[test]
     fn basic_delivery() {
@@ -78,10 +77,8 @@ mod tests {
         let msg = Message {
             from: 0,
             to: 1,
-            payload: Payload::Coeffs {
-                ids: vec![1],
-                values: vec![0.5],
-            },
+            ids: vec![1],
+            values: vec![0.5],
         };
         e0.send(msg.clone()).unwrap();
         let got = e1.recv_timeout(Duration::from_millis(100)).unwrap();

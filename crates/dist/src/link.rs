@@ -5,7 +5,7 @@
 //! Delivery is the transport's contract, not this layer's: there is no
 //! sequence number, window, acknowledgement or timer here.
 
-use crate::transport::{Message, Payload, Transport, TransportError};
+use crate::transport::{Message, Transport, TransportError};
 use std::time::Duration;
 use ustencil_trace::CommStats;
 
@@ -68,12 +68,14 @@ impl<T: Transport> Link<T> {
         self.stats
     }
 
-    /// Hands `payload` to the transport, addressed to rank `to`.
-    pub fn send(&mut self, to: u32, payload: Payload) -> Result<(), DistError> {
+    /// Hands the coefficients `values` of elements `ids` to the transport,
+    /// addressed to rank `to`.
+    pub fn send(&mut self, to: u32, ids: Vec<u32>, values: Vec<f64>) -> Result<(), DistError> {
         let msg = Message {
             from: self.transport.rank(),
             to,
-            payload,
+            ids,
+            values,
         };
         self.stats.record_send(msg.wire_bytes());
         Ok(self.transport.send(msg)?)
@@ -100,18 +102,14 @@ mod tests {
     #[test]
     fn simultaneous_senders_do_not_deadlock() {
         let (mut l0, mut l1) = pair();
-        let coeffs = |e: u32| Payload::Coeffs {
-            ids: vec![e],
-            values: vec![f64::from(e)],
-        };
         let t1 = std::thread::spawn(move || {
-            l1.send(0, coeffs(1)).unwrap();
-            l1.recv(Duration::from_secs(5)).unwrap().payload
+            l1.send(0, vec![1], vec![1.0]).unwrap();
+            l1.recv(Duration::from_secs(5)).unwrap()
         });
-        l0.send(1, coeffs(2)).unwrap();
-        let got0 = l0.recv(Duration::from_secs(5)).unwrap().payload;
+        l0.send(1, vec![2], vec![2.0]).unwrap();
+        let got0 = l0.recv(Duration::from_secs(5)).unwrap();
         let got1 = t1.join().unwrap();
-        assert_eq!(got0, coeffs(1));
-        assert_eq!(got1, coeffs(2));
+        assert_eq!((got0.from, got0.ids, got0.values), (1, vec![1], vec![1.0]));
+        assert_eq!((got1.from, got1.ids, got1.values), (0, vec![2], vec![2.0]));
     }
 }

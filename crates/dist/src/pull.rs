@@ -24,9 +24,9 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{run_schedule, DistOptions, DistSolution, Site, Work};
+use crate::schedule::{run_schedule, DistOptions, DistSolution, RankResult, Site, Work};
 use crate::shard::RankShard;
-use crate::transport::{RankResult, Transport};
+use crate::transport::Transport;
 use std::time::Instant;
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
 use ustencil_dg::DgField;

@@ -5,11 +5,11 @@
 //! The exchange is the schedule's, shared with [`pull`](crate::pull): the
 //! replicated [`ShardPlan`](crate::shard::ShardPlan) tells each rank which
 //! peers' rings contain its owned elements
-//! ([`push_set`](crate::shard::ShardPlan::push_set)), one
-//! [`Tag::HaloCoeffs`](crate::transport::Tag::HaloCoeffs) message per peer
-//! goes out — an empty set still sends its empty message — and the drain
-//! waits for the one every peer owes back. The pass then scatters owned ∪
-//! halo elements, one patch partition over both.
+//! ([`push_set`](crate::shard::ShardPlan::push_set)), one halo
+//! [`Message`](crate::transport::Message) per peer goes out — an empty
+//! set still sends its empty message — and the drain waits for the one
+//! every peer owes back. The pass then scatters owned ∪ halo elements, one
+//! patch partition over both.
 //!
 //! ## Numerical contract
 //!
@@ -36,9 +36,9 @@
 
 use crate::channel::ChannelFabric;
 use crate::link::DistError;
-use crate::schedule::{run_schedule, DistOptions, DistSolution, Site, Work};
+use crate::schedule::{run_schedule, DistOptions, DistSolution, RankResult, Site, Work};
 use crate::shard::RankShard;
-use crate::transport::{RankResult, Transport};
+use crate::transport::Transport;
 use std::time::Instant;
 use ustencil_core::per_element::{add_partials, PerElementRun};
 use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Scheme};
@@ -235,7 +235,7 @@ mod tests {
             assert!(r.comm.bytes_sent > 0);
             assert!(r.eval_ns > 0);
             assert_eq!((r.interior, r.frontier), (0, r.owned_elements));
-            // Every rank shipped spans home on the shared axis.
+            // Every rank handed its spans back on the shared axis.
             let rank_names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
             for phase in ["exchange.post", "exchange.drain", "eval"] {
                 assert!(rank_names.contains(&phase), "rank {} lacks {phase}", r.rank);

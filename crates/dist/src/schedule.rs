@@ -1,14 +1,14 @@
-//! The one rank schedule: static scatter, one thread per rank, the
-//! barrier body, the coordinator's gather, and the assemble loop with
+//! The one rank schedule: scatter at spawn, one thread per rank, the
+//! barrier body, the gather at join, and the assemble loop with
 //! rank-failure recovery — generic over the `Work` it feeds.
 //!
 //! Each rank owns a contiguous shard of mesh elements (recursive
 //! bisection) and resolves exactly the grid points that live on its owned
-//! elements. The only data that crosses ranks after the initial static
-//! scatter are messages that own their payloads: dG coefficients during the
-//! halo exchange, and each rank's finished owned-point values during the
-//! gather — both through the [`Transport`] boundary, which delivers every
-//! message exactly once or reports the endpoint closed.
+//! elements. Its inputs are handed over when its thread is spawned and its
+//! finished values handed back when the thread is joined; the only data
+//! that crosses ranks in between is the halo exchange, messages that own
+//! their dG coefficients, through the [`Transport`] boundary, which
+//! delivers every message exactly once or reports the endpoint closed.
 //!
 //! ## The barrier body
 //!
@@ -35,13 +35,13 @@
 //! ## A dead rank
 //!
 //! The one failure a reliable transport cannot mask. A worker whose body
-//! returns an error *or panics* contributes nothing; the coordinator's
-//! gather deadline then re-resolves its points. Its endpoint stays open
-//! until the run ends, so its peers never race its teardown.
+//! returns an error *or panics* hands back no result at join, and the
+//! coordinator re-resolves its points at once. Its endpoint stays open
+//! until every worker is joined, so its peers never race its teardown.
 
 use crate::link::{DistError, Link};
 use crate::shard::{ghost_ring_width, RankShard, ShardPlan};
-use crate::transport::{Message, Payload, RankResult, Tag, Transport};
+use crate::transport::{Message, Transport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use ustencil_core::{
@@ -63,10 +63,10 @@ pub struct DistOptions {
     /// Number of ranks (worker threads; rank 0 runs on the caller's
     /// thread and coordinates the gather).
     pub n_ranks: usize,
-    /// How long phase receives wait before giving up: the halo exchange
-    /// fails a run on expiry, while the gather falls back to re-resolving
-    /// the missing ranks' points locally (rank-failure recovery).
-    pub gather_timeout: Duration,
+    /// How long a rank's halo drain waits for the messages it is owed
+    /// before it fails with [`DistError::Timeout`]: at rank 0 that fails
+    /// the run, at a worker it makes a dead rank, re-resolved at join.
+    pub exchange_timeout: Duration,
     /// What every rank runs under. `n_blocks` is the patches per rank;
     /// `parallel` is unused, the ranks being the threads.
     pub(crate) exec: ExecConfig,
@@ -78,7 +78,7 @@ impl DistOptions {
     pub fn new(n_ranks: usize) -> Self {
         Self {
             n_ranks,
-            gather_timeout: Duration::from_secs(120),
+            exchange_timeout: Duration::from_secs(120),
             exec: ExecConfig::default(),
         }
     }
@@ -97,10 +97,10 @@ impl DistOptions {
         self
     }
 
-    /// Enables phase spans on every rank. Workers measure
-    /// against the run's shared epoch and ship their records home inside
-    /// the result message, so the whole run lands on one time axis; off
-    /// (the default) costs nothing on the hot path.
+    /// Enables phase spans on every rank. Workers measure against the
+    /// run's shared epoch and hand their records back at join, so the whole
+    /// run lands on one time axis; off (the default) costs nothing on the
+    /// hot path.
     pub fn instrument(mut self, on: bool) -> Self {
         self.exec.instrument = on;
         self
@@ -145,8 +145,8 @@ pub struct RankReport {
     /// *compile* (pull — there is no per-rank reduce there: owned rows
     /// assemble by placement).
     pub reduce_ns: u64,
-    /// Whether the coordinator re-resolved this rank's points after the
-    /// gather deadline (rank-failure recovery).
+    /// Whether the coordinator re-resolved this rank's points because the
+    /// rank handed back no result (rank-failure recovery).
     pub reresolved: bool,
     /// Per-patch stats of the rank's evaluation.
     pub patches: Vec<BlockStats>,
@@ -267,6 +267,28 @@ impl DistSolution {
     }
 }
 
+/// One rank's finished contribution, handed back at join: owned-point
+/// values (in the shard plan's owned-point order, ids implicit) plus its
+/// execution summary.
+#[derive(Debug, Default)]
+pub(crate) struct RankResult {
+    /// Values of the rank's owned points, shard order.
+    pub values: Vec<f64>,
+    /// Transport counters as the rank's body ended.
+    pub comm: CommStats,
+    /// Nanoseconds of communication: the post and the drain.
+    pub exchange_ns: u64,
+    /// Nanoseconds in the local evaluation pass.
+    pub eval_ns: u64,
+    /// Nanoseconds in the local reduce phase.
+    pub reduce_ns: u64,
+    /// Per-patch stats of the rank's evaluation (ranks evaluate unprobed).
+    pub patches: Vec<BlockStats>,
+    /// The rank's tracer spans (empty when instrumentation is off), on the
+    /// run's shared time axis.
+    pub spans: Vec<SpanRecord>,
+}
+
 /// Where a work evaluates: one rank's view of the replicated geometry.
 pub(crate) struct Site<'a> {
     pub mesh: &'a TriMesh,
@@ -299,12 +321,9 @@ pub(crate) trait Work: Sync {
 }
 
 /// The coefficients of elements `ids`, copied out of `field`.
-fn coeffs_of(ids: Vec<u32>, field: &DgField) -> Payload {
+fn coeffs_of(ids: &[u32], field: &DgField) -> Vec<f64> {
     let values = ids.iter().flat_map(|&e| field.element_coeffs(e as usize));
-    Payload::Coeffs {
-        values: values.copied().collect(),
-        ids,
-    }
+    values.copied().collect()
 }
 
 /// Writes received coefficients into `field`'s slots for `ids`. A payload
@@ -333,13 +352,6 @@ fn fill(field: &mut DgField, ids: &[u32], values: &[f64]) -> Result<(), DistErro
 /// missing belongs.
 struct Owed(Vec<bool>);
 
-/// The violation: a `tag` message from rank `from` is one `who` is not
-/// owed.
-fn not_owed(who: std::fmt::Arguments, from: u32, tag: Tag) -> DistError {
-    let kind = tag.label();
-    DistError::Protocol(format!("{who} is not owed a {kind} message by rank {from}"))
-}
-
 impl Owed {
     /// One message from every rank but `rank`.
     fn by_peers(n_ranks: usize, rank: usize) -> Self {
@@ -357,7 +369,10 @@ impl Owed {
                 *owed = false;
                 Ok(())
             }
-            _ => Err(not_owed(format_args!("rank {rank}"), msg.from, msg.tag())),
+            _ => Err(DistError::Protocol(format!(
+                "rank {rank} is not owed a halo message by rank {}",
+                msg.from
+            ))),
         }
     }
 }
@@ -366,8 +381,8 @@ impl Owed {
 /// are read-only problem geometry and are *replicated* per rank; the field
 /// carries only that rank's owned coefficients (every other slot is zero
 /// until the drain fills the ones the work reads) and the grid only its
-/// owned points. No dynamic field or solution data is shared — it moves
-/// only inside messages.
+/// owned points. No field data is shared: coefficients move only inside
+/// halo messages, and values come back when the rank is joined.
 struct RankCtx {
     mesh: TriMesh,
     plan: ShardPlan,
@@ -375,8 +390,8 @@ struct RankCtx {
     grid: ComputationGrid,
     options: DistOptions,
     /// The run's shared time origin: every rank's tracer measures offsets
-    /// from this one instant, so shipped spans land on the coordinator's
-    /// time axis directly.
+    /// from this one instant, so spans handed back land on the
+    /// coordinator's time axis directly.
     epoch: Instant,
 }
 
@@ -389,14 +404,12 @@ fn local_grid(grid: &ComputationGrid, shard: &RankShard) -> ComputationGrid {
     )
 }
 
-/// One rank's barrier run: post, drain, one pass. A fast peer's result
-/// reaching the coordinator mid-exchange is stashed in `pending` for the
-/// gather.
+/// One rank's barrier run: post, drain, one pass. The result carries the
+/// link's counters as the body ends; the caller adds the spans.
 fn rank_body<W: Work, T: Transport>(
     work: &W,
     ctx: RankCtx,
     link: &mut Link<T>,
-    pending: &mut Vec<Message>,
     tracer: &Tracer,
 ) -> Result<RankResult, DistError> {
     let (rank, n_ranks) = (link.rank() as usize, ctx.plan.n_ranks());
@@ -417,18 +430,20 @@ fn rank_body<W: Work, T: Transport>(
     {
         let _span = tracer.span("exchange.post");
         (0..n_ranks).filter(|&q| q != rank).try_for_each(|peer| {
-            let payload = coeffs_of(site.plan.push_set(rank, peer), &field);
-            link.send(peer as u32, payload)
+            let ids = site.plan.push_set(rank, peer);
+            let values = coeffs_of(&ids, &field);
+            link.send(peer as u32, ids, values)
         })?;
     }
     {
         let _span = tracer.span("exchange.drain");
-        drain(&site, &mut field, link, pending, ctx.options.gather_timeout)?;
+        drain(&site, &mut field, link, ctx.options.exchange_timeout)?;
     }
     res.exchange_ns = exchange_start.elapsed().as_nanos() as u64;
 
     let _span = tracer.span("eval");
     work.pass(&site, &field, tracer, &mut res);
+    res.comm = link.stats();
     Ok(res)
 }
 
@@ -438,7 +453,6 @@ fn drain<T: Transport>(
     site: &Site,
     field: &mut DgField,
     link: &mut Link<T>,
-    pending: &mut Vec<Message>,
     timeout: Duration,
 ) -> Result<(), DistError> {
     let rank = site.rank;
@@ -446,7 +460,8 @@ fn drain<T: Transport>(
     let deadline = Instant::now() + timeout;
     loop {
         // Once nothing is owed the drain takes only what is already
-        // waiting — none of it owed either — and ends on an empty inbox.
+        // waiting — none of it owed, so a violation — and ends on an empty
+        // inbox.
         let settled = coeffs.settled();
         let wait = if settled {
             Duration::ZERO
@@ -457,13 +472,8 @@ fn drain<T: Transport>(
             Err(DistError::Timeout) if settled => break,
             received => received?,
         };
-        match &msg.payload {
-            Payload::Coeffs { ids, values } => {
-                coeffs.take(rank, &msg)?;
-                fill(field, ids, values)?;
-            }
-            Payload::Result(_) => pending.push(msg),
-        }
+        coeffs.take(rank, &msg)?;
+        fill(field, &msg.ids, &msg.values)?;
     }
     Ok(())
 }
@@ -479,13 +489,6 @@ fn reresolve<W: Work>(work: &W, site: &Site, field: &DgField) -> RankResult {
     };
     work.pass(site, field, &Tracer::disabled(), &mut res);
     res
-}
-
-/// Completes `res` with the observability the body cannot see: the link's
-/// counters and the tracer's spans, as of now.
-fn snapshot<T: Transport>(res: &mut RankResult, link: &Link<T>, tracer: Tracer) {
-    res.comm = link.stats();
-    res.spans = tracer.into_records();
 }
 
 /// Runs work `W` over `transports` (one endpoint per rank, in rank
@@ -553,75 +556,38 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
     let workers: Vec<(RankCtx, T)> = ctxs.zip(transports).collect();
 
     let slots = std::thread::scope(|scope| -> Result<Vec<Option<RankResult>>, DistError> {
-        // The handles hold what the workers return — their links — until
-        // the gather is over: a dead rank's endpoint stays open, so a peer
-        // posting to it waits out the deadline instead of racing a `Closed`.
-        let _open: Vec<_> = workers
+        let workers: Vec<_> = workers
             .into_iter()
             .map(|(ctx, transport)| {
                 scope.spawn(move || {
-                    let worker_tracer = Tracer::with_epoch(ctx.options.exec.instrument, ctx.epoch);
+                    let tracer = Tracer::with_epoch(ctx.options.exec.instrument, ctx.epoch);
                     let mut link = Link::new(transport);
                     // A failed exchange or a panic (the transport's, a
                     // poisoned lock's, an assert on the evaluation path) is
-                    // a dead rank: it contributes nothing, and the
-                    // coordinator's gather deadline re-resolves it.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        if let Ok(mut res) =
-                            rank_body(work, ctx, &mut link, &mut Vec::new(), &worker_tracer)
-                        {
-                            // Snapshot *before* sending: the result message
-                            // cannot count itself.
-                            snapshot(&mut res, &link, worker_tracer);
-                            // A dead coordinator is unrecoverable from a
-                            // worker; exit and let the scope join.
-                            let _ = link.send(0, Payload::Result(Box::new(res)));
-                        }
+                    // a dead rank: it hands back no result. The link goes
+                    // back with it, open until every worker is joined, so a
+                    // peer posting to a dead rank never races a `Closed`.
+                    let body = catch_unwind(AssertUnwindSafe(|| {
+                        rank_body(work, ctx, &mut link, &tracer)
                     }));
-                    link
+                    let res = body.ok().and_then(Result::ok).map(|res| RankResult {
+                        spans: tracer.into_records(),
+                        ..res
+                    });
+                    (link, res)
                 })
             })
             .collect();
 
         let mut link = Link::new(transport0);
-        let mut pending = Vec::new();
-        let own = rank_body(work, ctx0, &mut link, &mut pending, &tracer)?;
-        let mut slots: Vec<Option<RankResult>> = (0..n).map(|_| None).collect();
-        slots[0] = Some(own);
-        // The drain has settled, so the gather is owed one result per
-        // worker and nothing else.
-        let absorb = |msg: Message, slots: &mut [Option<RankResult>]| -> Result<(), DistError> {
-            let (from, tag) = (msg.from, msg.tag());
-            match (slots.get_mut(from as usize), msg.payload) {
-                (Some(slot @ None), Payload::Result(res)) => {
-                    *slot = Some(*res);
-                    Ok(())
-                }
-                _ => Err(not_owed(format_args!("the gather"), from, tag)),
-            }
-        };
-        {
+        let mut own = rank_body(work, ctx0, &mut link, &tracer)?;
+        let joined: Vec<_> = {
             let _span = tracer.span("reduce.gather");
-            for msg in pending {
-                absorb(msg, &mut slots)?;
-            }
-            let deadline = Instant::now() + options.gather_timeout;
-            while slots.iter().any(Option::is_none) {
-                match link.recv(deadline.saturating_duration_since(Instant::now())) {
-                    Ok(msg) => absorb(msg, &mut slots)?,
-                    Err(DistError::Timeout) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        // Rank 0's ledgers kept accruing through the gather, so they are
-        // snapshotted only now.
-        snapshot(
-            slots[0].as_mut().expect("rank 0 filled its slot"),
-            &link,
-            tracer,
-        );
-        Ok(slots)
+            workers.into_iter().map(|w| w.join()).collect()
+        };
+        own.spans = tracer.into_records();
+        let rest = joined.into_iter().map(|j| j.ok().and_then(|(_, res)| res));
+        Ok(std::iter::once(Some(own)).chain(rest).collect())
     })?;
     // Assemble: owned-point shards are disjoint, so the cross-rank stage
     // is pure placement.
@@ -639,13 +605,7 @@ pub(crate) fn run_schedule<W: Work, T: Transport>(
             };
             reresolve(work, &site, field)
         });
-        if result.values.len() != shard.owned_points.len() {
-            return Err(DistError::Protocol(format!(
-                "rank {r} returned {} values for {} owned points",
-                result.values.len(),
-                shard.owned_points.len()
-            )));
-        }
+        debug_assert_eq!(result.values.len(), shard.owned_points.len());
         for (&global, &v) in shard.owned_points.iter().zip(&result.values) {
             values[global as usize] = v;
         }
@@ -704,14 +664,7 @@ mod tests {
             .find(|&(r, q)| r != q && plan.push_set(r, q).is_empty())
             .expect("distant shards share no ring");
         let field = DgField::zeros(1, mesh.n_triangles());
-        let payload = coeffs_of(plan.push_set(rank, peer), &field);
-        assert_eq!(
-            payload,
-            Payload::Coeffs {
-                ids: vec![],
-                values: vec![]
-            }
-        );
+        assert!(coeffs_of(&plan.push_set(rank, peer), &field).is_empty());
     }
 
     #[test]
@@ -736,10 +689,8 @@ mod tests {
         let from = |from: u32| Message {
             from,
             to: 0,
-            payload: Payload::Coeffs {
-                ids: Vec::new(),
-                values: Vec::new(),
-            },
+            ids: Vec::new(),
+            values: Vec::new(),
         };
         let mut owed = Owed::by_peers(2, 0);
         for stranger in [2, u32::MAX, 0] {

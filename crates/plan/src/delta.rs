@@ -111,8 +111,8 @@ pub struct DirtySet {
     /// AABBs of old elements that vanished or changed — the stale region a
     /// kept row must not overlap.
     stale_boxes: Vec<Aabb>,
-    /// Old grid row → bit-identical new grid row, or [`NONE`].
-    row_map: Vec<u32>,
+    /// Row count of the old grid.
+    old_rows: usize,
     /// New grid row → bit-identical old grid row, or [`NONE`].
     row_source: Vec<u32>,
 }
@@ -186,7 +186,6 @@ impl DirtySet {
         // still requiring exact coordinate bits.
         let old_by_owner = points_by_owner(old_grid, old_n);
         let new_by_owner = points_by_owner(new_grid, new_n);
-        let mut row_map = vec![NONE; old_grid.len()];
         let mut row_source = vec![NONE; new_grid.len()];
         for (e, &ne) in elem_map.iter().enumerate() {
             if ne == NONE {
@@ -198,7 +197,6 @@ impl DirtySet {
                 let a = old_grid.points()[o as usize];
                 let b = new_grid.points()[n as usize];
                 if a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits() {
-                    row_map[o as usize] = n;
                     row_source[n as usize] = o;
                 }
             }
@@ -210,7 +208,7 @@ impl DirtySet {
             elem_map,
             changed,
             stale_boxes,
-            row_map,
+            old_rows: old_grid.len(),
             row_source,
         }
     }
@@ -498,7 +496,7 @@ impl EvalPlan {
             return Err(PatchError::OptionsMismatch);
         }
         if dirty.old_elements != self.n_elements
-            || dirty.row_map.len() != self.rows()
+            || dirty.old_rows != self.rows()
             || dirty.new_elements != mesh.n_triangles()
             || dirty.row_source.len() != grid.len()
         {

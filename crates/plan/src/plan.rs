@@ -256,8 +256,8 @@ impl EvalPlan {
     }
 
     /// Column ids (the element each stored entry reads), concatenated
-    /// across rows. The distributed runtime scans these to learn which
-    /// non-owned elements a rank's rows reference — its halo set.
+    /// across rows: what the bitwise plan comparisons (patched against
+    /// fresh, `reproduce amr`'s cross-check) hold equal.
     pub fn cols(&self) -> impl Iterator<Item = u32> + '_ {
         let groups = self.chunks.iter().flat_map(|c| c.groups());
         groups.flat_map(|g| g.row_major().map(move |(_, j)| g.cols[j]))

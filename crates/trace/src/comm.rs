@@ -1,6 +1,6 @@
 //! Communication counters for rank-sharded execution.
 //!
-//! The distributed runtime (`ustencil-dist`) moves every cross-rank payload
+//! The distributed runtime (`ustencil-dist`) moves its halo exchange
 //! through a message transport; [`CommStats`] is the ledger each
 //! endpoint keeps while doing so. The counters are plain saturating sums —
 //! cheap enough to maintain unconditionally — and merge across ranks the

@@ -1,17 +1,19 @@
 //! Property and failure tests of the rank-sharded runtime: sharded runs
 //! must agree with single-rank runs across rank counts and field degrees
 //! (the kernel smoothness is the degree), candidate-pair work counters must
-//! partition exactly, and what a transport may do (reorder) or a rank may suffer (death, by
-//! silence or by panic) must never change the answer — on either work the
-//! one schedule runs. A transport that breaks its contract (a duplicate)
-//! gives a typed error or a re-resolved rank, never a changed value.
+//! partition exactly, and what a transport may do (reorder) or a rank may
+//! suffer (death, by a refused message or by panic) must never change the
+//! answer — on either work the one schedule runs. A transport that breaks
+//! its contract (a duplicate) gives a typed error or a re-resolved rank,
+//! never a changed value, and a rank that dies after its post is
+//! re-resolved without waiting out the exchange deadline.
 
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use ustencil::dg::project_l2;
 use ustencil::dist::{
     run_dist, run_dist_on, run_plan_dist, run_plan_dist_on, ChannelEndpoint, ChannelFabric,
-    DistError, DistOptions, DistSolution, Message, Tag, Transport, TransportError,
+    DistError, DistOptions, DistSolution, Message, Transport, TransportError,
 };
 use ustencil::engine::prelude::*;
 use ustencil::mesh::{generate_mesh, MeshClass};
@@ -159,11 +161,16 @@ impl Case {
         }
     }
 
-    /// Runs `path` on four channel endpoints whose sends go through
-    /// `rule`, with a gather deadline short enough to wait out.
-    fn run_meddled(&self, path: Path, rule: fn(&Message) -> Do) -> Result<DistSolution, DistError> {
+    /// Runs `path` on four channel endpoints whose messages go through
+    /// `rule`, with the drains waiting at most `deadline`.
+    fn run_meddled(
+        &self,
+        path: Path,
+        deadline: Duration,
+        rule: fn(&Message) -> Do,
+    ) -> Result<DistSolution, DistError> {
         let mut opts = self.opts;
-        opts.gather_timeout = Duration::from_millis(500);
+        opts.exchange_timeout = deadline;
         let endpoints = ChannelFabric::endpoints(4)
             .into_iter()
             .map(|inner| Meddler {
@@ -180,24 +187,28 @@ impl Case {
     }
 }
 
+/// A drain deadline short enough to wait out.
+const SHORT: Duration = Duration::from_millis(500);
+
 /// What a [`Meddler`] does with one message.
 enum Do {
     Pass,
-    /// Accepted, never delivered: the sender is dead to that peer.
-    Swallow,
-    /// Delivered behind the endpoint's next message to the same rank.
-    HoldBehindNext,
+    /// Delivered behind the sender's later messages: when it has posted
+    /// them all and first receives.
+    HoldBehindPost,
     /// Received twice, back to back — a transport breaking its contract.
     /// Done by the receiving endpoint, so that no thread schedule can part
     /// the copies.
     Twice,
     /// The sending rank dies mid-send.
-    Panic,
+    PanicSending,
+    /// The receiving rank dies on receipt, after its own post.
+    PanicReceiving,
 }
 
 /// The test-side transport: a channel endpoint that asks a rule, deciding
-/// by message identity alone (sender, destination and kind), what to do
-/// with each message. `crates/dist` has no injector; `run_*_on` being generic
+/// by message identity alone (sender and destination), what to do with
+/// each message. `crates/dist` has no injector; `run_*_on` being generic
 /// over the transport is the seam.
 struct Meddler {
     inner: ChannelEndpoint,
@@ -214,29 +225,29 @@ impl Transport for Meddler {
         self.inner.n_ranks()
     }
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, TransportError> {
+        for held in std::mem::take(&mut self.held) {
+            self.inner.send(held)?;
+        }
         if let Some(copy) = self.again.take() {
             return Ok(copy);
         }
         let msg = self.inner.recv_timeout(timeout)?;
-        if let Do::Twice = (self.rule)(&msg) {
-            self.again = Some(msg.clone());
+        match (self.rule)(&msg) {
+            Do::Twice => self.again = Some(msg.clone()),
+            Do::PanicReceiving => panic!("rank {} dies receiving from rank {}", msg.to, msg.from),
+            _ => {}
         }
         Ok(msg)
     }
     fn send(&mut self, msg: Message) -> Result<(), TransportError> {
         match (self.rule)(&msg) {
-            Do::Pass | Do::Twice => {}
-            Do::Swallow => return Ok(()),
-            Do::HoldBehindNext => {
+            Do::HoldBehindPost => {
                 self.held.push(msg);
-                return Ok(());
+                Ok(())
             }
-            Do::Panic => panic!("rank {} dies sending its {}", msg.from, msg.tag().label()),
+            Do::PanicSending => panic!("rank {} dies sending to rank {}", msg.from, msg.to),
+            _ => self.inner.send(msg),
         }
-        let (release, keep) = self.held.drain(..).partition(|m| m.to == msg.to);
-        self.held = keep;
-        self.inner.send(msg)?;
-        release.into_iter().try_for_each(|m| self.inner.send(m))
     }
 }
 
@@ -264,11 +275,11 @@ fn assert_owned_work_runs_after_the_drain(path: Path, sol: &DistSolution) {
 fn reordered_messages_leave_results_unchanged() {
     for path in PATHS {
         let case = Case::new(path, 78);
-        // Rank 1's first message goes to rank 0 — its push — and now
-        // arrives behind its next one there: its result.
+        // Rank 1's first message, its push to rank 0, now leaves behind
+        // its pushes to ranks 2 and 3.
         let faulty = case
-            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
-                (1, 0, Tag::HaloCoeffs) => Do::HoldBehindNext,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (1, 0) => Do::HoldBehindPost,
                 _ => Do::Pass,
             })
             .unwrap();
@@ -281,20 +292,19 @@ fn reordered_messages_leave_results_unchanged() {
     }
 }
 
-/// A rank whose result message never arrives is re-resolved by the
-/// coordinator through the same work's pass: the run still returns, values
-/// are identical, the failed rank is flagged, and its ledger has the patch
-/// shapes the rank itself would have shipped.
+/// A rank that hands back no result is re-resolved by the coordinator
+/// through the same work's pass: the run still returns, values are
+/// identical, the failed rank is flagged, and its ledger has the patch
+/// shapes the rank itself would have handed back.
 #[test]
 fn failed_rank_is_reresolved_by_the_coordinator() {
     for path in PATHS {
         let case = Case::new(path, 79);
-        // Rank 3 completes its exchange but its result message is
-        // swallowed forever — from the coordinator's view the rank died
-        // after the halo phase.
+        // Rank 3 posts, then receives rank 0's push twice and refuses the
+        // copy: it dies after the halo phase's post.
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.tag()) {
-                (3, Tag::OwnedValues) => Do::Swallow,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (0, 3) => Do::Twice,
                 _ => Do::Pass,
             })
             .unwrap();
@@ -335,7 +345,7 @@ fn assert_only_rank_reresolved(path: Path, case: &Case, sol: &DistSolution, r: u
 }
 
 /// The one rank death an in-process run can suffer — a worker thread
-/// panicking — is a dead rank like any other: after the exchange it is
+/// panicking — is a dead rank like any other: after its post it is
 /// re-resolved; before it, its peers' drains time out and the run fails
 /// with the typed error. The panic never leaves `run_*_on`.
 #[test]
@@ -343,8 +353,8 @@ fn panicking_rank_is_a_dead_rank() {
     for path in PATHS {
         let case = Case::new(path, 80);
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.tag()) {
-                (3, Tag::OwnedValues) => Do::Panic,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (0, 3) => Do::PanicReceiving,
                 _ => Do::Pass,
             })
             .unwrap();
@@ -352,8 +362,8 @@ fn panicking_rank_is_a_dead_rank() {
 
         let err = case
             // Rank 3's first message: its post to rank 0.
-            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
-                (3, 0, Tag::HaloCoeffs) => Do::Panic,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (3, 0) => Do::PanicSending,
                 _ => Do::Pass,
             })
             .unwrap_err();
@@ -370,8 +380,8 @@ fn duplicated_halo_message_is_refused_not_counted() {
     for path in PATHS {
         let case = Case::new(path, 81);
         let err = case
-            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
-                (1, 0, Tag::HaloCoeffs) => Do::Twice,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (1, 0) => Do::Twice,
                 _ => Do::Pass,
             })
             .unwrap_err();
@@ -381,12 +391,32 @@ fn duplicated_halo_message_is_refused_not_counted() {
         );
 
         let recovered = case
-            .run_meddled(path, |m| match (m.from, m.to, m.tag()) {
-                (1, 2, Tag::HaloCoeffs) => Do::Twice,
+            .run_meddled(path, SHORT, |m| match (m.from, m.to) {
+                (1, 2) => Do::Twice,
                 _ => Do::Pass,
             })
             .unwrap();
         assert_only_rank_reresolved(path, &case, &recovered, 2);
+    }
+}
+
+/// A rank that dies after its post is seen dead when it is joined, not
+/// when a deadline passes: under a 30 s exchange deadline both works
+/// return, the rank re-resolved, in a fraction of it.
+#[test]
+fn rank_dead_after_its_post_is_reresolved_without_waiting_out_the_deadline() {
+    for path in PATHS {
+        let case = Case::new(path, 83);
+        let start = Instant::now();
+        let recovered = case
+            .run_meddled(path, Duration::from_secs(30), |m| match (m.from, m.to) {
+                (0, 3) => Do::PanicReceiving,
+                _ => Do::Pass,
+            })
+            .unwrap();
+        let took = start.elapsed();
+        assert_only_rank_reresolved(path, &case, &recovered, 3);
+        assert!(took < Duration::from_secs(10), "{path:?}: took {took:?}");
     }
 }
 
