@@ -6,7 +6,7 @@
 //!
 //! Every run is instrumented, so `--json <path>` can write a structured
 //! [`RunReport`] of whatever command executed, `profile` prints the
-//! phase/imbalance/histogram view directly, and `checkjson <path>`
+//! phase/imbalance view directly, and `checkjson <path>`
 //! validates a previously written report (the CI smoke check). See
 //! `reproduce --help` for the flag reference.
 
@@ -585,7 +585,7 @@ fn serve_cmd(opts: &CliOptions) -> Vec<RunRecord> {
 }
 
 /// The `profile` subcommand: run both schemes on the smallest configured
-/// size and print the phase, load-imbalance, and histogram view.
+/// size and print the phase and load-imbalance view.
 fn profile(r: &mut Runner, sizes: &[usize]) {
     let n = sizes.iter().copied().min().expect("at least one size");
     println!("\n== Profile: {} triangles, low-variance, p=1 ==", n);
@@ -623,22 +623,6 @@ fn print_record_profile(record: &RunRecord) {
         println!(
             "  {:<20} {:>6} {:>12.1} {:>10.3} {:>8.3} {:>8.3}",
             name, s.n, s.mean, s.max_over_mean, s.cov, s.gini
-        );
-    }
-    println!("distributions:");
-    println!(
-        "  {:<28} {:>10} {:>10} {:>8} {:>8} {:>8}",
-        "histogram", "count", "mean", "p50<=", "p99<=", "max"
-    );
-    for (name, h) in &record.histograms {
-        println!(
-            "  {:<28} {:>10} {:>10.2} {:>8} {:>8} {:>8}",
-            name,
-            h.count(),
-            h.mean(),
-            h.quantile_upper_bound(0.50),
-            h.quantile_upper_bound(0.99),
-            h.max()
         );
     }
 }
@@ -766,9 +750,16 @@ fn checkjson(path: &str) -> Result<(), String> {
         if run.patches.is_empty() {
             return Err(format!("{ctx}: no per-patch stats"));
         }
+        // Every counter of the run is some patch's work, counted once:
+        // a dist run's patches are its ranks', a serve run's its tenants'.
+        let patch_sum = Metrics::sum(run.patches.iter().map(|p| &p.metrics));
+        if patch_sum != run.metrics {
+            return Err(format!(
+                "{ctx}: patch counters sum to {patch_sum:?}, not the run's {:?}",
+                run.metrics
+            ));
+        }
         if run.scheme == DIST_SCHEME_LABEL {
-            // Rank-sharded runs promise comms accounting instead of the
-            // in-process distribution histograms.
             if run.comms.is_empty() {
                 return Err(format!("{ctx}: dist run without per-rank comms ledgers"));
             }
@@ -861,11 +852,6 @@ fn checkjson(path: &str) -> Result<(), String> {
                      but {} compiles",
                     serve.compiles
                 ));
-            }
-        } else {
-            match run.histogram("candidates_per_query") {
-                Some(h) if !h.is_empty() => {}
-                _ => return Err(format!("{ctx}: candidates_per_query histogram is empty")),
             }
         }
     }

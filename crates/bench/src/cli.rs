@@ -14,8 +14,8 @@ usage: reproduce <command> [options]
 commands:
   table1 | fig8 | fig11 | fig12 | fig13 | fig14 | all
                       regenerate one exhibit (or every exhibit)
-  profile             run an instrumented workload and print the phase /
-                      load-imbalance / histogram report
+  profile             run an instrumented workload and print the phase and
+                      load-imbalance report
   plan                compile an evaluation plan per mesh size, apply it to
                       --timesteps synthetic fields, and report the speedup
                       over direct per-element runs

@@ -2,10 +2,10 @@
 //! [`ExecConfig::n_blocks`](crate::ExecConfig) contiguous blocks, run in
 //! order or on worker threads, and measured. Every sweep in the workspace
 //! (per-point, per-element, plan compile/patch/apply) goes through here,
-//! so changing how blocks are cut or scheduled is a one-file edit.
+//! so changing how blocks are cut or scheduled is a one-file edit. Each
+//! block is measured into a [`BlockStats`].
 
 use crate::metrics::Metrics;
-use crate::probe::{BlockStats, Probe};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -57,27 +57,46 @@ pub fn map_slices<R: Send>(
     map(blocks, parallel, |(s, e, slice)| f(s, e, slice))
 }
 
+/// Everything observed about one block/patch of work.
+///
+/// Blocks are the unit of device scheduling, so the spread of these values
+/// across a run *is* its load-imbalance story (`RunReport` summarizes it
+/// with max/mean, CoV, and Gini). Each worker owns its block's stats and
+/// the coordinator collects them after the join, as with [`Metrics`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockStats {
+    /// The block's work counters.
+    pub metrics: Metrics,
+    /// Host wall-clock time spent evaluating the block, in nanoseconds.
+    pub wall_ns: u64,
+    /// Mesh elements assigned to the block (0 for per-point blocks, which
+    /// own point ranges instead).
+    pub elements: u64,
+    /// Grid points the block wrote: owned points for per-point blocks,
+    /// touched partial-solution slots for per-element patches.
+    pub points: u64,
+}
+
 impl BlockStats {
-    /// Runs one block's `body` under a fresh probe (recording when
-    /// `instrument`) and a wall timer. `elements` is what the block owns
-    /// of the mesh; the points it wrote are the partial-solution slots its
-    /// counters report.
-    pub fn measure<T>(
-        instrument: bool,
-        elements: u64,
-        body: impl FnOnce(&mut Probe) -> (T, Metrics),
-    ) -> (T, BlockStats) {
-        let mut probe = Probe::new(instrument);
+    /// Runs one block's `body` under a wall timer. `elements` is what the
+    /// block owns of the mesh; the points it wrote are the partial-solution
+    /// slots its counters report.
+    pub fn measure<T>(elements: u64, body: impl FnOnce() -> (T, Metrics)) -> (T, BlockStats) {
         let start = Instant::now();
-        let (out, metrics) = body(&mut probe);
+        let (out, metrics) = body();
         let stats = BlockStats {
             metrics,
             wall_ns: start.elapsed().as_nanos() as u64,
             elements,
             points: metrics.partial_slots,
-            probe,
         };
         (out, stats)
+    }
+
+    /// Projects per-block metrics out of a stats slice (the shape the
+    /// device cost model consumes).
+    pub fn metrics_of(stats: &[BlockStats]) -> Vec<Metrics> {
+        stats.iter().map(|s| s.metrics).collect()
     }
 }
 

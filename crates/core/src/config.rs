@@ -3,8 +3,7 @@
 //! with, and [`ExecConfig::resolve`] is the one place a config becomes a
 //! concrete kernel. Each field has a single consumer: `h_factor` and
 //! `simd` are read by `resolve`, `n_blocks` and `parallel` by the block
-//! driver ([`crate::blocks`]), `instrument` by the
-//! `Tracer`/[`Probe`](crate::Probe) constructors.
+//! driver ([`crate::blocks`]), `instrument` by the `Tracer` constructors.
 
 use crate::integrate::{IntegrationCtx, MAX_DEGREE};
 use crate::simd::{SimdIsa, SimdPolicy};
@@ -25,9 +24,8 @@ pub struct ExecConfig {
     pub n_blocks: usize,
     /// Whether blocks run on worker threads (default true).
     pub parallel: bool,
-    /// Whether to record phase spans and per-block distribution probes
-    /// (default false; off, the hot loops pay only their counter
-    /// increments).
+    /// Whether to record phase spans (default false). Counters and
+    /// per-block stats are kept either way.
     pub instrument: bool,
     /// SIMD dispatch policy of the evaluation kernels (default
     /// [`SimdPolicy::Auto`]). [`SimdPolicy::Scalar`] runs the bit-exact

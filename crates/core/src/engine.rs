@@ -1,13 +1,13 @@
 //! The [`PostProcessor`] front door: one configuration surface for every
 //! scheme / tiling / parallelism combination the paper evaluates.
 
+use crate::blocks::BlockStats;
 use crate::config::ExecConfig;
 use crate::device::{simulate_ranks, DeviceConfig, RankTraffic, SimReport};
 use crate::grid_points::ComputationGrid;
 use crate::metrics::Metrics;
 use crate::per_element::{reduce_patches, PerElementRun};
 use crate::per_point::PerPointRun;
-use crate::probe::BlockStats;
 use crate::report::SimdRecord;
 use crate::simd::SimdPolicy;
 use std::time::{Duration, Instant};
@@ -116,9 +116,8 @@ impl PostProcessor {
         self
     }
 
-    /// Enables observability: phase spans on the coordinating thread and
-    /// per-block distribution probes in the workers (default off). Off,
-    /// the hot loops pay nothing beyond their plain counter increments.
+    /// Enables observability: phase spans on the coordinating thread
+    /// (default off). Counters and per-block stats are kept either way.
     pub fn instrument(mut self, on: bool) -> Self {
         self.config.instrument = on;
         self
@@ -231,8 +230,7 @@ pub struct Solution {
     /// Aggregated work counters.
     pub metrics: Metrics,
     /// Per-block (per-patch) stats, the unit of device scheduling: counters
-    /// plus wall time, element/point ownership, and distribution probes (probes are empty unless the run
-    /// was [instrumented](PostProcessor::instrument)).
+    /// plus wall time and element/point ownership.
     pub block_stats: Vec<BlockStats>,
     /// Phase spans of the run (empty unless instrumented).
     pub spans: Vec<SpanRecord>,
@@ -467,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_records_phases_and_probes() {
+    fn instrumented_run_records_phases() {
         let mesh = generate_mesh(MeshClass::LowVariance, 150, 8);
         let field = project_l2(&mesh, 1, |x, y| x + y, 0);
         let grid = ComputationGrid::quadrature_points(&mesh, 1);
@@ -493,8 +491,6 @@ mod tests {
             .find(|r| r.name == "eval.per_element")
             .unwrap();
         assert!(eval.duration_ns > 0);
-        let probe = crate::probe::BlockStats::merged_probe(&sol.block_stats);
-        assert!(probe.candidates_per_query().count() > 0);
 
         let pp = PostProcessor::new(Scheme::PerPoint)
             .h_factor(0.5)
@@ -510,9 +506,6 @@ mod tests {
             .parallel(false)
             .run(&mesh, &field, &grid);
         assert!(plain.spans.is_empty());
-        assert!(crate::probe::BlockStats::merged_probe(&plain.block_stats)
-            .candidates_per_query()
-            .is_empty());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use super::scratch::{QuadStage, ReduceCtx, RuleSoa, Scratch};
 use super::sink::ContributionSink;
 use crate::integrate::{flops_per_clip, flops_per_quad_eval, needed_shifts, ElementData};
 use crate::metrics::Metrics;
-use crate::probe::Probe;
 use crate::simd::{SimdIsa, SimdPolicy};
 use ustencil_geometry::{
     clip_slab_x, clip_slab_y, fan_triangulate, Aabb, Point2, Rect, Vec2, GEOM_EPS,
@@ -97,11 +96,8 @@ impl<'a> StencilTraversal<'a> {
     /// modeled memory traffic charged per candidate (the per-point scheme
     /// re-reads element data per pair).
     ///
-    /// Counter and probe semantics are exactly the historical ones:
-    /// `cells_visited` from the hash-grid walk, one candidates sample per
-    /// query, one `intersection_tests` per candidate, one quad-points
-    /// sample per shift integration, one sub-regions sample and one
-    /// `true_intersections` flag per candidate.
+    /// Counted: `cells_visited` from the hash-grid walk, and per candidate
+    /// one `intersection_tests` and one `true_intersections` flag.
     #[allow(clippy::too_many_arguments)]
     pub fn point_query<S: ContributionSink>(
         &self,
@@ -112,7 +108,6 @@ impl<'a> StencilTraversal<'a> {
         scratch: &mut Scratch,
         sink: &mut S,
         metrics: &mut Metrics,
-        probe: &mut Probe,
     ) {
         let support = self.stencil.support_rect(center);
         let half_width = self.stencil.width() / 2.0;
@@ -125,7 +120,6 @@ impl<'a> StencilTraversal<'a> {
         metrics.cells_visited += tri_grid.candidate_cells(center, half_width) as u64;
         candidates.clear();
         tri_grid.for_each_candidate(center, half_width, |id| candidates.push(id));
-        probe.record_candidates(candidates.len() as u64);
 
         // The periodic shifts depend on the query center only.
         let shifts = needed_shifts(&support);
@@ -135,16 +129,12 @@ impl<'a> StencilTraversal<'a> {
             metrics.elem_data_loads += elem_load_values;
             let ed = cache.get_or_gather(id, &gather);
             let mut hit = false;
-            let subregions_before = metrics.subregions;
             for shift in shifts.clone() {
                 let bb = Aabb::new(ed.bbox.min + shift, ed.bbox.max + shift);
                 if support.intersects_aabb(&bb) {
-                    let quads_before = metrics.quad_evals;
                     hit |= self.image_into_sink(center, ed, shift, stage, sink, metrics);
-                    probe.record_quad_points(metrics.quad_evals - quads_before);
                 }
             }
-            probe.record_subregions(metrics.subregions - subregions_before);
             metrics.true_intersections += hit as u64;
         }
     }
@@ -165,19 +155,16 @@ impl<'a> StencilTraversal<'a> {
         scratch: &mut Scratch,
         sink: &mut S,
         metrics: &mut Metrics,
-        probe: &mut Probe,
         mut on_hit: impl FnMut(u32, Vec2, &mut S),
     ) {
         let (hw, bb) = (self.stencil.width() / 2.0, elem.bbox);
         let (found, stage) = (&mut scratch.candidates, &mut scratch.stage);
-        let subregions_before = metrics.subregions;
         let inflated = Rect::new(bb.min.x - hw, bb.min.y - hw, bb.max.x + hw, bb.max.y + hw);
         for sigma in needed_shifts(&inflated) {
             let shift = Vec2::new(0.0 - sigma.x, 0.0 - sigma.y);
             let image_bb = Aabb::new(bb.min + shift, bb.max + shift);
             found.clear();
             metrics.cells_visited += candidates(&image_bb, hw, found) as u64;
-            probe.record_candidates(found.len() as u64);
             for &id in found.iter() {
                 metrics.intersection_tests += 1;
                 metrics.point_data_loads += 2;
@@ -185,16 +172,13 @@ impl<'a> StencilTraversal<'a> {
                 if !self.stencil.support_rect(center).intersects_aabb(&image_bb) {
                     continue;
                 }
-                let quads_before = metrics.quad_evals;
                 let hit = self.integrate_image(center, elem, shift, stage, sink, metrics);
-                probe.record_quad_points(metrics.quad_evals - quads_before);
                 metrics.true_intersections += hit as u64;
                 if hit {
                     on_hit(id, shift, sink);
                 }
             }
         }
-        probe.record_subregions(metrics.subregions - subregions_before);
     }
 
     /// Integrates the stencil centered at `center` against the periodic
@@ -204,8 +188,8 @@ impl<'a> StencilTraversal<'a> {
     /// funnels into the same body.
     ///
     /// The caller has already established that the shifted bounding box
-    /// meets the stencil support, and accounts `true_intersections` /
-    /// probe samples itself.
+    /// meets the stencil support, and accounts `true_intersections`
+    /// itself.
     #[inline]
     pub fn integrate_image<S: ContributionSink>(
         &self,

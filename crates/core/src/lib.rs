@@ -25,11 +25,12 @@
 //!   standing in for the paper's GPUs (see DESIGN.md, substitutions);
 //! * [`config`] / [`blocks`] — the one [`ExecConfig`] every entry point
 //!   is configured with, its resolution into a validated [`KernelSetup`],
-//!   and the block driver every sweep is cut, scheduled and measured by;
+//!   and the block driver every sweep is cut, scheduled and measured by
+//!   (per-block [`BlockStats`]);
 //! * [`engine`] — the [`PostProcessor`] front door tying it all together;
-//! * [`probe`] / [`report`] — the observability layer: per-block stats and
-//!   distribution histograms merged at join points, unified with phase
-//!   spans and the cost model into a JSON-serializable [`RunReport`].
+//! * [`report`] — the observability layer: counters and per-block stats
+//!   collected at join points, unified with phase spans and the cost model
+//!   into a JSON-serializable [`RunReport`].
 //!
 //! The numerical contract: both schemes compute exactly the same convolution
 //! (Eq. 1–2), so their outputs agree to rounding; the difference is purely
@@ -47,10 +48,10 @@ pub mod kernel;
 pub mod metrics;
 pub mod per_element;
 pub mod per_point;
-pub mod probe;
 pub mod report;
 pub mod simd;
 
+pub use blocks::BlockStats;
 pub use config::{ExecConfig, KernelSetup};
 pub use device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};
 pub use engine::{PostProcessor, Scheme, Solution};
@@ -60,7 +61,6 @@ pub use kernel::{
     StencilTraversal,
 };
 pub use metrics::Metrics;
-pub use probe::{BlockStats, Probe};
 pub use report::{
     DeltaStats, PlanStats, RankCommRecord, RunRecord, RunReport, ServeStats, SimdRecord,
     TenantLedger, REPORT_SCHEMA_VERSION,
@@ -69,12 +69,12 @@ pub use simd::{SimdIsa, SimdPolicy, SimdWidth};
 
 /// One-stop imports for applications.
 pub mod prelude {
+    pub use crate::blocks::BlockStats;
     pub use crate::config::{ExecConfig, KernelSetup};
     pub use crate::device::{simulate_ranks, CostModel, DeviceConfig, RankTraffic, SimReport};
     pub use crate::engine::{PostProcessor, Scheme, Solution};
     pub use crate::grid_points::ComputationGrid;
     pub use crate::metrics::Metrics;
-    pub use crate::probe::{BlockStats, Probe};
     pub use crate::report::{
         DeltaStats, PlanStats, RankCommRecord, RunRecord, RunReport, ServeStats, SimdRecord,
         TenantLedger, REPORT_SCHEMA_VERSION,

@@ -6,9 +6,8 @@
 //! ([`device`](crate::device)) and surface to users through
 //! [`RunReport`](crate::report::RunReport): the one field list below is
 //! the struct, its `merge`, the JSON `"metrics"` object and the array the
-//! rank wire codec ships. The richer per-block view
-//! (wall time, distribution probes) lives in
-//! [`BlockStats`](crate::probe::BlockStats).
+//! rank wire codec ships. The per-block view (wall time, ownership)
+//! lives in [`BlockStats`](crate::blocks::BlockStats).
 
 ustencil_trace::json_counters! {
     /// Counted work of one evaluation run (or one block/patch of it).

@@ -7,13 +7,12 @@
 //! the patch's private scratch space. A final reduction sums overlapping
 //! partials — no synchronization between concurrently executing patches.
 
-use crate::blocks;
+use crate::blocks::{self, BlockStats};
 use crate::config::{ExecConfig, KernelSetup};
 use crate::grid_points::ComputationGrid;
 use crate::integrate::ElementData;
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
-use crate::probe::{BlockStats, Probe};
 use ustencil_dg::DgField;
 use ustencil_mesh::{Partition, TriMesh};
 use ustencil_spatial::PointGrid;
@@ -45,17 +44,16 @@ pub struct PerElementRun<'a> {
 
 impl PerElementRun<'_> {
     /// Processes one patch of elements into its private scratch space,
-    /// timing it and (when `instrument` is set) recording distribution
-    /// probes.
-    pub fn run_patch(&self, elements: &[u32], instrument: bool) -> (PatchResult, BlockStats) {
-        BlockStats::measure(instrument, elements.len() as u64, |probe| {
-            let result = self.patch_body(elements, probe);
+    /// timing it.
+    pub fn run_patch(&self, elements: &[u32]) -> (PatchResult, BlockStats) {
+        BlockStats::measure(elements.len() as u64, || {
+            let result = self.patch_body(elements);
             let metrics = result.metrics;
             (result, metrics)
         })
     }
 
-    fn patch_body(&self, elements: &[u32], probe: &mut Probe) -> PatchResult {
+    fn patch_body(&self, elements: &[u32]) -> PatchResult {
         let mut metrics = Metrics::default();
         let basis = self.field.basis();
         let trav = StencilTraversal::new(
@@ -100,7 +98,6 @@ impl PerElementRun<'_> {
                 &mut scratch,
                 &mut sink,
                 &mut metrics,
-                probe,
                 on_hit,
             );
         }
@@ -124,11 +121,9 @@ impl PerElementRun<'_> {
         config: &ExecConfig,
     ) -> (Vec<PatchResult>, Vec<BlockStats>) {
         let patches = partition.patches().collect();
-        blocks::map(patches, config.parallel, |p| {
-            self.run_patch(p, config.instrument)
-        })
-        .into_iter()
-        .unzip()
+        blocks::map(patches, config.parallel, |p| self.run_patch(p))
+            .into_iter()
+            .unzip()
     }
 }
 
@@ -320,15 +315,5 @@ mod tests {
             assert!(s.wall_ns > 0);
             assert_eq!(s.points, s.metrics.partial_slots);
         }
-        let probe = BlockStats::merged_probe(&stats);
-        let m = Metrics::sum(&metrics);
-        // One sub-region sample per element; quad samples sum to the total.
-        assert_eq!(
-            probe.subregions_per_element().count(),
-            f.mesh.n_triangles() as u64
-        );
-        assert_eq!(probe.subregions_per_element().sum(), m.subregions);
-        assert_eq!(probe.quad_points_per_integration().sum(), m.quad_evals);
-        assert_eq!(probe.candidates_per_query().sum(), m.intersection_tests);
     }
 }

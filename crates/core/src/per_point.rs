@@ -6,13 +6,12 @@
 //! every point that samples it — the access pattern whose cost the
 //! per-element scheme removes.
 
-use crate::blocks::map_slices;
+use crate::blocks::{map_slices, BlockStats};
 use crate::config::{ExecConfig, KernelSetup};
 use crate::grid_points::ComputationGrid;
 use crate::integrate::ElementData;
 use crate::kernel::{AccumulateSolution, Scratch, StencilTraversal};
 use crate::metrics::Metrics;
-use crate::probe::{BlockStats, Probe};
 use ustencil_dg::DgField;
 use ustencil_mesh::TriMesh;
 use ustencil_spatial::TriangleGrid;
@@ -34,13 +33,7 @@ pub struct PerPointRun<'a> {
 impl PerPointRun<'_> {
     /// Processes the half-open point range `[start, end)`, writing results
     /// into `values` (length `end - start`).
-    fn run_block(
-        &self,
-        start: usize,
-        end: usize,
-        values: &mut [f64],
-        probe: &mut Probe,
-    ) -> Metrics {
+    fn run_block(&self, start: usize, end: usize, values: &mut [f64]) -> Metrics {
         let mut metrics = Metrics::default();
         let basis = self.field.basis();
         let trav = StencilTraversal::new(
@@ -68,7 +61,6 @@ impl PerPointRun<'_> {
                 &mut scratch,
                 &mut sink,
                 &mut metrics,
-                probe,
             );
             values[slot] = sink.take();
             metrics.solution_writes += 1;
@@ -79,18 +71,15 @@ impl PerPointRun<'_> {
     }
 
     /// Runs the whole grid as `config.n_blocks` contiguous point blocks,
-    /// returning the solution and per-block stats (wall time, owned point
-    /// counts, and — when `config.instrument` — distribution probes).
+    /// returning the solution and per-block stats (wall time and owned
+    /// point counts).
     pub fn run(&self, config: &ExecConfig) -> (Vec<f64>, Vec<BlockStats>) {
         let mut values = vec![0.0; self.grid.len()];
         let stats = map_slices(
             &mut values,
             config.n_blocks,
             config.parallel,
-            |s, e, slice| {
-                let body = |probe: &mut Probe| ((), self.run_block(s, e, slice, probe));
-                BlockStats::measure(config.instrument, 0, body).1
-            },
+            |s, e, slice| BlockStats::measure(0, || ((), self.run_block(s, e, slice))).1,
         );
         (values, stats)
     }
@@ -223,18 +212,5 @@ mod tests {
             assert!(s.wall_ns > 0, "per-block wall time must be measured");
             assert_eq!(s.elements, 0, "per-point blocks own points, not elements");
         }
-        let probe = BlockStats::merged_probe(&stats);
-        // One candidates sample per grid point, one sub-region sample per
-        // candidate pair, quadrature samples bounded by the clip volume.
-        assert_eq!(probe.candidates_per_query().count(), f.grid.len() as u64);
-        let m = Metrics::sum(&BlockStats::metrics_of(&stats));
-        assert_eq!(probe.candidates_per_query().sum(), m.intersection_tests);
-        assert_eq!(probe.subregions_per_element().count(), m.intersection_tests);
-        assert_eq!(probe.subregions_per_element().sum(), m.subregions);
-        assert_eq!(probe.quad_points_per_integration().sum(), m.quad_evals);
-        // Uninstrumented stats leave the probes empty.
-        assert!(BlockStats::merged_probe(&bare)
-            .candidates_per_query()
-            .is_empty());
     }
 }

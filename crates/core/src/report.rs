@@ -1,6 +1,6 @@
 //! The structured run report: one JSON-serializable record unifying phase
-//! spans, per-patch stats, distribution histograms, and the cost-model
-//! simulation of a post-processing run.
+//! spans, work counters, per-patch stats, and the cost-model simulation of
+//! a post-processing run.
 //!
 //! A [`RunReport`] is what the `reproduce` harness writes with `--json` and
 //! what CI parses back to validate artifacts; [`RunReport::from_json`]
@@ -14,54 +14,19 @@
 //! in declaration order, *are* the JSON keys, and a derived key is declared
 //! on the field it follows.
 
+use crate::blocks::BlockStats;
 use crate::device::SimReport;
 use crate::engine::Solution;
 use crate::metrics::Metrics;
-use crate::probe::BlockStats;
 use ustencil_trace::{json_record, Hist64, ImbalanceSummary, Json, JsonField, SpanRecord};
 
 /// Version of the report JSON layout. Bumped whenever a required key is
 /// added or changes meaning; [`RunReport::from_json`] rejects documents
 /// written under any other version (including pre-versioned ones) with a
 /// message naming both versions, so stale artifacts fail loudly instead of
-/// parsing into garbage.
-///
-/// History: v1 (implicit, no `"schema"` key) through PR 5; v2 adds the
-/// performance-observatory fields (`exposed_comms_ms`, `flow_sends`,
-/// `flow_recvs` per rank, and the run-level `critical_path`); v3 adds the
-/// run-level `serve` object (plan-cache service counters, per-tenant
-/// ledgers, and queue-wait/service-latency histograms); v4 adds the
-/// overlap fields to each rank's comms ledger (`interior`/`frontier`
-/// owned-work partition and two sliding-window counters, with
-/// `exchange_ns` now meaning *exposed* exchange time); v5
-/// adds the optional plan `delta` object (incremental-recompilation stats:
-/// dirty elements, respliced rows/nnz, patch vs full-compile wall) and the
-/// serve `patches` counter (cache entries revalidated by delta instead of
-/// evicted); v6 adds the run-level `simd` object (requested policy,
-/// dispatched ISA and lane width, and the achieved fraction of nominal
-/// peak from the flop counters); v7 removes the run-level `locality`
-/// object together with the storage-order option it profiled; v8 removes
-/// the serve `batches` counter together with request coalescing and renames
-/// `batched_rows` to `rows`; v9 removes the three reliability counters
-/// (retransmits, discarded duplicates, coalesced messages) from each rank's
-/// comms ledger together with the rank runtime's reliability protocol;
-/// v10 removes the serve disk-load counter together with the plan cache's
-/// disk tier; v11 removes the run-level `critical_path` and each rank's
-/// `interior`, `frontier`, `exposed_comms_ms`, `flow_sends` and
-/// `flow_recvs` together with the overlapped rank schedule; v12 removes the
-/// run's and each tenant's queue-wait histogram together with the request
-/// queue; v13 removes the serve `patches` and `evictions` counters together
-/// with the cache's sibling patching and byte budget, and the `simd`
-/// object's `fraction_of_peak`.
-pub const REPORT_SCHEMA_VERSION: u64 = 13;
-
-/// Canonical histogram names, in emission order. These are the keys of the
-/// report's `"histograms"` object.
-pub const HISTOGRAM_NAMES: [&str; 3] = [
-    "candidates_per_query",
-    "subregions_per_element",
-    "quad_points_per_integration",
-];
+/// parsing into garbage. v14 removes the run-level `histograms` object
+/// together with the per-block distribution probes that filled it.
+pub const REPORT_SCHEMA_VERSION: u64 = 14;
 
 /// A whole harness invocation: which exhibit ran, with what seed, and every
 /// run it executed.
@@ -76,8 +41,7 @@ pub struct RunReport {
 }
 
 json_record! {
-    /// Compact per-patch record (the per-patch probes are merged into the
-    /// run-level histograms rather than serialized individually).
+    /// Compact per-patch record: a [`BlockStats`] as the report carries it.
     #[derive(Debug, Clone, PartialEq)]
     pub struct PatchRecord {
         /// Host wall-clock nanoseconds spent evaluating the patch.
@@ -310,8 +274,6 @@ json_record! {
         /// Per-patch stats, and the load-imbalance summary derived from
         /// them.
         pub patches: Vec<PatchRecord> => imbalance(Self::imbalance),
-        /// Run-wide distribution histograms, keyed by [`HISTOGRAM_NAMES`].
-        pub histograms: Vec<(String, Hist64)>,
         /// Cost-model simulation of the run, when one was computed.
         pub device_sim: Option<SimReport>,
         /// Evaluation-plan stats, when the run applied a compiled plan.
@@ -330,26 +292,7 @@ json_record! {
 }
 
 impl RunRecord {
-    /// The run-wide distribution histograms of a run's blocks, keyed by
-    /// [`HISTOGRAM_NAMES`]: every block's probe merged (empty histograms
-    /// unless the run was instrumented).
-    pub fn histograms_of(block_stats: &[BlockStats]) -> Vec<(String, Hist64)> {
-        let probe = BlockStats::merged_probe(block_stats);
-        let hists = [
-            probe.candidates_per_query(),
-            probe.subregions_per_element(),
-            probe.quad_points_per_integration(),
-        ];
-        HISTOGRAM_NAMES
-            .iter()
-            .zip(hists)
-            .map(|(name, h)| (name.to_string(), *h))
-            .collect()
-    }
-
-    /// Builds a record from a finished run. Histograms come from merging
-    /// every block's probe; they are empty unless the run was
-    /// [instrumented](crate::PostProcessor::instrument).
+    /// Builds a record from a finished run.
     pub fn from_solution(
         label: &str,
         n_triangles: usize,
@@ -365,7 +308,6 @@ impl RunRecord {
             metrics: solution.metrics,
             spans: solution.spans.clone(),
             patches: solution.block_stats.iter().map(Into::into).collect(),
-            histograms: Self::histograms_of(&solution.block_stats),
             device_sim,
             simd: Some(solution.simd.clone()),
             ..Self::default()
@@ -387,14 +329,6 @@ impl RunRecord {
             ),
             ("quad_evals".into(), of(&|p| p.metrics.quad_evals)),
         ]
-    }
-
-    /// The named histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Hist64> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
     }
 }
 
@@ -504,9 +438,8 @@ mod tests {
             assert!(!run.spans.is_empty(), "instrumented run must have spans");
             assert!(run.spans.iter().any(|s| s.duration_ns > 0));
             assert!(!run.patches.is_empty());
-            let cand = run.histogram("candidates_per_query").unwrap();
-            assert!(cand.count() > 0);
-            assert_eq!(cand.sum(), run.metrics.intersection_tests);
+            let patch_sum = Metrics::sum(run.patches.iter().map(|p| &p.metrics));
+            assert_eq!(patch_sum, run.metrics);
             let imb = run.imbalance();
             assert_eq!(imb.len(), 3);
             for (_, s) in imb {
@@ -531,7 +464,6 @@ mod tests {
             metrics: Metrics::default(),
             spans: vec![],
             patches: vec![],
-            histograms: vec![],
             device_sim: None,
             plan: None,
             comms: vec![],
@@ -573,16 +505,16 @@ mod tests {
             err.contains(&REPORT_SCHEMA_VERSION.to_string()),
             "unhelpful error: {err}"
         );
-        // The previous generation (v11, with the queue-wait histograms) is
-        // rejected the same way, not half-parsed.
-        let v11 = text.replacen(
+        // The previous generation (v13, with the distribution histograms)
+        // is rejected the same way, not half-parsed.
+        let v13 = text.replacen(
             &format!("\"schema\": {REPORT_SCHEMA_VERSION}"),
-            "\"schema\": 11",
+            "\"schema\": 13",
             1,
         );
-        let err = RunReport::from_json(&v11).unwrap_err();
+        let err = RunReport::from_json(&v13).unwrap_err();
         assert!(
-            err.contains("schema version 11 is not supported"),
+            err.contains("schema version 13 is not supported"),
             "unhelpful error: {err}"
         );
     }
@@ -614,7 +546,6 @@ mod tests {
             metrics: Metrics::default(),
             spans: vec![],
             patches: vec![],
-            histograms: vec![],
             device_sim: None,
             plan: None,
             comms: vec![],
@@ -668,7 +599,6 @@ mod tests {
                 points: 16000,
                 metrics: Metrics::default(),
             }],
-            histograms: vec![],
             device_sim: None,
             plan: Some(PlanStats {
                 rows: 16000,
@@ -725,7 +655,6 @@ mod tests {
             metrics: Metrics::default(),
             spans: vec![],
             patches: vec![],
-            histograms: vec![],
             device_sim: None,
             plan: None,
             comms: (0..2)

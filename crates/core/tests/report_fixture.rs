@@ -1,4 +1,4 @@
-//! Pins the report schema to bytes on disk. `fixtures/report_v13.json` is the
+//! Pins the report schema to bytes on disk. `fixtures/report_v14.json` is the
 //! v7 fixture — written by the hand-rolled emitter of rev `c154f7c` (before
 //! the records were declared through `ustencil_trace::json_record!`) from
 //! four real runs on 60–120-triangle meshes, one per record type: a direct
@@ -19,6 +19,7 @@
 //! serve run: `"schema": 12` and the run's and both tenants' queue-wait
 //! histograms deleted. v13: `"schema": 13`, the serve run's `patches` and
 //! `evictions` counters and every run's `simd.fraction_of_peak` deleted.
+//! v14: `"schema": 14` and every run's `histograms` object deleted.
 //! Regenerating it with a later emitter would pin nothing: the bytes are
 //! the contract. The file name carries no version, so a schema bump renames
 //! the fixture, not these tests.
@@ -26,7 +27,7 @@
 use ustencil_core::RunReport;
 use ustencil_trace::Json;
 
-const FIXTURE: &str = include_str!("fixtures/report_v13.json");
+const FIXTURE: &str = include_str!("fixtures/report_v14.json");
 
 #[test]
 fn fixture_round_trips_byte_for_byte() {
@@ -35,10 +36,10 @@ fn fixture_round_trips_byte_for_byte() {
     assert_eq!(report.to_pretty_string(), FIXTURE);
     // The same bytes under the previous version number are refused whole,
     // by the typed message, before any record is read.
-    let v12 = FIXTURE.replacen("\"schema\": 13", "\"schema\": 12", 1);
-    let err = RunReport::from_json(&v12).expect_err("a v12 document is refused");
+    let v13 = FIXTURE.replacen("\"schema\": 14", "\"schema\": 13", 1);
+    let err = RunReport::from_json(&v13).expect_err("a v13 document is refused");
     assert!(
-        err.contains("report schema version 12 is not supported"),
+        err.contains("report schema version 13 is not supported"),
         "{err}"
     );
 }
@@ -118,8 +119,6 @@ enum Loss {
     /// Emitted for readers, recomputed on parse: still parses, and the
     /// re-emission restores it.
     Derived,
-    /// A name of the `histograms` map: parses to a shorter map.
-    MapEntry,
     /// The version key has its own, longer message.
     Schema,
 }
@@ -129,8 +128,6 @@ fn classify(site: &KeySite) -> Loss {
     let key = site.key.as_str();
     if key == "schema" {
         Loss::Schema
-    } else if parent == Some("histograms") {
-        Loss::MapEntry
     } else if key == "imbalance"
         || site.ancestors.iter().any(|a| a == "imbalance")
         || (parent == Some("device_sim") && key == "gflops")
@@ -149,7 +146,7 @@ fn deleting_any_one_key_is_rejected_by_name_unless_derived() {
     let mut sites = Vec::new();
     key_sites(&doc, &mut Vec::new(), &mut Vec::new(), &mut sites);
     assert!(sites.len() > 500, "the fixture exercises every record type");
-    let mut seen = [0usize; 4];
+    let mut seen = [0usize; 3];
     for site in &sites {
         let key = &site.key;
         let parsed = RunReport::from_json(&without(&doc, &site.path, key).to_pretty_string());
@@ -166,7 +163,6 @@ fn deleting_any_one_key_is_rejected_by_name_unless_derived() {
                 let report = parsed.unwrap_or_else(|e| panic!("derived key '{key}': {e}"));
                 assert_eq!(report.to_pretty_string(), FIXTURE, "derived key '{key}'");
             }
-            Loss::MapEntry => assert_ne!(parsed.unwrap().to_pretty_string(), FIXTURE),
             Loss::Schema => assert!(parsed.unwrap_err().contains("no 'schema' key")),
         }
         seen[loss as usize] += 1;

@@ -38,7 +38,7 @@ use ustencil_trace::Tracer;
 pub(crate) struct PullWork {
     degree: usize,
     /// The run's config; each rank compiles and applies sequentially and
-    /// unprobed.
+    /// untraced.
     exec: ExecConfig,
 }
 
@@ -62,7 +62,7 @@ impl Work for PullWork {
 
     /// Compiles the rows of the rank's owned points over the full mesh
     /// replica (compilation is pure geometry — no cross-rank data), then
-    /// applies them, sequentially and unprobed. The compile time is
+    /// applies them, sequentially and untraced. The compile time is
     /// reported as the rank's `reduce_ns`.
     fn pass(&self, site: &Site, field: &DgField, tracer: &Tracer, res: &mut RankResult) {
         let compile_start = Instant::now();

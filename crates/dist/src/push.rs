@@ -53,23 +53,6 @@ pub(crate) struct PushWork {
     sm_patches: usize,
 }
 
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 impl Work for PushWork {
     const SCHEME: Scheme = Scheme::PerElement;
 
@@ -91,7 +74,9 @@ impl Work for PushWork {
         let eval_start = Instant::now();
         let mesh = site.mesh;
         let shard = site.plan.shard(site.rank);
-        let ids = merge_sorted(&shard.owned_elements, &shard.halo_elements);
+        // Owned and halo elements are disjoint: their union, ascending.
+        let mut ids = [&shard.owned_elements[..], &shard.halo_elements].concat();
+        ids.sort_unstable();
         let point_grid = PointGrid::build_half_edge(
             site.grid.points(),
             mesh.max_edge_length(),
@@ -107,7 +92,7 @@ impl Work for PushWork {
         let partition = partition_subset(mesh, &ids, self.sm_patches);
         let mut results = Vec::with_capacity(partition.n_patches());
         for patch in partition.patches() {
-            let (result, stats) = run.run_patch(patch, false);
+            let (result, stats) = run.run_patch(patch);
             results.push(result);
             res.patches.push(stats);
         }

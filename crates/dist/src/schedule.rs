@@ -220,8 +220,7 @@ impl DistSolution {
 
     /// Builds the `RunReport` record of this run: scheme `"dist"`, patches
     /// flattened across ranks and one comms ledger per rank; no plan shape,
-    /// on either work. Histograms stay empty — ranks evaluate
-    /// unprobed.
+    /// on either work.
     pub fn to_run_record(
         &self,
         label: &str,
@@ -282,7 +281,7 @@ pub(crate) struct RankResult {
     pub eval_ns: u64,
     /// Nanoseconds in the local reduce phase.
     pub reduce_ns: u64,
-    /// Per-patch stats of the rank's evaluation (ranks evaluate unprobed).
+    /// Per-patch stats of the rank's evaluation.
     pub patches: Vec<BlockStats>,
     /// The rank's tracer spans (empty when instrumentation is off), on the
     /// run's shared time axis.

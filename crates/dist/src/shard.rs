@@ -104,22 +104,9 @@ impl ShardPlan {
     /// same set from their plan replica, so the exchange needs no
     /// negotiation round.
     pub fn push_set(&self, from: usize, to: usize) -> Vec<u32> {
-        let owned = &self.shards[from].owned_elements;
         let halo = &self.shards[to].halo_elements;
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < owned.len() && j < halo.len() {
-            match owned[i].cmp(&halo[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(owned[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
+        let owned = self.shards[from].owned_elements.iter().copied();
+        owned.filter(|e| halo.binary_search(e).is_ok()).collect()
     }
 }
 

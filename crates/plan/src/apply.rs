@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use ustencil_core::blocks::{self, block_bounds};
 use ustencil_core::integrate::MAX_MODES;
 use ustencil_core::simd::{dispatch, prefetch, Lanes, VectorKernel};
-use ustencil_core::{BlockStats, ExecConfig, Metrics, Probe, SimdRecord};
+use ustencil_core::{BlockStats, ExecConfig, Metrics, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
 
@@ -29,7 +29,7 @@ pub struct PlanSolution {
     pub values: Vec<f64>,
     /// Aggregated work counters of the apply.
     pub metrics: Metrics,
-    /// Per-block stats (wall time, owned rows, entry-count probes).
+    /// Per-block stats (wall time and counters of each row block).
     pub block_stats: Vec<BlockStats>,
     /// Phase spans of the apply (empty unless instrumented).
     pub spans: Vec<SpanRecord>,
@@ -123,23 +123,15 @@ impl EvalPlan {
             let cuts = block_bounds(self.chunks.len(), options.n_blocks).into_iter();
             let blocks = cuts.map(|(s, e)| chunks.by_ref().take(e - s).collect::<Vec<_>>());
             blocks::map(blocks.collect(), options.parallel, |mut block| {
-                let body = |probe: &mut Probe| {
+                let body = || {
                     let mut metrics = Metrics::default();
                     dispatch(isa, GroupsDot(&mut block, coeffs));
                     for (chunk, _) in &block {
                         self.count(chunk.n_rows(), chunk.nnz, &mut metrics);
-                        // Row entries are this scheme's "candidates": the
-                        // histogram shows how many elements each point reads.
-                        if options.instrument {
-                            let rows = chunk
-                                .groups()
-                                .flat_map(|g| (0..g.rows).map(move |i| g.entries(i).count()));
-                            rows.for_each(|n| probe.record_candidates(n as u64));
-                        }
                     }
                     ((), metrics)
                 };
-                BlockStats::measure(options.instrument, 0, body).1
+                BlockStats::measure(0, body).1
             })
         };
 

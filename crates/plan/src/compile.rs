@@ -34,7 +34,7 @@ use std::time::Instant;
 use ustencil_core::blocks::{self, block_bounds};
 use ustencil_core::integrate::ElementData;
 use ustencil_core::kernel::{AccumulateWeights, Scratch, StencilTraversal};
-use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics, Probe};
+use ustencil_core::{ComputationGrid, ExecConfig, KernelSetup, Metrics};
 use ustencil_dg::DubinerBasis;
 use ustencil_geometry::Point2;
 use ustencil_mesh::TriMesh;
@@ -270,7 +270,6 @@ impl<'a> RowCompiler<'a> {
         block.reach.sort_unstable();
         block.metrics.cells_visited += block.reach.len() as u64;
         let (scratch, sink, metrics) = (&mut block.scratch, &mut block.sink, &mut block.metrics);
-        let probe = &mut Probe::disabled();
         for cell in block.reach.chunk_by(|a, b| a.0 == b.0) {
             let items = grid.cell_items(cell[0].0 as usize % n, cell[0].0 as usize / n);
             for &e in items.iter().filter(|&&e| member[e as usize]) {
@@ -282,7 +281,7 @@ impl<'a> RowCompiler<'a> {
                     out.extend(cell.iter().map(|&(_, r)| r));
                     0
                 };
-                trav.element_query(&ed, points, rows, scratch, sink, metrics, probe, on_hit);
+                trav.element_query(&ed, points, rows, scratch, sink, metrics, on_hit);
                 sink.finish_element(e);
             }
         }

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! parallel over runs of whole row chunks, instrumented with the same
-//! `Probe`/`Tracer` spans as the direct pipeline. Plans live in memory —
+//! `Tracer` spans as the direct pipeline. Plans live in memory —
 //! recompiling one is faster than loading it from disk (DESIGN.md §9) —
 //! and their size/timing surface through
 //! [`RunReport`](ustencil_core::RunReport) as

@@ -28,7 +28,6 @@ impl EvalPlan {
             metrics: apply.metrics,
             spans,
             patches: apply.block_stats.iter().map(Into::into).collect(),
-            histograms: RunRecord::histograms_of(&apply.block_stats),
             plan: Some(PlanStats {
                 apply_ms: apply.wall.as_secs_f64() * 1e3,
                 ..self.stats()

@@ -91,30 +91,6 @@ impl Hist64 {
         self.count
     }
 
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Iterates `(bucket index, count)` over non-empty buckets.
     pub fn iter_nonempty(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
@@ -189,6 +165,25 @@ impl JsonField for Hist64 {
             .map(|b| Ok((b.field::<u64>("bucket")? as usize, b.field("count")?)))
             .collect::<Result<Vec<_>, String>>()?;
         Self::from_parts(&sparse, doc.field("sum")?, doc.field("max")?)
+    }
+}
+
+#[cfg(test)]
+impl Hist64 {
+    fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    fn max(&self) -> u64 {
+        self.max
+    }
+
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 }
 

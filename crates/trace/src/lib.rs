@@ -6,8 +6,8 @@
 //! * [`span`] — nested, scoped phase timers ([`Tracer`] / [`SpanGuard`])
 //!   that compile down to nothing but a branch when disabled;
 //! * [`hist`] — fixed-size, allocation-free log2-bucketed histograms
-//!   ([`Hist64`]) for streaming distributions (candidates per query,
-//!   sub-regions per element, quadrature points per integration);
+//!   ([`Hist64`]) for streaming distributions (the serve ledgers' request
+//!   latencies);
 //! * [`imbalance`] — per-patch load-balance summaries
 //!   ([`ImbalanceSummary`]: max/mean, coefficient of variation, Gini);
 //! * [`json`] — a hand-rolled JSON value type ([`Json`]) with writer *and*

@@ -24,7 +24,7 @@
 //! * [`serve`] — the multi-tenant plan-cache service: a concurrent cache
 //!   with single-flight compilation that clients call directly, and
 //!   per-tenant ledgers (see DESIGN.md §14),
-//! * [`trace`] — phase spans, streaming histograms, imbalance summaries and
+//! * [`trace`] — phase spans, latency histograms, imbalance summaries and
 //!   the JSON run reports (see DESIGN.md, "Observability").
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and

@@ -43,7 +43,6 @@ proptest! {
         let query = |scratch: &mut Scratch, center| {
             let mut sink = AccumulateSolution::new();
             let mut metrics = Metrics::default();
-            let mut probe = Probe::new(false);
             trav.point_query(
                 center,
                 &tri_grid,
@@ -52,7 +51,6 @@ proptest! {
                 scratch,
                 &mut sink,
                 &mut metrics,
-                &mut probe,
             );
             (sink.take(), metrics)
         };

@@ -12,7 +12,8 @@ end-to-end metric the record keeps the median, the quartiles (the exclusive
 method `--compare` uses) and the run count; per-layer metrics keep their
 median. Next to them: what the runs say about the program and the host (git
 rev, nproc, SIMD ISA, rustc, seeds, failed frames) and the `tools/loc.py`
-totals of the tree the record is written from. `--base` adds the end-to-end
+totals of the tree the record is written from. A set with a run whose git rev
+is `unknown` (built outside a git checkout) is refused, naming the runs. `--base` adds the end-to-end
 summary of the parent's set from the same session (`base_end_to_end`): the
 host drifts between sessions by more than most changes move, so a record is
 best read against its own base. It also adds `paired`: per workload and
@@ -206,6 +207,11 @@ def main():
     layered = load({*runs, args.set_dir}, "*.layers.json")
     if not untraced:
         sys.exit(f"{args.set_dir}: no untraced <workload>.json results")
+    # A record names the tree it measured; a run built outside a git
+    # checkout cannot say which.
+    unknown = [f"{r['workload']}/{r['seed']}" for r in untraced if r["details"]["environment"]["git_rev"] == "unknown"]
+    if unknown:
+        sys.exit(f"{args.set_dir}: git_rev unknown in run(s) {', '.join(unknown)}; run from a git checkout")
 
     env = [r["details"]["environment"] for r in untraced]
     # One value per key unless the runs disagree, which the record shows.
